@@ -7,6 +7,7 @@ default; `--format table` renders series coefficients as aligned grids.
 
 Exit codes: 0 on success or match, 1 when a requested comparison fails,
 2 on bad input (malformed JSON, dimension mismatches, cap violations).
+Any other exception is a bug and is not mapped to an exit code.
 """
 
 from __future__ import annotations
@@ -151,18 +152,24 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_matrix_group(path: str) -> MatrixGroup:
+def _load_as(path: str, kind: str, parse):
+    """Parse a loaded JSON file; a missing field or a value of the wrong
+    type is bad input, reported as ValueError."""
+    data = _load_json(path)
     try:
-        return MatrixGroup.from_json_dict(_load_json(path))
+        return parse(data)
     except KeyError as exc:
-        raise ValueError(f"{path}: not a matrix group file, missing field {exc}") from exc
+        raise ValueError(f"{path}: not a {kind} file, missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{path}: not a {kind} file, {exc}") from exc
+
+
+def _load_matrix_group(path: str) -> MatrixGroup:
+    return _load_as(path, "matrix group", MatrixGroup.from_json_dict)
 
 
 def _load_perm_group(path: str) -> PermGroup:
-    try:
-        return PermGroup.from_json_dict(_load_json(path))
-    except KeyError as exc:
-        raise ValueError(f"{path}: not a permutation group file, missing field {exc}") from exc
+    return _load_as(path, "permutation group", PermGroup.from_json_dict)
 
 
 def _load_character(spec: str):
@@ -245,7 +252,7 @@ def _cmd_molien(cfg: CommandConfig, out) -> int:
     action = GroupAction.from_matrix_group(G, character=_load_character(cfg.character))
     series = super_molien(action, cfg.dq, cfg.du)
     if cfg.expect_path is not None:
-        expected = TrigradedSeries.from_json_dict(_load_json(cfg.expect_path))
+        expected = _load_as(cfg.expect_path, "series", TrigradedSeries.from_json_dict)
         match = series == expected
         _emit({"match": match}, cfg.fmt, out)
         return 0 if match else 1
@@ -293,8 +300,8 @@ def _cmd_collate(cfg: CommandConfig, out) -> int:
 
 
 def _cmd_shuffle(cfg: CommandConfig, out) -> int:
-    A = SuperPolynomial.from_json_dict(_load_json(cfg.left_path))
-    B = SuperPolynomial.from_json_dict(_load_json(cfg.right_path))
+    A = _load_as(cfg.left_path, "polynomial", SuperPolynomial.from_json_dict)
+    B = _load_as(cfg.right_path, "polynomial", SuperPolynomial.from_json_dict)
     _emit(shuffle_product(A, B, signed=cfg.signed), cfg.fmt, out)
     return 0
 
@@ -323,8 +330,9 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     try:
         cfg = config_from_args(args)
         return _DISPATCH[cfg.subcommand](cfg, out)
-    except (SuperMolienError, ValueError, KeyError, TypeError, OSError,
-            json.JSONDecodeError) as exc:
+    # validated input errors only: a TypeError or KeyError from the kernels
+    # is a bug and propagates as a traceback
+    except (SuperMolienError, ValueError, OSError, json.JSONDecodeError) as exc:
         err.write(f"error: {exc}\n")
         return 2
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -41,6 +42,10 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.images)
+
+    @property
+    def is_identity(self) -> bool:
+        return all(img == i for i, img in enumerate(self.images, start=1))
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -125,6 +130,12 @@ class GradedGroupElement:
     @staticmethod
     def identity(r0: int, r1: int) -> "GradedGroupElement":
         return GradedGroupElement(QMatrix.identity(r0), QMatrix.identity(r1))
+
+    @cached_property
+    def is_identity(self) -> bool:
+        # computed once per element object; not a dataclass field, so it
+        # takes no part in equality or hashing
+        return self.g0 == QMatrix.identity(self.g0.nrows) and self.g1 == QMatrix.identity(self.g1.nrows)
 
     def __mul__(self, other: "GradedGroupElement") -> "GradedGroupElement":
         return GradedGroupElement(self.g0 * other.g0, self.g1 * other.g1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import BasisTooLarge, DimensionMismatch
+from .errors import BasisTooLarge, DimensionMismatch, SignatureMismatch
 from .groups import (
     LinearCharacter,
     MatrixGroup,
@@ -32,6 +32,7 @@ from .linalg import QMatrix, assemble_blocks, charpoly_det, matrix_rank
 from .series import Caps, TrigradedSeries, series_add, series_inv, series_mul, series_scale, unipoly_as_series
 from .superalgebra import (
     AlgebraSignature,
+    SuperMonomial,
     SuperPolynomial,
     apply_wreath,
     bidegree_basis,
@@ -39,6 +40,15 @@ from .superalgebra import (
 )
 
 DEFAULT_BASIS_LIMIT = 5000
+
+# "invariant" counts S_n[G]-invariants; "antiinvariant" weights each wreath
+# label by the sign of its row permutation.
+FLAVORS = ("invariant", "antiinvariant")
+
+
+def require_flavor(flavor: str) -> None:
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +92,7 @@ class GroupAction:
     def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant", name: str = "") -> "GroupAction":
         """Action of P[G] on n rows; flavor "invariant" weights every label 1,
         flavor "antiinvariant" weights by sgn(sigma)."""
-        if flavor not in ("invariant", "antiinvariant"):
-            raise ValueError(f"unknown flavor {flavor!r}")
+        require_flavor(flavor)
         sig = AlgebraSignature(G.r0, G.r1, n)
         labels = tuple(build_wreath(P, G, n))
         if flavor == "invariant":
@@ -154,10 +163,22 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
 def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:
     """(1/|W|) sum over w of chi(w^{-1}) w.f, the projector onto the
     chi-isotypic component."""
-    acc = SuperPolynomial.zero(action.signature)
-    for i in range(action.order):
-        acc = acc + action.apply(i, f).scale(action.character.at_inverse(i))
-    return acc.scale(Fraction(1, action.order))
+    if f.sig != action.signature:
+        raise SignatureMismatch(f"{f.sig} != {action.signature}")
+    acc: dict[SuperMonomial, Fraction] = {}
+    for i, w in enumerate(action.labels):
+        weight = Fraction(action.character.at_inverse(i))
+        for m, c in apply_wreath(w, f).terms.items():
+            c = weight * c
+            acc[m] = acc[m] + c if m in acc else c
+    scale = Fraction(1, action.order)
+    return SuperPolynomial._canonical(action.signature, {m: c * scale for m, c in acc.items()})
+
+
+def reynolds_images(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[SuperPolynomial]:
+    """Reynolds projection of every basis monomial, in basis order."""
+    sig = action.signature
+    return [reynolds_project(action, SuperPolynomial.monomial(sig, m)) for m in basis]
 
 
 def invariant_dimension_bruteforce(
@@ -171,10 +192,7 @@ def invariant_dimension_bruteforce(
         raise BasisTooLarge(f"bidegree ({i}, {j}) basis has {len(basis)} monomials, limit {basis_limit}")
     if not basis:
         return 0
-    rows = []
-    for mono in basis:
-        image = reynolds_project(action, SuperPolynomial.monomial(action.signature, mono))
-        rows.append(coefficient_vector(image, basis))
+    rows = [coefficient_vector(p, basis) for p in reynolds_images(action, basis)]
     return matrix_rank(QMatrix.from_rows(rows))
 
 

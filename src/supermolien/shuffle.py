@@ -26,11 +26,13 @@ from .groups import (
     perm_sign,
     shuffle_reps,
 )
-from .linalg import EchelonSelector
+from .linalg import EchelonSelector, QMatrix, matrix_rank
 from .molien import (
     DEFAULT_BASIS_LIMIT,
     GroupAction,
     invariant_dimension_bruteforce,
+    require_flavor,
+    reynolds_images,
     reynolds_project,
 )
 from .superalgebra import (
@@ -43,13 +45,7 @@ from .superalgebra import (
     coefficient_vector,
     super_mul,
 )
-from .wreath_series import (
-    FLAVORS,
-    CollationSpec,
-    collated_product_series,
-    collated_sum_series,
-    _require_flavor,
-)
+from .wreath_series import CollationSpec, collated_product_series, collated_sum_series
 
 __all__ = [
     "InvariantSpaceBasis",
@@ -75,10 +71,24 @@ def shift_rows(f: SuperPolynomial, offset: int, n_out: int) -> SuperPolynomial:
     sig = AlgebraSignature(f.sig.r0, f.sig.r1, n_out)
     out = {}
     for m, c in f.terms.items():
-        xpart = [(r + offset, col, e) for r, col, e in m.xpart]
-        theta = [(r + offset, col) for r, col in m.theta]
-        out[SuperMonomial(xpart, theta)] = c
-    return SuperPolynomial(sig, out)
+        # a shift keeps every monomial canonical and distinct
+        xpart = tuple((r + offset, col, e) for r, col, e in m.xpart)
+        theta = tuple((r + offset, col) for r, col in m.theta)
+        out[SuperMonomial._canonical(xpart, theta)] = c
+    return SuperPolynomial._canonical(sig, out)
+
+
+def _symmetrize(core: SuperPolynomial, reps, signed: bool) -> SuperPolynomial:
+    """Sum of the row relabelings of core by reps, each weighted by its sign
+    when signed."""
+    total: dict[SuperMonomial, Fraction] = {}
+    for sigma in reps:
+        negate = signed and perm_sign(sigma) < 0
+        for m, c in apply_row_permutation(sigma, core).terms.items():
+            if negate:
+                c = -c
+            total[m] = total[m] + c if m in total else c
+    return SuperPolynomial._canonical(core.sig, total)
 
 
 def shuffle_product(A: SuperPolynomial, B: SuperPolynomial, signed: bool = False) -> SuperPolynomial:
@@ -93,13 +103,7 @@ def shuffle_product(A: SuperPolynomial, B: SuperPolynomial, signed: bool = False
     a, b = A.sig.n, B.sig.n
     n = a + b
     core = super_mul(shift_rows(A, 0, n), shift_rows(B, a, n))
-    total = SuperPolynomial.zero(core.sig)
-    for sigma in shuffle_reps(a, b):
-        term = apply_row_permutation(sigma, core)
-        if signed:
-            term = term.scale(perm_sign(sigma))
-        total = total + term
-    return total
+    return _symmetrize(core, shuffle_reps(a, b), signed)
 
 
 def _three_block_reps(a: int, b: int, c: int) -> list[Permutation]:
@@ -130,13 +134,7 @@ def triple_shuffle(
     core = super_mul(
         super_mul(shift_rows(A, 0, n), shift_rows(B, a, n)), shift_rows(C, a + b, n)
     )
-    total = SuperPolynomial.zero(core.sig)
-    for sigma in _three_block_reps(a, b, c):
-        term = apply_row_permutation(sigma, core)
-        if signed:
-            term = term.scale(perm_sign(sigma))
-        total = total + term
-    return total
+    return _symmetrize(core, _three_block_reps(a, b, c), signed)
 
 
 @dataclass(frozen=True)
@@ -158,22 +156,18 @@ def invariant_basis(
 ) -> InvariantSpaceBasis:
     """Basis of the chi-isotypic component in bidegree (i, j).
 
-    Projects every monomial of the bidegree and keeps a greedy maximal
-    independent subset; the count is cross-checked against the projector
-    rank computed the blunt way.
+    Projects every monomial of the bidegree once and keeps a greedy maximal
+    independent subset; the count is cross-checked against the rank of the
+    same projector rows computed the blunt way.
     """
     mons = bidegree_basis(action.signature, i, j)
     if len(mons) > basis_limit:
         raise BasisTooLarge(f"bidegree ({i},{j}) has {len(mons)} monomials, limit {basis_limit}")
+    images = reynolds_images(action, mons)
+    rows = [coefficient_vector(proj, mons) for proj in images]
     sel = EchelonSelector(len(mons))
-    kept = []
-    for m in mons:
-        proj = reynolds_project(action, SuperPolynomial.monomial(action.signature, m))
-        if proj.is_zero():
-            continue
-        if sel.offer(coefficient_vector(proj, mons)):
-            kept.append(proj)
-    oracle = invariant_dimension_bruteforce(action, i, j, basis_limit)
+    kept = [proj for proj, row in zip(images, rows) if not proj.is_zero() and sel.offer(row)]
+    oracle = matrix_rank(QMatrix.from_rows(rows)) if rows else 0
     if len(kept) != oracle:
         raise SuperMolienError(
             f"greedy basis size {len(kept)} disagrees with projector rank {oracle}"
@@ -201,7 +195,7 @@ def _wreath_generator_labels(n: int, G: MatrixGroup) -> list[tuple[WreathElement
 
 def is_wreath_invariant(f: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant") -> bool:
     """True iff every wreath generator fixes f (or sign-twists it)."""
-    _require_flavor(flavor)
+    require_flavor(flavor)
     for w, s in _wreath_generator_labels(f.sig.n, G):
         expected = f.scale(s) if flavor == "antiinvariant" else f
         if apply_wreath(w, f) != expected:
@@ -214,7 +208,7 @@ def verify_closure(
 ) -> bool:
     """Shuffle two checked (anti)invariants and test the product against
     every generator of the larger wreath product."""
-    _require_flavor(flavor)
+    require_flavor(flavor)
     if not is_wreath_invariant(A, G, flavor):
         raise ValueError("left factor is not (anti)invariant for its row count")
     if not is_wreath_invariant(B, G, flavor):
@@ -278,7 +272,7 @@ def degree_one_generation_rank(
 
     Returns (spanned, full); generation in degree one predicts equality.
     """
-    _require_flavor(flavor)
+    require_flavor(flavor)
     if n < 1:
         raise ValueError("need at least one row")
     signed = flavor == "antiinvariant"
@@ -311,16 +305,22 @@ def closure_battery(
     """Exhaustive closure sweep over invariant-basis pairs.
 
     Covers every row split a + b <= max_rows and every pair of factor
-    bidegrees with total x-degree at most max_i.  Returns (checked, failed).
+    bidegrees with total x-degree at most max_i.  Each basis element is
+    checked for (anti)invariance once, when its basis is computed, and
+    every shuffle product is checked.  Returns (checked, failed).
     """
-    _require_flavor(flavor)
+    require_flavor(flavor)
+    signed = flavor == "antiinvariant"
     bases: dict[tuple[int, int, int], tuple[SuperPolynomial, ...]] = {}
 
     def basis_for(rows: int, bi: int, bj: int) -> tuple[SuperPolynomial, ...]:
         key = (rows, bi, bj)
         if key not in bases:
             action = GroupAction.from_wreath(PermGroup.symmetric(rows), G, rows, flavor=flavor)
-            bases[key] = invariant_basis(action, bi, bj, basis_limit).elements
+            elements = invariant_basis(action, bi, bj, basis_limit).elements
+            if not all(is_wreath_invariant(f, G, flavor) for f in elements):
+                raise ValueError(f"basis element in bidegree ({bi},{bj}) on {rows} rows is not {flavor}")
+            bases[key] = elements
         return bases[key]
 
     checked = 0
@@ -334,7 +334,7 @@ def closure_battery(
                             for A in basis_for(a, ia, ja):
                                 for B in basis_for(b, ib, jb):
                                     checked += 1
-                                    if not verify_closure(A, B, G, flavor):
+                                    if not is_wreath_invariant(shuffle_product(A, B, signed), G, flavor):
                                         failed += 1
     return checked, failed
 
@@ -363,7 +363,7 @@ def theorem3_check(
     (a) the collated Hilbert series matches its product form, (b) degree-one
     shuffles span every bidegree with n <= n_max, i <= dq, and (c) closure
     and associativity hold on a deterministic sample."""
-    _require_flavor(flavor)
+    require_flavor(flavor)
     spec = CollationSpec(group=G, n_max=n_max, dq=dq, du=max(1, n_max * G.r1), flavor=flavor)
     if collated_sum_series(spec) != collated_product_series(spec):
         return False

@@ -114,6 +114,16 @@ class SuperMonomial:
     def __setattr__(self, name, value):
         raise AttributeError("SuperMonomial is immutable")
 
+    @classmethod
+    def _canonical(cls, xpart: tuple, theta: tuple) -> "SuperMonomial":
+        """Trusted constructor for parts already in canonical form: xpart a
+        sorted tuple of (row, col, exponent) with positive exponents and
+        distinct keys, theta a strictly increasing tuple of pairs."""
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "xpart", xpart)
+        object.__setattr__(mono, "theta", theta)
+        return mono
+
     @staticmethod
     def one() -> "SuperMonomial":
         return SuperMonomial({})
@@ -165,6 +175,17 @@ class SuperPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperPolynomial is immutable")
+
+    @classmethod
+    def _canonical(cls, sig: AlgebraSignature, terms: dict) -> "SuperPolynomial":
+        """Trusted constructor: terms maps monomials inside sig to Fractions.
+
+        Zero coefficients are dropped; nothing else is checked or coerced,
+        and the dict is filtered into a new one, never kept."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "sig", sig)
+        object.__setattr__(poly, "terms", {m: c for m, c in terms.items() if c})
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -263,27 +284,49 @@ def _require_same_sig(a: SuperPolynomial, b: SuperPolynomial):
         raise SignatureMismatch(f"{a.sig} != {b.sig}")
 
 
+def _merge_xpart(a: tuple, b: tuple) -> tuple:
+    """Canonical x-part of the product of two canonical x-parts."""
+    if not a:
+        return b
+    if not b or a[-1][:2] < b[0][:2]:
+        return a + b
+    merged = {(r, c): e for r, c, e in a}
+    for r, c, e in b:
+        merged[(r, c)] = merged.get((r, c), 0) + e
+    return tuple((r, c, e) for (r, c), e in sorted(merged.items()))
+
+
 def mul_monomials(m1: SuperMonomial, m2: SuperMonomial) -> tuple[SuperMonomial, int]:
     """Product of canonical monomials: merged x-part, m1's thetas before m2's."""
-    theta, sign = normalize_theta(m1.theta + m2.theta)
+    a, b = m1.theta, m2.theta
+    if not a or not b or a[-1] < b[0]:
+        theta, sign = a + b, 1
+    else:
+        theta, sign = normalize_theta(a + b)
     if sign == 0:
         return SuperMonomial.one(), 0
-    xpart = {(r, c): e for r, c, e in m1.xpart}
-    for r, c, e in m2.xpart:
-        xpart[(r, c)] = xpart.get((r, c), 0) + e
-    return SuperMonomial(xpart, theta), sign
+    return SuperMonomial._canonical(_merge_xpart(m1.xpart, m2.xpart), theta), sign
+
+
+def _mul_terms(a: Mapping[SuperMonomial, Fraction], b: Mapping[SuperMonomial, Fraction]) -> dict:
+    """Product of two term maps; cancelled terms stay in as zeros."""
+    out: dict[SuperMonomial, Fraction] = {}
+    b_items = list(b.items())
+    for m1, c1 in a.items():
+        if not c1:
+            continue
+        for m2, c2 in b_items:
+            mono, sign = mul_monomials(m1, m2)
+            if sign == 0:
+                continue
+            c = c1 * c2 if sign > 0 else -(c1 * c2)
+            out[mono] = out[mono] + c if mono in out else c
+    return out
 
 
 def super_mul(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
     _require_same_sig(f, g)
-    out: dict[SuperMonomial, Fraction] = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            mono, sign = mul_monomials(m1, m2)
-            if sign == 0:
-                continue
-            out[mono] = out.get(mono, Fraction(0)) + sign * c1 * c2
-    return SuperPolynomial(f.sig, out)
+    return SuperPolynomial._canonical(f.sig, _mul_terms(f.terms, g.terms))
 
 
 def apply_row_permutation(sigma: Permutation, f: SuperPolynomial) -> SuperPolynomial:
@@ -294,79 +337,86 @@ def apply_row_permutation(sigma: Permutation, f: SuperPolynomial) -> SuperPolyno
     """
     if sigma.n != f.sig.n:
         raise DegreeMismatch(f"permutation degree {sigma.n} != {f.sig.n} rows")
-    inv = sigma.inverse()
+    inv = (0,) + sigma.inverse().images
     out: dict[SuperMonomial, Fraction] = {}
     for mono, c in f.terms.items():
-        xpart = [(inv(r), col, e) for r, col, e in mono.xpart]
-        theta, sign = normalize_theta((inv(r), col) for r, col in mono.theta)
-        # relabeling is injective, so sign is never 0 here
-        new = SuperMonomial(xpart, theta)
-        out[new] = out.get(new, Fraction(0)) + sign * c
-    return SuperPolynomial(f.sig, out)
+        xpart = tuple(sorted((inv[r], col, e) for r, col, e in mono.xpart))
+        # relabeling is a bijection on monomials and never repeats a factor
+        theta, sign = normalize_theta((inv[r], col) for r, col in mono.theta)
+        out[SuperMonomial._canonical(xpart, theta)] = c if sign > 0 else -c
+    return SuperPolynomial._canonical(f.sig, out)
+
+
+def _require_blocks(g: GradedGroupElement, sig: AlgebraSignature) -> None:
+    if g.g0.nrows != sig.r0 or g.g0.ncols != sig.r0 or g.g1.nrows != sig.r1 or g.g1.ncols != sig.r1:
+        raise DimensionMismatch(
+            f"element blocks {g.g0.nrows}/{g.g1.nrows} do not match signature ({sig.r0}, {sig.r1})"
+        )
 
 
 def apply_graded_element(g: GradedGroupElement, row: int, f: SuperPolynomial) -> SuperPolynomial:
     """Linear substitution within one row:
     x[row,c] -> sum_{c'} g0[c',c] x[row,c'] and likewise theta via g1."""
     sig = f.sig
-    if g.g0.nrows != sig.r0 or g.g0.ncols != sig.r0 or g.g1.nrows != sig.r1 or g.g1.ncols != sig.r1:
-        raise DimensionMismatch(
-            f"element blocks {g.g0.nrows}/{g.g1.nrows} do not match signature ({sig.r0}, {sig.r1})"
-        )
+    _require_blocks(g, sig)
     if not (1 <= row <= sig.n):
         raise ValueError(f"row {row} outside 1..{sig.n}")
 
-    x_images: dict[int, SuperPolynomial] = {}
-    theta_images: dict[int, SuperPolynomial] = {}
-    for c in range(1, sig.r0 + 1):
-        x_images[c] = SuperPolynomial(
-            sig,
-            {
-                SuperMonomial({(row, cp): 1}): g.g0.get(cp - 1, c - 1)
-                for cp in range(1, sig.r0 + 1)
-                if g.g0.get(cp - 1, c - 1) != 0
-            },
-        )
-    for c in range(1, sig.r1 + 1):
-        theta_images[c] = SuperPolynomial(
-            sig,
-            {
-                SuperMonomial({}, ((row, cp),)): g.g1.get(cp - 1, c - 1)
-                for cp in range(1, sig.r1 + 1)
-                if g.g1.get(cp - 1, c - 1) != 0
-            },
-        )
+    # images of x[row,c] and theta[row,c], indexed by c - 1
+    x_images = [
+        {
+            SuperMonomial._canonical(((row, cp + 1, 1),), ()): g.g0.get(cp, c)
+            for cp in range(sig.r0)
+            if g.g0.get(cp, c)
+        }
+        for c in range(sig.r0)
+    ]
+    theta_images = [
+        {
+            SuperMonomial._canonical((), ((row, cp + 1),)): g.g1.get(cp, c)
+            for cp in range(sig.r1)
+            if g.g1.get(cp, c)
+        }
+        for c in range(sig.r1)
+    ]
 
-    total = SuperPolynomial.zero(sig)
+    total: dict[SuperMonomial, Fraction] = {}
     for mono, coeff in f.terms.items():
         # multiply substituted factors in canonical order; untouched factors
         # pass through as a single monomial so signs stay exact
-        passive_x = {(r, c): e for r, c, e in mono.xpart if r != row}
+        passive_x = tuple(t for t in mono.xpart if t[0] != row)
         active_x = [(c, e) for r, c, e in mono.xpart if r == row]
-        passive_pre = [p for p in mono.theta if p < (row, 0)]
+        passive_pre = tuple(p for p in mono.theta if p[0] < row)
         active_t = [c for r, c in mono.theta if r == row]
-        passive_post = [p for p in mono.theta if p > (row, sig.r1 + 1)]
-        acc = SuperPolynomial.monomial(sig, SuperMonomial(passive_x, tuple(passive_pre)), coeff)
+        passive_post = tuple(p for p in mono.theta if p[0] > row)
+        acc = {SuperMonomial._canonical(passive_x, passive_pre): coeff}
         for c, e in active_x:
             for _ in range(e):
-                acc = super_mul(acc, x_images[c])
+                acc = _mul_terms(acc, x_images[c - 1])
         for c in active_t:
-            acc = super_mul(acc, theta_images[c])
+            acc = _mul_terms(acc, theta_images[c - 1])
         if passive_post:
-            acc = super_mul(acc, SuperPolynomial.monomial(sig, SuperMonomial({}, tuple(passive_post))))
-        total = total + acc
-    return total
+            acc = _mul_terms(acc, {SuperMonomial._canonical((), passive_post): Fraction(1)})
+        for m, c in acc.items():
+            total[m] = total[m] + c if m in total else c
+    return SuperPolynomial._canonical(sig, total)
 
 
 def apply_wreath(w: WreathElement, f: SuperPolynomial) -> SuperPolynomial:
     """Composite action of a wreath label: per-row substitutions, then the
-    row relabeling."""
-    if w.sigma.n != f.sig.n:
-        raise DegreeMismatch(f"wreath degree {w.sigma.n} != {f.sig.n} rows")
+    row relabeling.  Identity rows and an identity relabeling are skipped,
+    so the identity label returns f itself."""
+    sig = f.sig
+    if w.sigma.n != sig.n:
+        raise DegreeMismatch(f"wreath degree {w.sigma.n} != {sig.n} rows")
     out = f
-    for row in range(1, f.sig.n + 1):
-        out = apply_graded_element(w.gs[row - 1], row, out)
-    return apply_row_permutation(w.sigma, out)
+    for row, g in enumerate(w.gs, start=1):
+        _require_blocks(g, sig)
+        if not g.is_identity:
+            out = apply_graded_element(g, row, out)
+    if not w.sigma.is_identity:
+        out = apply_row_permutation(w.sigma, out)
+    return out
 
 
 def _compositions_desc_lex(total: int, nvars: int):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .fixtures import PERM_GROUP_FIXTURES, matrix_group_fixture, perm_group_fixture
 from .groups import MatrixGroup, PermGroup, perm_group_of_wreath
 from .linalg import QMatrix
-from .molien import GroupAction, molien_vs_oracle, super_molien
+from .molien import FLAVORS, GroupAction, molien_vs_oracle, super_molien
 from .series import Caps, TrigradedSeries, series_add, series_inv, series_mul, series_pow_int, series_sub
 from .shuffle import (
     closure_battery,
@@ -28,7 +28,6 @@ from .shuffle import (
 from .superalgebra import AlgebraSignature, SuperMonomial, SuperPolynomial, super_mul
 from .symfunc import SymFuncPoly, cycle_index, hn_en, omega, plethystic_compose
 from .wreath_series import (
-    FLAVORS,
     CollationSpec,
     check_collation,
     check_superspace,

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .groups import MatrixGroup, PermGroup, Permutation, WreathElement
 from .linalg import QMatrix, assemble_blocks, qmatrix_det
-from .molien import GroupAction, label_molien_term, super_molien
+from .molien import FLAVORS, GroupAction, label_molien_term, require_flavor, super_molien
 from .series import (
     Caps,
     TrigradedSeries,
@@ -35,19 +35,11 @@ from .series import (
 from .superalgebra import AlgebraSignature
 from .symfunc import cycle_index, plethystic_substitute
 
-FLAVORS = ("invariant", "antiinvariant")
-
-
-def _require_flavor(flavor: str) -> None:
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-
-
 def wreath_hilbert_direct(
     P: PermGroup, G: MatrixGroup, n: int, flavor: str, dq: int, du: int | None = None
 ) -> TrigradedSeries:
     """Hilbert series of the (anti)invariants of P[G], by full enumeration."""
-    _require_flavor(flavor)
+    require_flavor(flavor)
     action = GroupAction.from_wreath(P, G, n, flavor=flavor)
     return super_molien(action, dq, du)
 
@@ -61,7 +53,7 @@ def wreath_hilbert_plethysm(
     one.  The inner series is the one-row series of G with u negated; the
     outer negation undoes the flip.
     """
-    _require_flavor(flavor)
+    require_flavor(flavor)
     if du is None:
         du = n * G.r1
     inner = super_molien(GroupAction.from_matrix_group(G), dq, du)
@@ -100,7 +92,7 @@ class CollationSpec:
     flavor: str = "invariant"
 
     def __post_init__(self):
-        _require_flavor(self.flavor)
+        require_flavor(self.flavor)
         if self.n_max < 0 or self.dq < 0 or self.du < 0:
             raise ValueError("collation caps must be nonnegative")
 
@@ -264,7 +256,7 @@ def _superspace_factor_product(n: int, caps: Caps, flavor: str) -> TrigradedSeri
 
 def superspace_single_n_product(n: int, dq: int, flavor: str = "invariant") -> TrigradedSeries:
     """Closed form for the rank-n superspace series, at caps (0, dq, n)."""
-    _require_flavor(flavor)
+    require_flavor(flavor)
     return _superspace_factor_product(n, Caps(0, dq, n), flavor)
 
 
@@ -273,7 +265,7 @@ def superspace_product_series(n_max: int, dq: int, flavor: str = "invariant") ->
 
     The antiinvariant flavor swaps u between numerator and denominator.
     """
-    _require_flavor(flavor)
+    require_flavor(flavor)
     caps = Caps(n_max, dq, n_max)
     one = TrigradedSeries.one(caps)
     result = one
@@ -290,7 +282,7 @@ def superspace_product_series(n_max: int, dq: int, flavor: str = "invariant") ->
 
 def superspace_qbinomial_series(n_max: int, dq: int, flavor: str = "invariant") -> TrigradedSeries:
     """Collated superspace series assembled n by n from the closed forms."""
-    _require_flavor(flavor)
+    require_flavor(flavor)
     caps = Caps(n_max, dq, n_max)
     total = TrigradedSeries.one(caps)
     for n in range(1, n_max + 1):
@@ -301,7 +293,7 @@ def superspace_qbinomial_series(n_max: int, dq: int, flavor: str = "invariant") 
 
 def check_superspace(n_max: int, dq: int, flavor: str = "invariant") -> dict:
     """Three-route superspace consistency: collated sum, product, q-binomial."""
-    _require_flavor(flavor)
+    require_flavor(flavor)
     spec = CollationSpec(
         group=MatrixGroup.trivial(1, 1), n_max=n_max, dq=dq, du=n_max, flavor=flavor
     )

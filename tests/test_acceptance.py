@@ -16,6 +16,7 @@ from supermolien.molien import GroupAction, molien_vs_oracle
 from supermolien.series import Caps, TrigradedSeries, series_add, series_inv, series_mul, series_pow_int, series_sub
 from supermolien.shuffle import closure_battery, degree_one_generation_rank
 from supermolien.symfunc import SymFuncPoly, cycle_index, hn_en, omega, plethystic_compose
+from test_shuffle import CLOSURE_COUNTS
 from supermolien.verify import (
     _seeded_associativity,
     _seeded_block_lemma,
@@ -129,8 +130,7 @@ def test_criterion_7_shuffle_algebra_battery():
     for gname in ("trivial-1-1", "trivial-1-0", "trivial-0-1", "sign-scalar"):
         G = matrix_group_fixture(gname)
         for flavor in ("invariant", "antiinvariant"):
-            checked, failed = closure_battery(G, flavor, max_rows=4, max_i=4)
-            if checked == 0 or failed:
+            if closure_battery(G, flavor, max_rows=4, max_i=4) != CLOSURE_COUNTS[(gname, flavor)]:
                 ok = False
             for n in range(1, 4):
                 for i in range(5):

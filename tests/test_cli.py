@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from supermolien import cli as cli_module
 from supermolien.cli import CommandConfig, build_parser, config_from_args, run
 from supermolien.series import TrigradedSeries
 from supermolien.shuffle import shuffle_product
@@ -147,6 +148,29 @@ def test_cap_violation_exits_two():
     code, _, err = invoke("molien", "--group", fx("shear_unbounded.json"), "--dq", "2")
     assert code == 2
     assert "cap" in err
+
+
+def test_malformed_field_types_exit_two(tmp_path):
+    bad = tmp_path / "bad.json"
+    for body in ("[1, 2]", '{"r0": 1, "r1": 0, "generators": 5}', '"text"'):
+        bad.write_text(body, encoding="utf-8")
+        code, out, err = invoke("molien", "--group", str(bad), "--dq", "2")
+        assert code == 2
+        assert out == "" and "not a matrix group file" in err
+    bad.write_text('{"sig": {"r0": 1, "r1": 1, "n": 1}, "terms": 3}', encoding="utf-8")
+    code, _, err = invoke("shuffle", str(bad), fx("shuffle_left_1_2.json"))
+    assert code == 2
+    assert "not a polynomial file" in err
+
+
+@pytest.mark.parametrize("exc_type", [TypeError, KeyError])
+def test_kernel_bug_propagates_instead_of_exit_two(monkeypatch, exc_type):
+    def broken_kernel(*args, **kwargs):
+        raise exc_type("kernel bug")
+
+    monkeypatch.setattr(cli_module, "super_molien", broken_kernel)
+    with pytest.raises(exc_type):
+        invoke("molien", "--group", fx("trivial_1_1.json"), "--dq", "2")
 
 
 def test_unknown_flag_rejected():

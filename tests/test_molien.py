@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from supermolien import shuffle, wreath_series
 from supermolien.errors import BasisTooLarge
 from supermolien.fixtures import (
     diagonal_perm_group,
@@ -14,11 +15,13 @@ from supermolien.fixtures import (
     trivial_group,
     young_theta_group,
 )
-from supermolien.groups import PermGroup
+from supermolien.groups import MatrixGroup, PermGroup
 from supermolien.molien import (
+    FLAVORS,
     GroupAction,
     invariant_dimension_bruteforce,
     molien_vs_oracle,
+    require_flavor,
     reynolds_project,
     super_molien,
 )
@@ -192,3 +195,19 @@ def test_block_matrices_layout_for_swap_label():
             assert m0.rows() == [(0, -1), (1, 0)]
             return
     raise AssertionError("label not found")
+
+
+def test_one_flavor_validator():
+    assert wreath_series.FLAVORS is FLAVORS == ("invariant", "antiinvariant")
+    for flavor in FLAVORS:
+        require_flavor(flavor)
+    G = MatrixGroup.trivial(1, 0)
+    message = r"unknown flavor 'nope'; expected one of \('invariant', 'antiinvariant'\)"
+    for call in (
+        lambda: require_flavor("nope"),
+        lambda: GroupAction.from_wreath(PermGroup.symmetric(2), G, 2, flavor="nope"),
+        lambda: wreath_series.wreath_hilbert_direct(PermGroup.symmetric(2), G, 2, "nope", 2),
+        lambda: shuffle.closure_battery(G, "nope", 2, 1),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -9,7 +9,9 @@ from supermolien.errors import BasisTooLarge, NotHomogeneous, SignatureMismatch
 from supermolien.fixtures import matrix_group_fixture
 from supermolien.groups import MatrixGroup, PermGroup
 from supermolien.molien import GroupAction, invariant_dimension_bruteforce, reynolds_project
+from supermolien import shuffle as shuffle_module
 from supermolien.shuffle import (
+    InvariantSpaceBasis,
     closure_battery,
     degree_one_generation_rank,
     invariant_basis,
@@ -211,12 +213,41 @@ def test_verify_closure_rejects_noninvariant_input():
         verify_closure(th1, th1, G, "invariant")
 
 
-@pytest.mark.parametrize("gname", ["trivial-1-1", "sign-scalar"])
+# (checked, failed) of closure_battery(G, flavor, max_rows=4, max_i=4) for
+# each shuffle group.  checked is a sum of products of invariant-space
+# dimensions, so a sweep that drops or repeats pairs changes it.
+CLOSURE_COUNTS = {
+    ("trivial-1-1", "invariant"): (1012, 0),
+    ("trivial-1-1", "antiinvariant"): (1012, 0),
+    ("trivial-1-0", "invariant"): (139, 0),
+    ("trivial-1-0", "antiinvariant"): (55, 0),
+    ("trivial-0-1", "invariant"): (24, 0),
+    ("trivial-0-1", "antiinvariant"): (24, 0),
+    ("sign-scalar", "invariant"): (42, 0),
+    ("sign-scalar", "antiinvariant"): (13, 0),
+}
+
+
+@pytest.mark.parametrize("gname", ["trivial-1-1", "trivial-1-0", "trivial-0-1", "sign-scalar"])
 @pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
 def test_closure_battery_small(gname, flavor):
-    checked, failed = closure_battery(matrix_group_fixture(gname), flavor, 3, 2)
-    assert checked > 0
-    assert failed == 0
+    counts = closure_battery(matrix_group_fixture(gname), flavor, max_rows=4, max_i=4)
+    assert counts == CLOSURE_COUNTS[(gname, flavor)]
+
+
+@pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
+def test_closure_battery_rejects_noninvariant_basis_element(monkeypatch, flavor):
+    # x -> -x under sign-scalar, so x[1,1] is neither invariant nor
+    # antiinvariant on one row
+    G = matrix_group_fixture("sign-scalar")
+
+    def fake_basis(action, i, j, basis_limit=None):
+        x = SuperPolynomial.x_var(action.signature, 1, 1)
+        return InvariantSpaceBasis(action, i, j, (x,))
+
+    monkeypatch.setattr(shuffle_module, "invariant_basis", fake_basis)
+    with pytest.raises(ValueError, match="not " + flavor):
+        closure_battery(G, flavor, max_rows=2, max_i=1)
 
 
 def test_associativity_unit_and_seeded():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supermolien.errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
+from supermolien.fixtures import matrix_group_fixture
 from supermolien.groups import (
     GradedGroupElement,
     Permutation,
@@ -20,6 +21,7 @@ from supermolien.groups import (
     wreath_mul,
 )
 from supermolien.linalg import QMatrix, qmatrix_det
+from supermolien.molien import GroupAction, reynolds_project
 from supermolien.superalgebra import (
     AlgebraSignature,
     SuperMonomial,
@@ -344,3 +346,104 @@ def test_superpoly_json_rejects_repeated_theta():
     }
     with pytest.raises(ValueError):
         SuperPolynomial.from_json_dict(data)
+
+
+# -- kernel outputs: equivalence and canonical form ---------------------------------
+
+KERNEL_GROUPS = ("trivial-1-1", "trivial-2-2", "sign-scalar", "s2-x", "s3-x", "s2-theta", "young-2-1-theta")
+
+
+def random_poly(rng, sig, terms=4):
+    """Random element with fractional coefficients; repeated monomials fold."""
+    out = SuperPolynomial.zero(sig)
+    for _ in range(terms):
+        xpart = {v: rng.randint(1, 2) for v in sig.even_vars() if rng.random() < 0.4}
+        theta = sorted(v for v in sig.odd_vars() if rng.random() < 0.4)
+        c = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+        out = out + SuperPolynomial.monomial(sig, SuperMonomial(xpart, theta), c)
+    return out
+
+
+def random_label(rng, G, n):
+    """Wreath label on n rows; rows and sigma are often the identity."""
+    ident = GradedGroupElement.identity(G.r0, G.r1)
+    gs = tuple(ident if rng.random() < 0.5 else rng.choice(G.elements) for _ in range(n))
+    images = list(range(1, n + 1))
+    if rng.random() < 0.6:
+        rng.shuffle(images)
+    return WreathElement(Permutation(images), gs)
+
+
+def assert_canonical(p):
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    for m in p.terms:
+        rebuilt = SuperMonomial(m.xpart, m.theta)
+        assert (rebuilt.xpart, rebuilt.theta) == (m.xpart, m.theta)
+    again = SuperPolynomial(p.sig, p.terms)
+    assert again == p and list(again.terms.items()) == list(p.terms.items())
+
+
+def explicit_wreath(w, f):
+    out = f
+    for row in range(1, f.sig.n + 1):
+        out = apply_graded_element(w.gs[row - 1], row, out)
+    return apply_row_permutation(w.sigma, out)
+
+
+@pytest.mark.parametrize("gname", KERNEL_GROUPS)
+def test_apply_wreath_equals_explicit_composition(gname):
+    G = matrix_group_fixture(gname)
+    rng = random.Random(f"kernel-{gname}")
+    for n in (1, 2, 3):
+        sig = AlgebraSignature(G.r0, G.r1, n)
+        ident = WreathElement(Permutation.identity(n), (GradedGroupElement.identity(G.r0, G.r1),) * n)
+        labels = [ident] + [random_label(rng, G, n) for _ in range(12)]
+        for w in labels:
+            f = random_poly(rng, sig)
+            got = apply_wreath(w, f)
+            assert got == explicit_wreath(w, f)
+            assert_canonical(got)
+        assert apply_wreath(ident, f) == f
+
+
+def test_apply_wreath_equals_explicit_composition_general_matrices():
+    # non-monomial substitutions, where products of images cancel
+    shear = GradedGroupElement(
+        QMatrix.from_rows([[1, 1], [0, 1]]), QMatrix.from_rows([[1, Fraction(1, 2)], [-1, 1]])
+    )
+    ident = GradedGroupElement.identity(2, 2)
+    sig = AlgebraSignature(2, 2, 2)
+    rng = random.Random(3)
+    for gs in ((shear, ident), (ident, shear), (shear, shear)):
+        for images in ((1, 2), (2, 1)):
+            w = WreathElement(Permutation(images), gs)
+            f = random_poly(rng, sig, terms=5)
+            got = apply_wreath(w, f)
+            assert got == explicit_wreath(w, f)
+            assert_canonical(got)
+
+
+def test_wreath_apply_rejects_identity_rows_of_the_wrong_shape():
+    w = WreathElement(Permutation.identity(1), (GradedGroupElement.identity(2, 0),))
+    with pytest.raises(DimensionMismatch):
+        apply_wreath(w, SuperPolynomial.x_var(AlgebraSignature(1, 0, 1), 1, 1))
+
+
+@pytest.mark.parametrize("gname", KERNEL_GROUPS)
+def test_kernel_outputs_are_canonical(gname):
+    G = matrix_group_fixture(gname)
+    rng = random.Random(f"canonical-{gname}")
+    for n in (1, 2):
+        sig = AlgebraSignature(G.r0, G.r1, n)
+        for _ in range(6):
+            f, g = random_poly(rng, sig), random_poly(rng, sig)
+            assert_canonical(super_mul(f, g))
+            assert_canonical(super_mul(f, f))
+            sigma = Permutation(rng.sample(range(1, n + 1), n))
+            assert_canonical(apply_row_permutation(sigma, f))
+            assert_canonical(apply_graded_element(rng.choice(G.elements), rng.randint(1, n), f))
+        for flavor in ("invariant", "antiinvariant"):
+            action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor=flavor)
+            proj = reynolds_project(action, random_poly(rng, sig))
+            assert_canonical(proj)
+            assert reynolds_project(action, proj) == proj
