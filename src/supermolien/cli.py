@@ -49,7 +49,6 @@ class CommandConfig:
     character: str = "trivial"
     flavor: str = "invariant"
     suite: str = "all"
-    dt: int | None = None
     dq: int | None = None
     du: int | None = None
     n: int | None = None
@@ -59,7 +58,7 @@ class CommandConfig:
     signed: bool = False
 
     def __post_init__(self):
-        for cap in (self.dt, self.dq, self.du, self.n):
+        for cap in (self.dq, self.du, self.n):
             if cap is not None and cap < 0:
                 raise ValueError(f"caps must be nonnegative, got {cap}")
 

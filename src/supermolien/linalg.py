@@ -16,7 +16,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import NotSquare
 from .rationals import format_rational, parse_rational
-from .series import UniPoly
 
 
 class QMatrix:
@@ -211,8 +210,8 @@ def matrix_rank(m: QMatrix) -> int:
     return rank
 
 
-def charpoly_det(m: QMatrix, var: str = "z") -> UniPoly:
-    """det(I - z*M) as a UniPoly in z.
+def charpoly_det(m: QMatrix) -> tuple[Fraction, ...]:
+    """det(I - z*M) as its coefficient tuple in z, trailing zeros stripped.
 
     Power sums p_k = tr(M^k) feed Newton's identities for the elementary
     symmetric functions e_k of the eigenvalues; the result is
@@ -222,7 +221,7 @@ def charpoly_det(m: QMatrix, var: str = "z") -> UniPoly:
         raise NotSquare(f"char expansion of a {m.nrows}x{m.ncols} matrix")
     n = m.nrows
     if n == 0:
-        return UniPoly([Fraction(1)], var=var)
+        return (Fraction(1),)
     psums = []
     mk = m
     for k in range(n):
@@ -235,7 +234,10 @@ def charpoly_det(m: QMatrix, var: str = "z") -> UniPoly:
         for i in range(1, k + 1):
             acc += (-1) ** (i - 1) * e[k - i] * psums[i - 1]
         e.append(acc / k)
-    return UniPoly([(-1) ** k * e[k] for k in range(n + 1)], var=var)
+    coeffs = [(-1) ** k * e[k] for k in range(n + 1)]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 class EchelonSelector:

@@ -181,19 +181,26 @@ def reynolds_images(action: GroupAction, basis: Sequence[SuperMonomial]) -> list
     return [reynolds_project(action, SuperPolynomial.monomial(sig, m)) for m in basis]
 
 
+def _projector_rows(
+    action: GroupAction, i: int, j: int, basis_limit: int
+) -> tuple[list[SuperPolynomial], list[list[Fraction]]]:
+    """Reynolds images of the bidegree (i, j) monomials and their coefficient
+    rows over those monomials: one row per monomial, so the rows are square."""
+    basis = bidegree_basis(action.signature, i, j)
+    if len(basis) > basis_limit:
+        raise BasisTooLarge(f"bidegree ({i}, {j}) basis has {len(basis)} monomials, limit {basis_limit}")
+    images = reynolds_images(action, basis)
+    return images, [coefficient_vector(p, basis) for p in images]
+
+
 def invariant_dimension_bruteforce(
     action: GroupAction, i: int, j: int, basis_limit: int = DEFAULT_BASIS_LIMIT
 ) -> int:
     """Exact dimension of the chi-isotypic component in bidegree (i, j),
     computed as the rank of the Reynolds operator on the monomial basis.
     Never consults the Molien series."""
-    basis = bidegree_basis(action.signature, i, j)
-    if len(basis) > basis_limit:
-        raise BasisTooLarge(f"bidegree ({i}, {j}) basis has {len(basis)} monomials, limit {basis_limit}")
-    if not basis:
-        return 0
-    rows = [coefficient_vector(p, basis) for p in reynolds_images(action, basis)]
-    return matrix_rank(QMatrix.from_rows(rows))
+    _, rows = _projector_rows(action, i, j, basis_limit)
+    return matrix_rank(QMatrix.from_rows(rows)) if rows else 0
 
 
 def molien_vs_oracle(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ZeroConstantTerm
 from .rationals import format_rational, parse_rational
@@ -275,55 +275,11 @@ def scale_exponents(a: TrigradedSeries, r: int) -> TrigradedSeries:
     return TrigradedSeries(a.caps, out)
 
 
-class UniPoly:
-    """Dense univariate polynomial over Q, used for det(I - z*M) expansions."""
-
-    __slots__ = ("coeffs", "var")
-
-    def __init__(self, coeffs: Iterable, var: str = "z"):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    def degree(self) -> int:
-        """Degree, with the zero polynomial conventionally at -1."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(x) + c
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "UniPoly(0)"
-        body = " + ".join(
-            f"{format_rational(c)}*{self.var}^{k}" if k else format_rational(c)
-            for k, c in enumerate(self.coeffs)
-            if c != 0
-        )
-        return f"UniPoly({body})"
-
-
-def unipoly_as_series(p: UniPoly, caps, axis: str, negate_var: bool = False) -> TrigradedSeries:
-    """Read a UniPoly as a series on one axis ('t', 'q' or 'u').
+def unipoly_as_series(
+    coeffs: Sequence[Fraction], caps, axis: str, negate_var: bool = False
+) -> TrigradedSeries:
+    """Read a coefficient tuple c_0, c_1, ... as a series on one axis
+    ('t', 'q' or 'u').
 
     With negate_var the variable is substituted by its negative first, which
     is how det(I - z*M) becomes det(I + u*M) at z = -u.
@@ -331,7 +287,7 @@ def unipoly_as_series(p: UniPoly, caps, axis: str, negate_var: bool = False) -> 
     pos = {"t": 0, "q": 1, "u": 2}[axis]
     caps = Caps.of(caps)
     out: dict[Key, Fraction] = {}
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(coeffs):
         if c == 0:
             continue
         if negate_var and k % 2:

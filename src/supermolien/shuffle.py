@@ -30,9 +30,9 @@ from .linalg import EchelonSelector, QMatrix, matrix_rank
 from .molien import (
     DEFAULT_BASIS_LIMIT,
     GroupAction,
+    _projector_rows,
     invariant_dimension_bruteforce,
     require_flavor,
-    reynolds_images,
     reynolds_project,
 )
 from .superalgebra import (
@@ -160,12 +160,8 @@ def invariant_basis(
     independent subset; the count is cross-checked against the rank of the
     same projector rows computed the blunt way.
     """
-    mons = bidegree_basis(action.signature, i, j)
-    if len(mons) > basis_limit:
-        raise BasisTooLarge(f"bidegree ({i},{j}) has {len(mons)} monomials, limit {basis_limit}")
-    images = reynolds_images(action, mons)
-    rows = [coefficient_vector(proj, mons) for proj in images]
-    sel = EchelonSelector(len(mons))
+    images, rows = _projector_rows(action, i, j, basis_limit)
+    sel = EchelonSelector(len(rows))
     kept = [proj for proj, row in zip(images, rows) if not proj.is_zero() and sel.offer(row)]
     oracle = matrix_rank(QMatrix.from_rows(rows)) if rows else 0
     if len(kept) != oracle:
@@ -196,9 +192,12 @@ def _wreath_generator_labels(n: int, G: MatrixGroup) -> list[tuple[WreathElement
 def is_wreath_invariant(f: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant") -> bool:
     """True iff every wreath generator fixes f (or sign-twists it)."""
     require_flavor(flavor)
+    if flavor == "antiinvariant":
+        negated = SuperPolynomial._canonical(f.sig, {m: -c for m, c in f.terms.items()})
+    else:
+        negated = f
     for w, s in _wreath_generator_labels(f.sig.n, G):
-        expected = f.scale(s) if flavor == "antiinvariant" else f
-        if apply_wreath(w, f) != expected:
+        if apply_wreath(w, f) != (f if s == 1 else negated):
             return False
     return True
 

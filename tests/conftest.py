@@ -1,0 +1,41 @@
+"""Shared fixtures for the test suite."""
+
+import json
+import subprocess
+import sys
+import time
+from dataclasses import dataclass
+
+import pytest
+
+
+@dataclass(frozen=True)
+class VerifyRun:
+    """One `verify --suite all --seed 42` run: exit code, wall time and the
+    parsed JSON report (empty if the run printed nothing)."""
+
+    returncode: int
+    elapsed: float
+    report: dict
+
+    @property
+    def checks(self) -> list[dict]:
+        return self.report.get("checks", [])
+
+    def named(self, prefix: str) -> dict[str, dict]:
+        """The checks whose names start with prefix, keyed by name."""
+        return {c["name"]: c for c in self.checks if c["name"].startswith(prefix)}
+
+
+@pytest.fixture(scope="session")
+def verify_all() -> VerifyRun:
+    """The full check battery, run once per session in a child process."""
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "supermolien", "verify", "--suite", "all", "--seed", "42"],
+        capture_output=True,
+        text=True,
+    )
+    elapsed = time.monotonic() - t0
+    report = json.loads(proc.stdout) if proc.stdout else {}
+    return VerifyRun(proc.returncode, elapsed, report)

@@ -18,7 +18,6 @@ from supermolien.linalg import (
     qmatrix_det,
     select_independent,
 )
-from supermolien.series import UniPoly
 
 
 def laplace_det(rows):
@@ -121,14 +120,14 @@ def test_rank_against_minor_oracle_seeded():
 
 def test_charpoly_det_hand_values():
     # det(I - z*[[a]]) = 1 - a z
-    assert charpoly_det(QMatrix.from_rows([[Fraction(3, 2)]])) == UniPoly([1, Fraction(-3, 2)])
+    assert charpoly_det(QMatrix.from_rows([[Fraction(3, 2)]])) == (1, Fraction(-3, 2))
     # diagonal: product of (1 - d_i z)
     d = charpoly_det(QMatrix.from_rows([[2, 0], [0, 3]]))
-    assert d == UniPoly([1, -5, 6])
+    assert d == (1, -5, 6)
     # 0x0 matrix contributes the empty product
-    assert charpoly_det(QMatrix(0, 0, [])) == UniPoly([1])
+    assert charpoly_det(QMatrix(0, 0, [])) == (1,)
     # nilpotent
-    assert charpoly_det(QMatrix.from_rows([[0, 1], [0, 0]])) == UniPoly([1])
+    assert charpoly_det(QMatrix.from_rows([[0, 1], [0, 0]])) == (1,)
 
 
 def test_charpoly_det_matches_pointwise_dets_seeded():
@@ -140,10 +139,10 @@ def test_charpoly_det_matches_pointwise_dets_seeded():
         n = rng.randint(1, 5)
         m = QMatrix.from_rows(random_rational_rows(rng, n, n))
         p = charpoly_det(m)
-        assert p.degree() <= n
+        assert len(p) <= n + 1 and p[-1] != 0
         for z0 in points:
             direct = qmatrix_det(QMatrix.identity(n) - m.scale(z0))
-            assert p(z0) == direct
+            assert sum(c * z0**k for k, c in enumerate(p)) == direct
 
 
 def test_assemble_blocks_layout():

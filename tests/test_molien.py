@@ -125,7 +125,7 @@ def test_bruteforce_dimensions_by_hand():
 
 def test_bruteforce_respects_basis_limit():
     act = GroupAction.from_matrix_group(trivial_group(3, 0))
-    with pytest.raises(BasisTooLarge):
+    with pytest.raises(BasisTooLarge, match=r"^bidegree \(6, 0\) basis has 28 monomials, limit 5$"):
         invariant_dimension_bruteforce(act, 6, 0, basis_limit=5)
 
 

@@ -11,7 +11,6 @@ from supermolien.errors import ZeroConstantTerm
 from supermolien.series import (
     Caps,
     TrigradedSeries,
-    UniPoly,
     scale_exponents,
     series_add,
     series_flip_u,
@@ -218,24 +217,11 @@ def test_json_rejects_duplicates():
         TrigradedSeries.from_json_dict(d)
 
 
-# -- UniPoly --------------------------------------------------------------------
-
-
-def test_unipoly_normalizes_trailing_zeros():
-    p = UniPoly([1, 2, 0, 0])
-    assert p.degree() == 1
-    assert UniPoly([]).degree() == -1
-    assert p.coefficient(5) == 0
-
-
-def test_unipoly_evaluation():
-    p = UniPoly([1, -1, Fraction(1, 2)])
-    assert p(Fraction(2)) == 1 - 2 + Fraction(1, 2) * 4
-    assert p(0) == 1
+# -- coefficient tuples as series ----------------------------------------------
 
 
 def test_unipoly_as_series_axes():
-    p = UniPoly([1, -2, 3])
+    p = (Fraction(1), Fraction(-2), Fraction(3))
     caps = Caps(0, 4, 4)
     assert unipoly_as_series(p, caps, "q") == S(caps, {(0, 0, 0): 1, (0, 1, 0): -2, (0, 2, 0): 3})
     # negate_var reads p(-u): signs flip in odd degree
@@ -245,7 +231,7 @@ def test_unipoly_as_series_axes():
 
 
 def test_unipoly_as_series_truncates_to_caps():
-    p = UniPoly([1, 1, 1, 1])
+    p = (Fraction(1),) * 4
     caps = Caps(0, 2, 0)
     s = unipoly_as_series(p, caps, "q")
     assert s.support() == {(0, 0, 0), (0, 1, 0), (0, 2, 0)}

@@ -188,7 +188,7 @@ def test_invariant_basis_dimension_matches_oracle():
 
 def test_invariant_basis_too_large():
     action = GroupAction.from_matrix_group(MatrixGroup.trivial(3, 0))
-    with pytest.raises(BasisTooLarge):
+    with pytest.raises(BasisTooLarge, match=r"^bidegree \(4, 0\) basis has 15 monomials, limit 3$"):
         invariant_basis(action, 4, 0, basis_limit=3)
 
 

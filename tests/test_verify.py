@@ -1,9 +1,11 @@
 """Report shape and determinism of the named verification suites."""
 
+import io
 import json
 
 import pytest
 
+from supermolien import cli, verify
 from supermolien.verify import (
     SUITES,
     check_display_signed_22,
@@ -22,11 +24,27 @@ def test_fast_suites_pass(suite):
     assert all(isinstance(c["pass"], bool) for c in rep["checks"])
 
 
-def test_check_names_unique_across_suites():
-    names = []
-    for suite in FAST_SUITES:
-        names += [c["name"] for c in run_suite(suite)["checks"]]
+def test_check_names_unique_across_suites(verify_all):
+    names = [c["name"] for c in verify_all.checks]
     assert len(names) == len(set(names))
+
+
+def test_failed_check_is_reported(monkeypatch):
+    real = verify.check_wreath_routes
+
+    def s3_antiinvariant_mismatch(P, G, n, flavor, dq):
+        rep = real(P, G, n, flavor, dq)
+        if P.order == 6 and flavor == "antiinvariant":
+            rep = {**rep, "match": False}
+        return rep
+
+    monkeypatch.setattr(verify, "check_wreath_routes", s3_antiinvariant_mismatch)
+    out = io.StringIO()
+    assert cli.run(["verify", "--suite", "wreath"], out=out) == 1
+    report = json.loads(out.getvalue())
+    failing = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failing == ["wreath-routes-s3-sign-scalar-n3-antiinvariant"]
+    assert report["failed"] == 1 and report["passed"] == 7
 
 
 def test_report_is_deterministic():
