@@ -12,6 +12,7 @@ from .series import Caps, TrigradedSeries
 from .shuffle import (
     InvariantSpaceBasis,
     degree_one_generation_rank,
+    generation_sweep,
     invariant_basis,
     shuffle_product,
     theorem3_check,
@@ -62,6 +63,7 @@ __all__ = [
     "collated_sum_series",
     "cycle_index",
     "degree_one_generation_rank",
+    "generation_sweep",
     "invariant_basis",
     "invariant_dimension_bruteforce",
     "molien_vs_oracle",

@@ -93,14 +93,22 @@ class Permutation:
         )
 
 
+def _inversion_sign(seq: Sequence) -> int:
+    """(-1) to the number of inversions of seq, a sequence of distinct
+    comparable items: the sign of the permutation that sorts it."""
+    if len(seq) <= 1:
+        return 1
+    odd = False
+    for i in range(1, len(seq)):
+        a = seq[i]
+        for b in seq[:i]:
+            if b > a:
+                odd = not odd
+    return -1 if odd else 1
+
+
 def perm_sign(p: Permutation) -> int:
-    inv = 0
-    im = p.images
-    for i in range(len(im)):
-        for j in range(i + 1, len(im)):
-            if im[i] > im[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    return _inversion_sign(p.images)
 
 
 def cycle_type(p: Permutation) -> tuple[int, ...]:

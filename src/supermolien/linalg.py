@@ -157,25 +157,35 @@ def _cleared_int_rows(m: QMatrix) -> tuple[list[list[int]], Fraction]:
     return rows, scale
 
 
-def _bareiss_det_int(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
+def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int, int]:
+    """Fraction-free elimination of integer rows in place, skipping columns
+    without a pivot.  Returns (rank, sign of the row swaps, last pivot); for
+    a square matrix of full rank, sign times the last pivot is the
+    determinant, and the 0 x 0 matrix gives (0, 1, 1)."""
+    nr = len(rows)
+    rank = 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
+    for c in range(ncols):
+        if rank == nr:
+            break
+        piv = next((i for i in range(rank, nr) if rows[i][c]), None)
         if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        top = rows[rank]
+        p = top[c]
+        for i in range(rank + 1, nr):
+            row = rows[i]
+            a = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * p - a * top[j]) // prev
+            row[c] = 0
+        prev = p
+        rank += 1
+    return rank, sign, prev
 
 
 def qmatrix_det(m: QMatrix) -> Fraction:
@@ -183,31 +193,16 @@ def qmatrix_det(m: QMatrix) -> Fraction:
     if not m.is_square():
         raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
     rows, scale = _cleared_int_rows(m)
-    return Fraction(_bareiss_det_int(rows)) / scale
+    rank, sign, last = _bareiss(rows, m.ncols)
+    if rank < m.nrows:
+        return Fraction(0)
+    return Fraction(sign * last) / scale
 
 
 def matrix_rank(m: QMatrix) -> int:
     """Exact rank via fraction-free elimination with column skipping."""
     rows, _ = _cleared_int_rows(m)
-    nr, nc = m.nrows, m.ncols
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                rows[i][j] = (rows[i][j] * rows[r][c] - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        rank += 1
-        r += 1
-        if r == nr:
-            break
-    return rank
+    return _bareiss(rows, m.ncols)[0]
 
 
 def charpoly_det(m: QMatrix) -> tuple[Fraction, ...]:
@@ -270,9 +265,3 @@ class EchelonSelector:
                 return True
             c = v[lead]
             v = [a - c * b for a, b in zip(v, pivot)]
-
-
-def select_independent(vectors: Iterable[Sequence], width: int) -> list[int]:
-    """Indices of a greedy maximal linearly independent subset, in input order."""
-    sel = EchelonSelector(width)
-    return [i for i, v in enumerate(vectors) if sel.offer(v)]

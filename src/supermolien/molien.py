@@ -59,14 +59,13 @@ class GroupAction:
     signature: AlgebraSignature
     labels: tuple[WreathElement, ...]
     character: LinearCharacter
-    name: str = ""
 
     @property
     def order(self) -> int:
         return len(self.labels)
 
     @staticmethod
-    def from_matrix_group(G: MatrixGroup, character="trivial", name: str = "") -> "GroupAction":
+    def from_matrix_group(G: MatrixGroup, character="trivial") -> "GroupAction":
         """Single-row action of a matrix group (n = 1).
 
         character may be "trivial", "sgn" (sign of the underlying permutation
@@ -86,10 +85,10 @@ class GroupAction:
             chi = validate_character(_matrix_group_sgn_values(G), G)
         else:
             chi = validate_character(character, G)
-        return GroupAction(sig, labels, chi, name=name)
+        return GroupAction(sig, labels, chi)
 
     @staticmethod
-    def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant", name: str = "") -> "GroupAction":
+    def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant") -> "GroupAction":
         """Action of P[G] on n rows; flavor "invariant" weights every label 1,
         flavor "antiinvariant" weights by sgn(sigma)."""
         require_flavor(flavor)
@@ -99,14 +98,7 @@ class GroupAction:
             chi = trivial_character(len(labels))
         else:
             chi = LinearCharacter(tuple(Fraction(wreath_sign(w)) for w in labels))
-        return GroupAction(sig, labels, chi, name=name)
-
-    def apply(self, i: int, f: SuperPolynomial) -> SuperPolynomial:
-        return apply_wreath(self.labels[i], f)
-
-    def block_matrices(self, i: int) -> tuple[QMatrix, QMatrix]:
-        """The label's matrices on the n*r0 even and n*r1 odd variables."""
-        return label_block_matrices(self.labels[i], self.signature)
+        return GroupAction(sig, labels, chi)
 
 
 def _matrix_group_sgn_values(G: MatrixGroup) -> list[Fraction]:
@@ -182,33 +174,29 @@ def reynolds_images(action: GroupAction, basis: Sequence[SuperMonomial]) -> list
 
 
 def _projector_rows(
-    action: GroupAction, i: int, j: int, basis_limit: int
+    action: GroupAction, i: int, j: int
 ) -> tuple[list[SuperPolynomial], list[list[Fraction]]]:
     """Reynolds images of the bidegree (i, j) monomials and their coefficient
-    rows over those monomials: one row per monomial, so the rows are square."""
+    rows over those monomials: one row per monomial, so the rows are square.
+    A basis over DEFAULT_BASIS_LIMIT monomials is refused."""
     basis = bidegree_basis(action.signature, i, j)
-    if len(basis) > basis_limit:
-        raise BasisTooLarge(f"bidegree ({i}, {j}) basis has {len(basis)} monomials, limit {basis_limit}")
+    if len(basis) > DEFAULT_BASIS_LIMIT:
+        raise BasisTooLarge(
+            f"bidegree ({i}, {j}) basis has {len(basis)} monomials, limit {DEFAULT_BASIS_LIMIT}"
+        )
     images = reynolds_images(action, basis)
     return images, [coefficient_vector(p, basis) for p in images]
 
 
-def invariant_dimension_bruteforce(
-    action: GroupAction, i: int, j: int, basis_limit: int = DEFAULT_BASIS_LIMIT
-) -> int:
+def invariant_dimension_bruteforce(action: GroupAction, i: int, j: int) -> int:
     """Exact dimension of the chi-isotypic component in bidegree (i, j),
     computed as the rank of the Reynolds operator on the monomial basis.
     Never consults the Molien series."""
-    _, rows = _projector_rows(action, i, j, basis_limit)
+    _, rows = _projector_rows(action, i, j)
     return matrix_rank(QMatrix.from_rows(rows)) if rows else 0
 
 
-def molien_vs_oracle(
-    action: GroupAction,
-    dq: int,
-    du: int | None = None,
-    basis_limit: int = DEFAULT_BASIS_LIMIT,
-) -> dict:
+def molien_vs_oracle(action: GroupAction, dq: int, du: int | None = None) -> dict:
     """Compare Molien coefficients against brute-force ranks on the full
     bidegree grid i <= dq, j <= du.  Returns a JSON-ready report."""
     if du is None:
@@ -219,7 +207,7 @@ def molien_vs_oracle(
     for i in range(dq + 1):
         for j in range(du + 1):
             molien_c = series.coefficient((0, i, j))
-            oracle = invariant_dimension_bruteforce(action, i, j, basis_limit=basis_limit)
+            oracle = invariant_dimension_bruteforce(action, i, j)
             if molien_c == oracle:
                 agreements += 1
             else:

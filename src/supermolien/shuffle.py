@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasisTooLarge, NotHomogeneous, SignatureMismatch, SuperMolienError
+from .errors import NotHomogeneous, SignatureMismatch, SuperMolienError
 from .groups import (
     GradedGroupElement,
     MatrixGroup,
@@ -28,7 +28,6 @@ from .groups import (
 )
 from .linalg import EchelonSelector, QMatrix, matrix_rank
 from .molien import (
-    DEFAULT_BASIS_LIMIT,
     GroupAction,
     _projector_rows,
     invariant_dimension_bruteforce,
@@ -57,6 +56,7 @@ __all__ = [
     "verify_associativity",
     "verify_supercommutation",
     "degree_one_generation_rank",
+    "generation_sweep",
     "theorem3_check",
     "closure_battery",
     "random_super_polynomial",
@@ -151,16 +151,14 @@ class InvariantSpaceBasis:
         return len(self.elements)
 
 
-def invariant_basis(
-    action: GroupAction, i: int, j: int, basis_limit: int = DEFAULT_BASIS_LIMIT
-) -> InvariantSpaceBasis:
+def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
     """Basis of the chi-isotypic component in bidegree (i, j).
 
     Projects every monomial of the bidegree once and keeps a greedy maximal
     independent subset; the count is cross-checked against the rank of the
     same projector rows computed the blunt way.
     """
-    images, rows = _projector_rows(action, i, j, basis_limit)
+    images, rows = _projector_rows(action, i, j)
     sel = EchelonSelector(len(rows))
     kept = [proj for proj, row in zip(images, rows) if not proj.is_zero() and sel.offer(row)]
     oracle = matrix_rank(QMatrix.from_rows(rows)) if rows else 0
@@ -189,17 +187,20 @@ def _wreath_generator_labels(n: int, G: MatrixGroup) -> list[tuple[WreathElement
     return out
 
 
-def is_wreath_invariant(f: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant") -> bool:
-    """True iff every wreath generator fixes f (or sign-twists it)."""
-    require_flavor(flavor)
+def _fixed_by(f: SuperPolynomial, labels: list[tuple[WreathElement, int]], flavor: str) -> bool:
+    """True iff every generator label fixes f, or for the antiinvariant
+    flavor twists it by the label's sign."""
     if flavor == "antiinvariant":
         negated = SuperPolynomial._canonical(f.sig, {m: -c for m, c in f.terms.items()})
     else:
         negated = f
-    for w, s in _wreath_generator_labels(f.sig.n, G):
-        if apply_wreath(w, f) != (f if s == 1 else negated):
-            return False
-    return True
+    return all(apply_wreath(w, f) == (f if s == 1 else negated) for w, s in labels)
+
+
+def is_wreath_invariant(f: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant") -> bool:
+    """True iff every wreath generator fixes f (or sign-twists it)."""
+    require_flavor(flavor)
+    return _fixed_by(f, _wreath_generator_labels(f.sig.n, G), flavor)
 
 
 def verify_closure(
@@ -244,41 +245,36 @@ def verify_supercommutation(A: SuperPolynomial, B: SuperPolynomial, signed: bool
     return shuffle_product(A, B, signed) == shuffle_product(B, A, signed).scale(sign)
 
 
-def degree_one_pool(
-    G: MatrixGroup, i_max: int, basis_limit: int = DEFAULT_BASIS_LIMIT
-) -> list[tuple[tuple[int, int], SuperPolynomial]]:
+def degree_one_pool(G: MatrixGroup, i_max: int) -> list[tuple[tuple[int, int], SuperPolynomial]]:
     """All one-row invariant basis elements with x-degree at most i_max,
-    tagged by bidegree.  The constants are included at bidegree (0, 0)."""
+    tagged by bidegree.  The constants are included at bidegree (0, 0).
+
+    The pool for a smaller i_max is a prefix of this one."""
     action = GroupAction.from_matrix_group(G)
     pool = []
     for i in range(i_max + 1):
         for j in range(G.r1 + 1):
-            for f in invariant_basis(action, i, j, basis_limit).elements:
+            for f in invariant_basis(action, i, j).elements:
                 pool.append(((i, j), f))
     return pool
 
 
-def degree_one_generation_rank(
-    G: MatrixGroup,
+def _generation_rank(
+    pool: list[tuple[tuple[int, int], SuperPolynomial]],
+    waction: GroupAction,
     flavor: str,
-    n: int,
     i: int,
     j: int,
-    basis_limit: int = DEFAULT_BASIS_LIMIT,
 ) -> tuple[int, int]:
-    """Rank of the span of n-fold shuffles of one-row invariants in bidegree
-    (i, j), against the blunt dimension of the target space.
-
-    Returns (spanned, full); generation in degree one predicts equality.
-    """
-    require_flavor(flavor)
-    if n < 1:
-        raise ValueError("need at least one row")
+    """(spanned, full) in bidegree (i, j) on the rows of waction, the
+    S_n[G] action of the flavor.  Pool elements of x-degree above i never
+    enter a product of total degree (i, j), so any pool reaching x-degree i
+    gives the same rank."""
+    n = waction.signature.n
     signed = flavor == "antiinvariant"
-    target = bidegree_basis(AlgebraSignature(G.r0, G.r1, n), i, j)
-    if len(target) > basis_limit:
-        raise BasisTooLarge(f"target bidegree has {len(target)} monomials, limit {basis_limit}")
-    pool = degree_one_pool(G, i, basis_limit)
+    # computed first: its projector rows refuse an oversized target basis
+    full = invariant_dimension_bruteforce(waction, i, j)
+    target = bidegree_basis(waction.signature, i, j)
     sel = EchelonSelector(len(target))
     spanned = 0
     for combo in itertools.combinations_with_replacement(range(len(pool)), n):
@@ -293,14 +289,40 @@ def degree_one_generation_rank(
             continue
         if sel.offer(coefficient_vector(prod, target)):
             spanned += 1
-    waction = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor=flavor)
-    full = invariant_dimension_bruteforce(waction, i, j, basis_limit)
     return spanned, full
 
 
-def closure_battery(
-    G: MatrixGroup, flavor: str, max_rows: int, max_i: int, basis_limit: int = DEFAULT_BASIS_LIMIT
-) -> tuple[int, int]:
+def degree_one_generation_rank(G: MatrixGroup, flavor: str, n: int, i: int, j: int) -> tuple[int, int]:
+    """Rank of the span of n-fold shuffles of one-row invariants in bidegree
+    (i, j), against the blunt dimension of the target space.
+
+    Returns (spanned, full); generation in degree one predicts equality.
+    """
+    require_flavor(flavor)
+    if n < 1:
+        raise ValueError("need at least one row")
+    waction = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor=flavor)
+    return _generation_rank(degree_one_pool(G, i), waction, flavor, i, j)
+
+
+def generation_sweep(
+    G: MatrixGroup, flavor: str, n_max: int, i_max: int
+) -> list[tuple[int, int, int, int, int]]:
+    """(n, i, j, spanned, full) of degree_one_generation_rank for every
+    n <= n_max, i <= i_max and j <= n * r1, building the one-row pool once
+    and each S_n[G] action once."""
+    require_flavor(flavor)
+    pool = degree_one_pool(G, i_max)
+    out = []
+    for n in range(1, n_max + 1):
+        waction = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor=flavor)
+        for i in range(i_max + 1):
+            for j in range(n * G.r1 + 1):
+                out.append((n, i, j) + _generation_rank(pool, waction, flavor, i, j))
+    return out
+
+
+def closure_battery(G: MatrixGroup, flavor: str, max_rows: int, max_i: int) -> tuple[int, int]:
     """Exhaustive closure sweep over invariant-basis pairs.
 
     Covers every row split a + b <= max_rows and every pair of factor
@@ -310,14 +332,15 @@ def closure_battery(
     """
     require_flavor(flavor)
     signed = flavor == "antiinvariant"
+    labels = {rows: _wreath_generator_labels(rows, G) for rows in range(1, max_rows + 1)}
     bases: dict[tuple[int, int, int], tuple[SuperPolynomial, ...]] = {}
 
     def basis_for(rows: int, bi: int, bj: int) -> tuple[SuperPolynomial, ...]:
         key = (rows, bi, bj)
         if key not in bases:
             action = GroupAction.from_wreath(PermGroup.symmetric(rows), G, rows, flavor=flavor)
-            elements = invariant_basis(action, bi, bj, basis_limit).elements
-            if not all(is_wreath_invariant(f, G, flavor) for f in elements):
+            elements = invariant_basis(action, bi, bj).elements
+            if not all(_fixed_by(f, labels[rows], flavor) for f in elements):
                 raise ValueError(f"basis element in bidegree ({bi},{bj}) on {rows} rows is not {flavor}")
             bases[key] = elements
         return bases[key]
@@ -333,7 +356,8 @@ def closure_battery(
                             for A in basis_for(a, ia, ja):
                                 for B in basis_for(b, ib, jb):
                                     checked += 1
-                                    if not is_wreath_invariant(shuffle_product(A, B, signed), G, flavor):
+                                    prod = shuffle_product(A, B, signed)
+                                    if not _fixed_by(prod, labels[a + b], flavor):
                                         failed += 1
     return checked, failed
 
@@ -355,9 +379,7 @@ def random_super_polynomial(
     return out
 
 
-def theorem3_check(
-    G: MatrixGroup, flavor: str, n_max: int, dq: int, basis_limit: int = DEFAULT_BASIS_LIMIT
-) -> bool:
+def theorem3_check(G: MatrixGroup, flavor: str, n_max: int, dq: int) -> bool:
     """Desk-scale content of the structure theorem for the shuffle algebra:
     (a) the collated Hilbert series matches its product form, (b) degree-one
     shuffles span every bidegree with n <= n_max, i <= dq, and (c) closure
@@ -366,17 +388,13 @@ def theorem3_check(
     spec = CollationSpec(group=G, n_max=n_max, dq=dq, du=max(1, n_max * G.r1), flavor=flavor)
     if collated_sum_series(spec) != collated_product_series(spec):
         return False
-    for n in range(1, n_max + 1):
-        for i in range(dq + 1):
-            for j in range(n * G.r1 + 1):
-                spanned, full = degree_one_generation_rank(G, flavor, n, i, j, basis_limit)
-                if spanned != full:
-                    return False
+    if any(spanned != full for *_, spanned, full in generation_sweep(G, flavor, n_max, dq)):
+        return False
     checked, failed = closure_battery(G, flavor, max_rows=2, max_i=min(dq, 2))
     if failed or checked == 0:
         return False
     signed = flavor == "antiinvariant"
-    sample = [f for _, f in degree_one_pool(G, min(dq, 2), basis_limit)][:3]
+    sample = [f for _, f in degree_one_pool(G, min(dq, 2))][:3]
     for A, B, C in itertools.product(sample, repeat=3):
         if not verify_associativity(A, B, C, signed):
             return False

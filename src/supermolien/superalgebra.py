@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
-from .groups import GradedGroupElement, Permutation, WreathElement
+from .groups import GradedGroupElement, Permutation, WreathElement, _inversion_sign
 from .rationals import format_rational, parse_rational
 
 XKey = tuple[int, int]  # (row, col)
@@ -55,36 +55,14 @@ class AlgebraSignature:
 def normalize_theta(pairs: Iterable[XKey]) -> tuple[tuple[XKey, ...], int]:
     """Sort odd factors into increasing order.
 
-    Returns (sorted_factors, sign) where sign is the parity of the number of
-    transpositions used (counted by mergesort) and 0 if a factor repeats.
+    Returns (sorted_factors, sign) where sign is the sign of the sorting
+    permutation and 0 if a factor repeats.
     """
     seq = [tuple(p) for p in pairs]
+    ordered = tuple(sorted(seq))
     if len(set(seq)) != len(seq):
-        return tuple(sorted(seq)), 0
-
-    def sort_count(s):
-        if len(s) <= 1:
-            return s, 0
-        mid = len(s) // 2
-        left, li = sort_count(s[:mid])
-        right, ri = sort_count(s[mid:])
-        merged = []
-        inv = li + ri
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] <= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-                inv += len(left) - i
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        return merged, inv
-
-    ordered, inversions = sort_count(seq)
-    return tuple(ordered), (-1 if inversions % 2 else 1)
+        return ordered, 0
+    return ordered, _inversion_sign(seq)
 
 
 class SuperMonomial:

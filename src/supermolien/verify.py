@@ -19,7 +19,7 @@ from .molien import FLAVORS, GroupAction, molien_vs_oracle, super_molien
 from .series import Caps, TrigradedSeries, series_add, series_inv, series_mul, series_pow_int, series_sub
 from .shuffle import (
     closure_battery,
-    degree_one_generation_rank,
+    generation_sweep,
     random_super_polynomial,
     shuffle_product,
     verify_associativity,
@@ -261,20 +261,12 @@ def _shuffle_checks(seed: int) -> list[dict]:
     for gname in SHUFFLE_GROUPS:
         G = matrix_group_fixture(gname)
         for flavor in FLAVORS:
-            bidegrees = 0
-            ok = True
-            for n in range(1, 4):
-                for i in range(5):
-                    for j in range(n * G.r1 + 1):
-                        spanned, full = degree_one_generation_rank(G, flavor, n, i, j)
-                        bidegrees += 1
-                        if spanned != full:
-                            ok = False
+            ranks = generation_sweep(G, flavor, 3, 4)
             checks.append(
                 {
                     "name": f"shuffle-generation-{gname}-{flavor}",
-                    "pass": ok,
-                    "bidegrees": bidegrees,
+                    "pass": all(spanned == full for *_, spanned, full in ranks),
+                    "bidegrees": len(ranks),
                 }
             )
     checked, failed = _seeded_associativity(seed, 30)

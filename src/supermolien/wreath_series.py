@@ -14,6 +14,7 @@ a_ij of G alone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -114,6 +115,29 @@ def collated_sum_series(spec: CollationSpec) -> TrigradedSeries:
     return TrigradedSeries(spec.caps, coeffs)
 
 
+def _product_form(
+    caps: Caps, multiplicities: dict[tuple[int, int], int], flavor: str
+) -> TrigradedSeries:
+    """Product over (i, j) of (1 + t q^i u^j)^a or (1 - t q^i u^j)^-a, a the
+    table entry.  The invariant flavor puts odd j in the numerator, the
+    antiinvariant flavor even j.  A factor whose t q^i u^j lies outside the
+    caps is 1 there and is skipped.
+    """
+    numerator_parity = 1 if flavor == "invariant" else 0
+    one = TrigradedSeries.one(caps)
+    result = one
+    for (i, j), a in multiplicities.items():
+        if not caps.contains((1, i, j)):
+            continue
+        mono = TrigradedSeries.monomial(caps, (1, i, j))
+        if j % 2 == numerator_parity:
+            factor = series_pow_int(series_add(one, mono), a)
+        else:
+            factor = series_pow_int(series_sub(one, mono), -a)
+        result = series_mul(result, factor)
+    return result
+
+
 def collated_product_series(spec: CollationSpec) -> TrigradedSeries:
     """Product side of the collation, driven by the graded dimensions of G.
 
@@ -122,23 +146,13 @@ def collated_product_series(spec: CollationSpec) -> TrigradedSeries:
     (1 - t q^i u^j)^-a_ij over even j; the antiinvariant flavor swaps the
     parity roles.  Either way the a_ij come from the plain invariants of G.
     """
-    caps = spec.caps
     hg = super_molien(GroupAction.from_matrix_group(spec.group), spec.dq)
-    numerator_parity = 1 if spec.flavor == "invariant" else 0
-    result = TrigradedSeries.one(caps)
-    one = TrigradedSeries.one(caps)
+    multiplicities = {}
     for (_, i, j), a in hg.items():
-        if j > spec.du:
-            continue
         if a.denominator != 1 or a < 0:
             raise ValueError(f"graded multiplicity a[{i},{j}] = {a} is not a nonnegative integer")
-        mono = TrigradedSeries.monomial(caps, (1, i, j))
-        if j % 2 == numerator_parity:
-            factor = series_pow_int(series_add(one, mono), int(a))
-        else:
-            factor = series_pow_int(series_sub(one, mono), -int(a))
-        result = series_mul(result, factor)
-    return result
+        multiplicities[(i, j)] = int(a)
+    return _product_form(spec.caps, multiplicities, spec.flavor)
 
 
 def check_collation(spec: CollationSpec) -> dict:
@@ -160,23 +174,8 @@ def young_exterior_product(ell: int, n_max: int, du: int) -> TrigradedSeries:
 
     Depends only on the number of blocks, not their sizes.
     """
-    caps = Caps(n_max, 0, du)
-    one = TrigradedSeries.one(caps)
-    result = one
-    binom = 1
-    for j in range(ell + 1):
-        # binom tracks binomial(ell, j)
-        if j > 0:
-            binom = binom * (ell - j + 1) // j
-        if j > du:
-            continue
-        mono = TrigradedSeries.monomial(caps, (1, 0, j))
-        if j % 2 == 1:
-            factor = series_pow_int(series_add(one, mono), binom)
-        else:
-            factor = series_pow_int(series_sub(one, mono), -binom)
-        result = series_mul(result, factor)
-    return result
+    multiplicities = {(0, j): math.comb(ell, j) for j in range(ell + 1)}
+    return _product_form(Caps(n_max, 0, du), multiplicities, "invariant")
 
 
 def verify_block_determinant_lemma(blocks: list[QMatrix]) -> bool:
@@ -264,20 +263,12 @@ def superspace_product_series(n_max: int, dq: int, flavor: str = "invariant") ->
     """Collated superspace product: (1 + t u q^i) over (1 - t q^i) factors.
 
     The antiinvariant flavor swaps u between numerator and denominator.
+    These are the collation factors of the trivial group on one even and one
+    odd variable, whose invariants have a_i0 = a_i1 = 1.
     """
     require_flavor(flavor)
-    caps = Caps(n_max, dq, n_max)
-    one = TrigradedSeries.one(caps)
-    result = one
-    for i in range(dq + 1):
-        if flavor == "invariant":
-            num = series_add(one, TrigradedSeries.monomial(caps, (1, i, 1)))
-            den = series_sub(one, TrigradedSeries.monomial(caps, (1, i, 0)))
-        else:
-            num = series_add(one, TrigradedSeries.monomial(caps, (1, i, 0)))
-            den = series_sub(one, TrigradedSeries.monomial(caps, (1, i, 1)))
-        result = series_mul(result, series_mul(num, series_inv(den)))
-    return result
+    multiplicities = {(i, j): 1 for i in range(dq + 1) for j in (0, 1)}
+    return _product_form(Caps(n_max, dq, n_max), multiplicities, flavor)
 
 
 def superspace_qbinomial_series(n_max: int, dq: int, flavor: str = "invariant") -> TrigradedSeries:

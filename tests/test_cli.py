@@ -55,6 +55,10 @@ def test_collate_check():
     assert code == 0
     rep = json.loads(out)
     assert rep["match"] is True and rep["theorem"] == "1.2"
+    # N = 0 leaves only the constant term; every product factor lies past t^0
+    code, out, _ = invoke("collate", "--group", fx("pm1.json"), "-N", "0", "--check")
+    assert code == 0
+    assert json.loads(out)["match"] is True
 
 
 def test_cycle_index_flavors_and_character_file():

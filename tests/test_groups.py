@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supermolien.errors import (
@@ -17,6 +17,7 @@ from supermolien.errors import (
 )
 from supermolien.groups import (
     GradedGroupElement,
+    _inversion_sign,
     MatrixGroup,
     PermGroup,
     Permutation,
@@ -62,10 +63,13 @@ def test_cycle_type_hand_values():
     assert cycle_type(Permutation.from_cycles(6, [(1, 2), (3, 4, 5)])) == (3, 2, 1)
 
 
-@given(perms_st(5))
+@given(st.integers(0, 6).flatmap(perms_st))
+@example(Permutation([]))
+@example(Permutation([1]))
 def test_sign_matches_cycle_count_formula(p):
     # independent oracle: sgn = (-1)^(n - number of cycles)
-    assert perm_sign(p) == (-1) ** (p.n - len(cycle_type(p)))
+    expected = (-1) ** (p.n - len(cycle_type(p)))
+    assert perm_sign(p) == _inversion_sign(p.images) == expected
 
 
 @given(perms_st(4), perms_st(4))

@@ -16,7 +16,6 @@ from supermolien.linalg import (
     charpoly_det,
     matrix_rank,
     qmatrix_det,
-    select_independent,
 )
 
 
@@ -88,6 +87,15 @@ def test_det_against_laplace_oracle_seeded():
         n = rng.randint(1, 4)
         rows = random_rational_rows(rng, n, n)
         assert qmatrix_det(QMatrix.from_rows(rows)) == laplace_det(rows)
+        # singular: a planted dependent row, then a zero column as well
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [Fraction(-3, 2) * x for x in rows[j]]
+            assert qmatrix_det(QMatrix.from_rows(rows)) == laplace_det(rows) == 0
+        c = rng.randrange(n)
+        for r in rows:
+            r[c] = Fraction(0)
+        assert qmatrix_det(QMatrix.from_rows(rows)) == laplace_det(rows) == 0
 
 
 def test_det_multiplicative_seeded():
@@ -180,8 +188,9 @@ def test_select_independent_matches_rank_seeded():
     for _ in range(25):
         nr, nc = rng.randint(1, 5), rng.randint(1, 4)
         rows = random_rational_rows(rng, nr, nc, den=2)
-        chosen = select_independent(rows, nc)
-        assert len(chosen) == matrix_rank(QMatrix.from_rows(rows))
+        sel = EchelonSelector(nc)
+        chosen = [i for i, row in enumerate(rows) if sel.offer(row)]
+        assert len(chosen) == sel.rank == matrix_rank(QMatrix.from_rows(rows))
         # chosen rows really are independent
         assert matrix_rank(QMatrix.from_rows([rows[i] for i in chosen])) == len(chosen)
 

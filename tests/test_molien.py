@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from supermolien import shuffle, wreath_series
+from supermolien import molien, shuffle, wreath_series
 from supermolien.errors import BasisTooLarge
 from supermolien.fixtures import (
     diagonal_perm_group,
@@ -20,13 +20,14 @@ from supermolien.molien import (
     FLAVORS,
     GroupAction,
     invariant_dimension_bruteforce,
+    label_block_matrices,
     molien_vs_oracle,
     require_flavor,
     reynolds_project,
     super_molien,
 )
 from supermolien.series import Caps, TrigradedSeries, series_inv, series_mul, series_pow_int
-from supermolien.superalgebra import SuperPolynomial, bidegree_basis
+from supermolien.superalgebra import SuperPolynomial, apply_wreath, bidegree_basis
 
 
 def q_series(caps, coeff_fn):
@@ -123,10 +124,11 @@ def test_bruteforce_dimensions_by_hand():
     assert invariant_dimension_bruteforce(act_x, 3, 0) == 2  # p3, p1 p2 span
 
 
-def test_bruteforce_respects_basis_limit():
+def test_bruteforce_respects_basis_limit(monkeypatch):
     act = GroupAction.from_matrix_group(trivial_group(3, 0))
+    monkeypatch.setattr(molien, "DEFAULT_BASIS_LIMIT", 5)
     with pytest.raises(BasisTooLarge, match=r"^bidegree \(6, 0\) basis has 28 monomials, limit 5$"):
-        invariant_dimension_bruteforce(act, 6, 0, basis_limit=5)
+        invariant_dimension_bruteforce(act, 6, 0)
 
 
 def test_reynolds_is_idempotent_and_invariant():
@@ -136,8 +138,8 @@ def test_reynolds_is_idempotent_and_invariant():
         f = SuperPolynomial.monomial(sig, mono)
         proj = reynolds_project(act, f)
         assert reynolds_project(act, proj) == proj
-        for i in range(act.order):
-            assert act.apply(i, proj) == proj
+        for w in act.labels:
+            assert apply_wreath(w, proj) == proj
 
 
 def test_reynolds_sgn_projects_to_antiinvariants():
@@ -148,7 +150,7 @@ def test_reynolds_sgn_projects_to_antiinvariants():
     # x1 projects to (x1 - x2)/2, which each swap negates
     for i in range(act.order):
         chi = act.character(i)
-        assert act.apply(i, proj) == proj.scale(chi)
+        assert apply_wreath(act.labels[i], proj) == proj.scale(chi)
 
 
 def test_molien_vs_oracle_clean_report():
@@ -187,10 +189,9 @@ def test_block_matrices_layout_for_swap_label():
     # find the label (swap, (id, -1))
     from supermolien.groups import Permutation
 
-    for i in range(act.order):
-        w = act.labels[i]
+    for w in act.labels:
         if w.sigma == Permutation([2, 1]) and w.gs[0].g0.get(0, 0) == 1 and w.gs[1].g0.get(0, 0) == -1:
-            m0, _ = act.block_matrices(i)
+            m0, _ = label_block_matrices(w, act.signature)
             # g_1 = +1 sits at block (sigma^{-1}(1), 1) = (2, 1), g_2 = -1 at (1, 2)
             assert m0.rows() == [(0, -1), (1, 0)]
             return

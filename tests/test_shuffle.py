@@ -8,12 +8,14 @@ import pytest
 from supermolien.errors import BasisTooLarge, NotHomogeneous, SignatureMismatch
 from supermolien.fixtures import matrix_group_fixture
 from supermolien.groups import MatrixGroup, PermGroup
+from supermolien import molien
 from supermolien.molien import GroupAction, invariant_dimension_bruteforce, reynolds_project
 from supermolien import shuffle as shuffle_module
 from supermolien.shuffle import (
     InvariantSpaceBasis,
     closure_battery,
     degree_one_generation_rank,
+    generation_sweep,
     invariant_basis,
     is_wreath_invariant,
     random_super_polynomial,
@@ -186,10 +188,11 @@ def test_invariant_basis_dimension_matches_oracle():
         assert basis.dimension == invariant_dimension_bruteforce(action, i, 0)
 
 
-def test_invariant_basis_too_large():
+def test_invariant_basis_too_large(monkeypatch):
     action = GroupAction.from_matrix_group(MatrixGroup.trivial(3, 0))
+    monkeypatch.setattr(molien, "DEFAULT_BASIS_LIMIT", 3)
     with pytest.raises(BasisTooLarge, match=r"^bidegree \(4, 0\) basis has 15 monomials, limit 3$"):
-        invariant_basis(action, 4, 0, basis_limit=3)
+        invariant_basis(action, 4, 0)
 
 
 def test_verify_closure_examples():
@@ -241,7 +244,7 @@ def test_closure_battery_rejects_noninvariant_basis_element(monkeypatch, flavor)
     # antiinvariant on one row
     G = matrix_group_fixture("sign-scalar")
 
-    def fake_basis(action, i, j, basis_limit=None):
+    def fake_basis(action, i, j):
         x = SuperPolynomial.x_var(action.signature, 1, 1)
         return InvariantSpaceBasis(action, i, j, (x,))
 
@@ -333,6 +336,14 @@ def test_generation_rank_sign_scalar(flavor):
         for i in range(5):
             spanned, full = degree_one_generation_rank(G, flavor, n, i, 0)
             assert spanned == full
+    # the sweep shares one pool up to i = 4 and gives the per-bidegree ranks
+    sweep = generation_sweep(G, flavor, 2, 4)
+    assert sweep == [
+        (n, i, j, *degree_one_generation_rank(G, flavor, n, i, j))
+        for n in (1, 2)
+        for i in range(5)
+        for j in range(n * G.r1 + 1)
+    ]
 
 
 def test_theorem3_check_cases():

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supermolien.errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
@@ -15,6 +15,7 @@ from supermolien.groups import (
     GradedGroupElement,
     Permutation,
     WreathElement,
+    _inversion_sign,
     build_wreath,
     MatrixGroup,
     PermGroup,
@@ -57,9 +58,14 @@ pairs_st = st.lists(
 
 
 @given(pairs_st)
+@example([])
+@example([(2, 1)])
+@example([(2, 1), (1, 2), (2, 1)])
 def test_normalize_theta_matches_bubble_oracle(pairs):
     ordered, sign = normalize_theta(pairs)
     assert sign == bubble_sign(pairs)
+    if len(set(pairs)) == len(pairs):
+        assert _inversion_sign(pairs) == sign
     assert ordered == tuple(sorted(pairs))
     if sign != 0:
         assert all(ordered[i] < ordered[i + 1] for i in range(len(ordered) - 1))

@@ -13,15 +13,11 @@ from supermolien.verify import (
     run_suite,
 )
 
-FAST_SUITES = ("molien", "wreath", "collate", "identities")
-
-
-@pytest.mark.parametrize("suite", FAST_SUITES)
-def test_fast_suites_pass(suite):
-    rep = run_suite(suite)
-    assert rep["suite"] == suite and rep["seed"] == 42
+def test_all_checks_pass(verify_all):
+    rep = verify_all.report
+    assert rep["suite"] == "all" and rep["seed"] == 42
     assert rep["failed"] == 0 and rep["passed"] == len(rep["checks"])
-    assert all(isinstance(c["pass"], bool) for c in rep["checks"])
+    assert all(c["pass"] is True for c in rep["checks"])
 
 
 def test_check_names_unique_across_suites(verify_all):

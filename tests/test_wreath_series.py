@@ -179,6 +179,16 @@ def test_young_collation_three_blocks_closed_form():
     assert collated_product_series(spec) == young_exterior_product(3, 3, 9)
 
 
+@pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
+def test_product_forms_with_no_rows(flavor):
+    # at t-cap 0 every factor (1 +- t q^i u^j)^a is 1
+    for ell in range(4):
+        assert young_exterior_product(ell, 0, 3).items() == [((0, 0, 0), 1)]
+    spec = CollationSpec(matrix_group_fixture("sign-scalar"), 0, 4, 1, flavor)
+    assert collated_product_series(spec).items() == [((0, 0, 0), 1)]
+    assert check_superspace(0, 4, flavor)["match"]
+
+
 def test_young_collation_sum_route_agrees():
     # the sum route goes through actual wreath enumerations; t-degree 2 keeps it quick
     spec = CollationSpec(matrix_group_fixture("young-2-1-theta"), 2, 0, 6)
