@@ -20,6 +20,31 @@ def test_all_checks_pass(verify_all):
     assert all(c["pass"] is True for c in rep["checks"])
 
 
+# Name prefixes of each in-process suite's checks in the shared report.
+FAST_SUITES = {
+    "molien": ("molien-",),
+    "wreath": ("wreath-",),
+    "collate": ("collate-", "young-collation-"),
+    "identities": (
+        "superspace-",
+        "diagonal-multiplicities-",
+        "block-determinant-",
+        "m-cycle-",
+        "omega-",
+        "eh-",
+        "polya-",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", FAST_SUITES)
+def test_fast_suites_pass(verify_all, suite):
+    checks = [c for c in verify_all.checks if c["name"].startswith(FAST_SUITES[suite])]
+    assert checks
+    assert all(isinstance(c["pass"], bool) for c in checks)
+    assert all(c["pass"] for c in checks)
+
+
 def test_check_names_unique_across_suites(verify_all):
     names = [c["name"] for c in verify_all.checks]
     assert len(names) == len(set(names))
