@@ -2,10 +2,10 @@
 
 All rank and determinant work in the package funnels through this module:
 determinants and ranks use Bareiss fraction-free elimination on
-denominator-cleared integer matrices, char-poly style expansions use power
-sums with Newton's identities, and greedy independent-subset selection uses
-an incremental exact echelon accumulator.  Higher layers do no elimination
-of their own.
+denominator-cleared integer matrices, char-polys use Berkowitz's
+division-free recurrence on the denominator-cleared integer matrix, and
+greedy independent-subset selection uses an incremental exact echelon
+accumulator.  Higher layers do no elimination of their own.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ class QMatrix:
     def scale(self, c) -> "QMatrix":
         c = Fraction(c)
         return QMatrix(self.nrows, self.ncols, [c * x for x in self.entries])
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise NotSquare("trace of a non-square matrix")
-        return sum((self.get(i, i) for i in range(self.nrows)), Fraction(0))
 
     def as_permutation_images(self) -> list[int] | None:
         """If this is a permutation matrix with M[i][j] = [j maps to i], return
@@ -208,31 +203,43 @@ def matrix_rank(m: QMatrix) -> int:
 def charpoly_det(m: QMatrix) -> tuple[Fraction, ...]:
     """det(I - z*M) as its coefficient tuple in z, trailing zeros stripped.
 
-    Power sums p_k = tr(M^k) feed Newton's identities for the elementary
-    symmetric functions e_k of the eigenvalues; the result is
-    sum_k (-1)^k e_k z^k.  The 0x0 matrix gives the constant 1.
+    Berkowitz's division-free recurrence (Berkowitz 1984, "On computing the
+    determinant in small parallel time using a small number of processors")
+    runs on the integer matrix A = d*M, d the lcm of the entry denominators.
+    Bordering the leading r x r block A_r by the column C, the row R and the
+    corner a multiplies the coefficient vector by the lower-triangular
+    Toeplitz matrix with first column 1, -a, -R*C, -R*A_r*C, ...; after the
+    last border the vector holds the coefficients of det(I - z*A), and
+    coefficient k of det(I - z*M) is that one divided by d^k.  Zero entries
+    are skipped in the matrix-vector products.  The 0x0 matrix gives the
+    constant 1.
     """
     if not m.is_square():
         raise NotSquare(f"char expansion of a {m.nrows}x{m.ncols} matrix")
     n = m.nrows
-    if n == 0:
-        return (Fraction(1),)
-    psums = []
-    mk = m
-    for k in range(n):
-        psums.append(mk.trace())
-        if k + 1 < n:
-            mk = mk * m
-    e = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * psums[i - 1]
-        e.append(acc / k)
-    coeffs = [(-1) ** k * e[k] for k in range(n + 1)]
-    while coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    d = math.lcm(*(x.denominator for x in m.entries))
+    # nonzero entries of A = d*M by row, as (column, value) in column order
+    sparse = [
+        [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(m.row(i)) if x]
+        for i in range(n)
+    ]
+    vect = [1]
+    for r in range(n):
+        row = sparse[r]
+        corner = next((a for j, a in row if j == r), 0)
+        left = [(j, a) for j, a in row if j < r]
+        block = [[(j, a) for j, a in sparse[i] if j < r] for i in range(r)]
+        col = [next((a for j, a in sparse[i] if j == r), 0) for i in range(r)]
+        toeplitz = [1, -corner] + [0] * r
+        for k in range(2, r + 2):
+            if not any(col):
+                break
+            toeplitz[k] = -sum(a * col[j] for j, a in left)
+            col = [sum(a * col[j] for j, a in bi if col[j]) for bi in block]
+        vect = [sum(toeplitz[i - k] * vect[k] for k in range(min(i, r) + 1)) for i in range(r + 2)]
+    while vect[-1] == 0:
+        vect.pop()
+    return tuple(Fraction(c, d**k) for k, c in enumerate(vect))
 
 
 class EchelonSelector:

@@ -29,7 +29,7 @@ from .groups import (
     wreath_sign,
 )
 from .linalg import QMatrix, assemble_blocks, charpoly_det, matrix_rank
-from .series import Caps, TrigradedSeries, series_add, series_inv, series_mul, series_scale, unipoly_as_series
+from .series import Caps, Key, TrigradedSeries
 from .superalgebra import (
     AlgebraSignature,
     SuperMonomial,
@@ -127,29 +127,56 @@ def label_block_matrices(w: WreathElement, sig: AlgebraSignature) -> tuple[QMatr
     )
 
 
+def _integral(x: Fraction) -> int | Fraction:
+    """x as an int when it is one, so sums of integral terms stay on ints."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _label_table(
+    w: WreathElement, sig: AlgebraSignature, dq: int, du: int
+) -> dict[Key, int | Fraction]:
+    """Coefficients of det(I + u*M1) / det(I - q*M0) for one label at
+    (0, i, j), i <= dq, j <= du.
+
+    The q-only denominator 1 + c_1 q + c_2 q^2 + ... is inverted by the
+    linear recurrence b_0 = 1, b_k = -sum_m c_m b_{k-m}.
+    """
+    m0, m1 = label_block_matrices(w, sig)
+    num = [_integral(c) for c in charpoly_det(m1)[: du + 1]]
+    den = [_integral(c) for c in charpoly_det(m0)]
+    inv = [1]
+    for k in range(1, dq + 1):
+        inv.append(-sum(den[m] * inv[k - m] for m in range(1, min(k, len(den) - 1) + 1)))
+    return {
+        (0, i, j): (-a if j % 2 else a) * b
+        for j, a in enumerate(num)
+        if a
+        for i, b in enumerate(inv)
+        if b
+    }
+
+
 def label_molien_term(w: WreathElement, sig: AlgebraSignature, caps: Caps) -> TrigradedSeries:
     """det(I + u*M1) / det(I - q*M0) for one label, exact within caps."""
-    m0, m1 = label_block_matrices(w, sig)
-    num = unipoly_as_series(charpoly_det(m1), caps, "u", negate_var=True)
-    den = unipoly_as_series(charpoly_det(m0), caps, "q")
-    return series_mul(num, series_inv(den))
+    return TrigradedSeries(caps, _label_table(w, sig, caps.q, caps.u))
 
 
 def super_molien(action: GroupAction, dq: int, du: int | None = None) -> TrigradedSeries:
     """Character-weighted Molien average, exact within caps (0, dq, du).
 
     du defaults to the full odd dimension n*r1, where the numerator
-    det(I + u*g1) is a polynomial of exactly that degree.
+    det(I + u*g1) is a polynomial of exactly that degree.  The weighted
+    label terms are summed in one table and divided by |W| once.
     """
     sig = action.signature
     if du is None:
         du = sig.num_odd
-    caps = Caps(0, dq, du)
-    total = TrigradedSeries.zero(caps)
-    for i in range(action.order):
-        term = label_molien_term(action.labels[i], sig, caps)
-        total = series_add(total, series_scale(term, action.character.at_inverse(i)))
-    return series_scale(total, Fraction(1, action.order))
+    total: dict[Key, int | Fraction] = {}
+    for i, w in enumerate(action.labels):
+        chi = _integral(action.character.at_inverse(i))
+        for key, c in _label_table(w, sig, dq, du).items():
+            total[key] = total.get(key, 0) + chi * c
+    return TrigradedSeries(Caps(0, dq, du), {k: Fraction(c) / action.order for k, c in total.items()})
 
 
 def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .errors import ZeroConstantTerm
 from .rationals import format_rational, parse_rational
@@ -274,27 +274,3 @@ def scale_exponents(a: TrigradedSeries, r: int) -> TrigradedSeries:
             out[key] = out.get(key, Fraction(0)) + c
     return TrigradedSeries(a.caps, out)
 
-
-def unipoly_as_series(
-    coeffs: Sequence[Fraction], caps, axis: str, negate_var: bool = False
-) -> TrigradedSeries:
-    """Read a coefficient tuple c_0, c_1, ... as a series on one axis
-    ('t', 'q' or 'u').
-
-    With negate_var the variable is substituted by its negative first, which
-    is how det(I - z*M) becomes det(I + u*M) at z = -u.
-    """
-    pos = {"t": 0, "q": 1, "u": 2}[axis]
-    caps = Caps.of(caps)
-    out: dict[Key, Fraction] = {}
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if negate_var and k % 2:
-            c = -c
-        key = [0, 0, 0]
-        key[pos] = k
-        key = tuple(key)
-        if caps.contains(key):
-            out[key] = c
-    return TrigradedSeries(caps, out)

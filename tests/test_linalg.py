@@ -134,8 +134,37 @@ def test_charpoly_det_hand_values():
     assert d == (1, -5, 6)
     # 0x0 matrix contributes the empty product
     assert charpoly_det(QMatrix(0, 0, [])) == (1,)
-    # nilpotent
+    # nilpotent: every coefficient past the constant vanishes and is stripped
     assert charpoly_det(QMatrix.from_rows([[0, 1], [0, 0]])) == (1,)
+    assert charpoly_det(QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])) == (1,)
+
+
+def mixed_denominator_rows(rng, nr, nc):
+    return [
+        [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 5))) for _ in range(nc)]
+        for _ in range(nr)
+    ]
+
+
+def signed_block_permutation(rng, num_blocks, size, rational=False):
+    """A block-monomial matrix shaped like a wreath label: one block per
+    block column, at a permuted block row, each a signed permutation matrix
+    (scaled by a rational with denominator 2, 3 or 5 if asked)."""
+    targets = list(range(num_blocks))
+    rng.shuffle(targets)
+
+    def block():
+        images = list(range(size))
+        rng.shuffle(images)
+        scale = Fraction(rng.choice((1, -2, 3)), rng.choice((2, 3, 5))) if rational else 1
+        entries = [
+            rng.choice((-1, 1)) * scale if images[j] == i else 0
+            for i in range(size)
+            for j in range(size)
+        ]
+        return QMatrix(size, size, entries)
+
+    return assemble_blocks(num_blocks, size, {(targets[b], b): block() for b in range(num_blocks)})
 
 
 def test_charpoly_det_matches_pointwise_dets_seeded():
@@ -143,9 +172,26 @@ def test_charpoly_det_matches_pointwise_dets_seeded():
     # degree-<=n polynomial; the char expansion must agree at every point.
     rng = random.Random(4242)
     points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(-3, 5)]
+    inputs = []
     for _ in range(25):
         n = rng.randint(1, 5)
-        m = QMatrix.from_rows(random_rational_rows(rng, n, n))
+        inputs.append(QMatrix.from_rows(random_rational_rows(rng, n, n)))
+    # dense, denominators 2, 3 and 5 mixed, up to n = 9
+    inputs += [QMatrix.from_rows(mixed_denominator_rows(rng, n, n)) for n in (6, 7, 8, 9)]
+    # block-monomial, integral and rational
+    for num_blocks, size in ((2, 1), (3, 2), (4, 2), (3, 3), (9, 1)):
+        inputs.append(signed_block_permutation(rng, num_blocks, size))
+        inputs.append(signed_block_permutation(rng, num_blocks, size, rational=True))
+    # a zero row, a zero column and a zero diagonal
+    for n in (3, 6, 9):
+        rows = mixed_denominator_rows(rng, n, n)
+        zero_row, zero_col = rng.randrange(n), rng.randrange(n)
+        rows[zero_row] = [Fraction(0)] * n
+        for i in range(n):
+            rows[i][zero_col] = rows[i][i] = Fraction(0)
+        inputs.append(QMatrix.from_rows(rows))
+    for m in inputs:
+        n = m.nrows
         p = charpoly_det(m)
         assert len(p) <= n + 1 and p[-1] != 0
         for z0 in points:

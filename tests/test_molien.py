@@ -1,6 +1,8 @@
 """Molien averages against hand-computed series and the Reynolds-rank oracle."""
 
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -15,12 +17,14 @@ from supermolien.fixtures import (
     trivial_group,
     young_theta_group,
 )
-from supermolien.groups import MatrixGroup, PermGroup
+from supermolien.groups import GradedGroupElement, MatrixGroup, PermGroup
+from supermolien.linalg import QMatrix, charpoly_det
 from supermolien.molien import (
     FLAVORS,
     GroupAction,
     invariant_dimension_bruteforce,
     label_block_matrices,
+    label_molien_term,
     molien_vs_oracle,
     require_flavor,
     reynolds_project,
@@ -28,6 +32,9 @@ from supermolien.molien import (
 )
 from supermolien.series import Caps, TrigradedSeries, series_inv, series_mul, series_pow_int
 from supermolien.superalgebra import SuperPolynomial, apply_wreath, bidegree_basis
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def q_series(caps, coeff_fn):
@@ -196,6 +203,47 @@ def test_block_matrices_layout_for_swap_label():
             assert m0.rows() == [(0, -1), (1, 0)]
             return
     raise AssertionError("label not found")
+
+
+@pytest.mark.parametrize("gname,n", [("sign-scalar", 3), ("s2-theta", 2)])
+def test_label_molien_term_matches_trivariate_inversion(gname, n):
+    # Reference: both char-polys read as series and the denominator inverted
+    # over the whole (dq+1)(du+1) box, at full and at truncated u caps.
+    action = GroupAction.from_wreath(PermGroup.symmetric(n), matrix_group_fixture(gname), n)
+    sig = action.signature
+    for caps in (Caps(0, 8, sig.num_odd), Caps(0, 3, 1)):
+        for w in action.labels:
+            m0, m1 = label_block_matrices(w, sig)
+            num = TrigradedSeries(
+                caps, {(0, 0, j): (-1) ** j * c for j, c in enumerate(charpoly_det(m1)) if j <= caps.u}
+            )
+            den = TrigradedSeries(caps, {(0, i, 0): c for i, c in enumerate(charpoly_det(m0)) if i <= caps.q})
+            assert label_molien_term(w, sig, caps) == series_mul(num, series_inv(den))
+
+
+def test_rational_change_of_basis_keeps_the_series():
+    # S_3 on x conjugated by a rational matrix: same Molien series, and the
+    # wreath routes still agree, with non-integral entries in every label.
+    G = MatrixGroup.from_json_dict(json.loads((FIXTURES / "s3_x.json").read_text(encoding="utf-8")))
+    P = QMatrix.from_rows([[Fraction(1, 2), 1, 0], [Fraction(1, 3), 0, 2], [0, Fraction(1, 5), 1]])
+    P_inv = QMatrix.from_rows(
+        [
+            [Fraction(3, 4), Fraction(15, 8), Fraction(-15, 4)],
+            [Fraction(5, 8), Fraction(-15, 16), Fraction(15, 8)],
+            [Fraction(-1, 8), Fraction(3, 16), Fraction(5, 8)],
+        ]
+    )
+    assert P * P_inv == QMatrix.identity(3)
+    H = MatrixGroup.close(
+        G.r0, G.r1, [GradedGroupElement(P * g.g0 * P_inv, g.g1) for g in G.generators]
+    )
+    assert H.order == G.order
+    assert max(x.denominator for g in H.generators for x in g.g0.entries) > 1
+    assert super_molien(GroupAction.from_matrix_group(H), 8) == super_molien(
+        GroupAction.from_matrix_group(G), 8
+    )
+    for flavor in FLAVORS:
+        assert wreath_series.check_wreath_routes(PermGroup.symmetric(2), H, 2, flavor, 6)["match"]
 
 
 def test_one_flavor_validator():

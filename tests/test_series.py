@@ -18,7 +18,6 @@ from supermolien.series import (
     series_mul,
     series_pow_int,
     series_sub,
-    unipoly_as_series,
 )
 
 CAPS = Caps(2, 4, 3)
@@ -216,22 +215,3 @@ def test_json_rejects_duplicates():
     with pytest.raises(ValueError):
         TrigradedSeries.from_json_dict(d)
 
-
-# -- coefficient tuples as series ----------------------------------------------
-
-
-def test_unipoly_as_series_axes():
-    p = (Fraction(1), Fraction(-2), Fraction(3))
-    caps = Caps(0, 4, 4)
-    assert unipoly_as_series(p, caps, "q") == S(caps, {(0, 0, 0): 1, (0, 1, 0): -2, (0, 2, 0): 3})
-    # negate_var reads p(-u): signs flip in odd degree
-    assert unipoly_as_series(p, caps, "u", negate_var=True) == S(
-        caps, {(0, 0, 0): 1, (0, 0, 1): 2, (0, 0, 2): 3}
-    )
-
-
-def test_unipoly_as_series_truncates_to_caps():
-    p = (Fraction(1),) * 4
-    caps = Caps(0, 2, 0)
-    s = unipoly_as_series(p, caps, "q")
-    assert s.support() == {(0, 0, 0), (0, 1, 0), (0, 2, 0)}

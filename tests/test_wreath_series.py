@@ -65,6 +65,15 @@ def test_direct_equals_plethysm(pname, gname, n, flavor):
     assert direct == pleth
 
 
+@pytest.mark.parametrize("n,gname,dq", [(5, "sign-scalar", 8), (4, "s2-theta", 6)])
+@pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
+def test_direct_equals_plethysm_ladder(n, gname, dq, flavor):
+    # S_5[+-1] (3840 labels) and S_4[S_2 on theta] (384 labels), every label
+    P = PermGroup.symmetric(n)
+    G = matrix_group_fixture(gname)
+    assert wreath_hilbert_direct(P, G, n, flavor, dq) == wreath_hilbert_plethysm(P, G, n, flavor, dq)
+
+
 def test_check_wreath_routes_report_shape():
     rep = check_wreath_routes(PermGroup.symmetric(2), MatrixGroup.trivial(1, 1), 2, "invariant", 4)
     assert rep == {
