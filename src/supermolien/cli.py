@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SuperMolienError
-from .groups import MatrixGroup, PermGroup
+from .groups import MatrixGroup, PermGroup, validate_character
 from .molien import GroupAction, super_molien
 from .rationals import format_rational
 from .series import TrigradedSeries
@@ -34,33 +33,6 @@ from .wreath_series import (
     collated_sum_series,
     wreath_hilbert_plethysm,
 )
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """Everything one invocation needs, parsed and validated."""
-
-    subcommand: str
-    group_path: str | None = None
-    perm_path: str | None = None
-    left_path: str | None = None
-    right_path: str | None = None
-    expect_path: str | None = None
-    character: str = "trivial"
-    flavor: str = "invariant"
-    suite: str = "all"
-    dq: int | None = None
-    du: int | None = None
-    n: int | None = None
-    seed: int = 42
-    fmt: str = "json"
-    check: bool = False
-    signed: bool = False
-
-    def __post_init__(self):
-        for cap in (self.dq, self.du, self.n):
-            if cap is not None and cap < 0:
-                raise ValueError(f"caps must be nonnegative, got {cap}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,28 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _format_flag(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "table"), default="json", dest="fmt")
-
-
-def config_from_args(args: argparse.Namespace) -> CommandConfig:
-    d = vars(args)
-    return CommandConfig(
-        subcommand=d["subcommand"],
-        group_path=d.get("group"),
-        perm_path=d.get("perm"),
-        left_path=d.get("left"),
-        right_path=d.get("right"),
-        expect_path=d.get("expect"),
-        character=d.get("character") or "trivial",
-        flavor=d.get("flavor") or "invariant",
-        suite=d.get("suite") or "all",
-        dq=d.get("dq"),
-        du=d.get("du"),
-        n=d.get("n") if "n" in d else d.get("N"),
-        seed=d.get("seed", 42),
-        fmt=d.get("fmt", "json"),
-        check=d.get("check", False),
-        signed=d.get("signed", False),
-    )
 
 
 # -- input loading ----------------------------------------------------------
@@ -246,68 +196,66 @@ def _emit(payload, fmt: str, out) -> None:
 # -- subcommands ------------------------------------------------------------
 
 
-def _cmd_molien(cfg: CommandConfig, out) -> int:
-    G = _load_matrix_group(cfg.group_path)
-    action = GroupAction.from_matrix_group(G, character=_load_character(cfg.character))
-    series = super_molien(action, cfg.dq, cfg.du)
-    if cfg.expect_path is not None:
-        expected = _load_as(cfg.expect_path, "series", TrigradedSeries.from_json_dict)
+def _cmd_molien(args: argparse.Namespace, out) -> int:
+    G = _load_matrix_group(args.group)
+    action = GroupAction.from_matrix_group(G, character=_load_character(args.character))
+    series = super_molien(action, args.dq, args.du)
+    if args.expect is not None:
+        expected = _load_as(args.expect, "series", TrigradedSeries.from_json_dict)
         match = series == expected
-        _emit({"match": match}, cfg.fmt, out)
+        _emit({"match": match}, args.fmt, out)
         return 0 if match else 1
-    _emit(series, cfg.fmt, out)
+    _emit(series, args.fmt, out)
     return 0
 
 
-def _cmd_cycle_index(cfg: CommandConfig, out) -> int:
-    P = _load_perm_group(cfg.perm_path)
-    if cfg.flavor == "character":
-        chi = _load_character(cfg.character)
+def _cmd_cycle_index(args: argparse.Namespace, out) -> int:
+    P = _load_perm_group(args.perm)
+    if args.flavor == "character":
+        chi = _load_character(args.character or "trivial")
         if isinstance(chi, str):
             raise ValueError("flavor 'character' needs --character pointing at a values file")
-        from .groups import validate_character
-
         z = cycle_index(P, "character", validate_character(chi, P))
     else:
-        z = cycle_index(P, cfg.flavor)
-    _emit(z, cfg.fmt, out)
+        z = cycle_index(P, args.flavor)
+    _emit(z, args.fmt, out)
     return 0
 
 
-def _cmd_wreath(cfg: CommandConfig, out) -> int:
-    P = _load_perm_group(cfg.perm_path)
-    G = _load_matrix_group(cfg.group_path)
-    if cfg.check:
-        rep = check_wreath_routes(P, G, cfg.n, cfg.flavor, cfg.dq, cfg.du)
-        _emit(rep, cfg.fmt, out)
+def _cmd_wreath(args: argparse.Namespace, out) -> int:
+    P = _load_perm_group(args.perm)
+    G = _load_matrix_group(args.group)
+    if args.check:
+        rep = check_wreath_routes(P, G, args.n, args.flavor, args.dq, args.du)
+        _emit(rep, args.fmt, out)
         return 0 if rep["match"] else 1
-    series = wreath_hilbert_plethysm(P, G, cfg.n, cfg.flavor, cfg.dq, cfg.du)
-    _emit(series, cfg.fmt, out)
+    series = wreath_hilbert_plethysm(P, G, args.n, args.flavor, args.dq, args.du)
+    _emit(series, args.fmt, out)
     return 0
 
 
-def _cmd_collate(cfg: CommandConfig, out) -> int:
-    G = _load_matrix_group(cfg.group_path)
-    du = cfg.du if cfg.du is not None else max(1, cfg.n * G.r1)
-    spec = CollationSpec(group=G, n_max=cfg.n, dq=cfg.dq, du=du, flavor=cfg.flavor)
-    if cfg.check:
+def _cmd_collate(args: argparse.Namespace, out) -> int:
+    G = _load_matrix_group(args.group)
+    du = args.du if args.du is not None else max(1, args.N * G.r1)
+    spec = CollationSpec(group=G, n_max=args.N, dq=args.dq, du=du, flavor=args.flavor)
+    if args.check:
         rep = check_collation(spec)
-        _emit(rep, cfg.fmt, out)
+        _emit(rep, args.fmt, out)
         return 0 if rep["match"] else 1
-    _emit(collated_sum_series(spec), cfg.fmt, out)
+    _emit(collated_sum_series(spec), args.fmt, out)
     return 0
 
 
-def _cmd_shuffle(cfg: CommandConfig, out) -> int:
-    A = _load_as(cfg.left_path, "polynomial", SuperPolynomial.from_json_dict)
-    B = _load_as(cfg.right_path, "polynomial", SuperPolynomial.from_json_dict)
-    _emit(shuffle_product(A, B, signed=cfg.signed), cfg.fmt, out)
+def _cmd_shuffle(args: argparse.Namespace, out) -> int:
+    A = _load_as(args.left, "polynomial", SuperPolynomial.from_json_dict)
+    B = _load_as(args.right, "polynomial", SuperPolynomial.from_json_dict)
+    _emit(shuffle_product(A, B, signed=args.signed), args.fmt, out)
     return 0
 
 
-def _cmd_verify(cfg: CommandConfig, out) -> int:
-    report = run_suite(cfg.suite, cfg.seed)
-    _emit(report, cfg.fmt, out)
+def _cmd_verify(args: argparse.Namespace, out) -> int:
+    report = run_suite(args.suite, args.seed)
+    _emit(report, args.fmt, out)
     return 0 if report["failed"] == 0 else 1
 
 
@@ -327,8 +275,11 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _DISPATCH[cfg.subcommand](cfg, out)
+        for flag in ("dq", "du", "n", "N"):
+            cap = getattr(args, flag, None)
+            if cap is not None and cap < 0:
+                raise ValueError(f"caps must be nonnegative, got {cap}")
+        return _DISPATCH[args.subcommand](args, out)
     # validated input errors only: a TypeError or KeyError from the kernels
     # is a bug and propagates as a traceback
     except (SuperMolienError, ValueError, OSError, json.JSONDecodeError) as exc:

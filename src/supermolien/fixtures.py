@@ -7,9 +7,7 @@ ask for fresh instances.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .groups import GradedGroupElement, MatrixGroup, PermGroup, Permutation
+from .groups import GradedGroupElement, MatrixGroup, PermGroup, symmetric_generators
 from .linalg import QMatrix
 
 
@@ -23,22 +21,13 @@ def sign_scalar_group() -> MatrixGroup:
     return MatrixGroup.close(1, 0, [minus])
 
 
-def _perm_gens(n: int) -> list[Permutation]:
-    if n < 2:
-        return []
-    gens = [Permutation.from_cycles(n, [(1, 2)])]
-    if n > 2:
-        gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
-    return gens
-
-
 def perm_matrix_group(n: int, part: str) -> MatrixGroup:
     """S_n by permutation matrices on n commuting ("even") or n
     anticommuting ("odd") variables."""
     if part == "even":
-        gens = [GradedGroupElement(p.matrix(), QMatrix.identity(0)) for p in _perm_gens(n)]
+        gens = [GradedGroupElement(p.matrix(), QMatrix.identity(0)) for p in symmetric_generators(n)]
         return MatrixGroup.close(n, 0, gens)
-    gens = [GradedGroupElement(QMatrix.identity(0), p.matrix()) for p in _perm_gens(n)]
+    gens = [GradedGroupElement(QMatrix.identity(0), p.matrix()) for p in symmetric_generators(n)]
     return MatrixGroup.close(0, n, gens)
 
 
@@ -52,7 +41,7 @@ def young_theta_group(alpha: tuple[int, ...]) -> MatrixGroup:
 
 def diagonal_perm_group(n: int) -> MatrixGroup:
     """S_n acting simultaneously on n commuting and n anticommuting variables."""
-    gens = [GradedGroupElement(p.matrix(), p.matrix()) for p in _perm_gens(n)]
+    gens = [GradedGroupElement(p.matrix(), p.matrix()) for p in symmetric_generators(n)]
     return MatrixGroup.close(n, n, gens)
 
 

@@ -6,6 +6,13 @@ variables and g1 on the r1 anticommuting ones.  Wreath elements are labels
 primitive actions in the supercommutative-algebra layer, with the product
 law chosen so that applying w1 * w2 equals applying w2's substitution first
 and then w1's.
+
+This module is the one presentation of the wreath product P[G], for G a
+matrix group or a permutation group: one enumerator of its |P| * |G|^n
+labels, behind one degree check and one WREATH_CAP check, and one
+generator set, wreath_generators.  build_wreath and perm_group_of_wreath
+are the two realizations built on them.  Linear characters are stored as
++-1 ints.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, DimensionMismatch, NotAPermutationGroup, NotInvertible
 from .linalg import QMatrix, qmatrix_det
-from .rationals import parse_rational
 
 CLOSURE_CAP = 20000
 WREATH_CAP = 200000
@@ -126,6 +132,17 @@ def cycle_type(p: Permutation) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+def symmetric_generators(n: int) -> list[Permutation]:
+    """Generators of S_n: the transposition (1 2) and, for n > 2, the
+    n-cycle (1 2 .. n); none for n < 2."""
+    if n < 2:
+        return []
+    gens = [Permutation.from_cycles(n, [(1, 2)])]
+    if n > 2:
+        gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
+    return gens
 
 
 @dataclass(frozen=True)
@@ -264,24 +281,19 @@ class PermGroup:
         raise AttributeError("PermGroup is immutable")
 
     @staticmethod
-    def close(n: int, generators: Iterable[Permutation], cap: int = CLOSURE_CAP) -> "PermGroup":
+    def close(n: int, generators: Iterable[Permutation]) -> "PermGroup":
         gens = []
         for p in generators:
             if p.n != n:
                 raise DimensionMismatch(f"generator degree {p.n} != {n}")
             gens.append(p)
         gens = sorted(set(gens), key=lambda p: p.images)
-        elements = _bfs_closure(Permutation.identity(n), gens, cap, Permutation.compose)
+        elements = _bfs_closure(Permutation.identity(n), gens, CLOSURE_CAP, Permutation.compose)
         return PermGroup(n, elements, gens)
 
     @staticmethod
     def symmetric(n: int) -> "PermGroup":
-        if n <= 1:
-            return PermGroup.close(max(n, 1), [])
-        gens = [Permutation.from_cycles(n, [(1, 2)])]
-        if n > 2:
-            gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
-        return PermGroup.close(n, gens)
+        return PermGroup.close(max(n, 1), symmetric_generators(n))
 
     @staticmethod
     def cyclic(n: int) -> "PermGroup":
@@ -381,42 +393,60 @@ def wreath_mul(w1: WreathElement, w2: WreathElement) -> WreathElement:
     return WreathElement(tau.compose(w1.sigma), gs)
 
 
-def build_wreath(P: PermGroup, G: MatrixGroup, n: int, cap: int = WREATH_CAP) -> list[WreathElement]:
-    """All |P| * |G|^n labels of P[G], in deterministic order."""
+def _wreath_labels(P: PermGroup, G: MatrixGroup | PermGroup, n: int):
+    """Every element (sigma, (g_1..g_n)) of P[G], sigma-major in element
+    order.  The degree check and the WREATH_CAP check run at the call,
+    before any label is made."""
     if P.n != n:
         raise DimensionMismatch(f"P acts on {P.n} rows, expected {n}")
     total = P.order * G.order**n
-    if total > cap:
-        raise CapExceeded(f"wreath product has {total} elements, cap is {cap}")
-    return [
-        WreathElement(sigma, gs)
-        for sigma in P.elements
-        for gs in itertools.product(G.elements, repeat=n)
-    ]
+    if total > WREATH_CAP:
+        raise CapExceeded(f"wreath product has {total} elements, cap is {WREATH_CAP}")
+    return ((sigma, gs) for sigma in P.elements for gs in itertools.product(G.elements, repeat=n))
+
+
+def wreath_generators(
+    perm_gens: Sequence[Permutation], G: MatrixGroup | PermGroup, n: int
+) -> list[tuple[Permutation, tuple]]:
+    """Generators (sigma, (g_1..g_n)) of P[G] on n rows, P generated by
+    perm_gens: each sigma over identity rows, then each generator of G
+    planted in each single row.  There are none for n = 0."""
+    ident = G.elements[G.identity_index]
+    out = [(sigma, (ident,) * n) for sigma in perm_gens]
+    idp = Permutation.identity(n)
+    for g in G.generators:
+        for row in range(n):
+            out.append((idp, (ident,) * row + (g,) + (ident,) * (n - row - 1)))
+    return out
+
+
+def build_wreath(P: PermGroup, G: MatrixGroup, n: int) -> list[WreathElement]:
+    """All |P| * |G|^n labels of P[G], in deterministic order."""
+    return [WreathElement(sigma, gs) for sigma, gs in _wreath_labels(P, G, n)]
 
 
 @dataclass(frozen=True)
 class LinearCharacter:
-    """One-dimensional character: values aligned with a group's element order.
+    """One-dimensional character: +-1 values aligned with a group's element order.
 
     Rational-valued multiplicative characters on a finite group only take
-    the values +1 and -1 (the only finite subgroup of Q* is {+-1}); the
-    multiplicativity check below enforces that automatically.
+    the values +1 and -1 (the only finite subgroup of Q* is {+-1}), so the
+    values are ints and chi(g^{-1}) = chi(g).
     """
 
-    values: tuple[Fraction, ...]
+    values: tuple[int, ...]
 
-    def __call__(self, i: int) -> Fraction:
+    def __call__(self, i: int) -> int:
         return self.values[i]
-
-    def at_inverse(self, i: int) -> Fraction:
-        # chi(g^{-1}) = 1/chi(g), avoiding any need for inverse lookups
-        return 1 / self.values[i]
 
 
 def validate_character(values: Sequence, group) -> LinearCharacter:
-    """Check chi(id) = 1, nonzero values, and multiplicativity on the full
-    product table of `group` (anything with elements/identity_index/product_index)."""
+    """Check chi(id) = 1, nonzero values, and chi(e*g) = chi(e)chi(g) for
+    every element e and generator g of `group` (a PermGroup or MatrixGroup).
+
+    Every element is a word in the generators, so this is multiplicativity
+    on the full product table at |G| * (number of generators) products.
+    """
     vals = tuple(Fraction(v) for v in values)
     if len(vals) != len(group.elements):
         raise ValueError(f"character has {len(vals)} values for a group of order {len(group.elements)}")
@@ -424,20 +454,20 @@ def validate_character(values: Sequence, group) -> LinearCharacter:
         raise ValueError("character values must be nonzero")
     if vals[group.identity_index] != 1:
         raise ValueError("character must send the identity to 1")
-    order = len(vals)
-    for i in range(order):
-        for j in range(order):
+    gens = [group.index_of(g) for g in group.generators]
+    for i in range(len(vals)):
+        for j in gens:
             if vals[group.product_index(i, j)] != vals[i] * vals[j]:
                 raise ValueError(f"character is not multiplicative at pair ({i}, {j})")
-    return LinearCharacter(vals)
+    return LinearCharacter(tuple(int(v) for v in vals))
 
 
 def trivial_character(order: int) -> LinearCharacter:
-    return LinearCharacter((Fraction(1),) * order)
+    return LinearCharacter((1,) * order)
 
 
 def sgn_character(P: PermGroup) -> LinearCharacter:
-    return LinearCharacter(tuple(Fraction(perm_sign(p)) for p in P.elements))
+    return LinearCharacter(tuple(perm_sign(p) for p in P.elements))
 
 
 def _wreath_point_perm(sigma: Permutation, gs: Sequence[Permutation], n: int, r: int) -> Permutation:
@@ -451,28 +481,14 @@ def _wreath_point_perm(sigma: Permutation, gs: Sequence[Permutation], n: int, r:
     return Permutation(images)
 
 
-def perm_group_of_wreath(P: PermGroup, G_perm: PermGroup, n: int, cap: int = WREATH_CAP) -> PermGroup:
+def perm_group_of_wreath(P: PermGroup, G_perm: PermGroup, n: int) -> PermGroup:
     """P[G] realized as permutations of the n*r points (row i, point p)."""
-    if P.n != n:
-        raise DimensionMismatch(f"P acts on {P.n} rows, expected {n}")
     r = G_perm.n
-    total = P.order * G_perm.order**n
-    if total > cap:
-        raise CapExceeded(f"wreath product has {total} elements, cap is {cap}")
-    elements = [
-        _wreath_point_perm(sigma, gs, n, r)
-        for sigma in P.elements
-        for gs in itertools.product(G_perm.elements, repeat=n)
+    elements = [_wreath_point_perm(sigma, gs, n, r) for sigma, gs in _wreath_labels(P, G_perm, n)]
+    assert len(set(elements)) == len(elements)  # the imprimitive action is faithful
+    generators = [
+        _wreath_point_perm(sigma, gs, n, r) for sigma, gs in wreath_generators(P.generators, G_perm, n)
     ]
-    assert len(set(elements)) == total  # the imprimitive action is faithful
-    ident_p = Permutation.identity(n)
-    ident_g = Permutation.identity(r)
-    generators = [_wreath_point_perm(s, (ident_g,) * n, n, r) for s in P.generators]
-    for h in G_perm.generators:
-        for row in range(n):
-            gs = [ident_g] * n
-            gs[row] = h
-            generators.append(_wreath_point_perm(ident_p, gs, n, r))
     return PermGroup(n * r, elements, generators)
 
 

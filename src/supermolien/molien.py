@@ -9,11 +9,11 @@ the two coefficient by coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import BasisTooLarge, DimensionMismatch, SignatureMismatch
+from .errors import BasisTooLarge, SignatureMismatch
 from .groups import (
     LinearCharacter,
     MatrixGroup,
@@ -23,7 +23,6 @@ from .groups import (
     build_wreath,
     matrix_group_to_perm_group,
     perm_sign,
-    sgn_character,
     trivial_character,
     validate_character,
     wreath_sign,
@@ -53,8 +52,8 @@ def require_flavor(flavor: str) -> None:
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A finite group acting on n rows of (r0, r1) variables, with a linear
-    character selecting the isotypic component to count."""
+    """A finite group acting on n rows of (r0, r1) variables, with a +-1
+    linear character selecting the isotypic component to count."""
 
     signature: AlgebraSignature
     labels: tuple[WreathElement, ...]
@@ -69,17 +68,14 @@ class GroupAction:
         """Single-row action of a matrix group (n = 1).
 
         character may be "trivial", "sgn" (sign of the underlying permutation
-        action, when the group is realized by permutation matrices), an
-        explicit value sequence aligned with element order, or a prebuilt
-        LinearCharacter.  Explicit values are validated against the product
-        table.
+        action, when the group is realized by permutation matrices), or an
+        explicit value sequence aligned with element order, which is
+        validated against the group's generators.
         """
         sig = AlgebraSignature(G.r0, G.r1, 1)
         ident = Permutation.identity(1)
         labels = tuple(WreathElement(ident, (g,)) for g in G.elements)
-        if isinstance(character, LinearCharacter):
-            chi = character
-        elif character == "trivial":
+        if character == "trivial":
             chi = trivial_character(G.order)
         elif character == "sgn":
             chi = validate_character(_matrix_group_sgn_values(G), G)
@@ -97,16 +93,16 @@ class GroupAction:
         if flavor == "invariant":
             chi = trivial_character(len(labels))
         else:
-            chi = LinearCharacter(tuple(Fraction(wreath_sign(w)) for w in labels))
+            chi = LinearCharacter(tuple(wreath_sign(w) for w in labels))
         return GroupAction(sig, labels, chi)
 
 
-def _matrix_group_sgn_values(G: MatrixGroup) -> list[Fraction]:
+def _matrix_group_sgn_values(G: MatrixGroup) -> list[int]:
     """Sign of the underlying permutation action, read off whichever graded
     part realizes the group by permutation matrices."""
     part = "even" if G.r0 > 0 else "odd"
     P = matrix_group_to_perm_group(G, part=part)
-    return [Fraction(perm_sign(p)) for p in P.elements]
+    return [perm_sign(p) for p in P.elements]
 
 
 def label_block_matrices(w: WreathElement, sig: AlgebraSignature) -> tuple[QMatrix, QMatrix]:
@@ -156,11 +152,6 @@ def _label_table(
     }
 
 
-def label_molien_term(w: WreathElement, sig: AlgebraSignature, caps: Caps) -> TrigradedSeries:
-    """det(I + u*M1) / det(I - q*M0) for one label, exact within caps."""
-    return TrigradedSeries(caps, _label_table(w, sig, caps.q, caps.u))
-
-
 def super_molien(action: GroupAction, dq: int, du: int | None = None) -> TrigradedSeries:
     """Character-weighted Molien average, exact within caps (0, dq, du).
 
@@ -173,7 +164,7 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
         du = sig.num_odd
     total: dict[Key, int | Fraction] = {}
     for i, w in enumerate(action.labels):
-        chi = _integral(action.character.at_inverse(i))
+        chi = action.character(i)
         for key, c in _label_table(w, sig, dq, du).items():
             total[key] = total.get(key, 0) + chi * c
     return TrigradedSeries(Caps(0, dq, du), {k: Fraction(c) / action.order for k, c in total.items()})
@@ -181,14 +172,15 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
 
 def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:
     """(1/|W|) sum over w of chi(w^{-1}) w.f, the projector onto the
-    chi-isotypic component."""
+    chi-isotypic component; chi(w^{-1}) = chi(w) = +-1."""
     if f.sig != action.signature:
         raise SignatureMismatch(f"{f.sig} != {action.signature}")
     acc: dict[SuperMonomial, Fraction] = {}
     for i, w in enumerate(action.labels):
-        weight = Fraction(action.character.at_inverse(i))
+        negate = action.character(i) < 0
         for m, c in apply_wreath(w, f).terms.items():
-            c = weight * c
+            if negate:
+                c = -c
             acc[m] = acc[m] + c if m in acc else c
     scale = Fraction(1, action.order)
     return SuperPolynomial._canonical(action.signature, {m: c * scale for m, c in acc.items()})

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
-
 def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 

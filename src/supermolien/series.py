@@ -81,10 +81,6 @@ class TrigradedSeries:
         return TrigradedSeries(caps, {(0, 0, 0): Fraction(1)})
 
     @staticmethod
-    def constant(caps, c) -> "TrigradedSeries":
-        return TrigradedSeries(caps, {(0, 0, 0): Fraction(c)})
-
-    @staticmethod
     def monomial(caps, key: Key, c=1) -> "TrigradedSeries":
         return TrigradedSeries(caps, {tuple(key): Fraction(c)})
 

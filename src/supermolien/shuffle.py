@@ -18,13 +18,14 @@ from fractions import Fraction
 
 from .errors import NotHomogeneous, SignatureMismatch, SuperMolienError
 from .groups import (
-    GradedGroupElement,
     MatrixGroup,
     PermGroup,
     Permutation,
     WreathElement,
     perm_sign,
     shuffle_reps,
+    symmetric_generators,
+    wreath_generators,
 )
 from .linalg import EchelonSelector, QMatrix, matrix_rank
 from .molien import (
@@ -170,21 +171,12 @@ def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
 
 
 def _wreath_generator_labels(n: int, G: MatrixGroup) -> list[tuple[WreathElement, int]]:
-    """Generators of the full wreath product on n rows, paired with the sign
-    of their row permutation: adjacent row swaps, then each generator of G
-    planted in each single row."""
-    ident = GradedGroupElement.identity(G.r0, G.r1)
-    out = []
-    for k in range(1, n):
-        sigma = Permutation.from_cycles(n, [(k, k + 1)])
-        out.append((WreathElement(sigma, tuple([ident] * n)), -1))
-    idp = Permutation.identity(n)
-    for g in G.generators:
-        for row in range(n):
-            gs = [ident] * n
-            gs[row] = g
-            out.append((WreathElement(idp, tuple(gs)), 1))
-    return out
+    """Generators of S_n[G] on n rows, paired with the sign of their row
+    permutation."""
+    return [
+        (WreathElement(sigma, gs), perm_sign(sigma))
+        for sigma, gs in wreath_generators(symmetric_generators(n), G, n)
+    ]
 
 
 def _fixed_by(f: SuperPolynomial, labels: list[tuple[WreathElement, int]], flavor: str) -> bool:
@@ -362,15 +354,14 @@ def closure_battery(G: MatrixGroup, flavor: str, max_rows: int, max_i: int) -> t
     return checked, failed
 
 
-def random_super_polynomial(
-    rng: random.Random, sig: AlgebraSignature, terms: int = 2, max_exp: int = 2
-) -> SuperPolynomial:
-    """Small random element with integer coefficients, for seeded batteries."""
+def random_super_polynomial(rng: random.Random, sig: AlgebraSignature) -> SuperPolynomial:
+    """Sum of two random terms with x-exponents at most 2 and coefficients
+    in {-2, -1, 1, 2}, for seeded batteries."""
     out = SuperPolynomial.zero(sig)
-    for _ in range(terms):
+    for _ in range(2):
         xpart = {}
         for v in sig.even_vars():
-            e = rng.randint(0, max_exp)
+            e = rng.randint(0, 2)
             if e:
                 xpart[v] = e
         theta = sorted(v for v in sig.odd_vars() if rng.random() < 0.5)

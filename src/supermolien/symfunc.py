@@ -128,7 +128,8 @@ def cycle_index(P: PermGroup, flavor: str = "plain", character: LinearCharacter 
     """(1/|P|) sum over sigma of weight(sigma) p_{cycle type of sigma}.
 
     flavor selects the weight: "plain" uses 1, "sgn" uses sgn(sigma), and
-    "character" uses chi(sigma^{-1}) for the supplied linear character.
+    "character" uses chi(sigma^{-1}) = chi(sigma) for the supplied linear
+    character.
     """
     if flavor == "character":
         if character is None:
@@ -142,7 +143,7 @@ def cycle_index(P: PermGroup, flavor: str = "plain", character: LinearCharacter 
         elif flavor == "sgn":
             w = Fraction(perm_sign(sigma))
         else:
-            w = character.at_inverse(idx)
+            w = character(idx)
         lam = cycle_type(sigma)
         acc[lam] = acc.get(lam, Fraction(0)) + w
     inv_order = Fraction(1, P.order)

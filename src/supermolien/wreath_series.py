@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import MatrixGroup, PermGroup, Permutation, WreathElement
+from .groups import MatrixGroup, PermGroup, Permutation, WreathElement, trivial_character
 from .linalg import QMatrix, assemble_blocks, qmatrix_det
-from .molien import FLAVORS, GroupAction, label_molien_term, require_flavor, super_molien
+from .molien import FLAVORS, GroupAction, require_flavor, super_molien
 from .series import (
     Caps,
     TrigradedSeries,
@@ -30,7 +30,6 @@ from .series import (
     series_inv,
     series_mul,
     series_pow_int,
-    series_scale,
     series_sub,
 )
 from .superalgebra import AlgebraSignature
@@ -215,13 +214,10 @@ def verify_m_cycle_identity(G: MatrixGroup, m: int, dq: int, du: int | None = No
         raise ValueError("m must be positive")
     if du is None:
         du = m * G.r1
-    caps = Caps(0, dq, du)
-    sig = AlgebraSignature(G.r0, G.r1, m)
     cyc = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
-    total = TrigradedSeries.zero(caps)
-    for gs in itertools.product(G.elements, repeat=m):
-        total = series_add(total, label_molien_term(WreathElement(cyc, tuple(gs)), sig, caps))
-    lhs = series_scale(total, Fraction(1, G.order**m))
+    labels = tuple(WreathElement(cyc, gs) for gs in itertools.product(G.elements, repeat=m))
+    cycle_labels = GroupAction(AlgebraSignature(G.r0, G.r1, m), labels, trivial_character(len(labels)))
+    lhs = super_molien(cycle_labels, dq, du)
     hg = super_molien(GroupAction.from_matrix_group(G), dq, du)
     if m % 2 == 0:
         hg = series_flip_u(hg)

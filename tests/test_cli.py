@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from supermolien import cli as cli_module
-from supermolien.cli import CommandConfig, build_parser, config_from_args, run
+from supermolien.cli import run
 from supermolien.series import TrigradedSeries
 from supermolien.shuffle import shuffle_product
 from supermolien.superalgebra import SuperPolynomial
@@ -132,9 +132,15 @@ def test_missing_file_exits_two():
 
 
 def test_negative_cap_exits_two():
-    code, _, err = invoke("molien", "--group", fx("trivial_1_1.json"), "--dq", "-3")
-    assert code == 2
-    assert "nonnegative" in err
+    for argv in (
+        ("molien", "--group", fx("trivial_1_1.json"), "--dq", "-3"),
+        ("molien", "--group", fx("trivial_1_1.json"), "--du", "-1"),
+        ("wreath", "--perm", fx("s2.json"), "--group", fx("pm1.json"), "-n", "-2"),
+        ("collate", "--group", fx("pm1.json"), "-N", "-1"),
+    ):
+        code, _, err = invoke(*argv)
+        assert code == 2
+        assert "nonnegative" in err
 
 
 def test_dimension_mismatch_exits_two():
@@ -233,24 +239,7 @@ def test_verify_report_table():
     code, out, _ = invoke("verify", "--suite", "wreath", "--format", "table")
     assert code == 0
     assert out.count("PASS") == 8
-    assert "failed=0" in out
-
-
-# -- config plumbing ---------------------------------------------------------
-
-
-def test_command_config_rejects_negative_caps():
-    with pytest.raises(ValueError):
-        CommandConfig(subcommand="molien", dq=-1)
-
-
-def test_config_from_args_maps_collate_n():
-    args = build_parser().parse_args(
-        ["collate", "--group", "g.json", "-N", "4", "--dq", "3"]
-    )
-    cfg = config_from_args(args)
-    assert cfg.subcommand == "collate" and cfg.n == 4 and cfg.dq == 3
-    assert cfg.seed == 42 and cfg.fmt == "json"
+    assert "suite=wreath seed=42 passed=8 failed=0" in out
 
 
 def test_verify_unknown_suite_rejected():

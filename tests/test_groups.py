@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supermolien import groups
 from supermolien.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -28,10 +29,14 @@ from supermolien.groups import (
     perm_group_of_wreath,
     perm_sign,
     shuffle_reps,
+    symmetric_generators,
+    validate_character,
+    wreath_generators,
     wreath_identity,
     wreath_mul,
     wreath_sign,
 )
+from supermolien.fixtures import matrix_group_fixture, perm_group_fixture
 from supermolien.linalg import QMatrix
 
 
@@ -203,9 +208,15 @@ def test_build_wreath_count_and_order():
     assert labels[0] == wreath_identity(2, 1, 0)
 
 
-def test_build_wreath_cap():
-    with pytest.raises(CapExceeded):
-        build_wreath(PermGroup.symmetric(3), sign_group(), 3, cap=10)
+def test_build_wreath_cap(monkeypatch):
+    # |S_3[+-1]| = 48; both realizations of P[G] go through the one check
+    monkeypatch.setattr(groups, "WREATH_CAP", 47)
+    with pytest.raises(CapExceeded, match="wreath product has 48 elements, cap is 47"):
+        build_wreath(PermGroup.symmetric(3), sign_group(), 3)
+    with pytest.raises(CapExceeded, match="cap is 47"):
+        perm_group_of_wreath(PermGroup.symmetric(3), PermGroup.symmetric(2), 3)
+    monkeypatch.setattr(groups, "WREATH_CAP", 48)
+    assert len(build_wreath(PermGroup.symmetric(3), sign_group(), 3)) == 48
 
 
 def test_build_wreath_degree_check():
@@ -245,6 +256,91 @@ def test_wreath_mul_group_laws_seeded():
     label_set = set(labels)
     for _ in range(40):
         assert wreath_mul(rng.choice(labels), rng.choice(labels)) in label_set
+
+
+def _wreath_closure(gens, ident):
+    """Every product of the generator labels, by breadth-first search."""
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        frontier = [p for w in frontier for g in gens if (p := wreath_mul(w, g)) not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "pname,gname,n", [("s3", "sign-scalar", 3), ("c3", "trivial-1-1", 3), ("s2", "s2-theta", 2)]
+)
+def test_wreath_generators_close_to_build_wreath(pname, gname, n):
+    P = perm_group_fixture(pname)
+    G = matrix_group_fixture(gname)
+    gens = [WreathElement(s, gs) for s, gs in wreath_generators(P.generators, G, n)]
+    assert len(gens) == len(P.generators) + n * len(G.generators)
+    assert _wreath_closure(gens, wreath_identity(n, G.r0, G.r1)) == set(build_wreath(P, G, n))
+
+
+def test_wreath_generators_with_no_rows():
+    for G in (sign_group(), matrix_group_fixture("s2-theta")):
+        assert wreath_generators(symmetric_generators(0), G, 0) == []
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_symmetric_generators(n):
+    gens = symmetric_generators(n)
+    assert [p.images for p in gens] == [
+        [], [], [(2, 1)], [(2, 1, 3), (2, 3, 1)], [(2, 1, 3, 4), (2, 3, 4, 1)]
+    ][n]
+    assert PermGroup.close(max(n, 1), gens).order == math.factorial(n)
+    assert PermGroup.symmetric(n).generators == tuple(gens)
+
+
+def _multiplicative_on_full_table(values, group) -> bool:
+    """Reference verdict: chi(id) = 1 and chi(a*b) = chi(a)chi(b) for all pairs."""
+    order = len(values)
+    return values[group.identity_index] == 1 and all(
+        values[group.product_index(i, j)] == values[i] * values[j]
+        for i in range(order)
+        for j in range(order)
+    )
+
+
+def _generator_verdict(values, group) -> bool:
+    try:
+        chi = validate_character([Fraction(v) for v in values], group)
+    except ValueError:
+        return False
+    assert chi.values == tuple(values) and all(type(v) is int for v in chi.values)
+    return True
+
+
+def test_character_generator_check_matches_full_table_seeded():
+    # every +-1 table on the small groups, and seeded perturbations of the
+    # trivial and sign characters of S_4
+    small = [
+        PermGroup.symmetric(3),
+        PermGroup.cyclic(3),
+        PermGroup.young([2, 1]),
+        matrix_group_fixture("sign-scalar"),
+        matrix_group_fixture("s3-x"),
+        MatrixGroup.close(2, 0, [graded([[0, -1], [1, 0]], []), graded([[1, 0], [0, -1]], [])]),
+    ]
+    verdicts = []
+    for group in small:
+        for values in itertools.product((1, -1), repeat=group.order):
+            verdict = _multiplicative_on_full_table(values, group)
+            assert _generator_verdict(values, group) == verdict
+            verdicts.append(verdict)
+    s4 = PermGroup.symmetric(4)
+    rng = random.Random(42)
+    for _ in range(60):
+        sgn = rng.random() < 0.5
+        values = [perm_sign(p) if sgn else 1 for p in s4.elements]
+        for k in rng.sample(range(s4.order), rng.randint(0, 2)):
+            values[k] = -values[k]
+        verdict = _multiplicative_on_full_table(values, s4)
+        assert _generator_verdict(values, s4) == verdict
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 # -- wreath as permutations -------------------------------------------------------

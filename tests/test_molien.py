@@ -17,14 +17,13 @@ from supermolien.fixtures import (
     trivial_group,
     young_theta_group,
 )
-from supermolien.groups import GradedGroupElement, MatrixGroup, PermGroup
+from supermolien.groups import GradedGroupElement, MatrixGroup, PermGroup, trivial_character
 from supermolien.linalg import QMatrix, charpoly_det
 from supermolien.molien import (
     FLAVORS,
     GroupAction,
     invariant_dimension_bruteforce,
     label_block_matrices,
-    label_molien_term,
     molien_vs_oracle,
     require_flavor,
     reynolds_project,
@@ -207,18 +206,20 @@ def test_block_matrices_layout_for_swap_label():
 
 @pytest.mark.parametrize("gname,n", [("sign-scalar", 3), ("s2-theta", 2)])
 def test_label_molien_term_matches_trivariate_inversion(gname, n):
-    # Reference: both char-polys read as series and the denominator inverted
-    # over the whole (dq+1)(du+1) box, at full and at truncated u caps.
+    # One label's Molien term, as super_molien of a one-label action, against
+    # both char-polys read as series and the denominator inverted over the
+    # whole (dq+1)(du+1) box, at full and at truncated u caps.
     action = GroupAction.from_wreath(PermGroup.symmetric(n), matrix_group_fixture(gname), n)
     sig = action.signature
     for caps in (Caps(0, 8, sig.num_odd), Caps(0, 3, 1)):
         for w in action.labels:
+            one_label = GroupAction(sig, (w,), trivial_character(1))
             m0, m1 = label_block_matrices(w, sig)
             num = TrigradedSeries(
                 caps, {(0, 0, j): (-1) ** j * c for j, c in enumerate(charpoly_det(m1)) if j <= caps.u}
             )
             den = TrigradedSeries(caps, {(0, i, 0): c for i, c in enumerate(charpoly_det(m0)) if i <= caps.q})
-            assert label_molien_term(w, sig, caps) == series_mul(num, series_inv(den))
+            assert super_molien(one_label, caps.q, caps.u) == series_mul(num, series_inv(den))
 
 
 def test_rational_change_of_basis_keeps_the_series():

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from supermolien.fixtures import matrix_group_fixture
-from supermolien.groups import MatrixGroup, PermGroup, Permutation, WreathElement
+from supermolien.fixtures import matrix_group_fixture, perm_group_fixture
+from supermolien.groups import MatrixGroup, PermGroup, Permutation, WreathElement, trivial_character
 from supermolien.linalg import QMatrix, qmatrix_det
-from supermolien.molien import GroupAction, label_molien_term, super_molien
+from supermolien.molien import GroupAction, super_molien
 from supermolien.series import (
     Caps,
     TrigradedSeries,
@@ -16,10 +16,10 @@ from supermolien.series import (
     series_inv,
     series_mul,
     series_pow_int,
-    series_scale,
     series_sub,
 )
 from supermolien.superalgebra import AlgebraSignature
+from supermolien.verify import COLLATE_GROUPS, WREATH_ROUTE_CASES
 from supermolien.wreath_series import (
     CollationSpec,
     check_collation,
@@ -37,28 +37,12 @@ from supermolien.wreath_series import (
     young_exterior_product,
 )
 
-WREATH_CASES = [
-    ("s2", "sign-scalar", 2),
-    ("s3", "sign-scalar", 3),
-    ("s2", "s2-theta", 2),
-    ("c3", "trivial-1-1", 3),
-]
-
-
-def _perm_fixture(name):
-    if name == "s2":
-        return PermGroup.symmetric(2)
-    if name == "s3":
-        return PermGroup.symmetric(3)
-    if name == "c3":
-        return PermGroup.cyclic(3)
-    raise KeyError(name)
-
-
-@pytest.mark.parametrize("pname,gname,n", WREATH_CASES)
+# The route cases are the `verify` suite's own; these tests run them
+# in-process at a smaller cap than the shared report (dq = 5, not 8).
+@pytest.mark.parametrize("pname,gname,n", WREATH_ROUTE_CASES)
 @pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
 def test_direct_equals_plethysm(pname, gname, n, flavor):
-    P = _perm_fixture(pname)
+    P = perm_group_fixture(pname)
     G = matrix_group_fixture(gname)
     direct = wreath_hilbert_direct(P, G, n, flavor, 5)
     pleth = wreath_hilbert_plethysm(P, G, n, flavor, 5)
@@ -126,9 +110,10 @@ def test_wreath_matches_diagonal_matrix_embedding(n):
     assert wreath == flat
 
 
-@pytest.mark.parametrize("gname", ["trivial-1-1", "sign-scalar", "young-2-1-theta"])
+@pytest.mark.parametrize("gname", COLLATE_GROUPS)
 @pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
 def test_collation_sum_equals_product(gname, flavor):
+    # the `collate-*` cases of the shared report, in-process at dq = du = 4
     G = matrix_group_fixture(gname)
     spec = CollationSpec(group=G, n_max=3, dq=4, du=4, flavor=flavor)
     assert collated_sum_series(spec) == collated_product_series(spec)
@@ -259,13 +244,10 @@ def test_m_cycle_sum_frozen_value():
     # the u -> -u flip of the squared-exponent one-row series 1 + u.
     G = matrix_group_fixture("s2-theta")
     caps = Caps(0, 4, 2)
-    sig = AlgebraSignature(G.r0, G.r1, 2)
     cyc = Permutation.from_cycles(2, [(1, 2)])
-    total = TrigradedSeries.zero(caps)
-    for g1 in G.elements:
-        for g2 in G.elements:
-            total = series_add(total, label_molien_term(WreathElement(cyc, (g1, g2)), sig, caps))
-    lhs = series_scale(total, Fraction(1, 4))
+    labels = tuple(WreathElement(cyc, (g1, g2)) for g1 in G.elements for g2 in G.elements)
+    fixed_cycle = GroupAction(AlgebraSignature(G.r0, G.r1, 2), labels, trivial_character(4))
+    lhs = super_molien(fixed_cycle, caps.q, caps.u)
     one = TrigradedSeries.one(caps)
     u2 = TrigradedSeries.monomial(caps, (0, 0, 2))
     assert lhs == series_sub(one, u2)
