@@ -239,14 +239,6 @@ class MatrixGroup:
     def product_index(self, i: int, j: int) -> int:
         return self._index[self.elements[i] * self.elements[j]]
 
-    def inverse_index(self, i: int) -> int:
-        e = self.elements[i]
-        ident = GradedGroupElement.identity(self.r0, self.r1)
-        for j, f in enumerate(self.elements):
-            if e * f == ident:
-                return j
-        raise ValueError("closed group is missing an inverse")  # unreachable
-
     def to_json_dict(self) -> dict:
         return {
             "r0": self.r0,
@@ -393,12 +385,18 @@ def wreath_mul(w1: WreathElement, w2: WreathElement) -> WreathElement:
     return WreathElement(tau.compose(w1.sigma), gs)
 
 
+def require_degree(P: PermGroup, n: int) -> None:
+    """The one degree check of P[G] on n rows, for every route: P must act
+    on exactly n rows."""
+    if P.n != n:
+        raise DimensionMismatch(f"P acts on {P.n} rows, expected {n}")
+
+
 def _wreath_labels(P: PermGroup, G: MatrixGroup | PermGroup, n: int):
     """Every element (sigma, (g_1..g_n)) of P[G], sigma-major in element
     order.  The degree check and the WREATH_CAP check run at the call,
     before any label is made."""
-    if P.n != n:
-        raise DimensionMismatch(f"P acts on {P.n} rows, expected {n}")
+    require_degree(P, n)
     total = P.order * G.order**n
     if total > WREATH_CAP:
         raise CapExceeded(f"wreath product has {total} elements, cap is {WREATH_CAP}")

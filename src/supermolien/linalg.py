@@ -2,10 +2,11 @@
 
 All rank and determinant work in the package funnels through this module:
 determinants and ranks use Bareiss fraction-free elimination on
-denominator-cleared integer matrices, char-polys use Berkowitz's
-division-free recurrence on the denominator-cleared integer matrix, and
-greedy independent-subset selection uses an incremental exact echelon
-accumulator.  Higher layers do no elimination of their own.
+denominator-cleared integer matrices, char-polys use one Berkowitz kernel
+on the denominator-cleared nonzero entries of a matrix, row by row (from a
+QMatrix, or from a wreath label's blocks), and greedy independent-subset
+selection uses an incremental exact echelon accumulator.  Higher layers do
+no elimination of their own.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def _cleared_int_rows(m: QMatrix) -> tuple[list[list[int]], Fraction]:
         lcm = 1
         for x in r:
             lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        rows.append([int(x * lcm) for x in r])
+        rows.append([x.numerator * (lcm // x.denominator) for x in r])
         scale *= lcm
     return rows, scale
 
@@ -200,8 +201,9 @@ def matrix_rank(m: QMatrix) -> int:
     return _bareiss(rows, m.ncols)[0]
 
 
-def charpoly_det(m: QMatrix) -> tuple[Fraction, ...]:
-    """det(I - z*M) as its coefficient tuple in z, trailing zeros stripped.
+def _charpoly_rows(rows: Sequence[Sequence[tuple[int, Fraction]]]) -> tuple[Fraction, ...]:
+    """det(I - z*M) as its coefficient tuple in z, trailing zeros stripped,
+    M square with rows[i] the (column, value) pairs of row i's nonzeros.
 
     Berkowitz's division-free recurrence (Berkowitz 1984, "On computing the
     determinant in small parallel time using a small number of processors")
@@ -210,19 +212,13 @@ def charpoly_det(m: QMatrix) -> tuple[Fraction, ...]:
     corner a multiplies the coefficient vector by the lower-triangular
     Toeplitz matrix with first column 1, -a, -R*C, -R*A_r*C, ...; after the
     last border the vector holds the coefficients of det(I - z*A), and
-    coefficient k of det(I - z*M) is that one divided by d^k.  Zero entries
-    are skipped in the matrix-vector products.  The 0x0 matrix gives the
+    coefficient k of det(I - z*M) is that one divided by d^k.  Only the
+    nonzero entries enter the matrix-vector products.  No rows give the
     constant 1.
     """
-    if not m.is_square():
-        raise NotSquare(f"char expansion of a {m.nrows}x{m.ncols} matrix")
-    n = m.nrows
-    d = math.lcm(*(x.denominator for x in m.entries))
-    # nonzero entries of A = d*M by row, as (column, value) in column order
-    sparse = [
-        [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(m.row(i)) if x]
-        for i in range(n)
-    ]
+    n = len(rows)
+    d = math.lcm(*(x.denominator for row in rows for _, x in row))
+    sparse = [[(j, x.numerator * (d // x.denominator)) for j, x in row] for row in rows]
     vect = [1]
     for r in range(n):
         row = sparse[r]
@@ -240,6 +236,13 @@ def charpoly_det(m: QMatrix) -> tuple[Fraction, ...]:
     while vect[-1] == 0:
         vect.pop()
     return tuple(Fraction(c, d**k) for k, c in enumerate(vect))
+
+
+def charpoly_det(m: QMatrix) -> tuple[Fraction, ...]:
+    """det(I - z*M) by the char-poly kernel; the 0x0 matrix gives (1,)."""
+    if not m.is_square():
+        raise NotSquare(f"char expansion of a {m.nrows}x{m.ncols} matrix")
+    return _charpoly_rows([[(j, x) for j, x in enumerate(m.row(i)) if x] for i in range(m.nrows)])
 
 
 class EchelonSelector:

@@ -27,7 +27,7 @@ from .groups import (
     validate_character,
     wreath_sign,
 )
-from .linalg import QMatrix, assemble_blocks, charpoly_det, matrix_rank
+from .linalg import QMatrix, _charpoly_rows, matrix_rank
 from .series import Caps, Key, TrigradedSeries
 from .superalgebra import (
     AlgebraSignature,
@@ -105,22 +105,19 @@ def _matrix_group_sgn_values(G: MatrixGroup) -> list[int]:
     return [perm_sign(p) for p in P.elements]
 
 
-def label_block_matrices(w: WreathElement, sig: AlgebraSignature) -> tuple[QMatrix, QMatrix]:
-    """Matrices of a wreath label on the n*r0 even and n*r1 odd variables.
+def _label_rows(sigma: Permutation, blocks: Sequence[QMatrix]) -> list[list[tuple[int, Fraction]]]:
+    """Nonzero entries, row by row, of a wreath label's matrix on one graded
+    part, blocks being its g_1..g_n on that part.
 
     With the row relabeling i -> sigma^{-1}(i), the g_i block lands at block
-    position (sigma^{-1}(i), i)."""
-    inv = w.sigma.inverse()
-    blocks0 = {}
-    blocks1 = {}
-    for row in range(1, sig.n + 1):
-        g = w.gs[row - 1]
-        blocks0[(inv(row) - 1, row - 1)] = g.g0
-        blocks1[(inv(row) - 1, row - 1)] = g.g1
-    return (
-        assemble_blocks(sig.n, sig.r0, blocks0),
-        assemble_blocks(sig.n, sig.r1, blocks1),
-    )
+    position (sigma^{-1}(i), i): block row b holds g_{sigma(b)} at block
+    column sigma(b)."""
+    rows = []
+    for i in sigma.images:
+        g = blocks[i - 1]
+        base = (i - 1) * g.ncols
+        rows.extend([(base + c, x) for c, x in enumerate(g.row(a)) if x] for a in range(g.nrows))
+    return rows
 
 
 def _integral(x: Fraction) -> int | Fraction:
@@ -128,18 +125,15 @@ def _integral(x: Fraction) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def _label_table(
-    w: WreathElement, sig: AlgebraSignature, dq: int, du: int
-) -> dict[Key, int | Fraction]:
+def _label_table(w: WreathElement, dq: int, du: int) -> dict[Key, int | Fraction]:
     """Coefficients of det(I + u*M1) / det(I - q*M0) for one label at
     (0, i, j), i <= dq, j <= du.
 
     The q-only denominator 1 + c_1 q + c_2 q^2 + ... is inverted by the
     linear recurrence b_0 = 1, b_k = -sum_m c_m b_{k-m}.
     """
-    m0, m1 = label_block_matrices(w, sig)
-    num = [_integral(c) for c in charpoly_det(m1)[: du + 1]]
-    den = [_integral(c) for c in charpoly_det(m0)]
+    num = [_integral(c) for c in _charpoly_rows(_label_rows(w.sigma, [g.g1 for g in w.gs]))[: du + 1]]
+    den = [_integral(c) for c in _charpoly_rows(_label_rows(w.sigma, [g.g0 for g in w.gs]))]
     inv = [1]
     for k in range(1, dq + 1):
         inv.append(-sum(den[m] * inv[k - m] for m in range(1, min(k, len(den) - 1) + 1)))
@@ -165,7 +159,7 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
     total: dict[Key, int | Fraction] = {}
     for i, w in enumerate(action.labels):
         chi = action.character(i)
-        for key, c in _label_table(w, sig, dq, du).items():
+        for key, c in _label_table(w, dq, du).items():
             total[key] = total.get(key, 0) + chi * c
     return TrigradedSeries(Caps(0, dq, du), {k: Fraction(c) / action.order for k, c in total.items()})
 

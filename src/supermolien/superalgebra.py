@@ -38,10 +38,6 @@ class AlgebraSignature:
             raise ValueError(f"bad signature {self}")
 
     @property
-    def num_even(self) -> int:
-        return self.n * self.r0
-
-    @property
     def num_odd(self) -> int:
         return self.n * self.r1
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import MatrixGroup, PermGroup, Permutation, WreathElement, trivial_character
+from .groups import MatrixGroup, PermGroup, Permutation, WreathElement, require_degree, trivial_character
 from .linalg import QMatrix, assemble_blocks, qmatrix_det
 from .molien import FLAVORS, GroupAction, require_flavor, super_molien
 from .series import (
@@ -54,6 +54,7 @@ def wreath_hilbert_plethysm(
     outer negation undoes the flip.
     """
     require_flavor(flavor)
+    require_degree(P, n)
     if du is None:
         du = n * G.r1
     inner = super_molien(GroupAction.from_matrix_group(G), dq, du)

@@ -11,11 +11,12 @@ import pytest
 
 @dataclass(frozen=True)
 class VerifyRun:
-    """One `verify --suite all --seed 42` run: exit code, wall time and the
-    parsed JSON report (empty if the run printed nothing)."""
+    """One `verify --suite all --seed 42` run: exit code, wall time, the raw
+    stdout and the parsed JSON report (empty if the run printed nothing)."""
 
     returncode: int
     elapsed: float
+    stdout: str
     report: dict
 
     @property
@@ -38,4 +39,4 @@ def verify_all() -> VerifyRun:
     )
     elapsed = time.monotonic() - t0
     report = json.loads(proc.stdout) if proc.stdout else {}
-    return VerifyRun(proc.returncode, elapsed, report)
+    return VerifyRun(proc.returncode, elapsed, proc.stdout, report)

@@ -151,6 +151,11 @@ def test_dimension_mismatch_exits_two():
     )
     assert code == 2
     assert "error:" in err
+    # without --check only the plethysm route runs; it makes the same check
+    for n in ("0", "3"):
+        code, out, err = invoke("wreath", "--perm", fx("s2.json"), "--group", fx("pm1.json"), "-n", n)
+        assert code == 2 and out == ""
+        assert f"P acts on 2 rows, expected {n}" in err
 
 
 def test_cap_violation_exits_two():

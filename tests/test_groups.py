@@ -152,7 +152,6 @@ def test_product_and_inverse_indices():
     i_id = G.identity_index
     i_m = 1 - i_id
     assert G.product_index(i_m, i_m) == i_id
-    assert G.inverse_index(i_m) == i_m
 
 
 def test_matrix_group_json_round_trip():

@@ -18,12 +18,12 @@ from supermolien.fixtures import (
     young_theta_group,
 )
 from supermolien.groups import GradedGroupElement, MatrixGroup, PermGroup, trivial_character
-from supermolien.linalg import QMatrix, charpoly_det
+from supermolien.linalg import QMatrix, _charpoly_rows, assemble_blocks, charpoly_det
 from supermolien.molien import (
     FLAVORS,
     GroupAction,
+    _label_rows,
     invariant_dimension_bruteforce,
-    label_block_matrices,
     molien_vs_oracle,
     require_flavor,
     reynolds_project,
@@ -197,34 +197,27 @@ def test_block_matrices_layout_for_swap_label():
 
     for w in act.labels:
         if w.sigma == Permutation([2, 1]) and w.gs[0].g0.get(0, 0) == 1 and w.gs[1].g0.get(0, 0) == -1:
-            m0, _ = label_block_matrices(w, act.signature)
             # g_1 = +1 sits at block (sigma^{-1}(1), 1) = (2, 1), g_2 = -1 at (1, 2)
-            assert m0.rows() == [(0, -1), (1, 0)]
+            assert _label_rows(w.sigma, [g.g0 for g in w.gs]) == [[(1, -1)], [(0, 1)]]
             return
     raise AssertionError("label not found")
 
 
-@pytest.mark.parametrize("gname,n", [("sign-scalar", 3), ("s2-theta", 2)])
-def test_label_molien_term_matches_trivariate_inversion(gname, n):
-    # One label's Molien term, as super_molien of a one-label action, against
-    # both char-polys read as series and the denominator inverted over the
-    # whole (dq+1)(du+1) box, at full and at truncated u caps.
-    action = GroupAction.from_wreath(PermGroup.symmetric(n), matrix_group_fixture(gname), n)
-    sig = action.signature
-    for caps in (Caps(0, 8, sig.num_odd), Caps(0, 3, 1)):
-        for w in action.labels:
-            one_label = GroupAction(sig, (w,), trivial_character(1))
-            m0, m1 = label_block_matrices(w, sig)
-            num = TrigradedSeries(
-                caps, {(0, 0, j): (-1) ** j * c for j, c in enumerate(charpoly_det(m1)) if j <= caps.u}
-            )
-            den = TrigradedSeries(caps, {(0, i, 0): c for i, c in enumerate(charpoly_det(m0)) if i <= caps.q})
-            assert super_molien(one_label, caps.q, caps.u) == series_mul(num, series_inv(den))
+def dense_label_matrices(w):
+    """A label's even and odd matrices built densely, as a reference for the
+    sparse rows: the g_i block at block position (sigma^{-1}(i), i)."""
+    inv = w.sigma.inverse()
+    n = len(w.gs)
+
+    def dense(blocks):
+        return assemble_blocks(n, blocks[0].nrows, {(inv(i) - 1, i - 1): b for i, b in enumerate(blocks, 1)})
+
+    return dense([g.g0 for g in w.gs]), dense([g.g1 for g in w.gs])
 
 
-def test_rational_change_of_basis_keeps_the_series():
-    # S_3 on x conjugated by a rational matrix: same Molien series, and the
-    # wreath routes still agree, with non-integral entries in every label.
+def conjugated_s3():
+    """S_3 on x (s3_x.json) and its conjugate H by a 3x3 rational matrix
+    with denominators 2, 3 and 5: the same group with non-integral entries."""
     G = MatrixGroup.from_json_dict(json.loads((FIXTURES / "s3_x.json").read_text(encoding="utf-8")))
     P = QMatrix.from_rows([[Fraction(1, 2), 1, 0], [Fraction(1, 3), 0, 2], [0, Fraction(1, 5), 1]])
     P_inv = QMatrix.from_rows(
@@ -238,6 +231,46 @@ def test_rational_change_of_basis_keeps_the_series():
     H = MatrixGroup.close(
         G.r0, G.r1, [GradedGroupElement(P * g.g0 * P_inv, g.g1) for g in G.generators]
     )
+    return G, H
+
+
+@pytest.mark.parametrize("gname,n", [("sign-scalar", 3), ("s2-theta", 2)])
+def test_label_molien_term_matches_trivariate_inversion(gname, n):
+    # One label's Molien term, as super_molien of a one-label action, against
+    # both char-polys of the densely built label matrices read as series and
+    # the denominator inverted over the whole (dq+1)(du+1) box, at full and
+    # at truncated u caps.
+    action = GroupAction.from_wreath(PermGroup.symmetric(n), matrix_group_fixture(gname), n)
+    sig = action.signature
+    for caps in (Caps(0, 8, sig.num_odd), Caps(0, 3, 1)):
+        for w in action.labels:
+            one_label = GroupAction(sig, (w,), trivial_character(1))
+            m0, m1 = dense_label_matrices(w)
+            num = TrigradedSeries(
+                caps, {(0, 0, j): (-1) ** j * c for j, c in enumerate(charpoly_det(m1)) if j <= caps.u}
+            )
+            den = TrigradedSeries(caps, {(0, i, 0): c for i, c in enumerate(charpoly_det(m0)) if i <= caps.q})
+            assert super_molien(one_label, caps.q, caps.u) == series_mul(num, series_inv(den))
+
+
+@pytest.mark.parametrize("gname,n", [("sign-scalar", 3), ("s2-theta", 2), ("rational-s3", 2)])
+def test_label_rows_charpoly_matches_dense(gname, n):
+    # For every label, the sparse rows are the nonzero entries of the densely
+    # built matrix, and the char-poly kernel on them equals charpoly_det of
+    # that matrix; the conjugated S_3 gives blocks with unlike denominators.
+    G = conjugated_s3()[1] if gname == "rational-s3" else matrix_group_fixture(gname)
+    action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n)
+    for w in action.labels:
+        for part, dense in zip(("g0", "g1"), dense_label_matrices(w)):
+            rows = _label_rows(w.sigma, [getattr(g, part) for g in w.gs])
+            assert rows == [[(j, x) for j, x in enumerate(dense.row(i)) if x] for i in range(dense.nrows)]
+            assert _charpoly_rows(rows) == charpoly_det(dense)
+
+
+def test_rational_change_of_basis_keeps_the_series():
+    # S_3 on x conjugated by a rational matrix: same Molien series, and the
+    # wreath routes still agree, with non-integral entries in every label.
+    G, H = conjugated_s3()
     assert H.order == G.order
     assert max(x.denominator for g in H.generators for x in g.g0.entries) > 1
     assert super_molien(GroupAction.from_matrix_group(H), 8) == super_molien(

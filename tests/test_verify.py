@@ -1,5 +1,6 @@
 """Report shape and determinism of the named verification suites."""
 
+import hashlib
 import io
 import json
 
@@ -43,6 +44,13 @@ def test_fast_suites_pass(verify_all, suite):
     assert checks
     assert all(isinstance(c["pass"], bool) for c in checks)
     assert all(c["pass"] for c in checks)
+
+
+def test_report_is_byte_identical(verify_all):
+    # The default report is deterministic; a change to it must say why and
+    # re-pin this digest.
+    digest = hashlib.sha256(verify_all.stdout.encode("utf-8")).hexdigest()
+    assert digest == "f799ab62dc3d134be91673df15f6edfb5325ce2f2fef27b3c51c9e6d5a792011"
 
 
 def test_check_names_unique_across_suites(verify_all):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from supermolien.errors import DimensionMismatch
 from supermolien.fixtures import matrix_group_fixture, perm_group_fixture
 from supermolien.groups import MatrixGroup, PermGroup, Permutation, WreathElement, trivial_character
 from supermolien.linalg import QMatrix, qmatrix_det
@@ -273,6 +274,14 @@ def test_superspace_product_equals_qbinomial():
     assert superspace_product_series(4, 5, "antiinvariant") == superspace_qbinomial_series(
         4, 5, "antiinvariant"
     )
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_both_routes_share_the_degree_check(n):
+    G = matrix_group_fixture("sign-scalar")
+    for route in (wreath_hilbert_direct, wreath_hilbert_plethysm):
+        with pytest.raises(DimensionMismatch, match=f"^P acts on 2 rows, expected {n}$"):
+            route(PermGroup.symmetric(2), G, n, "invariant", 4)
 
 
 def test_flavor_validation():
