@@ -2,17 +2,18 @@
 
 A graded group element carries two matrices, g0 acting on the r0 commuting
 variables and g1 on the r1 anticommuting ones.  Wreath elements are labels
-(sigma, (g_1..g_n)); their action on the algebra factors through the two
-primitive actions in the supercommutative-algebra layer, with the product
-law chosen so that applying w1 * w2 equals applying w2's substitution first
+(sigma, (g_1..g_n)); each acts on the n rows by one block matrix per graded
+part, WreathElement.columns, which both the Molien route and the
+substitution in the supercommutative-algebra layer read.  The product law
+is chosen so that applying w1 * w2 equals applying w2's substitution first
 and then w1's.
 
 This module is the one presentation of the wreath product P[G], for G a
-matrix group or a permutation group: one enumerator of its |P| * |G|^n
-labels, behind one degree check and one WREATH_CAP check, and one
-generator set, wreath_generators.  build_wreath and perm_group_of_wreath
-are the two realizations built on them.  Linear characters are stored as
-+-1 ints.
+matrix group or a permutation group: one enumerator of its labels, behind
+one degree check and one WREATH_CAP check, and one generator set,
+wreath_generators.  The enumerator pairs given row permutations with G^n;
+build_wreath and perm_group_of_wreath are the two realizations of P[G]
+built on it.  Linear characters are stored as +-1 ints.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -155,12 +152,6 @@ class GradedGroupElement:
     @staticmethod
     def identity(r0: int, r1: int) -> "GradedGroupElement":
         return GradedGroupElement(QMatrix.identity(r0), QMatrix.identity(r1))
-
-    @cached_property
-    def is_identity(self) -> bool:
-        # computed once per element object; not a dataclass field, so it
-        # takes no part in equality or hashing
-        return self.g0 == QMatrix.identity(self.g0.nrows) and self.g1 == QMatrix.identity(self.g1.nrows)
 
     def __mul__(self, other: "GradedGroupElement") -> "GradedGroupElement":
         return GradedGroupElement(self.g0 * other.g0, self.g1 * other.g1)
@@ -364,6 +355,26 @@ class WreathElement:
                 f"permutation degree {self.sigma.n} != {len(self.gs)} row factors"
             )
 
+    @cached_property
+    def columns(self) -> tuple[list[list[tuple[int, int | Fraction]]], ...]:
+        """The label's matrix on the even and on the odd variables, column
+        by column.  Variable (i, c) has index (i-1)*r + c-1, and its column
+        holds the nonzero (index, coefficient) pairs of its image,
+        sum_{c'} g_i[c', c] * (sigma^{-1}(i), c'); integral coefficients are
+        ints.  Computed once per label object; not a dataclass field, so it
+        takes no part in equality or hashing."""
+        parts = []
+        for blocks in ([g.g0 for g in self.gs], [g.g1 for g in self.gs]):
+            r = blocks[0].ncols if blocks else 0
+            cols: list = [None] * (len(blocks) * r)
+            for b, i in enumerate(self.sigma.images):
+                # the variables of row i = sigma(b + 1) land in row b + 1
+                entries = [x.numerator if x.denominator == 1 else x for x in blocks[i - 1].entries]
+                for c in range(r):
+                    cols[(i - 1) * r + c] = [(b * r + cp, x) for cp, x in enumerate(entries[c::r]) if x]
+            parts.append(cols)
+        return tuple(parts)
+
 
 def wreath_sign(w: WreathElement) -> int:
     """The sign character of P[G]: sgn(sigma), ignoring the G-part."""
@@ -385,22 +396,24 @@ def wreath_mul(w1: WreathElement, w2: WreathElement) -> WreathElement:
     return WreathElement(tau.compose(w1.sigma), gs)
 
 
-def require_degree(P: PermGroup, n: int) -> None:
-    """The one degree check of P[G] on n rows, for every route: P must act
-    on exactly n rows."""
+def require_degree(P: PermGroup | Permutation, n: int) -> None:
+    """The one degree check of P[G] on n rows, for every route: P (or one
+    row permutation) must act on exactly n rows."""
     if P.n != n:
         raise DimensionMismatch(f"P acts on {P.n} rows, expected {n}")
 
 
-def _wreath_labels(P: PermGroup, G: MatrixGroup | PermGroup, n: int):
-    """Every element (sigma, (g_1..g_n)) of P[G], sigma-major in element
-    order.  The degree check and the WREATH_CAP check run at the call,
-    before any label is made."""
-    require_degree(P, n)
-    total = P.order * G.order**n
+def _wreath_labels(sigmas: Sequence[Permutation], G: MatrixGroup | PermGroup, n: int):
+    """Every label (sigma, (g_1..g_n)) with sigma from sigmas and each g_i
+    from G, sigma-major in element order: all of P[G] when sigmas are the
+    elements of P.  The degree check of every sigma and the WREATH_CAP
+    check run at the call, before any label is made."""
+    for sigma in sigmas:
+        require_degree(sigma, n)
+    total = len(sigmas) * G.order**n
     if total > WREATH_CAP:
         raise CapExceeded(f"wreath product has {total} elements, cap is {WREATH_CAP}")
-    return ((sigma, gs) for sigma in P.elements for gs in itertools.product(G.elements, repeat=n))
+    return ((sigma, gs) for sigma in sigmas for gs in itertools.product(G.elements, repeat=n))
 
 
 def wreath_generators(
@@ -420,7 +433,7 @@ def wreath_generators(
 
 def build_wreath(P: PermGroup, G: MatrixGroup, n: int) -> list[WreathElement]:
     """All |P| * |G|^n labels of P[G], in deterministic order."""
-    return [WreathElement(sigma, gs) for sigma, gs in _wreath_labels(P, G, n)]
+    return [WreathElement(sigma, gs) for sigma, gs in _wreath_labels(P.elements, G, n)]
 
 
 @dataclass(frozen=True)
@@ -464,10 +477,6 @@ def trivial_character(order: int) -> LinearCharacter:
     return LinearCharacter((1,) * order)
 
 
-def sgn_character(P: PermGroup) -> LinearCharacter:
-    return LinearCharacter(tuple(perm_sign(p) for p in P.elements))
-
-
 def _wreath_point_perm(sigma: Permutation, gs: Sequence[Permutation], n: int, r: int) -> Permutation:
     """Point (i, p) maps to (sigma(i), g_i(p)), rows flattened row-major."""
     images = [0] * (n * r)
@@ -482,7 +491,7 @@ def _wreath_point_perm(sigma: Permutation, gs: Sequence[Permutation], n: int, r:
 def perm_group_of_wreath(P: PermGroup, G_perm: PermGroup, n: int) -> PermGroup:
     """P[G] realized as permutations of the n*r points (row i, point p)."""
     r = G_perm.n
-    elements = [_wreath_point_perm(sigma, gs, n, r) for sigma, gs in _wreath_labels(P, G_perm, n)]
+    elements = [_wreath_point_perm(sigma, gs, n, r) for sigma, gs in _wreath_labels(P.elements, G_perm, n)]
     assert len(set(elements)) == len(elements)  # the imprimitive action is faithful
     generators = [
         _wreath_point_perm(sigma, gs, n, r) for sigma, gs in wreath_generators(P.generators, G_perm, n)

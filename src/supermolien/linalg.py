@@ -4,7 +4,7 @@ All rank and determinant work in the package funnels through this module:
 determinants and ranks use Bareiss fraction-free elimination on
 denominator-cleared integer matrices, char-polys use one Berkowitz kernel
 on the denominator-cleared nonzero entries of a matrix, row by row (from a
-QMatrix, or from a wreath label's blocks), and greedy independent-subset
+QMatrix, or a wreath label's columns read as rows), and greedy independent-subset
 selection uses an incremental exact echelon accumulator.  Higher layers do
 no elimination of their own.
 """
@@ -201,9 +201,10 @@ def matrix_rank(m: QMatrix) -> int:
     return _bareiss(rows, m.ncols)[0]
 
 
-def _charpoly_rows(rows: Sequence[Sequence[tuple[int, Fraction]]]) -> tuple[Fraction, ...]:
+def _charpoly_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple[int | Fraction, ...]:
     """det(I - z*M) as its coefficient tuple in z, trailing zeros stripped,
     M square with rows[i] the (column, value) pairs of row i's nonzeros.
+    Since det(I - z*M) = det(I - z*M^T), columns may be passed as rows.
 
     Berkowitz's division-free recurrence (Berkowitz 1984, "On computing the
     determinant in small parallel time using a small number of processors")
@@ -212,9 +213,9 @@ def _charpoly_rows(rows: Sequence[Sequence[tuple[int, Fraction]]]) -> tuple[Frac
     corner a multiplies the coefficient vector by the lower-triangular
     Toeplitz matrix with first column 1, -a, -R*C, -R*A_r*C, ...; after the
     last border the vector holds the coefficients of det(I - z*A), and
-    coefficient k of det(I - z*M) is that one divided by d^k.  Only the
-    nonzero entries enter the matrix-vector products.  No rows give the
-    constant 1.
+    coefficient k of det(I - z*M) is that one divided by d^k; when d = 1
+    the coefficients are returned as ints.  Only the nonzero entries enter
+    the matrix-vector products.  No rows give the constant 1.
     """
     n = len(rows)
     d = math.lcm(*(x.denominator for row in rows for _, x in row))
@@ -235,6 +236,8 @@ def _charpoly_rows(rows: Sequence[Sequence[tuple[int, Fraction]]]) -> tuple[Frac
         vect = [sum(toeplitz[i - k] * vect[k] for k in range(min(i, r) + 1)) for i in range(r + 2)]
     while vect[-1] == 0:
         vect.pop()
+    if d == 1:
+        return tuple(vect)
     return tuple(Fraction(c, d**k) for k, c in enumerate(vect))
 
 
@@ -242,7 +245,8 @@ def charpoly_det(m: QMatrix) -> tuple[Fraction, ...]:
     """det(I - z*M) by the char-poly kernel; the 0x0 matrix gives (1,)."""
     if not m.is_square():
         raise NotSquare(f"char expansion of a {m.nrows}x{m.ncols} matrix")
-    return _charpoly_rows([[(j, x) for j, x in enumerate(m.row(i)) if x] for i in range(m.nrows)])
+    rows = [[(j, x) for j, x in enumerate(m.row(i)) if x] for i in range(m.nrows)]
+    return tuple(Fraction(c) for c in _charpoly_rows(rows))
 
 
 class EchelonSelector:

@@ -1,10 +1,13 @@
 """Exact bigraded Hilbert series of invariants, two independent ways.
 
-The Molien route averages det(I + u*g1)/det(I - q*g0) over the group with
-character weights chi(g^{-1}).  The oracle route never looks at Molien: it
-projects every bidegree-basis monomial through the Reynolds operator and
-takes the exact rank of the resulting matrix.  molien_vs_oracle compares
-the two coefficient by coefficient.
+Every label w acts by one matrix per graded part, M0(w) on the even and
+M1(w) on the odd variables, read from WreathElement.columns by both routes.
+The Molien route averages det(I + u*M1)/det(I - q*M0) over the labels with
+character weights chi(w^{-1}).  The oracle route never looks at Molien: it
+projects every bidegree-basis monomial through the Reynolds operator, the
+average of the substitutions by the same matrices, and takes the exact rank
+of the resulting matrix.  molien_vs_oracle compares the two coefficient by
+coefficient.
 """
 
 from __future__ import annotations
@@ -105,35 +108,17 @@ def _matrix_group_sgn_values(G: MatrixGroup) -> list[int]:
     return [perm_sign(p) for p in P.elements]
 
 
-def _label_rows(sigma: Permutation, blocks: Sequence[QMatrix]) -> list[list[tuple[int, Fraction]]]:
-    """Nonzero entries, row by row, of a wreath label's matrix on one graded
-    part, blocks being its g_1..g_n on that part.
-
-    With the row relabeling i -> sigma^{-1}(i), the g_i block lands at block
-    position (sigma^{-1}(i), i): block row b holds g_{sigma(b)} at block
-    column sigma(b)."""
-    rows = []
-    for i in sigma.images:
-        g = blocks[i - 1]
-        base = (i - 1) * g.ncols
-        rows.extend([(base + c, x) for c, x in enumerate(g.row(a)) if x] for a in range(g.nrows))
-    return rows
-
-
-def _integral(x: Fraction) -> int | Fraction:
-    """x as an int when it is one, so sums of integral terms stay on ints."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def _label_table(w: WreathElement, dq: int, du: int) -> dict[Key, int | Fraction]:
     """Coefficients of det(I + u*M1) / det(I - q*M0) for one label at
-    (0, i, j), i <= dq, j <= du.
+    (0, i, j), i <= dq, j <= du, M0 and M1 passed to the kernel column by
+    column.
 
     The q-only denominator 1 + c_1 q + c_2 q^2 + ... is inverted by the
     linear recurrence b_0 = 1, b_k = -sum_m c_m b_{k-m}.
     """
-    num = [_integral(c) for c in _charpoly_rows(_label_rows(w.sigma, [g.g1 for g in w.gs]))[: du + 1]]
-    den = [_integral(c) for c in _charpoly_rows(_label_rows(w.sigma, [g.g0 for g in w.gs]))]
+    even, odd = w.columns
+    num = _charpoly_rows(odd)[: du + 1]
+    den = _charpoly_rows(even)
     inv = [1]
     for k in range(1, dq + 1):
         inv.append(-sum(den[m] * inv[k - m] for m in range(1, min(k, len(den) - 1) + 1)))

@@ -5,20 +5,24 @@ Monomials are x-exponent maps times a strictly increasing product of odd
 and a repeated odd factor kills the term.  Variables are indexed (row, col),
 1-based, ordered lexicographically.
 
-Row permutations act by the relabeling x_i -> x_{sigma^{-1}(i)} (rows move
-contravariantly), so apply(sigma, apply(tau, f)) == apply(tau . sigma, f).
-Graded matrix elements act within a single row by linear substitution on
-columns.  The wreath action is the composite of the two primitives.
+A wreath label (sigma, (g_1..g_n)) acts by one linear substitution: each
+variable is replaced by its column of the label's matrix,
+WreathElement.columns, the same matrix the Molien route reads.  Within a
+row the block g_i substitutes on columns, and rows move contravariantly,
+x_i -> x_{sigma^{-1}(i)}, so apply_wreath(wreath_mul(w1, w2), f) equals
+apply_wreath(w1, apply_wreath(w2, f)).  apply_row_permutation is the
+relabeling alone, used to symmetrize shuffle products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
-from .groups import GradedGroupElement, Permutation, WreathElement, _inversion_sign
+from .groups import Permutation, WreathElement, _inversion_sign
 from .rationals import format_rational, parse_rational
 
 XKey = tuple[int, int]  # (row, col)
@@ -321,76 +325,61 @@ def apply_row_permutation(sigma: Permutation, f: SuperPolynomial) -> SuperPolyno
     return SuperPolynomial._canonical(f.sig, out)
 
 
-def _require_blocks(g: GradedGroupElement, sig: AlgebraSignature) -> None:
-    if g.g0.nrows != sig.r0 or g.g0.ncols != sig.r0 or g.g1.nrows != sig.r1 or g.g1.ncols != sig.r1:
-        raise DimensionMismatch(
-            f"element blocks {g.g0.nrows}/{g.g1.nrows} do not match signature ({sig.r0}, {sig.r1})"
-        )
-
-
-def apply_graded_element(g: GradedGroupElement, row: int, f: SuperPolynomial) -> SuperPolynomial:
-    """Linear substitution within one row:
-    x[row,c] -> sum_{c'} g0[c',c] x[row,c'] and likewise theta via g1."""
-    sig = f.sig
-    _require_blocks(g, sig)
-    if not (1 <= row <= sig.n):
-        raise ValueError(f"row {row} outside 1..{sig.n}")
-
-    # images of x[row,c] and theta[row,c], indexed by c - 1
-    x_images = [
-        {
-            SuperMonomial._canonical(((row, cp + 1, 1),), ()): g.g0.get(cp, c)
-            for cp in range(sig.r0)
-            if g.g0.get(cp, c)
-        }
-        for c in range(sig.r0)
-    ]
-    theta_images = [
-        {
-            SuperMonomial._canonical((), ((row, cp + 1),)): g.g1.get(cp, c)
-            for cp in range(sig.r1)
-            if g.g1.get(cp, c)
-        }
-        for c in range(sig.r1)
-    ]
-
-    total: dict[SuperMonomial, Fraction] = {}
-    for mono, coeff in f.terms.items():
-        # multiply substituted factors in canonical order; untouched factors
-        # pass through as a single monomial so signs stay exact
-        passive_x = tuple(t for t in mono.xpart if t[0] != row)
-        active_x = [(c, e) for r, c, e in mono.xpart if r == row]
-        passive_pre = tuple(p for p in mono.theta if p[0] < row)
-        active_t = [c for r, c in mono.theta if r == row]
-        passive_post = tuple(p for p in mono.theta if p[0] > row)
-        acc = {SuperMonomial._canonical(passive_x, passive_pre): coeff}
-        for c, e in active_x:
-            for _ in range(e):
-                acc = _mul_terms(acc, x_images[c - 1])
-        for c in active_t:
-            acc = _mul_terms(acc, theta_images[c - 1])
-        if passive_post:
-            acc = _mul_terms(acc, {SuperMonomial._canonical((), passive_post): Fraction(1)})
-        for m, c in acc.items():
-            total[m] = total[m] + c if m in total else c
-    return SuperPolynomial._canonical(sig, total)
+@cache
+def _variable_names(n: int, r: int) -> tuple[XKey, ...]:
+    """The (row, col) key of each flat variable index (row-1)*r + col-1."""
+    return tuple((row, col) for row in range(1, n + 1) for col in range(1, r + 1))
 
 
 def apply_wreath(w: WreathElement, f: SuperPolynomial) -> SuperPolynomial:
-    """Composite action of a wreath label: per-row substitutions, then the
-    row relabeling.  Identity rows and an identity relabeling are skipped,
-    so the identity label returns f itself."""
+    """Linear substitution by a wreath label's matrix, in one pass per
+    monomial: x[i,c] -> sum_{c'} g_i[c',c] x[sigma^{-1}(i),c'], and theta
+    likewise via the odd blocks, each variable replaced by its column of
+    WreathElement.columns.
+
+    When every column has one term, as for every label of P[G] with G a
+    group of signed permutation matrices, each monomial maps to one
+    monomial, found by one sort; otherwise the images of a monomial's
+    factors are multiplied out one by one."""
     sig = f.sig
     if w.sigma.n != sig.n:
         raise DegreeMismatch(f"wreath degree {w.sigma.n} != {sig.n} rows")
-    out = f
-    for row, g in enumerate(w.gs, start=1):
-        _require_blocks(g, sig)
-        if not g.is_identity:
-            out = apply_graded_element(g, row, out)
-    if not w.sigma.is_identity:
-        out = apply_row_permutation(w.sigma, out)
-    return out
+    for g in w.gs:
+        if (g.g0.nrows, g.g0.ncols, g.g1.nrows, g.g1.ncols) != (sig.r0, sig.r0, sig.r1, sig.r1):
+            raise DimensionMismatch(
+                f"element blocks {g.g0.nrows}/{g.g1.nrows} do not match signature ({sig.r0}, {sig.r1})"
+            )
+    even, odd = w.columns
+    one_term = all(len(col) == 1 for col in even) and all(len(col) == 1 for col in odd)
+    xnames, tnames = _variable_names(sig.n, sig.r0), _variable_names(sig.n, sig.r1)
+    total: dict[SuperMonomial, Fraction] = {}
+    for mono, coeff in f.terms.items():
+        xcols = [(even[(r - 1) * sig.r0 + c - 1], e) for r, c, e in mono.xpart]
+        tcols = [odd[(r - 1) * sig.r1 + c - 1] for r, c in mono.theta]
+        if one_term:
+            scale, xpart, theta = 1, [], []
+            for ((idx, a),), e in xcols:
+                xpart.append((*xnames[idx], e))
+                scale *= a**e
+            for ((idx, a),) in tcols:
+                theta.append(tnames[idx])
+                scale *= a
+            theta, sign = normalize_theta(theta)
+            xpart.sort()
+            terms = ((SuperMonomial._canonical(tuple(xpart), theta), scale * sign),)
+        else:
+            image = {SuperMonomial._canonical((), ()): 1}
+            for col, e in xcols:
+                form = {SuperMonomial._canonical(((*xnames[idx], 1),), ()): a for idx, a in col}
+                for _ in range(e):
+                    image = _mul_terms(image, form)
+            for col in tcols:
+                image = _mul_terms(image, {SuperMonomial._canonical((), (tnames[idx],)): a for idx, a in col})
+            terms = image.items()
+        for m, scale in terms:
+            v = coeff if scale == 1 else -coeff if scale == -1 else coeff * scale
+            total[m] = total[m] + v if m in total else v
+    return SuperPolynomial._canonical(sig, total)
 
 
 def _compositions_desc_lex(total: int, nvars: int):

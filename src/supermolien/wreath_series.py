@@ -13,12 +13,19 @@ a_ij of G alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import MatrixGroup, PermGroup, Permutation, WreathElement, require_degree, trivial_character
+from .groups import (
+    MatrixGroup,
+    PermGroup,
+    Permutation,
+    WreathElement,
+    _wreath_labels,
+    require_degree,
+    trivial_character,
+)
 from .linalg import QMatrix, assemble_blocks, qmatrix_det
 from .molien import FLAVORS, GroupAction, require_flavor, super_molien
 from .series import (
@@ -216,7 +223,7 @@ def verify_m_cycle_identity(G: MatrixGroup, m: int, dq: int, du: int | None = No
     if du is None:
         du = m * G.r1
     cyc = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
-    labels = tuple(WreathElement(cyc, gs) for gs in itertools.product(G.elements, repeat=m))
+    labels = tuple(WreathElement(sigma, gs) for sigma, gs in _wreath_labels((cyc,), G, m))
     cycle_labels = GroupAction(AlgebraSignature(G.r0, G.r1, m), labels, trivial_character(len(labels)))
     lhs = super_molien(cycle_labels, dq, du)
     hg = super_molien(GroupAction.from_matrix_group(G), dq, du)

@@ -17,12 +17,18 @@ from supermolien.fixtures import (
     trivial_group,
     young_theta_group,
 )
-from supermolien.groups import GradedGroupElement, MatrixGroup, PermGroup, trivial_character
+from supermolien.groups import (
+    GradedGroupElement,
+    MatrixGroup,
+    PermGroup,
+    build_wreath,
+    trivial_character,
+    wreath_mul,
+)
 from supermolien.linalg import QMatrix, _charpoly_rows, assemble_blocks, charpoly_det
 from supermolien.molien import (
     FLAVORS,
     GroupAction,
-    _label_rows,
     invariant_dimension_bruteforce,
     molien_vs_oracle,
     require_flavor,
@@ -30,7 +36,13 @@ from supermolien.molien import (
     super_molien,
 )
 from supermolien.series import Caps, TrigradedSeries, series_inv, series_mul, series_pow_int
-from supermolien.superalgebra import SuperPolynomial, apply_wreath, bidegree_basis
+from supermolien.superalgebra import (
+    AlgebraSignature,
+    SuperPolynomial,
+    apply_wreath,
+    bidegree_basis,
+    super_mul,
+)
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -198,7 +210,8 @@ def test_block_matrices_layout_for_swap_label():
     for w in act.labels:
         if w.sigma == Permutation([2, 1]) and w.gs[0].g0.get(0, 0) == 1 and w.gs[1].g0.get(0, 0) == -1:
             # g_1 = +1 sits at block (sigma^{-1}(1), 1) = (2, 1), g_2 = -1 at (1, 2)
-            assert _label_rows(w.sigma, [g.g0 for g in w.gs]) == [[(1, -1)], [(0, 1)]]
+            assert w.columns[0] == [[(1, 1)], [(0, -1)]]
+            assert w.columns[0] == dense_columns(dense_label_matrices(w)[0])
             return
     raise AssertionError("label not found")
 
@@ -213,6 +226,11 @@ def dense_label_matrices(w):
         return assemble_blocks(n, blocks[0].nrows, {(inv(i) - 1, i - 1): b for i, b in enumerate(blocks, 1)})
 
     return dense([g.g0 for g in w.gs]), dense([g.g1 for g in w.gs])
+
+
+def dense_columns(m):
+    """The (row, value) pairs of each column's nonzero entries."""
+    return [[(i, m.get(i, j)) for i in range(m.nrows) if m.get(i, j)] for j in range(m.ncols)]
 
 
 def conjugated_s3():
@@ -255,16 +273,32 @@ def test_label_molien_term_matches_trivariate_inversion(gname, n):
 
 @pytest.mark.parametrize("gname,n", [("sign-scalar", 3), ("s2-theta", 2), ("rational-s3", 2)])
 def test_label_rows_charpoly_matches_dense(gname, n):
-    # For every label, the sparse rows are the nonzero entries of the densely
-    # built matrix, and the char-poly kernel on them equals charpoly_det of
-    # that matrix; the conjugated S_3 gives blocks with unlike denominators.
+    # For every label, the sparse columns are the nonzero entries of the
+    # densely built matrix, and the char-poly kernel on them equals
+    # charpoly_det of that matrix; the conjugated S_3 gives blocks with
+    # unlike denominators.
     G = conjugated_s3()[1] if gname == "rational-s3" else matrix_group_fixture(gname)
     action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n)
     for w in action.labels:
-        for part, dense in zip(("g0", "g1"), dense_label_matrices(w)):
-            rows = _label_rows(w.sigma, [getattr(g, part) for g in w.gs])
-            assert rows == [[(j, x) for j, x in enumerate(dense.row(i)) if x] for i in range(dense.nrows)]
-            assert _charpoly_rows(rows) == charpoly_det(dense)
+        for columns, dense in zip(w.columns, dense_label_matrices(w)):
+            assert columns == dense_columns(dense)
+            assert _charpoly_rows(columns) == charpoly_det(dense)
+
+
+def test_apply_wreath_is_an_action_on_a_non_monomial_wreath():
+    # op(w1 * w2) == op(w1) . op(w2) on S_2[H], H the rational conjugate of
+    # S_3 on x, where every image of a variable has several terms
+    H = conjugated_s3()[1]
+    labels = build_wreath(PermGroup.symmetric(2), H, 2)
+    sig = AlgebraSignature(H.r0, H.r1, 2)
+    f = (
+        super_mul(SuperPolynomial.x_var(sig, 1, 1), SuperPolynomial.x_var(sig, 2, 3))
+        + SuperPolynomial.x_var(sig, 1, 2).scale(Fraction(-2, 3))
+        + super_mul(SuperPolynomial.x_var(sig, 2, 2), SuperPolynomial.x_var(sig, 2, 2))
+    )
+    for w1 in labels[::5]:
+        for w2 in labels[::7]:
+            assert apply_wreath(wreath_mul(w1, w2), f) == apply_wreath(w1, apply_wreath(w2, f))
 
 
 def test_rational_change_of_basis_keeps_the_series():

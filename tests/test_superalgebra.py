@@ -27,7 +27,7 @@ from supermolien.superalgebra import (
     AlgebraSignature,
     SuperMonomial,
     SuperPolynomial,
-    apply_graded_element,
+    _mul_terms,
     apply_row_permutation,
     apply_wreath,
     bidegree_basis,
@@ -199,13 +199,18 @@ def test_row_action_is_ring_homomorphism():
 # -- graded element action ----------------------------------------------------------
 
 
+def one_row(g):
+    """The label that applies g to the single row of a one-row algebra."""
+    return WreathElement(Permutation.identity(1), (g,))
+
+
 def test_scalar_action_on_x():
     sig = AlgebraSignature(1, 0, 1)
     g = GradedGroupElement(QMatrix.from_rows([[-1]]), QMatrix.identity(0))
     f = SuperPolynomial.x_var(sig, 1, 1)
-    assert apply_graded_element(g, 1, f) == -f
+    assert apply_wreath(one_row(g), f) == -f
     sq = super_mul(f, f)
-    assert apply_graded_element(g, 1, sq) == sq
+    assert apply_wreath(one_row(g), sq) == sq
 
 
 def test_general_linear_substitution_on_x():
@@ -214,7 +219,7 @@ def test_general_linear_substitution_on_x():
     f = SuperPolynomial.x_var(sig, 1, 1)
     # column 1 of g0 gives the image of x[1,1]
     expected = SuperPolynomial.x_var(sig, 1, 1) + SuperPolynomial.x_var(sig, 1, 2).scale(3)
-    assert apply_graded_element(g, 1, f) == expected
+    assert apply_wreath(one_row(g), f) == expected
 
 
 def test_substitution_only_touches_named_row():
@@ -224,7 +229,8 @@ def test_substitution_only_touches_named_row():
         super_mul(SuperPolynomial.x_var(sig, 1, 1), SuperPolynomial.theta_var(sig, 1, 1)),
         SuperPolynomial.theta_var(sig, 2, 1),
     )
-    out = apply_graded_element(g, 2, f)
+    w = WreathElement(Permutation.identity(2), (GradedGroupElement.identity(1, 1), g))
+    out = apply_wreath(w, f)
     assert out == -f  # only theta[2,1] flips
 
 
@@ -242,7 +248,7 @@ def test_top_wedge_scales_by_determinant_seeded():
         if d == 0:
             continue
         g = GradedGroupElement(QMatrix.identity(0), m)
-        assert apply_graded_element(g, 1, top) == top.scale(d)
+        assert apply_wreath(one_row(g), top) == top.scale(d)
 
 
 def test_graded_action_is_ring_homomorphism():
@@ -250,15 +256,14 @@ def test_graded_action_is_ring_homomorphism():
     g = GradedGroupElement(QMatrix.from_rows([[2]]), QMatrix.from_rows([[1, 1], [0, 1]]))
     f = SuperPolynomial.theta_var(sig, 1, 1) + SuperPolynomial.x_var(sig, 1, 1)
     h = SuperPolynomial.theta_var(sig, 1, 2)
-    assert apply_graded_element(g, 1, super_mul(f, h)) == super_mul(
-        apply_graded_element(g, 1, f), apply_graded_element(g, 1, h)
-    )
+    w = one_row(g)
+    assert apply_wreath(w, super_mul(f, h)) == super_mul(apply_wreath(w, f), apply_wreath(w, h))
 
 
 def test_dimension_mismatch_on_wrong_block_sizes():
     g = GradedGroupElement(QMatrix.identity(3), QMatrix.identity(0))
     with pytest.raises(DimensionMismatch):
-        apply_graded_element(g, 1, x(1, 1))
+        apply_wreath(one_row(g), SuperPolynomial.x_var(AlgebraSignature(2, 2, 1), 1, 1))
 
 
 # -- wreath action -------------------------------------------------------------------
@@ -389,10 +394,42 @@ def assert_canonical(p):
     assert again == p and list(again.terms.items()) == list(p.terms.items())
 
 
+def substitute_row(g, row, f):
+    """Reference substitution within one row, factor by factor:
+    x[row,c] -> sum_{c'} g0[c',c] x[row,c'] and likewise theta via g1."""
+    sig = f.sig
+    x_images = [
+        {SuperMonomial({(row, cp + 1): 1}): g.g0.get(cp, c) for cp in range(sig.r0) if g.g0.get(cp, c)}
+        for c in range(sig.r0)
+    ]
+    theta_images = [
+        {SuperMonomial({}, ((row, cp + 1),)): g.g1.get(cp, c) for cp in range(sig.r1) if g.g1.get(cp, c)}
+        for c in range(sig.r1)
+    ]
+    total = SuperPolynomial.zero(sig)
+    for mono, coeff in f.terms.items():
+        # substituted factors are multiplied in canonical order; the rest of
+        # the monomial passes through as two blocks, so signs stay exact
+        pre = SuperMonomial([t for t in mono.xpart if t[0] != row], [p for p in mono.theta if p[0] < row])
+        acc = {pre: coeff}
+        for r, c, e in mono.xpart:
+            for _ in range(e if r == row else 0):
+                acc = _mul_terms(acc, x_images[c - 1])
+        for r, c in mono.theta:
+            if r == row:
+                acc = _mul_terms(acc, theta_images[c - 1])
+        post = tuple(p for p in mono.theta if p[0] > row)
+        acc = _mul_terms(acc, {SuperMonomial({}, post): Fraction(1)})
+        total = total + SuperPolynomial(sig, acc)
+    return total
+
+
 def explicit_wreath(w, f):
+    """Row-by-row reference for apply_wreath: each row's substitution, then
+    the row relabeling."""
     out = f
     for row in range(1, f.sig.n + 1):
-        out = apply_graded_element(w.gs[row - 1], row, out)
+        out = substitute_row(w.gs[row - 1], row, out)
     return apply_row_permutation(w.sigma, out)
 
 
@@ -413,20 +450,37 @@ def test_apply_wreath_equals_explicit_composition(gname):
 
 
 def test_apply_wreath_equals_explicit_composition_general_matrices():
-    # non-monomial substitutions, where products of images cancel
+    # non-monomial substitutions, where products of images cancel, and
+    # monomial ones with coefficients other than +-1
     shear = GradedGroupElement(
         QMatrix.from_rows([[1, 1], [0, 1]]), QMatrix.from_rows([[1, Fraction(1, 2)], [-1, 1]])
+    )
+    scaled = GradedGroupElement(
+        QMatrix.from_rows([[0, 2], [Fraction(1, 2), 0]]), QMatrix.from_rows([[Fraction(-1, 3), 0], [0, 3]])
     )
     ident = GradedGroupElement.identity(2, 2)
     sig = AlgebraSignature(2, 2, 2)
     rng = random.Random(3)
-    for gs in ((shear, ident), (ident, shear), (shear, shear)):
+    for gs in ((shear, ident), (ident, shear), (shear, shear), (scaled, ident), (shear, scaled)):
         for images in ((1, 2), (2, 1)):
             w = WreathElement(Permutation(images), gs)
             f = random_poly(rng, sig, terms=5)
             got = apply_wreath(w, f)
             assert got == explicit_wreath(w, f)
             assert_canonical(got)
+
+
+@pytest.mark.parametrize("sigma", PermGroup.symmetric(3).elements)
+def test_relabeling_label_equals_row_permutation(sigma):
+    # a label with identity rows is a pure row relabeling: the substitution
+    # by its matrix and apply_row_permutation agree on the row convention
+    rng = random.Random(f"relabel-{sigma.images}")
+    for r0, r1 in ((1, 1), (2, 2), (0, 2)):
+        sig = AlgebraSignature(r0, r1, 3)
+        w = WreathElement(sigma, (GradedGroupElement.identity(r0, r1),) * 3)
+        for _ in range(4):
+            f = random_poly(rng, sig, terms=5)
+            assert apply_wreath(w, f) == apply_row_permutation(sigma, f)
 
 
 def test_wreath_apply_rejects_identity_rows_of_the_wrong_shape():
@@ -447,7 +501,7 @@ def test_kernel_outputs_are_canonical(gname):
             assert_canonical(super_mul(f, f))
             sigma = Permutation(rng.sample(range(1, n + 1), n))
             assert_canonical(apply_row_permutation(sigma, f))
-            assert_canonical(apply_graded_element(rng.choice(G.elements), rng.randint(1, n), f))
+            assert_canonical(apply_wreath(random_label(rng, G, n), f))
         for flavor in ("invariant", "antiinvariant"):
             action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor=flavor)
             proj = reynolds_project(action, random_poly(rng, sig))

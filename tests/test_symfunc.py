@@ -12,7 +12,7 @@ from supermolien.groups import (
     PermGroup,
     Permutation,
     perm_group_of_wreath,
-    sgn_character,
+    perm_sign,
     trivial_character,
     validate_character,
 )
@@ -129,7 +129,7 @@ def test_character_validation_rejects_zero_and_bad_identity():
 
 def test_sgn_character_is_valid():
     for P in [PermGroup.symmetric(2), PermGroup.symmetric(3), PermGroup.young([2, 1])]:
-        chi = validate_character(sgn_character(P).values, P)
+        chi = validate_character([perm_sign(p) for p in P.elements], P)
         assert chi.values[P.identity_index] == 1
 
 

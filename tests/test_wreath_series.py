@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from supermolien.errors import DimensionMismatch
-from supermolien.fixtures import matrix_group_fixture, perm_group_fixture
+from supermolien import wreath_series
+from supermolien.errors import CapExceeded, DimensionMismatch
+from supermolien.fixtures import matrix_group_fixture, perm_group_fixture, sign_scalar_group
 from supermolien.groups import MatrixGroup, PermGroup, Permutation, WreathElement, trivial_character
 from supermolien.linalg import QMatrix, qmatrix_det
 from supermolien.molien import GroupAction, super_molien
@@ -238,6 +239,17 @@ def test_block_determinant_lemma_validation():
 )
 def test_m_cycle_identity(gname, m):
     assert verify_m_cycle_identity(matrix_group_fixture(gname), m, 5)
+
+
+def test_m_cycle_labels_are_capped_before_any_is_built(monkeypatch):
+    # 2^18 labels of one 18-cycle over the sign group pass WREATH_CAP; the
+    # enumerator refuses them at the call, so no label is ever made
+    def no_label(*args):
+        raise AssertionError("a label was built")
+
+    monkeypatch.setattr(wreath_series, "WreathElement", no_label)
+    with pytest.raises(CapExceeded, match="262144 elements, cap is 200000"):
+        verify_m_cycle_identity(sign_scalar_group(), 18, 2)
 
 
 def test_m_cycle_sum_frozen_value():
