@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -499,12 +499,14 @@ def perm_group_of_wreath(P: PermGroup, G_perm: PermGroup, n: int) -> PermGroup:
     return PermGroup(n * r, elements, generators)
 
 
-def shuffle_reps(a: int, b: int) -> list[Permutation]:
+@cache
+def shuffle_reps(a: int, b: int) -> tuple[Permutation, ...]:
     """Minimal-length coset representatives for S_{(a,b)} in S_{a+b}.
 
     For each size-a subset S of positions in lex order, values 1..a are
     placed on S increasingly and values a+1..a+b on the complement
-    increasingly.  Each rep is increasing on both value blocks.
+    increasingly.  Each rep is increasing on both value blocks.  Built once
+    per (a, b).
     """
     n = a + b
     reps = []
@@ -516,4 +518,4 @@ def shuffle_reps(a: int, b: int) -> list[Permutation]:
         for value, pos in enumerate(rest, start=a + 1):
             word[pos - 1] = value
         reps.append(Permutation(word))
-    return reps
+    return tuple(reps)

@@ -1,12 +1,16 @@
 """Exact rational matrices and fraction-free elimination.
 
-All rank and determinant work in the package funnels through this module:
-determinants and ranks use Bareiss fraction-free elimination on
-denominator-cleared integer matrices, char-polys use one Berkowitz kernel
-on the denominator-cleared nonzero entries of a matrix, row by row (from a
-QMatrix, or a wreath label's columns read as rows), and greedy independent-subset
-selection uses an incremental exact echelon accumulator.  Higher layers do
-no elimination of their own.
+All rank and determinant work in the package funnels through this module,
+and every kernel reads a matrix as sparse rows: row i is the (column,
+value) pairs of its nonzero entries.  Determinants and ranks use one
+Bareiss fraction-free elimination on denominator-cleared sparse integer
+rows, which touches nonzero entries only; qmatrix_det and matrix_rank feed
+it a dense QMatrix, and _rank_rows the Reynolds projector rows directly.
+Char-polys use one Berkowitz kernel on the denominator-cleared nonzero
+entries (of a QMatrix, or a wreath label's columns read as rows), and
+greedy independent-subset selection uses an incremental exact echelon
+accumulator on sparse Fraction rows.  Higher layers do no elimination of
+their own.
 """
 
 from __future__ import annotations
@@ -139,66 +143,95 @@ def assemble_blocks(num_blocks: int, block_size: int, blocks: Mapping[tuple[int,
     return QMatrix(n, n, entries)
 
 
-def _cleared_int_rows(m: QMatrix) -> tuple[list[list[int]], Fraction]:
-    """Clear denominators row by row; returns (int rows, product of row scales)."""
-    rows = []
-    scale = Fraction(1)
-    for i in range(m.nrows):
-        r = m.row(i)
-        lcm = 1
-        for x in r:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        rows.append([x.numerator * (lcm // x.denominator) for x in r])
+def _nonzeros(m: QMatrix) -> list[list[tuple[int, Fraction]]]:
+    """The (column, value) pairs of each row's nonzero entries."""
+    return [[(j, x) for j, x in enumerate(m.row(i)) if x] for i in range(m.nrows)]
+
+
+def _cleared_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple[list[dict[int, int]], int]:
+    """Clear the denominators of each sparse row of nonzero entries:
+    ({column: int} rows, product of the row scales)."""
+    out = []
+    scale = 1
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for _, x in row))
+        out.append({j: x.numerator * (lcm // x.denominator) for j, x in row})
         scale *= lcm
-    return rows, scale
+    return out, scale
 
 
-def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int, int]:
-    """Fraction-free elimination of integer rows in place, skipping columns
-    without a pivot.  Returns (rank, sign of the row swaps, last pivot); for
-    a square matrix of full rank, sign times the last pivot is the
-    determinant, and the 0 x 0 matrix gives (0, 1, 1)."""
+def _bareiss(rows: list[dict[int, int]]) -> tuple[int, int, int]:
+    """Fraction-free elimination of sparse integer rows in place, skipping
+    columns without a pivot.  Returns (rank, sign of the row swaps, last
+    pivot); for a square matrix of full rank, sign times the last pivot is
+    the determinant, and no rows give (0, 1, 1).
+
+    The pivot column is the least column in which a remaining row is
+    nonzero, and the pivot row the first such row, as in dense elimination
+    by columns.  Bareiss's step row <- (row * p - a * top) / prev only
+    rescales a row whose entry a in the pivot column is zero, so such a row
+    is left as it is: each row keeps the pivot it was last divided by, and
+    the step that next touches it divides by that pivot instead (the
+    intermediate rescalings telescope).  Entries are those of dense Bareiss
+    up to that pending factor, a pivot row is brought up to date before it
+    is used, and only the nonzero entries of rows with a != 0 are touched.
+    """
     nr = len(rows)
+    levels = [1] * nr
+    leads = [min(row) if row else None for row in rows]
     rank = 0
     sign = 1
     prev = 1
-    for c in range(ncols):
-        if rank == nr:
+    while True:
+        live = [lead for lead in leads[rank:] if lead is not None]
+        if not live:
             break
-        piv = next((i for i in range(rank, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
+        c = min(live)
+        piv = next(i for i in range(rank, nr) if leads[i] == c)
         if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
+            for seq in (rows, levels, leads):
+                seq[rank], seq[piv] = seq[piv], seq[rank]
             sign = -sign
         top = rows[rank]
-        p = top[c]
+        if levels[rank] != prev:
+            top = {j: x * prev // levels[rank] for j, x in top.items()}
+        p = top.pop(c)
         for i in range(rank + 1, nr):
             row = rows[i]
-            a = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (row[j] * p - a * top[j]) // prev
-            row[c] = 0
+            a = row.pop(c, 0)
+            if not a:
+                continue
+            level = levels[i]
+            new = {j: x * p for j, x in row.items()}
+            for j, t in top.items():
+                new[j] = new.get(j, 0) - a * t
+            row = {j: x // level for j, x in new.items() if x}
+            rows[i], levels[i], leads[i] = row, p, min(row) if row else None
         prev = p
         rank += 1
     return rank, sign, prev
+
+
+def _rank_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> int:
+    """Exact rank of the matrix whose row i has the (column, value) pairs
+    rows[i] as its nonzero entries."""
+    return _bareiss(_cleared_rows(rows)[0])[0]
 
 
 def qmatrix_det(m: QMatrix) -> Fraction:
     """Exact determinant (Bareiss on the denominator-cleared matrix)."""
     if not m.is_square():
         raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    rows, scale = _cleared_int_rows(m)
-    rank, sign, last = _bareiss(rows, m.ncols)
+    rows, scale = _cleared_rows(_nonzeros(m))
+    rank, sign, last = _bareiss(rows)
     if rank < m.nrows:
         return Fraction(0)
-    return Fraction(sign * last) / scale
+    return Fraction(sign * last, scale)
 
 
 def matrix_rank(m: QMatrix) -> int:
     """Exact rank via fraction-free elimination with column skipping."""
-    rows, _ = _cleared_int_rows(m)
-    return _bareiss(rows, m.ncols)[0]
+    return _rank_rows(_nonzeros(m))
 
 
 def _charpoly_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple[int | Fraction, ...]:
@@ -245,37 +278,44 @@ def charpoly_det(m: QMatrix) -> tuple[Fraction, ...]:
     """det(I - z*M) by the char-poly kernel; the 0x0 matrix gives (1,)."""
     if not m.is_square():
         raise NotSquare(f"char expansion of a {m.nrows}x{m.ncols} matrix")
-    rows = [[(j, x) for j, x in enumerate(m.row(i)) if x] for i in range(m.nrows)]
-    return tuple(Fraction(c) for c in _charpoly_rows(rows))
+    return tuple(Fraction(c) for c in _charpoly_rows(_nonzeros(m)))
 
 
 class EchelonSelector:
     """Greedy maximal-independent-subset accumulator over Q.
 
-    offer() returns True iff the vector is independent of everything
-    accepted so far, in which case it joins the echelon.
+    offer() takes a vector of the given width as the (index, value) pairs of
+    its nonzero coordinates and returns True iff it is independent of
+    everything accepted so far, in which case it joins the echelon.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self._pivot_rows: dict[int, list[Fraction]] = {}
+        self._pivot_rows: dict[int, dict[int, Fraction]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._pivot_rows)
 
-    def offer(self, vec: Sequence) -> bool:
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.width:
-            raise ValueError(f"expected width {self.width}, got {len(v)}")
-        while True:
-            lead = next((i for i, a in enumerate(v) if a), None)
-            if lead is None:
-                return False
+    def offer(self, row: Iterable[tuple[int, int | Fraction]]) -> bool:
+        v = {}
+        for j, x in row:
+            if not 0 <= j < self.width:
+                raise ValueError(f"index {j} outside width {self.width}")
+            if x:
+                v[j] = Fraction(x)
+        while v:
+            lead = min(v)
             pivot = self._pivot_rows.get(lead)
             if pivot is None:
-                inv = Fraction(1) / v[lead]
-                self._pivot_rows[lead] = [a * inv for a in v]
+                inv = 1 / v[lead]
+                self._pivot_rows[lead] = {j: a * inv for j, a in v.items()}
                 return True
             c = v[lead]
-            v = [a - c * b for a, b in zip(v, pivot)]
+            for j, b in pivot.items():
+                a = v.get(j, 0) - c * b
+                if a:
+                    v[j] = a
+                else:
+                    v.pop(j, None)
+        return False

@@ -6,8 +6,11 @@ The Molien route averages det(I + u*M1)/det(I - q*M0) over the labels with
 character weights chi(w^{-1}).  The oracle route never looks at Molien: it
 projects every bidegree-basis monomial through the Reynolds operator, the
 average of the substitutions by the same matrices, and takes the exact rank
-of the resulting matrix.  molien_vs_oracle compares the two coefficient by
-coefficient.
+of the resulting rows.  Since R(w.f) = chi(w) R(f), a label mapping m to a
+single term c*m' gives R(m') = chi(w)/c R(m), so the labels are walked once
+per orbit of monomials, not once per monomial; the rows go to the integer
+Bareiss kernel as sparse (position, value) pairs.  molien_vs_oracle
+compares the two routes coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .groups import (
     validate_character,
     wreath_sign,
 )
-from .linalg import QMatrix, _charpoly_rows, matrix_rank
+from .linalg import _charpoly_rows, _rank_rows
 from .series import Caps, Key, TrigradedSeries
 from .superalgebra import (
     AlgebraSignature,
@@ -56,7 +59,12 @@ def require_flavor(flavor: str) -> None:
 @dataclass(frozen=True)
 class GroupAction:
     """A finite group acting on n rows of (r0, r1) variables, with a +-1
-    linear character selecting the isotypic component to count."""
+    linear character selecting the isotypic component to count.
+
+    The Molien average is defined for any list of labels.  The Reynolds
+    route needs labels that form a group, each element listed once, with
+    the character a homomorphism on it: the projector and its orbit
+    sharing rest on R(w.f) = chi(w) R(f)."""
 
     signature: AlgebraSignature
     labels: tuple[WreathElement, ...]
@@ -149,49 +157,84 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
     return TrigradedSeries(Caps(0, dq, du), {k: Fraction(c) / action.order for k, c in total.items()})
 
 
-def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:
-    """(1/|W|) sum over w of chi(w^{-1}) w.f, the projector onto the
-    chi-isotypic component; chi(w^{-1}) = chi(w) = +-1."""
-    if f.sig != action.signature:
-        raise SignatureMismatch(f"{f.sig} != {action.signature}")
+def _label_average(
+    action: GroupAction, f: SuperPolynomial, reached: dict | None = None
+) -> SuperPolynomial:
+    """(1/|W|) sum over w of chi(w) w.f.  When reached is given, each label
+    w mapping f to a single term c*m records reached[m] = chi(w)/c (the
+    first such label wins): R(w.f) = chi(w) R(f), so R(m) = chi(w)/c R(f)."""
     acc: dict[SuperMonomial, Fraction] = {}
     for i, w in enumerate(action.labels):
-        negate = action.character(i) < 0
-        for m, c in apply_wreath(w, f).terms.items():
-            if negate:
+        chi = action.character(i)
+        image = apply_wreath(w, f).terms
+        if reached is not None and len(image) == 1:
+            ((m, c),) = image.items()
+            reached.setdefault(m, chi / c)
+        for m, c in image.items():
+            if chi < 0:
                 c = -c
             acc[m] = acc[m] + c if m in acc else c
     scale = Fraction(1, action.order)
     return SuperPolynomial._canonical(action.signature, {m: c * scale for m, c in acc.items()})
 
 
+def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:
+    """(1/|W|) sum over w of chi(w^{-1}) w.f, the projector onto the
+    chi-isotypic component; chi(w^{-1}) = chi(w) = +-1."""
+    if f.sig != action.signature:
+        raise SignatureMismatch(f"{f.sig} != {action.signature}")
+    return _label_average(action, f)
+
+
 def reynolds_images(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[SuperPolynomial]:
-    """Reynolds projection of every basis monomial, in basis order."""
+    """Reynolds projection of every basis monomial, in basis order, with one
+    label loop per orbit.
+
+    A monomial that no earlier loop reached is projected through every
+    label; each label mapping it to a single term c*m' gives R(m') as a
+    multiple of the image just computed.  For a group of signed permutation
+    matrices that covers the whole orbit, and a dead orbit (R(m) = 0) is
+    zero throughout; under other groups fewer monomials are reached and the
+    rest are projected themselves."""
     sig = action.signature
-    return [reynolds_project(action, SuperPolynomial.monomial(sig, m)) for m in basis]
+    shared: dict[SuperMonomial, tuple[Fraction, SuperPolynomial]] = {}
+    out = []
+    for m in basis:
+        if m in shared:
+            factor, image = shared[m]
+            if factor != 1:
+                image = SuperPolynomial._canonical(sig, {k: factor * c for k, c in image.terms.items()})
+        else:
+            reached: dict[SuperMonomial, Fraction] = {}
+            image = _label_average(action, SuperPolynomial.monomial(sig, m), reached)
+            for k, factor in reached.items():
+                shared.setdefault(k, (factor, image))
+        out.append(image)
+    return out
 
 
 def _projector_rows(
     action: GroupAction, i: int, j: int
-) -> tuple[list[SuperPolynomial], list[list[Fraction]]]:
+) -> tuple[list[SuperPolynomial], list[list[tuple[int, Fraction]]]]:
     """Reynolds images of the bidegree (i, j) monomials and their coefficient
-    rows over those monomials: one row per monomial, so the rows are square.
-    A basis over DEFAULT_BASIS_LIMIT monomials is refused."""
+    rows over those monomials, as sorted (position, value) pairs: one row per
+    monomial, so the rows are square.  A basis over DEFAULT_BASIS_LIMIT
+    monomials is refused."""
     basis = bidegree_basis(action.signature, i, j)
     if len(basis) > DEFAULT_BASIS_LIMIT:
         raise BasisTooLarge(
             f"bidegree ({i}, {j}) basis has {len(basis)} monomials, limit {DEFAULT_BASIS_LIMIT}"
         )
+    index = {m: k for k, m in enumerate(basis)}
     images = reynolds_images(action, basis)
-    return images, [coefficient_vector(p, basis) for p in images]
+    return images, [coefficient_vector(p, index) for p in images]
 
 
 def invariant_dimension_bruteforce(action: GroupAction, i: int, j: int) -> int:
     """Exact dimension of the chi-isotypic component in bidegree (i, j),
     computed as the rank of the Reynolds operator on the monomial basis.
     Never consults the Molien series."""
-    _, rows = _projector_rows(action, i, j)
-    return matrix_rank(QMatrix.from_rows(rows)) if rows else 0
+    return _rank_rows(_projector_rows(action, i, j)[1])
 
 
 def molien_vs_oracle(action: GroupAction, dq: int, du: int | None = None) -> dict:

@@ -27,7 +27,7 @@ from .groups import (
     symmetric_generators,
     wreath_generators,
 )
-from .linalg import EchelonSelector, QMatrix, matrix_rank
+from .linalg import EchelonSelector, _rank_rows
 from .molien import (
     GroupAction,
     _projector_rows,
@@ -155,14 +155,15 @@ class InvariantSpaceBasis:
 def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
     """Basis of the chi-isotypic component in bidegree (i, j).
 
-    Projects every monomial of the bidegree once and keeps a greedy maximal
-    independent subset; the count is cross-checked against the rank of the
-    same projector rows computed the blunt way.
+    Projects the monomials of the bidegree, one label loop per orbit, and
+    keeps a greedy maximal independent subset by Fraction echelon; the
+    count is cross-checked against the integer Bareiss rank of the same
+    projector rows, an elimination of its own.
     """
     images, rows = _projector_rows(action, i, j)
     sel = EchelonSelector(len(rows))
-    kept = [proj for proj, row in zip(images, rows) if not proj.is_zero() and sel.offer(row)]
-    oracle = matrix_rank(QMatrix.from_rows(rows)) if rows else 0
+    kept = [proj for proj, row in zip(images, rows) if sel.offer(row)]
+    oracle = _rank_rows(rows)
     if len(kept) != oracle:
         raise SuperMolienError(
             f"greedy basis size {len(kept)} disagrees with projector rank {oracle}"
@@ -267,6 +268,7 @@ def _generation_rank(
     # computed first: its projector rows refuse an oversized target basis
     full = invariant_dimension_bruteforce(waction, i, j)
     target = bidegree_basis(waction.signature, i, j)
+    index = {m: k for k, m in enumerate(target)}
     sel = EchelonSelector(len(target))
     spanned = 0
     for combo in itertools.combinations_with_replacement(range(len(pool)), n):
@@ -279,7 +281,7 @@ def _generation_rank(
             prod = shuffle_product(prod, pool[k][1], signed)
         if prod.is_zero():
             continue
-        if sel.offer(coefficient_vector(prod, target)):
+        if sel.offer(coefficient_vector(prod, index)):
             spanned += 1
     return spanned, full
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
 from .groups import Permutation, WreathElement, _inversion_sign
@@ -315,7 +315,10 @@ def apply_row_permutation(sigma: Permutation, f: SuperPolynomial) -> SuperPolyno
     """
     if sigma.n != f.sig.n:
         raise DegreeMismatch(f"permutation degree {sigma.n} != {f.sig.n} rows")
-    inv = (0,) + sigma.inverse().images
+    # inv[r] = sigma^{-1}(r), read off the images as WreathElement.columns does
+    inv = [0] * (sigma.n + 1)
+    for i, r in enumerate(sigma.images, start=1):
+        inv[r] = i
     out: dict[SuperMonomial, Fraction] = {}
     for mono, c in f.terms.items():
         xpart = tuple(sorted((inv[r], col, e) for r, col, e in mono.xpart))
@@ -413,13 +416,16 @@ def bidegree_basis(sig: AlgebraSignature, i: int, j: int) -> list[SuperMonomial]
     return out
 
 
-def coefficient_vector(f: SuperPolynomial, basis: Sequence[SuperMonomial]) -> list[Fraction]:
-    """Coordinates of f in the given monomial basis; raises if f has support
-    outside the basis."""
-    index = {m: k for k, m in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
+def coefficient_vector(f: SuperPolynomial, index: Mapping[SuperMonomial, int]) -> list[tuple[int, Fraction]]:
+    """Coordinates of f in a monomial basis, as the sorted (position,
+    coefficient) pairs of its nonzero coordinates; index maps each basis
+    monomial to its position, built once per basis.  Raises if f has
+    support outside the basis."""
+    row = []
     for mono, c in f.terms.items():
-        if mono not in index:
+        k = index.get(mono)
+        if k is None:
             raise ValueError(f"term {mono!r} outside the given basis")
-        vec[index[mono]] = c
-    return vec
+        row.append((k, c))
+    row.sort()
+    return row

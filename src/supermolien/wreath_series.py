@@ -223,6 +223,8 @@ def verify_m_cycle_identity(G: MatrixGroup, m: int, dq: int, du: int | None = No
     if du is None:
         du = m * G.r1
     cyc = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
+    # one fixed cycle times G^m is a coset, not a group: this action is for
+    # the Molien average only, never for the Reynolds route
     labels = tuple(WreathElement(sigma, gs) for sigma, gs in _wreath_labels((cyc,), G, m))
     cycle_labels = GroupAction(AlgebraSignature(G.r0, G.r1, m), labels, trivial_character(len(labels)))
     lhs = super_molien(cycle_labels, dq, du)

@@ -8,15 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supermolien import verify
 from supermolien.errors import NotSquare
+from supermolien.fixtures import matrix_group_fixture
 from supermolien.linalg import (
     EchelonSelector,
     QMatrix,
+    _rank_rows,
     assemble_blocks,
     charpoly_det,
     matrix_rank,
     qmatrix_det,
 )
+from supermolien.molien import GroupAction, _projector_rows
 
 
 def laplace_det(rows):
@@ -54,6 +58,11 @@ def random_rational_rows(rng, nr, nc, den=4):
         [Fraction(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(nc)]
         for _ in range(nr)
     ]
+
+
+def sparse_row(row):
+    """The (index, value) pairs of a dense row's nonzero entries."""
+    return [(j, x) for j, x in enumerate(row) if x]
 
 
 def test_matrix_construction_and_access():
@@ -124,6 +133,49 @@ def test_rank_against_minor_oracle_seeded():
             if i != j:
                 rows[i] = [Fraction(2) * x for x in rows[j]]
         assert matrix_rank(QMatrix.from_rows(rows)) == minor_rank(rows)
+
+
+def sparse_rational_rows(rng, nr, nc):
+    """Rows with about two thirds of the entries zero, so that most
+    elimination steps meet rows with a zero in the pivot column."""
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.35 else Fraction(0)
+
+    return [[entry() for _ in range(nc)] for _ in range(nr)]
+
+
+def test_sparse_det_and_rank_against_oracles_seeded():
+    rng = random.Random(4051)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rows = sparse_rational_rows(rng, n, n)
+        assert qmatrix_det(QMatrix.from_rows(rows)) == laplace_det(rows)
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        rows = sparse_rational_rows(rng, nr, nc)
+        assert matrix_rank(QMatrix.from_rows(rows)) == minor_rank(rows)
+        assert _rank_rows([sparse_row(r) for r in rows]) == minor_rank(rows)
+
+
+def test_sparse_rank_edge_cases():
+    assert _rank_rows([]) == 0
+    assert _rank_rows([[], [], []]) == 0
+    assert matrix_rank(QMatrix.zeros(3, 0)) == 0
+    assert matrix_rank(QMatrix.zeros(0, 3)) == 0
+    assert _rank_rows([[(5, Fraction(1, 2))], [(5, 3)], [(0, -1), (5, 1)]]) == 2
+
+
+def test_projector_row_rank_equals_dense_rank_on_fixture_grid():
+    for name in verify.MOLIEN_FIXTURES:
+        action = GroupAction.from_matrix_group(matrix_group_fixture(name))
+        for i in range(5):
+            for j in range(action.signature.num_odd + 1):
+                rows = _projector_rows(action, i, j)[1]
+                dense = [[Fraction(0)] * len(rows) for _ in rows]
+                for r, row in zip(dense, rows):
+                    for k, x in row:
+                        r[k] = x
+                expected = matrix_rank(QMatrix.from_rows(dense)) if dense else 0
+                assert _rank_rows(rows) == expected
 
 
 def test_charpoly_det_hand_values():
@@ -221,12 +273,20 @@ def test_permutation_image_detection():
 
 def test_echelon_selector_greedy_order():
     sel = EchelonSelector(3)
-    assert sel.offer([1, 0, 0])
-    assert not sel.offer([2, 0, 0])
-    assert sel.offer([1, 1, 0])
-    assert not sel.offer([0, 5, 0])
-    assert sel.offer([0, 0, Fraction(1, 3)])
+    assert sel.offer([(0, 1)])
+    assert not sel.offer([(0, 2)])
+    assert sel.offer([(0, 1), (1, 1)])
+    assert not sel.offer([(1, 5)])
+    assert sel.offer([(2, Fraction(1, 3))])
     assert sel.rank == 3
+
+
+def test_echelon_selector_rejects_an_index_outside_the_width():
+    sel = EchelonSelector(3)
+    for index in (-1, 3):
+        with pytest.raises(ValueError, match=f"^index {index} outside width 3$"):
+            sel.offer([(0, 1), (index, 2)])
+    assert sel.rank == 0
 
 
 def test_select_independent_matches_rank_seeded():
@@ -235,7 +295,7 @@ def test_select_independent_matches_rank_seeded():
         nr, nc = rng.randint(1, 5), rng.randint(1, 4)
         rows = random_rational_rows(rng, nr, nc, den=2)
         sel = EchelonSelector(nc)
-        chosen = [i for i, row in enumerate(rows) if sel.offer(row)]
+        chosen = [i for i, row in enumerate(rows) if sel.offer(sparse_row(row))]
         assert len(chosen) == sel.rank == matrix_rank(QMatrix.from_rows(rows))
         # chosen rows really are independent
         assert matrix_rank(QMatrix.from_rows([rows[i] for i in chosen])) == len(chosen)

@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from supermolien import molien, shuffle, wreath_series
+from supermolien import molien, shuffle, verify, wreath_series
 from supermolien.errors import BasisTooLarge
 from supermolien.fixtures import (
     diagonal_perm_group,
     matrix_group_fixture,
+    perm_group_fixture,
     perm_matrix_group,
     sign_scalar_group,
     trivial_group,
@@ -32,6 +33,7 @@ from supermolien.molien import (
     invariant_dimension_bruteforce,
     molien_vs_oracle,
     require_flavor,
+    reynolds_images,
     reynolds_project,
     super_molien,
 )
@@ -169,6 +171,78 @@ def test_reynolds_sgn_projects_to_antiinvariants():
     for i in range(act.order):
         chi = act.character(i)
         assert apply_wreath(act.labels[i], proj) == proj.scale(chi)
+
+
+ORBIT_SHARING_CASES = verify.MOLIEN_FIXTURES + (
+    "s3-x-sgn",
+    "s3[sign-scalar]-invariant",
+    "s3[sign-scalar]-antiinvariant",
+    "c3[trivial-1-1]",
+    "s2[s2-theta]",
+    "s2[rational-s3]",
+    "s2[scaled-swap]",
+)
+
+
+def scaled_swap_group():
+    """Order 2, generated by the monomial matrix [[0, 1/2], [2, 0]] on the
+    even and on the odd variables: orbit members differ by factors 2^k."""
+    m = QMatrix.from_rows([[0, Fraction(1, 2)], [2, 0]])
+    return MatrixGroup.close(2, 2, [GradedGroupElement(m, m)])
+
+
+def orbit_sharing_action(name):
+    """(action, x-degree cap) of an orbit-sharing case: a one-row fixture
+    action, S_3 on x with sgn, a wreath product of a signed permutation
+    group or of scaled_swap_group, or S_2[H] with H the non-monomial
+    conjugate of S_3 on x."""
+    mg, pg = matrix_group_fixture, perm_group_fixture
+    if name in verify.MOLIEN_FIXTURES:
+        return GroupAction.from_matrix_group(mg(name)), 4
+    if name == "s3-x-sgn":
+        return GroupAction.from_matrix_group(mg("s3-x"), character="sgn"), 4
+    if name.startswith("s3[sign-scalar]-"):
+        return GroupAction.from_wreath(pg("s3"), mg("sign-scalar"), 3, name.split("-", 2)[2]), 4
+    if name == "c3[trivial-1-1]":
+        return GroupAction.from_wreath(pg("c3"), mg("trivial-1-1"), 3), 3
+    if name == "s2[s2-theta]":
+        return GroupAction.from_wreath(pg("s2"), mg("s2-theta"), 2), 3
+    if name == "s2[scaled-swap]":
+        return GroupAction.from_wreath(pg("s2"), scaled_swap_group(), 2), 2
+    return GroupAction.from_wreath(pg("s2"), conjugated_s3()[1], 2), 2
+
+
+@pytest.mark.parametrize("name", ORBIT_SHARING_CASES)
+def test_reynolds_images_equal_per_monomial_projections(name):
+    # one label loop per orbit gives the same images as projecting every
+    # monomial through every label, on every bidegree within the caps and
+    # with the basis in either order
+    action, dq = orbit_sharing_action(name)
+    sig = action.signature
+    for i in range(dq + 1):
+        for j in range(sig.num_odd + 1):
+            basis = bidegree_basis(sig, i, j)
+            expected = [reynolds_project(action, SuperPolynomial.monomial(sig, m)) for m in basis]
+            assert reynolds_images(action, basis) == expected
+            assert reynolds_images(action, basis[::-1]) == expected[::-1]
+
+
+def test_reynolds_images_project_once_per_orbit(monkeypatch):
+    # S_3[+-1] on 3 rows: fewer substitutions than one per label and monomial
+    action = GroupAction.from_wreath(PermGroup.symmetric(3), sign_scalar_group(), 3)
+    basis = bidegree_basis(action.signature, 4, 0)
+    calls = 0
+
+    def counted(w, f):
+        nonlocal calls
+        calls += 1
+        return apply_wreath(w, f)
+
+    monkeypatch.setattr(molien, "apply_wreath", counted)
+    images = reynolds_images(action, basis)
+    assert calls < action.order * len(basis)
+    monkeypatch.undo()
+    assert images == [reynolds_project(action, SuperPolynomial.monomial(action.signature, m)) for m in basis]
 
 
 def test_molien_vs_oracle_clean_report():
