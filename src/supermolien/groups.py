@@ -3,8 +3,9 @@
 A graded group element carries two matrices, g0 acting on the r0 commuting
 variables and g1 on the r1 anticommuting ones.  Wreath elements are labels
 (sigma, (g_1..g_n)); each acts on the n rows by one block matrix per graded
-part, WreathElement.columns, which both the Molien route and the
-substitution in the supercommutative-algebra layer read.  The product law
+part, WreathElement.columns, which the Molien route reads and which
+WreathElement.substitution compiles, once per label, for the substitution
+in the supercommutative-algebra layer.  The product law
 is chosen so that applying w1 * w2 equals applying w2's substitution first
 and then w1's.
 
@@ -22,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceeded, DimensionMismatch, NotAPermutationGroup, NotInvertible
 from .linalg import QMatrix, qmatrix_det
@@ -374,6 +375,49 @@ class WreathElement:
                     cols[(i - 1) * r + c] = [(b * r + cp, x) for cp, x in enumerate(entries[c::r]) if x]
             parts.append(cols)
         return tuple(parts)
+
+    @cached_property
+    def substitution(self) -> "Substitution":
+        """The label's substitution compiled for the supercommutative-algebra
+        layer from columns, once per label object (see Substitution)."""
+        n = self.sigma.n
+        blocks = tuple((g.g0.nrows, g.g0.ncols, g.g1.nrows, g.g1.ncols) for g in self.gs)
+        if not blocks or any(b != blocks[0] for b in blocks) or blocks[0][0::2] != blocks[0][1::2]:
+            return Substitution((n, blocks), None, None, False)
+        r0, _, r1, _ = blocks[0]
+        maps = []
+        one_term = True
+        for cols, r in zip(self.columns, (r0, r1)):
+            names = _variable_names(n, r)
+            maps.append({names[k]: tuple([(names[idx], a) for idx, a in col]) for k, col in enumerate(cols)})
+            # every column has one term, and no two columns hit one variable
+            one_term = one_term and len({col[0][0] for col in cols if len(col) == 1}) == len(cols)
+        return Substitution((n, r0, r1), *maps, one_term)
+
+
+@cache
+def _variable_names(n: int, r: int) -> tuple[tuple[int, int], ...]:
+    """The (row, col) key of each flat variable index (row-1)*r + col-1."""
+    return tuple((row, col) for row in range(1, n + 1) for col in range(1, r + 1))
+
+
+class Substitution(NamedTuple):
+    """A wreath label's substitution, compiled once per label object.
+
+    shape is (n, r0, r1) when every row block is square and all rows share
+    one shape, so a signature check is one tuple compare; otherwise it is
+    (n, block shapes), which matches no signature, and even and odd are
+    None.  even and odd map each variable (row, col) to its image, a tuple
+    of ((row', col'), coefficient) pairs, integral coefficients as ints.
+    one_term says every image is a single term and distinct variables
+    have distinct images, as for every label of P[G] with G a group of
+    (scaled) signed permutation matrices: each monomial then maps to one
+    monomial."""
+
+    shape: tuple
+    even: dict | None
+    odd: dict | None
+    one_term: bool
 
 
 def wreath_sign(w: WreathElement) -> int:

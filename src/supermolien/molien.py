@@ -8,9 +8,13 @@ projects every bidegree-basis monomial through the Reynolds operator, the
 average of the substitutions by the same matrices, and takes the exact rank
 of the resulting rows.  Since R(w.f) = chi(w) R(f), a label mapping m to a
 single term c*m' gives R(m') = chi(w)/c R(m), so the labels are walked once
-per orbit of monomials, not once per monomial; the rows go to the integer
-Bareiss kernel as sparse (position, value) pairs.  molien_vs_oracle
-compares the two routes coefficient by coefficient.
+per orbit of monomials, not once per monomial.  Each walk maps the orbit's
+representative, with coefficient 1, through every label's compiled
+substitution by the term-level kernel of superalgebra, builds no
+polynomial per label, and sums chi(w)*c as ints (Fractions only for
+non-integral c); the sum is divided by |W| once, as in super_molien.  The
+rows go to the integer Bareiss kernel as sparse (position, value) pairs.
+molien_vs_oracle compares the two routes coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from .superalgebra import (
     AlgebraSignature,
     SuperMonomial,
     SuperPolynomial,
-    apply_wreath,
+    _require_shape,
+    _substitute,
     bidegree_basis,
     coefficient_vector,
 )
@@ -157,25 +162,32 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
     return TrigradedSeries(Caps(0, dq, du), {k: Fraction(c) / action.order for k, c in total.items()})
 
 
-def _label_average(
-    action: GroupAction, f: SuperPolynomial, reached: dict | None = None
-) -> SuperPolynomial:
-    """(1/|W|) sum over w of chi(w) w.f.  When reached is given, each label
-    w mapping f to a single term c*m records reached[m] = chi(w)/c (the
-    first such label wins): R(w.f) = chi(w) R(f), so R(m) = chi(w)/c R(f)."""
-    acc: dict[SuperMonomial, Fraction] = {}
-    for i, w in enumerate(action.labels):
-        chi = action.character(i)
-        image = apply_wreath(w, f).terms
-        if reached is not None and len(image) == 1:
-            ((m, c),) = image.items()
-            reached.setdefault(m, chi / c)
-        for m, c in image.items():
-            if chi < 0:
-                c = -c
-            acc[m] = acc[m] + c if m in acc else c
-    scale = Fraction(1, action.order)
-    return SuperPolynomial._canonical(action.signature, {m: c * scale for m, c in acc.items()})
+def _label_average(action: GroupAction, terms: dict, reached: dict | None = None) -> SuperPolynomial:
+    """(1/|W|) sum over w of chi(w) w.f, f given by its terms, through each
+    label's compiled substitution.  Coefficients are summed as they come
+    (ints for an integral group and integral f) and divided by |W| once.
+    When reached is given, f is one monomial with coefficient 1, and each
+    label w mapping it to a single term c*m records reached[m] = chi(w)/c
+    (the first such label wins): R(w.f) = chi(w) R(f), so R(m) = chi(w)/c R(f)."""
+    sig = action.signature
+    acc: dict[SuperMonomial, int | Fraction] = {}
+    for chi, w in zip(action.character.values, action.labels):
+        sub = w.substitution
+        _require_shape(sub, sig)
+        for mono, coeff in terms.items():
+            image = _substitute(sub, mono)
+            if reached is not None and len(image) == 1:
+                ((m, c),) = image
+                if m not in reached:
+                    reached[m] = chi * c if c == 1 or c == -1 else Fraction(chi) / c
+            for m, c in image:
+                if coeff != 1:
+                    c *= coeff
+                if chi < 0:
+                    c = -c
+                acc[m] = acc[m] + c if m in acc else c
+    order = action.order
+    return SuperPolynomial._canonical(sig, {m: Fraction(c, order) for m, c in acc.items() if c})
 
 
 def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:
@@ -183,7 +195,7 @@ def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial
     chi-isotypic component; chi(w^{-1}) = chi(w) = +-1."""
     if f.sig != action.signature:
         raise SignatureMismatch(f"{f.sig} != {action.signature}")
-    return _label_average(action, f)
+    return _label_average(action, f.terms)
 
 
 def reynolds_images(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[SuperPolynomial]:
@@ -191,13 +203,13 @@ def reynolds_images(action: GroupAction, basis: Sequence[SuperMonomial]) -> list
     label loop per orbit.
 
     A monomial that no earlier loop reached is projected through every
-    label; each label mapping it to a single term c*m' gives R(m') as a
-    multiple of the image just computed.  For a group of signed permutation
-    matrices that covers the whole orbit, and a dead orbit (R(m) = 0) is
-    zero throughout; under other groups fewer monomials are reached and the
-    rest are projected themselves."""
+    label, with coefficient 1; each label mapping it to a single term c*m'
+    gives R(m') as a multiple of the image just computed.  For a group of
+    signed permutation matrices that covers the whole orbit, and a dead
+    orbit (R(m) = 0) is zero throughout; under other groups fewer monomials
+    are reached and the rest are projected themselves."""
     sig = action.signature
-    shared: dict[SuperMonomial, tuple[Fraction, SuperPolynomial]] = {}
+    shared: dict[SuperMonomial, tuple[int | Fraction, SuperPolynomial]] = {}
     out = []
     for m in basis:
         if m in shared:
@@ -205,8 +217,8 @@ def reynolds_images(action: GroupAction, basis: Sequence[SuperMonomial]) -> list
             if factor != 1:
                 image = SuperPolynomial._canonical(sig, {k: factor * c for k, c in image.terms.items()})
         else:
-            reached: dict[SuperMonomial, Fraction] = {}
-            image = _label_average(action, SuperPolynomial.monomial(sig, m), reached)
+            reached: dict[SuperMonomial, int | Fraction] = {}
+            image = _label_average(action, {m: 1}, reached)
             for k, factor in reached.items():
                 shared.setdefault(k, (factor, image))
         out.append(image)

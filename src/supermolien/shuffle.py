@@ -200,14 +200,17 @@ def verify_closure(
     A: SuperPolynomial, B: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant"
 ) -> bool:
     """Shuffle two checked (anti)invariants and test the product against
-    every generator of the larger wreath product."""
+    every generator of the larger wreath product; the generator labels are
+    built once per row count."""
     require_flavor(flavor)
-    if not is_wreath_invariant(A, G, flavor):
+    a, b = A.sig.n, B.sig.n
+    labels = {n: _wreath_generator_labels(n, G) for n in {a, b, a + b}}
+    if not _fixed_by(A, labels[a], flavor):
         raise ValueError("left factor is not (anti)invariant for its row count")
-    if not is_wreath_invariant(B, G, flavor):
+    if not _fixed_by(B, labels[b], flavor):
         raise ValueError("right factor is not (anti)invariant for its row count")
     prod = shuffle_product(A, B, signed=(flavor == "antiinvariant"))
-    return is_wreath_invariant(prod, G, flavor)
+    return _fixed_by(prod, labels[a + b], flavor)
 
 
 def verify_associativity(
@@ -320,20 +323,24 @@ def closure_battery(G: MatrixGroup, flavor: str, max_rows: int, max_i: int) -> t
     """Exhaustive closure sweep over invariant-basis pairs.
 
     Covers every row split a + b <= max_rows and every pair of factor
-    bidegrees with total x-degree at most max_i.  Each basis element is
-    checked for (anti)invariance once, when its basis is computed, and
+    bidegrees with total x-degree at most max_i.  Each row count's
+    S_rows[G] action and generator labels are built once, so the labels
+    keep their compiled substitutions across bidegrees.  Each basis element
+    is checked for (anti)invariance once, when its basis is computed, and
     every shuffle product is checked.  Returns (checked, failed).
     """
     require_flavor(flavor)
     signed = flavor == "antiinvariant"
     labels = {rows: _wreath_generator_labels(rows, G) for rows in range(1, max_rows + 1)}
+    actions: dict[int, GroupAction] = {}
     bases: dict[tuple[int, int, int], tuple[SuperPolynomial, ...]] = {}
 
     def basis_for(rows: int, bi: int, bj: int) -> tuple[SuperPolynomial, ...]:
         key = (rows, bi, bj)
         if key not in bases:
-            action = GroupAction.from_wreath(PermGroup.symmetric(rows), G, rows, flavor=flavor)
-            elements = invariant_basis(action, bi, bj).elements
+            if rows not in actions:
+                actions[rows] = GroupAction.from_wreath(PermGroup.symmetric(rows), G, rows, flavor=flavor)
+            elements = invariant_basis(actions[rows], bi, bj).elements
             if not all(_fixed_by(f, labels[rows], flavor) for f in elements):
                 raise ValueError(f"basis element in bidegree ({bi},{bj}) on {rows} rows is not {flavor}")
             bases[key] = elements

@@ -3,26 +3,31 @@
 Monomials are x-exponent maps times a strictly increasing product of odd
 (theta) variables; reordering odd factors costs the sign of the permutation
 and a repeated odd factor kills the term.  Variables are indexed (row, col),
-1-based, ordered lexicographically.
+1-based, ordered lexicographically.  A SuperMonomial is the tuple
+(xpart, theta), so hashing and equality run in C.
 
 A wreath label (sigma, (g_1..g_n)) acts by one linear substitution: each
 variable is replaced by its column of the label's matrix,
 WreathElement.columns, the same matrix the Molien route reads.  Within a
 row the block g_i substitutes on columns, and rows move contravariantly,
 x_i -> x_{sigma^{-1}(i)}, so apply_wreath(wreath_mul(w1, w2), f) equals
-apply_wreath(w1, apply_wreath(w2, f)).  apply_row_permutation is the
-relabeling alone, used to symmetrize shuffle products.
+apply_wreath(w1, apply_wreath(w2, f)).  Each label compiles its
+substitution once (WreathElement.substitution: its block shape, and each
+variable's image), and one private term-level kernel, _substitute, maps a
+monomial through it; apply_wreath and the Reynolds orbit loop in molien
+both call it.  apply_row_permutation is the relabeling alone, used to
+symmetrize shuffle products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
-from .groups import Permutation, WreathElement, _inversion_sign
+from .groups import Permutation, Substitution, WreathElement, _inversion_sign
 from .rationals import format_rational, parse_rational
 
 XKey = tuple[int, int]  # (row, col)
@@ -65,12 +70,16 @@ def normalize_theta(pairs: Iterable[XKey]) -> tuple[tuple[XKey, ...], int]:
     return ordered, _inversion_sign(seq)
 
 
-class SuperMonomial:
-    """Canonical monomial: sorted x-exponents and strictly increasing thetas."""
+class SuperMonomial(tuple):
+    """Canonical monomial, the pair (xpart, theta): xpart the sorted
+    (row, col, exponent) triples with positive exponents and distinct keys,
+    theta the strictly increasing odd factors.  A tuple, so hashing and
+    equality run in C; a monomial from the validating constructor and the
+    same parts from _canonical are equal and hash equal."""
 
-    __slots__ = ("xpart", "theta")
+    __slots__ = ()
 
-    def __init__(self, xpart, theta: Iterable[XKey] = ()):
+    def __new__(cls, xpart, theta: Iterable[XKey] = ()):
         if isinstance(xpart, Mapping):
             items = [(int(r), int(c), int(e)) for (r, c), e in xpart.items()]
         else:
@@ -84,23 +93,17 @@ class SuperMonomial:
         theta = tuple(tuple(p) for p in theta)
         if any(theta[i] >= theta[i + 1] for i in range(len(theta) - 1)):
             raise ValueError(f"theta factors not strictly increasing: {theta}")
-        object.__setattr__(
-            self, "xpart", tuple((r, c, e) for (r, c), e in sorted(merged.items()))
-        )
-        object.__setattr__(self, "theta", theta)
+        return tuple.__new__(cls, (tuple((r, c, e) for (r, c), e in sorted(merged.items())), theta))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperMonomial is immutable")
+    xpart = property(itemgetter(0))
+    theta = property(itemgetter(1))
 
     @classmethod
     def _canonical(cls, xpart: tuple, theta: tuple) -> "SuperMonomial":
         """Trusted constructor for parts already in canonical form: xpart a
         sorted tuple of (row, col, exponent) with positive exponents and
         distinct keys, theta a strictly increasing tuple of pairs."""
-        mono = object.__new__(cls)
-        object.__setattr__(mono, "xpart", xpart)
-        object.__setattr__(mono, "theta", theta)
-        return mono
+        return tuple.__new__(cls, (xpart, theta))
 
     @staticmethod
     def one() -> "SuperMonomial":
@@ -112,14 +115,6 @@ class SuperMonomial:
     def sort_key(self):
         i, j = self.degrees()
         return (i + j, i, self.xpart, self.theta)
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperMonomial):
-            return NotImplemented
-        return self.xpart == other.xpart and self.theta == other.theta
-
-    def __hash__(self):
-        return hash((self.xpart, self.theta))
 
     def __repr__(self):
         xs = "".join(
@@ -276,14 +271,14 @@ def _merge_xpart(a: tuple, b: tuple) -> tuple:
 
 def mul_monomials(m1: SuperMonomial, m2: SuperMonomial) -> tuple[SuperMonomial, int]:
     """Product of canonical monomials: merged x-part, m1's thetas before m2's."""
-    a, b = m1.theta, m2.theta
+    (x1, a), (x2, b) = m1, m2
     if not a or not b or a[-1] < b[0]:
         theta, sign = a + b, 1
     else:
         theta, sign = normalize_theta(a + b)
     if sign == 0:
         return SuperMonomial.one(), 0
-    return SuperMonomial._canonical(_merge_xpart(m1.xpart, m2.xpart), theta), sign
+    return SuperMonomial._canonical(_merge_xpart(x1, x2), theta), sign
 
 
 def _mul_terms(a: Mapping[SuperMonomial, Fraction], b: Mapping[SuperMonomial, Fraction]) -> dict:
@@ -321,65 +316,77 @@ def apply_row_permutation(sigma: Permutation, f: SuperPolynomial) -> SuperPolyno
         inv[r] = i
     out: dict[SuperMonomial, Fraction] = {}
     for mono, c in f.terms.items():
-        xpart = tuple(sorted((inv[r], col, e) for r, col, e in mono.xpart))
-        # relabeling is a bijection on monomials and never repeats a factor
-        theta, sign = normalize_theta((inv[r], col) for r, col in mono.theta)
-        out[SuperMonomial._canonical(xpart, theta)] = c if sign > 0 else -c
+        xpart, theta = mono
+        xpart = tuple(sorted((inv[r], col, e) for r, col, e in xpart))
+        # relabeling is a bijection on the variables: no factor repeats
+        theta = [(inv[r], col) for r, col in theta]
+        if _inversion_sign(theta) < 0:
+            c = -c
+        theta.sort()
+        out[SuperMonomial._canonical(xpart, tuple(theta))] = c
     return SuperPolynomial._canonical(f.sig, out)
 
 
-@cache
-def _variable_names(n: int, r: int) -> tuple[XKey, ...]:
-    """The (row, col) key of each flat variable index (row-1)*r + col-1."""
-    return tuple((row, col) for row in range(1, n + 1) for col in range(1, r + 1))
+def _require_shape(sub: Substitution, sig: AlgebraSignature) -> None:
+    """The signature check of a compiled label, behind its one tuple
+    compare: rows first, then block shapes (vacuous on zero rows)."""
+    if sub.shape == (sig.n, sig.r0, sig.r1):
+        return
+    if sub.shape[0] != sig.n:
+        raise DegreeMismatch(f"wreath degree {sub.shape[0]} != {sig.n} rows")
+    if sig.n:
+        raise DimensionMismatch(
+            f"label blocks {sub.shape[1:]} do not match signature ({sig.r0}, {sig.r1})"
+        )
+
+
+def _substitute(sub: Substitution, mono: SuperMonomial) -> list[tuple[SuperMonomial, int | Fraction]]:
+    """The image of mono (coefficient 1) under a compiled label whose shape
+    was checked: its nonzero terms, integral coefficients as ints.
+
+    A one-term label maps the monomial to one monomial, found by one sort
+    and the sign of the odd factors' reordering; otherwise the images of
+    its factors are multiplied out one by one."""
+    xpart, theta = mono
+    even, odd = sub.even, sub.odd
+    if sub.one_term:
+        scale, xs, ts = 1, [], []
+        for r, c, e in xpart:
+            ((v, a),) = even[r, c]
+            xs.append((*v, e))
+            if a != 1:
+                scale *= a**e
+        for p in theta:
+            ((v, a),) = odd[p]
+            ts.append(v)
+            if a != 1:
+                scale *= a
+        if len(ts) > 1 and _inversion_sign(ts) < 0:
+            scale = -scale
+        xs.sort()
+        ts.sort()
+        return [(SuperMonomial._canonical(tuple(xs), tuple(ts)), scale)]
+    image = {SuperMonomial._canonical((), ()): 1}
+    for r, c, e in xpart:
+        form = {SuperMonomial._canonical(((*v, 1),), ()): a for v, a in even[r, c]}
+        for _ in range(e):
+            image = _mul_terms(image, form)
+    for p in theta:
+        image = _mul_terms(image, {SuperMonomial._canonical((), (v,)): a for v, a in odd[p]})
+    return [(m, a) for m, a in image.items() if a]
 
 
 def apply_wreath(w: WreathElement, f: SuperPolynomial) -> SuperPolynomial:
-    """Linear substitution by a wreath label's matrix, in one pass per
-    monomial: x[i,c] -> sum_{c'} g_i[c',c] x[sigma^{-1}(i),c'], and theta
-    likewise via the odd blocks, each variable replaced by its column of
-    WreathElement.columns.
-
-    When every column has one term, as for every label of P[G] with G a
-    group of signed permutation matrices, each monomial maps to one
-    monomial, found by one sort; otherwise the images of a monomial's
-    factors are multiplied out one by one."""
+    """Linear substitution by a wreath label's matrix: x[i,c] -> sum_{c'}
+    g_i[c',c] x[sigma^{-1}(i),c'], and theta likewise via the odd blocks,
+    each variable replaced by its column of WreathElement.columns, through
+    the label's compiled substitution."""
     sig = f.sig
-    if w.sigma.n != sig.n:
-        raise DegreeMismatch(f"wreath degree {w.sigma.n} != {sig.n} rows")
-    for g in w.gs:
-        if (g.g0.nrows, g.g0.ncols, g.g1.nrows, g.g1.ncols) != (sig.r0, sig.r0, sig.r1, sig.r1):
-            raise DimensionMismatch(
-                f"element blocks {g.g0.nrows}/{g.g1.nrows} do not match signature ({sig.r0}, {sig.r1})"
-            )
-    even, odd = w.columns
-    one_term = all(len(col) == 1 for col in even) and all(len(col) == 1 for col in odd)
-    xnames, tnames = _variable_names(sig.n, sig.r0), _variable_names(sig.n, sig.r1)
+    sub = w.substitution
+    _require_shape(sub, sig)
     total: dict[SuperMonomial, Fraction] = {}
     for mono, coeff in f.terms.items():
-        xcols = [(even[(r - 1) * sig.r0 + c - 1], e) for r, c, e in mono.xpart]
-        tcols = [odd[(r - 1) * sig.r1 + c - 1] for r, c in mono.theta]
-        if one_term:
-            scale, xpart, theta = 1, [], []
-            for ((idx, a),), e in xcols:
-                xpart.append((*xnames[idx], e))
-                scale *= a**e
-            for ((idx, a),) in tcols:
-                theta.append(tnames[idx])
-                scale *= a
-            theta, sign = normalize_theta(theta)
-            xpart.sort()
-            terms = ((SuperMonomial._canonical(tuple(xpart), theta), scale * sign),)
-        else:
-            image = {SuperMonomial._canonical((), ()): 1}
-            for col, e in xcols:
-                form = {SuperMonomial._canonical(((*xnames[idx], 1),), ()): a for idx, a in col}
-                for _ in range(e):
-                    image = _mul_terms(image, form)
-            for col in tcols:
-                image = _mul_terms(image, {SuperMonomial._canonical((), (tnames[idx],)): a for idx, a in col})
-            terms = image.items()
-        for m, scale in terms:
+        for m, scale in _substitute(sub, mono):
             v = coeff if scale == 1 else -coeff if scale == -1 else coeff * scale
             total[m] = total[m] + v if m in total else v
     return SuperPolynomial._canonical(sig, total)
@@ -408,11 +415,12 @@ def bidegree_basis(sig: AlgebraSignature, i: int, j: int) -> list[SuperMonomial]
     ovars = sig.odd_vars()
     if j > len(ovars):
         return []
+    # evars and ovars are sorted, so both parts come out canonical
+    thetas = list(itertools.combinations(ovars, j))
     out = []
     for xvec in _compositions_desc_lex(i, len(evars)):
-        xpart = {v: e for v, e in zip(evars, xvec) if e}
-        for tsel in itertools.combinations(ovars, j):
-            out.append(SuperMonomial(xpart, tsel))
+        xpart = tuple((r, c, e) for (r, c), e in zip(evars, xvec) if e)
+        out.extend(SuperMonomial._canonical(xpart, t) for t in thetas)
     return out
 
 

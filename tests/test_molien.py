@@ -1,8 +1,6 @@
 """Molien averages against hand-computed series and the Reynolds-rank oracle."""
 
-import json
 import math
-import pathlib
 from fractions import Fraction
 
 import pytest
@@ -19,14 +17,13 @@ from supermolien.fixtures import (
     young_theta_group,
 )
 from supermolien.groups import (
-    GradedGroupElement,
     MatrixGroup,
     PermGroup,
     build_wreath,
     trivial_character,
     wreath_mul,
 )
-from supermolien.linalg import QMatrix, _charpoly_rows, assemble_blocks, charpoly_det
+from supermolien.linalg import _charpoly_rows, assemble_blocks, charpoly_det
 from supermolien.molien import (
     FLAVORS,
     GroupAction,
@@ -46,8 +43,7 @@ from supermolien.superalgebra import (
     super_mul,
 )
 
-
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+from rational_groups import conjugated_s3, named_group
 
 
 def q_series(caps, coeff_fn):
@@ -184,18 +180,11 @@ ORBIT_SHARING_CASES = verify.MOLIEN_FIXTURES + (
 )
 
 
-def scaled_swap_group():
-    """Order 2, generated by the monomial matrix [[0, 1/2], [2, 0]] on the
-    even and on the odd variables: orbit members differ by factors 2^k."""
-    m = QMatrix.from_rows([[0, Fraction(1, 2)], [2, 0]])
-    return MatrixGroup.close(2, 2, [GradedGroupElement(m, m)])
-
-
 def orbit_sharing_action(name):
     """(action, x-degree cap) of an orbit-sharing case: a one-row fixture
     action, S_3 on x with sgn, a wreath product of a signed permutation
-    group or of scaled_swap_group, or S_2[H] with H the non-monomial
-    conjugate of S_3 on x."""
+    group, or S_2[H] with H the scaled swap or the non-monomial conjugate of
+    S_3 on x (tests/rational_groups.py)."""
     mg, pg = matrix_group_fixture, perm_group_fixture
     if name in verify.MOLIEN_FIXTURES:
         return GroupAction.from_matrix_group(mg(name)), 4
@@ -207,9 +196,7 @@ def orbit_sharing_action(name):
         return GroupAction.from_wreath(pg("c3"), mg("trivial-1-1"), 3), 3
     if name == "s2[s2-theta]":
         return GroupAction.from_wreath(pg("s2"), mg("s2-theta"), 2), 3
-    if name == "s2[scaled-swap]":
-        return GroupAction.from_wreath(pg("s2"), scaled_swap_group(), 2), 2
-    return GroupAction.from_wreath(pg("s2"), conjugated_s3()[1], 2), 2
+    return GroupAction.from_wreath(pg("s2"), named_group(name[3:-1]), 2), 2
 
 
 @pytest.mark.parametrize("name", ORBIT_SHARING_CASES)
@@ -233,12 +220,13 @@ def test_reynolds_images_project_once_per_orbit(monkeypatch):
     basis = bidegree_basis(action.signature, 4, 0)
     calls = 0
 
-    def counted(w, f):
+    def counted(sub, mono):
         nonlocal calls
         calls += 1
-        return apply_wreath(w, f)
+        return substitute(sub, mono)
 
-    monkeypatch.setattr(molien, "apply_wreath", counted)
+    substitute = molien._substitute
+    monkeypatch.setattr(molien, "_substitute", counted)
     images = reynolds_images(action, basis)
     assert calls < action.order * len(basis)
     monkeypatch.undo()
@@ -307,25 +295,6 @@ def dense_columns(m):
     return [[(i, m.get(i, j)) for i in range(m.nrows) if m.get(i, j)] for j in range(m.ncols)]
 
 
-def conjugated_s3():
-    """S_3 on x (s3_x.json) and its conjugate H by a 3x3 rational matrix
-    with denominators 2, 3 and 5: the same group with non-integral entries."""
-    G = MatrixGroup.from_json_dict(json.loads((FIXTURES / "s3_x.json").read_text(encoding="utf-8")))
-    P = QMatrix.from_rows([[Fraction(1, 2), 1, 0], [Fraction(1, 3), 0, 2], [0, Fraction(1, 5), 1]])
-    P_inv = QMatrix.from_rows(
-        [
-            [Fraction(3, 4), Fraction(15, 8), Fraction(-15, 4)],
-            [Fraction(5, 8), Fraction(-15, 16), Fraction(15, 8)],
-            [Fraction(-1, 8), Fraction(3, 16), Fraction(5, 8)],
-        ]
-    )
-    assert P * P_inv == QMatrix.identity(3)
-    H = MatrixGroup.close(
-        G.r0, G.r1, [GradedGroupElement(P * g.g0 * P_inv, g.g1) for g in G.generators]
-    )
-    return G, H
-
-
 @pytest.mark.parametrize("gname,n", [("sign-scalar", 3), ("s2-theta", 2)])
 def test_label_molien_term_matches_trivariate_inversion(gname, n):
     # One label's Molien term, as super_molien of a one-label action, against
@@ -351,7 +320,7 @@ def test_label_rows_charpoly_matches_dense(gname, n):
     # densely built matrix, and the char-poly kernel on them equals
     # charpoly_det of that matrix; the conjugated S_3 gives blocks with
     # unlike denominators.
-    G = conjugated_s3()[1] if gname == "rational-s3" else matrix_group_fixture(gname)
+    G = named_group(gname)
     action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n)
     for w in action.labels:
         for columns, dense in zip(w.columns, dense_label_matrices(w)):

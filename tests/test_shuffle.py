@@ -208,6 +208,23 @@ def test_verify_closure_examples():
     assert verify_closure(th1 - th2, b, G, "antiinvariant")
 
 
+def test_verify_closure_builds_generator_labels_once_per_row_count(monkeypatch):
+    # two 2-row factors need the labels of 2 rows, once, and of 4 rows
+    G = MatrixGroup.trivial(0, 1)
+    sig2 = AlgebraSignature(0, 1, 2)
+    a = SuperPolynomial.theta_var(sig2, 1, 1) + SuperPolynomial.theta_var(sig2, 2, 1)
+    built = []
+    generator_labels = shuffle_module._wreath_generator_labels
+
+    def counted(n, G):
+        built.append(n)
+        return generator_labels(n, G)
+
+    monkeypatch.setattr(shuffle_module, "_wreath_generator_labels", counted)
+    assert verify_closure(a, a, G, "invariant")
+    assert sorted(built) == [2, 4]
+
+
 def test_verify_closure_rejects_noninvariant_input():
     G = MatrixGroup.trivial(0, 1)
     sig2 = AlgebraSignature(0, 1, 2)
@@ -236,6 +253,22 @@ CLOSURE_COUNTS = {
 def test_closure_battery_small(gname, flavor):
     counts = closure_battery(matrix_group_fixture(gname), flavor, max_rows=4, max_i=4)
     assert counts == CLOSURE_COUNTS[(gname, flavor)]
+
+
+def test_closure_battery_builds_one_action_per_row_count(monkeypatch):
+    # factors live on 1..3 rows for max_rows = 4; every bidegree of a row
+    # count shares its action, so its labels are compiled once
+    built = []
+    from_wreath = GroupAction.from_wreath
+
+    def counted(P, G, n, flavor="invariant"):
+        built.append(n)
+        return from_wreath(P, G, n, flavor)
+
+    monkeypatch.setattr(shuffle_module.GroupAction, "from_wreath", staticmethod(counted))
+    counts = closure_battery(matrix_group_fixture("sign-scalar"), "invariant", max_rows=4, max_i=4)
+    assert counts == CLOSURE_COUNTS[("sign-scalar", "invariant")]
+    assert sorted(built) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supermolien.errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
-from supermolien.fixtures import matrix_group_fixture
 from supermolien.groups import (
     GradedGroupElement,
     Permutation,
@@ -19,6 +18,7 @@ from supermolien.groups import (
     build_wreath,
     MatrixGroup,
     PermGroup,
+    trivial_character,
     wreath_mul,
 )
 from supermolien.linalg import QMatrix, qmatrix_det
@@ -36,6 +36,8 @@ from supermolien.superalgebra import (
     normalize_theta,
     super_mul,
 )
+
+from rational_groups import named_group
 
 
 def bubble_sign(seq):
@@ -79,6 +81,18 @@ def test_monomial_canonicalization():
         SuperMonomial({}, (((1, 2)), ((1, 1))))  # not increasing
     with pytest.raises(ValueError):
         SuperMonomial({(1, 1): -1})
+
+
+def test_validated_and_trusted_monomials_are_equal_and_hash_equal():
+    validated = SuperMonomial({(2, 1): 1, (1, 2): 3}, [(1, 1), (2, 2)])
+    trusted = SuperMonomial._canonical(((1, 2, 3), (2, 1, 1)), ((1, 1), (2, 2)))
+    assert validated == trusted and hash(validated) == hash(trusted)
+    assert {validated: 1} == {trusted: 1}
+    assert (trusted.xpart, trusted.theta) == tuple(trusted)
+    assert SuperMonomial.one() == SuperMonomial._canonical((), ())
+    assert trusted != SuperMonomial._canonical(((1, 2, 3),), ((1, 1), (2, 2)))
+    with pytest.raises(AttributeError):
+        trusted.xpart = ()
 
 
 SIG = AlgebraSignature(2, 2, 2)
@@ -361,7 +375,19 @@ def test_superpoly_json_rejects_repeated_theta():
 
 # -- kernel outputs: equivalence and canonical form ---------------------------------
 
-KERNEL_GROUPS = ("trivial-1-1", "trivial-2-2", "sign-scalar", "s2-x", "s3-x", "s2-theta", "young-2-1-theta")
+# the last two have non-integral entries: the multi-term branch of the
+# kernel, and the one-term branch with non-unit coefficients
+KERNEL_GROUPS = (
+    "trivial-1-1",
+    "trivial-2-2",
+    "sign-scalar",
+    "s2-x",
+    "s3-x",
+    "s2-theta",
+    "young-2-1-theta",
+    "rational-s3",
+    "scaled-swap",
+)
 
 
 def random_poly(rng, sig, terms=4):
@@ -435,7 +461,7 @@ def explicit_wreath(w, f):
 
 @pytest.mark.parametrize("gname", KERNEL_GROUPS)
 def test_apply_wreath_equals_explicit_composition(gname):
-    G = matrix_group_fixture(gname)
+    G = named_group(gname)
     rng = random.Random(f"kernel-{gname}")
     for n in (1, 2, 3):
         sig = AlgebraSignature(G.r0, G.r1, n)
@@ -483,6 +509,41 @@ def test_relabeling_label_equals_row_permutation(sigma):
             assert apply_wreath(w, f) == apply_row_permutation(sigma, f)
 
 
+def test_wreath_apply_rejects_wrong_rows_and_block_shapes():
+    ident = GradedGroupElement.identity(1, 1)
+    two_rows = AlgebraSignature(1, 1, 2)
+    f = SuperPolynomial.x_var(two_rows, 1, 1)
+    with pytest.raises(DegreeMismatch):
+        apply_wreath(WreathElement(Permutation.identity(1), (ident,)), f)
+    # rows whose blocks differ from each other match no signature
+    mixed = WreathElement(Permutation.identity(2), (ident, GradedGroupElement.identity(2, 1)))
+    with pytest.raises(DimensionMismatch):
+        apply_wreath(mixed, f)
+    # non-square blocks
+    wide = WreathElement(
+        Permutation.identity(1), (GradedGroupElement(QMatrix.from_rows([[1, 0]]), QMatrix.identity(1)),)
+    )
+    with pytest.raises(DimensionMismatch):
+        apply_wreath(wide, SuperPolynomial.x_var(AlgebraSignature(1, 1, 1), 1, 1))
+    # the Reynolds loop checks each label the same way
+    action = GroupAction(two_rows, (mixed,), trivial_character(1))
+    with pytest.raises(DimensionMismatch):
+        reynolds_project(action, f)
+
+
+def test_wreath_apply_on_zero_rows():
+    # the zero-row label acts on the scalars of any (r0, r1), and only there
+    empty = WreathElement(Permutation.identity(0), ())
+    for r0, r1 in ((0, 0), (1, 2)):
+        scalars = SuperPolynomial.one(AlgebraSignature(r0, r1, 0)).scale(Fraction(-2, 3))
+        assert apply_wreath(empty, scalars) == scalars
+    with pytest.raises(DegreeMismatch):
+        apply_wreath(empty, SuperPolynomial.one(AlgebraSignature(1, 1, 1)))
+    one_row = WreathElement(Permutation.identity(1), (GradedGroupElement.identity(1, 1),))
+    with pytest.raises(DegreeMismatch):
+        apply_wreath(one_row, SuperPolynomial.one(AlgebraSignature(1, 1, 0)))
+
+
 def test_wreath_apply_rejects_identity_rows_of_the_wrong_shape():
     w = WreathElement(Permutation.identity(1), (GradedGroupElement.identity(2, 0),))
     with pytest.raises(DimensionMismatch):
@@ -491,7 +552,7 @@ def test_wreath_apply_rejects_identity_rows_of_the_wrong_shape():
 
 @pytest.mark.parametrize("gname", KERNEL_GROUPS)
 def test_kernel_outputs_are_canonical(gname):
-    G = matrix_group_fixture(gname)
+    G = named_group(gname)
     rng = random.Random(f"canonical-{gname}")
     for n in (1, 2):
         sig = AlgebraSignature(G.r0, G.r1, n)
@@ -504,6 +565,8 @@ def test_kernel_outputs_are_canonical(gname):
             assert_canonical(apply_wreath(random_label(rng, G, n), f))
         for flavor in ("invariant", "antiinvariant"):
             action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor=flavor)
-            proj = reynolds_project(action, random_poly(rng, sig))
+            # a projection under the non-monomial group has ~100 terms from
+            # four; projecting it again costs seconds per flavor
+            proj = reynolds_project(action, random_poly(rng, sig, terms=2 if gname == "rational-s3" else 4))
             assert_canonical(proj)
             assert reynolds_project(action, proj) == proj
