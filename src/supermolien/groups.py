@@ -20,6 +20,7 @@ built on it.  Linear characters are stored as +-1 ints.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
@@ -550,9 +551,11 @@ def shuffle_reps(a: int, b: int) -> tuple[Permutation, ...]:
     For each size-a subset S of positions in lex order, values 1..a are
     placed on S increasingly and values a+1..a+b on the complement
     increasingly.  Each rep is increasing on both value blocks.  Built once
-    per (a, b).
+    per (a, b), after the count C(a+b, a) is checked against WREATH_CAP.
     """
     n = a + b
+    if math.comb(n, a) > WREATH_CAP:
+        raise CapExceeded(f"shuffle of ({a}, {b}) rows has {math.comb(n, a)} representatives, cap is {WREATH_CAP}")
     reps = []
     for subset in itertools.combinations(range(1, n + 1), a):
         word = [0] * n

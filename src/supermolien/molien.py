@@ -8,13 +8,14 @@ projects every bidegree-basis monomial through the Reynolds operator, the
 average of the substitutions by the same matrices, and takes the exact rank
 of the resulting rows.  Since R(w.f) = chi(w) R(f), a label mapping m to a
 single term c*m' gives R(m') = chi(w)/c R(m), so the labels are walked once
-per orbit of monomials, not once per monomial.  Each walk maps the orbit's
-representative, with coefficient 1, through every label's compiled
-substitution by the term-level kernel of superalgebra, builds no
-polynomial per label, and sums chi(w)*c as ints (Fractions only for
-non-integral c); the sum is divided by |W| once, as in super_molien.  The
-rows go to the integer Bareiss kernel as sparse (position, value) pairs.
-molien_vs_oracle compares the two routes coefficient by coefficient.
+per orbit of monomials, not once per monomial.  Each walk is one call of
+the weighted label sum of superalgebra, with weights chi(w): it maps the
+orbit's representative, with coefficient 1, through every label's compiled
+substitution, builds no polynomial per label, and sums chi(w)*c as ints
+(Fractions only for non-integral c); the sum is divided by |W| once, as in
+super_molien.  The rows go to the integer Bareiss kernel as sparse
+(position, value) pairs.  molien_vs_oracle compares the two routes
+coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from .superalgebra import (
     AlgebraSignature,
     SuperMonomial,
     SuperPolynomial,
-    _require_shape,
-    _substitute,
+    _label_sum,
     bidegree_basis,
     coefficient_vector,
 )
@@ -163,29 +163,11 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
 
 
 def _label_average(action: GroupAction, terms: dict, reached: dict | None = None) -> SuperPolynomial:
-    """(1/|W|) sum over w of chi(w) w.f, f given by its terms, through each
-    label's compiled substitution.  Coefficients are summed as they come
-    (ints for an integral group and integral f) and divided by |W| once.
-    When reached is given, f is one monomial with coefficient 1, and each
-    label w mapping it to a single term c*m records reached[m] = chi(w)/c
-    (the first such label wins): R(w.f) = chi(w) R(f), so R(m) = chi(w)/c R(f)."""
+    """(1/|W|) sum over w of chi(w) w.f, f given by its terms: the
+    character-weighted label sum, divided by |W| once (reached as in
+    superalgebra._label_sum)."""
     sig = action.signature
-    acc: dict[SuperMonomial, int | Fraction] = {}
-    for chi, w in zip(action.character.values, action.labels):
-        sub = w.substitution
-        _require_shape(sub, sig)
-        for mono, coeff in terms.items():
-            image = _substitute(sub, mono)
-            if reached is not None and len(image) == 1:
-                ((m, c),) = image
-                if m not in reached:
-                    reached[m] = chi * c if c == 1 or c == -1 else Fraction(chi) / c
-            for m, c in image:
-                if coeff != 1:
-                    c *= coeff
-                if chi < 0:
-                    c = -c
-                acc[m] = acc[m] + c if m in acc else c
+    acc = _label_sum(sig, zip(action.character.values, action.labels), terms, reached)
     order = action.order
     return SuperPolynomial._canonical(sig, {m: Fraction(c, order) for m, c in acc.items() if c})
 

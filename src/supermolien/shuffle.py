@@ -2,22 +2,29 @@
 
 An invariant on a rows times an invariant on b rows is multiplied after
 shifting the second factor's rows past the first, then symmetrized over the
-minimal coset representatives of the two row blocks.  The resulting product
-closes on the (anti)invariant spaces, is associative, supercommutes on
-degree-one elements with signs governed by theta-degree parity, and
-generates everything in sight from degree one.  Each of those claims has a
-verifier here; none of them consults the Hilbert series machinery.
+minimal coset representatives of the two row blocks.  Each representative
+is a label whose row blocks are all the identity, so the symmetrization is
+the weighted label sum of superalgebra over those labels, weighted by sign
+for the signed product; the labels are compiled once per block sizes and
+signature.  The resulting product closes on the (anti)invariant spaces, is
+associative, supercommutes on degree-one elements with signs governed by
+theta-degree parity, and generates everything in sight from degree one.
+Each of those claims has a verifier here; none of them consults the
+Hilbert series machinery.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 
-from .errors import NotHomogeneous, SignatureMismatch, SuperMolienError
+from .errors import CapExceeded, NotHomogeneous, SignatureMismatch, SuperMolienError
 from .groups import (
+    WREATH_CAP,
+    GradedGroupElement,
     MatrixGroup,
     PermGroup,
     Permutation,
@@ -39,7 +46,7 @@ from .superalgebra import (
     AlgebraSignature,
     SuperMonomial,
     SuperPolynomial,
-    apply_row_permutation,
+    _label_sum,
     apply_wreath,
     bidegree_basis,
     coefficient_vector,
@@ -79,17 +86,27 @@ def shift_rows(f: SuperPolynomial, offset: int, n_out: int) -> SuperPolynomial:
     return SuperPolynomial._canonical(sig, out)
 
 
-def _symmetrize(core: SuperPolynomial, reps, signed: bool) -> SuperPolynomial:
-    """Sum of the row relabelings of core by reps, each weighted by its sign
-    when signed."""
-    total: dict[SuperMonomial, Fraction] = {}
-    for sigma in reps:
-        negate = signed and perm_sign(sigma) < 0
-        for m, c in apply_row_permutation(sigma, core).terms.items():
-            if negate:
-                c = -c
-            total[m] = total[m] + c if m in total else c
-    return SuperPolynomial._canonical(core.sig, total)
+@cache
+def _coset_labels(blocks: tuple[int, ...], r0: int, r1: int) -> tuple[tuple[int, WreathElement], ...]:
+    """The minimal coset representatives of two or three row blocks as
+    (sign, label) pairs, each label's row blocks all the identity; built and
+    compiled once per (blocks, r0, r1), after their count times the rows is
+    checked against WREATH_CAP."""
+    n = sum(blocks)
+    count = math.factorial(n) // math.prod(map(math.factorial, blocks))
+    if count * n > WREATH_CAP:
+        raise CapExceeded(f"shuffle of {blocks} rows needs {count} labels of {n} rows, cap is {WREATH_CAP}")
+    reps = shuffle_reps(*blocks) if len(blocks) == 2 else _three_block_reps(*blocks)
+    ident = (GradedGroupElement.identity(r0, r1),) * n
+    return tuple((perm_sign(sigma), WreathElement(sigma, ident)) for sigma in reps)
+
+
+def _symmetrize(core: SuperPolynomial, blocks: tuple[int, ...], signed: bool) -> SuperPolynomial:
+    """The label sum of core over the coset labels of its row blocks,
+    weighted by sign when signed: the sum of core's row relabelings."""
+    labels = _coset_labels(blocks, core.sig.r0, core.sig.r1)
+    pairs = labels if signed else [(1, w) for _, w in labels]
+    return SuperPolynomial._canonical(core.sig, _label_sum(core.sig, pairs, core.terms))
 
 
 def shuffle_product(A: SuperPolynomial, B: SuperPolynomial, signed: bool = False) -> SuperPolynomial:
@@ -104,13 +121,17 @@ def shuffle_product(A: SuperPolynomial, B: SuperPolynomial, signed: bool = False
     a, b = A.sig.n, B.sig.n
     n = a + b
     core = super_mul(shift_rows(A, 0, n), shift_rows(B, a, n))
-    return _symmetrize(core, shuffle_reps(a, b), signed)
+    return _symmetrize(core, (a, b), signed)
 
 
 def _three_block_reps(a: int, b: int, c: int) -> list[Permutation]:
     """Permutations whose inverse is increasing on each of the three value
-    blocks 1..a, a+1..a+b, a+b+1..a+b+c, by brute filter."""
+    blocks 1..a, a+1..a+b, a+b+1..a+b+c, by brute filter over all n!
+    permutations, n! checked against WREATH_CAP first."""
     n = a + b + c
+    scanned = math.factorial(n)
+    if scanned > WREATH_CAP:
+        raise CapExceeded(f"shuffle of ({a}, {b}, {c}) rows scans {scanned} permutations, cap is {WREATH_CAP}")
     bounds = [(1, a), (a + 1, a + b), (a + b + 1, n)]
     out = []
     for images in itertools.permutations(range(1, n + 1)):
@@ -135,7 +156,7 @@ def triple_shuffle(
     core = super_mul(
         super_mul(shift_rows(A, 0, n), shift_rows(B, a, n)), shift_rows(C, a + b, n)
     )
-    return _symmetrize(core, _three_block_reps(a, b, c), signed)
+    return _symmetrize(core, (a, b, c), signed)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ x_i -> x_{sigma^{-1}(i)}, so apply_wreath(wreath_mul(w1, w2), f) equals
 apply_wreath(w1, apply_wreath(w2, f)).  Each label compiles its
 substitution once (WreathElement.substitution: its block shape, and each
 variable's image), and one private term-level kernel, _substitute, maps a
-monomial through it; apply_wreath and the Reynolds orbit loop in molien
-both call it.  apply_row_permutation is the relabeling alone, used to
-symmetrize shuffle products.
+monomial through it.  Its one caller is the weighted label sum, _label_sum:
+apply_wreath is its one-label case, the Reynolds projector in molien its
+character-weighted sum over a group, and the shuffle product its signed
+sum over coset representatives, labels with identity row blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
-from .groups import Permutation, Substitution, WreathElement, _inversion_sign
+from .groups import Substitution, WreathElement, _inversion_sign
 from .rationals import format_rational, parse_rational
 
 XKey = tuple[int, int]  # (row, col)
@@ -302,31 +303,6 @@ def super_mul(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
     return SuperPolynomial._canonical(f.sig, _mul_terms(f.terms, g.terms))
 
 
-def apply_row_permutation(sigma: Permutation, f: SuperPolynomial) -> SuperPolynomial:
-    """Relabel rows: a variable in row i moves to row sigma^{-1}(i).
-
-    Composition is contravariant:
-    apply(sigma, apply(tau, f)) == apply(tau.compose(sigma), f).
-    """
-    if sigma.n != f.sig.n:
-        raise DegreeMismatch(f"permutation degree {sigma.n} != {f.sig.n} rows")
-    # inv[r] = sigma^{-1}(r), read off the images as WreathElement.columns does
-    inv = [0] * (sigma.n + 1)
-    for i, r in enumerate(sigma.images, start=1):
-        inv[r] = i
-    out: dict[SuperMonomial, Fraction] = {}
-    for mono, c in f.terms.items():
-        xpart, theta = mono
-        xpart = tuple(sorted((inv[r], col, e) for r, col, e in xpart))
-        # relabeling is a bijection on the variables: no factor repeats
-        theta = [(inv[r], col) for r, col in theta]
-        if _inversion_sign(theta) < 0:
-            c = -c
-        theta.sort()
-        out[SuperMonomial._canonical(xpart, tuple(theta))] = c
-    return SuperPolynomial._canonical(f.sig, out)
-
-
 def _require_shape(sub: Substitution, sig: AlgebraSignature) -> None:
     """The signature check of a compiled label, behind its one tuple
     compare: rows first, then block shapes (vacuous on zero rows)."""
@@ -376,20 +352,37 @@ def _substitute(sub: Substitution, mono: SuperMonomial) -> list[tuple[SuperMonom
     return [(m, a) for m, a in image.items() if a]
 
 
+def _label_sum(sig: AlgebraSignature, pairs: Iterable, terms: Mapping, reached: dict | None = None) -> dict:
+    """sum over (weight, label) pairs of weight * w.f, f on sig given by its
+    terms and each weight +-1: the summed term map, zeros kept, ints where
+    f's coefficients are ints.  When reached is given, f is one monomial
+    with coefficient 1, and each w mapping it to a single term c*m records
+    reached[m] = weight/c (the first such label wins): for weight chi(w),
+    R(w.f) = chi(w) R(f), so R(m) = chi(w)/c R(f)."""
+    acc: dict[SuperMonomial, int | Fraction] = {}
+    for weight, w in pairs:
+        sub = w.substitution
+        _require_shape(sub, sig)
+        for mono, coeff in terms.items():
+            image = _substitute(sub, mono)
+            if reached is not None and len(image) == 1:
+                ((m, c),) = image
+                if m not in reached:
+                    reached[m] = weight * c if c == 1 or c == -1 else Fraction(weight) / c
+            for m, c in image:
+                if weight < 0:
+                    c = -c
+                v = coeff if c == 1 else -coeff if c == -1 else coeff * c
+                acc[m] = acc[m] + v if m in acc else v
+    return acc
+
+
 def apply_wreath(w: WreathElement, f: SuperPolynomial) -> SuperPolynomial:
     """Linear substitution by a wreath label's matrix: x[i,c] -> sum_{c'}
     g_i[c',c] x[sigma^{-1}(i),c'], and theta likewise via the odd blocks,
-    each variable replaced by its column of WreathElement.columns, through
-    the label's compiled substitution."""
-    sig = f.sig
-    sub = w.substitution
-    _require_shape(sub, sig)
-    total: dict[SuperMonomial, Fraction] = {}
-    for mono, coeff in f.terms.items():
-        for m, scale in _substitute(sub, mono):
-            v = coeff if scale == 1 else -coeff if scale == -1 else coeff * scale
-            total[m] = total[m] + v if m in total else v
-    return SuperPolynomial._canonical(sig, total)
+    each variable replaced by its column of WreathElement.columns: the
+    label sum of the one label with weight 1."""
+    return SuperPolynomial._canonical(f.sig, _label_sum(f.sig, ((1, w),), f.terms))
 
 
 def _compositions_desc_lex(total: int, nvars: int):

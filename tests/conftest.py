@@ -7,6 +7,12 @@ import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and keep no example
+# database; each test keeps its own max_examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from supermolien import cli as cli_module
 from supermolien.cli import run
 from supermolien.series import TrigradedSeries
 from supermolien.shuffle import shuffle_product
-from supermolien.superalgebra import SuperPolynomial
+from supermolien.superalgebra import AlgebraSignature, SuperPolynomial
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -176,6 +176,19 @@ def test_malformed_field_types_exit_two(tmp_path):
     code, _, err = invoke("shuffle", str(bad), fx("shuffle_left_1_2.json"))
     assert code == 2
     assert "not a polynomial file" in err
+
+
+def test_oversized_shuffle_exits_two_before_enumerating(tmp_path):
+    # 12 + 12 rows have C(24, 12) = 2704156 coset representatives
+    sig = AlgebraSignature(1, 1, 12)
+    paths = []
+    for name, poly in (("left", SuperPolynomial.x_var(sig, 12, 1)), ("right", SuperPolynomial.theta_var(sig, 1, 1))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(poly.to_json_dict()), encoding="utf-8")
+        paths.append(str(path))
+    code, out, err = invoke("shuffle", *paths)
+    assert code == 2 and out == ""
+    assert "(12, 12) rows needs 2704156 labels of 24 rows, cap is 200000" in err
 
 
 @pytest.mark.parametrize("exc_type", [TypeError, KeyError])

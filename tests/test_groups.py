@@ -391,6 +391,11 @@ def test_shuffle_reps_count_and_block_monotonicity(a, b):
         assert all(inv(v) < inv(v + 1) for v in range(a + 1, a + b) if b > 1)
 
 
+def test_shuffle_reps_refuses_past_the_cap_before_enumerating():
+    with pytest.raises(CapExceeded, match=r"\(12, 12\) rows has 2704156 representatives, cap is 200000"):
+        shuffle_reps(12, 12)
+
+
 def test_shuffle_reps_cover_distinct_cosets():
     # every sigma in S_4 factors as (block permutation) . rep for exactly one rep
     a, b = 2, 2

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from supermolien.errors import BasisTooLarge, NotHomogeneous, SignatureMismatch
+from supermolien.errors import BasisTooLarge, CapExceeded, NotHomogeneous, SignatureMismatch
 from supermolien.fixtures import matrix_group_fixture
-from supermolien.groups import MatrixGroup, PermGroup
+from supermolien.groups import MatrixGroup, PermGroup, perm_sign, shuffle_reps
 from supermolien import molien
 from supermolien.molien import GroupAction, invariant_dimension_bruteforce, reynolds_project
 from supermolien import shuffle as shuffle_module
@@ -33,6 +33,8 @@ from supermolien.superalgebra import (
     SuperPolynomial,
     super_mul,
 )
+
+from row_relabeling import relabel_rows
 
 
 def mono(sig, xd, th=(), c=1):
@@ -141,6 +143,53 @@ def test_unsigned_shuffle_display_three_even_two_odd():
     got = shuffle_product(A, B)
     assert len(got.terms) == 6
     assert got == expected
+
+
+def _random_operand(rng, sig):
+    """Three random terms with coefficients other than +-1; repeats fold."""
+    out = SuperPolynomial.zero(sig)
+    for _ in range(3):
+        xd = {v: rng.randint(1, 2) for v in sig.even_vars() if rng.random() < 0.5}
+        th = sorted(v for v in sig.odd_vars() if rng.random() < 0.4)
+        out = out + mono(sig, xd, th, Fraction(rng.choice([-3, -2, 2, 5]), rng.choice([1, 2, 3])))
+    return out
+
+
+@pytest.mark.parametrize("r0, r1", [(1, 1), (2, 2), (0, 2)])
+def test_shuffle_product_is_signed_relabel_sum(r0, r1):
+    # the sum over shuffle_reps(a, b) of sgn^signed times the reference
+    # relabeling of the shifted product: the representatives are not closed
+    # under inversion, so this pins sigma against sigma^{-1}, and the sign
+    # weight, beyond the two hand-written displays
+    rng = random.Random(f"relabel-sum-{r0}-{r1}")
+    nonzero = 0
+    for a in range(4):
+        for b in range(4):
+            n = a + b
+            A = _random_operand(rng, AlgebraSignature(r0, r1, a))
+            B = _random_operand(rng, AlgebraSignature(r0, r1, b))
+            core = super_mul(shift_rows(A, 0, n), shift_rows(B, a, n))
+            for signed in (False, True):
+                expected = SuperPolynomial.zero(core.sig)
+                for sigma in shuffle_reps(a, b):
+                    term = relabel_rows(sigma, core)
+                    expected = expected + (term.scale(perm_sign(sigma)) if signed else term)
+                got = shuffle_product(A, B, signed)
+                assert got == expected
+                assert all(type(c) is Fraction for c in got.terms.values())
+                nonzero += not got.is_zero()
+    assert nonzero >= 24
+
+
+def test_shuffle_work_is_refused_before_it_starts():
+    # 3 + 3 + 3 rows would scan 9! permutations for the three-block
+    # representatives; 8 + 8 rows would compile C(16, 8) labels of 16 rows
+    one3 = SuperPolynomial.one(AlgebraSignature(1, 1, 3))
+    with pytest.raises(CapExceeded, match=r"\(3, 3, 3\) rows scans 362880 permutations, cap is 200000"):
+        triple_shuffle(one3, one3, one3)
+    one8 = SuperPolynomial.one(AlgebraSignature(1, 1, 8))
+    with pytest.raises(CapExceeded, match=r"\(8, 8\) rows needs 12870 labels of 16 rows, cap is 200000"):
+        shuffle_product(one8, one8)
 
 
 def test_reynolds_orbit_average_examples():

@@ -28,7 +28,6 @@ from supermolien.superalgebra import (
     SuperMonomial,
     SuperPolynomial,
     _mul_terms,
-    apply_row_permutation,
     apply_wreath,
     bidegree_basis,
     coefficient_vector,
@@ -38,6 +37,7 @@ from supermolien.superalgebra import (
 )
 
 from rational_groups import named_group
+from row_relabeling import relabel_rows, relabeling
 
 
 def bubble_sign(seq):
@@ -169,7 +169,7 @@ def test_row_swap_on_theta_pair_picks_up_sign():
     # swap rows of theta[1,1] theta[2,1]: reordering the product costs a sign
     sig = AlgebraSignature(0, 1, 2)
     f = super_mul(SuperPolynomial.theta_var(sig, 1, 1), SuperPolynomial.theta_var(sig, 2, 1))
-    swapped = apply_row_permutation(Permutation([2, 1]), f)
+    swapped = apply_wreath(relabeling(Permutation([2, 1]), sig), f)
     assert swapped == -f
 
 
@@ -177,13 +177,13 @@ def test_row_relabel_moves_row_i_to_sigma_inverse_i():
     sig = AlgebraSignature(1, 0, 3)
     sigma = Permutation.from_cycles(3, [(1, 2, 3)])  # sigma(1) = 2
     f = SuperPolynomial.x_var(sig, 1, 1)
-    moved = apply_row_permutation(sigma, f)
+    moved = apply_wreath(relabeling(sigma, sig), f)
     assert moved == SuperPolynomial.x_var(sig, 3, 1)
 
 
 def test_degree_mismatch_on_wrong_sized_permutation():
     with pytest.raises(DegreeMismatch):
-        apply_row_permutation(Permutation([1, 2, 3]), x(1, 1))
+        apply_wreath(relabeling(Permutation([1, 2, 3]), SIG), x(1, 1))
 
 
 @given(small_poly_st())
@@ -191,12 +191,11 @@ def test_degree_mismatch_on_wrong_sized_permutation():
 def test_row_action_composes_contravariantly(f):
     rng = random.Random(11)
     for _ in range(5):
-        si = list(range(1, 3)); ti = list(range(1, 3))
         # random sigma, tau on 2 rows
         sigma = Permutation(rng.sample([1, 2], 2))
         tau = Permutation(rng.sample([1, 2], 2))
-        lhs = apply_row_permutation(sigma, apply_row_permutation(tau, f))
-        rhs = apply_row_permutation(tau.compose(sigma), f)
+        lhs = apply_wreath(relabeling(sigma, SIG), apply_wreath(relabeling(tau, SIG), f))
+        rhs = apply_wreath(relabeling(tau.compose(sigma), SIG), f)
         assert lhs == rhs
 
 
@@ -204,10 +203,8 @@ def test_row_action_is_ring_homomorphism():
     sig = AlgebraSignature(1, 2, 2)
     f = super_mul(SuperPolynomial.theta_var(sig, 1, 1), SuperPolynomial.theta_var(sig, 1, 2))
     g = SuperPolynomial.theta_var(sig, 2, 1)
-    sigma = Permutation([2, 1])
-    assert apply_row_permutation(sigma, super_mul(f, g)) == super_mul(
-        apply_row_permutation(sigma, f), apply_row_permutation(sigma, g)
-    )
+    w = relabeling(Permutation([2, 1]), sig)
+    assert apply_wreath(w, super_mul(f, g)) == super_mul(apply_wreath(w, f), apply_wreath(w, g))
 
 
 # -- graded element action ----------------------------------------------------------
@@ -452,11 +449,11 @@ def substitute_row(g, row, f):
 
 def explicit_wreath(w, f):
     """Row-by-row reference for apply_wreath: each row's substitution, then
-    the row relabeling."""
+    the reference row relabeling."""
     out = f
     for row in range(1, f.sig.n + 1):
         out = substitute_row(w.gs[row - 1], row, out)
-    return apply_row_permutation(w.sigma, out)
+    return relabel_rows(w.sigma, out)
 
 
 @pytest.mark.parametrize("gname", KERNEL_GROUPS)
@@ -499,14 +496,14 @@ def test_apply_wreath_equals_explicit_composition_general_matrices():
 @pytest.mark.parametrize("sigma", PermGroup.symmetric(3).elements)
 def test_relabeling_label_equals_row_permutation(sigma):
     # a label with identity rows is a pure row relabeling: the substitution
-    # by its matrix and apply_row_permutation agree on the row convention
+    # by its matrix and the reference relabeling agree on the row convention
     rng = random.Random(f"relabel-{sigma.images}")
     for r0, r1 in ((1, 1), (2, 2), (0, 2)):
         sig = AlgebraSignature(r0, r1, 3)
-        w = WreathElement(sigma, (GradedGroupElement.identity(r0, r1),) * 3)
+        w = relabeling(sigma, sig)
         for _ in range(4):
             f = random_poly(rng, sig, terms=5)
-            assert apply_wreath(w, f) == apply_row_permutation(sigma, f)
+            assert apply_wreath(w, f) == relabel_rows(sigma, f)
 
 
 def test_wreath_apply_rejects_wrong_rows_and_block_shapes():
@@ -561,7 +558,7 @@ def test_kernel_outputs_are_canonical(gname):
             assert_canonical(super_mul(f, g))
             assert_canonical(super_mul(f, f))
             sigma = Permutation(rng.sample(range(1, n + 1), n))
-            assert_canonical(apply_row_permutation(sigma, f))
+            assert_canonical(apply_wreath(relabeling(sigma, sig), f))
             assert_canonical(apply_wreath(random_label(rng, G, n), f))
         for flavor in ("invariant", "antiinvariant"):
             action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor=flavor)
