@@ -58,7 +58,7 @@ def main() -> None:
 
     # sign-character values aligned with the s2_x element order
     action = GroupAction.from_matrix_group(matrix_group_fixture("s2-x"), character="sgn")
-    dump("character_sgn_s2_x.json", [format_rational(v) for v in action.character.values])
+    dump("character_sgn_s2_x.json", [format_rational(chi) for chi, _ in action.pairs])
 
     # the two shuffle worked examples as input polynomials
     sig2 = AlgebraSignature(1, 1, 2)

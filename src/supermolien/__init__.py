@@ -1,7 +1,6 @@
 """Exact bigraded invariant-theory computations for supersymmetric algebras."""
 
 from .groups import (
-    LinearCharacter,
     MatrixGroup,
     Permutation,
     PermGroup,
@@ -46,7 +45,6 @@ __all__ = [
     "CollationSpec",
     "GroupAction",
     "InvariantSpaceBasis",
-    "LinearCharacter",
     "MatrixGroup",
     "PermGroup",
     "Permutation",

@@ -14,7 +14,10 @@ matrix group or a permutation group: one enumerator of its labels, behind
 one degree check and one WREATH_CAP check, and one generator set,
 wreath_generators.  The enumerator pairs given row permutations with G^n;
 build_wreath and perm_group_of_wreath are the two realizations of P[G]
-built on it.  Linear characters are stored as +-1 ints.
+built on it.  A linear character is a plain tuple of +-1 ints aligned with
+its group's element order (validate_character).  shuffle_reps enumerates
+the minimal coset representatives of a Young subgroup S_blocks, for any
+number of row blocks.
 """
 
 from __future__ import annotations
@@ -481,27 +484,17 @@ def build_wreath(P: PermGroup, G: MatrixGroup, n: int) -> list[WreathElement]:
     return [WreathElement(sigma, gs) for sigma, gs in _wreath_labels(P.elements, G, n)]
 
 
-@dataclass(frozen=True)
-class LinearCharacter:
-    """One-dimensional character: +-1 values aligned with a group's element order.
-
-    Rational-valued multiplicative characters on a finite group only take
-    the values +1 and -1 (the only finite subgroup of Q* is {+-1}), so the
-    values are ints and chi(g^{-1}) = chi(g).
-    """
-
-    values: tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.values[i]
-
-
-def validate_character(values: Sequence, group) -> LinearCharacter:
-    """Check chi(id) = 1, nonzero values, and chi(e*g) = chi(e)chi(g) for
-    every element e and generator g of `group` (a PermGroup or MatrixGroup).
+def validate_character(values: Sequence, group) -> tuple[int, ...]:
+    """A linear character of `group` (a PermGroup or MatrixGroup) as +-1
+    ints aligned with its element order, after checking chi(id) = 1,
+    nonzero values, and chi(e*g) = chi(e)chi(g) for every element e and
+    generator g.
 
     Every element is a word in the generators, so this is multiplicativity
     on the full product table at |G| * (number of generators) products.
+    Rational-valued multiplicative characters of a finite group only take
+    the values +1 and -1 (the only finite subgroup of Q* is {+-1}), so the
+    values are ints and chi(g^{-1}) = chi(g).
     """
     vals = tuple(Fraction(v) for v in values)
     if len(vals) != len(group.elements):
@@ -515,11 +508,7 @@ def validate_character(values: Sequence, group) -> LinearCharacter:
         for j in gens:
             if vals[group.product_index(i, j)] != vals[i] * vals[j]:
                 raise ValueError(f"character is not multiplicative at pair ({i}, {j})")
-    return LinearCharacter(tuple(int(v) for v in vals))
-
-
-def trivial_character(order: int) -> LinearCharacter:
-    return LinearCharacter((1,) * order)
+    return tuple(int(v) for v in vals)
 
 
 def _wreath_point_perm(sigma: Permutation, gs: Sequence[Permutation], n: int, r: int) -> Permutation:
@@ -544,25 +533,40 @@ def perm_group_of_wreath(P: PermGroup, G_perm: PermGroup, n: int) -> PermGroup:
     return PermGroup(n * r, elements, generators)
 
 
-@cache
-def shuffle_reps(a: int, b: int) -> tuple[Permutation, ...]:
-    """Minimal-length coset representatives for S_{(a,b)} in S_{a+b}.
+def shuffle_count(blocks: Sequence[int]) -> int:
+    """The number of minimal coset representatives of S_blocks in S_n,
+    n = sum(blocks): the multinomial n! / prod(b!)."""
+    return math.factorial(sum(blocks)) // math.prod(map(math.factorial, blocks))
 
-    For each size-a subset S of positions in lex order, values 1..a are
-    placed on S increasingly and values a+1..a+b on the complement
-    increasingly.  Each rep is increasing on both value blocks.  Built once
-    per (a, b), after the count C(a+b, a) is checked against WREATH_CAP.
+
+@cache
+def shuffle_reps(*blocks: int) -> tuple[Permutation, ...]:
+    """Minimal-length coset representatives for the Young subgroup
+    S_blocks in S_n, n = sum(blocks).
+
+    Block by block, the block's values are placed increasingly on each
+    lex combination of the positions still free; the last block takes the
+    rest.  Each rep is increasing on every value block.  For blocks (a, b)
+    that is: for each size-a subset S of positions in lex order, values
+    1..a on S and a+1..a+b on the complement.  Built once per blocks,
+    after shuffle_count(blocks) is checked against WREATH_CAP.
     """
-    n = a + b
-    if math.comb(n, a) > WREATH_CAP:
-        raise CapExceeded(f"shuffle of ({a}, {b}) rows has {math.comb(n, a)} representatives, cap is {WREATH_CAP}")
+    count = shuffle_count(blocks)
+    if count > WREATH_CAP:
+        raise CapExceeded(f"shuffle of {blocks} rows has {count} representatives, cap is {WREATH_CAP}")
+    n = sum(blocks)
+    # the positions of values 1, 2, .. in order, block by block
+    placements: list[tuple[int, ...]] = [()]
+    for size in blocks:
+        placements = [
+            done + chosen
+            for done in placements
+            for chosen in itertools.combinations([p for p in range(n) if p not in done], size)
+        ]
     reps = []
-    for subset in itertools.combinations(range(1, n + 1), a):
+    for done in placements:
         word = [0] * n
-        rest = [p for p in range(1, n + 1) if p not in subset]
-        for value, pos in enumerate(subset, start=1):
-            word[pos - 1] = value
-        for value, pos in enumerate(rest, start=a + 1):
-            word[pos - 1] = value
+        for value, pos in enumerate(done, start=1):
+            word[pos] = value
         reps.append(Permutation(word))
     return tuple(reps)

@@ -1,21 +1,23 @@
 """Exact bigraded Hilbert series of invariants, two independent ways.
 
-Every label w acts by one matrix per graded part, M0(w) on the even and
-M1(w) on the odd variables, read from WreathElement.columns by both routes.
-The Molien route averages det(I + u*M1)/det(I - q*M0) over the labels with
-character weights chi(w^{-1}).  The oracle route never looks at Molien: it
-projects every bidegree-basis monomial through the Reynolds operator, the
-average of the substitutions by the same matrices, and takes the exact rank
-of the resulting rows.  Since R(w.f) = chi(w) R(f), a label mapping m to a
-single term c*m' gives R(m') = chi(w)/c R(m), so the labels are walked once
-per orbit of monomials, not once per monomial.  Each walk is one call of
-the weighted label sum of superalgebra, with weights chi(w): it maps the
-orbit's representative, with coefficient 1, through every label's compiled
-substitution, builds no polynomial per label, and sums chi(w)*c as ints
-(Fractions only for non-integral c); the sum is divided by |W| once, as in
-super_molien.  The rows go to the integer Bareiss kernel as sparse
-(position, value) pairs.  molien_vs_oracle compares the two routes
-coefficient by coefficient.
+A GroupAction is its labels as (chi(w), w) pairs, chi the +-1 linear
+character selecting the isotypic component, and both routes read those
+pairs.  Every label w acts by one matrix per graded part, M0(w) on the even
+and M1(w) on the odd variables, read from WreathElement.columns by both
+routes.  The Molien route averages det(I + u*M1)/det(I - q*M0) over the
+pairs with weights chi(w^{-1}) = chi(w).  The oracle route never looks at
+Molien: it projects every bidegree-basis monomial through the Reynolds
+operator, the average of the substitutions by the same matrices, and takes
+the exact rank of the resulting rows.  Since R(w.f) = chi(w) R(f), a label
+mapping m to a single term c*m' gives R(m') = chi(w)/c R(m), so the labels
+are walked once per orbit of monomials, not once per monomial.  Each walk
+is one call of the weighted label sum of superalgebra over the action's
+pairs: it maps the orbit's representative, with coefficient 1, through
+every label's compiled substitution, builds no polynomial per label, and
+sums chi(w)*c as ints (Fractions only for non-integral c); the sum is
+divided by |W| once, as in super_molien.  The rows go to the integer
+Bareiss kernel as sparse (position, value) pairs.  molien_vs_oracle
+compares the two routes coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Sequence
 
 from .errors import BasisTooLarge, SignatureMismatch
 from .groups import (
-    LinearCharacter,
     MatrixGroup,
     PermGroup,
     Permutation,
@@ -34,7 +35,6 @@ from .groups import (
     build_wreath,
     matrix_group_to_perm_group,
     perm_sign,
-    trivial_character,
     validate_character,
     wreath_sign,
 )
@@ -63,21 +63,21 @@ def require_flavor(flavor: str) -> None:
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A finite group acting on n rows of (r0, r1) variables, with a +-1
-    linear character selecting the isotypic component to count.
+    """A finite group acting on n rows of (r0, r1) variables, as
+    (chi(w), w) pairs: each label w weighted by the +-1 value of the linear
+    character selecting the isotypic component to count.
 
-    The Molien average is defined for any list of labels.  The Reynolds
+    The Molien average is defined for any set of pairs.  The Reynolds
     route needs labels that form a group, each element listed once, with
     the character a homomorphism on it: the projector and its orbit
     sharing rest on R(w.f) = chi(w) R(f)."""
 
     signature: AlgebraSignature
-    labels: tuple[WreathElement, ...]
-    character: LinearCharacter
+    pairs: tuple[tuple[int, WreathElement], ...]
 
     @property
     def order(self) -> int:
-        return len(self.labels)
+        return len(self.pairs)
 
     @staticmethod
     def from_matrix_group(G: MatrixGroup, character="trivial") -> "GroupAction":
@@ -90,14 +90,13 @@ class GroupAction:
         """
         sig = AlgebraSignature(G.r0, G.r1, 1)
         ident = Permutation.identity(1)
-        labels = tuple(WreathElement(ident, (g,)) for g in G.elements)
         if character == "trivial":
-            chi = trivial_character(G.order)
+            chi = (1,) * G.order
         elif character == "sgn":
             chi = validate_character(_matrix_group_sgn_values(G), G)
         else:
             chi = validate_character(character, G)
-        return GroupAction(sig, labels, chi)
+        return GroupAction(sig, tuple((c, WreathElement(ident, (g,))) for c, g in zip(chi, G.elements)))
 
     @staticmethod
     def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant") -> "GroupAction":
@@ -105,12 +104,8 @@ class GroupAction:
         flavor "antiinvariant" weights by sgn(sigma)."""
         require_flavor(flavor)
         sig = AlgebraSignature(G.r0, G.r1, n)
-        labels = tuple(build_wreath(P, G, n))
-        if flavor == "invariant":
-            chi = trivial_character(len(labels))
-        else:
-            chi = LinearCharacter(tuple(wreath_sign(w) for w in labels))
-        return GroupAction(sig, labels, chi)
+        signed = flavor == "antiinvariant"
+        return GroupAction(sig, tuple((wreath_sign(w) if signed else 1, w) for w in build_wreath(P, G, n)))
 
 
 def _matrix_group_sgn_values(G: MatrixGroup) -> list[int]:
@@ -155,19 +150,18 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
     if du is None:
         du = sig.num_odd
     total: dict[Key, int | Fraction] = {}
-    for i, w in enumerate(action.labels):
-        chi = action.character(i)
+    for chi, w in action.pairs:
         for key, c in _label_table(w, dq, du).items():
             total[key] = total.get(key, 0) + chi * c
     return TrigradedSeries(Caps(0, dq, du), {k: Fraction(c) / action.order for k, c in total.items()})
 
 
 def _label_average(action: GroupAction, terms: dict, reached: dict | None = None) -> SuperPolynomial:
-    """(1/|W|) sum over w of chi(w) w.f, f given by its terms: the
-    character-weighted label sum, divided by |W| once (reached as in
+    """(1/|W|) sum over w of chi(w) w.f, f given by its terms: the label
+    sum over the action's pairs, divided by |W| once (reached as in
     superalgebra._label_sum)."""
     sig = action.signature
-    acc = _label_sum(sig, zip(action.character.values, action.labels), terms, reached)
+    acc = _label_sum(sig, action.pairs, terms, reached)
     order = action.order
     return SuperPolynomial._canonical(sig, {m: Fraction(c, order) for m, c in acc.items() if c})
 

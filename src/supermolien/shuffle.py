@@ -2,24 +2,26 @@
 
 An invariant on a rows times an invariant on b rows is multiplied after
 shifting the second factor's rows past the first, then symmetrized over the
-minimal coset representatives of the two row blocks.  Each representative
-is a label whose row blocks are all the identity, so the symmetrization is
-the weighted label sum of superalgebra over those labels, weighted by sign
-for the signed product; the labels are compiled once per block sizes and
-signature.  The resulting product closes on the (anti)invariant spaces, is
-associative, supercommutes on degree-one elements with signs governed by
-theta-degree parity, and generates everything in sight from degree one.
-Each of those claims has a verifier here; none of them consults the
-Hilbert series machinery.
+minimal coset representatives of the two row blocks (three blocks for the
+one-shot triple product).  Each representative is a label whose row blocks
+are all the identity, so the symmetrization is the weighted label sum of
+superalgebra over (weight, label) pairs, weighted by sign for the signed
+product; the pairs are built and compiled once per block sizes, signature
+and sign.  The (anti)invariance checks use the same sum: f is fixed by a
+generator pair when weight * (w.f) == f, the weight being the generator's
+sign for the antiinvariant flavor.  The resulting product closes on the
+(anti)invariant spaces, is associative, supercommutes on degree-one
+elements with signs governed by theta-degree parity, and generates
+everything in sight from degree one.  Each of those claims has a verifier
+here; none of them consults the Hilbert series machinery.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 from .errors import CapExceeded, NotHomogeneous, SignatureMismatch, SuperMolienError
 from .groups import (
@@ -27,9 +29,9 @@ from .groups import (
     GradedGroupElement,
     MatrixGroup,
     PermGroup,
-    Permutation,
     WreathElement,
     perm_sign,
+    shuffle_count,
     shuffle_reps,
     symmetric_generators,
     wreath_generators,
@@ -40,14 +42,12 @@ from .molien import (
     _projector_rows,
     invariant_dimension_bruteforce,
     require_flavor,
-    reynolds_project,
 )
 from .superalgebra import (
     AlgebraSignature,
     SuperMonomial,
     SuperPolynomial,
     _label_sum,
-    apply_wreath,
     bidegree_basis,
     coefficient_vector,
     super_mul,
@@ -68,7 +68,6 @@ __all__ = [
     "theorem3_check",
     "closure_battery",
     "random_super_polynomial",
-    "reynolds_project",
 ]
 
 
@@ -87,25 +86,35 @@ def shift_rows(f: SuperPolynomial, offset: int, n_out: int) -> SuperPolynomial:
 
 
 @cache
-def _coset_labels(blocks: tuple[int, ...], r0: int, r1: int) -> tuple[tuple[int, WreathElement], ...]:
-    """The minimal coset representatives of two or three row blocks as
-    (sign, label) pairs, each label's row blocks all the identity; built and
-    compiled once per (blocks, r0, r1), after their count times the rows is
-    checked against WREATH_CAP."""
+def _coset_labels(
+    blocks: tuple[int, ...], r0: int, r1: int, signed: bool
+) -> tuple[tuple[int, WreathElement], ...]:
+    """The minimal coset representatives of the row blocks as (weight,
+    label) pairs, each label's row blocks all the identity, weighted by
+    sign when signed.  The labels are built and compiled once per (blocks,
+    r0, r1), after their count times the rows is checked against
+    WREATH_CAP; the signed pairs reuse the unsigned ones' labels."""
+    if signed:
+        return tuple((perm_sign(w.sigma), w) for _, w in _coset_labels(blocks, r0, r1, False))
     n = sum(blocks)
-    count = math.factorial(n) // math.prod(map(math.factorial, blocks))
+    count = shuffle_count(blocks)
     if count * n > WREATH_CAP:
         raise CapExceeded(f"shuffle of {blocks} rows needs {count} labels of {n} rows, cap is {WREATH_CAP}")
-    reps = shuffle_reps(*blocks) if len(blocks) == 2 else _three_block_reps(*blocks)
     ident = (GradedGroupElement.identity(r0, r1),) * n
-    return tuple((perm_sign(sigma), WreathElement(sigma, ident)) for sigma in reps)
+    return tuple((1, WreathElement(sigma, ident)) for sigma in shuffle_reps(*blocks))
 
 
-def _symmetrize(core: SuperPolynomial, blocks: tuple[int, ...], signed: bool) -> SuperPolynomial:
-    """The label sum of core over the coset labels of its row blocks,
-    weighted by sign when signed: the sum of core's row relabelings."""
-    labels = _coset_labels(blocks, core.sig.r0, core.sig.r1)
-    pairs = labels if signed else [(1, w) for _, w in labels]
+def _shuffle(factors: tuple[SuperPolynomial, ...], signed: bool) -> SuperPolynomial:
+    """Shift each factor's rows past the previous ones, multiply, and sum
+    the product over the coset labels of the row blocks."""
+    sig = factors[0].sig
+    if any((f.sig.r0, f.sig.r1) != (sig.r0, sig.r1) for f in factors):
+        raise SignatureMismatch(f"factor signatures {' and '.join(str(f.sig) for f in factors)} disagree")
+    blocks = tuple(f.sig.n for f in factors)
+    n = sum(blocks)
+    offsets = itertools.accumulate(blocks, initial=0)
+    core = reduce(super_mul, [shift_rows(f, offset, n) for f, offset in zip(factors, offsets)])
+    pairs = _coset_labels(blocks, sig.r0, sig.r1, signed)
     return SuperPolynomial._canonical(core.sig, _label_sum(core.sig, pairs, core.terms))
 
 
@@ -116,32 +125,7 @@ def shuffle_product(A: SuperPolynomial, B: SuperPolynomial, signed: bool = False
     summed over the minimal representatives of the (a, b) row blocks; the
     signed variant weights each representative by its sign.
     """
-    if (A.sig.r0, A.sig.r1) != (B.sig.r0, B.sig.r1):
-        raise SignatureMismatch(f"factor signatures {A.sig} and {B.sig} disagree")
-    a, b = A.sig.n, B.sig.n
-    n = a + b
-    core = super_mul(shift_rows(A, 0, n), shift_rows(B, a, n))
-    return _symmetrize(core, (a, b), signed)
-
-
-def _three_block_reps(a: int, b: int, c: int) -> list[Permutation]:
-    """Permutations whose inverse is increasing on each of the three value
-    blocks 1..a, a+1..a+b, a+b+1..a+b+c, by brute filter over all n!
-    permutations, n! checked against WREATH_CAP first."""
-    n = a + b + c
-    scanned = math.factorial(n)
-    if scanned > WREATH_CAP:
-        raise CapExceeded(f"shuffle of ({a}, {b}, {c}) rows scans {scanned} permutations, cap is {WREATH_CAP}")
-    bounds = [(1, a), (a + 1, a + b), (a + b + 1, n)]
-    out = []
-    for images in itertools.permutations(range(1, n + 1)):
-        sigma = Permutation(images)
-        inv = sigma.inverse()
-        if all(
-            inv(v) < inv(v + 1) for lo, hi in bounds for v in range(lo, hi)
-        ):
-            out.append(sigma)
-    return out
+    return _shuffle((A, B), signed)
 
 
 def triple_shuffle(
@@ -149,14 +133,7 @@ def triple_shuffle(
 ) -> SuperPolynomial:
     """One-shot three-block shuffle; the common value of both associativity
     bracketings, computed from its own set of representatives."""
-    if not ((A.sig.r0, A.sig.r1) == (B.sig.r0, B.sig.r1) == (C.sig.r0, C.sig.r1)):
-        raise SignatureMismatch("factor signatures disagree")
-    a, b, c = A.sig.n, B.sig.n, C.sig.n
-    n = a + b + c
-    core = super_mul(
-        super_mul(shift_rows(A, 0, n), shift_rows(B, a, n)), shift_rows(C, a + b, n)
-    )
-    return _symmetrize(core, (a, b, c), signed)
+    return _shuffle((A, B, C), signed)
 
 
 @dataclass(frozen=True)
@@ -192,29 +169,25 @@ def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
     return InvariantSpaceBasis(action, i, j, tuple(kept))
 
 
-def _wreath_generator_labels(n: int, G: MatrixGroup) -> list[tuple[WreathElement, int]]:
-    """Generators of S_n[G] on n rows, paired with the sign of their row
-    permutation."""
-    return [
-        (WreathElement(sigma, gs), perm_sign(sigma))
+def _wreath_generator_labels(n: int, G: MatrixGroup, flavor: str) -> tuple[tuple[int, WreathElement], ...]:
+    """Generators of S_n[G] on n rows as (weight, label) pairs, weighted by
+    the sign of their row permutation for the antiinvariant flavor."""
+    signed = flavor == "antiinvariant"
+    return tuple(
+        (perm_sign(sigma) if signed else 1, WreathElement(sigma, gs))
         for sigma, gs in wreath_generators(symmetric_generators(n), G, n)
-    ]
+    )
 
 
-def _fixed_by(f: SuperPolynomial, labels: list[tuple[WreathElement, int]], flavor: str) -> bool:
-    """True iff every generator label fixes f, or for the antiinvariant
-    flavor twists it by the label's sign."""
-    if flavor == "antiinvariant":
-        negated = SuperPolynomial._canonical(f.sig, {m: -c for m, c in f.terms.items()})
-    else:
-        negated = f
-    return all(apply_wreath(w, f) == (f if s == 1 else negated) for w, s in labels)
+def _fixed_by(f: SuperPolynomial, pairs: tuple[tuple[int, WreathElement], ...]) -> bool:
+    """True iff weight * (w.f) == f for every (weight, label) pair."""
+    return all(SuperPolynomial._canonical(f.sig, _label_sum(f.sig, (pair,), f.terms)) == f for pair in pairs)
 
 
 def is_wreath_invariant(f: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant") -> bool:
     """True iff every wreath generator fixes f (or sign-twists it)."""
     require_flavor(flavor)
-    return _fixed_by(f, _wreath_generator_labels(f.sig.n, G), flavor)
+    return _fixed_by(f, _wreath_generator_labels(f.sig.n, G, flavor))
 
 
 def verify_closure(
@@ -225,13 +198,13 @@ def verify_closure(
     built once per row count."""
     require_flavor(flavor)
     a, b = A.sig.n, B.sig.n
-    labels = {n: _wreath_generator_labels(n, G) for n in {a, b, a + b}}
-    if not _fixed_by(A, labels[a], flavor):
+    labels = {n: _wreath_generator_labels(n, G, flavor) for n in {a, b, a + b}}
+    if not _fixed_by(A, labels[a]):
         raise ValueError("left factor is not (anti)invariant for its row count")
-    if not _fixed_by(B, labels[b], flavor):
+    if not _fixed_by(B, labels[b]):
         raise ValueError("right factor is not (anti)invariant for its row count")
     prod = shuffle_product(A, B, signed=(flavor == "antiinvariant"))
-    return _fixed_by(prod, labels[a + b], flavor)
+    return _fixed_by(prod, labels[a + b])
 
 
 def verify_associativity(
@@ -352,7 +325,7 @@ def closure_battery(G: MatrixGroup, flavor: str, max_rows: int, max_i: int) -> t
     """
     require_flavor(flavor)
     signed = flavor == "antiinvariant"
-    labels = {rows: _wreath_generator_labels(rows, G) for rows in range(1, max_rows + 1)}
+    labels = {rows: _wreath_generator_labels(rows, G, flavor) for rows in range(1, max_rows + 1)}
     actions: dict[int, GroupAction] = {}
     bases: dict[tuple[int, int, int], tuple[SuperPolynomial, ...]] = {}
 
@@ -362,7 +335,7 @@ def closure_battery(G: MatrixGroup, flavor: str, max_rows: int, max_i: int) -> t
             if rows not in actions:
                 actions[rows] = GroupAction.from_wreath(PermGroup.symmetric(rows), G, rows, flavor=flavor)
             elements = invariant_basis(actions[rows], bi, bj).elements
-            if not all(_fixed_by(f, labels[rows], flavor) for f in elements):
+            if not all(_fixed_by(f, labels[rows]) for f in elements):
                 raise ValueError(f"basis element in bidegree ({bi},{bj}) on {rows} rows is not {flavor}")
             bases[key] = elements
         return bases[key]
@@ -379,7 +352,7 @@ def closure_battery(G: MatrixGroup, flavor: str, max_rows: int, max_i: int) -> t
                                 for B in basis_for(b, ib, jb):
                                     checked += 1
                                     prod = shuffle_product(A, B, signed)
-                                    if not _fixed_by(prod, labels[a + b], flavor):
+                                    if not _fixed_by(prod, labels[a + b]):
                                         failed += 1
     return checked, failed
 

@@ -10,9 +10,9 @@ another symmetric function scales every part by r).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .groups import LinearCharacter, PermGroup, cycle_type, perm_sign
+from .groups import PermGroup, cycle_type, perm_sign
 from .rationals import format_rational, parse_rational
 from .series import TrigradedSeries, scale_exponents, series_add, series_mul, series_scale
 
@@ -124,12 +124,13 @@ class SymFuncPoly:
         return SymFuncPoly(terms)
 
 
-def cycle_index(P: PermGroup, flavor: str = "plain", character: LinearCharacter | None = None) -> SymFuncPoly:
+def cycle_index(P: PermGroup, flavor: str = "plain", character: Sequence[int] | None = None) -> SymFuncPoly:
     """(1/|P|) sum over sigma of weight(sigma) p_{cycle type of sigma}.
 
     flavor selects the weight: "plain" uses 1, "sgn" uses sgn(sigma), and
     "character" uses chi(sigma^{-1}) = chi(sigma) for the supplied linear
-    character.
+    character, +-1 values aligned with P's element order (as returned by
+    groups.validate_character).
     """
     if flavor == "character":
         if character is None:
@@ -143,7 +144,7 @@ def cycle_index(P: PermGroup, flavor: str = "plain", character: LinearCharacter 
         elif flavor == "sgn":
             w = Fraction(perm_sign(sigma))
         else:
-            w = character(idx)
+            w = character[idx]
         lam = cycle_type(sigma)
         acc[lam] = acc.get(lam, Fraction(0)) + w
     inv_order = Fraction(1, P.order)

@@ -24,7 +24,6 @@ from .groups import (
     WreathElement,
     _wreath_labels,
     require_degree,
-    trivial_character,
 )
 from .linalg import QMatrix, assemble_blocks, qmatrix_det
 from .molien import FLAVORS, GroupAction, require_flavor, super_molien
@@ -225,8 +224,8 @@ def verify_m_cycle_identity(G: MatrixGroup, m: int, dq: int, du: int | None = No
     cyc = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
     # one fixed cycle times G^m is a coset, not a group: this action is for
     # the Molien average only, never for the Reynolds route
-    labels = tuple(WreathElement(sigma, gs) for sigma, gs in _wreath_labels((cyc,), G, m))
-    cycle_labels = GroupAction(AlgebraSignature(G.r0, G.r1, m), labels, trivial_character(len(labels)))
+    pairs = tuple((1, WreathElement(sigma, gs)) for sigma, gs in _wreath_labels((cyc,), G, m))
+    cycle_labels = GroupAction(AlgebraSignature(G.r0, G.r1, m), pairs)
     lhs = super_molien(cycle_labels, dq, du)
     hg = super_molien(GroupAction.from_matrix_group(G), dq, du)
     if m % 2 == 0:

@@ -3,16 +3,29 @@
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 # Property tests draw the same examples on every run and keep no example
 # database; each test keeps its own max_examples.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+def pytest_configure(config):
+    """Hypothesis caches the literals it parses from source files under its
+    home directory even without an example database, starting while the
+    test modules are collected; the cache goes to a temporary directory
+    that lives as long as the pytest session, so a run leaves the working
+    directory as it found it."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 @dataclass(frozen=True)

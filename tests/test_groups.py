@@ -308,7 +308,7 @@ def _generator_verdict(values, group) -> bool:
         chi = validate_character([Fraction(v) for v in values], group)
     except ValueError:
         return False
-    assert chi.values == tuple(values) and all(type(v) is int for v in chi.values)
+    assert chi == tuple(values) and all(type(v) is int for v in chi)
     return True
 
 
@@ -379,16 +379,21 @@ def test_shuffle_reps_1_2_frozen_list():
     assert words == ["123", "213", "231"]
 
 
-@given(st.integers(0, 3), st.integers(0, 3))
-def test_shuffle_reps_count_and_block_monotonicity(a, b):
-    reps = shuffle_reps(a, b)
-    assert len(reps) == math.comb(a + b, a)
+@given(st.integers(0, 3), st.integers(0, 3), st.one_of(st.none(), st.integers(0, 3)))
+@example(3, 3, 3)
+def test_shuffle_reps_count_and_block_monotonicity(a, b, c):
+    blocks = (a, b) if c is None else (a, b, c)
+    n = sum(blocks)
+    reps = shuffle_reps(*blocks)
+    assert len(reps) == math.factorial(n) // math.prod(math.factorial(k) for k in blocks)
     assert len(set(reps)) == len(reps)
+    starts = [sum(blocks[:k]) + 1 for k in range(len(blocks))]
     for p in reps:
+        assert p.n == n
         inv = p.inverse()
         # positions of each value block ascend
-        assert all(inv(v) < inv(v + 1) for v in range(1, a) if a > 1)
-        assert all(inv(v) < inv(v + 1) for v in range(a + 1, a + b) if b > 1)
+        for start, size in zip(starts, blocks):
+            assert all(inv(v) < inv(v + 1) for v in range(start, start + size - 1))
 
 
 def test_shuffle_reps_refuses_past_the_cap_before_enumerating():

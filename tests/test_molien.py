@@ -20,7 +20,6 @@ from supermolien.groups import (
     MatrixGroup,
     PermGroup,
     build_wreath,
-    trivial_character,
     wreath_mul,
 )
 from supermolien.linalg import _charpoly_rows, assemble_blocks, charpoly_det
@@ -154,7 +153,7 @@ def test_reynolds_is_idempotent_and_invariant():
         f = SuperPolynomial.monomial(sig, mono)
         proj = reynolds_project(act, f)
         assert reynolds_project(act, proj) == proj
-        for w in act.labels:
+        for _, w in act.pairs:
             assert apply_wreath(w, proj) == proj
 
 
@@ -164,9 +163,8 @@ def test_reynolds_sgn_projects_to_antiinvariants():
     f = SuperPolynomial.x_var(sig, 1, 1)
     proj = reynolds_project(act, f)
     # x1 projects to (x1 - x2)/2, which each swap negates
-    for i in range(act.order):
-        chi = act.character(i)
-        assert apply_wreath(act.labels[i], proj) == proj.scale(chi)
+    for chi, w in act.pairs:
+        assert apply_wreath(w, proj) == proj.scale(chi)
 
 
 ORBIT_SHARING_CASES = verify.MOLIEN_FIXTURES + (
@@ -269,7 +267,7 @@ def test_block_matrices_layout_for_swap_label():
     # find the label (swap, (id, -1))
     from supermolien.groups import Permutation
 
-    for w in act.labels:
+    for _, w in act.pairs:
         if w.sigma == Permutation([2, 1]) and w.gs[0].g0.get(0, 0) == 1 and w.gs[1].g0.get(0, 0) == -1:
             # g_1 = +1 sits at block (sigma^{-1}(1), 1) = (2, 1), g_2 = -1 at (1, 2)
             assert w.columns[0] == [[(1, 1)], [(0, -1)]]
@@ -304,8 +302,8 @@ def test_label_molien_term_matches_trivariate_inversion(gname, n):
     action = GroupAction.from_wreath(PermGroup.symmetric(n), matrix_group_fixture(gname), n)
     sig = action.signature
     for caps in (Caps(0, 8, sig.num_odd), Caps(0, 3, 1)):
-        for w in action.labels:
-            one_label = GroupAction(sig, (w,), trivial_character(1))
+        for _, w in action.pairs:
+            one_label = GroupAction(sig, ((1, w),))
             m0, m1 = dense_label_matrices(w)
             num = TrigradedSeries(
                 caps, {(0, 0, j): (-1) ** j * c for j, c in enumerate(charpoly_det(m1)) if j <= caps.u}
@@ -322,7 +320,7 @@ def test_label_rows_charpoly_matches_dense(gname, n):
     # unlike denominators.
     G = named_group(gname)
     action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n)
-    for w in action.labels:
+    for _, w in action.pairs:
         for columns, dense in zip(w.columns, dense_label_matrices(w)):
             assert columns == dense_columns(dense)
             assert _charpoly_rows(columns) == charpoly_det(dense)

@@ -182,11 +182,11 @@ def test_shuffle_product_is_signed_relabel_sum(r0, r1):
 
 
 def test_shuffle_work_is_refused_before_it_starts():
-    # 3 + 3 + 3 rows would scan 9! permutations for the three-block
-    # representatives; 8 + 8 rows would compile C(16, 8) labels of 16 rows
-    one3 = SuperPolynomial.one(AlgebraSignature(1, 1, 3))
-    with pytest.raises(CapExceeded, match=r"\(3, 3, 3\) rows scans 362880 permutations, cap is 200000"):
-        triple_shuffle(one3, one3, one3)
+    # 5 + 5 + 5 rows would compile 15! / (5!)^3 labels of 15 rows; 8 + 8
+    # rows would compile C(16, 8) labels of 16 rows
+    one5 = SuperPolynomial.one(AlgebraSignature(1, 1, 5))
+    with pytest.raises(CapExceeded, match=r"\(5, 5, 5\) rows needs 756756 labels of 15 rows, cap is 200000"):
+        triple_shuffle(one5, one5, one5)
     one8 = SuperPolynomial.one(AlgebraSignature(1, 1, 8))
     with pytest.raises(CapExceeded, match=r"\(8, 8\) rows needs 12870 labels of 16 rows, cap is 200000"):
         shuffle_product(one8, one8)
@@ -265,9 +265,9 @@ def test_verify_closure_builds_generator_labels_once_per_row_count(monkeypatch):
     built = []
     generator_labels = shuffle_module._wreath_generator_labels
 
-    def counted(n, G):
+    def counted(n, G, flavor):
         built.append(n)
-        return generator_labels(n, G)
+        return generator_labels(n, G, flavor)
 
     monkeypatch.setattr(shuffle_module, "_wreath_generator_labels", counted)
     assert verify_closure(a, a, G, "invariant")
@@ -352,6 +352,13 @@ def test_associativity_unit_and_seeded():
             assert verify_associativity(A, B, C, signed)
             left = shuffle_product(shuffle_product(A, B, signed), C, signed)
             assert left == triple_shuffle(A, B, C, signed)
+    # three blocks of 3 rows: 1,680 coset labels, where a filter over all 9!
+    # permutations of the rows would pass WREATH_CAP
+    A, B, C = (random_super_polynomial(rng, AlgebraSignature(1, 1, 3)) for _ in range(3))
+    for signed in (False, True):
+        left = shuffle_product(shuffle_product(A, B, signed), C, signed)
+        assert not left.is_zero()
+        assert left == triple_shuffle(A, B, C, signed)
 
 
 def test_supercommutation_parity_table_one_column():

@@ -18,7 +18,6 @@ from supermolien.groups import (
     build_wreath,
     MatrixGroup,
     PermGroup,
-    trivial_character,
     wreath_mul,
 )
 from supermolien.linalg import QMatrix, qmatrix_det
@@ -523,7 +522,7 @@ def test_wreath_apply_rejects_wrong_rows_and_block_shapes():
     with pytest.raises(DimensionMismatch):
         apply_wreath(wide, SuperPolynomial.x_var(AlgebraSignature(1, 1, 1), 1, 1))
     # the Reynolds loop checks each label the same way
-    action = GroupAction(two_rows, (mixed,), trivial_character(1))
+    action = GroupAction(two_rows, ((1, mixed),))
     with pytest.raises(DimensionMismatch):
         reynolds_project(action, f)
 

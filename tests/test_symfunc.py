@@ -13,7 +13,6 @@ from supermolien.groups import (
     Permutation,
     perm_group_of_wreath,
     perm_sign,
-    trivial_character,
     validate_character,
 )
 from supermolien.series import Caps, TrigradedSeries, series_inv, series_mul
@@ -130,7 +129,8 @@ def test_character_validation_rejects_zero_and_bad_identity():
 def test_sgn_character_is_valid():
     for P in [PermGroup.symmetric(2), PermGroup.symmetric(3), PermGroup.young([2, 1])]:
         chi = validate_character([perm_sign(p) for p in P.elements], P)
-        assert chi.values[P.identity_index] == 1
+        assert chi == tuple(perm_sign(p) for p in P.elements) and all(type(v) is int for v in chi)
+        assert chi[P.identity_index] == 1
 
 
 def test_omega_swaps_plain_and_sgn_cycle_index():

@@ -8,7 +8,7 @@ import pytest
 from supermolien import wreath_series
 from supermolien.errors import CapExceeded, DimensionMismatch
 from supermolien.fixtures import matrix_group_fixture, perm_group_fixture, sign_scalar_group
-from supermolien.groups import MatrixGroup, PermGroup, Permutation, WreathElement, trivial_character
+from supermolien.groups import MatrixGroup, PermGroup, Permutation, WreathElement
 from supermolien.linalg import QMatrix, qmatrix_det
 from supermolien.molien import GroupAction, super_molien
 from supermolien.series import (
@@ -258,8 +258,8 @@ def test_m_cycle_sum_frozen_value():
     G = matrix_group_fixture("s2-theta")
     caps = Caps(0, 4, 2)
     cyc = Permutation.from_cycles(2, [(1, 2)])
-    labels = tuple(WreathElement(cyc, (g1, g2)) for g1 in G.elements for g2 in G.elements)
-    fixed_cycle = GroupAction(AlgebraSignature(G.r0, G.r1, 2), labels, trivial_character(4))
+    pairs = tuple((1, WreathElement(cyc, (g1, g2))) for g1 in G.elements for g2 in G.elements)
+    fixed_cycle = GroupAction(AlgebraSignature(G.r0, G.r1, 2), pairs)
     lhs = super_molien(fixed_cycle, caps.q, caps.u)
     one = TrigradedSeries.one(caps)
     u2 = TrigradedSeries.monomial(caps, (0, 0, 2))
