@@ -3,11 +3,12 @@
 A graded group element carries two matrices, g0 acting on the r0 commuting
 variables and g1 on the r1 anticommuting ones.  Wreath elements are labels
 (sigma, (g_1..g_n)); each acts on the n rows by one block matrix per graded
-part, WreathElement.columns, which the Molien route reads and which
-WreathElement.substitution compiles, once per label, for the substitution
-in the supercommutative-algebra layer.  The product law
-is chosen so that applying w1 * w2 equals applying w2's substitution first
-and then w1's.
+part, WreathElement.columns, built by offsetting the sparse columns each
+graded element holds once (GradedGroupElement.columns).  The Molien route
+reads it, and WreathElement.substitution compiles it, once per label, for
+the substitution in the supercommutative-algebra layer.  The product law is
+chosen so that applying w1 * w2 equals applying w2's substitution first and
+then w1's.
 
 This module is the one presentation of the wreath product P[G], for G a
 matrix group or a permutation group: one enumerator of its labels, behind
@@ -163,6 +164,20 @@ class GradedGroupElement:
 
     def sort_key(self):
         return (self.g0.entries, self.g1.entries)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[tuple[int, int | Fraction], ...], ...], ...]:
+        """g0 and g1 column by column: column c holds the nonzero (row,
+        entry) pairs of column c, integral entries as ints.  Computed once
+        per element object, as tuples since every label holding the element
+        shares them; not a dataclass field, so it takes no part in equality
+        or hashing."""
+        parts = []
+        for m in (self.g0, self.g1):
+            entries = [x.numerator if x.denominator == 1 else x for x in m.entries]
+            r = m.ncols
+            parts.append(tuple(tuple((i, x) for i, x in enumerate(entries[c::r]) if x) for c in range(r)))
+        return tuple(parts)
 
 
 def _bfs_closure(identity, generators, cap, multiply):
@@ -365,18 +380,21 @@ class WreathElement:
         """The label's matrix on the even and on the odd variables, column
         by column.  Variable (i, c) has index (i-1)*r + c-1, and its column
         holds the nonzero (index, coefficient) pairs of its image,
-        sum_{c'} g_i[c', c] * (sigma^{-1}(i), c'); integral coefficients are
-        ints.  Computed once per label object; not a dataclass field, so it
-        takes no part in equality or hashing."""
+        sum_{c'} g_i[c', c] * (sigma^{-1}(i), c'): column c of g_i, read
+        from GradedGroupElement.columns with each row c' offset to row
+        sigma^{-1}(i).  Integral coefficients are ints.  Computed once per
+        label object; not a dataclass field, so it takes no part in
+        equality or hashing."""
         parts = []
-        for blocks in ([g.g0 for g in self.gs], [g.g1 for g in self.gs]):
-            r = blocks[0].ncols if blocks else 0
+        for part in range(2):
+            blocks = [g.columns[part] for g in self.gs]
+            r = len(blocks[0]) if blocks else 0
             cols: list = [None] * (len(blocks) * r)
             for b, i in enumerate(self.sigma.images):
                 # the variables of row i = sigma(b + 1) land in row b + 1
-                entries = [x.numerator if x.denominator == 1 else x for x in blocks[i - 1].entries]
-                for c in range(r):
-                    cols[(i - 1) * r + c] = [(b * r + cp, x) for cp, x in enumerate(entries[c::r]) if x]
+                base = b * r
+                for c, col in enumerate(blocks[i - 1], (i - 1) * r):
+                    cols[c] = [(base + cp, x) for cp, x in col]
             parts.append(cols)
         return tuple(parts)
 

@@ -7,8 +7,10 @@ Bareiss fraction-free elimination on denominator-cleared sparse integer
 rows, which touches nonzero entries only; qmatrix_det and matrix_rank feed
 it a dense QMatrix, and _rank_rows the Reynolds projector rows directly.
 Char-polys use one Berkowitz kernel on the denominator-cleared nonzero
-entries (of a QMatrix, or a wreath label's columns read as rows), and
-greedy independent-subset selection uses an incremental exact echelon
+entries (of a QMatrix, or a wreath label's columns read as rows), held as
+sparse rows and column lists: its matrix-vector steps update nonzero
+entries only and stop as soon as the bordering column or row is empty.
+Greedy independent-subset selection uses an incremental exact echelon
 accumulator on sparse Fraction rows.  Higher layers do no elimination of
 their own.
 """
@@ -236,37 +238,55 @@ def matrix_rank(m: QMatrix) -> int:
 
 def _charpoly_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple[int | Fraction, ...]:
     """det(I - z*M) as its coefficient tuple in z, trailing zeros stripped,
-    M square with rows[i] the (column, value) pairs of row i's nonzeros.
-    Since det(I - z*M) = det(I - z*M^T), columns may be passed as rows.
+    M square with rows[i] the (column, value) pairs of row i's nonzeros, in
+    any order.  Since det(I - z*M) = det(I - z*M^T), columns may be passed
+    as rows.
 
     Berkowitz's division-free recurrence (Berkowitz 1984, "On computing the
     determinant in small parallel time using a small number of processors")
-    runs on the integer matrix A = d*M, d the lcm of the entry denominators.
+    runs on the integer matrix A = d*M, d the lcm of the entry denominators,
+    kept as {column: int} rows and, built once, (row, int) column lists.
     Bordering the leading r x r block A_r by the column C, the row R and the
     corner a multiplies the coefficient vector by the lower-triangular
-    Toeplitz matrix with first column 1, -a, -R*C, -R*A_r*C, ...; after the
-    last border the vector holds the coefficients of det(I - z*A), and
-    coefficient k of det(I - z*M) is that one divided by d^k; when d = 1
-    the coefficients are returned as ints.  Only the nonzero entries enter
-    the matrix-vector products.  No rows give the constant 1.
+    Toeplitz matrix with first column 1, -a, -R*C, -R*A_r*C, ...  C starts
+    as column r above the corner and is kept as its nonzero entries; each
+    step A_r*C walks the columns of A_r at those entries only, and the
+    column stops as soon as C or R is empty, every later entry being 0.
+    The product is truncated at degree r + 1, the degree of the bordered
+    block's char-poly.  After the last border the vector holds the
+    coefficients of det(I - z*A), and coefficient k of det(I - z*M) is that
+    one divided by d^k; when d = 1, Fraction inputs included, the
+    coefficients are returned as ints.  No rows give the constant 1.
     """
     n = len(rows)
     d = math.lcm(*(x.denominator for row in rows for _, x in row))
-    sparse = [[(j, x.numerator * (d // x.denominator)) for j, x in row] for row in rows]
+    matrix = [{j: x.numerator * (d // x.denominator) for j, x in row} for row in rows]
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, row in enumerate(matrix):
+        for j, a in row.items():
+            columns[j].append((i, a))
     vect = [1]
     for r in range(n):
-        row = sparse[r]
-        corner = next((a for j, a in row if j == r), 0)
-        left = [(j, a) for j, a in row if j < r]
-        block = [[(j, a) for j, a in sparse[i] if j < r] for i in range(r)]
-        col = [next((a for j, a in sparse[i] if j == r), 0) for i in range(r)]
-        toeplitz = [1, -corner] + [0] * r
-        for k in range(2, r + 2):
-            if not any(col):
+        row = matrix[r]
+        left = {j: a for j, a in row.items() if j < r}
+        col = {i: a for i, a in columns[r] if i < r}
+        toeplitz = [1, -row.get(r, 0)]
+        while col and left:
+            toeplitz.append(-sum(c * left[j] for j, c in col.items() if j in left))
+            if len(toeplitz) == r + 2:
                 break
-            toeplitz[k] = -sum(a * col[j] for j, a in left)
-            col = [sum(a * col[j] for j, a in bi if col[j]) for bi in block]
-        vect = [sum(toeplitz[i - k] * vect[k] for k in range(min(i, r) + 1)) for i in range(r + 2)]
+            nxt: dict[int, int] = {}
+            for j, c in col.items():
+                for i, a in columns[j]:
+                    if i < r:
+                        nxt[i] = nxt.get(i, 0) + a * c
+            col = {i: c for i, c in nxt.items() if c}
+        new = [0] * (r + 2)
+        for t, c in enumerate(toeplitz):
+            if c:
+                for k, v in enumerate(vect[: r + 2 - t]):
+                    new[t + k] += c * v
+        vect = new
     while vect[-1] == 0:
         vect.pop()
     if d == 1:

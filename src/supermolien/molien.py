@@ -5,12 +5,16 @@ character selecting the isotypic component, and both routes read those
 pairs.  Every label w acts by one matrix per graded part, M0(w) on the even
 and M1(w) on the odd variables, read from WreathElement.columns by both
 routes.  The Molien route averages det(I + u*M1)/det(I - q*M0) over the
-pairs with weights chi(w^{-1}) = chi(w).  The oracle route never looks at
-Molien: it projects every bidegree-basis monomial through the Reynolds
-operator, the average of the substitutions by the same matrices, and takes
-the exact rank of the resulting rows.  Since R(w.f) = chi(w) R(f), a label
-mapping m to a single term c*m' gives R(m') = chi(w)/c R(m), so the labels
-are walked once per orbit of monomials, not once per monomial.  Each walk
+pairs with weights chi(w^{-1}) = chi(w).  The summand depends on w only
+through its two char-polys, so the sum is keyed by char-poly pair: each
+label's pair is computed from its own columns, the weights are summed per
+distinct pair, and each pair is expanded into a series once.  The oracle
+route never looks at Molien: it projects every bidegree-basis monomial
+through the Reynolds operator, the average of the substitutions by the same
+matrices, and takes the exact rank of the resulting rows.  Since
+R(w.f) = chi(w) R(f), a label mapping m to a single term c*m' gives
+R(m') = chi(w)/c R(m), so the labels are walked once per orbit of
+monomials, not once per monomial.  Each walk
 is one call of the weighted label sum of superalgebra over the action's
 pairs: it maps the orbit's representative, with coefficient 1, through
 every label's compiled substitution, builds no polynomial per label, and
@@ -116,17 +120,14 @@ def _matrix_group_sgn_values(G: MatrixGroup) -> list[int]:
     return [perm_sign(p) for p in P.elements]
 
 
-def _label_table(w: WreathElement, dq: int, du: int) -> dict[Key, int | Fraction]:
-    """Coefficients of det(I + u*M1) / det(I - q*M0) for one label at
-    (0, i, j), i <= dq, j <= du, M0 and M1 passed to the kernel column by
-    column.
+def _pair_table(den: tuple, num: tuple, dq: int) -> dict[Key, int | Fraction]:
+    """Coefficients of det(I + u*M1) / det(I - q*M0) at (0, i, j), i <= dq,
+    given den = det(I - z*M0) and num = det(I - z*M1), truncated at the u
+    cap, as coefficient tuples in z.
 
     The q-only denominator 1 + c_1 q + c_2 q^2 + ... is inverted by the
     linear recurrence b_0 = 1, b_k = -sum_m c_m b_{k-m}.
     """
-    even, odd = w.columns
-    num = _charpoly_rows(odd)[: du + 1]
-    den = _charpoly_rows(even)
     inv = [1]
     for k in range(1, dq + 1):
         inv.append(-sum(den[m] * inv[k - m] for m in range(1, min(k, len(den) - 1) + 1)))
@@ -143,16 +144,27 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
     """Character-weighted Molien average, exact within caps (0, dq, du).
 
     du defaults to the full odd dimension n*r1, where the numerator
-    det(I + u*g1) is a polynomial of exactly that degree.  The weighted
-    label terms are summed in one table and divided by |W| once.
+    det(I + u*g1) is a polynomial of exactly that degree.  A label's term
+    depends only on its pair of char-polys, det(I - z*M0) and det(I - z*M1)
+    truncated at du, so each label's two char-polys are computed from its
+    own columns and chi(w) is summed per distinct pair; each pair of
+    nonzero weight is expanded once, scaled by its weight, and the sum is
+    divided by |W| once.  Labels are grouped by value only, never by cycle
+    type or conjugacy class, and nothing outlives the call.
     """
     sig = action.signature
     if du is None:
         du = sig.num_odd
-    total: dict[Key, int | Fraction] = {}
+    weights: dict[tuple[tuple, tuple], int] = {}
     for chi, w in action.pairs:
-        for key, c in _label_table(w, dq, du).items():
-            total[key] = total.get(key, 0) + chi * c
+        even, odd = w.columns
+        pair = (_charpoly_rows(even), _charpoly_rows(odd)[: du + 1])
+        weights[pair] = weights.get(pair, 0) + chi
+    total: dict[Key, int | Fraction] = {}
+    for (den, num), weight in weights.items():
+        if weight:
+            for key, c in _pair_table(den, num, dq).items():
+                total[key] = total.get(key, 0) + weight * c
     return TrigradedSeries(Caps(0, dq, du), {k: Fraction(c) / action.order for k, c in total.items()})
 
 

@@ -26,7 +26,8 @@ from .groups import (
     require_degree,
 )
 from .linalg import QMatrix, assemble_blocks, qmatrix_det
-from .molien import FLAVORS, GroupAction, require_flavor, super_molien
+# FLAVORS is re-exported: the wreath routes take one of these flavor names
+from .molien import FLAVORS as FLAVORS, GroupAction, require_flavor, super_molien
 from .series import (
     Caps,
     TrigradedSeries,

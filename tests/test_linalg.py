@@ -14,6 +14,7 @@ from supermolien.fixtures import matrix_group_fixture
 from supermolien.linalg import (
     EchelonSelector,
     QMatrix,
+    _charpoly_rows,
     _rank_rows,
     assemble_blocks,
     charpoly_det,
@@ -249,6 +250,80 @@ def test_charpoly_det_matches_pointwise_dets_seeded():
         for z0 in points:
             direct = qmatrix_det(QMatrix.identity(n) - m.scale(z0))
             assert sum(c * z0**k for k, c in enumerate(p)) == direct
+
+
+def dense_of_sparse(rows):
+    """The square QMatrix whose row i has the (column, value) pairs rows[i]."""
+    n = len(rows)
+    dense = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            dense[i][j] = Fraction(x)
+    return QMatrix.from_rows(dense) if n else QMatrix(0, 0, [])
+
+
+def assert_charpoly_pins_pointwise_dets(rows):
+    # n + 1 distinct points pin a polynomial of degree <= n
+    n = len(rows)
+    m = dense_of_sparse(rows)
+    p = _charpoly_rows(rows)
+    assert len(p) <= n + 1 and p[0] == 1 and p[-1] != 0
+    for z0 in [Fraction(k, 2) for k in range(-n // 2, n - n // 2 + 1)]:
+        direct = qmatrix_det(QMatrix.identity(n) - m.scale(z0))
+        assert sum(c * z0**k for k, c in enumerate(p)) == direct
+
+
+def test_charpoly_rows_on_sparse_rows_seeded():
+    # Sparse rows straight into the kernel at densities 0.1 to 0.5, with
+    # their (column, value) pairs shuffled out of column order, against
+    # pointwise determinants of the dense matrix; low densities leave empty
+    # rows and empty columns, which are also forced below.
+    rng = random.Random(1313)
+    empty_row = empty_col = 0
+    for _ in range(40):
+        n = rng.randint(1, 10)
+        density = rng.uniform(0.1, 0.5)
+        rows = [
+            [
+                (j, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3))))
+                for j in range(n)
+                if rng.random() < density
+            ]
+            for _ in range(n)
+        ]
+        if rng.random() < 0.3:
+            rows[rng.randrange(n)] = []
+        if rng.random() < 0.3:
+            dead = rng.randrange(n)
+            rows = [[(j, x) for j, x in row if j != dead] for row in rows]
+        for row in rows:
+            rng.shuffle(row)
+        empty_row += any(not row for row in rows)
+        empty_col += len({j for row in rows for j, _ in row}) < n
+        assert_charpoly_pins_pointwise_dets(rows)
+    assert empty_row and empty_col
+
+
+def test_charpoly_rows_edge_cases():
+    assert _charpoly_rows([]) == (1,)
+    assert_charpoly_pins_pointwise_dets([])
+    # all rows empty: det(I) = 1
+    assert _charpoly_rows([[], [], []]) == (1,)
+    # unsorted pairs in a row give the same polynomial as sorted ones
+    rows = [[(2, 1), (0, 2)], [(0, -1)], [(1, 3), (2, 1)]]
+    assert _charpoly_rows(rows) == _charpoly_rows([sorted(row) for row in rows])
+    assert_charpoly_pins_pointwise_dets(rows)
+
+
+def test_charpoly_rows_integral_fractions_give_ints():
+    # entries typed Fraction but with denominator 1 are read as ints
+    rows = [[(1, Fraction(2)), (0, Fraction(-1))], [(0, Fraction(3))]]
+    p = _charpoly_rows(rows)
+    assert p == (1, 1, -6)
+    assert all(type(c) is int for c in p)
+    # a non-integral entry gives Fractions, reduced
+    q = _charpoly_rows([[(0, Fraction(1, 2))]])
+    assert q == (1, Fraction(-1, 2)) and type(q[1]) is Fraction
 
 
 def test_assemble_blocks_layout():

@@ -1,6 +1,6 @@
 """Molien averages against hand-computed series and the Reynolds-rank oracle."""
 
-import math
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +19,8 @@ from supermolien.fixtures import (
 from supermolien.groups import (
     MatrixGroup,
     PermGroup,
+    Permutation,
+    WreathElement,
     build_wreath,
     wreath_mul,
 )
@@ -33,7 +35,7 @@ from supermolien.molien import (
     reynolds_project,
     super_molien,
 )
-from supermolien.series import Caps, TrigradedSeries, series_inv, series_mul, series_pow_int
+from supermolien.series import Caps, TrigradedSeries, series_add, series_inv, series_mul, series_scale
 from supermolien.superalgebra import (
     AlgebraSignature,
     SuperPolynomial,
@@ -265,8 +267,6 @@ def test_sgn_character_needs_permutation_matrices():
 def test_block_matrices_layout_for_swap_label():
     act = GroupAction.from_wreath(PermGroup.symmetric(2), sign_scalar_group(), 2)
     # find the label (swap, (id, -1))
-    from supermolien.groups import Permutation
-
     for _, w in act.pairs:
         if w.sigma == Permutation([2, 1]) and w.gs[0].g0.get(0, 0) == 1 and w.gs[1].g0.get(0, 0) == -1:
             # g_1 = +1 sits at block (sigma^{-1}(1), 1) = (2, 1), g_2 = -1 at (1, 2)
@@ -324,6 +324,82 @@ def test_label_rows_charpoly_matches_dense(gname, n):
         for columns, dense in zip(w.columns, dense_label_matrices(w)):
             assert columns == dense_columns(dense)
             assert _charpoly_rows(columns) == charpoly_det(dense)
+
+
+def label_by_label_series(action, dq, du):
+    """(1/|W|) times the sum over the pairs of chi(w) times the one-label
+    super_molien series of w: the Molien average with no grouping."""
+    sig = action.signature
+    total = TrigradedSeries.zero(Caps(0, dq, du))
+    for chi, w in action.pairs:
+        total = series_add(total, series_scale(super_molien(GroupAction(sig, ((1, w),)), dq, du), chi))
+    return series_scale(total, Fraction(1, action.order))
+
+
+def m_cycle_action(G, m):
+    """The labels of one fixed m-cycle over G^m, the coset that
+    verify_m_cycle_identity averages over."""
+    cyc = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
+    pairs = tuple((1, WreathElement(cyc, gs)) for gs in itertools.product(G.elements, repeat=m))
+    return GroupAction(AlgebraSignature(G.r0, G.r1, m), pairs)
+
+
+@pytest.mark.parametrize(
+    "make_action,dq",
+    [
+        (lambda: GroupAction.from_wreath(PermGroup.symmetric(4), sign_scalar_group(), 4), 8),
+        (lambda: GroupAction.from_wreath(PermGroup.symmetric(4), sign_scalar_group(), 4, "antiinvariant"), 8),
+        (lambda: GroupAction.from_wreath(PermGroup.symmetric(2), conjugated_s3()[1], 2), 5),
+        (lambda: GroupAction.from_wreath(PermGroup.symmetric(2), conjugated_s3()[1], 2, "antiinvariant"), 5),
+        (lambda: m_cycle_action(matrix_group_fixture("s2-diag"), 2), 6),
+        (lambda: m_cycle_action(matrix_group_fixture("s2-diag"), 3), 6),
+    ],
+    ids=["s4-sign-scalar-inv", "s4-sign-scalar-anti", "s2-rational-s3-inv", "s2-rational-s3-anti", "m2", "m3"],
+)
+def test_super_molien_regrouping_matches_label_by_label_sum(make_action, dq):
+    # Summing chi(w) per char-poly pair and expanding each pair once gives
+    # the plain average of the per-label series, on a group with integral
+    # char-polys, on the rational conjugate of S_3, whose pair keys are
+    # Fraction tuples, and on the m-cycle cosets, which are not groups.
+    action = make_action()
+    du = action.signature.num_odd
+    assert super_molien(action, dq, du) == label_by_label_series(action, dq, du)
+
+
+def test_rational_s3_pair_keys_are_fractions():
+    # a label with a non-integral entry gets its even char-poly as
+    # Fractions; by value the keys are those of S_2[S_3], whose are ints
+    G, H = conjugated_s3()
+
+    def keys(group):
+        action = GroupAction.from_wreath(PermGroup.symmetric(2), group, 2)
+        return {_charpoly_rows(w.columns[0]) for _, w in action.pairs}
+
+    assert any(type(c) is Fraction for key in keys(H) for c in key)
+    assert all(type(c) is int for key in keys(G) for c in key)
+    assert keys(H) == keys(G)
+
+
+def test_super_molien_expands_once_per_char_poly_pair(monkeypatch):
+    # S_4[+-1]: each of the 384 labels has both char-polys computed from
+    # its own columns, but only 14 distinct pairs are expanded into series
+    # (fewer than the 20 classes of B_4: (1 - z)(1 + z) = 1 - z^2).
+    action = GroupAction.from_wreath(PermGroup.symmetric(4), sign_scalar_group(), 4)
+    calls = {"_charpoly_rows": 0, "_pair_table": 0}
+
+    def counted(name):
+        inner = getattr(molien, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(molien, name, wrapper)
+
+    counted("_charpoly_rows")
+    counted("_pair_table")
+    super_molien(action, 8)
+    assert calls == {"_charpoly_rows": 2 * 384, "_pair_table": 14}
 
 
 def test_apply_wreath_is_an_action_on_a_non_monomial_wreath():

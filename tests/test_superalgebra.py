@@ -1,6 +1,5 @@
 """Supercommutative multiplication, sign normalization, group actions, bases."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -30,7 +29,6 @@ from supermolien.superalgebra import (
     apply_wreath,
     bidegree_basis,
     coefficient_vector,
-    mul_monomials,
     normalize_theta,
     super_mul,
 )

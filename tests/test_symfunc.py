@@ -15,7 +15,7 @@ from supermolien.groups import (
     perm_sign,
     validate_character,
 )
-from supermolien.series import Caps, TrigradedSeries, series_inv, series_mul
+from supermolien.series import Caps, TrigradedSeries, series_inv
 from supermolien.symfunc import (
     SymFuncPoly,
     cycle_index,
