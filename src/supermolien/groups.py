@@ -295,7 +295,9 @@ class PermGroup:
         return PermGroup(n, elements, gens)
 
     @staticmethod
+    @cache
     def symmetric(n: int) -> "PermGroup":
+        """S_n, closed once per n: a PermGroup is immutable."""
         return PermGroup.close(max(n, 1), symmetric_generators(n))
 
     @staticmethod

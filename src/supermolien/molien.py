@@ -9,19 +9,19 @@ pairs with weights chi(w^{-1}) = chi(w).  The summand depends on w only
 through its two char-polys, so the sum is keyed by char-poly pair: each
 label's pair is computed from its own columns, the weights are summed per
 distinct pair, and each pair is expanded into a series once.  The oracle
-route never looks at Molien: it projects every bidegree-basis monomial
-through the Reynolds operator, the average of the substitutions by the same
-matrices, and takes the exact rank of the resulting rows.  Since
-R(w.f) = chi(w) R(f), a label mapping m to a single term c*m' gives
-R(m') = chi(w)/c R(m), so the labels are walked once per orbit of
-monomials, not once per monomial.  Each walk
-is one call of the weighted label sum of superalgebra over the action's
-pairs: it maps the orbit's representative, with coefficient 1, through
-every label's compiled substitution, builds no polynomial per label, and
-sums chi(w)*c as ints (Fractions only for non-integral c); the sum is
-divided by |W| once, as in super_molien.  The rows go to the integer
-Bareiss kernel as sparse (position, value) pairs.  molien_vs_oracle
-compares the two routes coefficient by coefficient.
+route never looks at Molien: it takes the exact rank of the Reynolds
+operator, the average of the substitutions by the same matrices, on the
+monomial basis of each bidegree.  Since R(w.f) = chi(w) R(f), a label
+mapping m to a single term c*m' gives R(m') = chi(w)/c R(m), a multiple of
+R(m), so the rank is taken over one row per orbit of monomials, not one per
+monomial.  Each row is one call of the weighted label sum of superalgebra
+over the action's pairs: it maps the orbit's first monomial, with
+coefficient 1, through every label's compiled substitution, builds no
+polynomial per label, and sums chi(w)*c as ints (Fractions only for
+non-integral c).  That undivided sum is |W| R(m), which spans the same
+line as R(m), so only the public reynolds_project divides by |W|.  The rows
+go to the integer Bareiss kernel as sparse (position, value) pairs.
+molien_vs_oracle compares the two routes coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .superalgebra import (
     SuperPolynomial,
     _label_sum,
     bidegree_basis,
-    coefficient_vector,
 )
 
 DEFAULT_BASIS_LIMIT = 5000
@@ -165,76 +164,65 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
         if weight:
             for key, c in _pair_table(den, num, dq).items():
                 total[key] = total.get(key, 0) + weight * c
-    return TrigradedSeries(Caps(0, dq, du), {k: Fraction(c) / action.order for k, c in total.items()})
-
-
-def _label_average(action: GroupAction, terms: dict, reached: dict | None = None) -> SuperPolynomial:
-    """(1/|W|) sum over w of chi(w) w.f, f given by its terms: the label
-    sum over the action's pairs, divided by |W| once (reached as in
-    superalgebra._label_sum)."""
-    sig = action.signature
-    acc = _label_sum(sig, action.pairs, terms, reached)
     order = action.order
-    return SuperPolynomial._canonical(sig, {m: Fraction(c, order) for m, c in acc.items() if c})
+    return TrigradedSeries._canonical(Caps(0, dq, du), {k: Fraction(c) / order for k, c in total.items()})
 
 
 def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:
     """(1/|W|) sum over w of chi(w^{-1}) w.f, the projector onto the
-    chi-isotypic component; chi(w^{-1}) = chi(w) = +-1."""
+    chi-isotypic component; chi(w^{-1}) = chi(w) = +-1.  The label sum is
+    divided by |W| once."""
     if f.sig != action.signature:
         raise SignatureMismatch(f"{f.sig} != {action.signature}")
-    return _label_average(action, f.terms)
+    order = action.order
+    acc = _label_sum(f.sig, action.pairs, f.terms)
+    return SuperPolynomial._canonical(f.sig, {m: Fraction(c) / order for m, c in acc.items() if c})
 
 
-def reynolds_images(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[SuperPolynomial]:
-    """Reynolds projection of every basis monomial, in basis order, with one
-    label loop per orbit.
+def _orbit_sums(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[tuple[SuperMonomial, dict]]:
+    """One undivided label sum sum_w chi(w) w.m = |W| R(m) per orbit, as
+    (m, term map without zeros) in basis order of its first monomial m.
 
-    A monomial that no earlier loop reached is projected through every
-    label, with coefficient 1; each label mapping it to a single term c*m'
-    gives R(m') as a multiple of the image just computed.  For a group of
-    signed permutation matrices that covers the whole orbit, and a dead
-    orbit (R(m) = 0) is zero throughout; under other groups fewer monomials
-    are reached and the rest are projected themselves."""
+    A monomial that no earlier sum reached is mapped through every label,
+    with coefficient 1; each label mapping it to a single term c*m' marks
+    m' reached, R(m') = chi(w)/c R(m) being a multiple of R(m).  For a group
+    of signed permutation matrices that covers the whole orbit, and a dead
+    orbit (R(m) = 0) gives one empty sum; under other groups fewer
+    monomials are reached and the rest are summed themselves."""
     sig = action.signature
-    shared: dict[SuperMonomial, tuple[int | Fraction, SuperPolynomial]] = {}
-    out = []
+    reached: set[SuperMonomial] = set()
+    sums = []
     for m in basis:
-        if m in shared:
-            factor, image = shared[m]
-            if factor != 1:
-                image = SuperPolynomial._canonical(sig, {k: factor * c for k, c in image.terms.items()})
-        else:
-            reached: dict[SuperMonomial, int | Fraction] = {}
-            image = _label_average(action, {m: 1}, reached)
-            for k, factor in reached.items():
-                shared.setdefault(k, (factor, image))
-        out.append(image)
-    return out
+        if m not in reached:
+            acc = _label_sum(sig, action.pairs, {m: 1}, reached)
+            sums.append((m, {k: c for k, c in acc.items() if c}))
+    return sums
 
 
 def _projector_rows(
     action: GroupAction, i: int, j: int
-) -> tuple[list[SuperPolynomial], list[list[tuple[int, Fraction]]]]:
-    """Reynolds images of the bidegree (i, j) monomials and their coefficient
-    rows over those monomials, as sorted (position, value) pairs: one row per
-    monomial, so the rows are square.  A basis over DEFAULT_BASIS_LIMIT
-    monomials is refused."""
+) -> tuple[int, list[dict], list[list[tuple[int, int | Fraction]]]]:
+    """(width, sums, rows) for bidegree (i, j): the number of basis
+    monomials, the orbit sums of _orbit_sums over that basis, and each
+    sum's coefficient row over the basis as (position, value) pairs of its
+    nonzero entries.  One row per orbit, so there are no more rows than
+    columns; the rows span the image of the Reynolds operator.  A basis
+    over DEFAULT_BASIS_LIMIT monomials is refused."""
     basis = bidegree_basis(action.signature, i, j)
     if len(basis) > DEFAULT_BASIS_LIMIT:
         raise BasisTooLarge(
             f"bidegree ({i}, {j}) basis has {len(basis)} monomials, limit {DEFAULT_BASIS_LIMIT}"
         )
     index = {m: k for k, m in enumerate(basis)}
-    images = reynolds_images(action, basis)
-    return images, [coefficient_vector(p, index) for p in images]
+    sums = [acc for _, acc in _orbit_sums(action, basis)]
+    return len(basis), sums, [[(index[m], c) for m, c in acc.items()] for acc in sums]
 
 
 def invariant_dimension_bruteforce(action: GroupAction, i: int, j: int) -> int:
     """Exact dimension of the chi-isotypic component in bidegree (i, j),
-    computed as the rank of the Reynolds operator on the monomial basis.
-    Never consults the Molien series."""
-    return _rank_rows(_projector_rows(action, i, j)[1])
+    computed as the rank of the Reynolds operator on the monomial basis,
+    over one integer row per orbit.  Never consults the Molien series."""
+    return _rank_rows(_projector_rows(action, i, j)[2])
 
 
 def molien_vs_oracle(action: GroupAction, dq: int, du: int | None = None) -> dict:

@@ -1,13 +1,25 @@
 """Exact rational scalars and their wire format.
 
-Rationals are stdlib fractions.Fraction throughout.  The wire format is the
-string "p/q" in lowest terms with the "/q" omitted when the denominator is 1,
-which is exactly what str(Fraction) produces.
+An exact coefficient is an int when it is integral and a
+fractions.Fraction otherwise; exact() puts any rational into that form, so
+integral work stays on ints.  The wire format is the string "p/q" in lowest
+terms with the "/q" omitted when the denominator is 1, which is exactly
+what str(Fraction) produces, for either form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def exact(x) -> int | Fraction:
+    """x as an int when integral, else as a Fraction in lowest terms."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
 
 def format_rational(x: Fraction) -> str:
     return str(Fraction(x))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .errors import ZeroConstantTerm
-from .rationals import format_rational, parse_rational
+from .rationals import exact, format_rational, parse_rational
 
 Key = tuple[int, int, int]
 
@@ -49,26 +49,43 @@ class TrigradedSeries:
     series computed one way is checked against a series computed another way
     at different depths.  It is not transitive across caps, so series are
     deliberately unhashable.
+
+    Coefficients are exact (rationals.exact): ints where integral,
+    Fractions otherwise, never 0.
     """
 
     __slots__ = ("caps", "_coeffs")
 
-    def __init__(self, caps, coeffs: Mapping[Key, Fraction] | None = None):
+    def __init__(self, caps, coeffs: Mapping[Key, int | Fraction] | None = None):
         caps = Caps.of(caps)
-        clean: dict[Key, Fraction] = {}
+        clean: dict[Key, int | Fraction] = {}
         if coeffs:
             for key, c in coeffs.items():
                 key = (int(key[0]), int(key[1]), int(key[2]))
                 if not caps.contains(key):
                     raise ValueError(f"exponent {key} outside caps {tuple(caps)}")
-                c = Fraction(c)
-                if c != 0:
+                c = exact(c)
+                if c:
                     clean[key] = c
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "_coeffs", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("TrigradedSeries is immutable")
+
+    @classmethod
+    def _canonical(cls, caps: Caps, coeffs: dict) -> "TrigradedSeries":
+        """Trusted constructor for arithmetic results: caps a Caps, coeffs
+        mapping int (t, q, u) keys within caps to ints or Fractions.
+
+        Zero coefficients are dropped and integral Fractions become ints;
+        nothing else is checked, and the dict is filtered into a new one,
+        never kept."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "caps", caps)
+        coeffs = {k: c if type(c) is int else exact(c) for k, c in coeffs.items() if c}
+        object.__setattr__(series, "_coeffs", coeffs)
+        return series
 
     # -- constructors ----------------------------------------------------
 
@@ -78,21 +95,21 @@ class TrigradedSeries:
 
     @staticmethod
     def one(caps) -> "TrigradedSeries":
-        return TrigradedSeries(caps, {(0, 0, 0): Fraction(1)})
+        return TrigradedSeries(caps, {(0, 0, 0): 1})
 
     @staticmethod
     def monomial(caps, key: Key, c=1) -> "TrigradedSeries":
-        return TrigradedSeries(caps, {tuple(key): Fraction(c)})
+        return TrigradedSeries(caps, {tuple(key): c})
 
     # -- access -----------------------------------------------------------
 
-    def coefficient(self, key: Key) -> Fraction:
+    def coefficient(self, key: Key) -> int | Fraction:
         key = tuple(key)
         if not self.caps.contains(key):
             raise ValueError(f"coefficient at {key} is unknown beyond caps {tuple(self.caps)}")
-        return self._coeffs.get(key, Fraction(0))
+        return self._coeffs.get(key, 0)
 
-    def items(self) -> list[tuple[Key, Fraction]]:
+    def items(self) -> list[tuple[Key, int | Fraction]]:
         """Nonzero coefficients, ordered lexicographically by (t, q, u)."""
         return sorted(self._coeffs.items())
 
@@ -142,7 +159,7 @@ class TrigradedSeries:
         return series_mul(self, other)
 
     def __neg__(self):
-        return series_scale(self, Fraction(-1))
+        return series_scale(self, -1)
 
     # -- serialization -----------------------------------------------------
 
@@ -173,32 +190,32 @@ def _shared_caps(a: TrigradedSeries, b: TrigradedSeries) -> Caps:
 
 def series_add(a: TrigradedSeries, b: TrigradedSeries) -> TrigradedSeries:
     caps = _shared_caps(a, b)
-    out: dict[Key, Fraction] = {}
+    out: dict[Key, int | Fraction] = {}
     for key in a._coeffs.keys() | b._coeffs.keys():
         if caps.contains(key):
-            out[key] = a._coeffs.get(key, Fraction(0)) + b._coeffs.get(key, Fraction(0))
-    return TrigradedSeries(caps, out)
+            out[key] = a._coeffs.get(key, 0) + b._coeffs.get(key, 0)
+    return TrigradedSeries._canonical(caps, out)
 
 
 def series_sub(a: TrigradedSeries, b: TrigradedSeries) -> TrigradedSeries:
-    return series_add(a, series_scale(b, Fraction(-1)))
+    return series_add(a, series_scale(b, -1))
 
 
 def series_scale(a: TrigradedSeries, c) -> TrigradedSeries:
-    c = Fraction(c)
-    return TrigradedSeries(a.caps, {k: c * v for k, v in a._coeffs.items()})
+    c = exact(c)
+    return TrigradedSeries._canonical(a.caps, {k: c * v for k, v in a._coeffs.items()})
 
 
 def series_mul(a: TrigradedSeries, b: TrigradedSeries) -> TrigradedSeries:
     """Cauchy product truncated to the shared caps."""
     caps = _shared_caps(a, b)
-    out: dict[Key, Fraction] = {}
+    out: dict[Key, int | Fraction] = {}
     for (t1, q1, u1), c1 in a._coeffs.items():
         for (t2, q2, u2), c2 in b._coeffs.items():
             key = (t1 + t2, q1 + q2, u1 + u2)
             if caps.contains(key):
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return TrigradedSeries(caps, out)
+                out[key] = out.get(key, 0) + c1 * c2
+    return TrigradedSeries._canonical(caps, out)
 
 
 def series_inv(a: TrigradedSeries) -> TrigradedSeries:
@@ -207,19 +224,19 @@ def series_inv(a: TrigradedSeries) -> TrigradedSeries:
     Solves the triangular system b[0] = 1/a[0],
     b[k] = -(1/a[0]) * sum_{0 < m <= k} a[m] b[k-m] over the cap box.
     """
-    a0 = a._coeffs.get((0, 0, 0), Fraction(0))
+    a0 = a._coeffs.get((0, 0, 0), 0)
     if a0 == 0:
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
     caps = a.caps
     higher = {k: v for k, v in a._coeffs.items() if k != (0, 0, 0)}
-    inv0 = Fraction(1) / a0
-    out: dict[Key, Fraction] = {}
+    inv0 = exact(Fraction(1) / a0)
+    out: dict[Key, int | Fraction] = {}
     box = itertools.product(range(caps.t + 1), range(caps.q + 1), range(caps.u + 1))
     for key in sorted(box, key=lambda k: (sum(k), k)):
         if key == (0, 0, 0):
             out[key] = inv0
             continue
-        acc = Fraction(0)
+        acc = 0
         kt, kq, ku = key
         for (mt, mq, mu), am in higher.items():
             if mt <= kt and mq <= kq and mu <= ku:
@@ -228,7 +245,7 @@ def series_inv(a: TrigradedSeries) -> TrigradedSeries:
                     acc += am * prev
         if acc:
             out[key] = -inv0 * acc
-    return TrigradedSeries(caps, out)
+    return TrigradedSeries._canonical(caps, out)
 
 
 def series_pow_int(a: TrigradedSeries, e: int) -> TrigradedSeries:
@@ -249,10 +266,7 @@ def series_pow_int(a: TrigradedSeries, e: int) -> TrigradedSeries:
 
 def series_flip_u(a: TrigradedSeries) -> TrigradedSeries:
     """Substitute u -> -u: negate coefficients in odd u-degree."""
-    return TrigradedSeries(
-        a.caps,
-        {k: (-c if k[2] % 2 else c) for k, c in a._coeffs.items()},
-    )
+    return TrigradedSeries._canonical(a.caps, {k: (-c if k[2] % 2 else c) for k, c in a._coeffs.items()})
 
 
 def scale_exponents(a: TrigradedSeries, r: int) -> TrigradedSeries:
@@ -263,10 +277,10 @@ def scale_exponents(a: TrigradedSeries, r: int) -> TrigradedSeries:
     """
     if r < 1:
         raise ValueError(f"exponent scale must be >= 1, got {r}")
-    out: dict[Key, Fraction] = {}
+    out: dict[Key, int | Fraction] = {}
     for (dt, dq, du), c in a._coeffs.items():
         key = (r * dt, r * dq, r * du)
         if a.caps.contains(key):
-            out[key] = out.get(key, Fraction(0)) + c
-    return TrigradedSeries(a.caps, out)
+            out[key] = out.get(key, 0) + c
+    return TrigradedSeries._canonical(a.caps, out)
 

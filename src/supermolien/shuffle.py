@@ -9,11 +9,14 @@ superalgebra over (weight, label) pairs, weighted by sign for the signed
 product; the pairs are built and compiled once per block sizes, signature
 and sign.  The (anti)invariance checks use the same sum: f is fixed by a
 generator pair when weight * (w.f) == f, the weight being the generator's
-sign for the antiinvariant flavor.  The resulting product closes on the
-(anti)invariant spaces, is associative, supercommutes on degree-one
-elements with signs governed by theta-degree parity, and generates
-everything in sight from degree one.  Each of those claims has a verifier
-here; none of them consults the Hilbert series machinery.
+sign for the antiinvariant flavor.  An invariant basis is a greedy
+independent subset of the Reynolds orbit sums of molien, kept undivided
+(|W| R(m), ints for an integral group), so the products of the battery run
+on ints.  The resulting product closes on the (anti)invariant spaces, is
+associative, supercommutes on degree-one elements with signs governed by
+theta-degree parity, and generates everything in sight from degree one.
+Each of those claims has a verifier here; none of them consults the Hilbert
+series machinery.
 """
 
 from __future__ import annotations
@@ -153,14 +156,16 @@ class InvariantSpaceBasis:
 def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
     """Basis of the chi-isotypic component in bidegree (i, j).
 
-    Projects the monomials of the bidegree, one label loop per orbit, and
-    keeps a greedy maximal independent subset by Fraction echelon; the
-    count is cross-checked against the integer Bareiss rank of the same
-    projector rows, an elimination of its own.
+    Sums the monomials of the bidegree over the labels, one undivided
+    orbit sum |W| R(m) per orbit (ints for an integral group), and keeps a
+    greedy maximal independent subset of those sums by Fraction echelon;
+    the count is cross-checked against the integer Bareiss rank of the
+    same rows, an elimination of its own.
     """
-    images, rows = _projector_rows(action, i, j)
-    sel = EchelonSelector(len(rows))
-    kept = [proj for proj, row in zip(images, rows) if sel.offer(row)]
+    width, sums, rows = _projector_rows(action, i, j)
+    sel = EchelonSelector(width)
+    sig = action.signature
+    kept = [SuperPolynomial._canonical(sig, acc) for acc, row in zip(sums, rows) if sel.offer(row)]
     oracle = _rank_rows(rows)
     if len(kept) != oracle:
         raise SuperMolienError(

@@ -22,6 +22,7 @@ sum over coset representatives, labels with identity row blocks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -29,7 +30,7 @@ from typing import Iterable, Mapping
 
 from .errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
 from .groups import Substitution, WreathElement, _inversion_sign
-from .rationals import format_rational, parse_rational
+from .rationals import exact, format_rational, parse_rational
 
 XKey = tuple[int, int]  # (row, col)
 
@@ -126,16 +127,19 @@ class SuperMonomial(tuple):
 
 
 class SuperPolynomial:
-    """Finite Q-linear combination of SuperMonomials over a fixed signature."""
+    """Finite Q-linear combination of SuperMonomials over a fixed signature.
+
+    Coefficients are exact (rationals.exact): ints where integral,
+    Fractions otherwise, never 0."""
 
     __slots__ = ("sig", "terms")
 
-    def __init__(self, sig: AlgebraSignature, terms: Mapping[SuperMonomial, Fraction] | None = None):
-        clean: dict[SuperMonomial, Fraction] = {}
+    def __init__(self, sig: AlgebraSignature, terms: Mapping[SuperMonomial, int | Fraction] | None = None):
+        clean: dict[SuperMonomial, int | Fraction] = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
+                c = exact(c)
+                if not c:
                     continue
                 for r, col, _ in mono.xpart:
                     if not (1 <= r <= sig.n and 1 <= col <= sig.r0):
@@ -152,13 +156,16 @@ class SuperPolynomial:
 
     @classmethod
     def _canonical(cls, sig: AlgebraSignature, terms: dict) -> "SuperPolynomial":
-        """Trusted constructor: terms maps monomials inside sig to Fractions.
+        """Trusted constructor: terms maps monomials inside sig to ints or
+        Fractions.
 
-        Zero coefficients are dropped; nothing else is checked or coerced,
-        and the dict is filtered into a new one, never kept."""
+        Zero coefficients are dropped and integral Fractions become ints;
+        nothing else is checked, and the dict is filtered into a new one,
+        never kept."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "sig", sig)
-        object.__setattr__(poly, "terms", {m: c for m, c in terms.items() if c})
+        terms = {m: c if type(c) is int else exact(c) for m, c in terms.items() if c}
+        object.__setattr__(poly, "terms", terms)
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -169,19 +176,19 @@ class SuperPolynomial:
 
     @staticmethod
     def one(sig: AlgebraSignature) -> "SuperPolynomial":
-        return SuperPolynomial(sig, {SuperMonomial.one(): Fraction(1)})
+        return SuperPolynomial(sig, {SuperMonomial.one(): 1})
 
     @staticmethod
     def x_var(sig: AlgebraSignature, row: int, col: int) -> "SuperPolynomial":
-        return SuperPolynomial(sig, {SuperMonomial({(row, col): 1}): Fraction(1)})
+        return SuperPolynomial(sig, {SuperMonomial({(row, col): 1}): 1})
 
     @staticmethod
     def theta_var(sig: AlgebraSignature, row: int, col: int) -> "SuperPolynomial":
-        return SuperPolynomial(sig, {SuperMonomial({}, ((row, col),)): Fraction(1)})
+        return SuperPolynomial(sig, {SuperMonomial({}, ((row, col),)): 1})
 
     @staticmethod
     def monomial(sig: AlgebraSignature, mono: SuperMonomial, c=1) -> "SuperPolynomial":
-        return SuperPolynomial(sig, {mono: Fraction(c)})
+        return SuperPolynomial(sig, {mono: c})
 
     # -- linear structure ----------------------------------------------------
 
@@ -189,15 +196,15 @@ class SuperPolynomial:
         _require_same_sig(self, other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return SuperPolynomial(self.sig, out)
+            out[m] = out.get(m, 0) + c
+        return SuperPolynomial._canonical(self.sig, out)
 
     def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         return self + other.scale(-1)
 
     def scale(self, c) -> "SuperPolynomial":
-        c = Fraction(c)
-        return SuperPolynomial(self.sig, {m: c * v for m, v in self.terms.items()})
+        c = exact(c)
+        return SuperPolynomial._canonical(self.sig, {m: c * v for m, v in self.terms.items()})
 
     def __neg__(self) -> "SuperPolynomial":
         return self.scale(-1)
@@ -242,14 +249,14 @@ class SuperPolynomial:
     def from_json_dict(data: Mapping) -> "SuperPolynomial":
         s = data["sig"]
         sig = AlgebraSignature(int(s["r0"]), int(s["r1"]), int(s["n"]))
-        terms: dict[SuperMonomial, Fraction] = {}
+        terms: dict[SuperMonomial, int | Fraction] = {}
         for entry in data["terms"]:
             theta, sign = normalize_theta(tuple(p) for p in entry["theta"])
             if sign == 0:
                 raise ValueError(f"repeated odd variable in term {entry}")
             mono = SuperMonomial([(r, c, e) for r, c, e in entry["x"]], theta)
             c = sign * parse_rational(entry["c"])
-            terms[mono] = terms.get(mono, Fraction(0)) + c
+            terms[mono] = terms.get(mono, 0) + c
         return SuperPolynomial(sig, terms)
 
 
@@ -352,13 +359,13 @@ def _substitute(sub: Substitution, mono: SuperMonomial) -> list[tuple[SuperMonom
     return [(m, a) for m, a in image.items() if a]
 
 
-def _label_sum(sig: AlgebraSignature, pairs: Iterable, terms: Mapping, reached: dict | None = None) -> dict:
+def _label_sum(sig: AlgebraSignature, pairs: Iterable, terms: Mapping, reached: set | None = None) -> dict:
     """sum over (weight, label) pairs of weight * w.f, f on sig given by its
     terms and each weight +-1: the summed term map, zeros kept, ints where
-    f's coefficients are ints.  When reached is given, f is one monomial
-    with coefficient 1, and each w mapping it to a single term c*m records
-    reached[m] = weight/c (the first such label wins): for weight chi(w),
-    R(w.f) = chi(w) R(f), so R(m) = chi(w)/c R(f)."""
+    f's coefficients are ints.  When reached is given, f is one monomial,
+    and each w mapping it to a single term c*m adds m to reached: for
+    weight chi(w), R(w.f) = chi(w) R(f), so R(m) = chi(w)/c R(f) is a
+    multiple of R(f)."""
     acc: dict[SuperMonomial, int | Fraction] = {}
     for weight, w in pairs:
         sub = w.substitution
@@ -366,9 +373,7 @@ def _label_sum(sig: AlgebraSignature, pairs: Iterable, terms: Mapping, reached: 
         for mono, coeff in terms.items():
             image = _substitute(sub, mono)
             if reached is not None and len(image) == 1:
-                ((m, c),) = image
-                if m not in reached:
-                    reached[m] = weight * c if c == 1 or c == -1 else Fraction(weight) / c
+                reached.add(image[0][0])
             for m, c in image:
                 if weight < 0:
                     c = -c
@@ -385,23 +390,14 @@ def apply_wreath(w: WreathElement, f: SuperPolynomial) -> SuperPolynomial:
     return SuperPolynomial._canonical(f.sig, _label_sum(f.sig, ((1, w),), f.terms))
 
 
-def _compositions_desc_lex(total: int, nvars: int):
-    """Exponent vectors summing to total, in descending lexicographic order."""
-    if nvars == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc_lex(total - first, nvars - 1):
-            yield (first,) + rest
-
-
 def bidegree_basis(sig: AlgebraSignature, i: int, j: int) -> list[SuperMonomial]:
     """Monomial basis of the (i, j) bidegree component, deterministically
     ordered: x-exponent vectors in descending lex (major), theta subsets in
-    ascending lex (minor)."""
-    import itertools
+    ascending lex (minor).
 
+    The x-parts are the multisets of i even variables, in the order of
+    itertools.combinations_with_replacement, which is descending lex on
+    exponent vectors; equal factors are grouped into one exponent."""
     if i < 0 or j < 0:
         raise ValueError("bidegrees must be nonnegative")
     evars = sig.even_vars()
@@ -411,8 +407,8 @@ def bidegree_basis(sig: AlgebraSignature, i: int, j: int) -> list[SuperMonomial]
     # evars and ovars are sorted, so both parts come out canonical
     thetas = list(itertools.combinations(ovars, j))
     out = []
-    for xvec in _compositions_desc_lex(i, len(evars)):
-        xpart = tuple((r, c, e) for (r, c), e in zip(evars, xvec) if e)
+    for factors in itertools.combinations_with_replacement(evars, i):
+        xpart = tuple((r, c, len(list(run))) for (r, c), run in itertools.groupby(factors))
         out.extend(SuperMonomial._canonical(xpart, t) for t in thetas)
     return out
 

@@ -4,7 +4,8 @@ rational-s3 is S_3 on x conjugated by a rational matrix, so every label's
 substitution has several terms per variable; scaled-swap is monomial but
 with entries 2 and 1/2, so orbit members differ by non-unit factors.
 Together they reach both branches of the substitution kernel with
-coefficients other than +-1."""
+coefficients other than +-1.  is_exact is the one form of an exact
+coefficient that kernel outputs are checked against."""
 
 import json
 import pathlib
@@ -43,6 +44,21 @@ def scaled_swap_group():
     return MatrixGroup.close(2, 2, [GradedGroupElement(m, m)])
 
 
+# the last two have non-integral entries: the multi-term branch of the
+# substitution kernel, and the one-term branch with non-unit coefficients
+KERNEL_GROUPS = (
+    "trivial-1-1",
+    "trivial-2-2",
+    "sign-scalar",
+    "s2-x",
+    "s3-x",
+    "s2-theta",
+    "young-2-1-theta",
+    "rational-s3",
+    "scaled-swap",
+)
+
+
 def named_group(name):
     """A fixture group by name, or one of the two groups above."""
     if name == "rational-s3":
@@ -50,3 +66,9 @@ def named_group(name):
     if name == "scaled-swap":
         return scaled_swap_group()
     return matrix_group_fixture(name)
+
+
+def is_exact(c):
+    """The one coefficient form: a nonzero int, or a Fraction that is not
+    integral."""
+    return type(c) is int and c != 0 or type(c) is Fraction and c.denominator > 1

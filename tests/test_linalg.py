@@ -170,8 +170,9 @@ def test_projector_row_rank_equals_dense_rank_on_fixture_grid():
         action = GroupAction.from_matrix_group(matrix_group_fixture(name))
         for i in range(5):
             for j in range(action.signature.num_odd + 1):
-                rows = _projector_rows(action, i, j)[1]
-                dense = [[Fraction(0)] * len(rows) for _ in rows]
+                width, _, rows = _projector_rows(action, i, j)
+                assert len(rows) <= width
+                dense = [[Fraction(0)] * width for _ in rows]
                 for r, row in zip(dense, rows):
                     for k, x in row:
                         r[k] = x

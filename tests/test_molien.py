@@ -24,14 +24,13 @@ from supermolien.groups import (
     build_wreath,
     wreath_mul,
 )
-from supermolien.linalg import _charpoly_rows, assemble_blocks, charpoly_det
+from supermolien.linalg import QMatrix, _charpoly_rows, assemble_blocks, charpoly_det, matrix_rank
 from supermolien.molien import (
     FLAVORS,
     GroupAction,
     invariant_dimension_bruteforce,
     molien_vs_oracle,
     require_flavor,
-    reynolds_images,
     reynolds_project,
     super_molien,
 )
@@ -44,7 +43,7 @@ from supermolien.superalgebra import (
     super_mul,
 )
 
-from rational_groups import conjugated_s3, named_group
+from rational_groups import KERNEL_GROUPS, conjugated_s3, named_group
 
 
 def q_series(caps, coeff_fn):
@@ -199,25 +198,43 @@ def orbit_sharing_action(name):
     return GroupAction.from_wreath(pg("s2"), named_group(name[3:-1]), 2), 2
 
 
+def is_multiple(p, acc):
+    """True iff the polynomial p is a scalar multiple (0 included) of the
+    term map acc."""
+    if p.is_zero():
+        return True
+    k, c = next(iter(p.terms.items()))
+    return k in acc and SuperPolynomial(p.sig, acc).scale(Fraction(c) / acc[k]) == p
+
+
 @pytest.mark.parametrize("name", ORBIT_SHARING_CASES)
 def test_reynolds_images_equal_per_monomial_projections(name):
-    # one label loop per orbit gives the same images as projecting every
-    # monomial through every label, on every bidegree within the caps and
-    # with the basis in either order
+    # the orbit sums, one label loop per orbit, are |W| times the
+    # projections of their first monomials, in basis order, and span every
+    # monomial's projection, on every bidegree within the caps and with the
+    # basis in either order
     action, dq = orbit_sharing_action(name)
     sig = action.signature
     for i in range(dq + 1):
         for j in range(sig.num_odd + 1):
             basis = bidegree_basis(sig, i, j)
-            expected = [reynolds_project(action, SuperPolynomial.monomial(sig, m)) for m in basis]
-            assert reynolds_images(action, basis) == expected
-            assert reynolds_images(action, basis[::-1]) == expected[::-1]
+            images = {m: reynolds_project(action, SuperPolynomial.monomial(sig, m)) for m in basis}
+            for order in (basis, basis[::-1]):
+                sums = molien._orbit_sums(action, order)
+                firsts = [order.index(m) for m, _ in sums]
+                assert firsts == sorted(set(firsts)) and firsts[:1] == [0][: len(order)]
+                for m, acc in sums:
+                    assert SuperPolynomial(sig, acc) == images[m].scale(action.order)
+                for m in order:
+                    assert any(is_multiple(images[m], acc) for _, acc in sums)
 
 
 def test_reynolds_images_project_once_per_orbit(monkeypatch):
-    # S_3[+-1] on 3 rows: fewer substitutions than one per label and monomial
+    # S_3[+-1] on 3 rows: fewer substitutions than one per label and
+    # monomial, and fewer sums than monomials
     action = GroupAction.from_wreath(PermGroup.symmetric(3), sign_scalar_group(), 3)
-    basis = bidegree_basis(action.signature, 4, 0)
+    sig = action.signature
+    basis = bidegree_basis(sig, 4, 0)
     calls = 0
 
     def counted(sub, mono):
@@ -227,10 +244,64 @@ def test_reynolds_images_project_once_per_orbit(monkeypatch):
 
     substitute = superalgebra._substitute
     monkeypatch.setattr(superalgebra, "_substitute", counted)
-    images = reynolds_images(action, basis)
+    sums = molien._orbit_sums(action, basis)
     assert 0 < calls < action.order * len(basis)
+    assert calls == action.order * len(sums) < action.order * len(basis)
     monkeypatch.undo()
-    assert images == [reynolds_project(action, SuperPolynomial.monomial(action.signature, m)) for m in basis]
+    for m, acc in sums:
+        assert SuperPolynomial(sig, acc) == reynolds_project(action, SuperPolynomial.monomial(sig, m)).scale(
+            action.order
+        )
+
+
+def test_bruteforce_rank_takes_one_row_per_orbit(monkeypatch):
+    # S_3[+-1] on 3 rows at (4, 0): the rank kernel gets one row per label
+    # loop, fewer rows than basis monomials, with int entries
+    action = GroupAction.from_wreath(PermGroup.symmetric(3), sign_scalar_group(), 3)
+    basis = bidegree_basis(action.signature, 4, 0)
+    loops = 0
+    seen = []
+
+    def counted_sum(*args):
+        nonlocal loops
+        loops += 1
+        return label_sum(*args)
+
+    def recorded_rank(rows):
+        seen.append(rows)
+        return rank_rows(rows)
+
+    label_sum, rank_rows = molien._label_sum, molien._rank_rows
+    monkeypatch.setattr(molien, "_label_sum", counted_sum)
+    monkeypatch.setattr(molien, "_rank_rows", recorded_rank)
+    dim = invariant_dimension_bruteforce(action, 4, 0)
+    (rows,) = seen
+    assert len(rows) == loops < len(basis)
+    assert all(type(c) is int for row in rows for _, c in row)
+    monkeypatch.undo()
+    assert dim == super_molien(action, 4).coefficient((0, 4, 0))
+
+
+@pytest.mark.parametrize("gname", KERNEL_GROUPS)
+def test_orbit_row_rank_equals_per_monomial_rank(gname):
+    # the rank over one row per orbit equals the rank over one projection
+    # per monomial, the projector's full matrix, for both flavors on one
+    # and two rows
+    G = named_group(gname)
+    for n, dq in ((1, 3), (2, 2)):
+        for flavor in FLAVORS:
+            action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor)
+            sig = action.signature
+            for i in range(dq + 1):
+                for j in range(sig.num_odd + 1):
+                    basis = bidegree_basis(sig, i, j)
+                    index = {m: k for k, m in enumerate(basis)}
+                    dense = [[0] * len(basis) for _ in basis]
+                    for row, m in zip(dense, basis):
+                        for k, c in reynolds_project(action, SuperPolynomial.monomial(sig, m)).terms.items():
+                            row[index[k]] = c
+                    expected = matrix_rank(QMatrix.from_rows(dense)) if dense else 0
+                    assert invariant_dimension_bruteforce(action, i, j) == expected
 
 
 def test_molien_vs_oracle_clean_report():

@@ -20,6 +20,8 @@ from supermolien.series import (
     series_sub,
 )
 
+from rational_groups import is_exact
+
 CAPS = Caps(2, 4, 3)
 
 
@@ -193,6 +195,33 @@ def test_add_sub_roundtrip(a, b):
 
 
 # -- serialization -------------------------------------------------------------
+
+
+def test_coefficients_are_ints_where_integral():
+    s = S(CAPS, {(0, 0, 0): Fraction(4, 2), (0, 1, 0): Fraction(1, 3), (0, 2, 0): 3})
+    assert [type(c) for _, c in s.items()] == [int, Fraction, int]
+    half = TrigradedSeries.monomial(CAPS, (0, 0, 0), Fraction(1, 2))
+    assert series_mul(half, S(CAPS, {(0, 0, 0): 2})).items() == [((0, 0, 0), 1)]
+    assert type(series_mul(half, S(CAPS, {(0, 0, 0): 2})).coefficient((0, 0, 0))) is int
+    assert type(TrigradedSeries.one(CAPS).coefficient((0, 1, 0))) is int
+    assert all(type(c) is int for _, c in series_inv(S(CAPS, {(0, 0, 0): 1, (0, 1, 0): -1})).items())
+
+
+@given(series_st, series_st, unit_series_st)
+@settings(max_examples=40)
+def test_arithmetic_results_keep_the_exact_form(a, b, u):
+    results = (
+        series_add(a, b),
+        series_sub(a, b),
+        series_mul(a, b),
+        series_inv(u),
+        series_pow_int(u, -2),
+        series_flip_u(a),
+        scale_exponents(a, 2),
+        -a,
+    )
+    for s in results:
+        assert all(is_exact(c) for _, c in s.items())
 
 
 def test_json_round_trip_and_ordering():

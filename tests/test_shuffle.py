@@ -34,6 +34,7 @@ from supermolien.superalgebra import (
     super_mul,
 )
 
+from rational_groups import is_exact
 from row_relabeling import relabel_rows
 
 
@@ -176,7 +177,7 @@ def test_shuffle_product_is_signed_relabel_sum(r0, r1):
                     expected = expected + (term.scale(perm_sign(sigma)) if signed else term)
                 got = shuffle_product(A, B, signed)
                 assert got == expected
-                assert all(type(c) is Fraction for c in got.terms.values())
+                assert all(is_exact(c) for c in got.terms.values())
                 nonzero += not got.is_zero()
     assert nonzero >= 24
 
@@ -222,10 +223,22 @@ def test_invariant_basis_exterior_pair():
     th2 = SuperPolynomial.theta_var(sig, 2, 1)
     inv = GroupAction.from_wreath(PermGroup.symmetric(2), G, 2, flavor="invariant")
     sgn = GroupAction.from_wreath(PermGroup.symmetric(2), G, 2, flavor="antiinvariant")
+    # the undivided orbit sums, |W| times the projections
     (e,) = invariant_basis(inv, 0, 1).elements
-    assert e == (th1 + th2).scale(Fraction(1, 2))
+    assert e == th1 + th2
     (o,) = invariant_basis(sgn, 0, 1).elements
-    assert o == (th1 - th2).scale(Fraction(1, 2))
+    assert o == th1 - th2
+
+
+def test_invariant_basis_of_integral_group_has_int_coefficients():
+    # S_2[S_3 on x] and S_2[S_2 on theta]: the orbit sums of an integral
+    # group are kept undivided, so every basis element has int coefficients
+    for gname, i, j in (("s3-x", 3, 0), ("s2-theta", 0, 1)):
+        G = matrix_group_fixture(gname)
+        for flavor in ("invariant", "antiinvariant"):
+            action = GroupAction.from_wreath(PermGroup.symmetric(2), G, 2, flavor=flavor)
+            elements = invariant_basis(action, i, j).elements
+            assert elements and all(type(c) is int for f in elements for c in f.terms.values())
 
 
 def test_invariant_basis_dimension_matches_oracle():

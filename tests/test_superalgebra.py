@@ -1,5 +1,6 @@
 """Supercommutative multiplication, sign normalization, group actions, bases."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -33,7 +34,7 @@ from supermolien.superalgebra import (
     super_mul,
 )
 
-from rational_groups import named_group
+from rational_groups import KERNEL_GROUPS, is_exact, named_group
 from row_relabeling import relabel_rows, relabeling
 
 
@@ -323,6 +324,35 @@ def test_bidegree_basis_counts():
                 assert all(m.degrees() == (i, j) for m in basis)
 
 
+def compositions_desc_lex(total, nvars):
+    """Reference: exponent vectors summing to total, in descending lex order."""
+    if nvars == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions_desc_lex(total - first, nvars - 1):
+            yield (first,) + rest
+
+
+def test_bidegree_basis_order_matches_descending_lex_reference():
+    # x-parts from exponent vectors in descending lex (major), theta subsets
+    # in ascending lex (minor), with r0, r1 <= 2, at most 4 rows and
+    # x-degree at most 5; the theta degrees 0, 1 and n*r1 keep it fast
+    for r0, r1, n in itertools.product(range(3), range(3), range(5)):
+        sig = AlgebraSignature(r0, r1, n)
+        evars = sig.even_vars()
+        for i in range(6):
+            for j in sorted({0, min(1, n * r1), n * r1}):
+                thetas = list(itertools.combinations(sig.odd_vars(), j))
+                expected = [
+                    SuperMonomial(dict(zip(evars, vec)), theta)
+                    for vec in compositions_desc_lex(i, len(evars))
+                    for theta in thetas
+                ]
+                assert bidegree_basis(sig, i, j) == expected
+
+
 def test_coefficient_vector_round_trip():
     sig = AlgebraSignature(1, 1, 2)
     basis = bidegree_basis(sig, 1, 1)
@@ -369,21 +399,6 @@ def test_superpoly_json_rejects_repeated_theta():
 
 # -- kernel outputs: equivalence and canonical form ---------------------------------
 
-# the last two have non-integral entries: the multi-term branch of the
-# kernel, and the one-term branch with non-unit coefficients
-KERNEL_GROUPS = (
-    "trivial-1-1",
-    "trivial-2-2",
-    "sign-scalar",
-    "s2-x",
-    "s3-x",
-    "s2-theta",
-    "young-2-1-theta",
-    "rational-s3",
-    "scaled-swap",
-)
-
-
 def random_poly(rng, sig, terms=4):
     """Random element with fractional coefficients; repeated monomials fold."""
     out = SuperPolynomial.zero(sig)
@@ -406,7 +421,7 @@ def random_label(rng, G, n):
 
 
 def assert_canonical(p):
-    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    assert all(is_exact(c) for c in p.terms.values())
     for m in p.terms:
         rebuilt = SuperMonomial(m.xpart, m.theta)
         assert (rebuilt.xpart, rebuilt.theta) == (m.xpart, m.theta)
