@@ -3,10 +3,12 @@
 A graded group element carries two matrices, g0 acting on the r0 commuting
 variables and g1 on the r1 anticommuting ones.  Wreath elements are labels
 (sigma, (g_1..g_n)); each acts on the n rows by one block matrix per graded
-part, WreathElement.columns, built by offsetting the sparse columns each
-graded element holds once (GradedGroupElement.columns).  The Molien route
-reads it, and WreathElement.substitution compiles it, once per label, for
-the substitution in the supercommutative-algebra layer.  The product law is
+part.  Both of a label's views of that matrix are built by offsetting the
+sparse columns each graded element holds once (GradedGroupElement.columns):
+WreathElement.columns, the flat matrix the Molien route reads, and
+WreathElement.substitution, each variable's image keyed by (row, col),
+compiled once per label for the supercommutative-algebra layer, which maps
+a whole term map through it.  The product law is
 chosen so that applying w1 * w2 equals applying w2's substitution first and
 then w1's.
 
@@ -178,6 +180,17 @@ class GradedGroupElement:
             r = m.ncols
             parts.append(tuple(tuple((i, x) for i, x in enumerate(entries[c::r]) if x) for c in range(r)))
         return tuple(parts)
+
+    @cached_property
+    def monomial(self) -> bool:
+        """Every column of g0 and g1 has one nonzero entry and no two
+        columns share its row: each variable maps to a multiple of one
+        variable, distinct variables to distinct ones.  Computed once per
+        element object, like columns."""
+        return all(
+            all(len(col) == 1 for col in cols) and len({col[0][0] for col in cols}) == len(cols)
+            for cols in self.columns
+        )
 
 
 def _bfs_closure(identity, generators, cap, multiply):
@@ -403,26 +416,22 @@ class WreathElement:
     @cached_property
     def substitution(self) -> "Substitution":
         """The label's substitution compiled for the supercommutative-algebra
-        layer from columns, once per label object (see Substitution)."""
+        layer, once per label object (see Substitution): variable (i, c)
+        maps to column c of g_i, read from GradedGroupElement.columns with
+        each row c' offset to row sigma^{-1}(i).  It is one-term exactly
+        when every block is monomial."""
         n = self.sigma.n
         blocks = tuple((g.g0.nrows, g.g0.ncols, g.g1.nrows, g.g1.ncols) for g in self.gs)
         if not blocks or any(b != blocks[0] for b in blocks) or blocks[0][0::2] != blocks[0][1::2]:
             return Substitution((n, blocks), None, None, False)
+        maps = ({}, {})
+        for b, i in enumerate(self.sigma.images, 1):
+            # the variables of row i = sigma(b) land in row b
+            for image, cols in zip(maps, self.gs[i - 1].columns):
+                for c, col in enumerate(cols, 1):
+                    image[i, c] = tuple([((b, cp + 1), x) for cp, x in col])
         r0, _, r1, _ = blocks[0]
-        maps = []
-        one_term = True
-        for cols, r in zip(self.columns, (r0, r1)):
-            names = _variable_names(n, r)
-            maps.append({names[k]: tuple([(names[idx], a) for idx, a in col]) for k, col in enumerate(cols)})
-            # every column has one term, and no two columns hit one variable
-            one_term = one_term and len({col[0][0] for col in cols if len(col) == 1}) == len(cols)
-        return Substitution((n, r0, r1), *maps, one_term)
-
-
-@cache
-def _variable_names(n: int, r: int) -> tuple[tuple[int, int], ...]:
-    """The (row, col) key of each flat variable index (row-1)*r + col-1."""
-    return tuple((row, col) for row in range(1, n + 1) for col in range(1, r + 1))
+        return Substitution((n, r0, r1), *maps, all(g.monomial for g in self.gs))
 
 
 class Substitution(NamedTuple):
@@ -434,9 +443,11 @@ class Substitution(NamedTuple):
     None.  even and odd map each variable (row, col) to its image, a tuple
     of ((row', col'), coefficient) pairs, integral coefficients as ints.
     one_term says every image is a single term and distinct variables
-    have distinct images, as for every label of P[G] with G a group of
-    (scaled) signed permutation matrices: each monomial then maps to one
-    monomial."""
+    have distinct images, that is every block is monomial
+    (GradedGroupElement.monomial), as for every label of P[G] with G a
+    group of (scaled) signed permutation matrices: each monomial then maps
+    to one monomial, and distinct monomials to distinct ones.  The algebra
+    layer maps a whole term map through it in one call per label."""
 
     shape: tuple
     even: dict | None

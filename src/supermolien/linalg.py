@@ -152,10 +152,15 @@ def _nonzeros(m: QMatrix) -> list[list[tuple[int, Fraction]]]:
 
 def _cleared_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple[list[dict[int, int]], int]:
     """Clear the denominators of each sparse row of nonzero entries:
-    ({column: int} rows, product of the row scales)."""
+    ({column: int} rows, product of the row scales).  A row of ints is
+    copied as it is, with scale 1; every row is a new dict, so the caller's
+    rows stay untouched by an elimination in place."""
     out = []
     scale = 1
     for row in rows:
+        if all(type(x) is int for _, x in row):
+            out.append(dict(row))
+            continue
         lcm = math.lcm(*(x.denominator for _, x in row))
         out.append({j: x.numerator * (lcm // x.denominator) for j, x in row})
         scale *= lcm

@@ -3,13 +3,17 @@
 An invariant on a rows times an invariant on b rows is multiplied after
 shifting the second factor's rows past the first, then symmetrized over the
 minimal coset representatives of the two row blocks (three blocks for the
-one-shot triple product).  Each representative is a label whose row blocks
-are all the identity, so the symmetrization is the weighted label sum of
-superalgebra over (weight, label) pairs, weighted by sign for the signed
-product; the pairs are built and compiled once per block sizes, signature
-and sign.  The (anti)invariance checks use the same sum: f is fixed by a
-generator pair when weight * (w.f) == f, the weight being the generator's
-sign for the antiinvariant flavor.  An invariant basis is a greedy
+one-shot triple product).  The shifted factors sit on disjoint rows, so
+their product is the concatenation of their terms, with nothing to merge
+or reorder.  Each representative is a label whose row blocks are all the
+identity, so the symmetrization is the weighted label sum of superalgebra
+over (weight, label) pairs, which maps the product's whole term map
+through each label at once, weighted by sign for the signed product; the
+pairs are built and compiled once per block sizes, signature and sign.
+The (anti)invariance checks use the same sum: f is fixed by a generator
+pair when the term map of weight * (w.f) equals f's terms, the weight being
+the generator's sign for the antiinvariant flavor; no polynomial is built
+per generator.  An invariant basis is a greedy
 independent subset of the Reynolds orbit sums of molien, kept undivided
 (|W| R(m), ints for an integral group), so the products of the battery run
 on ints.  The resulting product closes on the (anti)invariant spaces, is
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 from .errors import CapExceeded, NotHomogeneous, SignatureMismatch, SuperMolienError
 from .groups import (
@@ -53,7 +57,6 @@ from .superalgebra import (
     _label_sum,
     bidegree_basis,
     coefficient_vector,
-    super_mul,
 )
 from .wreath_series import CollationSpec, collated_product_series, collated_sum_series
 
@@ -74,18 +77,24 @@ __all__ = [
 ]
 
 
+def _shifted(terms: dict, offset: int) -> list[tuple]:
+    """(xpart, theta, coefficient) of each term with every row index
+    increased by offset; a shift keeps every monomial canonical and
+    distinct."""
+    return [
+        (tuple((r + offset, col, e) for r, col, e in xpart), tuple((r + offset, col) for r, col in theta), c)
+        for (xpart, theta), c in terms.items()
+    ]
+
+
 def shift_rows(f: SuperPolynomial, offset: int, n_out: int) -> SuperPolynomial:
     """Reembed f into n_out rows with every row index increased by offset."""
     if offset < 0 or f.sig.n + offset > n_out:
         raise ValueError(f"cannot shift {f.sig.n} rows by {offset} into {n_out}")
     sig = AlgebraSignature(f.sig.r0, f.sig.r1, n_out)
-    out = {}
-    for m, c in f.terms.items():
-        # a shift keeps every monomial canonical and distinct
-        xpart = tuple((r + offset, col, e) for r, col, e in m.xpart)
-        theta = tuple((r + offset, col) for r, col in m.theta)
-        out[SuperMonomial._canonical(xpart, theta)] = c
-    return SuperPolynomial._canonical(sig, out)
+    return SuperPolynomial._canonical(
+        sig, {SuperMonomial._canonical(xpart, theta): c for xpart, theta, c in _shifted(f.terms, offset)}
+    )
 
 
 @cache
@@ -109,16 +118,26 @@ def _coset_labels(
 
 def _shuffle(factors: tuple[SuperPolynomial, ...], signed: bool) -> SuperPolynomial:
     """Shift each factor's rows past the previous ones, multiply, and sum
-    the product over the coset labels of the row blocks."""
+    the product over the coset labels of the row blocks.
+
+    The shifted factors sit on disjoint, increasing row ranges, so the
+    product of one term from each is the concatenation of their x-parts
+    and of their thetas, already canonical with sign +1, and distinct
+    choices of terms give distinct monomials: the core term map is built
+    by concatenation, with nothing to merge, reorder or cancel."""
     sig = factors[0].sig
     if any((f.sig.r0, f.sig.r1) != (sig.r0, sig.r1) for f in factors):
         raise SignatureMismatch(f"factor signatures {' and '.join(str(f.sig) for f in factors)} disagree")
     blocks = tuple(f.sig.n for f in factors)
-    n = sum(blocks)
-    offsets = itertools.accumulate(blocks, initial=0)
-    core = reduce(super_mul, [shift_rows(f, offset, n) for f, offset in zip(factors, offsets)])
+    core = factors[0].terms
+    for f, offset in zip(factors[1:], itertools.accumulate(blocks)):
+        shifted = _shifted(f.terms, offset)
+        core = {
+            SuperMonomial._canonical(x + fx, t + ft): c * fc for (x, t), c in core.items() for fx, ft, fc in shifted
+        }
+    out_sig = AlgebraSignature(sig.r0, sig.r1, sum(blocks))
     pairs = _coset_labels(blocks, sig.r0, sig.r1, signed)
-    return SuperPolynomial._canonical(core.sig, _label_sum(core.sig, pairs, core.terms))
+    return SuperPolynomial._canonical(out_sig, _label_sum(out_sig, pairs, core))
 
 
 def shuffle_product(A: SuperPolynomial, B: SuperPolynomial, signed: bool = False) -> SuperPolynomial:
@@ -185,8 +204,12 @@ def _wreath_generator_labels(n: int, G: MatrixGroup, flavor: str) -> tuple[tuple
 
 
 def _fixed_by(f: SuperPolynomial, pairs: tuple[tuple[int, WreathElement], ...]) -> bool:
-    """True iff weight * (w.f) == f for every (weight, label) pair."""
-    return all(SuperPolynomial._canonical(f.sig, _label_sum(f.sig, (pair,), f.terms)) == f for pair in pairs)
+    """True iff weight * (w.f) == f for every (weight, label) pair: the
+    pair's label-sum term map equals f's terms.  A sum over one label
+    holds no zero terms, since _substitute drops them, so no polynomial
+    needs to be built to compare."""
+    terms = f.terms
+    return all(_label_sum(f.sig, (pair,), terms) == terms for pair in pairs)
 
 
 def is_wreath_invariant(f: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant") -> bool:

@@ -13,11 +13,13 @@ row the block g_i substitutes on columns, and rows move contravariantly,
 x_i -> x_{sigma^{-1}(i)}, so apply_wreath(wreath_mul(w1, w2), f) equals
 apply_wreath(w1, apply_wreath(w2, f)).  Each label compiles its
 substitution once (WreathElement.substitution: its block shape, and each
-variable's image), and one private term-level kernel, _substitute, maps a
-monomial through it.  Its one caller is the weighted label sum, _label_sum:
-apply_wreath is its one-label case, the Reynolds projector in molien its
-character-weighted sum over a group, and the shuffle product its signed
-sum over coset representatives, labels with identity row blocks.
+variable's image), and one private kernel, _substitute, maps a whole term
+map through it.  Its one caller is the weighted label sum, _label_sum,
+which calls it once per label: apply_wreath is its one-label case, the
+Reynolds projector in molien its character-weighted sum over a group, the
+shuffle product its signed sum over coset representatives, labels with
+identity row blocks, and the shuffle battery's invariance test its term
+map compared with f's.
 """
 
 from __future__ import annotations
@@ -323,62 +325,73 @@ def _require_shape(sub: Substitution, sig: AlgebraSignature) -> None:
         )
 
 
-def _substitute(sub: Substitution, mono: SuperMonomial) -> list[tuple[SuperMonomial, int | Fraction]]:
-    """The image of mono (coefficient 1) under a compiled label whose shape
-    was checked: its nonzero terms, integral coefficients as ints.
+def _substitute(sub: Substitution, terms: Mapping) -> list[tuple[SuperMonomial, int | Fraction]]:
+    """The image of a term map under a compiled label whose shape was
+    checked: (monomial, coefficient) pairs, ints where the coefficients and
+    the label's entries are.
 
-    A one-term label maps the monomial to one monomial, found by one sort
-    and the sign of the odd factors' reordering; otherwise the images of
-    its factors are multiplied out one by one."""
-    xpart, theta = mono
+    A one-term label maps each monomial to one monomial, found by one sort
+    and the sign of the odd factors' reordering, and distinct monomials to
+    distinct ones, so the pairs are the images term by term, none zero.
+    Otherwise each term's factors are multiplied out one by one and the
+    terms summed; the pairs are the nonzero sums."""
     even, odd = sub.even, sub.odd
     if sub.one_term:
-        scale, xs, ts = 1, [], []
+        canonical = SuperMonomial._canonical
+        out = []
+        for (xpart, theta), scale in terms.items():
+            xs, ts = [], []
+            for r, c, e in xpart:
+                ((v, a),) = even[r, c]
+                xs.append((*v, e))
+                if a != 1:
+                    scale *= a**e
+            for p in theta:
+                ((v, a),) = odd[p]
+                ts.append(v)
+                if a != 1:
+                    scale *= a
+            if len(ts) > 1:
+                if _inversion_sign(ts) < 0:
+                    scale = -scale
+                ts.sort()
+            xs.sort()
+            out.append((canonical(tuple(xs), tuple(ts)), scale))
+        return out
+    acc: dict[SuperMonomial, int | Fraction] = {}
+    for (xpart, theta), coeff in terms.items():
+        image = {SuperMonomial._canonical((), ()): 1}
         for r, c, e in xpart:
-            ((v, a),) = even[r, c]
-            xs.append((*v, e))
-            if a != 1:
-                scale *= a**e
+            form = {SuperMonomial._canonical(((*v, 1),), ()): a for v, a in even[r, c]}
+            for _ in range(e):
+                image = _mul_terms(image, form)
         for p in theta:
-            ((v, a),) = odd[p]
-            ts.append(v)
-            if a != 1:
-                scale *= a
-        if len(ts) > 1 and _inversion_sign(ts) < 0:
-            scale = -scale
-        xs.sort()
-        ts.sort()
-        return [(SuperMonomial._canonical(tuple(xs), tuple(ts)), scale)]
-    image = {SuperMonomial._canonical((), ()): 1}
-    for r, c, e in xpart:
-        form = {SuperMonomial._canonical(((*v, 1),), ()): a for v, a in even[r, c]}
-        for _ in range(e):
-            image = _mul_terms(image, form)
-    for p in theta:
-        image = _mul_terms(image, {SuperMonomial._canonical((), (v,)): a for v, a in odd[p]})
-    return [(m, a) for m, a in image.items() if a]
+            image = _mul_terms(image, {SuperMonomial._canonical((), (v,)): a for v, a in odd[p]})
+        for m, a in image.items():
+            v = coeff if a == 1 else -coeff if a == -1 else coeff * a
+            acc[m] = acc[m] + v if m in acc else v
+    return [(m, a) for m, a in acc.items() if a]
 
 
 def _label_sum(sig: AlgebraSignature, pairs: Iterable, terms: Mapping, reached: set | None = None) -> dict:
     """sum over (weight, label) pairs of weight * w.f, f on sig given by its
     terms and each weight +-1: the summed term map, zeros kept, ints where
-    f's coefficients are ints.  When reached is given, f is one monomial,
-    and each w mapping it to a single term c*m adds m to reached: for
-    weight chi(w), R(w.f) = chi(w) R(f), so R(m) = chi(w)/c R(f) is a
-    multiple of R(f)."""
+    f's coefficients are ints.  f is mapped through each label by one
+    _substitute call.  When reached is given, f is one monomial, and each
+    w mapping it to a single term c*m adds m to reached: for weight
+    chi(w), R(w.f) = chi(w) R(f), so R(m) = chi(w)/c R(f) is a multiple of
+    R(f)."""
     acc: dict[SuperMonomial, int | Fraction] = {}
     for weight, w in pairs:
         sub = w.substitution
         _require_shape(sub, sig)
-        for mono, coeff in terms.items():
-            image = _substitute(sub, mono)
-            if reached is not None and len(image) == 1:
-                reached.add(image[0][0])
-            for m, c in image:
-                if weight < 0:
-                    c = -c
-                v = coeff if c == 1 else -coeff if c == -1 else coeff * c
-                acc[m] = acc[m] + v if m in acc else v
+        image = _substitute(sub, terms)
+        if reached is not None and len(image) == 1:
+            reached.add(image[0][0])
+        for m, c in image:
+            if weight < 0:
+                c = -c
+            acc[m] = acc[m] + c if m in acc else c
     return acc
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from supermolien import groups
 from supermolien.errors import (
     CapExceeded,
+    DegreeMismatch,
     DimensionMismatch,
     NotAPermutationGroup,
     NotInvertible,
@@ -22,6 +23,7 @@ from supermolien.groups import (
     MatrixGroup,
     PermGroup,
     Permutation,
+    Substitution,
     WreathElement,
     build_wreath,
     cycle_type,
@@ -36,8 +38,11 @@ from supermolien.groups import (
     wreath_mul,
     wreath_sign,
 )
-from supermolien.fixtures import matrix_group_fixture, perm_group_fixture
+from supermolien.fixtures import MATRIX_GROUP_FIXTURES, matrix_group_fixture, perm_group_fixture
 from supermolien.linalg import QMatrix
+from supermolien.superalgebra import AlgebraSignature, SuperPolynomial, apply_wreath
+
+from rational_groups import named_group
 
 
 def perms_st(n):
@@ -411,3 +416,67 @@ def test_shuffle_reps_cover_distinct_cosets():
         for y in young.elements:
             seen.add(y.compose(rep))
     assert len(seen) == 24
+
+
+def columns_substitution(w):
+    """Reference compile of a label with square blocks of one shape from
+    its flat matrix, WreathElement.columns: flat variable index
+    (row-1)*r + col-1 named back to (row, col), and one-term read off the
+    columns themselves."""
+    n = w.sigma.n
+    r0, r1 = w.gs[0].g0.nrows, w.gs[0].g1.nrows
+    maps = []
+    one_term = True
+    for cols, r in zip(w.columns, (r0, r1)):
+        names = [(row, col) for row in range(1, n + 1) for col in range(1, r + 1)]
+        maps.append({names[k]: tuple((names[idx], a) for idx, a in col) for k, col in enumerate(cols)})
+        one_term = one_term and all(len(col) == 1 for col in cols) and len({col[0][0] for col in cols}) == len(cols)
+    return Substitution((n, r0, r1), *maps, one_term)
+
+
+@pytest.mark.parametrize("gname", sorted(MATRIX_GROUP_FIXTURES) + ["rational-s3", "scaled-swap"])
+def test_direct_substitution_equals_columns_compile(gname):
+    # the per-block compile equals the one read from the label's flat
+    # matrix on every label of S_1[G], S_2[G] and S_3[G], the one-term
+    # flag included
+    G = named_group(gname)
+    for n in (1, 2, 3):
+        for w in build_wreath(PermGroup.symmetric(n), G, n):
+            assert w.substitution == columns_substitution(w)
+            assert w.substitution.one_term == all(g.monomial for g in w.gs)
+
+
+def test_monomial_flag():
+    ident = GradedGroupElement.identity(2, 1)
+    swap = QMatrix.from_rows([[0, Fraction(1, 2)], [2, 0]])
+    shear = QMatrix.from_rows([[1, 1], [0, 1]])
+    assert ident.monomial
+    assert GradedGroupElement(swap, QMatrix.from_rows([[-1]])).monomial
+    assert not GradedGroupElement(shear, QMatrix.identity(1)).monomial
+    assert not GradedGroupElement(QMatrix.identity(2), QMatrix.from_rows([[1, 1], [1, -1]])).monomial
+    assert GradedGroupElement.identity(0, 0).monomial
+
+
+def test_direct_substitution_of_mismatched_blocks_matches_no_signature():
+    # blocks of different shapes, or non-square ones, compile to a shape
+    # no signature has, and the substitution then refuses the label
+    ident = GradedGroupElement.identity(1, 1)
+    mixed = WreathElement(Permutation.identity(2), (ident, GradedGroupElement.identity(2, 1)))
+    wide = WreathElement(
+        Permutation.identity(1), (GradedGroupElement(QMatrix.from_rows([[1, 0]]), QMatrix.identity(1)),)
+    )
+    for w in (mixed, wide):
+        sub = w.substitution
+        assert sub.shape[0] == w.sigma.n and len(sub.shape) == 2
+        assert (sub.even, sub.odd, sub.one_term) == (None, None, False)
+    with pytest.raises(DimensionMismatch):
+        apply_wreath(mixed, SuperPolynomial.x_var(AlgebraSignature(1, 1, 2), 1, 1))
+    with pytest.raises(DegreeMismatch):
+        apply_wreath(mixed, SuperPolynomial.x_var(AlgebraSignature(1, 1, 1), 1, 1))
+    with pytest.raises(DimensionMismatch):
+        apply_wreath(wide, SuperPolynomial.x_var(AlgebraSignature(1, 1, 1), 1, 1))
+    square = WreathElement(Permutation.identity(1), (GradedGroupElement.identity(2, 2),))
+    with pytest.raises(DimensionMismatch):
+        apply_wreath(square, SuperPolynomial.x_var(AlgebraSignature(1, 1, 1), 1, 1))
+    with pytest.raises(DegreeMismatch):
+        apply_wreath(square, SuperPolynomial.x_var(AlgebraSignature(2, 2, 2), 1, 1))

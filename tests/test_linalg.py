@@ -15,6 +15,7 @@ from supermolien.linalg import (
     EchelonSelector,
     QMatrix,
     _charpoly_rows,
+    _cleared_rows,
     _rank_rows,
     assemble_blocks,
     charpoly_det,
@@ -163,6 +164,40 @@ def test_sparse_rank_edge_cases():
     assert matrix_rank(QMatrix.zeros(3, 0)) == 0
     assert matrix_rank(QMatrix.zeros(0, 3)) == 0
     assert _rank_rows([[(5, Fraction(1, 2))], [(5, 3)], [(0, -1), (5, 1)]]) == 2
+
+
+def test_int_rows_are_copied_with_scale_one():
+    # a row of ints is taken as it is; integral Fractions still go through
+    # the denominator clearing, and both come out as ints
+    rows = [[(0, 2), (3, -4)], [(1, Fraction(6, 3)), (2, Fraction(1, 2))], []]
+    cleared, scale = _cleared_rows(rows)
+    assert cleared == [{0: 2, 3: -4}, {1: 4, 2: 1}, {}]
+    assert scale == 2
+    assert all(type(x) is int for row in cleared for x in row.values())
+
+
+def test_rank_leaves_the_callers_int_rows_untouched():
+    # the elimination works in place on the cleared rows, never on the
+    # rows it was handed, int rows included
+    rng = random.Random(907)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [sparse_row([rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(nc)]) for _ in range(nr)]
+        before = [list(row) for row in rows]
+        _rank_rows(rows)
+        assert rows == before
+
+
+def test_int_row_rank_equals_fraction_row_rank_seeded():
+    # the same rows as ints and as Fractions have the same rank, which is
+    # the minor oracle's
+    rng = random.Random(1193)
+    for _ in range(120):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        dense = [[rng.randint(-4, 4) if rng.random() < 0.4 else 0 for _ in range(nc)] for _ in range(nr)]
+        ints = [sparse_row(r) for r in dense]
+        fractions = [[(j, Fraction(x)) for j, x in row] for row in ints]
+        assert _rank_rows(ints) == _rank_rows(fractions) == minor_rank(dense)
 
 
 def test_projector_row_rank_equals_dense_rank_on_fixture_grid():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -31,10 +32,12 @@ from supermolien.superalgebra import (
     AlgebraSignature,
     SuperMonomial,
     SuperPolynomial,
+    apply_wreath,
+    bidegree_basis,
     super_mul,
 )
 
-from rational_groups import is_exact
+from rational_groups import is_exact, named_group
 from row_relabeling import relabel_rows
 
 
@@ -180,6 +183,33 @@ def test_shuffle_product_is_signed_relabel_sum(r0, r1):
                 assert all(is_exact(c) for c in got.terms.values())
                 nonzero += not got.is_zero()
     assert nonzero >= 24
+
+
+@pytest.mark.parametrize("r0, r1", [(1, 1), (0, 2)])
+def test_triple_shuffle_is_signed_relabel_sum(r0, r1):
+    # the one-shot triple product against a core multiplied out by
+    # super_mul from the shifted factors and summed over shuffle_reps(a, b,
+    # c) through the reference relabeling, 0-row factors included
+    rng = random.Random(f"triple-relabel-sum-{r0}-{r1}")
+    nonzero = 0
+    for a, b, c in ((1, 1, 1), (0, 1, 2), (1, 0, 1), (2, 1, 0), (1, 2, 1), (0, 0, 2)):
+        n = a + b + c
+        A, B, C = (_random_operand(rng, AlgebraSignature(r0, r1, k)) for k in (a, b, c))
+        core = reduce(super_mul, [shift_rows(A, 0, n), shift_rows(B, a, n), shift_rows(C, a + b, n)])
+        for signed in (False, True):
+            expected = SuperPolynomial.zero(core.sig)
+            for sigma in shuffle_reps(a, b, c):
+                term = relabel_rows(sigma, core)
+                expected = expected + (term.scale(perm_sign(sigma)) if signed else term)
+            got = triple_shuffle(A, B, C, signed)
+            assert got == expected
+            assert all(is_exact(c) for c in got.terms.values())
+            nonzero += not got.is_zero()
+    assert nonzero >= 8
+    one = SuperPolynomial.one(AlgebraSignature(r0, r1, 1))
+    other = SuperPolynomial.one(AlgebraSignature(r0 + 1, r1, 1))
+    with pytest.raises(SignatureMismatch):
+        triple_shuffle(one, one, other)
 
 
 def test_shuffle_work_is_refused_before_it_starts():
@@ -485,3 +515,28 @@ def test_is_wreath_invariant_detects_twist():
     assert not is_wreath_invariant(th1 + th2, G, "antiinvariant")
     assert is_wreath_invariant(th1 - th2, G, "antiinvariant")
     assert not is_wreath_invariant(th1 - th2, G, "invariant")
+
+
+@pytest.mark.parametrize("gname", ["trivial-1-1", "sign-scalar", "s2-theta", "young-2-1-theta", "scaled-swap", "rational-s3"])
+def test_fixed_by_equals_polynomial_equality(gname):
+    # the term-map test against weight * (w.f) == f as polynomials, on
+    # invariant basis elements and on them nudged by a monomial of their
+    # bidegree, for both flavors on one and two rows
+    G = named_group(gname)
+    rng = random.Random(f"fixed-by-{gname}")
+    outcomes = set()
+    for n in (1, 2):
+        for flavor in ("invariant", "antiinvariant"):
+            pairs = shuffle_module._wreath_generator_labels(n, G, flavor)
+            action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor)
+            sig = action.signature
+            for i in range(3):
+                for j in range(min(2, sig.num_odd) + 1):
+                    basis = bidegree_basis(sig, i, j)
+                    for f in invariant_basis(action, i, j).elements:
+                        nudge = SuperPolynomial.monomial(sig, rng.choice(basis), rng.choice([1, Fraction(-1, 2)]))
+                        for g in (f, f + nudge, nudge):
+                            expected = all(apply_wreath(w, g).scale(weight) == g for weight, w in pairs)
+                            assert shuffle_module._fixed_by(g, pairs) == expected
+                            outcomes.add(expected)
+    assert outcomes == {True, False}

@@ -27,6 +27,7 @@ from supermolien.superalgebra import (
     SuperMonomial,
     SuperPolynomial,
     _mul_terms,
+    _substitute,
     apply_wreath,
     bidegree_basis,
     coefficient_vector,
@@ -579,3 +580,42 @@ def test_kernel_outputs_are_canonical(gname):
             proj = reynolds_project(action, random_poly(rng, sig, terms=2 if gname == "rational-s3" else 4))
             assert_canonical(proj)
             assert reynolds_project(action, proj) == proj
+
+
+def small_term_map(rng, sig, terms=3):
+    """Seeded term map of a few monomials of x-degree at most 2 and at
+    most two odd factors, coefficients ints and Fractions; repeats fold."""
+    out = SuperPolynomial.zero(sig)
+    evars, ovars = sig.even_vars(), sig.odd_vars()
+    for _ in range(terms):
+        xpart = {}
+        for _ in range(rng.randint(0, 2) if evars else 0):
+            v = rng.choice(evars)
+            xpart[v] = xpart.get(v, 0) + 1
+        theta = sorted(rng.sample(ovars, rng.randint(0, min(2, len(ovars)))))
+        c = rng.choice([-2, 3, Fraction(-1, 2), Fraction(5, 3)])
+        out = out + SuperPolynomial.monomial(sig, SuperMonomial(xpart, theta), c)
+    return out.terms
+
+
+@pytest.mark.parametrize("gname", KERNEL_GROUPS)
+def test_term_map_substitution_equals_monomial_by_monomial(gname):
+    # one kernel call on a whole term map equals the images of its
+    # monomials mapped one by one, scaled and summed, on every label of
+    # S_2[G] and S_3[G]; the pairs name distinct monomials, none with a
+    # zero coefficient
+    G = named_group(gname)
+    rng = random.Random(f"term-map-{gname}")
+    for n in (2, 3):
+        sig = AlgebraSignature(G.r0, G.r1, n)
+        for w in build_wreath(PermGroup.symmetric(n), G, n):
+            sub = w.substitution
+            terms = small_term_map(rng, sig)
+            got = _substitute(sub, terms)
+            expected = {}
+            for m, c in terms.items():
+                for image, a in _substitute(sub, {m: 1}):
+                    expected[image] = expected.get(image, 0) + c * a
+            assert len({m for m, _ in got}) == len(got)
+            assert all(c for _, c in got)
+            assert dict(got) == {m: c for m, c in expected.items() if c}
