@@ -14,7 +14,6 @@ from .shuffle import (
     generation_sweep,
     invariant_basis,
     shuffle_product,
-    theorem3_check,
     triple_shuffle,
     verify_associativity,
     verify_closure,
@@ -72,7 +71,6 @@ __all__ = [
     "shuffle_product",
     "super_molien",
     "super_mul",
-    "theorem3_check",
     "triple_shuffle",
     "verify_associativity",
     "verify_block_determinant_lemma",

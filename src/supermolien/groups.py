@@ -1,10 +1,11 @@
 """Finite group machinery: permutations, graded matrix groups, wreath elements.
 
 A graded group element carries two matrices, g0 acting on the r0 commuting
-variables and g1 on the r1 anticommuting ones.  Wreath elements are labels
+variables and g1 on the r1 anticommuting ones, as sparse columns only
+(GradedGroupElement.columns).  Wreath elements are labels
 (sigma, (g_1..g_n)); each acts on the n rows by one block matrix per graded
 part.  Both of a label's views of that matrix are built by offsetting the
-sparse columns each graded element holds once (GradedGroupElement.columns):
+columns of its elements:
 WreathElement.columns, the flat matrix the Molien route reads, and
 WreathElement.substitution, each variable's image keyed by (row, col),
 compiled once per label for the supercommutative-algebra layer, which maps
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceeded, DimensionMismatch, NotAPermutationGroup, NotInvertible
-from .linalg import QMatrix, qmatrix_det
+from .linalg import QMatrix, _columns, _compose, _rank_rows
 
 CLOSURE_CAP = 20000
 WREATH_CAP = 200000
@@ -150,43 +151,66 @@ def symmetric_generators(n: int) -> list[Permutation]:
     return gens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GradedGroupElement:
-    """A pair of matrices: g0 on the commuting part, g1 on the anticommuting part."""
+    """A pair of matrices, g0 on the commuting part and g1 on the
+    anticommuting part, stored only as shape (g0 rows, g0 cols, g1 rows,
+    g1 cols) and columns, both parts in the form of linalg._columns.  g0
+    and g1 are dense views, for output and the generator order only."""
 
-    g0: QMatrix
-    g1: QMatrix
+    shape: tuple[int, int, int, int]
+    columns: tuple
+
+    def __init__(self, g0: QMatrix, g1: QMatrix):
+        object.__setattr__(self, "shape", (g0.nrows, g0.ncols, g1.nrows, g1.ncols))
+        object.__setattr__(self, "columns", (_columns(g0), _columns(g1)))
+
+    @staticmethod
+    def _of(shape: tuple[int, int, int, int], columns: tuple) -> "GradedGroupElement":
+        g = object.__new__(GradedGroupElement)
+        object.__setattr__(g, "shape", shape)
+        object.__setattr__(g, "columns", columns)
+        return g
 
     @staticmethod
     def identity(r0: int, r1: int) -> "GradedGroupElement":
-        return GradedGroupElement(QMatrix.identity(r0), QMatrix.identity(r1))
+        return GradedGroupElement._of(
+            (r0, r0, r1, r1), tuple(tuple(((c, 1),) for c in range(r)) for r in (r0, r1))
+        )
 
     def __mul__(self, other: "GradedGroupElement") -> "GradedGroupElement":
-        return GradedGroupElement(self.g0 * other.g0, self.g1 * other.g1)
+        a, b = self.shape, other.shape
+        if a[1] != b[0] or a[3] != b[2]:
+            raise ValueError(f"cannot multiply blocks {a} by {b}")
+        return GradedGroupElement._of(
+            (a[0], b[1], a[2], b[3]), tuple(_compose(x, y) for x, y in zip(self.columns, other.columns))
+        )
+
+    def _dense(self, part: int) -> QMatrix:
+        nrows, ncols = self.shape[2 * part : 2 * part + 2]
+        entries = [0] * (nrows * ncols)
+        for c, col in enumerate(self.columns[part]):
+            for i, x in col:
+                entries[i * ncols + c] = x
+        return QMatrix(nrows, ncols, entries)
+
+    @property
+    def g0(self) -> QMatrix:
+        return self._dense(0)
+
+    @property
+    def g1(self) -> QMatrix:
+        return self._dense(1)
 
     def sort_key(self):
         return (self.g0.entries, self.g1.entries)
-
-    @cached_property
-    def columns(self) -> tuple[tuple[tuple[tuple[int, int | Fraction], ...], ...], ...]:
-        """g0 and g1 column by column: column c holds the nonzero (row,
-        entry) pairs of column c, integral entries as ints.  Computed once
-        per element object, as tuples since every label holding the element
-        shares them; not a dataclass field, so it takes no part in equality
-        or hashing."""
-        parts = []
-        for m in (self.g0, self.g1):
-            entries = [x.numerator if x.denominator == 1 else x for x in m.entries]
-            r = m.ncols
-            parts.append(tuple(tuple((i, x) for i, x in enumerate(entries[c::r]) if x) for c in range(r)))
-        return tuple(parts)
 
     @cached_property
     def monomial(self) -> bool:
         """Every column of g0 and g1 has one nonzero entry and no two
         columns share its row: each variable maps to a multiple of one
         variable, distinct variables to distinct ones.  Computed once per
-        element object, like columns."""
+        element object."""
         return all(
             all(len(col) == 1 for col in cols) and len({col[0][0] for col in cols}) == len(cols)
             for cols in self.columns
@@ -232,12 +256,12 @@ class MatrixGroup:
     def close(r0: int, r1: int, generators: Iterable[GradedGroupElement], cap: int = CLOSURE_CAP) -> "MatrixGroup":
         gens = []
         for g in generators:
-            if g.g0.nrows != r0 or g.g0.ncols != r0 or g.g1.nrows != r1 or g.g1.ncols != r1:
+            if g.shape != (r0, r0, r1, r1):
                 raise DimensionMismatch(
-                    f"generator blocks {g.g0.nrows}x{g.g0.ncols}/{g.g1.nrows}x{g.g1.ncols} "
-                    f"do not match (r0, r1) = ({r0}, {r1})"
+                    "generator blocks {}x{}/{}x{} do not match (r0, r1) = ({}, {})".format(*g.shape, r0, r1)
                 )
-            if qmatrix_det(g.g0) == 0 or qmatrix_det(g.g1) == 0:
+            # a square block is invertible iff its columns have full rank
+            if _rank_rows(g.columns[0]) < r0 or _rank_rows(g.columns[1]) < r1:
                 raise NotInvertible("singular generator")
             gens.append(g)
         gens = sorted(set(gens), key=GradedGroupElement.sort_key)
@@ -359,22 +383,18 @@ class PermGroup:
 
 def matrix_group_to_perm_group(G: MatrixGroup, part: str = "even") -> PermGroup:
     """Reinterpret a matrix group whose chosen graded part consists of
-    permutation matrices; raises NotAPermutationGroup otherwise."""
-    r = G.r0 if part == "even" else G.r1
+    permutation matrices, column j holding a single 1 in row images[j] - 1;
+    raises NotAPermutationGroup otherwise."""
+    r, k = (G.r0, 0) if part == "even" else (G.r1, 1)
     perms = []
-    for e in G.elements:
-        m = e.g0 if part == "even" else e.g1
-        images = m.as_permutation_images()
-        if images is None:
-            raise NotAPermutationGroup(f"element {m!r} is not a permutation matrix")
+    for index, e in enumerate(G.elements):
+        images = [col[0][0] + 1 for col in e.columns[k] if len(col) == 1 and col[0][1] == 1]
+        if e.shape[2 * k : 2 * k + 2] != (r, r) or sorted(images) != list(range(1, r + 1)):
+            raise NotAPermutationGroup(f"element {index} is not a permutation matrix on its {part} part")
         perms.append(Permutation(images))
-    gen_perms = []
-    for g in G.generators:
-        m = g.g0 if part == "even" else g.g1
-        gen_perms.append(Permutation(m.as_permutation_images()))
     if len(set(perms)) != len(perms):
         raise NotAPermutationGroup("matrix group does not act faithfully by permutations")
-    return PermGroup(r, perms, gen_perms)
+    return PermGroup(r, perms, [perms[G.index_of(g)] for g in G.generators])
 
 
 @dataclass(frozen=True)
@@ -421,7 +441,7 @@ class WreathElement:
         each row c' offset to row sigma^{-1}(i).  It is one-term exactly
         when every block is monomial."""
         n = self.sigma.n
-        blocks = tuple((g.g0.nrows, g.g0.ncols, g.g1.nrows, g.g1.ncols) for g in self.gs)
+        blocks = tuple(g.shape for g in self.gs)
         if not blocks or any(b != blocks[0] for b in blocks) or blocks[0][0::2] != blocks[0][1::2]:
             return Substitution((n, blocks), None, None, False)
         maps = ({}, {})

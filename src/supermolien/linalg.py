@@ -1,32 +1,33 @@
 """Exact rational matrices and fraction-free elimination.
 
-All rank and determinant work in the package funnels through this module,
-and every kernel reads a matrix as sparse rows: row i is the (column,
-value) pairs of its nonzero entries.  Determinants and ranks use one
-Bareiss fraction-free elimination on denominator-cleared sparse integer
-rows, which touches nonzero entries only; qmatrix_det and matrix_rank feed
-it a dense QMatrix, and _rank_rows the Reynolds projector rows directly.
+QMatrix is the value type of matrix input and output, without arithmetic.
+Every kernel reads a matrix as sparse rows, row i the (column, value)
+pairs of its nonzero entries, or as sparse columns (_columns), which is
+how graded group elements hold their matrices and _compose multiplies
+them.  Determinants and ranks use one Bareiss fraction-free elimination on
+denominator-cleared sparse integer rows, which touches nonzero entries
+only; a determinant or rank of columns read as rows is the same.
 Char-polys use one Berkowitz kernel on the denominator-cleared nonzero
 entries (of a QMatrix, or a wreath label's columns read as rows), held as
 sparse rows and column lists: its matrix-vector steps update nonzero
 entries only and stop as soon as the bordering column or row is empty.
 Greedy independent-subset selection uses an incremental exact echelon
-accumulator on sparse Fraction rows.  Higher layers do no elimination of
-their own.
+accumulator on sparse Fraction rows.  Higher layers do no elimination.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotSquare
-from .rationals import format_rational, parse_rational
+from .rationals import exact, format_rational, parse_rational
 
 
 class QMatrix:
-    """Immutable matrix over Q, row-major."""
+    """Immutable matrix over Q, row-major: the value type of matrix input
+    and output, without arithmetic."""
 
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -81,44 +82,6 @@ class QMatrix:
         body = "; ".join(" ".join(format_rational(x) for x in r) for r in self.rows())
         return f"QMatrix({self.nrows}x{self.ncols}: {body})"
 
-    def __mul__(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        out = []
-        for i in range(self.nrows):
-            ri = self.row(i)
-            for j in range(other.ncols):
-                out.append(sum((ri[k] * other.get(k, j) for k in range(self.ncols)), Fraction(0)))
-        return QMatrix(self.nrows, other.ncols, out)
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return QMatrix(self.nrows, self.ncols, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return QMatrix(self.nrows, self.ncols, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def scale(self, c) -> "QMatrix":
-        c = Fraction(c)
-        return QMatrix(self.nrows, self.ncols, [c * x for x in self.entries])
-
-    def as_permutation_images(self) -> list[int] | None:
-        """If this is a permutation matrix with M[i][j] = [j maps to i], return
-        the one-line images (1-based); otherwise None."""
-        if not self.is_square():
-            return None
-        images = []
-        for j in range(self.ncols):
-            col = [self.get(i, j) for i in range(self.nrows)]
-            ones = [i for i, x in enumerate(col) if x == 1]
-            if len(ones) != 1 or any(x not in (0, 1) for x in col):
-                return None
-            images.append(ones[0] + 1)
-        return images if len(set(images)) == self.ncols else None
-
     def to_json_rows(self) -> list[list[str]]:
         return [[format_rational(x) for x in r] for r in self.rows()]
 
@@ -127,27 +90,30 @@ class QMatrix:
         return QMatrix.from_rows([[parse_rational(x) for x in r] for r in rows])
 
 
-def assemble_blocks(num_blocks: int, block_size: int, blocks: Mapping[tuple[int, int], QMatrix]) -> QMatrix:
-    """Assemble an (num_blocks*block_size) square matrix from square blocks.
-
-    blocks maps 0-based (block_row, block_col) to a block_size x block_size
-    QMatrix; absent positions are zero.
-    """
-    n = num_blocks * block_size
-    entries = [Fraction(0)] * (n * n)
-    for (bi, bj), m in blocks.items():
-        if m.nrows != block_size or m.ncols != block_size:
-            raise ValueError(f"block at {(bi, bj)} is {m.nrows}x{m.ncols}, expected {block_size}")
-        for i in range(block_size):
-            base = (bi * block_size + i) * n + bj * block_size
-            for j in range(block_size):
-                entries[base + j] = m.get(i, j)
-    return QMatrix(n, n, entries)
-
-
 def _nonzeros(m: QMatrix) -> list[list[tuple[int, Fraction]]]:
     """The (column, value) pairs of each row's nonzero entries."""
     return [[(j, x) for j, x in enumerate(m.row(i)) if x] for i in range(m.nrows)]
+
+
+def _columns(m: QMatrix) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
+    """m column by column: column c holds the (row, entry) pairs of its
+    nonzero entries in row order, integral entries as ints."""
+    r = m.ncols
+    return tuple(tuple((i, exact(x)) for i, x in enumerate(m.entries[c::r]) if x) for c in range(r))
+
+
+def _compose(a: Sequence, b: Sequence) -> tuple:
+    """The product a*b of matrices held as columns (see _columns), held the
+    same way: column c is the sum of the columns k of a times the entries
+    (k, x) of column c of b.  Callers check that the shapes match."""
+    out = []
+    for col in b:
+        acc: dict[int, int | Fraction] = {}
+        for k, x in col:
+            for i, y in a[k]:
+                acc[i] = acc.get(i, 0) + y * x
+        out.append(tuple(sorted((i, exact(v)) for i, v in acc.items() if v)))
+    return tuple(out)
 
 
 def _cleared_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple[list[dict[int, int]], int]:
@@ -225,15 +191,13 @@ def _rank_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> int:
     return _bareiss(_cleared_rows(rows)[0])[0]
 
 
-def qmatrix_det(m: QMatrix) -> Fraction:
-    """Exact determinant (Bareiss on the denominator-cleared matrix)."""
-    if not m.is_square():
-        raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    rows, scale = _cleared_rows(_nonzeros(m))
-    rank, sign, last = _bareiss(rows)
-    if rank < m.nrows:
-        return Fraction(0)
-    return Fraction(sign * last, scale)
+def _det_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> Fraction:
+    """Exact determinant of the square matrix whose row i has the (column,
+    value) pairs rows[i] as its nonzero entries; columns may stand in for
+    rows.  No rows give 1."""
+    cleared, scale = _cleared_rows(rows)
+    rank, sign, last = _bareiss(cleared)
+    return Fraction(sign * last, scale) if rank == len(rows) else Fraction(0)
 
 
 def matrix_rank(m: QMatrix) -> int:

@@ -201,13 +201,13 @@ def _orbit_sums(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[tup
 
 def _projector_rows(
     action: GroupAction, i: int, j: int
-) -> tuple[int, list[dict], list[list[tuple[int, int | Fraction]]]]:
-    """(width, sums, rows) for bidegree (i, j): the number of basis
-    monomials, the orbit sums of _orbit_sums over that basis, and each
-    sum's coefficient row over the basis as (position, value) pairs of its
-    nonzero entries.  One row per orbit, so there are no more rows than
-    columns; the rows span the image of the Reynolds operator.  A basis
-    over DEFAULT_BASIS_LIMIT monomials is refused."""
+) -> tuple[list[SuperMonomial], list[dict], list[list[tuple[int, int | Fraction]]]]:
+    """(basis, sums, rows) for bidegree (i, j): the basis monomials, the
+    orbit sums of _orbit_sums over that basis, and each sum's coefficient
+    row over the basis as (position, value) pairs of its nonzero entries.
+    One row per orbit, so there are no more rows than columns; the rows
+    span the image of the Reynolds operator.  A basis over
+    DEFAULT_BASIS_LIMIT monomials is refused before any sum is taken."""
     basis = bidegree_basis(action.signature, i, j)
     if len(basis) > DEFAULT_BASIS_LIMIT:
         raise BasisTooLarge(
@@ -215,7 +215,7 @@ def _projector_rows(
         )
     index = {m: k for k, m in enumerate(basis)}
     sums = [acc for _, acc in _orbit_sums(action, basis)]
-    return len(basis), sums, [[(index[m], c) for m, c in acc.items()] for acc in sums]
+    return basis, sums, [[(index[m], c) for m, c in acc.items()] for acc in sums]
 
 
 def invariant_dimension_bruteforce(action: GroupAction, i: int, j: int) -> int:

@@ -44,21 +44,14 @@ from .groups import (
     wreath_generators,
 )
 from .linalg import EchelonSelector, _rank_rows
-from .molien import (
-    GroupAction,
-    _projector_rows,
-    invariant_dimension_bruteforce,
-    require_flavor,
-)
+from .molien import GroupAction, _projector_rows, require_flavor
 from .superalgebra import (
     AlgebraSignature,
     SuperMonomial,
     SuperPolynomial,
     _label_sum,
-    bidegree_basis,
     coefficient_vector,
 )
-from .wreath_series import CollationSpec, collated_product_series, collated_sum_series
 
 __all__ = [
     "InvariantSpaceBasis",
@@ -71,7 +64,6 @@ __all__ = [
     "verify_supercommutation",
     "degree_one_generation_rank",
     "generation_sweep",
-    "theorem3_check",
     "closure_battery",
     "random_super_polynomial",
 ]
@@ -181,8 +173,8 @@ def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
     the count is cross-checked against the integer Bareiss rank of the
     same rows, an elimination of its own.
     """
-    width, sums, rows = _projector_rows(action, i, j)
-    sel = EchelonSelector(width)
+    basis, sums, rows = _projector_rows(action, i, j)
+    sel = EchelonSelector(len(basis))
     sig = action.signature
     kept = [SuperPolynomial._canonical(sig, acc) for acc, row in zip(sums, rows) if sel.offer(row)]
     oracle = _rank_rows(rows)
@@ -290,9 +282,9 @@ def _generation_rank(
     gives the same rank."""
     n = waction.signature.n
     signed = flavor == "antiinvariant"
-    # computed first: its projector rows refuse an oversized target basis
-    full = invariant_dimension_bruteforce(waction, i, j)
-    target = bidegree_basis(waction.signature, i, j)
+    # the one basis of the cell, refused first if oversized
+    target, _, rows = _projector_rows(waction, i, j)
+    full = _rank_rows(rows)
     index = {m: k for k, m in enumerate(target)}
     sel = EchelonSelector(len(target))
     spanned = 0
@@ -399,25 +391,3 @@ def random_super_polynomial(rng: random.Random, sig: AlgebraSignature) -> SuperP
         c = rng.choice([-2, -1, 1, 2])
         out = out + SuperPolynomial.monomial(sig, SuperMonomial(xpart, theta), c)
     return out
-
-
-def theorem3_check(G: MatrixGroup, flavor: str, n_max: int, dq: int) -> bool:
-    """Desk-scale content of the structure theorem for the shuffle algebra:
-    (a) the collated Hilbert series matches its product form, (b) degree-one
-    shuffles span every bidegree with n <= n_max, i <= dq, and (c) closure
-    and associativity hold on a deterministic sample."""
-    require_flavor(flavor)
-    spec = CollationSpec(group=G, n_max=n_max, dq=dq, du=max(1, n_max * G.r1), flavor=flavor)
-    if collated_sum_series(spec) != collated_product_series(spec):
-        return False
-    if any(spanned != full for *_, spanned, full in generation_sweep(G, flavor, n_max, dq)):
-        return False
-    checked, failed = closure_battery(G, flavor, max_rows=2, max_i=min(dq, 2))
-    if failed or checked == 0:
-        return False
-    signed = flavor == "antiinvariant"
-    sample = [f for _, f in degree_one_pool(G, min(dq, 2))][:3]
-    for A, B, C in itertools.product(sample, repeat=3):
-        if not verify_associativity(A, B, C, signed):
-            return False
-    return True

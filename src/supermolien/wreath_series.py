@@ -25,7 +25,7 @@ from .groups import (
     _wreath_labels,
     require_degree,
 )
-from .linalg import QMatrix, assemble_blocks, qmatrix_det
+from .linalg import QMatrix, _columns, _compose, _det_rows
 # FLAVORS is re-exported: the wreath routes take one of these flavor names
 from .molien import FLAVORS as FLAVORS, GroupAction, require_flavor, super_molien
 from .series import (
@@ -185,6 +185,17 @@ def young_exterior_product(ell: int, n_max: int, du: int) -> TrigradedSeries:
     return _product_form(Caps(n_max, 0, du), multiplicities, "invariant")
 
 
+def _one_minus(columns) -> list[list[tuple[int, int | Fraction]]]:
+    """I - M, a square M and the result held as sparse columns."""
+    out = []
+    for c, col in enumerate(columns):
+        acc = {c: 1}
+        for i, x in col:
+            acc[i] = acc.get(i, 0) - x
+        out.append([(i, x) for i, x in acc.items() if x])
+    return out
+
+
 def verify_block_determinant_lemma(blocks: list[QMatrix]) -> bool:
     """det(I - M) == det(I - A_m ... A_2 A_1) for the cyclic block layout.
 
@@ -198,16 +209,16 @@ def verify_block_determinant_lemma(blocks: list[QMatrix]) -> bool:
     for b in blocks:
         if b.nrows != r or b.ncols != r:
             raise ValueError("blocks must be square and equally sized")
-    positions = {(0, m - 1): blocks[0]}
-    for i in range(2, m + 1):
-        positions[(i - 1, i - 2)] = blocks[i - 1]
-    big = assemble_blocks(m, r, positions)
-    lhs = qmatrix_det(QMatrix.identity(m * r) - big)
-    prod = blocks[m - 1]
+    cols = [_columns(b) for b in blocks]
+    big = []
+    for b in range(m):
+        # block column b holds A_{t+1} at block row t
+        t = (b + 1) % m
+        big += [[(t * r + i, x) for i, x in col] for col in cols[t]]
+    prod = cols[m - 1]
     for i in range(m - 2, -1, -1):
-        prod = prod * blocks[i]
-    rhs = qmatrix_det(QMatrix.identity(r) - prod)
-    return lhs == rhs
+        prod = _compose(prod, cols[i])
+    return _det_rows(_one_minus(big)) == _det_rows(_one_minus(prod))
 
 
 def verify_m_cycle_identity(G: MatrixGroup, m: int, dq: int, du: int | None = None) -> bool:

@@ -30,10 +30,10 @@ def conjugated_s3():
             [Fraction(-1, 8), Fraction(3, 16), Fraction(5, 8)],
         ]
     )
-    assert P * P_inv == QMatrix.identity(3)
-    H = MatrixGroup.close(
-        G.r0, G.r1, [GradedGroupElement(P * g.g0 * P_inv, g.g1) for g in G.generators]
-    )
+    ident = QMatrix.identity(G.r1)
+    conj, conj_inv = GradedGroupElement(P, ident), GradedGroupElement(P_inv, ident)
+    assert conj * conj_inv == GradedGroupElement.identity(G.r0, G.r1)
+    H = MatrixGroup.close(G.r0, G.r1, [conj * g * conj_inv for g in G.generators])
     return G, H
 
 

@@ -1,5 +1,6 @@
 """Exact matrices: Bareiss det/rank against a Laplace-expansion oracle,
-char expansion det(I - zM) against pointwise determinant evaluation."""
+char expansion det(I - zM) against pointwise determinant evaluation, and
+the sparse column product against the dense reference product."""
 
 import random
 from fractions import Fraction
@@ -16,13 +17,18 @@ from supermolien.linalg import (
     QMatrix,
     _charpoly_rows,
     _cleared_rows,
+    _columns,
+    _compose,
+    _det_rows,
+    _nonzeros,
     _rank_rows,
-    assemble_blocks,
     charpoly_det,
     matrix_rank,
-    qmatrix_det,
 )
 from supermolien.molien import GroupAction, _projector_rows
+
+import dense_reference
+from rational_groups import is_exact
 
 
 def laplace_det(rows):
@@ -75,21 +81,28 @@ def test_matrix_construction_and_access():
     assert hash(m) == hash(QMatrix(2, 2, [1, Fraction(1, 2), 0, -3]))
 
 
+def det(m):
+    """The determinant of a QMatrix by the sparse kernel."""
+    return _det_rows(_nonzeros(m))
+
+
 def test_matrix_multiplication():
     a = QMatrix.from_rows([[1, 2], [3, 4]])
     b = QMatrix.from_rows([[0, 1], [1, 0]])
-    assert a * b == QMatrix.from_rows([[2, 1], [4, 3]])
-    assert QMatrix.identity(2) * a == a
+    assert _compose(_columns(a), _columns(b)) == _columns(QMatrix.from_rows([[2, 1], [4, 3]]))
+    assert _compose(_columns(QMatrix.identity(2)), _columns(a)) == _columns(a)
 
 
 def test_det_hand_values():
-    assert qmatrix_det(QMatrix.from_rows([[2]])) == 2
-    assert qmatrix_det(QMatrix.from_rows([[1, 2], [3, 4]])) == -2
-    assert qmatrix_det(QMatrix.identity(3)) == 1
-    assert qmatrix_det(QMatrix.zeros(2, 2)) == 0
-    assert qmatrix_det(QMatrix(0, 0, [])) == 1  # empty matrix, needed for r=0 parts
+    assert det(QMatrix.from_rows([[2]])) == 2
+    assert det(QMatrix.from_rows([[1, 2], [3, 4]])) == -2
+    assert det(QMatrix.identity(3)) == 1
+    assert det(QMatrix.zeros(2, 2)) == 0
+    assert det(QMatrix(0, 0, [])) == 1  # empty matrix, needed for r=0 parts
+    # columns stand in for rows: the same value from the transpose
+    assert _det_rows(_columns(QMatrix.from_rows([[1, 2], [3, 4]]))) == -2
     with pytest.raises(NotSquare):
-        qmatrix_det(QMatrix.zeros(2, 3))
+        charpoly_det(QMatrix.zeros(2, 3))
 
 
 def test_det_against_laplace_oracle_seeded():
@@ -97,25 +110,25 @@ def test_det_against_laplace_oracle_seeded():
     for _ in range(40):
         n = rng.randint(1, 4)
         rows = random_rational_rows(rng, n, n)
-        assert qmatrix_det(QMatrix.from_rows(rows)) == laplace_det(rows)
+        assert det(QMatrix.from_rows(rows)) == laplace_det(rows)
         # singular: a planted dependent row, then a zero column as well
         if n > 1:
             i, j = rng.sample(range(n), 2)
             rows[i] = [Fraction(-3, 2) * x for x in rows[j]]
-            assert qmatrix_det(QMatrix.from_rows(rows)) == laplace_det(rows) == 0
+            assert det(QMatrix.from_rows(rows)) == laplace_det(rows) == 0
         c = rng.randrange(n)
         for r in rows:
             r[c] = Fraction(0)
-        assert qmatrix_det(QMatrix.from_rows(rows)) == laplace_det(rows) == 0
+        assert det(QMatrix.from_rows(rows)) == laplace_det(rows) == 0
 
 
 def test_det_multiplicative_seeded():
     rng = random.Random(9)
     for _ in range(20):
         n = rng.randint(1, 4)
-        a = QMatrix.from_rows(random_rational_rows(rng, n, n))
-        b = QMatrix.from_rows(random_rational_rows(rng, n, n))
-        assert qmatrix_det(a * b) == qmatrix_det(a) * qmatrix_det(b)
+        a = _columns(QMatrix.from_rows(random_rational_rows(rng, n, n)))
+        b = _columns(QMatrix.from_rows(random_rational_rows(rng, n, n)))
+        assert _det_rows(_compose(a, b)) == _det_rows(a) * _det_rows(b)
 
 
 def test_rank_hand_values():
@@ -151,7 +164,7 @@ def test_sparse_det_and_rank_against_oracles_seeded():
     for _ in range(150):
         n = rng.randint(1, 5)
         rows = sparse_rational_rows(rng, n, n)
-        assert qmatrix_det(QMatrix.from_rows(rows)) == laplace_det(rows)
+        assert det(QMatrix.from_rows(rows)) == laplace_det(rows)
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         rows = sparse_rational_rows(rng, nr, nc)
         assert matrix_rank(QMatrix.from_rows(rows)) == minor_rank(rows)
@@ -205,7 +218,8 @@ def test_projector_row_rank_equals_dense_rank_on_fixture_grid():
         action = GroupAction.from_matrix_group(matrix_group_fixture(name))
         for i in range(5):
             for j in range(action.signature.num_odd + 1):
-                width, _, rows = _projector_rows(action, i, j)
+                basis, _, rows = _projector_rows(action, i, j)
+                width = len(basis)
                 assert len(rows) <= width
                 dense = [[Fraction(0)] * width for _ in rows]
                 for r, row in zip(dense, rows):
@@ -253,7 +267,7 @@ def signed_block_permutation(rng, num_blocks, size, rational=False):
         ]
         return QMatrix(size, size, entries)
 
-    return assemble_blocks(num_blocks, size, {(targets[b], b): block() for b in range(num_blocks)})
+    return dense_reference.assemble_blocks(num_blocks, size, {(targets[b], b): block() for b in range(num_blocks)})
 
 
 def test_charpoly_det_matches_pointwise_dets_seeded():
@@ -284,7 +298,7 @@ def test_charpoly_det_matches_pointwise_dets_seeded():
         p = charpoly_det(m)
         assert len(p) <= n + 1 and p[-1] != 0
         for z0 in points:
-            direct = qmatrix_det(QMatrix.identity(n) - m.scale(z0))
+            direct = det(dense_reference.sub(QMatrix.identity(n), dense_reference.scale(m, z0)))
             assert sum(c * z0**k for k, c in enumerate(p)) == direct
 
 
@@ -305,7 +319,7 @@ def assert_charpoly_pins_pointwise_dets(rows):
     p = _charpoly_rows(rows)
     assert len(p) <= n + 1 and p[0] == 1 and p[-1] != 0
     for z0 in [Fraction(k, 2) for k in range(-n // 2, n - n // 2 + 1)]:
-        direct = qmatrix_det(QMatrix.identity(n) - m.scale(z0))
+        direct = det(dense_reference.sub(QMatrix.identity(n), dense_reference.scale(m, z0)))
         assert sum(c * z0**k for k, c in enumerate(p)) == direct
 
 
@@ -365,7 +379,7 @@ def test_charpoly_rows_integral_fractions_give_ints():
 def test_assemble_blocks_layout():
     a = QMatrix.from_rows([[1, 2], [3, 4]])
     b = QMatrix.from_rows([[5, 6], [7, 8]])
-    m = assemble_blocks(2, 2, {(0, 1): a, (1, 0): b})
+    m = dense_reference.assemble_blocks(2, 2, {(0, 1): a, (1, 0): b})
     assert m.rows() == [
         (0, 0, 1, 2),
         (0, 0, 3, 4),
@@ -374,12 +388,37 @@ def test_assemble_blocks_layout():
     ]
 
 
-def test_permutation_image_detection():
-    m = QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    # column j has its 1 in row images[j]-1: e_1 -> e_3, e_2 -> e_1, e_3 -> e_2
-    assert m.as_permutation_images() == [3, 1, 2]
-    assert QMatrix.from_rows([[1, 1], [0, 1]]).as_permutation_images() is None
-    assert QMatrix.from_rows([[Fraction(1, 2)]]).as_permutation_images() is None
+def sparse_rational_square(rng, n):
+    """A seeded n x n matrix, about half of its entries zero and the rest
+    with denominators 1 to 3."""
+    return QMatrix.from_rows(
+        [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+    )
+
+
+def test_sparse_product_equals_dense_reference_seeded():
+    # the column product against the dense reference on seeded square
+    # matrices, 0 x 0 included, and on products whose entries cancel: the
+    # result keeps row order, drops zeros and holds integral entries as ints
+    rng = random.Random(5003)
+    pairs = [(QMatrix(0, 0, []), QMatrix(0, 0, []))]
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        pairs.append((sparse_rational_square(rng, n), sparse_rational_square(rng, n)))
+    pairs += [
+        # every entry cancels
+        (QMatrix.from_rows([[1, 1], [2, 2]]), QMatrix.from_rows([[1, 1], [-1, -1]])),
+        # an off-diagonal entry cancels; Fraction products that are integral
+        (QMatrix.from_rows([[Fraction(1, 2), 1], [0, 3]]), QMatrix.from_rows([[2, Fraction(-2, 3)], [0, Fraction(1, 3)]])),
+    ]
+    for a, b in pairs:
+        prod = _compose(_columns(a), _columns(b))
+        assert prod == _columns(dense_reference.mul(a, b))
+        assert all(is_exact(x) for col in prod for _, x in col)
+        assert all([i for i, _ in col] == sorted({i for i, _ in col}) for col in prod)
+    # the hand pairs: nothing survives, then the identity with int entries
+    assert _compose(*map(_columns, pairs[-2])) == ((), ())
+    assert _compose(*map(_columns, pairs[-1])) == (((0, 1),), ((1, 1),))
 
 
 def test_echelon_selector_greedy_order():

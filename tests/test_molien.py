@@ -24,7 +24,7 @@ from supermolien.groups import (
     build_wreath,
     wreath_mul,
 )
-from supermolien.linalg import QMatrix, _charpoly_rows, assemble_blocks, charpoly_det, matrix_rank
+from supermolien.linalg import QMatrix, _charpoly_rows, charpoly_det, matrix_rank
 from supermolien.molien import (
     FLAVORS,
     GroupAction,
@@ -43,6 +43,7 @@ from supermolien.superalgebra import (
     super_mul,
 )
 
+import dense_reference
 from rational_groups import KERNEL_GROUPS, conjugated_s3, named_group
 
 
@@ -354,7 +355,9 @@ def dense_label_matrices(w):
     n = len(w.gs)
 
     def dense(blocks):
-        return assemble_blocks(n, blocks[0].nrows, {(inv(i) - 1, i - 1): b for i, b in enumerate(blocks, 1)})
+        return dense_reference.assemble_blocks(
+            n, blocks[0].nrows, {(inv(i) - 1, i - 1): b for i, b in enumerate(blocks, 1)}
+        )
 
     return dense([g.g0 for g in w.gs]), dense([g.g1 for g in w.gs])
 

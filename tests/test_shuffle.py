@@ -1,5 +1,6 @@
 """Shuffle products: displays, closure, associativity, signs, generation."""
 
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -9,20 +10,21 @@ import pytest
 from supermolien.errors import BasisTooLarge, CapExceeded, NotHomogeneous, SignatureMismatch
 from supermolien.fixtures import matrix_group_fixture
 from supermolien.groups import MatrixGroup, PermGroup, perm_sign, shuffle_reps
-from supermolien import molien
+from supermolien import molien, superalgebra
 from supermolien.molien import GroupAction, invariant_dimension_bruteforce, reynolds_project
 from supermolien import shuffle as shuffle_module
 from supermolien.shuffle import (
     InvariantSpaceBasis,
+    _generation_rank,
     closure_battery,
     degree_one_generation_rank,
+    degree_one_pool,
     generation_sweep,
     invariant_basis,
     is_wreath_invariant,
     random_super_polynomial,
     shift_rows,
     shuffle_product,
-    theorem3_check,
     triple_shuffle,
     verify_associativity,
     verify_closure,
@@ -395,6 +397,12 @@ def test_associativity_unit_and_seeded():
             assert verify_associativity(A, B, C, signed)
             left = shuffle_product(shuffle_product(A, B, signed), C, signed)
             assert left == triple_shuffle(A, B, C, signed)
+    # invariant one-row elements on even-only and odd-only signatures
+    for gname in ("trivial-1-0", "trivial-0-1", "sign-scalar"):
+        sample = [f for _, f in degree_one_pool(matrix_group_fixture(gname), 2)][:3]
+        for A, B, C in itertools.product(sample, repeat=3):
+            for signed in (False, True):
+                assert verify_associativity(A, B, C, signed)
     # three blocks of 3 rows: 1,680 coset labels, where a filter over all 9!
     # permutations of the rows would pass WREATH_CAP
     A, B, C = (random_super_polynomial(rng, AlgebraSignature(1, 1, 3)) for _ in range(3))
@@ -478,11 +486,32 @@ def test_generation_rank_sign_scalar(flavor):
     ]
 
 
-def test_theorem3_check_cases():
-    assert theorem3_check(MatrixGroup.trivial(1, 0), "invariant", 3, 3)
-    assert theorem3_check(MatrixGroup.trivial(0, 1), "invariant", 3, 2)
-    assert theorem3_check(matrix_group_fixture("sign-scalar"), "invariant", 2, 4)
-    assert theorem3_check(matrix_group_fixture("sign-scalar"), "antiinvariant", 2, 4)
+def test_generation_rank_builds_each_cell_basis_once(monkeypatch):
+    # one bidegree basis per (n, i, j) cell, through whichever module
+    # namespace it is called: the projector rows' basis is the one the
+    # products are indexed by, and full is the rank of those rows
+    G = matrix_group_fixture("sign-scalar")
+    pool = degree_one_pool(G, 3)
+    cells = []
+    for flavor in molien.FLAVORS:
+        for n in (1, 2, 3):
+            waction = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor)
+            for i in range(4):
+                cells.append((waction, flavor, i, invariant_dimension_bruteforce(waction, i, 0)))
+    calls = []
+    original = superalgebra.bidegree_basis
+
+    def counted(sig, i, j):
+        calls.append((sig.n, i, j))
+        return original(sig, i, j)
+
+    for module in (molien, shuffle_module, superalgebra):
+        if hasattr(module, "bidegree_basis"):
+            monkeypatch.setattr(module, "bidegree_basis", counted)
+    for waction, flavor, i, full in cells:
+        calls.clear()
+        assert _generation_rank(pool, waction, flavor, i, 0) == (full, full)
+        assert calls == [(waction.signature.n, i, 0)]
 
 
 def test_even_only_shuffle_commutes_on_invariants():

@@ -9,7 +9,7 @@ from supermolien import wreath_series
 from supermolien.errors import CapExceeded, DimensionMismatch
 from supermolien.fixtures import matrix_group_fixture, perm_group_fixture, sign_scalar_group
 from supermolien.groups import MatrixGroup, PermGroup, Permutation, WreathElement
-from supermolien.linalg import QMatrix, qmatrix_det
+from supermolien.linalg import QMatrix, _det_rows, _nonzeros
 from supermolien.molien import GroupAction, super_molien
 from supermolien.series import (
     Caps,
@@ -112,10 +112,11 @@ def test_wreath_matches_diagonal_matrix_embedding(n):
     assert wreath == flat
 
 
-@pytest.mark.parametrize("gname", COLLATE_GROUPS)
+@pytest.mark.parametrize("gname", COLLATE_GROUPS + ("trivial-1-0", "trivial-0-1"))
 @pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
 def test_collation_sum_equals_product(gname, flavor):
-    # the `collate-*` cases of the shared report, in-process at dq = du = 4
+    # the `collate-*` cases of the shared report, in-process at dq = du = 4,
+    # and the groups on even-only and odd-only variables
     G = matrix_group_fixture(gname)
     spec = CollationSpec(group=G, n_max=3, dq=4, du=4, flavor=flavor)
     assert collated_sum_series(spec) == collated_product_series(spec)
@@ -221,7 +222,7 @@ def test_block_determinant_lemma_hand_case():
     big = QMatrix.from_rows(
         [[Fraction(1), Fraction(-2)], [Fraction(-3), Fraction(1)]]
     )
-    assert qmatrix_det(big) == Fraction(-5)
+    assert _det_rows(_nonzeros(big)) == Fraction(-5)
 
 
 def test_block_determinant_lemma_validation():
