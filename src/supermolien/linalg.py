@@ -7,10 +7,13 @@ how graded group elements hold their matrices and _compose multiplies
 them.  Determinants and ranks use one Bareiss fraction-free elimination on
 denominator-cleared sparse integer rows, which touches nonzero entries
 only; a determinant or rank of columns read as rows is the same.
-Char-polys use one Berkowitz kernel on the denominator-cleared nonzero
-entries (of a QMatrix, or a wreath label's columns read as rows), held as
-sparse rows and column lists: its matrix-vector steps update nonzero
-entries only and stop as soon as the bordering column or row is empty.
+Char-polys use one kernel on the nonzero entries (of a QMatrix, or a
+wreath label's columns read as rows) with two paths, picked from the
+input alone: a monomial matrix, as every signed-permutation label is, is
+read off the cycles of its one-entry rows; any other goes to Berkowitz's
+recurrence on the denominator-cleared entries, held as sparse rows and
+column lists, whose matrix-vector steps update nonzero entries only and
+stop as soon as the bordering column or row is empty.
 Greedy independent-subset selection uses an incremental exact echelon
 accumulator on sparse Fraction rows.  Higher layers do no elimination.
 """
@@ -210,6 +213,60 @@ def _charpoly_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tupl
     M square with rows[i] the (column, value) pairs of row i's nonzeros, in
     any order.  Since det(I - z*M) = det(I - z*M^T), columns may be passed
     as rows.
+
+    The kernel picks its path from the input alone.  When M is monomial,
+    every row holding exactly one entry and the row -> column map a
+    bijection, it walks the cycles of that map: det(I - z*M) is the product
+    over the cycles of (1 - p*z^len), p the product of the cycle's entries,
+    in O(n).  The walk gives up at the first row that does not hold exactly
+    one entry, or at the first walk that closes on a node other than its
+    start (a repeated column, or a tail into a cycle), and the matrix goes
+    unchanged to Berkowitz's recurrence (_berkowitz).  Both paths return
+    the same values with the same types: ints when every entry has
+    denominator 1, Fractions included, else Fractions.  No rows give the
+    constant 1.
+    """
+    n = len(rows)
+    seen = [False] * n
+    vect = [1]
+    fractional = False
+    for start in range(n):
+        if seen[start]:
+            continue
+        p = 1
+        length = 0
+        i = start
+        while not seen[i]:
+            row = rows[i]
+            if len(row) != 1:
+                return _berkowitz(rows)
+            seen[i] = True
+            i, x = row[0]
+            if type(x) is not int:
+                if x.denominator == 1:
+                    x = x.numerator
+                else:
+                    fractional = True
+            p *= x
+            length += 1
+        if i != start:
+            return _berkowitz(rows)
+        # multiply by 1 - p*z^length
+        new = vect + [0] * length
+        for k, v in enumerate(vect, length):
+            new[k] -= p * v
+        vect = new
+    while vect[-1] == 0:
+        vect.pop()
+    if fractional:
+        return tuple(Fraction(c) for c in vect)
+    return tuple(vect)
+
+
+def _berkowitz(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple[int | Fraction, ...]:
+    """det(I - z*M) for any square M given as _charpoly_rows takes it: the
+    general path of that kernel, and the reference its cycle walk is tested
+    against.
 
     Berkowitz's division-free recurrence (Berkowitz 1984, "On computing the
     determinant in small parallel time using a small number of processors")

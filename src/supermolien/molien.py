@@ -3,12 +3,15 @@
 A GroupAction is its labels as (chi(w), w) pairs, chi the +-1 linear
 character selecting the isotypic component, and both routes read those
 pairs.  Every label w acts by one matrix per graded part, M0(w) on the even
-and M1(w) on the odd variables, read from WreathElement.columns by both
-routes.  The Molien route averages det(I + u*M1)/det(I - q*M0) over the
-pairs with weights chi(w^{-1}) = chi(w).  The summand depends on w only
-through its two char-polys, so the sum is keyed by char-poly pair: each
-label's pair is computed from its own columns, the weights are summed per
-distinct pair, and each pair is expanded into a series once.  The oracle
+and M1(w) on the odd variables, both built from the blocks'
+GradedGroupElement.columns: the Molien route reads them as
+WreathElement.columns, the oracle route as WreathElement.substitution.
+The Molien route averages det(I + u*M1)/det(I - q*M0) over the pairs with
+weights chi(w^{-1}) = chi(w).  The summand depends on w only through its
+two char-polys, so the sum is keyed by char-poly pair: each label's pair
+is computed from its own columns (by a cycle walk when the matrix is
+monomial, by Berkowitz's recurrence otherwise), the weights are summed
+per distinct pair, and each pair is expanded into a series once.  The oracle
 route never looks at Molien: it takes the exact rank of the Reynolds
 operator, the average of the substitutions by the same matrices, on the
 monomial basis of each bidegree.  Since R(w.f) = chi(w) R(f), a label
@@ -148,8 +151,12 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
     truncated at du, so each label's two char-polys are computed from its
     own columns and chi(w) is summed per distinct pair; each pair of
     nonzero weight is expanded once, scaled by its weight, and the sum is
-    divided by |W| once.  Labels are grouped by value only, never by cycle
-    type or conjugacy class, and nothing outlives the call.
+    divided by |W| once.  The char-poly kernel reads a label matrix whose
+    columns each hold one entry, on distinct rows (every label of P[G]
+    with G of signed permutation matrices), off the cycles of that
+    variable-level matrix, and any other by Berkowitz's recurrence; it
+    picks from the columns alone.  Labels are grouped by value only, never
+    by cycle type or conjugacy class, and nothing outlives the call.
     """
     sig = action.signature
     if du is None:

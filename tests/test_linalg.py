@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supermolien import verify
+from supermolien import linalg, verify
 from supermolien.errors import NotSquare
 from supermolien.fixtures import matrix_group_fixture
 from supermolien.linalg import (
     EchelonSelector,
     QMatrix,
+    _berkowitz,
     _charpoly_rows,
     _cleared_rows,
     _columns,
@@ -240,6 +241,10 @@ def test_charpoly_det_hand_values():
     # nilpotent: every coefficient past the constant vanishes and is stripped
     assert charpoly_det(QMatrix.from_rows([[0, 1], [0, 0]])) == (1,)
     assert charpoly_det(QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])) == (1,)
+    # monomial: one factor 1 - p z^len per cycle, p the cycle's product
+    assert charpoly_det(QMatrix.from_rows([[0, 0, -1], [1, 0, 0], [0, 1, 0]])) == (1, 0, 0, 1)
+    assert charpoly_det(QMatrix.from_rows([[0, Fraction(1, 2)], [2, 0]])) == (1, 0, -1)
+    assert charpoly_det(QMatrix.from_rows([[-1, 0], [0, -1]])) == (1, 2, 1)
 
 
 def mixed_denominator_rows(rng, nr, nc):
@@ -365,6 +370,36 @@ def test_charpoly_rows_edge_cases():
     assert_charpoly_pins_pointwise_dets(rows)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # one entry per row, two rows on one column: singular
+        [[(0, 2)], [(0, 3)], [(2, -1)]],
+        # a tail into a cycle: 0 -> 1, 1 -> 2, 2 -> 1
+        [[(1, 2)], [(2, -1)], [(1, Fraction(1, 3))]],
+        # an empty row among one-entry rows
+        [[(1, 1)], [], [(0, -2)]],
+        # a row with two entries after a closed cycle
+        [[(0, 5)], [(2, 1), (1, 2)], [(1, -1)]],
+    ],
+    ids=["repeated-column", "tail-into-cycle", "empty-row", "two-entry-row"],
+)
+def test_charpoly_rows_non_monomial_go_to_berkowitz(monkeypatch, rows):
+    # Near-monomial inputs the cycle walk must reject: each goes, once and
+    # unchanged, to Berkowitz, and the value is the polynomial that
+    # pointwise determinants pin.
+    calls = []
+
+    def wrapper(arg):
+        calls.append(arg)
+        return _berkowitz(arg)
+
+    monkeypatch.setattr(linalg, "_berkowitz", wrapper)
+    assert _charpoly_rows(rows) == _berkowitz(rows)
+    assert calls == [rows]
+    assert_charpoly_pins_pointwise_dets(rows)
+
+
 def test_charpoly_rows_integral_fractions_give_ints():
     # entries typed Fraction but with denominator 1 are read as ints
     rows = [[(1, Fraction(2)), (0, Fraction(-1))], [(0, Fraction(3))]]
@@ -374,6 +409,20 @@ def test_charpoly_rows_integral_fractions_give_ints():
     # a non-integral entry gives Fractions, reduced
     q = _charpoly_rows([[(0, Fraction(1, 2))]])
     assert q == (1, Fraction(-1, 2)) and type(q[1]) is Fraction
+
+
+def test_charpoly_rows_walk_keeps_the_type_rule():
+    # On the cycle walk too: integral Fractions give ints, and one
+    # non-integral entry makes every coefficient a Fraction, even where
+    # the cycle products are integral; types equal Berkowitz's.
+    for rows, expected, kind in (
+        ([[(1, Fraction(2))], [(0, Fraction(-3))]], (1, 0, 6), int),
+        ([[(1, Fraction(1, 2))], [(0, 2)], [(2, -1)]], (1, 1, -1, -1), Fraction),
+    ):
+        p = _charpoly_rows(rows)
+        assert p == expected == _berkowitz(rows)
+        assert all(type(c) is kind for c in p)
+        assert [type(c) for c in p] == [type(c) for c in _berkowitz(rows)]
 
 
 def test_assemble_blocks_layout():

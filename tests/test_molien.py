@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from supermolien import molien, shuffle, superalgebra, verify, wreath_series
+from supermolien import linalg, molien, shuffle, superalgebra, verify, wreath_series
 from supermolien.errors import BasisTooLarge
 from supermolien.fixtures import (
     diagonal_perm_group,
@@ -24,7 +24,7 @@ from supermolien.groups import (
     build_wreath,
     wreath_mul,
 )
-from supermolien.linalg import QMatrix, _charpoly_rows, charpoly_det, matrix_rank
+from supermolien.linalg import QMatrix, _berkowitz, _charpoly_rows, charpoly_det, matrix_rank
 from supermolien.molien import (
     FLAVORS,
     GroupAction,
@@ -386,18 +386,35 @@ def test_label_molien_term_matches_trivariate_inversion(gname, n):
             assert super_molien(one_label, caps.q, caps.u) == series_mul(num, series_inv(den))
 
 
-@pytest.mark.parametrize("gname,n", [("sign-scalar", 3), ("s2-theta", 2), ("rational-s3", 2)])
+@pytest.mark.parametrize(
+    "gname,n",
+    [
+        ("sign-scalar", 3),
+        ("sign-scalar", 4),
+        ("s2-theta", 2),
+        ("young-2-1-theta", 2),
+        ("trivial-2-2", 3),
+        ("scaled-swap", 2),
+        ("rational-s3", 2),
+    ],
+)
 def test_label_rows_charpoly_matches_dense(gname, n):
     # For every label, the sparse columns are the nonzero entries of the
-    # densely built matrix, and the char-poly kernel on them equals
-    # charpoly_det of that matrix; the conjugated S_3 gives blocks with
-    # unlike denominators.
+    # densely built matrix, and the char-poly kernel on them equals the
+    # Berkowitz recurrence on them and charpoly_det of that matrix, with
+    # the same coefficient types as Berkowitz.  The monomial labels take the
+    # cycle walk, scaled-swap's with Fraction cycle products (entries 2 and
+    # 1/2); the conjugated S_3 gives non-monomial blocks with unlike
+    # denominators, which fall through to Berkowitz.
     G = named_group(gname)
     action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n)
     for _, w in action.pairs:
         for columns, dense in zip(w.columns, dense_label_matrices(w)):
             assert columns == dense_columns(dense)
-            assert _charpoly_rows(columns) == charpoly_det(dense)
+            p = _charpoly_rows(columns)
+            reference = _berkowitz(columns)
+            assert p == reference == charpoly_det(dense)
+            assert [type(c) for c in p] == [type(c) for c in reference]
 
 
 def label_by_label_series(action, dq, du):
@@ -474,6 +491,42 @@ def test_super_molien_expands_once_per_char_poly_pair(monkeypatch):
     counted("_pair_table")
     super_molien(action, 8)
     assert calls == {"_charpoly_rows": 2 * 384, "_pair_table": 14}
+
+
+def berkowitz_calls(monkeypatch):
+    """The row lists passed to linalg._berkowitz from now on."""
+    calls = []
+
+    def wrapper(rows):
+        calls.append(rows)
+        return _berkowitz(rows)
+
+    monkeypatch.setattr(linalg, "_berkowitz", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_monomial_labels_never_reach_berkowitz(monkeypatch, flavor):
+    # Every label of S_4[+-1] is a signed permutation matrix, so both of its
+    # char-polys come from the cycle walk.
+    action = GroupAction.from_wreath(PermGroup.symmetric(4), sign_scalar_group(), 4, flavor)
+    calls = berkowitz_calls(monkeypatch)
+    super_molien(action, 8)
+    assert calls == []
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_non_monomial_labels_take_berkowitz(monkeypatch, flavor):
+    # S_2[H], H the rational conjugate of S_3 on x (no odd variables): every
+    # label with a non-identity block has a non-monomial even matrix and
+    # goes to Berkowitz; the two labels with identity blocks are signed
+    # permutation matrices and take the walk.
+    action = GroupAction.from_wreath(PermGroup.symmetric(2), conjugated_s3()[1], 2, flavor)
+    calls = berkowitz_calls(monkeypatch)
+    super_molien(action, 5)
+    expected = [w.columns[0] for _, w in action.pairs if not all(g.monomial for g in w.gs)]
+    assert len(expected) == len(action.pairs) - 2
+    assert calls == expected
 
 
 def test_apply_wreath_is_an_action_on_a_non_monomial_wreath():
