@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import SuperMolienError
 from .groups import MatrixGroup, PermGroup, validate_character
-from .molien import GroupAction, super_molien
+from .molien import FLAVORS, GroupAction, super_molien
 from .rationals import format_rational
 from .series import TrigradedSeries
 from .shuffle import shuffle_product
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", required=True)
     p.add_argument("--group", required=True)
     p.add_argument("-n", type=int, required=True, help="number of rows acted on")
-    p.add_argument("--flavor", choices=("invariant", "antiinvariant"), default="invariant")
+    p.add_argument("--flavor", choices=FLAVORS, default="invariant")
     p.add_argument("--dq", type=int, default=6)
     p.add_argument("--du", type=int, default=None)
     p.add_argument("--check", action="store_true", help="compare the direct and plethysm routes")
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", type=int, default=3, help="largest row count collected")
     p.add_argument("--dq", type=int, default=6)
     p.add_argument("--du", type=int, default=None)
-    p.add_argument("--flavor", choices=("invariant", "antiinvariant"), default="invariant")
+    p.add_argument("--flavor", choices=FLAVORS, default="invariant")
     p.add_argument("--check", action="store_true", help="compare the sum and product forms")
     _format_flag(p)
 

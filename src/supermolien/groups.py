@@ -475,11 +475,6 @@ class Substitution(NamedTuple):
     one_term: bool
 
 
-def wreath_sign(w: WreathElement) -> int:
-    """The sign character of P[G]: sgn(sigma), ignoring the G-part."""
-    return perm_sign(w.sigma)
-
-
 def wreath_identity(n: int, r0: int, r1: int) -> WreathElement:
     ident = GradedGroupElement.identity(r0, r1)
     return WreathElement(Permutation.identity(n), (ident,) * n)

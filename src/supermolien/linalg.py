@@ -4,9 +4,10 @@ QMatrix is the value type of matrix input and output, without arithmetic.
 Every kernel reads a matrix as sparse rows, row i the (column, value)
 pairs of its nonzero entries, or as sparse columns (_columns), which is
 how graded group elements hold their matrices and _compose multiplies
-them.  Determinants and ranks use one Bareiss fraction-free elimination on
-denominator-cleared sparse integer rows, which touches nonzero entries
-only; a determinant or rank of columns read as rows is the same.
+them.  Determinants and every rank in the package use one Bareiss
+fraction-free elimination on denominator-cleared sparse integer rows
+(_det_rows, _rank_rows), which touches nonzero entries only; a
+determinant or rank of columns read as rows is the same.
 Char-polys use one kernel on the nonzero entries (of a QMatrix, or a
 wreath label's columns read as rows) with two paths, picked from the
 input alone: a monomial matrix, as every signed-permutation label is, is
@@ -14,8 +15,9 @@ read off the cycles of its one-entry rows; any other goes to Berkowitz's
 recurrence on the denominator-cleared entries, held as sparse rows and
 column lists, whose matrix-vector steps update nonzero entries only and
 stop as soon as the bordering column or row is empty.
-Greedy independent-subset selection uses an incremental exact echelon
-accumulator on sparse Fraction rows.  Higher layers do no elimination.
+Greedy independent-subset selection, which only chooses invariant bases,
+uses an incremental exact echelon accumulator on sparse Fraction rows.
+Higher layers do no elimination.
 """
 
 from __future__ import annotations
@@ -201,11 +203,6 @@ def _det_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> Fraction:
     cleared, scale = _cleared_rows(rows)
     rank, sign, last = _bareiss(cleared)
     return Fraction(sign * last, scale) if rank == len(rows) else Fraction(0)
-
-
-def matrix_rank(m: QMatrix) -> int:
-    """Exact rank via fraction-free elimination with column skipping."""
-    return _rank_rows(_nonzeros(m))
 
 
 def _charpoly_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple[int | Fraction, ...]:

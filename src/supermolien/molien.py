@@ -43,7 +43,6 @@ from .groups import (
     matrix_group_to_perm_group,
     perm_sign,
     validate_character,
-    wreath_sign,
 )
 from .linalg import _charpoly_rows, _rank_rows
 from .series import Caps, Key, TrigradedSeries
@@ -52,6 +51,7 @@ from .superalgebra import (
     SuperMonomial,
     SuperPolynomial,
     _label_sum,
+    _require_shape,
     bidegree_basis,
 )
 
@@ -62,9 +62,12 @@ DEFAULT_BASIS_LIMIT = 5000
 FLAVORS = ("invariant", "antiinvariant")
 
 
-def require_flavor(flavor: str) -> None:
+def require_flavor(flavor: str) -> bool:
+    """Whether the flavor is signed, weighting each label by sgn(sigma): the
+    one place a flavor name is read."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
+    return flavor == "antiinvariant"
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,27 @@ class GroupAction:
     The Molien average is defined for any set of pairs.  The Reynolds
     route needs labels that form a group, each element listed once, with
     the character a homomorphism on it: the projector and its orbit
-    sharing rest on R(w.f) = chi(w) R(f)."""
+    sharing rest on R(w.f) = chi(w) R(f).
+
+    Every label must act on the signature's rows and blocks; a label that
+    does not is refused when the action is made, with the errors of the
+    Reynolds route."""
 
     signature: AlgebraSignature
     pairs: tuple[tuple[int, WreathElement], ...]
+
+    def __post_init__(self):
+        for _, w in self.pairs:
+            _require_shape(w.substitution, self.signature)
+
+    @classmethod
+    def _trusted(cls, signature: AlgebraSignature, pairs: tuple) -> "GroupAction":
+        """Trusted constructor for labels built to match signature: no label
+        is checked, so none compiles a substitution it may never use."""
+        action = object.__new__(cls)
+        object.__setattr__(action, "signature", signature)
+        object.__setattr__(action, "pairs", pairs)
+        return action
 
     @property
     def order(self) -> int:
@@ -102,16 +122,17 @@ class GroupAction:
             chi = validate_character(_matrix_group_sgn_values(G), G)
         else:
             chi = validate_character(character, G)
-        return GroupAction(sig, tuple((c, WreathElement(ident, (g,))) for c, g in zip(chi, G.elements)))
+        return GroupAction._trusted(sig, tuple((c, WreathElement(ident, (g,))) for c, g in zip(chi, G.elements)))
 
     @staticmethod
     def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant") -> "GroupAction":
         """Action of P[G] on n rows; flavor "invariant" weights every label 1,
         flavor "antiinvariant" weights by sgn(sigma)."""
-        require_flavor(flavor)
+        signed = require_flavor(flavor)
         sig = AlgebraSignature(G.r0, G.r1, n)
-        signed = flavor == "antiinvariant"
-        return GroupAction(sig, tuple((wreath_sign(w) if signed else 1, w) for w in build_wreath(P, G, n)))
+        return GroupAction._trusted(
+            sig, tuple((perm_sign(w.sigma) if signed else 1, w) for w in build_wreath(P, G, n))
+        )
 
 
 def _matrix_group_sgn_values(G: MatrixGroup) -> list[int]:
@@ -158,13 +179,11 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
     picks from the columns alone.  Labels are grouped by value only, never
     by cycle type or conjugacy class, and nothing outlives the call.
     """
-    sig = action.signature
-    if du is None:
-        du = sig.num_odd
+    caps = Caps.of((0, dq, action.signature.num_odd if du is None else du))
     weights: dict[tuple[tuple, tuple], int] = {}
     for chi, w in action.pairs:
         even, odd = w.columns
-        pair = (_charpoly_rows(even), _charpoly_rows(odd)[: du + 1])
+        pair = (_charpoly_rows(even), _charpoly_rows(odd)[: caps.u + 1])
         weights[pair] = weights.get(pair, 0) + chi
     total: dict[Key, int | Fraction] = {}
     for (den, num), weight in weights.items():
@@ -172,7 +191,7 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
             for key, c in _pair_table(den, num, dq).items():
                 total[key] = total.get(key, 0) + weight * c
     order = action.order
-    return TrigradedSeries._canonical(Caps(0, dq, du), {k: Fraction(c) / order for k, c in total.items()})
+    return TrigradedSeries._canonical(caps, {k: Fraction(c) / order for k, c in total.items()})
 
 
 def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:
@@ -234,14 +253,14 @@ def invariant_dimension_bruteforce(action: GroupAction, i: int, j: int) -> int:
 
 def molien_vs_oracle(action: GroupAction, dq: int, du: int | None = None) -> dict:
     """Compare Molien coefficients against brute-force ranks on the full
-    bidegree grid i <= dq, j <= du.  Returns a JSON-ready report."""
-    if du is None:
-        du = action.signature.num_odd
+    bidegree grid i <= dq, j <= du, the caps of the Molien series, which
+    refuses negative ones before any rank is taken.  Returns a JSON-ready
+    report."""
     series = super_molien(action, dq, du)
     agreements = 0
     mismatches = []
-    for i in range(dq + 1):
-        for j in range(du + 1):
+    for i in range(series.caps.q + 1):
+        for j in range(series.caps.u + 1):
             molien_c = series.coefficient((0, i, j))
             oracle = invariant_dimension_bruteforce(action, i, j)
             if molien_c == oracle:

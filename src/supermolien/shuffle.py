@@ -18,7 +18,10 @@ independent subset of the Reynolds orbit sums of molien, kept undivided
 (|W| R(m), ints for an integral group), so the products of the battery run
 on ints.  The resulting product closes on the (anti)invariant spaces, is
 associative, supercommutes on degree-one elements with signs governed by
-theta-degree parity, and generates everything in sight from degree one.
+theta-degree parity, and generates everything in sight from degree one:
+generation compares, per cell, the Bareiss rank of the degree-one
+products' coefficient rows with that of the cell's orbit sums, the one
+rank kernel of linalg, whose Fraction echelon only chooses invariant bases.
 Each of those claims has a verifier here; none of them consults the Hilbert
 series machinery.
 """
@@ -185,10 +188,9 @@ def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
     return InvariantSpaceBasis(action, i, j, tuple(kept))
 
 
-def _wreath_generator_labels(n: int, G: MatrixGroup, flavor: str) -> tuple[tuple[int, WreathElement], ...]:
+def _wreath_generator_labels(n: int, G: MatrixGroup, signed: bool) -> tuple[tuple[int, WreathElement], ...]:
     """Generators of S_n[G] on n rows as (weight, label) pairs, weighted by
-    the sign of their row permutation for the antiinvariant flavor."""
-    signed = flavor == "antiinvariant"
+    the sign of their row permutation when signed."""
     return tuple(
         (perm_sign(sigma) if signed else 1, WreathElement(sigma, gs))
         for sigma, gs in wreath_generators(symmetric_generators(n), G, n)
@@ -206,8 +208,7 @@ def _fixed_by(f: SuperPolynomial, pairs: tuple[tuple[int, WreathElement], ...]) 
 
 def is_wreath_invariant(f: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant") -> bool:
     """True iff every wreath generator fixes f (or sign-twists it)."""
-    require_flavor(flavor)
-    return _fixed_by(f, _wreath_generator_labels(f.sig.n, G, flavor))
+    return _fixed_by(f, _wreath_generator_labels(f.sig.n, G, require_flavor(flavor)))
 
 
 def verify_closure(
@@ -216,14 +217,14 @@ def verify_closure(
     """Shuffle two checked (anti)invariants and test the product against
     every generator of the larger wreath product; the generator labels are
     built once per row count."""
-    require_flavor(flavor)
+    signed = require_flavor(flavor)
     a, b = A.sig.n, B.sig.n
-    labels = {n: _wreath_generator_labels(n, G, flavor) for n in {a, b, a + b}}
+    labels = {n: _wreath_generator_labels(n, G, signed) for n in {a, b, a + b}}
     if not _fixed_by(A, labels[a]):
         raise ValueError("left factor is not (anti)invariant for its row count")
     if not _fixed_by(B, labels[b]):
         raise ValueError("right factor is not (anti)invariant for its row count")
-    prod = shuffle_product(A, B, signed=(flavor == "antiinvariant"))
+    prod = shuffle_product(A, B, signed)
     return _fixed_by(prod, labels[a + b])
 
 
@@ -272,22 +273,21 @@ def degree_one_pool(G: MatrixGroup, i_max: int) -> list[tuple[tuple[int, int], S
 def _generation_rank(
     pool: list[tuple[tuple[int, int], SuperPolynomial]],
     waction: GroupAction,
-    flavor: str,
+    signed: bool,
     i: int,
     j: int,
 ) -> tuple[int, int]:
     """(spanned, full) in bidegree (i, j) on the rows of waction, the
-    S_n[G] action of the flavor.  Pool elements of x-degree above i never
-    enter a product of total degree (i, j), so any pool reaching x-degree i
-    gives the same rank."""
+    S_n[G] action of the flavor, signed or not: both are Bareiss ranks,
+    spanned of the products' coefficient rows (a zero product an empty
+    row) and full of the cell's orbit sums.  Pool elements of x-degree
+    above i never enter a product of total degree (i, j), so any pool
+    reaching x-degree i gives the same rank."""
     n = waction.signature.n
-    signed = flavor == "antiinvariant"
     # the one basis of the cell, refused first if oversized
     target, _, rows = _projector_rows(waction, i, j)
-    full = _rank_rows(rows)
     index = {m: k for k, m in enumerate(target)}
-    sel = EchelonSelector(len(target))
-    spanned = 0
+    products = []
     for combo in itertools.combinations_with_replacement(range(len(pool)), n):
         isum = sum(pool[k][0][0] for k in combo)
         jsum = sum(pool[k][0][1] for k in combo)
@@ -296,11 +296,8 @@ def _generation_rank(
         prod = pool[combo[0]][1]
         for k in combo[1:]:
             prod = shuffle_product(prod, pool[k][1], signed)
-        if prod.is_zero():
-            continue
-        if sel.offer(coefficient_vector(prod, index)):
-            spanned += 1
-    return spanned, full
+        products.append(coefficient_vector(prod, index))
+    return _rank_rows(products), _rank_rows(rows)
 
 
 def degree_one_generation_rank(G: MatrixGroup, flavor: str, n: int, i: int, j: int) -> tuple[int, int]:
@@ -309,11 +306,11 @@ def degree_one_generation_rank(G: MatrixGroup, flavor: str, n: int, i: int, j: i
 
     Returns (spanned, full); generation in degree one predicts equality.
     """
-    require_flavor(flavor)
+    signed = require_flavor(flavor)
     if n < 1:
         raise ValueError("need at least one row")
     waction = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor=flavor)
-    return _generation_rank(degree_one_pool(G, i), waction, flavor, i, j)
+    return _generation_rank(degree_one_pool(G, i), waction, signed, i, j)
 
 
 def generation_sweep(
@@ -322,14 +319,14 @@ def generation_sweep(
     """(n, i, j, spanned, full) of degree_one_generation_rank for every
     n <= n_max, i <= i_max and j <= n * r1, building the one-row pool once
     and each S_n[G] action once."""
-    require_flavor(flavor)
+    signed = require_flavor(flavor)
     pool = degree_one_pool(G, i_max)
     out = []
     for n in range(1, n_max + 1):
         waction = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor=flavor)
         for i in range(i_max + 1):
             for j in range(n * G.r1 + 1):
-                out.append((n, i, j) + _generation_rank(pool, waction, flavor, i, j))
+                out.append((n, i, j) + _generation_rank(pool, waction, signed, i, j))
     return out
 
 
@@ -343,9 +340,8 @@ def closure_battery(G: MatrixGroup, flavor: str, max_rows: int, max_i: int) -> t
     is checked for (anti)invariance once, when its basis is computed, and
     every shuffle product is checked.  Returns (checked, failed).
     """
-    require_flavor(flavor)
-    signed = flavor == "antiinvariant"
-    labels = {rows: _wreath_generator_labels(rows, G, flavor) for rows in range(1, max_rows + 1)}
+    signed = require_flavor(flavor)
+    labels = {rows: _wreath_generator_labels(rows, G, signed) for rows in range(1, max_rows + 1)}
     actions: dict[int, GroupAction] = {}
     bases: dict[tuple[int, int, int], tuple[SuperPolynomial, ...]] = {}
 

@@ -46,7 +46,6 @@ def wreath_hilbert_direct(
     P: PermGroup, G: MatrixGroup, n: int, flavor: str, dq: int, du: int | None = None
 ) -> TrigradedSeries:
     """Hilbert series of the (anti)invariants of P[G], by full enumeration."""
-    require_flavor(flavor)
     action = GroupAction.from_wreath(P, G, n, flavor=flavor)
     return super_molien(action, dq, du)
 
@@ -60,12 +59,12 @@ def wreath_hilbert_plethysm(
     one.  The inner series is the one-row series of G with u negated; the
     outer negation undoes the flip.
     """
-    require_flavor(flavor)
+    signed = require_flavor(flavor)
     require_degree(P, n)
     if du is None:
         du = n * G.r1
     inner = super_molien(GroupAction.from_matrix_group(G), dq, du)
-    z = cycle_index(P, flavor="plain" if flavor == "invariant" else "sgn")
+    z = cycle_index(P, flavor="sgn" if signed else "plain")
     return series_flip_u(plethystic_substitute(z, series_flip_u(inner)))
 
 
@@ -123,14 +122,14 @@ def collated_sum_series(spec: CollationSpec) -> TrigradedSeries:
 
 
 def _product_form(
-    caps: Caps, multiplicities: dict[tuple[int, int], int], flavor: str
+    caps: Caps, multiplicities: dict[tuple[int, int], int], signed: bool
 ) -> TrigradedSeries:
     """Product over (i, j) of (1 + t q^i u^j)^a or (1 - t q^i u^j)^-a, a the
     table entry.  The invariant flavor puts odd j in the numerator, the
-    antiinvariant flavor even j.  A factor whose t q^i u^j lies outside the
-    caps is 1 there and is skipped.
+    signed (antiinvariant) flavor even j.  A factor whose t q^i u^j lies
+    outside the caps is 1 there and is skipped.
     """
-    numerator_parity = 1 if flavor == "invariant" else 0
+    numerator_parity = 0 if signed else 1
     one = TrigradedSeries.one(caps)
     result = one
     for (i, j), a in multiplicities.items():
@@ -159,7 +158,7 @@ def collated_product_series(spec: CollationSpec) -> TrigradedSeries:
         if a.denominator != 1 or a < 0:
             raise ValueError(f"graded multiplicity a[{i},{j}] = {a} is not a nonnegative integer")
         multiplicities[(i, j)] = int(a)
-    return _product_form(spec.caps, multiplicities, spec.flavor)
+    return _product_form(spec.caps, multiplicities, require_flavor(spec.flavor))
 
 
 def check_collation(spec: CollationSpec) -> dict:
@@ -182,7 +181,7 @@ def young_exterior_product(ell: int, n_max: int, du: int) -> TrigradedSeries:
     Depends only on the number of blocks, not their sizes.
     """
     multiplicities = {(0, j): math.comb(ell, j) for j in range(ell + 1)}
-    return _product_form(Caps(n_max, 0, du), multiplicities, "invariant")
+    return _product_form(Caps(n_max, 0, du), multiplicities, False)
 
 
 def _one_minus(columns) -> list[list[tuple[int, int | Fraction]]]:
@@ -235,9 +234,10 @@ def verify_m_cycle_identity(G: MatrixGroup, m: int, dq: int, du: int | None = No
         du = m * G.r1
     cyc = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
     # one fixed cycle times G^m is a coset, not a group: this action is for
-    # the Molien average only, never for the Reynolds route
+    # the Molien average only, never for the Reynolds route, and its labels
+    # are made on m rows of G's blocks, so they are not checked again
     pairs = tuple((1, WreathElement(sigma, gs)) for sigma, gs in _wreath_labels((cyc,), G, m))
-    cycle_labels = GroupAction(AlgebraSignature(G.r0, G.r1, m), pairs)
+    cycle_labels = GroupAction._trusted(AlgebraSignature(G.r0, G.r1, m), pairs)
     lhs = super_molien(cycle_labels, dq, du)
     hg = super_molien(GroupAction.from_matrix_group(G), dq, du)
     if m % 2 == 0:
@@ -252,19 +252,19 @@ def _mono_or_zero(caps: Caps, key: tuple[int, int, int]) -> TrigradedSeries:
     return TrigradedSeries.zero(caps)
 
 
-def _superspace_factor_product(n: int, caps: Caps, flavor: str) -> TrigradedSeries:
+def _superspace_factor_product(n: int, caps: Caps, signed: bool) -> TrigradedSeries:
     """Product over k = 1..n of the superspace factors at t = 0.
 
-    Invariants: (1 + q^(k-1) u)/(1 - q^k).  Antiinvariants: the numerator
-    becomes (u + q^(k-1)).
+    Invariants: (1 + q^(k-1) u)/(1 - q^k).  Antiinvariants (signed): the
+    numerator becomes (u + q^(k-1)).
     """
     one = TrigradedSeries.one(caps)
     result = one
     for k in range(1, n + 1):
-        if flavor == "invariant":
-            num = series_add(one, _mono_or_zero(caps, (0, k - 1, 1)))
-        else:
+        if signed:
             num = series_add(_mono_or_zero(caps, (0, 0, 1)), _mono_or_zero(caps, (0, k - 1, 0)))
+        else:
+            num = series_add(one, _mono_or_zero(caps, (0, k - 1, 1)))
         den = series_sub(one, _mono_or_zero(caps, (0, k, 0)))
         result = series_mul(result, series_mul(num, series_inv(den)))
     return result
@@ -272,8 +272,7 @@ def _superspace_factor_product(n: int, caps: Caps, flavor: str) -> TrigradedSeri
 
 def superspace_single_n_product(n: int, dq: int, flavor: str = "invariant") -> TrigradedSeries:
     """Closed form for the rank-n superspace series, at caps (0, dq, n)."""
-    require_flavor(flavor)
-    return _superspace_factor_product(n, Caps(0, dq, n), flavor)
+    return _superspace_factor_product(n, Caps(0, dq, n), require_flavor(flavor))
 
 
 def superspace_product_series(n_max: int, dq: int, flavor: str = "invariant") -> TrigradedSeries:
@@ -283,25 +282,23 @@ def superspace_product_series(n_max: int, dq: int, flavor: str = "invariant") ->
     These are the collation factors of the trivial group on one even and one
     odd variable, whose invariants have a_i0 = a_i1 = 1.
     """
-    require_flavor(flavor)
     multiplicities = {(i, j): 1 for i in range(dq + 1) for j in (0, 1)}
-    return _product_form(Caps(n_max, dq, n_max), multiplicities, flavor)
+    return _product_form(Caps(n_max, dq, n_max), multiplicities, require_flavor(flavor))
 
 
 def superspace_qbinomial_series(n_max: int, dq: int, flavor: str = "invariant") -> TrigradedSeries:
     """Collated superspace series assembled n by n from the closed forms."""
-    require_flavor(flavor)
+    signed = require_flavor(flavor)
     caps = Caps(n_max, dq, n_max)
     total = TrigradedSeries.one(caps)
     for n in range(1, n_max + 1):
-        layer = _superspace_factor_product(n, caps, flavor)
+        layer = _superspace_factor_product(n, caps, signed)
         total = series_add(total, series_mul(layer, TrigradedSeries.monomial(caps, (n, 0, 0))))
     return total
 
 
 def check_superspace(n_max: int, dq: int, flavor: str = "invariant") -> dict:
     """Three-route superspace consistency: collated sum, product, q-binomial."""
-    require_flavor(flavor)
     spec = CollationSpec(
         group=MatrixGroup.trivial(1, 1), n_max=n_max, dq=dq, du=n_max, flavor=flavor
     )

@@ -36,7 +36,6 @@ from supermolien.groups import (
     wreath_generators,
     wreath_identity,
     wreath_mul,
-    wreath_sign,
 )
 from supermolien.fixtures import MATRIX_GROUP_FIXTURES, matrix_group_fixture, perm_group_fixture
 from supermolien.linalg import QMatrix, _columns
@@ -311,9 +310,9 @@ def test_wreath_sign_ignores_g_part():
     G = sign_group()
     minus = G.elements[1 - G.identity_index]
     w = WreathElement(Permutation([2, 1]), (minus, minus))
-    assert wreath_sign(w) == -1
+    assert perm_sign(w.sigma) == -1
     w2 = WreathElement(Permutation([1, 2]), (minus, minus))
-    assert wreath_sign(w2) == 1
+    assert perm_sign(w2.sigma) == 1
 
 
 def test_wreath_sign_multiplicative_seeded():
@@ -322,7 +321,7 @@ def test_wreath_sign_multiplicative_seeded():
     rng = random.Random(5)
     for _ in range(60):
         w1, w2 = rng.choice(labels), rng.choice(labels)
-        assert wreath_sign(wreath_mul(w1, w2)) == wreath_sign(w1) * wreath_sign(w2)
+        assert perm_sign(wreath_mul(w1, w2).sigma) == perm_sign(w1.sigma) * perm_sign(w2.sigma)
 
 
 def test_wreath_mul_group_laws_seeded():

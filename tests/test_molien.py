@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from supermolien import linalg, molien, shuffle, superalgebra, verify, wreath_series
-from supermolien.errors import BasisTooLarge
+from supermolien.errors import BasisTooLarge, DegreeMismatch, DimensionMismatch
 from supermolien.fixtures import (
     diagonal_perm_group,
     matrix_group_fixture,
@@ -24,7 +24,7 @@ from supermolien.groups import (
     build_wreath,
     wreath_mul,
 )
-from supermolien.linalg import QMatrix, _berkowitz, _charpoly_rows, charpoly_det, matrix_rank
+from supermolien.linalg import QMatrix, _berkowitz, _charpoly_rows, _nonzeros, _rank_rows, charpoly_det
 from supermolien.molien import (
     FLAVORS,
     GroupAction,
@@ -301,7 +301,7 @@ def test_orbit_row_rank_equals_per_monomial_rank(gname):
                     for row, m in zip(dense, basis):
                         for k, c in reynolds_project(action, SuperPolynomial.monomial(sig, m)).terms.items():
                             row[index[k]] = c
-                    expected = matrix_rank(QMatrix.from_rows(dense)) if dense else 0
+                    expected = _rank_rows(_nonzeros(QMatrix.from_rows(dense))) if dense else 0
                     assert invariant_dimension_bruteforce(action, i, j) == expected
 
 
@@ -560,8 +560,8 @@ def test_rational_change_of_basis_keeps_the_series():
 
 def test_one_flavor_validator():
     assert wreath_series.FLAVORS is FLAVORS == ("invariant", "antiinvariant")
-    for flavor in FLAVORS:
-        require_flavor(flavor)
+    # the one place a flavor name is read: whether it is signed
+    assert [require_flavor(flavor) for flavor in FLAVORS] == [False, True]
     G = MatrixGroup.trivial(1, 0)
     message = r"unknown flavor 'nope'; expected one of \('invariant', 'antiinvariant'\)"
     for call in (
@@ -571,4 +571,30 @@ def test_one_flavor_validator():
         lambda: shuffle.closure_battery(G, "nope", 2, 1),
     ):
         with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_action_refuses_labels_off_its_signature():
+    # sign-scalar's one-row labels declared on two rows, and trivial-1-1's
+    # declared on (2, 1) variables per row, are refused when the action is
+    # made, with the errors of the Reynolds route, before any series is summed
+    sign_scalar = GroupAction.from_matrix_group(sign_scalar_group())
+    with pytest.raises(DegreeMismatch):
+        GroupAction(AlgebraSignature(1, 0, 2), sign_scalar.pairs)
+    trivial = GroupAction.from_matrix_group(trivial_group(1, 1))
+    with pytest.raises(DimensionMismatch):
+        GroupAction(AlgebraSignature(2, 1, 1), trivial.pairs)
+    # the same labels on their own signatures are accepted
+    assert GroupAction(sign_scalar.signature, sign_scalar.pairs) == sign_scalar
+    assert GroupAction(trivial.signature, trivial.pairs) == trivial
+
+
+def test_negative_caps_are_refused_before_any_work():
+    action = GroupAction.from_matrix_group(trivial_group(1, 1))
+    for call in (
+        lambda: super_molien(action, -1),
+        lambda: super_molien(action, 2, -1),
+        lambda: molien_vs_oracle(action, -1),
+    ):
+        with pytest.raises(ValueError, match=r"^caps must be nonnegative, got \(0, "):
             call()

@@ -11,7 +11,7 @@ from supermolien.errors import BasisTooLarge, CapExceeded, NotHomogeneous, Signa
 from supermolien.fixtures import matrix_group_fixture
 from supermolien.groups import MatrixGroup, PermGroup, perm_sign, shuffle_reps
 from supermolien import molien, superalgebra
-from supermolien.molien import GroupAction, invariant_dimension_bruteforce, reynolds_project
+from supermolien.molien import FLAVORS, GroupAction, invariant_dimension_bruteforce, reynolds_project, require_flavor
 from supermolien import shuffle as shuffle_module
 from supermolien.shuffle import (
     InvariantSpaceBasis,
@@ -38,6 +38,7 @@ from supermolien.superalgebra import (
     bidegree_basis,
     super_mul,
 )
+from supermolien.verify import SHUFFLE_GROUPS
 
 from rational_groups import is_exact, named_group
 from row_relabeling import relabel_rows
@@ -267,7 +268,7 @@ def test_invariant_basis_of_integral_group_has_int_coefficients():
     # group are kept undivided, so every basis element has int coefficients
     for gname, i, j in (("s3-x", 3, 0), ("s2-theta", 0, 1)):
         G = matrix_group_fixture(gname)
-        for flavor in ("invariant", "antiinvariant"):
+        for flavor in FLAVORS:
             action = GroupAction.from_wreath(PermGroup.symmetric(2), G, 2, flavor=flavor)
             elements = invariant_basis(action, i, j).elements
             assert elements and all(type(c) is int for f in elements for c in f.terms.values())
@@ -310,9 +311,9 @@ def test_verify_closure_builds_generator_labels_once_per_row_count(monkeypatch):
     built = []
     generator_labels = shuffle_module._wreath_generator_labels
 
-    def counted(n, G, flavor):
+    def counted(n, G, signed):
         built.append(n)
-        return generator_labels(n, G, flavor)
+        return generator_labels(n, G, signed)
 
     monkeypatch.setattr(shuffle_module, "_wreath_generator_labels", counted)
     assert verify_closure(a, a, G, "invariant")
@@ -342,8 +343,8 @@ CLOSURE_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("gname", ["trivial-1-1", "trivial-1-0", "trivial-0-1", "sign-scalar"])
-@pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
+@pytest.mark.parametrize("gname", SHUFFLE_GROUPS)
+@pytest.mark.parametrize("flavor", FLAVORS)
 def test_closure_battery_small(gname, flavor):
     counts = closure_battery(matrix_group_fixture(gname), flavor, max_rows=4, max_i=4)
     assert counts == CLOSURE_COUNTS[(gname, flavor)]
@@ -365,7 +366,7 @@ def test_closure_battery_builds_one_action_per_row_count(monkeypatch):
     assert sorted(built) == [1, 2, 3]
 
 
-@pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
+@pytest.mark.parametrize("flavor", FLAVORS)
 def test_closure_battery_rejects_noninvariant_basis_element(monkeypatch, flavor):
     # x -> -x under sign-scalar, so x[1,1] is neither invariant nor
     # antiinvariant on one row
@@ -469,7 +470,7 @@ def test_generation_rank_examples():
     assert degree_one_generation_rank(MatrixGroup.trivial(1, 1), "invariant", 1, 3, 1) == (1, 1)
 
 
-@pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
+@pytest.mark.parametrize("flavor", FLAVORS)
 def test_generation_rank_sign_scalar(flavor):
     G = matrix_group_fixture("sign-scalar")
     for n in (1, 2):
@@ -510,7 +511,7 @@ def test_generation_rank_builds_each_cell_basis_once(monkeypatch):
             monkeypatch.setattr(module, "bidegree_basis", counted)
     for waction, flavor, i, full in cells:
         calls.clear()
-        assert _generation_rank(pool, waction, flavor, i, 0) == (full, full)
+        assert _generation_rank(pool, waction, require_flavor(flavor), i, 0) == (full, full)
         assert calls == [(waction.signature.n, i, 0)]
 
 
@@ -555,8 +556,8 @@ def test_fixed_by_equals_polynomial_equality(gname):
     rng = random.Random(f"fixed-by-{gname}")
     outcomes = set()
     for n in (1, 2):
-        for flavor in ("invariant", "antiinvariant"):
-            pairs = shuffle_module._wreath_generator_labels(n, G, flavor)
+        for flavor in FLAVORS:
+            pairs = shuffle_module._wreath_generator_labels(n, G, require_flavor(flavor))
             action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor)
             sig = action.signature
             for i in range(3):

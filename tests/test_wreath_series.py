@@ -10,7 +10,7 @@ from supermolien.errors import CapExceeded, DimensionMismatch
 from supermolien.fixtures import matrix_group_fixture, perm_group_fixture, sign_scalar_group
 from supermolien.groups import MatrixGroup, PermGroup, Permutation, WreathElement
 from supermolien.linalg import QMatrix, _det_rows, _nonzeros
-from supermolien.molien import GroupAction, super_molien
+from supermolien.molien import FLAVORS, GroupAction, super_molien
 from supermolien.series import (
     Caps,
     TrigradedSeries,
@@ -42,7 +42,7 @@ from supermolien.wreath_series import (
 # The route cases are the `verify` suite's own; these tests run them
 # in-process at a smaller cap than the shared report (dq = 5, not 8).
 @pytest.mark.parametrize("pname,gname,n", WREATH_ROUTE_CASES)
-@pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
+@pytest.mark.parametrize("flavor", FLAVORS)
 def test_direct_equals_plethysm(pname, gname, n, flavor):
     P = perm_group_fixture(pname)
     G = matrix_group_fixture(gname)
@@ -52,7 +52,7 @@ def test_direct_equals_plethysm(pname, gname, n, flavor):
 
 
 @pytest.mark.parametrize("n,gname,dq", [(5, "sign-scalar", 8), (4, "s2-theta", 6)])
-@pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
+@pytest.mark.parametrize("flavor", FLAVORS)
 def test_direct_equals_plethysm_ladder(n, gname, dq, flavor):
     # S_5[+-1] (3840 labels) and S_4[S_2 on theta] (384 labels), every label
     P = PermGroup.symmetric(n)
@@ -113,7 +113,7 @@ def test_wreath_matches_diagonal_matrix_embedding(n):
 
 
 @pytest.mark.parametrize("gname", COLLATE_GROUPS + ("trivial-1-0", "trivial-0-1"))
-@pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
+@pytest.mark.parametrize("flavor", FLAVORS)
 def test_collation_sum_equals_product(gname, flavor):
     # the `collate-*` cases of the shared report, in-process at dq = du = 4,
     # and the groups on even-only and odd-only variables
@@ -176,7 +176,7 @@ def test_young_collation_three_blocks_closed_form():
     assert collated_product_series(spec) == young_exterior_product(3, 3, 9)
 
 
-@pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
+@pytest.mark.parametrize("flavor", FLAVORS)
 def test_product_forms_with_no_rows(flavor):
     # at t-cap 0 every factor (1 +- t q^i u^j)^a is 1
     for ell in range(4):
@@ -268,7 +268,7 @@ def test_m_cycle_sum_frozen_value():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
+@pytest.mark.parametrize("flavor", FLAVORS)
 def test_superspace_single_n_closed_form(n, flavor):
     direct = wreath_hilbert_direct(
         PermGroup.symmetric(n), MatrixGroup.trivial(1, 1), n, flavor, 6
@@ -276,7 +276,7 @@ def test_superspace_single_n_closed_form(n, flavor):
     assert direct == superspace_single_n_product(n, 6, flavor)
 
 
-@pytest.mark.parametrize("flavor", ["invariant", "antiinvariant"])
+@pytest.mark.parametrize("flavor", FLAVORS)
 def test_superspace_three_routes(flavor):
     rep = check_superspace(3, 6, flavor)
     assert rep["match"]
