@@ -12,9 +12,10 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from supermolien.fixtures import matrix_group_fixture, perm_group_fixture
+from supermolien.groups import sign_character
 from supermolien.molien import GroupAction, super_molien
 from supermolien.rationals import format_rational
-from supermolien.superalgebra import AlgebraSignature, SuperMonomial, SuperPolynomial
+from supermolien.verify import display_signed_22_factors, display_unsigned_12_factors
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -57,30 +58,16 @@ def main() -> None:
         dump(fname, perm_group_fixture(key).to_json_dict())
 
     # sign-character values aligned with the s2_x element order
-    action = GroupAction.from_matrix_group(matrix_group_fixture("s2-x"), character="sgn")
-    dump("character_sgn_s2_x.json", [format_rational(chi) for chi, _ in action.pairs])
+    s2_x = matrix_group_fixture("s2-x")
+    dump("character_sgn_s2_x.json", [format_rational(chi) for chi in sign_character(s2_x)])
 
     # the two shuffle worked examples as input polynomials
-    sig2 = AlgebraSignature(1, 1, 2)
-    left = SuperPolynomial(sig2, {SuperMonomial({(1, 1): 2, (2, 1): 1}, ((2, 1),)): 1})
-    right = SuperPolynomial(sig2, {SuperMonomial({(1, 1): 5, (2, 1): 7}, ((1, 1), (2, 1))): 1})
-    dump("shuffle_left_2_2.json", left.to_json_dict())
-    dump("shuffle_right_2_2.json", right.to_json_dict())
-
-    s1 = AlgebraSignature(3, 2, 1)
-    s2 = AlgebraSignature(3, 2, 2)
-    one_row = SuperPolynomial(
-        s1, {SuperMonomial({(1, 1): 5, (1, 2): 5, (1, 3): 3}, ((1, 1),)): 1}
-    )
-    two_rows = SuperPolynomial(
-        s2,
-        {
-            SuperMonomial({(1, 3): 1}, ((2, 2),)): 1,
-            SuperMonomial({(2, 3): 1}, ((1, 2),)): 1,
-        },
-    )
-    dump("shuffle_left_1_2.json", one_row.to_json_dict())
-    dump("shuffle_right_1_2.json", two_rows.to_json_dict())
+    for suffix, (left, right) in (
+        ("2_2", display_signed_22_factors()),
+        ("1_2", display_unsigned_12_factors()),
+    ):
+        dump(f"shuffle_left_{suffix}.json", left.to_json_dict())
+        dump(f"shuffle_right_{suffix}.json", right.to_json_dict())
 
     # reference series for --expect, plus a deliberately wrong copy
     series = super_molien(

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .errors import SuperMolienError
-from .groups import MatrixGroup, PermGroup, validate_character
+from .groups import MatrixGroup, PermGroup, sign_character, validate_character
 from .molien import FLAVORS, GroupAction, super_molien
 from .rationals import format_rational
 from .series import TrigradedSeries
@@ -52,8 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cycle-index", help="cycle index of a permutation group")
     p.add_argument("--perm", required=True, help="permutation group JSON file")
-    p.add_argument("--flavor", choices=("plain", "sgn", "character"), default="plain")
-    p.add_argument("--character", default=None, help="values file, required for flavor 'character'")
+    p.add_argument("--character", default="trivial", help="'trivial', 'sgn', or a values file")
     _format_flag(p)
 
     p = sub.add_parser("wreath", help="Hilbert series of a wreath product action")
@@ -121,14 +120,18 @@ def _load_perm_group(path: str) -> PermGroup:
     return _load_as(path, "permutation group", PermGroup.from_json_dict)
 
 
-def _load_character(spec: str):
-    """'trivial' and 'sgn' pass through; anything else is a values file."""
-    if spec in ("trivial", "sgn"):
-        return spec
+def _load_character(spec: str, group: MatrixGroup | PermGroup) -> tuple[int, ...] | None:
+    """The one place a character name is read: None for 'trivial', the
+    group's sign character for 'sgn', else the validated values of a
+    values file."""
+    if spec == "trivial":
+        return None
+    if spec == "sgn":
+        return sign_character(group)
     values = _load_json(spec)
     if not isinstance(values, list):
         raise ValueError(f"character file {spec} must hold a JSON list of values")
-    return [Fraction(str(v)) for v in values]
+    return validate_character([Fraction(str(v)) for v in values], group)
 
 
 # -- rendering --------------------------------------------------------------
@@ -198,7 +201,7 @@ def _emit(payload, fmt: str, out) -> None:
 
 def _cmd_molien(args: argparse.Namespace, out) -> int:
     G = _load_matrix_group(args.group)
-    action = GroupAction.from_matrix_group(G, character=_load_character(args.character))
+    action = GroupAction.from_matrix_group(G, _load_character(args.character, G))
     series = super_molien(action, args.dq, args.du)
     if args.expect is not None:
         expected = _load_as(args.expect, "series", TrigradedSeries.from_json_dict)
@@ -211,14 +214,7 @@ def _cmd_molien(args: argparse.Namespace, out) -> int:
 
 def _cmd_cycle_index(args: argparse.Namespace, out) -> int:
     P = _load_perm_group(args.perm)
-    if args.flavor == "character":
-        chi = _load_character(args.character or "trivial")
-        if isinstance(chi, str):
-            raise ValueError("flavor 'character' needs --character pointing at a values file")
-        z = cycle_index(P, "character", validate_character(chi, P))
-    else:
-        z = cycle_index(P, args.flavor)
-    _emit(z, args.fmt, out)
+    _emit(cycle_index(P, _load_character(args.character, P)), args.fmt, out)
     return 0
 
 

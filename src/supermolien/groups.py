@@ -19,9 +19,9 @@ one degree check and one WREATH_CAP check, and one generator set,
 wreath_generators.  The enumerator pairs given row permutations with G^n;
 build_wreath and perm_group_of_wreath are the two realizations of P[G]
 built on it.  A linear character is a plain tuple of +-1 ints aligned with
-its group's element order (validate_character).  shuffle_reps enumerates
-the minimal coset representatives of a Young subgroup S_blocks, for any
-number of row blocks.
+its group's element order (validate_character); sign_character is the one
+sign function.  shuffle_reps enumerates the minimal coset representatives
+of a Young subgroup S_blocks, for any number of row blocks.
 """
 
 from __future__ import annotations
@@ -395,6 +395,19 @@ def matrix_group_to_perm_group(G: MatrixGroup, part: str = "even") -> PermGroup:
     if len(set(perms)) != len(perms):
         raise NotAPermutationGroup("matrix group does not act faithfully by permutations")
     return PermGroup(r, perms, [perms[G.index_of(g)] for g in G.generators])
+
+
+def sign_character(group: PermGroup | MatrixGroup) -> tuple[int, ...]:
+    """The sign character sgn as +-1 ints aligned with the group's element
+    order.  A MatrixGroup is read as the permutation action of its even
+    part, or of its odd part when the even part is not a faithful action
+    by permutation matrices; NotAPermutationGroup when neither part is."""
+    if isinstance(group, MatrixGroup):
+        try:
+            group = matrix_group_to_perm_group(group, part="even")
+        except NotAPermutationGroup:
+            group = matrix_group_to_perm_group(group, part="odd")
+    return tuple(perm_sign(p) for p in group.elements)
 
 
 @dataclass(frozen=True)

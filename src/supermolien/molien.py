@@ -2,9 +2,10 @@
 
 A GroupAction is its labels as (chi(w), w) pairs, chi the +-1 linear
 character selecting the isotypic component, and both routes read those
-pairs.  Every label w acts by one matrix per graded part, M0(w) on the even
-and M1(w) on the odd variables, both built from the blocks'
-GradedGroupElement.columns: the Molien route reads them as
+pairs; from_matrix_group takes chi as the +-1 tuple of groups.py, or None
+for the trivial character.  Every label w acts by one matrix per graded
+part, M0(w) on the even and M1(w) on the odd variables, both built from
+the blocks' GradedGroupElement.columns: the Molien route reads them as
 WreathElement.columns, the oracle route as WreathElement.substitution.
 The Molien route averages det(I + u*M1)/det(I - q*M0) over the pairs with
 weights chi(w^{-1}) = chi(w).  The summand depends on w only through its
@@ -40,7 +41,6 @@ from .groups import (
     Permutation,
     WreathElement,
     build_wreath,
-    matrix_group_to_perm_group,
     perm_sign,
     validate_character,
 )
@@ -106,22 +106,16 @@ class GroupAction:
         return len(self.pairs)
 
     @staticmethod
-    def from_matrix_group(G: MatrixGroup, character="trivial") -> "GroupAction":
+    def from_matrix_group(G: MatrixGroup, character: Sequence[int] | None = None) -> "GroupAction":
         """Single-row action of a matrix group (n = 1).
 
-        character may be "trivial", "sgn" (sign of the underlying permutation
-        action, when the group is realized by permutation matrices), or an
-        explicit value sequence aligned with element order, which is
-        validated against the group's generators.
+        character is None for the trivial character, or +-1 values aligned
+        with G's element order (such as groups.sign_character(G)), which
+        are validated against the group's generators.
         """
         sig = AlgebraSignature(G.r0, G.r1, 1)
         ident = Permutation.identity(1)
-        if character == "trivial":
-            chi = (1,) * G.order
-        elif character == "sgn":
-            chi = validate_character(_matrix_group_sgn_values(G), G)
-        else:
-            chi = validate_character(character, G)
+        chi = (1,) * G.order if character is None else validate_character(character, G)
         return GroupAction._trusted(sig, tuple((c, WreathElement(ident, (g,))) for c, g in zip(chi, G.elements)))
 
     @staticmethod
@@ -133,14 +127,6 @@ class GroupAction:
         return GroupAction._trusted(
             sig, tuple((perm_sign(w.sigma) if signed else 1, w) for w in build_wreath(P, G, n))
         )
-
-
-def _matrix_group_sgn_values(G: MatrixGroup) -> list[int]:
-    """Sign of the underlying permutation action, read off whichever graded
-    part realizes the group by permutation matrices."""
-    part = "even" if G.r0 > 0 else "odd"
-    P = matrix_group_to_perm_group(G, part=part)
-    return [perm_sign(p) for p in P.elements]
 
 
 def _pair_table(den: tuple, num: tuple, dq: int) -> dict[Key, int | Fraction]:

@@ -1,10 +1,12 @@
 """Symmetric functions in the power-sum basis: cycle indices and plethysm.
 
 A SymFuncPoly is a finite Q-linear combination of p_lambda over integer
-partitions; multiplication concatenates partitions.  Plethysm comes in two
-forms: substitution of a concrete trigraded series into every p_r (scaling
-all three exponents by r), and composition inside the ring (p_r applied to
-another symmetric function scales every part by r).
+partitions; multiplication concatenates partitions.  A cycle index is
+weighted by a linear character of its group, given as the +-1 tuple of
+groups.py, or by 1.  Plethysm comes in two forms: substitution of a
+concrete trigraded series into every p_r (scaling all three exponents by
+r), and composition inside the ring (p_r applied to another symmetric
+function scales every part by r).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .groups import PermGroup, cycle_type, perm_sign
+from .groups import PermGroup, cycle_type, sign_character
 from .rationals import format_rational, parse_rational
 from .series import TrigradedSeries, scale_exponents, series_add, series_mul, series_scale
 
@@ -124,29 +126,19 @@ class SymFuncPoly:
         return SymFuncPoly(terms)
 
 
-def cycle_index(P: PermGroup, flavor: str = "plain", character: Sequence[int] | None = None) -> SymFuncPoly:
-    """(1/|P|) sum over sigma of weight(sigma) p_{cycle type of sigma}.
+def cycle_index(P: PermGroup, character: Sequence[int] | None = None) -> SymFuncPoly:
+    """(1/|P|) sum over sigma of chi(sigma) p_{cycle type of sigma}.
 
-    flavor selects the weight: "plain" uses 1, "sgn" uses sgn(sigma), and
-    "character" uses chi(sigma^{-1}) = chi(sigma) for the supplied linear
-    character, +-1 values aligned with P's element order (as returned by
-    groups.validate_character).
+    character is a linear character of P as +-1 values aligned with P's
+    element order (groups.validate_character, groups.sign_character), so
+    chi(sigma^{-1}) = chi(sigma); None weights every sigma by 1.
     """
-    if flavor == "character":
-        if character is None:
-            raise ValueError("flavor 'character' needs a character")
-    elif flavor not in ("plain", "sgn"):
-        raise ValueError(f"unknown flavor {flavor!r}")
+    if character is not None and len(character) != P.order:
+        raise ValueError(f"character has {len(character)} values for a group of order {P.order}")
     acc: dict[Partition, Fraction] = {}
     for idx, sigma in enumerate(P.elements):
-        if flavor == "plain":
-            w = Fraction(1)
-        elif flavor == "sgn":
-            w = Fraction(perm_sign(sigma))
-        else:
-            w = character[idx]
         lam = cycle_type(sigma)
-        acc[lam] = acc.get(lam, Fraction(0)) + w
+        acc[lam] = acc.get(lam, Fraction(0)) + (1 if character is None else character[idx])
     inv_order = Fraction(1, P.order)
     return SymFuncPoly({lam: c * inv_order for lam, c in acc.items()})
 
@@ -190,10 +182,11 @@ def plethystic_compose(f: SymFuncPoly, g: SymFuncPoly) -> SymFuncPoly:
 
 def hn_en(n: int, kind: str) -> SymFuncPoly:
     """Complete homogeneous h_n (kind "h") or elementary e_n (kind "e"),
-    realized as the plain or sgn cycle index of the full symmetric group."""
+    realized as the plain or sign-character cycle index of the full
+    symmetric group."""
     if kind not in ("h", "e"):
         raise ValueError(f"kind must be 'h' or 'e', got {kind!r}")
     if n == 0:
         return SymFuncPoly.one()
     P = PermGroup.symmetric(n)
-    return cycle_index(P, "plain" if kind == "h" else "sgn")
+    return cycle_index(P, None if kind == "h" else sign_character(P))

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .fixtures import PERM_GROUP_FIXTURES, matrix_group_fixture, perm_group_fixture
-from .groups import MatrixGroup, PermGroup, perm_group_of_wreath
+from .groups import MatrixGroup, PermGroup, perm_group_of_wreath, sign_character
 from .linalg import QMatrix
 from .molien import FLAVORS, GroupAction, molien_vs_oracle, super_molien
 from .series import Caps, TrigradedSeries, series_add, series_inv, series_mul, series_pow_int, series_sub
@@ -148,12 +148,29 @@ def _mono(sig: AlgebraSignature, xd, th=(), c=1) -> SuperPolynomial:
     return SuperPolynomial(sig, {SuperMonomial(xd, th): Fraction(c)})
 
 
+def display_signed_22_factors() -> tuple[SuperPolynomial, SuperPolynomial]:
+    """The factors x1^2 x2 th2 and x1^5 x2^7 th1 th2 of the signed display."""
+    sig2 = AlgebraSignature(1, 1, 2)
+    return (
+        _mono(sig2, {(1, 1): 2, (2, 1): 1}, ((2, 1),)),
+        _mono(sig2, {(1, 1): 5, (2, 1): 7}, ((1, 1), (2, 1))),
+    )
+
+
+def display_unsigned_12_factors() -> tuple[SuperPolynomial, SuperPolynomial]:
+    """The one-row and two-row factors of the one-into-two display."""
+    s1 = AlgebraSignature(3, 2, 1)
+    s2 = AlgebraSignature(3, 2, 2)
+    return (
+        _mono(s1, {(1, 1): 5, (1, 2): 5, (1, 3): 3}, ((1, 1),)),
+        _mono(s2, {(1, 3): 1}, ((2, 2),)) + _mono(s2, {(2, 3): 1}, ((1, 2),)),
+    )
+
+
 def check_display_signed_22() -> bool:
     """The six signed summands of (x1^2 x2 th2) shuffled with (x1^5 x2^7 th1 th2)."""
-    sig2 = AlgebraSignature(1, 1, 2)
     sig4 = AlgebraSignature(1, 1, 4)
-    A = _mono(sig2, {(1, 1): 2, (2, 1): 1}, ((2, 1),))
-    B = _mono(sig2, {(1, 1): 5, (2, 1): 7}, ((1, 1), (2, 1)))
+    A, B = display_signed_22_factors()
     displayed = [
         (+1, ({(1, 1): 2, (2, 1): 1}, ((2, 1),)), ({(3, 1): 5, (4, 1): 7}, ((3, 1), (4, 1)))),
         (-1, ({(1, 1): 2, (3, 1): 1}, ((3, 1),)), ({(2, 1): 5, (4, 1): 7}, ((2, 1), (4, 1)))),
@@ -177,11 +194,8 @@ def check_display_signed_22() -> bool:
 def check_display_unsigned_12() -> bool:
     """The six summands of the one-into-two shuffle over three even and two
     odd columns."""
-    s1 = AlgebraSignature(3, 2, 1)
-    s2 = AlgebraSignature(3, 2, 2)
     s3 = AlgebraSignature(3, 2, 3)
-    A = _mono(s1, {(1, 1): 5, (1, 2): 5, (1, 3): 3}, ((1, 1),))
-    B = _mono(s2, {(1, 3): 1}, ((2, 2),)) + _mono(s2, {(2, 3): 1}, ((1, 2),))
+    A, B = display_unsigned_12_factors()
     displayed = [
         ({(1, 1): 5, (1, 2): 5, (1, 3): 3, (2, 3): 1}, ((1, 1), (3, 2))),
         ({(1, 1): 5, (1, 2): 5, (1, 3): 3, (3, 3): 1}, ((1, 1), (2, 2))),
@@ -360,8 +374,8 @@ def _identity_checks(seed: int) -> list[dict]:
         )
     # omega swaps the plain and signed cycle indices
     ok = all(
-        omega(cycle_index(perm_group_fixture(p))) == cycle_index(perm_group_fixture(p), "sgn")
-        for p in PERM_GROUP_FIXTURES
+        omega(cycle_index(P)) == cycle_index(P, sign_character(P))
+        for P in map(perm_group_fixture, PERM_GROUP_FIXTURES)
     )
     checks.append({"name": "omega-duality-fixtures", "pass": ok})
     # alternating elementary-vs-complete cancellation

@@ -24,6 +24,7 @@ from .groups import (
     WreathElement,
     _wreath_labels,
     require_degree,
+    sign_character,
 )
 from .linalg import QMatrix, _columns, _compose, _det_rows
 # FLAVORS is re-exported: the wreath routes take one of these flavor names
@@ -55,16 +56,16 @@ def wreath_hilbert_plethysm(
 ) -> TrigradedSeries:
     """Same series via cycle index plethysm; never touches P[G] itself.
 
-    Invariants use the plain cycle index of P, antiinvariants the signed
-    one.  The inner series is the one-row series of G with u negated; the
-    outer negation undoes the flip.
+    Invariants use the plain cycle index of P, antiinvariants the one
+    weighted by sign_character(P).  The inner series is the one-row series
+    of G with u negated; the outer negation undoes the flip.
     """
     signed = require_flavor(flavor)
     require_degree(P, n)
     if du is None:
         du = n * G.r1
     inner = super_molien(GroupAction.from_matrix_group(G), dq, du)
-    z = cycle_index(P, flavor="sgn" if signed else "plain")
+    z = cycle_index(P, sign_character(P) if signed else None)
     return series_flip_u(plethystic_substitute(z, series_flip_u(inner)))
 
 

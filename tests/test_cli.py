@@ -3,6 +3,7 @@
 import io
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -64,15 +65,27 @@ def test_collate_check():
 def test_cycle_index_flavors_and_character_file():
     code, plain, _ = invoke("cycle-index", "--perm", fx("s2.json"))
     assert code == 0
-    code, sgn, _ = invoke("cycle-index", "--perm", fx("s2.json"), "--flavor", "sgn")
+    code, sgn, _ = invoke("cycle-index", "--perm", fx("s2.json"), "--character", "sgn")
     assert code == 0
     assert json.loads(plain) != json.loads(sgn)
     code, chi, _ = invoke(
         "cycle-index", "--perm", fx("s2.json"),
-        "--flavor", "character", "--character", fx("character_sgn_s2_x.json"),
+        "--character", fx("character_sgn_s2_x.json"),
     )
     assert code == 0
     assert json.loads(chi) == json.loads(sgn)
+
+
+def test_molien_sgn_character_of_an_odd_part_permutation_group(tmp_path):
+    # S_2 swapping two thetas and fixing one x: antiinvariants (u + u^2) / (1 - q)
+    group = tmp_path / "theta_swap_fixing_x.json"
+    group.write_text(json.dumps(
+        {"r0": 1, "r1": 2, "generators": [{"g0": [["1"]], "g1": [["0", "1"], ["1", "0"]]}]}
+    ))
+    code, out, _ = invoke("molien", "--group", str(group), "--character", "sgn", "--dq", "3")
+    assert code == 0
+    series = TrigradedSeries.from_json_dict(json.loads(out))
+    assert dict(series.items()) == {(0, i, j): 1 for i in range(4) for j in (1, 2)}
 
 
 def test_shuffle_matches_library():
@@ -202,9 +215,24 @@ def test_kernel_bug_propagates_instead_of_exit_two(monkeypatch, exc_type):
 
 
 def test_unknown_flag_rejected():
-    with pytest.raises(SystemExit) as exc:
-        run(["molien", "--group", fx("trivial_1_1.json"), "--frobnicate"])
-    assert exc.value.code == 2
+    # cycle-index takes --character; its old --flavor is gone
+    for argv in (
+        ["molien", "--group", fx("trivial_1_1.json"), "--frobnicate"],
+        ["cycle-index", "--perm", fx("s2.json"), "--flavor", "sgn"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+
+def test_readme_command_lines_parse():
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("supermolien ")]
+    assert len(lines) == 7
+    for line in lines:
+        cli_module.build_parser().parse_args(shlex.split(line)[1:])
 
 
 # -- determinism -------------------------------------------------------------

@@ -31,13 +31,19 @@ from supermolien.groups import (
     perm_group_of_wreath,
     perm_sign,
     shuffle_reps,
+    sign_character,
     symmetric_generators,
     validate_character,
     wreath_generators,
     wreath_identity,
     wreath_mul,
 )
-from supermolien.fixtures import MATRIX_GROUP_FIXTURES, matrix_group_fixture, perm_group_fixture
+from supermolien.fixtures import (
+    MATRIX_GROUP_FIXTURES,
+    PERM_GROUP_FIXTURES,
+    matrix_group_fixture,
+    perm_group_fixture,
+)
 from supermolien.linalg import QMatrix, _columns
 from supermolien.superalgebra import AlgebraSignature, SuperPolynomial, apply_wreath
 
@@ -261,6 +267,27 @@ def test_matrix_group_to_perm_group_odd_part():
     G = MatrixGroup.close(0, 2, [swap_theta])
     P = matrix_group_to_perm_group(G, part="odd")
     assert P.order == 2 and P.n == 2
+
+
+def test_sign_character_is_perm_sign_on_perm_groups():
+    for name in PERM_GROUP_FIXTURES:
+        P = perm_group_fixture(name)
+        assert sign_character(P) == tuple(perm_sign(p) for p in P.elements)
+
+
+def test_sign_character_reads_the_even_part_first():
+    """Wherever the even part, or for r0 = 0 the odd part, is a faithful
+    permutation action, sign_character reads that part."""
+    compared = 0
+    for name in MATRIX_GROUP_FIXTURES:
+        G = matrix_group_fixture(name)
+        try:
+            P = matrix_group_to_perm_group(G, part="even" if G.r0 > 0 else "odd")
+        except NotAPermutationGroup:
+            continue
+        assert sign_character(G) == tuple(perm_sign(p) for p in P.elements)
+        compared += 1
+    assert compared == len(MATRIX_GROUP_FIXTURES) - 1  # all but sign-scalar
 
 
 def test_permutation_image_detection():

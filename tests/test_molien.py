@@ -22,6 +22,7 @@ from supermolien.groups import (
     Permutation,
     WreathElement,
     build_wreath,
+    sign_character,
     wreath_mul,
 )
 from supermolien.linalg import QMatrix, _berkowitz, _charpoly_rows, _nonzeros, _rank_rows, charpoly_det
@@ -111,7 +112,8 @@ def test_young_2_1_on_theta_is_one_plus_u_squared():
 
 def test_s2_diagonal_sgn_series():
     # antiinvariants of superspace at n = 2: (u + 1)(u + q) / ((1-q)(1-q^2))
-    act = GroupAction.from_matrix_group(diagonal_perm_group(2), character="sgn")
+    G = diagonal_perm_group(2)
+    act = GroupAction.from_matrix_group(G, sign_character(G))
     H = super_molien(act, 6)
     caps = Caps(0, 6, 2)
     num = series_mul(
@@ -160,7 +162,8 @@ def test_reynolds_is_idempotent_and_invariant():
 
 
 def test_reynolds_sgn_projects_to_antiinvariants():
-    act = GroupAction.from_matrix_group(diagonal_perm_group(2), character="sgn")
+    G = diagonal_perm_group(2)
+    act = GroupAction.from_matrix_group(G, sign_character(G))
     sig = act.signature
     f = SuperPolynomial.x_var(sig, 1, 1)
     proj = reynolds_project(act, f)
@@ -189,7 +192,8 @@ def orbit_sharing_action(name):
     if name in verify.MOLIEN_FIXTURES:
         return GroupAction.from_matrix_group(mg(name)), 4
     if name == "s3-x-sgn":
-        return GroupAction.from_matrix_group(mg("s3-x"), character="sgn"), 4
+        G = mg("s3-x")
+        return GroupAction.from_matrix_group(G, sign_character(G)), 4
     if name.startswith("s3[sign-scalar]-"):
         return GroupAction.from_wreath(pg("s3"), mg("sign-scalar"), 3, name.split("-", 2)[2]), 4
     if name == "c3[trivial-1-1]":
@@ -332,8 +336,20 @@ def test_corrupted_character_rejected():
 def test_sgn_character_needs_permutation_matrices():
     from supermolien.errors import NotAPermutationGroup
 
+    G = sign_scalar_group()
     with pytest.raises(NotAPermutationGroup):
-        GroupAction.from_matrix_group(sign_scalar_group(), character="sgn")
+        GroupAction.from_matrix_group(G, sign_character(G))
+
+
+def test_sgn_character_read_off_the_odd_part():
+    # S_2 swapping two thetas and fixing one x: the even part is not a
+    # faithful permutation action, the odd part is
+    G = MatrixGroup.from_json_dict(
+        {"r0": 1, "r1": 2, "generators": [{"g0": [["1"]], "g1": [["0", "1"], ["1", "0"]]}]}
+    )
+    assert sign_character(G) == (1, -1)
+    report = molien_vs_oracle(GroupAction.from_matrix_group(G, sign_character(G)), 3)
+    assert report == {"agreements": 12, "mismatches": []}
 
 
 def test_block_matrices_layout_for_swap_label():

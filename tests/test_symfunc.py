@@ -13,6 +13,7 @@ from supermolien.groups import (
     Permutation,
     perm_group_of_wreath,
     perm_sign,
+    sign_character,
     validate_character,
 )
 from supermolien.series import Caps, TrigradedSeries, series_inv
@@ -76,7 +77,8 @@ def test_cycle_index_s3_frozen():
 
 
 def test_cycle_index_s3_sgn_frozen():
-    z = cycle_index(PermGroup.symmetric(3), "sgn")
+    P = PermGroup.symmetric(3)
+    z = cycle_index(P, sign_character(P))
     assert z == SymFuncPoly(
         {(1, 1, 1): Fraction(1, 6), (2, 1): Fraction(-1, 2), (3,): Fraction(1, 3)}
     )
@@ -85,7 +87,8 @@ def test_cycle_index_s3_sgn_frozen():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_cycle_index_matches_brute_enumeration(n):
     assert cycle_index(PermGroup.symmetric(n)) == brute_cycle_index(n)
-    assert cycle_index(PermGroup.symmetric(n), "sgn") == brute_cycle_index(n, signed=True)
+    P = PermGroup.symmetric(n)
+    assert cycle_index(P, sign_character(P)) == brute_cycle_index(n, signed=True)
 
 
 def test_cycle_index_young_subgroup():
@@ -97,7 +100,14 @@ def test_cycle_index_young_subgroup():
 def test_cycle_index_with_explicit_character_matches_sgn():
     P = PermGroup.symmetric(3)
     chi = validate_character([Fraction(1) if _is_even(p) else Fraction(-1) for p in P.elements], P)
-    assert cycle_index(P, "character", chi) == cycle_index(P, "sgn")
+    assert cycle_index(P, chi) == cycle_index(P, sign_character(P))
+
+
+def test_cycle_index_rejects_a_character_of_the_wrong_length():
+    P = PermGroup.symmetric(3)
+    for values in ((1, -1), sign_character(P) + (1,)):
+        with pytest.raises(ValueError, match=f"character has {len(values)} values for a group of order 6"):
+            cycle_index(P, values)
 
 
 def _is_even(p: Permutation) -> bool:
@@ -144,8 +154,8 @@ def test_omega_swaps_plain_and_sgn_cycle_index():
         PermGroup.young([2, 1]),
         PermGroup.young([2, 2]),
     ]:
-        assert omega(cycle_index(P)) == cycle_index(P, "sgn")
-        assert omega(cycle_index(P, "sgn")) == cycle_index(P)
+        assert omega(cycle_index(P)) == cycle_index(P, sign_character(P))
+        assert omega(cycle_index(P, sign_character(P))) == cycle_index(P)
 
 
 def test_omega_is_an_involution_and_ring_map():
