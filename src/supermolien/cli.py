@@ -3,7 +3,8 @@
 Subcommands compute one object each (a Molien series, a cycle index, a
 wreath Hilbert series, a collated generating function, a shuffle product)
 or run a named verification suite.  Output is deterministic JSON by
-default; `--format table` renders series coefficients as aligned grids.
+default; on molien, wreath, collate and verify, `--format table` renders
+series coefficients as aligned grids, and reports as tables.
 
 Exit codes: 0 on success or match, 1 when a requested comparison fails,
 2 on bad input (malformed JSON, dimension mismatches, cap violations).
@@ -53,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycle-index", help="cycle index of a permutation group")
     p.add_argument("--perm", required=True, help="permutation group JSON file")
     p.add_argument("--character", default="trivial", help="'trivial', 'sgn', or a values file")
-    _format_flag(p)
 
     p = sub.add_parser("wreath", help="Hilbert series of a wreath product action")
     p.add_argument("--perm", required=True)
@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left", help="SuperPolynomial JSON file")
     p.add_argument("right", help="SuperPolynomial JSON file")
     p.add_argument("--signed", action="store_true")
-    _format_flag(p)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=SUITES, default="all")
@@ -214,7 +213,7 @@ def _cmd_molien(args: argparse.Namespace, out) -> int:
 
 def _cmd_cycle_index(args: argparse.Namespace, out) -> int:
     P = _load_perm_group(args.perm)
-    _emit(cycle_index(P, _load_character(args.character, P)), args.fmt, out)
+    _emit(cycle_index(P, _load_character(args.character, P)), "json", out)
     return 0
 
 
@@ -245,7 +244,7 @@ def _cmd_collate(args: argparse.Namespace, out) -> int:
 def _cmd_shuffle(args: argparse.Namespace, out) -> int:
     A = _load_as(args.left, "polynomial", SuperPolynomial.from_json_dict)
     B = _load_as(args.right, "polynomial", SuperPolynomial.from_json_dict)
-    _emit(shuffle_product(A, B, signed=args.signed), args.fmt, out)
+    _emit(shuffle_product(A, B, signed=args.signed), "json", out)
     return 0
 
 

@@ -4,14 +4,14 @@ A graded group element carries two matrices, g0 acting on the r0 commuting
 variables and g1 on the r1 anticommuting ones, as sparse columns only
 (GradedGroupElement.columns).  Wreath elements are labels
 (sigma, (g_1..g_n)); each acts on the n rows by one block matrix per graded
-part.  Both of a label's views of that matrix are built by offsetting the
-columns of its elements:
-WreathElement.columns, the flat matrix the Molien route reads, and
-WreathElement.substitution, each variable's image keyed by (row, col),
-compiled once per label for the supercommutative-algebra layer, which maps
-a whole term map through it.  The product law is
-chosen so that applying w1 * w2 equals applying w2's substitution first and
-then w1's.
+part, compiled once per label into WreathElement.substitution: each
+variable's image keyed by (row, col), the columns of its element moved to
+another row.  Each element moves its columns once per pair of rows
+(GradedGroupElement.moves), and the labels share those images.  Every
+route reads the one compile: the Molien route takes its char-polys, and
+the supercommutative-algebra layer maps whole term maps through it.  The
+product law is chosen so that applying w1 * w2 equals applying w2's
+substitution first and then w1's.
 
 This module is the one presentation of the wreath product P[G], for G a
 matrix group or a permutation group: one enumerator of its labels, behind
@@ -151,6 +151,25 @@ def symmetric_generators(n: int) -> list[Permutation]:
     return gens
 
 
+class _Moves(dict):
+    """An element's square blocks moved between rows, built on first use
+    of a move: self[i, b] holds, for g0 and for g1, the ((i, c), image)
+    pair of each column c, its image the ((b, c'), x) pairs of the
+    column's nonzero entries x, in rows c' of the block."""
+
+    def __init__(self, columns: tuple):
+        super().__init__()
+        self.columns = columns
+
+    def __missing__(self, move: tuple[int, int]) -> tuple:
+        i, b = move
+        pairs = self[move] = tuple(
+            tuple(((i, c), tuple([((b, cp + 1), x) for cp, x in col])) for c, col in enumerate(cols, 1))
+            for cols in self.columns
+        )
+        return pairs
+
+
 @dataclass(frozen=True, init=False)
 class GradedGroupElement:
     """A pair of matrices, g0 on the commuting part and g1 on the
@@ -204,6 +223,12 @@ class GradedGroupElement:
 
     def sort_key(self):
         return (self.g0.entries, self.g1.entries)
+
+    @cached_property
+    def moves(self) -> _Moves:
+        """moves[i, b]: the images square g0 and g1 give row i's variables
+        in a label moving row i to row b, built once per element and move."""
+        return _Moves(self.columns)
 
     @cached_property
     def monomial(self) -> bool:
@@ -424,57 +449,36 @@ class WreathElement:
             )
 
     @cached_property
-    def columns(self) -> tuple[list[list[tuple[int, int | Fraction]]], ...]:
-        """The label's matrix on the even and on the odd variables, column
-        by column.  Variable (i, c) has index (i-1)*r + c-1, and its column
-        holds the nonzero (index, coefficient) pairs of its image,
-        sum_{c'} g_i[c', c] * (sigma^{-1}(i), c'): column c of g_i, read
-        from GradedGroupElement.columns with each row c' offset to row
-        sigma^{-1}(i).  Integral coefficients are ints.  Computed once per
-        label object; not a dataclass field, so it takes no part in
-        equality or hashing."""
-        parts = []
-        for part in range(2):
-            blocks = [g.columns[part] for g in self.gs]
-            r = len(blocks[0]) if blocks else 0
-            cols: list = [None] * (len(blocks) * r)
-            for b, i in enumerate(self.sigma.images):
-                # the variables of row i = sigma(b + 1) land in row b + 1
-                base = b * r
-                for c, col in enumerate(blocks[i - 1], (i - 1) * r):
-                    cols[c] = [(base + cp, x) for cp, x in col]
-            parts.append(cols)
-        return tuple(parts)
-
-    @cached_property
     def substitution(self) -> "Substitution":
-        """The label's substitution compiled for the supercommutative-algebra
-        layer, once per label object (see Substitution): variable (i, c)
-        maps to column c of g_i, read from GradedGroupElement.columns with
-        each row c' offset to row sigma^{-1}(i).  It is one-term exactly
-        when every block is monomial."""
+        """The label's matrices, compiled once per label object and read by
+        every route (see Substitution): variable (i, c) maps to column c of
+        g_i moved to row sigma^{-1}(i), shared by every label making that
+        move with g_i (GradedGroupElement.moves).  One-term exactly when
+        every block is monomial; not a dataclass field."""
         n = self.sigma.n
-        blocks = tuple(g.shape for g in self.gs)
-        if not blocks or any(b != blocks[0] for b in blocks) or blocks[0][0::2] != blocks[0][1::2]:
+        blocks = tuple([g.shape for g in self.gs])
+        if blocks and (blocks.count(blocks[0]) != n or blocks[0][0::2] != blocks[0][1::2]):
             return Substitution((n, blocks), None, None, False)
-        maps = ({}, {})
+        even, odd = {}, {}
         for b, i in enumerate(self.sigma.images, 1):
             # the variables of row i = sigma(b) land in row b
-            for image, cols in zip(maps, self.gs[i - 1].columns):
-                for c, col in enumerate(cols, 1):
-                    image[i, c] = tuple([((b, cp + 1), x) for cp, x in col])
-        r0, _, r1, _ = blocks[0]
-        return Substitution((n, r0, r1), *maps, all(g.monomial for g in self.gs))
+            pairs = self.gs[i - 1].moves[i, b]
+            even.update(pairs[0])
+            odd.update(pairs[1])
+        shape = (n, blocks[0][0], blocks[0][2]) if blocks else (n, blocks)
+        return Substitution(shape, even, odd, all([g.monomial for g in self.gs]))
 
 
 class Substitution(NamedTuple):
-    """A wreath label's substitution, compiled once per label object.
+    """A wreath label's matrices, compiled once per label object.
 
     shape is (n, r0, r1) when every row block is square and all rows share
     one shape, so a signature check is one tuple compare; otherwise it is
-    (n, block shapes), which matches no signature, and even and odd are
-    None.  even and odd map each variable (row, col) to its image, a tuple
-    of ((row', col'), coefficient) pairs, integral coefficients as ints.
+    (n, block shapes), which matches no signature.  even and odd map each
+    variable (row, col) to its image, a tuple of ((row', col'),
+    coefficient) pairs, integral coefficients as ints: the label's matrix
+    column by column, which the char-poly kernel reads as rows.  They are
+    None when the blocks differ or are not square, and empty on zero rows.
     one_term says every image is a single term and distinct variables
     have distinct images, that is every block is monomial
     (GradedGroupElement.monomial), as for every label of P[G] with G a

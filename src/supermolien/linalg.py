@@ -8,13 +8,15 @@ them.  Determinants and every rank in the package use one Bareiss
 fraction-free elimination on denominator-cleared sparse integer rows
 (_det_rows, _rank_rows), which touches nonzero entries only; a
 determinant or rank of columns read as rows is the same.
-Char-polys use one kernel on the nonzero entries (of a QMatrix, or a
-wreath label's columns read as rows) with two paths, picked from the
-input alone: a monomial matrix, as every signed-permutation label is, is
-read off the cycles of its one-entry rows; any other goes to Berkowitz's
-recurrence on the denominator-cleared entries, held as sparse rows and
-column lists, whose matrix-vector steps update nonzero entries only and
-stop as soon as the bordering column or row is empty.
+Char-polys use one kernel on a mapping from row keys to the (key, value)
+pairs of the row's nonzeros: a QMatrix's rows keyed by index, or a wreath
+label's substitution, its columns read as rows.  From the input alone it
+reads a monomial matrix, as every signed-permutation label is, off the
+cycles of its one-entry rows, and sends any other to Berkowitz's
+recurrence on the denominator-cleared entries as sparse rows and column
+lists, keys numbered in mapping order, whose matrix-vector steps update
+nonzero entries only and stop as soon as the bordering column or row is
+empty.
 Greedy independent-subset selection, which only chooses invariant bases,
 uses an incremental exact echelon accumulator on sparse Fraction rows.
 Higher layers do no elimination.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import NotSquare
 from .rationals import exact, format_rational, parse_rational
@@ -205,11 +207,12 @@ def _det_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> Fraction:
     return Fraction(sign * last, scale) if rank == len(rows) else Fraction(0)
 
 
-def _charpoly_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple[int | Fraction, ...]:
+def _charpoly_rows(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]]) -> tuple[int | Fraction, ...]:
     """det(I - z*M) as its coefficient tuple in z, trailing zeros stripped,
-    M square with rows[i] the (column, value) pairs of row i's nonzeros, in
-    any order.  Since det(I - z*M) = det(I - z*M^T), columns may be passed
-    as rows.
+    M square with one row per key of rows (any hashables), rows[k] the
+    (key, value) pairs of that row's nonzeros, in any order.  Since
+    det(I - z*M) = det(I - z*M^T), columns may be passed as rows, as a
+    wreath label's substitution is.
 
     The kernel picks its path from the input alone.  When M is monomial,
     every row holding exactly one entry and the row -> column map a
@@ -223,21 +226,20 @@ def _charpoly_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tupl
     denominator 1, Fractions included, else Fractions.  No rows give the
     constant 1.
     """
-    n = len(rows)
-    seen = [False] * n
+    seen = set()
     vect = [1]
     fractional = False
-    for start in range(n):
-        if seen[start]:
+    for start in rows:
+        if start in seen:
             continue
         p = 1
         length = 0
         i = start
-        while not seen[i]:
+        while i not in seen:
             row = rows[i]
             if len(row) != 1:
                 return _berkowitz(rows)
-            seen[i] = True
+            seen.add(i)
             i, x = row[0]
             if type(x) is not int:
                 if x.denominator == 1:
@@ -260,10 +262,10 @@ def _charpoly_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tupl
     return tuple(vect)
 
 
-def _berkowitz(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple[int | Fraction, ...]:
+def _berkowitz(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]]) -> tuple[int | Fraction, ...]:
     """det(I - z*M) for any square M given as _charpoly_rows takes it: the
     general path of that kernel, and the reference its cycle walk is tested
-    against.
+    against.  The keys are numbered 0, 1, .. in the mapping's order.
 
     Berkowitz's division-free recurrence (Berkowitz 1984, "On computing the
     determinant in small parallel time using a small number of processors")
@@ -281,9 +283,10 @@ def _berkowitz(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple[in
     one divided by d^k; when d = 1, Fraction inputs included, the
     coefficients are returned as ints.  No rows give the constant 1.
     """
-    n = len(rows)
-    d = math.lcm(*(x.denominator for row in rows for _, x in row))
-    matrix = [{j: x.numerator * (d // x.denominator) for j, x in row} for row in rows]
+    index = {k: t for t, k in enumerate(rows)}
+    n = len(index)
+    d = math.lcm(*(x.denominator for row in rows.values() for _, x in row))
+    matrix = [{index[j]: x.numerator * (d // x.denominator) for j, x in row} for row in rows.values()]
     columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, row in enumerate(matrix):
         for j, a in row.items():
@@ -321,7 +324,7 @@ def charpoly_det(m: QMatrix) -> tuple[Fraction, ...]:
     """det(I - z*M) by the char-poly kernel; the 0x0 matrix gives (1,)."""
     if not m.is_square():
         raise NotSquare(f"char expansion of a {m.nrows}x{m.ncols} matrix")
-    return tuple(Fraction(c) for c in _charpoly_rows(_nonzeros(m)))
+    return tuple(Fraction(c) for c in _charpoly_rows(dict(enumerate(_nonzeros(m)))))
 
 
 class EchelonSelector:

@@ -4,18 +4,18 @@ A GroupAction is its labels as (chi(w), w) pairs, chi the +-1 linear
 character selecting the isotypic component, and both routes read those
 pairs; from_matrix_group takes chi as the +-1 tuple of groups.py, or None
 for the trivial character.  Every label w acts by one matrix per graded
-part, M0(w) on the even and M1(w) on the odd variables, both built from
-the blocks' GradedGroupElement.columns: the Molien route reads them as
-WreathElement.columns, the oracle route as WreathElement.substitution.
+part, M0(w) on the even and M1(w) on the odd variables, compiled once per
+label into WreathElement.substitution, which both routes read and whose
+shape the action checks when it is made.
 The Molien route averages det(I + u*M1)/det(I - q*M0) over the pairs with
 weights chi(w^{-1}) = chi(w).  The summand depends on w only through its
 two char-polys, so the sum is keyed by char-poly pair: each label's pair
-is computed from its own columns (by a cycle walk when the matrix is
-monomial, by Berkowitz's recurrence otherwise), the weights are summed
-per distinct pair, and each pair is expanded into a series once.  The oracle
-route never looks at Molien: it takes the exact rank of the Reynolds
-operator, the average of the substitutions by the same matrices, on the
-monomial basis of each bidegree.  Since R(w.f) = chi(w) R(f), a label
+is computed from its substitution's two maps (by a cycle walk when the
+matrix is monomial, by Berkowitz's recurrence otherwise), the weights
+are summed per distinct pair, and each pair is expanded into a series
+once.  The oracle route never looks at Molien: it takes the exact rank of
+the Reynolds operator, the average of the substitutions by the same
+matrices, on the monomial basis of each bidegree.  Since R(w.f) = chi(w) R(f), a label
 mapping m to a single term c*m' gives R(m') = chi(w)/c R(m), a multiple of
 R(m), so the rank is taken over one row per orbit of monomials, not one per
 monomial.  Each row is one call of the weighted label sum of superalgebra
@@ -82,8 +82,8 @@ class GroupAction:
     sharing rest on R(w.f) = chi(w) R(f).
 
     Every label must act on the signature's rows and blocks; a label that
-    does not is refused when the action is made, with the errors of the
-    Reynolds route."""
+    does not is refused when the action is made, from the shape of its
+    substitution, with the errors of the Reynolds route."""
 
     signature: AlgebraSignature
     pairs: tuple[tuple[int, WreathElement], ...]
@@ -91,15 +91,6 @@ class GroupAction:
     def __post_init__(self):
         for _, w in self.pairs:
             _require_shape(w.substitution, self.signature)
-
-    @classmethod
-    def _trusted(cls, signature: AlgebraSignature, pairs: tuple) -> "GroupAction":
-        """Trusted constructor for labels built to match signature: no label
-        is checked, so none compiles a substitution it may never use."""
-        action = object.__new__(cls)
-        object.__setattr__(action, "signature", signature)
-        object.__setattr__(action, "pairs", pairs)
-        return action
 
     @property
     def order(self) -> int:
@@ -116,7 +107,7 @@ class GroupAction:
         sig = AlgebraSignature(G.r0, G.r1, 1)
         ident = Permutation.identity(1)
         chi = (1,) * G.order if character is None else validate_character(character, G)
-        return GroupAction._trusted(sig, tuple((c, WreathElement(ident, (g,))) for c, g in zip(chi, G.elements)))
+        return GroupAction(sig, tuple((c, WreathElement(ident, (g,))) for c, g in zip(chi, G.elements)))
 
     @staticmethod
     def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant") -> "GroupAction":
@@ -124,9 +115,7 @@ class GroupAction:
         flavor "antiinvariant" weights by sgn(sigma)."""
         signed = require_flavor(flavor)
         sig = AlgebraSignature(G.r0, G.r1, n)
-        return GroupAction._trusted(
-            sig, tuple((perm_sign(w.sigma) if signed else 1, w) for w in build_wreath(P, G, n))
-        )
+        return GroupAction(sig, tuple((perm_sign(w.sigma) if signed else 1, w) for w in build_wreath(P, G, n)))
 
 
 def _pair_table(den: tuple, num: tuple, dq: int) -> dict[Key, int | Fraction]:
@@ -155,21 +144,21 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
     du defaults to the full odd dimension n*r1, where the numerator
     det(I + u*g1) is a polynomial of exactly that degree.  A label's term
     depends only on its pair of char-polys, det(I - z*M0) and det(I - z*M1)
-    truncated at du, so each label's two char-polys are computed from its
-    own columns and chi(w) is summed per distinct pair; each pair of
-    nonzero weight is expanded once, scaled by its weight, and the sum is
-    divided by |W| once.  The char-poly kernel reads a label matrix whose
-    columns each hold one entry, on distinct rows (every label of P[G]
-    with G of signed permutation matrices), off the cycles of that
-    variable-level matrix, and any other by Berkowitz's recurrence; it
-    picks from the columns alone.  Labels are grouped by value only, never
+    truncated at du, so each label's two char-polys are computed from the
+    even and odd maps of its substitution and chi(w) is summed per
+    distinct pair; each pair of nonzero weight is expanded once, scaled by
+    its weight, and the sum is divided by |W| once.  The char-poly kernel
+    reads a label matrix whose variables each map to one term, on
+    distinct variables (every label of P[G] with G of signed permutation
+    matrices), off the cycles of that map, and any other by Berkowitz's
+    recurrence; it picks from the maps alone.  Labels are grouped by value only, never
     by cycle type or conjugacy class, and nothing outlives the call.
     """
     caps = Caps.of((0, dq, action.signature.num_odd if du is None else du))
     weights: dict[tuple[tuple, tuple], int] = {}
     for chi, w in action.pairs:
-        even, odd = w.columns
-        pair = (_charpoly_rows(even), _charpoly_rows(odd)[: caps.u + 1])
+        sub = w.substitution
+        pair = (_charpoly_rows(sub.even), _charpoly_rows(sub.odd)[: caps.u + 1])
         weights[pair] = weights.get(pair, 0) + chi
     total: dict[Key, int | Fraction] = {}
     for (den, num), weight in weights.items():

@@ -9,7 +9,7 @@ and a repeated odd factor kills the term.  Variables are indexed (row, col),
 A wreath label (sigma, (g_1..g_n)) acts by one linear substitution: each
 variable (i, c) is replaced by column c of g_i (its
 GradedGroupElement.columns) moved to row sigma^{-1}(i), the column of the
-label's matrix that the Molien route reads as WreathElement.columns.
+label's matrix whose char-poly the Molien route takes.
 Within a row the block g_i substitutes on columns, and rows move
 contravariantly, x_i -> x_{sigma^{-1}(i)}, so
 apply_wreath(wreath_mul(w1, w2), f) equals
@@ -400,8 +400,7 @@ def _label_sum(sig: AlgebraSignature, pairs: Iterable, terms: Mapping, reached: 
 def apply_wreath(w: WreathElement, f: SuperPolynomial) -> SuperPolynomial:
     """Linear substitution by a wreath label's matrix: x[i,c] -> sum_{c'}
     g_i[c',c] x[sigma^{-1}(i),c'], and theta likewise via the odd blocks,
-    each variable's image read once from the blocks'
-    GradedGroupElement.columns into WreathElement.substitution: the label
+    each variable's image read from WreathElement.substitution: the label
     sum of the one label with weight 1."""
     return SuperPolynomial._canonical(f.sig, _label_sum(f.sig, ((1, w),), f.terms))
 

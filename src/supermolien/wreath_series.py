@@ -235,10 +235,9 @@ def verify_m_cycle_identity(G: MatrixGroup, m: int, dq: int, du: int | None = No
         du = m * G.r1
     cyc = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
     # one fixed cycle times G^m is a coset, not a group: this action is for
-    # the Molien average only, never for the Reynolds route, and its labels
-    # are made on m rows of G's blocks, so they are not checked again
+    # the Molien average only, never for the Reynolds route
     pairs = tuple((1, WreathElement(sigma, gs)) for sigma, gs in _wreath_labels((cyc,), G, m))
-    cycle_labels = GroupAction._trusted(AlgebraSignature(G.r0, G.r1, m), pairs)
+    cycle_labels = GroupAction(AlgebraSignature(G.r0, G.r1, m), pairs)
     lhs = super_molien(cycle_labels, dq, du)
     hg = super_molien(GroupAction.from_matrix_group(G), dq, du)
     if m % 2 == 0:

@@ -1,13 +1,15 @@
 """Dense reference arithmetic on QMatrix values, the oracle of the sparse
 column kernels: the row-by-column product, difference and scaling, block
-assembly, and a BFS closure of graded generators held as (g0, g1) pairs of
-dense matrices.  The package itself keeps matrices as sparse columns and
-does no dense arithmetic."""
+assembly, a wreath label's matrices assembled from its blocks with their
+columns named by variable, and a BFS closure of graded generators held as
+(g0, g1) pairs of dense matrices.  The package itself keeps matrices as
+sparse columns and does no dense arithmetic."""
 
 from fractions import Fraction
 from typing import Mapping
 
 from supermolien.linalg import QMatrix
+from supermolien.rationals import exact
 
 
 def mul(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -45,6 +47,32 @@ def assemble_blocks(num_blocks: int, block_size: int, blocks: Mapping[tuple[int,
             for j in range(block_size):
                 entries[base + j] = m.get(i, j)
     return QMatrix(n, n, entries)
+
+
+def dense_label_matrices(w):
+    """A wreath label's even and odd matrices built densely, as a reference
+    for its compiled substitution: the g_i block at block position
+    (sigma^{-1}(i), i)."""
+    inv = w.sigma.inverse()
+    n = len(w.gs)
+
+    def dense(blocks):
+        return assemble_blocks(n, blocks[0].nrows, {(inv(i) - 1, i - 1): b for i, b in enumerate(blocks, 1)})
+
+    return dense([g.g0 for g in w.gs]), dense([g.g1 for g in w.gs])
+
+
+def dense_columns(m: QMatrix, r: int) -> dict:
+    """Each column of m, a label's matrix on rows of r variables, as the
+    image of its variable: column k is variable (k // r + 1, k % r + 1),
+    and its image the tuple of (variable, value) pairs of its nonzero
+    entries in row order, rows named the same way and integral values as
+    ints."""
+    names = [(k // r + 1, k % r + 1) for k in range(m.nrows)]
+    return {
+        names[k]: tuple((names[i], exact(m.get(i, k))) for i in range(m.nrows) if m.get(i, k))
+        for k in range(m.ncols)
+    }
 
 
 def close(r0: int, r1: int, generators) -> list[tuple[QMatrix, QMatrix]]:

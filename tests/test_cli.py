@@ -225,6 +225,18 @@ def test_unknown_flag_rejected():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_format_flag_refused_where_nothing_renders_tables(fmt):
+    # cycle-index and shuffle write JSON only, so they take no --format
+    for argv in (
+        ["cycle-index", "--perm", fx("s2.json"), "--format", fmt],
+        ["shuffle", fx("shuffle_left_2_2.json"), fx("shuffle_right_2_2.json"), "--format", fmt],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+
 def test_readme_command_lines_parse():
     readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]

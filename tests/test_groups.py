@@ -523,32 +523,32 @@ def test_shuffle_reps_cover_distinct_cosets():
     assert len(seen) == 24
 
 
-def columns_substitution(w):
-    """Reference compile of a label with square blocks of one shape from
-    its flat matrix, WreathElement.columns: flat variable index
-    (row-1)*r + col-1 named back to (row, col), and one-term read off the
-    columns themselves."""
-    n = w.sigma.n
-    r0, r1 = w.gs[0].g0.nrows, w.gs[0].g1.nrows
-    maps = []
-    one_term = True
-    for cols, r in zip(w.columns, (r0, r1)):
-        names = [(row, col) for row in range(1, n + 1) for col in range(1, r + 1)]
-        maps.append({names[k]: tuple((names[idx], a) for idx, a in col) for k, col in enumerate(cols)})
-        one_term = one_term and all(len(col) == 1 for col in cols) and len({col[0][0] for col in cols}) == len(cols)
-    return Substitution((n, r0, r1), *maps, one_term)
-
-
 @pytest.mark.parametrize("gname", sorted(MATRIX_GROUP_FIXTURES) + ["rational-s3", "scaled-swap"])
 def test_direct_substitution_equals_columns_compile(gname):
-    # the per-block compile equals the one read from the label's flat
-    # matrix on every label of S_1[G], S_2[G] and S_3[G], the one-term
-    # flag included
+    # the per-block compile equals the columns of the label's densely
+    # built matrices named by variable (dense_reference.dense_columns) on
+    # every label of S_1[G], S_2[G] and S_3[G], and is one-term exactly
+    # when each of those columns holds one entry, on distinct rows
     G = named_group(gname)
     for n in (1, 2, 3):
         for w in build_wreath(PermGroup.symmetric(n), G, n):
-            assert w.substitution == columns_substitution(w)
+            matrices = dense_reference.dense_label_matrices(w)
+            maps = [dense_reference.dense_columns(m, r) for m, r in zip(matrices, (G.r0, G.r1))]
+            images = [image for part in maps for image in part.values()]
+            one_term = all(len(image) == 1 for image in images) and all(
+                len({image[0][0] for image in part.values()}) == len(part) for part in maps
+            )
+            assert w.substitution == Substitution((n, G.r0, G.r1), *maps, one_term)
             assert w.substitution.one_term == all(g.monomial for g in w.gs)
+
+
+def test_zero_row_label_compiles_to_empty_maps():
+    # a label on no rows has no blocks: no variable to map, and a shape
+    # that only the zero-row signatures admit
+    w = WreathElement(Permutation.identity(0), ())
+    assert w.substitution == Substitution((0, ()), {}, {}, True)
+    one = SuperPolynomial.one(AlgebraSignature(1, 1, 0))
+    assert apply_wreath(w, one) == one
 
 
 def test_monomial_flag():

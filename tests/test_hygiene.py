@@ -1,11 +1,21 @@
 """Source hygiene with the standard library only: no module under src/,
-scripts/ or tests/ imports a name at module level that it never uses, and
-no module-level private function, class or constant of the package goes
-unreferenced by the rest of src/.  An import written "name as name" is an
+scripts/ or tests/ imports a name at module level that it never uses, no
+module-level private function, class or constant of the package goes
+unreferenced by the rest of src/, and every Class.attr of the package's
+classes named in a docstring or comment under src/, or in README, resolves.  An import written "name as name" is an
 explicit re-export, as type checkers read it, and counts as used."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import io
 import pathlib
+import pkgutil
+import re
+import tokenize
+
+import supermolien
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -172,3 +182,69 @@ def test_no_unreferenced_private_names_in_the_package():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in sorted(package.rglob("*.py"))}
     found = [f"{module}:{line}: {name}" for module, line, name in unreferenced_private_names(sources)]
     assert not found, "private names no other line of src/ reads:\n" + "\n".join(found)
+
+
+def package_classes():
+    """{name: class} of every class defined in a module of the package;
+    __main__, which runs the CLI, is not imported."""
+    classes = {}
+    for info in pkgutil.iter_modules(supermolien.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"supermolien.{info.name}")
+        for name, cls in vars(module).items():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                classes[name] = cls
+    return classes
+
+
+def docs_and_comments(source):
+    """The docstrings and the comments of a module's source, as one text."""
+    tree = ast.parse(source)
+    parts = [
+        ast.get_docstring(node, clean=False) or ""
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    parts += [tok.string for tok in tokens if tok.type == tokenize.COMMENT]
+    return "\n".join(parts)
+
+
+def stale_names(text, classes):
+    """Each Class.attr in text, Class one of the classes, that names no
+    attribute of the class, no dataclass field and no slot."""
+    stale = set()
+    for name, attr in re.findall(r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)", text):
+        cls = classes.get(name)
+        if cls is None or hasattr(cls, attr):
+            continue
+        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        slots = {s for c in cls.__mro__ for s in getattr(c, "__slots__", ())}
+        if attr not in fields | slots:
+            stale.add(f"{name}.{attr}")
+    return sorted(stale)
+
+
+def test_stale_name_checker_flags_only_missing_attributes():
+    classes = package_classes()
+    text = (
+        "WreathElement.sigma and WreathElement.substitution, a field and a property;\n"
+        "Permutation.images, a slot; GroupAction.from_wreath and Substitution.one_term;\n"
+        "a sentence ending in GroupAction. The next, and w.columns on no class.\n"
+        "Stale: WreathElement.columns and GroupAction._trusted."
+    )
+    assert stale_names(text, classes) == ["GroupAction._trusted", "WreathElement.columns"]
+
+
+def test_class_attributes_named_in_docs_resolve():
+    # every Class.attr named in a docstring or comment under src/, or in
+    # README, names an attribute, a dataclass field or a slot of the class
+    classes = package_classes()
+    texts = {
+        str(p.relative_to(ROOT)): docs_and_comments(p.read_text(encoding="utf-8"))
+        for p in sorted((ROOT / "src").rglob("*.py"))
+    }
+    texts["README.md"] = (ROOT / "README.md").read_text(encoding="utf-8")
+    found = [f"{where}: {name}" for where, text in texts.items() for name in stale_names(text, classes)]
+    assert not found, "names of no attribute:\n" + "\n".join(found)

@@ -307,12 +307,14 @@ def test_charpoly_det_matches_pointwise_dets_seeded():
 
 
 def dense_of_sparse(rows):
-    """The square QMatrix whose row i has the (column, value) pairs rows[i]."""
-    n = len(rows)
+    """The square QMatrix of a char-poly kernel mapping, its keys numbered
+    in sorted order: the row of key k has the (key, value) pairs rows[k]."""
+    index = {k: t for t, k in enumerate(sorted(rows))}
+    n = len(index)
     dense = [[Fraction(0)] * n for _ in range(n)]
-    for i, row in enumerate(rows):
+    for k, row in rows.items():
         for j, x in row:
-            dense[i][j] = Fraction(x)
+            dense[index[k]][index[j]] = Fraction(x)
     return QMatrix.from_rows(dense) if n else QMatrix(0, 0, [])
 
 
@@ -354,18 +356,18 @@ def test_charpoly_rows_on_sparse_rows_seeded():
             rng.shuffle(row)
         empty_row += any(not row for row in rows)
         empty_col += len({j for row in rows for j, _ in row}) < n
-        assert_charpoly_pins_pointwise_dets(rows)
+        assert_charpoly_pins_pointwise_dets(dict(enumerate(rows)))
     assert empty_row and empty_col
 
 
 def test_charpoly_rows_edge_cases():
-    assert _charpoly_rows([]) == (1,)
-    assert_charpoly_pins_pointwise_dets([])
+    assert _charpoly_rows({}) == (1,)
+    assert_charpoly_pins_pointwise_dets({})
     # all rows empty: det(I) = 1
-    assert _charpoly_rows([[], [], []]) == (1,)
+    assert _charpoly_rows({0: [], 1: [], 2: []}) == (1,)
     # unsorted pairs in a row give the same polynomial as sorted ones
-    rows = [[(2, 1), (0, 2)], [(0, -1)], [(1, 3), (2, 1)]]
-    assert _charpoly_rows(rows) == _charpoly_rows([sorted(row) for row in rows])
+    rows = {0: [(2, 1), (0, 2)], 1: [(0, -1)], 2: [(1, 3), (2, 1)]}
+    assert _charpoly_rows(rows) == _charpoly_rows({k: sorted(row) for k, row in rows.items()})
     assert_charpoly_pins_pointwise_dets(rows)
 
 
@@ -373,13 +375,13 @@ def test_charpoly_rows_edge_cases():
     "rows",
     [
         # one entry per row, two rows on one column: singular
-        [[(0, 2)], [(0, 3)], [(2, -1)]],
+        {0: [(0, 2)], 1: [(0, 3)], 2: [(2, -1)]},
         # a tail into a cycle: 0 -> 1, 1 -> 2, 2 -> 1
-        [[(1, 2)], [(2, -1)], [(1, Fraction(1, 3))]],
+        {0: [(1, 2)], 1: [(2, -1)], 2: [(1, Fraction(1, 3))]},
         # an empty row among one-entry rows
-        [[(1, 1)], [], [(0, -2)]],
+        {0: [(1, 1)], 1: [], 2: [(0, -2)]},
         # a row with two entries after a closed cycle
-        [[(0, 5)], [(2, 1), (1, 2)], [(1, -1)]],
+        {0: [(0, 5)], 1: [(2, 1), (1, 2)], 2: [(1, -1)]},
     ],
     ids=["repeated-column", "tail-into-cycle", "empty-row", "two-entry-row"],
 )
@@ -401,12 +403,12 @@ def test_charpoly_rows_non_monomial_go_to_berkowitz(monkeypatch, rows):
 
 def test_charpoly_rows_integral_fractions_give_ints():
     # entries typed Fraction but with denominator 1 are read as ints
-    rows = [[(1, Fraction(2)), (0, Fraction(-1))], [(0, Fraction(3))]]
+    rows = {0: [(1, Fraction(2)), (0, Fraction(-1))], 1: [(0, Fraction(3))]}
     p = _charpoly_rows(rows)
     assert p == (1, 1, -6)
     assert all(type(c) is int for c in p)
     # a non-integral entry gives Fractions, reduced
-    q = _charpoly_rows([[(0, Fraction(1, 2))]])
+    q = _charpoly_rows({0: [(0, Fraction(1, 2))]})
     assert q == (1, Fraction(-1, 2)) and type(q[1]) is Fraction
 
 
@@ -415,12 +417,45 @@ def test_charpoly_rows_walk_keeps_the_type_rule():
     # non-integral entry makes every coefficient a Fraction, even where
     # the cycle products are integral; types equal Berkowitz's.
     for rows, expected, kind in (
-        ([[(1, Fraction(2))], [(0, Fraction(-3))]], (1, 0, 6), int),
-        ([[(1, Fraction(1, 2))], [(0, 2)], [(2, -1)]], (1, 1, -1, -1), Fraction),
+        ({0: [(1, Fraction(2))], 1: [(0, Fraction(-3))]}, (1, 0, 6), int),
+        ({0: [(1, Fraction(1, 2))], 1: [(0, 2)], 2: [(2, -1)]}, (1, 1, -1, -1), Fraction),
     ):
         p = _charpoly_rows(rows)
         assert p == expected == _berkowitz(rows)
         assert all(type(c) is kind for c in p)
+        assert [type(c) for c in p] == [type(c) for c in _berkowitz(rows)]
+
+
+@pytest.mark.parametrize("monomial", [True, False], ids=["walk", "berkowitz"])
+def test_charpoly_rows_on_variable_keys_in_shuffled_order(monkeypatch, monomial):
+    # (row, col) keys, as a compiled wreath label has, inserted in shuffled
+    # order: a signed scaled permutation takes the walk, the same matrix
+    # with a few extra entries goes to Berkowitz, and both give Berkowitz's
+    # value and charpoly_det's of the dense matrix on the sorted keys.
+    rng = random.Random(2027)
+    calls = []
+
+    def wrapper(arg):
+        calls.append(arg)
+        return _berkowitz(arg)
+
+    monkeypatch.setattr(linalg, "_berkowitz", wrapper)
+    for _ in range(20):
+        keys = [(row, col) for row in range(1, rng.randint(2, 4) + 1) for col in range(1, rng.randint(1, 3) + 1)]
+        images = keys[:]
+        rng.shuffle(images)
+        rows = {k: [(v, Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2))))] for k, v in zip(keys, images)}
+        if not monomial:
+            for k in rng.sample(keys, 2):
+                extra = rng.choice([j for j in keys if j != rows[k][0][0]])
+                rows[k] = rows[k] + [(extra, Fraction(rng.choice((-1, 1, 2))))]
+        shuffled = list(rows.items())
+        rng.shuffle(shuffled)
+        rows = dict(shuffled)
+        calls.clear()
+        p = _charpoly_rows(rows)
+        assert calls == ([] if monomial else [rows])
+        assert p == _berkowitz(rows) == charpoly_det(dense_of_sparse(rows))
         assert [type(c) for c in p] == [type(c) for c in _berkowitz(rows)]
 
 

@@ -44,7 +44,7 @@ from supermolien.superalgebra import (
     super_mul,
 )
 
-import dense_reference
+from dense_reference import dense_columns, dense_label_matrices
 from rational_groups import KERNEL_GROUPS, conjugated_s3, named_group
 
 
@@ -352,35 +352,24 @@ def test_sgn_character_read_off_the_odd_part():
     assert report == {"agreements": 12, "mismatches": []}
 
 
+def test_zero_row_wreath_has_series_one():
+    # P[G] on no rows acts on the scalar algebra: both routes count the
+    # constants only
+    action = GroupAction.from_wreath(PermGroup.close(0, []), matrix_group_fixture("trivial-1-1"), 0)
+    assert super_molien(action, 3) == TrigradedSeries.one(Caps(0, 3, 0))
+    assert molien_vs_oracle(action, 3) == {"agreements": 4, "mismatches": []}
+
+
 def test_block_matrices_layout_for_swap_label():
     act = GroupAction.from_wreath(PermGroup.symmetric(2), sign_scalar_group(), 2)
     # find the label (swap, (id, -1))
     for _, w in act.pairs:
         if w.sigma == Permutation([2, 1]) and w.gs[0].g0.get(0, 0) == 1 and w.gs[1].g0.get(0, 0) == -1:
             # g_1 = +1 sits at block (sigma^{-1}(1), 1) = (2, 1), g_2 = -1 at (1, 2)
-            assert w.columns[0] == [[(1, 1)], [(0, -1)]]
-            assert w.columns[0] == dense_columns(dense_label_matrices(w)[0])
+            assert w.substitution.even == {(1, 1): (((2, 1), 1),), (2, 1): (((1, 1), -1),)}
+            assert w.substitution.even == dense_columns(dense_label_matrices(w)[0], 1)
             return
     raise AssertionError("label not found")
-
-
-def dense_label_matrices(w):
-    """A label's even and odd matrices built densely, as a reference for the
-    sparse rows: the g_i block at block position (sigma^{-1}(i), i)."""
-    inv = w.sigma.inverse()
-    n = len(w.gs)
-
-    def dense(blocks):
-        return dense_reference.assemble_blocks(
-            n, blocks[0].nrows, {(inv(i) - 1, i - 1): b for i, b in enumerate(blocks, 1)}
-        )
-
-    return dense([g.g0 for g in w.gs]), dense([g.g1 for g in w.gs])
-
-
-def dense_columns(m):
-    """The (row, value) pairs of each column's nonzero entries."""
-    return [[(i, m.get(i, j)) for i in range(m.nrows) if m.get(i, j)] for j in range(m.ncols)]
 
 
 @pytest.mark.parametrize("gname,n", [("sign-scalar", 3), ("s2-theta", 2)])
@@ -415,18 +404,20 @@ def test_label_molien_term_matches_trivariate_inversion(gname, n):
     ],
 )
 def test_label_rows_charpoly_matches_dense(gname, n):
-    # For every label, the sparse columns are the nonzero entries of the
-    # densely built matrix, and the char-poly kernel on them equals the
-    # Berkowitz recurrence on them and charpoly_det of that matrix, with
-    # the same coefficient types as Berkowitz.  The monomial labels take the
-    # cycle walk, scaled-swap's with Fraction cycle products (entries 2 and
-    # 1/2); the conjugated S_3 gives non-monomial blocks with unlike
-    # denominators, which fall through to Berkowitz.
+    # For every label, the compiled substitution holds the nonzero entries
+    # of the densely built matrix column by column, and the char-poly
+    # kernel on it equals the Berkowitz recurrence on it and charpoly_det
+    # of that matrix, with the same coefficient types as Berkowitz.  The
+    # monomial labels take the cycle walk, scaled-swap's with Fraction
+    # cycle products (entries 2 and 1/2); the conjugated S_3 gives
+    # non-monomial blocks with unlike denominators, which fall through to
+    # Berkowitz.
     G = named_group(gname)
     action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n)
     for _, w in action.pairs:
-        for columns, dense in zip(w.columns, dense_label_matrices(w)):
-            assert columns == dense_columns(dense)
+        sub = w.substitution
+        for columns, dense, r in zip((sub.even, sub.odd), dense_label_matrices(w), (G.r0, G.r1)):
+            assert columns == dense_columns(dense, r)
             p = _charpoly_rows(columns)
             reference = _berkowitz(columns)
             assert p == reference == charpoly_det(dense)
@@ -480,7 +471,7 @@ def test_rational_s3_pair_keys_are_fractions():
 
     def keys(group):
         action = GroupAction.from_wreath(PermGroup.symmetric(2), group, 2)
-        return {_charpoly_rows(w.columns[0]) for _, w in action.pairs}
+        return {_charpoly_rows(w.substitution.even) for _, w in action.pairs}
 
     assert any(type(c) is Fraction for key in keys(H) for c in key)
     assert all(type(c) is int for key in keys(G) for c in key)
@@ -489,7 +480,7 @@ def test_rational_s3_pair_keys_are_fractions():
 
 def test_super_molien_expands_once_per_char_poly_pair(monkeypatch):
     # S_4[+-1]: each of the 384 labels has both char-polys computed from
-    # its own columns, but only 14 distinct pairs are expanded into series
+    # its own substitution, but only 14 distinct pairs are expanded into series
     # (fewer than the 20 classes of B_4: (1 - z)(1 + z) = 1 - z^2).
     action = GroupAction.from_wreath(PermGroup.symmetric(4), sign_scalar_group(), 4)
     calls = {"_charpoly_rows": 0, "_pair_table": 0}
@@ -510,7 +501,7 @@ def test_super_molien_expands_once_per_char_poly_pair(monkeypatch):
 
 
 def berkowitz_calls(monkeypatch):
-    """The row lists passed to linalg._berkowitz from now on."""
+    """The mappings passed to linalg._berkowitz from now on."""
     calls = []
 
     def wrapper(rows):
@@ -540,7 +531,7 @@ def test_non_monomial_labels_take_berkowitz(monkeypatch, flavor):
     action = GroupAction.from_wreath(PermGroup.symmetric(2), conjugated_s3()[1], 2, flavor)
     calls = berkowitz_calls(monkeypatch)
     super_molien(action, 5)
-    expected = [w.columns[0] for _, w in action.pairs if not all(g.monomial for g in w.gs)]
+    expected = [w.substitution.even for _, w in action.pairs if not all(g.monomial for g in w.gs)]
     assert len(expected) == len(action.pairs) - 2
     assert calls == expected
 
