@@ -8,7 +8,8 @@ series coefficients as aligned grids, and reports as tables.
 
 Exit codes: 0 on success or match, 1 when a requested comparison fails,
 2 on bad input (malformed JSON, dimension mismatches, cap violations).
-Any other exception is a bug and is not mapped to an exit code.
+Any other exception is a bug and is not mapped to an exit code, nor is
+any error of verify, whose only inputs argparse checks.
 """
 
 from __future__ import annotations
@@ -260,7 +261,6 @@ _DISPATCH = {
     "wreath": _cmd_wreath,
     "collate": _cmd_collate,
     "shuffle": _cmd_shuffle,
-    "verify": _cmd_verify,
 }
 
 
@@ -269,6 +269,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand == "verify":
+        return _cmd_verify(args, out)
     try:
         for flag in ("dq", "du", "n", "N"):
             cap = getattr(args, flag, None)

@@ -2,16 +2,16 @@
 
 A graded group element carries two matrices, g0 acting on the r0 commuting
 variables and g1 on the r1 anticommuting ones, as sparse columns only
-(GradedGroupElement.columns).  Wreath elements are labels
-(sigma, (g_1..g_n)); each acts on the n rows by one block matrix per graded
-part, compiled once per label into WreathElement.substitution: each
-variable's image keyed by (row, col), the columns of its element moved to
-another row.  Each element moves its columns once per pair of rows
-(GradedGroupElement.moves), and the labels share those images.  Every
-route reads the one compile: the Molien route takes its char-polys, and
-the supercommutative-algebra layer maps whole term maps through it.  The
-product law is chosen so that applying w1 * w2 equals applying w2's
-substitution first and then w1's.
+(GradedGroupElement.columns).  Wreath elements are labels (sigma,
+(g_1..g_n)); each acts on the n rows by one block matrix per graded part,
+compiled once per label into WreathElement.substitution, or refused when
+its blocks are not square and alike: each variable's image keyed by (row,
+col), the columns of its element moved to another row.  Each element moves
+its columns once per pair of rows (GradedGroupElement.moves), and the
+labels share those images.  Every route reads the one compile: the Molien
+route takes its char-polys, and the supercommutative-algebra layer maps
+whole term maps through it.  The product law is chosen so that applying
+w1 * w2 equals applying w2's substitution first and then w1's.
 
 This module is the one presentation of the wreath product P[G], for G a
 matrix group or a permutation group: one enumerator of its labels, behind
@@ -454,41 +454,41 @@ class WreathElement:
         every route (see Substitution): variable (i, c) maps to column c of
         g_i moved to row sigma^{-1}(i), shared by every label making that
         move with g_i (GradedGroupElement.moves).  One-term exactly when
-        every block is monomial; not a dataclass field."""
-        n = self.sigma.n
+        every block is monomial; not a dataclass field.  DimensionMismatch,
+        caching nothing, when the row blocks are not square and alike."""
         blocks = tuple([g.shape for g in self.gs])
-        if blocks and (blocks.count(blocks[0]) != n or blocks[0][0::2] != blocks[0][1::2]):
-            return Substitution((n, blocks), None, None, False)
+        shape = blocks[0] if blocks else (0, 0, 0, 0)
+        if blocks.count(shape) != len(blocks) or shape[0::2] != shape[1::2]:
+            raise DimensionMismatch(f"label row blocks {blocks} are not square and alike")
         even, odd = {}, {}
         for b, i in enumerate(self.sigma.images, 1):
             # the variables of row i = sigma(b) land in row b
             pairs = self.gs[i - 1].moves[i, b]
             even.update(pairs[0])
             odd.update(pairs[1])
-        shape = (n, blocks[0][0], blocks[0][2]) if blocks else (n, blocks)
-        return Substitution(shape, even, odd, all([g.monomial for g in self.gs]))
+        return Substitution((len(blocks), shape[0], shape[2]), even, odd, all([g.monomial for g in self.gs]))
 
 
 class Substitution(NamedTuple):
     """A wreath label's matrices, compiled once per label object.
 
-    shape is (n, r0, r1) when every row block is square and all rows share
-    one shape, so a signature check is one tuple compare; otherwise it is
-    (n, block shapes), which matches no signature.  even and odd map each
+    shape is (n, r0, r1), n rows of square r0 x r0 and r1 x r1 blocks, as a
+    label whose blocks are not square and alike does not compile: a
+    signature check is one tuple compare.  A zero-row label has shape
+    (0, 0, 0) and acts on the scalars of any (r0, r1).  even and odd map each
     variable (row, col) to its image, a tuple of ((row', col'),
     coefficient) pairs, integral coefficients as ints: the label's matrix
-    column by column, which the char-poly kernel reads as rows.  They are
-    None when the blocks differ or are not square, and empty on zero rows.
-    one_term says every image is a single term and distinct variables
-    have distinct images, that is every block is monomial
-    (GradedGroupElement.monomial), as for every label of P[G] with G a
-    group of (scaled) signed permutation matrices: each monomial then maps
-    to one monomial, and distinct monomials to distinct ones.  The algebra
-    layer maps a whole term map through it in one call per label."""
+    column by column, which the char-poly kernel reads as rows; both are
+    empty on zero rows.  one_term says every image is a single term and
+    distinct variables have distinct images, that is every block is
+    monomial (GradedGroupElement.monomial), as for every label of P[G] with
+    G a group of (scaled) signed permutation matrices: each monomial then
+    maps to one monomial, and distinct monomials to distinct ones.  The
+    algebra layer maps a whole term map through it in one call per label."""
 
-    shape: tuple
-    even: dict | None
-    odd: dict | None
+    shape: tuple[int, int, int]
+    even: dict
+    odd: dict
     one_term: bool
 
 

@@ -226,20 +226,17 @@ def _charpoly_rows(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fracti
     denominator 1, Fractions included, else Fractions.  No rows give the
     constant 1.
     """
-    seen = set()
+    # each walk pops its rows from a copy, so a step hashes one key
+    todo = dict(rows)
     vect = [1]
     fractional = False
-    for start in rows:
-        if start in seen:
-            continue
+    while todo:
+        start, row = todo.popitem()
         p = 1
         length = 0
-        i = start
-        while i not in seen:
-            row = rows[i]
+        while row is not None:
             if len(row) != 1:
                 return _berkowitz(rows)
-            seen.add(i)
             i, x = row[0]
             if type(x) is not int:
                 if x.denominator == 1:
@@ -248,6 +245,7 @@ def _charpoly_rows(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fracti
                     fractional = True
             p *= x
             length += 1
+            row = todo.pop(i, None)
         if i != start:
             return _berkowitz(rows)
         # multiply by 1 - p*z^length

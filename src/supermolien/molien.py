@@ -1,12 +1,12 @@
 """Exact bigraded Hilbert series of invariants, two independent ways.
 
-A GroupAction is its labels as (chi(w), w) pairs, chi the +-1 linear
-character selecting the isotypic component, and both routes read those
-pairs; from_matrix_group takes chi as the +-1 tuple of groups.py, or None
-for the trivial character.  Every label w acts by one matrix per graded
-part, M0(w) on the even and M1(w) on the odd variables, compiled once per
-label into WreathElement.substitution, which both routes read and whose
-shape the action checks when it is made.
+A GroupAction, the one format of every weighted label set, is its labels
+as (chi(w), w) pairs, chi the +-1 linear character selecting the isotypic
+component: from_matrix_group takes chi as a +-1 tuple, or None for the
+trivial one, and of_labels weights by sgn(sigma).  Every label w acts by
+one matrix per graded part, M0(w) on the even and M1(w) on the odd
+variables, compiled once per label into WreathElement.substitution, which
+both routes read and whose shape the action checks once, when it is made.
 The Molien route averages det(I + u*M1)/det(I - q*M0) over the pairs with
 weights chi(w^{-1}) = chi(w).  The summand depends on w only through its
 two char-polys, so the sum is keyed by char-poly pair: each label's pair
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import BasisTooLarge, SignatureMismatch
 from .groups import (
@@ -72,18 +72,18 @@ def require_flavor(flavor: str) -> bool:
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A finite group acting on n rows of (r0, r1) variables, as
-    (chi(w), w) pairs: each label w weighted by the +-1 value of the linear
-    character selecting the isotypic component to count.
+    """Wreath labels acting on n rows of (r0, r1) variables, as (chi(w), w)
+    pairs: each label w weighted by +-1, for a group the value of the
+    linear character selecting the isotypic component to count.
 
-    The Molien average is defined for any set of pairs.  The Reynolds
-    route needs labels that form a group, each element listed once, with
-    the character a homomorphism on it: the projector and its orbit
-    sharing rest on R(w.f) = chi(w) R(f).
+    The Molien average and the label sum take any set of pairs.  The
+    Reynolds route needs labels that form a group, each element listed
+    once, with the character a homomorphism on it: the projector and its
+    orbit sharing rest on R(w.f) = chi(w) R(f).
 
     Every label must act on the signature's rows and blocks; a label that
-    does not is refused when the action is made, from the shape of its
-    substitution, with the errors of the Reynolds route."""
+    does not is refused, once, when the action is made, from the shape of
+    its substitution, with the errors of the Reynolds route."""
 
     signature: AlgebraSignature
     pairs: tuple[tuple[int, WreathElement], ...]
@@ -110,12 +110,16 @@ class GroupAction:
         return GroupAction(sig, tuple((c, WreathElement(ident, (g,))) for c, g in zip(chi, G.elements)))
 
     @staticmethod
+    def of_labels(signature: AlgebraSignature, labels: Iterable[WreathElement], signed: bool) -> "GroupAction":
+        """The labels, each weighted by sgn(sigma) when signed, else by 1."""
+        return GroupAction(signature, tuple((perm_sign(w.sigma) if signed else 1, w) for w in labels))
+
+    @staticmethod
     def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant") -> "GroupAction":
         """Action of P[G] on n rows; flavor "invariant" weights every label 1,
         flavor "antiinvariant" weights by sgn(sigma)."""
         signed = require_flavor(flavor)
-        sig = AlgebraSignature(G.r0, G.r1, n)
-        return GroupAction(sig, tuple((perm_sign(w.sigma) if signed else 1, w) for w in build_wreath(P, G, n)))
+        return GroupAction.of_labels(AlgebraSignature(G.r0, G.r1, n), build_wreath(P, G, n), signed)
 
 
 def _pair_table(den: tuple, num: tuple, dq: int) -> dict[Key, int | Fraction]:
@@ -176,7 +180,7 @@ def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial
     if f.sig != action.signature:
         raise SignatureMismatch(f"{f.sig} != {action.signature}")
     order = action.order
-    acc = _label_sum(f.sig, action.pairs, f.terms)
+    acc = _label_sum(action.pairs, f.terms)
     return SuperPolynomial._canonical(f.sig, {m: Fraction(c) / order for m, c in acc.items() if c})
 
 
@@ -190,12 +194,11 @@ def _orbit_sums(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[tup
     of signed permutation matrices that covers the whole orbit, and a dead
     orbit (R(m) = 0) gives one empty sum; under other groups fewer
     monomials are reached and the rest are summed themselves."""
-    sig = action.signature
     reached: set[SuperMonomial] = set()
     sums = []
     for m in basis:
         if m not in reached:
-            acc = _label_sum(sig, action.pairs, {m: 1}, reached)
+            acc = _label_sum(action.pairs, {m: 1}, reached)
             sums.append((m, {k: c for k, c in acc.items() if c}))
     return sums
 

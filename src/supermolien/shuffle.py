@@ -7,13 +7,14 @@ one-shot triple product).  The shifted factors sit on disjoint rows, so
 their product is the concatenation of their terms, with nothing to merge
 or reorder.  Each representative is a label whose row blocks are all the
 identity, so the symmetrization is the weighted label sum of superalgebra
-over (weight, label) pairs, which maps the product's whole term map
+over the pairs of a GroupAction, which maps the product's whole term map
 through each label at once, weighted by sign for the signed product; the
-pairs are built and compiled once per block sizes, signature and sign.
-The (anti)invariance checks use the same sum: f is fixed by a generator
-pair when the term map of weight * (w.f) equals f's terms, the weight being
-the generator's sign for the antiinvariant flavor; no polynomial is built
-per generator.  An invariant basis is a greedy
+action is built, compiled and checked once per block sizes, signature and
+sign.  The (anti)invariance checks use the same sum: f is fixed by a
+generator pair when the term map of weight * (w.f) equals f's terms, the
+generators of S_n[G] being a GroupAction weighted as from_wreath weights
+the same labels; f's signature is compared with theirs once, and no
+polynomial is built per generator.  An invariant basis is a greedy
 independent subset of the Reynolds orbit sums of molien, kept undivided
 (|W| R(m), ints for an integral group), so the products of the battery run
 on ints.  The resulting product closes on the (anti)invariant spaces, is
@@ -40,7 +41,6 @@ from .groups import (
     MatrixGroup,
     PermGroup,
     WreathElement,
-    perm_sign,
     shuffle_count,
     shuffle_reps,
     symmetric_generators,
@@ -93,22 +93,22 @@ def shift_rows(f: SuperPolynomial, offset: int, n_out: int) -> SuperPolynomial:
 
 
 @cache
-def _coset_labels(
-    blocks: tuple[int, ...], r0: int, r1: int, signed: bool
-) -> tuple[tuple[int, WreathElement], ...]:
-    """The minimal coset representatives of the row blocks as (weight,
-    label) pairs, each label's row blocks all the identity, weighted by
-    sign when signed.  The labels are built and compiled once per (blocks,
-    r0, r1), after their count times the rows is checked against
-    WREATH_CAP; the signed pairs reuse the unsigned ones' labels."""
+def _coset_labels(blocks: tuple[int, ...], r0: int, r1: int, signed: bool) -> GroupAction:
+    """The minimal coset representatives of the row blocks as a GroupAction
+    of labels whose row blocks are all the identity, weighted by sign when
+    signed: built, compiled and checked once per (blocks, r0, r1), after
+    their count times the rows is checked against WREATH_CAP, the signed
+    action on the unsigned one's labels."""
     if signed:
-        return tuple((perm_sign(w.sigma), w) for _, w in _coset_labels(blocks, r0, r1, False))
+        unsigned = _coset_labels(blocks, r0, r1, False)
+        return GroupAction.of_labels(unsigned.signature, (w for _, w in unsigned.pairs), True)
     n = sum(blocks)
     count = shuffle_count(blocks)
     if count * n > WREATH_CAP:
         raise CapExceeded(f"shuffle of {blocks} rows needs {count} labels of {n} rows, cap is {WREATH_CAP}")
     ident = (GradedGroupElement.identity(r0, r1),) * n
-    return tuple((1, WreathElement(sigma, ident)) for sigma in shuffle_reps(*blocks))
+    labels = (WreathElement(sigma, ident) for sigma in shuffle_reps(*blocks))
+    return GroupAction.of_labels(AlgebraSignature(r0, r1, n), labels, False)
 
 
 def _shuffle(factors: tuple[SuperPolynomial, ...], signed: bool) -> SuperPolynomial:
@@ -130,9 +130,8 @@ def _shuffle(factors: tuple[SuperPolynomial, ...], signed: bool) -> SuperPolynom
         core = {
             SuperMonomial._canonical(x + fx, t + ft): c * fc for (x, t), c in core.items() for fx, ft, fc in shifted
         }
-    out_sig = AlgebraSignature(sig.r0, sig.r1, sum(blocks))
-    pairs = _coset_labels(blocks, sig.r0, sig.r1, signed)
-    return SuperPolynomial._canonical(out_sig, _label_sum(out_sig, pairs, core))
+    labels = _coset_labels(blocks, sig.r0, sig.r1, signed)
+    return SuperPolynomial._canonical(labels.signature, _label_sum(labels.pairs, core))
 
 
 def shuffle_product(A: SuperPolynomial, B: SuperPolynomial, signed: bool = False) -> SuperPolynomial:
@@ -188,22 +187,22 @@ def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
     return InvariantSpaceBasis(action, i, j, tuple(kept))
 
 
-def _wreath_generator_labels(n: int, G: MatrixGroup, signed: bool) -> tuple[tuple[int, WreathElement], ...]:
-    """Generators of S_n[G] on n rows as (weight, label) pairs, weighted by
-    the sign of their row permutation when signed."""
-    return tuple(
-        (perm_sign(sigma) if signed else 1, WreathElement(sigma, gs))
-        for sigma, gs in wreath_generators(symmetric_generators(n), G, n)
-    )
+def _wreath_generator_labels(n: int, G: MatrixGroup, signed: bool) -> GroupAction:
+    """Generators of S_n[G] on n rows as a GroupAction, weighted by the
+    sign of their row permutation when signed: for _fixed_by, not a group."""
+    labels = (WreathElement(sigma, gs) for sigma, gs in wreath_generators(symmetric_generators(n), G, n))
+    return GroupAction.of_labels(AlgebraSignature(G.r0, G.r1, n), labels, signed)
 
 
-def _fixed_by(f: SuperPolynomial, pairs: tuple[tuple[int, WreathElement], ...]) -> bool:
-    """True iff weight * (w.f) == f for every (weight, label) pair: the
-    pair's label-sum term map equals f's terms.  A sum over one label
-    holds no zero terms, since _substitute drops them, so no polynomial
-    needs to be built to compare."""
+def _fixed_by(f: SuperPolynomial, generators: GroupAction) -> bool:
+    """True iff weight * (w.f) == f for every (weight, label) pair of the
+    generators: the pair's label-sum term map, which holds no zeros as
+    _substitute drops them, equals f's terms, so no polynomial is built.
+    SignatureMismatch when f's signature is not the generators'."""
+    if f.sig != generators.signature:
+        raise SignatureMismatch(f"{f.sig} != {generators.signature}")
     terms = f.terms
-    return all(_label_sum(f.sig, (pair,), terms) == terms for pair in pairs)
+    return all(_label_sum((pair,), terms) == terms for pair in generators.pairs)
 
 
 def is_wreath_invariant(f: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant") -> bool:

@@ -7,21 +7,20 @@ and a repeated odd factor kills the term.  Variables are indexed (row, col),
 (xpart, theta), so hashing and equality run in C.
 
 A wreath label (sigma, (g_1..g_n)) acts by one linear substitution: each
-variable (i, c) is replaced by column c of g_i (its
-GradedGroupElement.columns) moved to row sigma^{-1}(i), the column of the
-label's matrix whose char-poly the Molien route takes.
-Within a row the block g_i substitutes on columns, and rows move
-contravariantly, x_i -> x_{sigma^{-1}(i)}, so
-apply_wreath(wreath_mul(w1, w2), f) equals
-apply_wreath(w1, apply_wreath(w2, f)).  Each label compiles its
-substitution once (WreathElement.substitution: its block shape, and each
-variable's image), and one private kernel, _substitute, maps a whole term
-map through it.  Its one caller is the weighted label sum, _label_sum,
-which calls it once per label: apply_wreath is its one-label case, the
-Reynolds projector in molien its character-weighted sum over a group, the
-shuffle product its signed sum over coset representatives, labels with
-identity row blocks, and the shuffle battery's invariance test its term
-map compared with f's.
+variable (i, c) is replaced by column c of g_i (GradedGroupElement.columns)
+moved to row sigma^{-1}(i), the column of the label's matrix whose
+char-poly the Molien route takes.  Within a row the block g_i substitutes
+on columns, and rows move contravariantly, x_i -> x_{sigma^{-1}(i)}, so
+apply_wreath(wreath_mul(w1, w2), f) equals apply_wreath(w1,
+apply_wreath(w2, f)).  Each label compiles its substitution once
+(WreathElement.substitution), and one private kernel, _substitute, maps a
+whole term map through it.  Its one caller is the weighted label sum,
+_label_sum, over the pairs of a molien.GroupAction, whose labels were
+checked (_require_shape) when it was made, so the sum checks none:
+apply_wreath, which checks its one label, is its one-label case, the
+Reynolds projector its character-weighted sum over a group, the shuffle
+product its signed sum over coset representatives, and the shuffle
+battery's invariance test its term map compared with f's.
 """
 
 from __future__ import annotations
@@ -316,7 +315,8 @@ def super_mul(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
 
 def _require_shape(sub: Substitution, sig: AlgebraSignature) -> None:
     """The signature check of a compiled label, behind its one tuple
-    compare: rows first, then block shapes (vacuous on zero rows)."""
+    compare: rows first, then block shapes (vacuous on zero rows).  Run
+    where a label set is made and in apply_wreath, never in the sum."""
     if sub.shape == (sig.n, sig.r0, sig.r1):
         return
     if sub.shape[0] != sig.n:
@@ -375,19 +375,17 @@ def _substitute(sub: Substitution, terms: Mapping) -> list[tuple[SuperMonomial, 
     return [(m, a) for m, a in acc.items() if a]
 
 
-def _label_sum(sig: AlgebraSignature, pairs: Iterable, terms: Mapping, reached: set | None = None) -> dict:
-    """sum over (weight, label) pairs of weight * w.f, f on sig given by its
-    terms and each weight +-1: the summed term map, zeros kept, ints where
-    f's coefficients are ints.  f is mapped through each label by one
-    _substitute call.  When reached is given, f is one monomial, and each
-    w mapping it to a single term c*m adds m to reached: for weight
-    chi(w), R(w.f) = chi(w) R(f), so R(m) = chi(w)/c R(f) is a multiple of
-    R(f)."""
+def _label_sum(pairs: Iterable, terms: Mapping, reached: set | None = None) -> dict:
+    """sum over (weight, label) pairs of weight * w.f, f given by its terms
+    and each weight +-1: the summed term map, zeros kept, ints where f's
+    coefficients are ints.  The pairs, checked when their GroupAction was
+    made, are trusted to fit f; each maps f by one _substitute call.  When
+    reached is given, f is one monomial, and each w mapping it to a single
+    term c*m adds m to reached: for weight chi(w), R(w.f) = chi(w) R(f), so
+    R(m) = chi(w)/c R(f) is a multiple of R(f)."""
     acc: dict[SuperMonomial, int | Fraction] = {}
     for weight, w in pairs:
-        sub = w.substitution
-        _require_shape(sub, sig)
-        image = _substitute(sub, terms)
+        image = _substitute(w.substitution, terms)
         if reached is not None and len(image) == 1:
             reached.add(image[0][0])
         for m, c in image:
@@ -400,9 +398,10 @@ def _label_sum(sig: AlgebraSignature, pairs: Iterable, terms: Mapping, reached: 
 def apply_wreath(w: WreathElement, f: SuperPolynomial) -> SuperPolynomial:
     """Linear substitution by a wreath label's matrix: x[i,c] -> sum_{c'}
     g_i[c',c] x[sigma^{-1}(i),c'], and theta likewise via the odd blocks,
-    each variable's image read from WreathElement.substitution: the label
-    sum of the one label with weight 1."""
-    return SuperPolynomial._canonical(f.sig, _label_sum(f.sig, ((1, w),), f.terms))
+    each variable's image read from WreathElement.substitution, its shape
+    checked against f's: the label sum of the one label with weight 1."""
+    _require_shape(w.substitution, f.sig)
+    return SuperPolynomial._canonical(f.sig, _label_sum(((1, w),), f.terms))
 
 
 def bidegree_basis(sig: AlgebraSignature, i: int, j: int) -> list[SuperMonomial]:

@@ -234,11 +234,10 @@ def verify_m_cycle_identity(G: MatrixGroup, m: int, dq: int, du: int | None = No
     if du is None:
         du = m * G.r1
     cyc = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
-    # one fixed cycle times G^m is a coset, not a group: this action is for
+    # one fixed cycle times G^m is a coset, not a group: these labels are for
     # the Molien average only, never for the Reynolds route
-    pairs = tuple((1, WreathElement(sigma, gs)) for sigma, gs in _wreath_labels((cyc,), G, m))
-    cycle_labels = GroupAction(AlgebraSignature(G.r0, G.r1, m), pairs)
-    lhs = super_molien(cycle_labels, dq, du)
+    labels = (WreathElement(sigma, gs) for sigma, gs in _wreath_labels((cyc,), G, m))
+    lhs = super_molien(GroupAction.of_labels(AlgebraSignature(G.r0, G.r1, m), labels, False), dq, du)
     hg = super_molien(GroupAction.from_matrix_group(G), dq, du)
     if m % 2 == 0:
         hg = series_flip_u(hg)

@@ -10,7 +10,9 @@ import sys
 import pytest
 
 from supermolien import cli as cli_module
+from supermolien import verify as verify_module
 from supermolien.cli import run
+from supermolien.errors import CapExceeded
 from supermolien.series import TrigradedSeries
 from supermolien.shuffle import shuffle_product
 from supermolien.superalgebra import AlgebraSignature, SuperPolynomial
@@ -212,6 +214,18 @@ def test_kernel_bug_propagates_instead_of_exit_two(monkeypatch, exc_type):
     monkeypatch.setattr(cli_module, "super_molien", broken_kernel)
     with pytest.raises(exc_type):
         invoke("molien", "--group", fx("trivial_1_1.json"), "--dq", "2")
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, CapExceeded])
+def test_verify_error_propagates_instead_of_exit_two(monkeypatch, exc_type):
+    # verify's only inputs are argparse-checked options, so even the error
+    # types that mean bad input elsewhere are bugs here
+    def broken_check(*args, **kwargs):
+        raise exc_type("kernel bug")
+
+    monkeypatch.setattr(verify_module, "check_wreath_routes", broken_check)
+    with pytest.raises(exc_type, match="kernel bug"):
+        invoke("verify", "--suite", "wreath")
 
 
 def test_unknown_flag_rejected():

@@ -543,10 +543,10 @@ def test_direct_substitution_equals_columns_compile(gname):
 
 
 def test_zero_row_label_compiles_to_empty_maps():
-    # a label on no rows has no blocks: no variable to map, and a shape
-    # that only the zero-row signatures admit
+    # a label on no rows has no blocks: no variable to map, and the shape
+    # (0, 0, 0), which every zero-row signature admits
     w = WreathElement(Permutation.identity(0), ())
-    assert w.substitution == Substitution((0, ()), {}, {}, True)
+    assert w.substitution == Substitution((0, 0, 0), {}, {}, True)
     one = SuperPolynomial.one(AlgebraSignature(1, 1, 0))
     assert apply_wreath(w, one) == one
 
@@ -563,20 +563,19 @@ def test_monomial_flag():
 
 
 def test_direct_substitution_of_mismatched_blocks_matches_no_signature():
-    # blocks of different shapes, or non-square ones, compile to a shape
-    # no signature has, and the substitution then refuses the label
+    # blocks of different shapes, or non-square ones, match no signature:
+    # the label does not compile, so it is refused before any row check
     ident = GradedGroupElement.identity(1, 1)
     mixed = WreathElement(Permutation.identity(2), (ident, GradedGroupElement.identity(2, 1)))
     wide = WreathElement(
         Permutation.identity(1), (GradedGroupElement(QMatrix.from_rows([[1, 0]]), QMatrix.identity(1)),)
     )
     for w in (mixed, wide):
-        sub = w.substitution
-        assert sub.shape[0] == w.sigma.n and len(sub.shape) == 2
-        assert (sub.even, sub.odd, sub.one_term) == (None, None, False)
+        with pytest.raises(DimensionMismatch):
+            w.substitution
     with pytest.raises(DimensionMismatch):
         apply_wreath(mixed, SuperPolynomial.x_var(AlgebraSignature(1, 1, 2), 1, 1))
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(DimensionMismatch):
         apply_wreath(mixed, SuperPolynomial.x_var(AlgebraSignature(1, 1, 1), 1, 1))
     with pytest.raises(DimensionMismatch):
         apply_wreath(wide, SuperPolynomial.x_var(AlgebraSignature(1, 1, 1), 1, 1))

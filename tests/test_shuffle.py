@@ -328,6 +328,56 @@ def test_verify_closure_rejects_noninvariant_input():
         verify_closure(th1, th1, G, "invariant")
 
 
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_invariance_checks_refuse_a_foreign_signature(flavor):
+    # G acts on (0, 1) variables and f lives on (1, 1): one signature
+    # compare refuses f, before any label is applied
+    G = MatrixGroup.trivial(0, 1)
+    sig2 = AlgebraSignature(1, 1, 2)
+    f = SuperPolynomial.theta_var(sig2, 1, 1) + SuperPolynomial.theta_var(sig2, 2, 1)
+    with pytest.raises(SignatureMismatch):
+        is_wreath_invariant(f, G, flavor)
+    with pytest.raises(SignatureMismatch):
+        verify_closure(f, f, G, flavor)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_generator_pairs_are_pairs_of_the_wreath_action(flavor):
+    # each generator of S_3[+-1] is a label of from_wreath with the same
+    # weight: both sets are weighted by GroupAction.of_labels
+    signed = require_flavor(flavor)
+    G = named_group("sign-scalar")
+    generators = shuffle_module._wreath_generator_labels(3, G, signed)
+    action = GroupAction.from_wreath(PermGroup.symmetric(3), G, 3, flavor)
+    assert generators.signature == action.signature
+    assert generators.order == 2 + 3 * len(G.generators)
+    assert set(generators.pairs) <= set(action.pairs)
+    assert {weight for weight, _ in generators.pairs} == ({1, -1} if signed else {1})
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_cached_coset_action_makes_no_shape_check(monkeypatch, signed):
+    # the six coset labels of (2, 2) row blocks are checked when their
+    # action is made, and again when the signed action is made on them; a
+    # product over the cached action checks none
+    checks = []
+    require_shape = superalgebra._require_shape
+
+    def counted(sub, sig):
+        checks.append(sig)
+        return require_shape(sub, sig)
+
+    monkeypatch.setattr(superalgebra, "_require_shape", counted)
+    monkeypatch.setattr(molien, "_require_shape", counted)
+    shuffle_module._coset_labels.cache_clear()
+    A, B = _display_22_inputs()
+    first = shuffle_product(A, B, signed)
+    assert checks == [SIG4] * (12 if signed else 6)
+    checks.clear()
+    assert shuffle_product(A, B, signed) == first
+    assert checks == []
+
+
 # (checked, failed) of closure_battery(G, flavor, max_rows=4, max_i=4) for
 # each shuffle group.  checked is a sum of products of invariant-space
 # dimensions, so a sweep that drops or repeats pairs changes it.
@@ -557,7 +607,7 @@ def test_fixed_by_equals_polynomial_equality(gname):
     outcomes = set()
     for n in (1, 2):
         for flavor in FLAVORS:
-            pairs = shuffle_module._wreath_generator_labels(n, G, require_flavor(flavor))
+            generators = shuffle_module._wreath_generator_labels(n, G, require_flavor(flavor))
             action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor)
             sig = action.signature
             for i in range(3):
@@ -566,7 +616,7 @@ def test_fixed_by_equals_polynomial_equality(gname):
                     for f in invariant_basis(action, i, j).elements:
                         nudge = SuperPolynomial.monomial(sig, rng.choice(basis), rng.choice([1, Fraction(-1, 2)]))
                         for g in (f, f + nudge, nudge):
-                            expected = all(apply_wreath(w, g).scale(weight) == g for weight, w in pairs)
-                            assert shuffle_module._fixed_by(g, pairs) == expected
+                            expected = all(apply_wreath(w, g).scale(weight) == g for weight, w in generators.pairs)
+                            assert shuffle_module._fixed_by(g, generators) == expected
                             outcomes.add(expected)
     assert outcomes == {True, False}
