@@ -22,12 +22,12 @@ class SignatureMismatch(SuperMolienError):
     """Operands live over different algebra signatures."""
 
 
-class DegreeMismatch(SuperMolienError):
-    """Permutation degree does not match the number of tensor rows."""
-
-
 class DimensionMismatch(SuperMolienError):
     """Matrix block sizes do not match the signature."""
+
+
+class DegreeMismatch(DimensionMismatch):
+    """Permutation degree does not match the number of tensor rows."""
 
 
 class CapExceeded(SuperMolienError):

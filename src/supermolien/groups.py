@@ -33,7 +33,13 @@ from functools import cache, cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import CapExceeded, DimensionMismatch, NotAPermutationGroup, NotInvertible
+from .errors import (
+    CapExceeded,
+    DegreeMismatch,
+    DimensionMismatch,
+    NotAPermutationGroup,
+    NotInvertible,
+)
 from .linalg import QMatrix, _columns, _compose, _rank_rows
 
 CLOSURE_CAP = 20000
@@ -444,7 +450,7 @@ class WreathElement:
 
     def __post_init__(self):
         if self.sigma.n != len(self.gs):
-            raise DimensionMismatch(
+            raise DegreeMismatch(
                 f"permutation degree {self.sigma.n} != {len(self.gs)} row factors"
             )
 
@@ -511,7 +517,7 @@ def require_degree(P: PermGroup | Permutation, n: int) -> None:
     """The one degree check of P[G] on n rows, for every route: P (or one
     row permutation) must act on exactly n rows."""
     if P.n != n:
-        raise DimensionMismatch(f"P acts on {P.n} rows, expected {n}")
+        raise DegreeMismatch(f"P acts on {P.n} rows, expected {n}")
 
 
 def _wreath_labels(sigmas: Sequence[Permutation], G: MatrixGroup | PermGroup, n: int):

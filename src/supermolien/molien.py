@@ -53,6 +53,7 @@ from .superalgebra import (
     _label_sum,
     _require_shape,
     bidegree_basis,
+    bidegree_basis_size,
 )
 
 DEFAULT_BASIS_LIMIT = 5000
@@ -211,12 +212,14 @@ def _projector_rows(
     row over the basis as (position, value) pairs of its nonzero entries.
     One row per orbit, so there are no more rows than columns; the rows
     span the image of the Reynolds operator.  A basis over
-    DEFAULT_BASIS_LIMIT monomials is refused before any sum is taken."""
-    basis = bidegree_basis(action.signature, i, j)
-    if len(basis) > DEFAULT_BASIS_LIMIT:
+    DEFAULT_BASIS_LIMIT monomials is refused, from its counted size,
+    before any monomial is built."""
+    size = bidegree_basis_size(action.signature, i, j)
+    if size > DEFAULT_BASIS_LIMIT:
         raise BasisTooLarge(
-            f"bidegree ({i}, {j}) basis has {len(basis)} monomials, limit {DEFAULT_BASIS_LIMIT}"
+            f"bidegree ({i}, {j}) basis has {size} monomials, limit {DEFAULT_BASIS_LIMIT}"
         )
+    basis = bidegree_basis(action.signature, i, j)
     index = {m: k for k, m in enumerate(basis)}
     sums = [acc for _, acc in _orbit_sums(action, basis)]
     return basis, sums, [[(index[m], c) for m, c in acc.items()] for acc in sums]

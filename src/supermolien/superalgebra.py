@@ -26,6 +26,7 @@ battery's invariance test its term map compared with f's.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -404,6 +405,18 @@ def apply_wreath(w: WreathElement, f: SuperPolynomial) -> SuperPolynomial:
     return SuperPolynomial._canonical(f.sig, _label_sum(((1, w),), f.terms))
 
 
+def bidegree_basis_size(sig: AlgebraSignature, i: int, j: int) -> int:
+    """len(bidegree_basis(sig, i, j)), counted without building the basis:
+    the multisets of i of the n*r0 even variables times the j-subsets of
+    the n*r1 odd ones.  Negative bidegrees raise ValueError."""
+    if i < 0 or j < 0:
+        raise ValueError("bidegrees must be nonnegative")
+    even = sig.n * sig.r0
+    # math.comb(-1, 0) raises, and no even variables leave only the empty x-part
+    xparts = math.comb(even + i - 1, i) if even else int(i == 0)
+    return xparts * math.comb(sig.num_odd, j)
+
+
 def bidegree_basis(sig: AlgebraSignature, i: int, j: int) -> list[SuperMonomial]:
     """Monomial basis of the (i, j) bidegree component, deterministically
     ordered: x-exponent vectors in descending lex (major), theta subsets in
@@ -411,13 +424,12 @@ def bidegree_basis(sig: AlgebraSignature, i: int, j: int) -> list[SuperMonomial]
 
     The x-parts are the multisets of i even variables, in the order of
     itertools.combinations_with_replacement, which is descending lex on
-    exponent vectors; equal factors are grouped into one exponent."""
-    if i < 0 or j < 0:
-        raise ValueError("bidegrees must be nonnegative")
+    exponent vectors; equal factors are grouped into one exponent.  Its
+    length is bidegree_basis_size, which refuses negative bidegrees."""
+    if not bidegree_basis_size(sig, i, j):
+        return []
     evars = sig.even_vars()
     ovars = sig.odd_vars()
-    if j > len(ovars):
-        return []
     # evars and ovars are sorted, so both parts come out canonical
     thetas = list(itertools.combinations(ovars, j))
     out = []

@@ -1,9 +1,15 @@
 """Named verification suites covering every identity the package computes.
 
-Each suite returns a deterministic JSON-ready report: one entry per check
-with a stable slug name, a boolean, and whatever counts make a failure
-diagnosable.  Randomized checks draw from a generator seeded from the
-reported seed, so any failure is replayable.
+Each suite is a generator function of the seed that yields one
+(name, fields) pair per check: a stable slug name, then the check's
+fields, led by its boolean "pass" and followed by whatever counts make a
+failure diagnosable.  One table maps each suite name to its generator,
+in report order; SUITES is derived from it, and run_suite is the one
+place that turns a pair into a report entry.  A counted check, one that
+runs many cases, reports how many it checked and how many failed, and
+passes only when none failed and at least one was checked.  Randomized
+checks draw from a generator seeded from the reported seed, so any
+failure is replayable.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .fixtures import PERM_GROUP_FIXTURES, matrix_group_fixture, perm_group_fixture
 from .groups import MatrixGroup, PermGroup, perm_group_of_wreath, sign_character
@@ -40,8 +47,6 @@ from .wreath_series import (
     young_exterior_product,
 )
 
-SUITES = ("molien", "wreath", "collate", "shuffle", "identities", "all")
-
 MOLIEN_FIXTURES = (
     "trivial-1-0",
     "trivial-0-1",
@@ -67,38 +72,42 @@ COLLATE_GROUPS = ("trivial-1-1", "sign-scalar", "young-2-1-theta")
 
 SHUFFLE_GROUPS = ("trivial-1-1", "trivial-1-0", "trivial-0-1", "sign-scalar")
 
+Checks = Iterator[tuple[str, dict]]
 
-def _molien_checks() -> list[dict]:
-    checks = []
+
+def _tally(results: Iterable[bool]) -> tuple[int, int]:
+    """(checked, failed) over the outcomes of a counted check's cases."""
+    outcomes = list(results)
+    return len(outcomes), sum(not ok for ok in outcomes)
+
+
+def _counted(checked: int, failed: int) -> dict:
+    """The fields of a counted check: it passes when no case failed and at
+    least one case was checked."""
+    return {"pass": failed == 0 and checked > 0, "checked": checked, "failed": failed}
+
+
+def _molien_checks(seed: int) -> Checks:
     for name in MOLIEN_FIXTURES:
         action = GroupAction.from_matrix_group(matrix_group_fixture(name))
         rep = molien_vs_oracle(action, 6)
-        checks.append(
-            {
-                "name": f"molien-oracle-{name}",
-                "pass": not rep["mismatches"],
-                "agreements": rep["agreements"],
-                "mismatches": len(rep["mismatches"]),
-            }
-        )
-    return checks
+        yield f"molien-oracle-{name}", {
+            "pass": not rep["mismatches"],
+            "agreements": rep["agreements"],
+            "mismatches": len(rep["mismatches"]),
+        }
 
 
-def _wreath_checks() -> list[dict]:
-    checks = []
+def _wreath_checks(seed: int) -> Checks:
     for pname, gname, n in WREATH_ROUTE_CASES:
         P = perm_group_fixture(pname)
         G = matrix_group_fixture(gname)
         for flavor in FLAVORS:
             rep = check_wreath_routes(P, G, n, flavor, 8)
-            checks.append(
-                {
-                    "name": f"wreath-routes-{pname}-{gname}-n{n}-{flavor}",
-                    "pass": rep["match"],
-                    "caps": rep["caps"],
-                }
-            )
-    return checks
+            yield f"wreath-routes-{pname}-{gname}-n{n}-{flavor}", {
+                "pass": rep["match"],
+                "caps": rep["caps"],
+            }
 
 
 def _young_21_closed_form(n_max: int, du: int) -> TrigradedSeries:
@@ -113,35 +122,23 @@ def _young_21_closed_form(n_max: int, du: int) -> TrigradedSeries:
     )
 
 
-def _collate_checks() -> list[dict]:
-    checks = []
+def _collate_checks(seed: int) -> Checks:
     for gname in COLLATE_GROUPS:
         G = matrix_group_fixture(gname)
         for flavor in FLAVORS:
             spec = CollationSpec(group=G, n_max=3, dq=6, du=max(1, 3 * G.r1), flavor=flavor)
             rep = check_collation(spec)
-            checks.append(
-                {
-                    "name": f"collate-{gname}-{flavor}",
-                    "pass": rep["match"],
-                    "caps": rep["caps"],
-                }
-            )
+            yield f"collate-{gname}-{flavor}", {"pass": rep["match"], "caps": rep["caps"]}
     got21 = collated_product_series(
         CollationSpec(matrix_group_fixture("young-2-1-theta"), 3, 0, 9)
     )
     got12 = collated_product_series(
         CollationSpec(matrix_group_fixture("young-1-2-theta"), 3, 0, 9)
     )
-    checks.append(
-        {"name": "young-collation-21-closed-form", "pass": got21 == _young_21_closed_form(3, 9)}
-    )
-    checks.append({"name": "young-collation-length-only", "pass": got21 == got12})
+    yield "young-collation-21-closed-form", {"pass": got21 == _young_21_closed_form(3, 9)}
+    yield "young-collation-length-only", {"pass": got21 == got12}
     got3 = collated_product_series(CollationSpec(matrix_group_fixture("young-3-theta"), 3, 0, 9))
-    checks.append(
-        {"name": "young-collation-single-block", "pass": got3 == young_exterior_product(1, 3, 9)}
-    )
-    return checks
+    yield "young-collation-single-block", {"pass": got3 == young_exterior_product(1, 3, 9)}
 
 
 def _mono(sig: AlgebraSignature, xd, th=(), c=1) -> SuperPolynomial:
@@ -230,87 +227,54 @@ def _supercommutation_table(r0: int, r1: int) -> tuple[int, int]:
         samples.append(
             super_mul(SuperPolynomial.theta_var(sig, 1, 1), SuperPolynomial.theta_var(sig, 1, 2))
         )
-    checked = 0
-    failed = 0
-    for A in samples:
-        for B in samples:
-            for signed in (False, True):
-                checked += 1
-                if not verify_supercommutation(A, B, signed):
-                    failed += 1
-    return checked, failed
+    return _tally(
+        verify_supercommutation(A, B, signed)
+        for A in samples
+        for B in samples
+        for signed in (False, True)
+    )
 
 
 def _seeded_associativity(seed: int, cases: int) -> tuple[int, int]:
     rng = random.Random(seed)
     shapes = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]
-    checked = 0
-    failed = 0
+    triples = []
     for _ in range(cases):
         a, b, c = rng.choice(shapes)
         A = random_super_polynomial(rng, AlgebraSignature(1, 1, a))
         B = random_super_polynomial(rng, AlgebraSignature(1, 1, b))
         C = random_super_polynomial(rng, AlgebraSignature(1, 1, c))
-        for signed in (False, True):
-            checked += 1
-            if not verify_associativity(A, B, C, signed):
-                failed += 1
-    return checked, failed
+        triples.append((A, B, C))
+    return _tally(
+        verify_associativity(A, B, C, signed) for A, B, C in triples for signed in (False, True)
+    )
 
 
-def _shuffle_checks(seed: int) -> list[dict]:
-    checks = []
+def _shuffle_checks(seed: int) -> Checks:
     for gname in SHUFFLE_GROUPS:
         G = matrix_group_fixture(gname)
         for flavor in FLAVORS:
-            checked, failed = closure_battery(G, flavor, max_rows=4, max_i=4)
-            checks.append(
-                {
-                    "name": f"shuffle-closure-{gname}-{flavor}",
-                    "pass": failed == 0 and checked > 0,
-                    "checked": checked,
-                    "failed": failed,
-                }
+            yield f"shuffle-closure-{gname}-{flavor}", _counted(
+                *closure_battery(G, flavor, max_rows=4, max_i=4)
             )
     for gname in SHUFFLE_GROUPS:
         G = matrix_group_fixture(gname)
         for flavor in FLAVORS:
             ranks = generation_sweep(G, flavor, 3, 4)
-            checks.append(
-                {
-                    "name": f"shuffle-generation-{gname}-{flavor}",
-                    "pass": all(spanned == full for *_, spanned, full in ranks),
-                    "bidegrees": len(ranks),
-                }
-            )
-    checked, failed = _seeded_associativity(seed, 30)
-    checks.append(
-        {
-            "name": "shuffle-associativity-seeded",
-            "pass": failed == 0,
-            "checked": checked,
-            "failed": failed,
-        }
-    )
-    for r0, r1 in ((1, 1), (2, 2)):
-        checked, failed = _supercommutation_table(r0, r1)
-        checks.append(
-            {
-                "name": f"shuffle-supercommutation-{r0}-{r1}",
-                "pass": failed == 0,
-                "checked": checked,
-                "failed": failed,
+            yield f"shuffle-generation-{gname}-{flavor}", {
+                "pass": all(spanned == full for *_, spanned, full in ranks),
+                "bidegrees": len(ranks),
             }
-        )
-    checks.append({"name": "shuffle-display-signed-2-2", "pass": check_display_signed_22()})
-    checks.append({"name": "shuffle-display-unsigned-1-2", "pass": check_display_unsigned_12()})
-    return checks
+    yield "shuffle-associativity-seeded", _counted(*_seeded_associativity(seed, 30))
+    for r0, r1 in ((1, 1), (2, 2)):
+        yield f"shuffle-supercommutation-{r0}-{r1}", _counted(*_supercommutation_table(r0, r1))
+    yield "shuffle-display-signed-2-2", {"pass": check_display_signed_22()}
+    yield "shuffle-display-unsigned-1-2", {"pass": check_display_unsigned_12()}
 
 
 def _seeded_block_lemma(seed: int, cases: int) -> tuple[int, int]:
     rng = random.Random(seed)
-    checked = 0
-    failed = 0
+    draws = []
     for _ in range(cases):
         r = rng.randint(1, 3)
         m = rng.randint(1, 4)
@@ -323,20 +287,15 @@ def _seeded_block_lemma(seed: int, cases: int) -> tuple[int, int]:
             )
             for _ in range(m)
         ]
-        checked += 1
-        if not verify_block_determinant_lemma(blocks):
-            failed += 1
-    return checked, failed
+        draws.append(blocks)
+    return _tally(map(verify_block_determinant_lemma, draws))
 
 
-def _identity_checks(seed: int) -> list[dict]:
-    checks = []
+def _identity_checks(seed: int) -> Checks:
     # superspace: direct, product, and q-binomial routes
     for flavor in FLAVORS:
         rep = check_superspace(3, 8, flavor)
-        checks.append(
-            {"name": f"superspace-three-routes-{flavor}", "pass": rep["match"], "caps": rep["caps"]}
-        )
+        yield f"superspace-three-routes-{flavor}", {"pass": rep["match"], "caps": rep["caps"]}
         ok = True
         for n in (1, 2, 3):
             direct = wreath_hilbert_direct(
@@ -344,7 +303,7 @@ def _identity_checks(seed: int) -> list[dict]:
             )
             if direct != superspace_single_n_product(n, 8, flavor):
                 ok = False
-        checks.append({"name": f"superspace-per-n-closed-form-{flavor}", "pass": ok})
+        yield f"superspace-per-n-closed-form-{flavor}", {"pass": ok}
     # diagonally symmetric multiplicities: multichoose(r0,i) * binom(r1,j)
     for r0, r1 in ((1, 1), (2, 1), (2, 2)):
         hg = super_molien(GroupAction.from_matrix_group(MatrixGroup.trivial(r0, r1)), 6)
@@ -354,30 +313,18 @@ def _identity_checks(seed: int) -> list[dict]:
                 expected = math.comb(r0 + i - 1, i) * math.comb(r1, j)
                 if hg.coefficient((0, i, j)) != expected:
                     ok = False
-        checks.append({"name": f"diagonal-multiplicities-{r0}-{r1}", "pass": ok})
+        yield f"diagonal-multiplicities-{r0}-{r1}", {"pass": ok}
     # cyclic block determinant identity, seeded
-    checked, failed = _seeded_block_lemma(seed, 50)
-    checks.append(
-        {
-            "name": "block-determinant-seeded",
-            "pass": failed == 0,
-            "checked": checked,
-            "failed": failed,
-        }
-    )
+    yield "block-determinant-seeded", _counted(*_seeded_block_lemma(seed, 50))
     for gname, m in (("sign-scalar", 2), ("sign-scalar", 3), ("s2-theta", 2)):
-        checks.append(
-            {
-                "name": f"m-cycle-{gname}-m{m}",
-                "pass": verify_m_cycle_identity(matrix_group_fixture(gname), m, 6),
-            }
-        )
+        ok = verify_m_cycle_identity(matrix_group_fixture(gname), m, 6)
+        yield f"m-cycle-{gname}-m{m}", {"pass": ok}
     # omega swaps the plain and signed cycle indices
     ok = all(
         omega(cycle_index(P)) == cycle_index(P, sign_character(P))
         for P in map(perm_group_fixture, PERM_GROUP_FIXTURES)
     )
-    checks.append({"name": "omega-duality-fixtures", "pass": ok})
+    yield "omega-duality-fixtures", {"pass": ok}
     # alternating elementary-vs-complete cancellation
     ok = True
     for n in range(1, 6):
@@ -387,7 +334,7 @@ def _identity_checks(seed: int) -> list[dict]:
             total = term if total is None else total + term
         if total != SymFuncPoly.zero():
             ok = False
-    checks.append({"name": "eh-alternating-cancellation", "pass": ok})
+    yield "eh-alternating-cancellation", {"pass": ok}
     # cycle index of a wreath product is the plethysm of cycle indices
     for pname, gname, order in (("s2", "s2", 8), ("s2", "s3", 72), ("s3", "s2", 48)):
         P = perm_group_fixture(pname)
@@ -396,25 +343,27 @@ def _identity_checks(seed: int) -> list[dict]:
         ok = W.order == order and cycle_index(W) == plethystic_compose(
             cycle_index(P), cycle_index(Gp)
         )
-        checks.append({"name": f"polya-compose-{pname}-{gname}", "pass": ok, "order": W.order})
-    return checks
+        yield f"polya-compose-{pname}-{gname}", {"pass": ok, "order": W.order}
+
+
+# Every suite in report order; "all" runs them in this order.
+_SUITE_CHECKS = {
+    "molien": _molien_checks,
+    "wreath": _wreath_checks,
+    "collate": _collate_checks,
+    "shuffle": _shuffle_checks,
+    "identities": _identity_checks,
+}
+
+SUITES = (*_SUITE_CHECKS, "all")
 
 
 def run_suite(suite: str, seed: int = 42) -> dict:
     """Run one named suite (or all of them) and return the report dict."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    checks: list[dict] = []
-    if suite in ("molien", "all"):
-        checks += _molien_checks()
-    if suite in ("wreath", "all"):
-        checks += _wreath_checks()
-    if suite in ("collate", "all"):
-        checks += _collate_checks()
-    if suite in ("shuffle", "all"):
-        checks += _shuffle_checks(seed)
-    if suite in ("identities", "all"):
-        checks += _identity_checks(seed)
+    names = _SUITE_CHECKS if suite == "all" else (suite,)
+    checks = [{"name": name, **fields} for s in names for name, fields in _SUITE_CHECKS[s](seed)]
     passed = sum(1 for c in checks if c["pass"])
     return {
         "suite": suite,

@@ -150,6 +150,19 @@ def test_bruteforce_respects_basis_limit(monkeypatch):
         invariant_dimension_bruteforce(act, 6, 0)
 
 
+def test_oversized_basis_is_refused_before_it_is_built(monkeypatch):
+    # (5, 0) on 30 even variables has 278,256 monomials; none is enumerated
+    def never(*args):
+        raise AssertionError("bidegree_basis called for an oversized bidegree")
+
+    monkeypatch.setattr(molien, "bidegree_basis", never)
+    act = GroupAction.from_matrix_group(trivial_group(30, 0))
+    for i, size in ((5, 278256), (8, 38608020)):
+        message = rf"^bidegree \({i}, 0\) basis has {size} monomials, limit {molien.DEFAULT_BASIS_LIMIT}$"
+        with pytest.raises(BasisTooLarge, match=message):
+            invariant_dimension_bruteforce(act, i, 0)
+
+
 def test_reynolds_is_idempotent_and_invariant():
     act = GroupAction.from_matrix_group(perm_matrix_group(2, "odd"))
     sig = act.signature

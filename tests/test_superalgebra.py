@@ -30,6 +30,7 @@ from supermolien.superalgebra import (
     _substitute,
     apply_wreath,
     bidegree_basis,
+    bidegree_basis_size,
     coefficient_vector,
     normalize_theta,
     super_mul,
@@ -323,6 +324,17 @@ def test_bidegree_basis_counts():
                 assert len(basis) == expected
                 assert len(set(basis)) == len(basis)
                 assert all(m.degrees() == (i, j) for m in basis)
+
+
+def test_bidegree_basis_size_counts_the_basis():
+    # zero-variable parts included: n = 0, r0 = 0 or r1 = 0
+    for n, r0, r1 in itertools.product(range(3), range(4), range(4)):
+        sig = AlgebraSignature(r0, r1, n)
+        for i, j in itertools.product(range(5), range(8)):
+            assert bidegree_basis_size(sig, i, j) == len(bidegree_basis(sig, i, j))
+    for i, j in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="^bidegrees must be nonnegative$"):
+            bidegree_basis_size(AlgebraSignature(1, 1, 1), i, j)
 
 
 def compositions_desc_lex(total, nvars):

@@ -53,6 +53,28 @@ def test_report_is_byte_identical(verify_all):
     assert digest == "f799ab62dc3d134be91673df15f6edfb5325ce2f2fef27b3c51c9e6d5a792011"
 
 
+def test_report_table_is_byte_identical():
+    # the table prints each entry's fields in the order the suite wrote them,
+    # which the sorted-key JSON report does not keep, so it is pinned apart
+    out = io.StringIO()
+    assert cli.run(["verify", "--suite", "all", "--seed", "42", "--format", "table"], out=out) == 0
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "4187733f927e95622cce5f889d1617cf523cf7dce15aa67bea73e2abc60232d3"
+
+
+def test_each_suite_is_its_slice_of_all(verify_all):
+    # in SUITES order, molien, wreath and collate lead the shared report,
+    # identities ends it, and shuffle's checks are all that lie between
+    block = {suite: run_suite(suite, 42)["checks"] for suite in FAST_SUITES}
+    head = block["molien"] + block["wreath"] + block["collate"]
+    tail = block["identities"]
+    checks = verify_all.checks
+    assert checks[: len(head)] == head
+    assert checks[len(checks) - len(tail) :] == tail
+    middle = checks[len(head) : len(checks) - len(tail)]
+    assert middle and all(c["name"].startswith("shuffle-") for c in middle)
+
+
 def test_check_names_unique_across_suites(verify_all):
     names = [c["name"] for c in verify_all.checks]
     assert len(names) == len(set(names))

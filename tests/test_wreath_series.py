@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from supermolien import wreath_series
-from supermolien.errors import CapExceeded, DimensionMismatch
+from supermolien.errors import CapExceeded, DegreeMismatch, DimensionMismatch
 from supermolien.fixtures import matrix_group_fixture, perm_group_fixture, sign_scalar_group
-from supermolien.groups import MatrixGroup, PermGroup, Permutation, WreathElement
+from supermolien.groups import GradedGroupElement, MatrixGroup, PermGroup, Permutation, WreathElement
 from supermolien.linalg import QMatrix, _det_rows, _nonzeros
 from supermolien.molien import FLAVORS, GroupAction, super_molien
 from supermolien.series import (
@@ -295,6 +295,18 @@ def test_both_routes_share_the_degree_check(n):
     for route in (wreath_hilbert_direct, wreath_hilbert_plethysm):
         with pytest.raises(DimensionMismatch, match=f"^P acts on 2 rows, expected {n}$"):
             route(PermGroup.symmetric(2), G, n, "invariant", 4)
+
+
+def test_degree_checks_raise_degree_mismatch():
+    # a permutation degree that differs from the row count is the documented
+    # DegreeMismatch, on both routes and in a label itself
+    G = matrix_group_fixture("sign-scalar")
+    for route in (wreath_hilbert_direct, wreath_hilbert_plethysm):
+        with pytest.raises(DegreeMismatch, match=r"^P acts on 2 rows, expected 3$"):
+            route(PermGroup.symmetric(2), G, 3, "invariant", 4)
+    blocks = (GradedGroupElement.identity(1, 0),) * 3
+    with pytest.raises(DegreeMismatch, match=r"^permutation degree 2 != 3 row factors$"):
+        WreathElement(Permutation.identity(2), blocks)
 
 
 def test_flavor_validation():
