@@ -462,17 +462,22 @@ class WreathElement:
         move with g_i (GradedGroupElement.moves).  One-term exactly when
         every block is monomial; not a dataclass field.  DimensionMismatch,
         caching nothing, when the row blocks are not square and alike."""
-        blocks = tuple([g.shape for g in self.gs])
-        shape = blocks[0] if blocks else (0, 0, 0, 0)
-        if blocks.count(shape) != len(blocks) or shape[0::2] != shape[1::2]:
-            raise DimensionMismatch(f"label row blocks {blocks} are not square and alike")
+        gs = self.gs
+        shape = gs[0].shape if gs else (0, 0, 0, 0)
+        square = shape[0] == shape[1] and shape[2] == shape[3]
+        one_term = True
+        for g in gs:
+            if not square or g.shape != shape:
+                blocks = tuple([h.shape for h in gs])
+                raise DimensionMismatch(f"label row blocks {blocks} are not square and alike")
+            one_term = one_term and g.monomial
         even, odd = {}, {}
         for b, i in enumerate(self.sigma.images, 1):
             # the variables of row i = sigma(b) land in row b
-            pairs = self.gs[i - 1].moves[i, b]
-            even.update(pairs[0])
-            odd.update(pairs[1])
-        return Substitution((len(blocks), shape[0], shape[2]), even, odd, all([g.monomial for g in self.gs]))
+            moved_even, moved_odd = gs[i - 1].moves[i, b]
+            even.update(moved_even)
+            odd.update(moved_odd)
+        return Substitution((len(gs), shape[0], shape[2]), even, odd, one_term)
 
 
 class Substitution(NamedTuple):

@@ -18,7 +18,8 @@ lists, keys numbered in mapping order, whose matrix-vector steps update
 nonzero entries only and stop as soon as the bordering column or row is
 empty.
 Greedy independent-subset selection, which only chooses invariant bases,
-uses an incremental exact echelon accumulator on sparse Fraction rows.
+uses an incremental fraction-free echelon accumulator on sparse primitive
+integer rows (EchelonSelector).
 Higher layers do no elimination.
 """
 
@@ -331,11 +332,20 @@ class EchelonSelector:
     offer() takes a vector of the given width as the (index, value) pairs of
     its nonzero coordinates and returns True iff it is independent of
     everything accepted so far, in which case it joins the echelon.
+
+    The elimination is fraction-free, after Bareiss (Math. Comp. 22, 1968,
+    565-578): each offered row has its denominators cleared and is reduced
+    against the integer pivot rows by cross-multiplication, row <- p*row -
+    a*pivot, p the pivot's lead entry and a the row's entry there, both
+    divided by their gcd first.  Every row, pivot rows included, is kept
+    primitive, divided by the gcd of its entries, so entries stay as small
+    as the row's line allows.  A row with an index outside the width is
+    refused before any state changes.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self._pivot_rows: dict[int, dict[int, Fraction]] = {}
+        self._pivot_rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
@@ -343,23 +353,36 @@ class EchelonSelector:
 
     def offer(self, row: Iterable[tuple[int, int | Fraction]]) -> bool:
         v = {}
+        integral = True
         for j, x in row:
             if not 0 <= j < self.width:
                 raise ValueError(f"index {j} outside width {self.width}")
             if x:
-                v[j] = Fraction(x)
+                v[j] = x
+                integral = integral and type(x) is int
+        if not integral:
+            den = math.lcm(*(x.denominator for x in v.values()))
+            v = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
+        pivots = self._pivot_rows
         while v:
             lead = min(v)
-            pivot = self._pivot_rows.get(lead)
+            pivot = pivots.get(lead)
+            g = math.gcd(*v.values())
+            if g != 1:
+                v = {j: x // g for j, x in v.items()}
             if pivot is None:
-                inv = 1 / v[lead]
-                self._pivot_rows[lead] = {j: a * inv for j, a in v.items()}
+                pivots[lead] = v
                 return True
-            c = v[lead]
+            p, a = pivot[lead], v[lead]
+            g = math.gcd(p, a)
+            if g != 1:
+                p, a = p // g, a // g
+            if p != 1:
+                v = {j: x * p for j, x in v.items()}
             for j, b in pivot.items():
-                a = v.get(j, 0) - c * b
-                if a:
-                    v[j] = a
+                x = v.get(j, 0) - a * b
+                if x:
+                    v[j] = x
                 else:
                     v.pop(j, None)
         return False

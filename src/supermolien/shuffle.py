@@ -17,12 +17,13 @@ the same labels; f's signature is compared with theirs once, and no
 polynomial is built per generator.  An invariant basis is a greedy
 independent subset of the Reynolds orbit sums of molien, kept undivided
 (|W| R(m), ints for an integral group), so the products of the battery run
-on ints.  The resulting product closes on the (anti)invariant spaces, is
-associative, supercommutes on degree-one elements with signs governed by
-theta-degree parity, and generates everything in sight from degree one:
-generation compares, per cell, the Bareiss rank of the degree-one
-products' coefficient rows with that of the cell's orbit sums, the one
-rank kernel of linalg, whose Fraction echelon only chooses invariant bases.
+on ints; the subset is chosen by linalg's fraction-free echelon and its
+size checked against the Bareiss rank.  The resulting product closes on
+the (anti)invariant spaces, is associative, supercommutes on degree-one
+elements with signs governed by theta-degree parity, and generates
+everything in sight from degree one: generation compares, per cell, the
+Bareiss rank of the degree-one products' coefficient rows with that of the
+cell's orbit sums, the one rank kernel of linalg.
 Each of those claims has a verifier here; none of them consults the Hilbert
 series machinery.
 """
@@ -171,9 +172,9 @@ def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
 
     Sums the monomials of the bidegree over the labels, one undivided
     orbit sum |W| R(m) per orbit (ints for an integral group), and keeps a
-    greedy maximal independent subset of those sums by Fraction echelon;
-    the count is cross-checked against the integer Bareiss rank of the
-    same rows, an elimination of its own.
+    greedy maximal independent subset of those sums by the fraction-free
+    echelon of EchelonSelector; the count is cross-checked against the
+    integer Bareiss rank of the same rows, an elimination of its own.
     """
     basis, sums, rows = _projector_rows(action, i, j)
     sel = EchelonSelector(len(basis))
@@ -196,13 +197,17 @@ def _wreath_generator_labels(n: int, G: MatrixGroup, signed: bool) -> GroupActio
 
 def _fixed_by(f: SuperPolynomial, generators: GroupAction) -> bool:
     """True iff weight * (w.f) == f for every (weight, label) pair of the
-    generators: the pair's label-sum term map, which holds no zeros as
-    _substitute drops them, equals f's terms, so no polynomial is built.
-    SignatureMismatch when f's signature is not the generators'."""
+    generators, tested pair by pair up to the first that fails: the pair's
+    label-sum term map, which holds no zeros for one label, equals f's
+    terms, so no polynomial is built.  SignatureMismatch when f's
+    signature is not the generators'."""
     if f.sig != generators.signature:
         raise SignatureMismatch(f"{f.sig} != {generators.signature}")
     terms = f.terms
-    return all(_label_sum((pair,), terms) == terms for pair in generators.pairs)
+    for pair in generators.pairs:
+        if _label_sum((pair,), terms) != terms:
+            return False
+    return True
 
 
 def is_wreath_invariant(f: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant") -> bool:
@@ -281,20 +286,23 @@ def _generation_rank(
     spanned of the products' coefficient rows (a zero product an empty
     row) and full of the cell's orbit sums.  Pool elements of x-degree
     above i never enter a product of total degree (i, j), so any pool
-    reaching x-degree i gives the same rank."""
+    reaching x-degree i gives the same rank, and only the pool entries
+    inside (i, j) are combined, their bidegrees read once per call."""
     n = waction.signature.n
     # the one basis of the cell, refused first if oversized
     target, _, rows = _projector_rows(waction, i, j)
     index = {m: k for k, m in enumerate(target)}
+    # each entry's bidegree is read once; an entry above (i, j) is in no product
+    usable = [(d, f) for d, f in pool if d[0] <= i and d[1] <= j]
+    xdeg = [d[0] for d, _ in usable]
+    odeg = [d[1] for d, _ in usable]
     products = []
-    for combo in itertools.combinations_with_replacement(range(len(pool)), n):
-        isum = sum(pool[k][0][0] for k in combo)
-        jsum = sum(pool[k][0][1] for k in combo)
-        if (isum, jsum) != (i, j):
+    for combo in itertools.combinations_with_replacement(range(len(usable)), n):
+        if sum(map(xdeg.__getitem__, combo)) != i or sum(map(odeg.__getitem__, combo)) != j:
             continue
-        prod = pool[combo[0]][1]
+        prod = usable[combo[0]][1]
         for k in combo[1:]:
-            prod = shuffle_product(prod, pool[k][1], signed)
+            prod = shuffle_product(prod, usable[k][1], signed)
         products.append(coefficient_vector(prod, index))
     return _rank_rows(products), _rank_rows(rows)
 

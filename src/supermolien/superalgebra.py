@@ -13,14 +13,17 @@ char-poly the Molien route takes.  Within a row the block g_i substitutes
 on columns, and rows move contravariantly, x_i -> x_{sigma^{-1}(i)}, so
 apply_wreath(wreath_mul(w1, w2), f) equals apply_wreath(w1,
 apply_wreath(w2, f)).  Each label compiles its substitution once
-(WreathElement.substitution), and one private kernel, _substitute, maps a
-whole term map through it.  Its one caller is the weighted label sum,
-_label_sum, over the pairs of a molien.GroupAction, whose labels were
-checked (_require_shape) when it was made, so the sum checks none:
-apply_wreath, which checks its one label, is its one-label case, the
-Reynolds projector its character-weighted sum over a group, the shuffle
-product its signed sum over coset representatives, and the shuffle
-battery's invariance test its term map compared with f's.
+(WreathElement.substitution).  One private kernel, the weighted label sum
+_label_sum, maps a whole term map through the labels of a
+molien.GroupAction, whose labels were checked (_require_shape) when it was
+made, so the sum checks none.  It holds the one map of a term through a
+one-term label, the label of a (scaled) signed permutation group, in its
+own loop over (label, term); a label that is not one-term goes to
+_multi_term_image, which multiplies each term's factors out.  apply_wreath,
+which checks its one label, is the sum's one-label case, the Reynolds
+projector its character-weighted sum over a group, the shuffle product its
+signed sum over coset representatives, and the shuffle battery's
+invariance test its term map compared with f's.
 """
 
 from __future__ import annotations
@@ -328,39 +331,12 @@ def _require_shape(sub: Substitution, sig: AlgebraSignature) -> None:
         )
 
 
-def _substitute(sub: Substitution, terms: Mapping) -> list[tuple[SuperMonomial, int | Fraction]]:
-    """The image of a term map under a compiled label whose shape was
-    checked: (monomial, coefficient) pairs, ints where the coefficients and
-    the label's entries are.
-
-    A one-term label maps each monomial to one monomial, found by one sort
-    and the sign of the odd factors' reordering, and distinct monomials to
-    distinct ones, so the pairs are the images term by term, none zero.
-    Otherwise each term's factors are multiplied out one by one and the
-    terms summed; the pairs are the nonzero sums."""
+def _multi_term_image(sub: Substitution, terms: Mapping) -> dict:
+    """The image of a term map under a compiled label that is not one-term
+    and whose shape was checked: each term's factors are multiplied out one
+    by one and the terms summed, as a term map without zeros, ints where
+    the coefficients and the label's entries are."""
     even, odd = sub.even, sub.odd
-    if sub.one_term:
-        canonical = SuperMonomial._canonical
-        out = []
-        for (xpart, theta), scale in terms.items():
-            xs, ts = [], []
-            for r, c, e in xpart:
-                ((v, a),) = even[r, c]
-                xs.append((*v, e))
-                if a != 1:
-                    scale *= a**e
-            for p in theta:
-                ((v, a),) = odd[p]
-                ts.append(v)
-                if a != 1:
-                    scale *= a
-            if len(ts) > 1:
-                if _inversion_sign(ts) < 0:
-                    scale = -scale
-                ts.sort()
-            xs.sort()
-            out.append((canonical(tuple(xs), tuple(ts)), scale))
-        return out
     acc: dict[SuperMonomial, int | Fraction] = {}
     for (xpart, theta), coeff in terms.items():
         image = {SuperMonomial._canonical((), ()): 1}
@@ -373,26 +349,79 @@ def _substitute(sub: Substitution, terms: Mapping) -> list[tuple[SuperMonomial, 
         for m, a in image.items():
             v = coeff if a == 1 else -coeff if a == -1 else coeff * a
             acc[m] = acc[m] + v if m in acc else v
-    return [(m, a) for m, a in acc.items() if a]
+    return {m: a for m, a in acc.items() if a}
 
 
 def _label_sum(pairs: Iterable, terms: Mapping, reached: set | None = None) -> dict:
     """sum over (weight, label) pairs of weight * w.f, f given by its terms
     and each weight +-1: the summed term map, zeros kept, ints where f's
-    coefficients are ints.  The pairs, checked when their GroupAction was
-    made, are trusted to fit f; each maps f by one _substitute call.  When
+    coefficients and the labels' entries are ints.  The pairs, checked when
+    their GroupAction was made, are trusted to fit f.
+
+    This is the one map of a term through a one-term label: the label sends
+    each monomial to one monomial, and distinct monomials to distinct ones,
+    each variable to its image times a coefficient, so a term's image is
+    found by one sort of the x-part and the sign of the odd factors'
+    reordering (one compare for two, the inversion count for more).  A
+    label that is not one-term maps f through _multi_term_image.  When
     reached is given, f is one monomial, and each w mapping it to a single
     term c*m adds m to reached: for weight chi(w), R(w.f) = chi(w) R(f), so
     R(m) = chi(w)/c R(f) is a multiple of R(f)."""
     acc: dict[SuperMonomial, int | Fraction] = {}
+    items = terms.items()
+    new = tuple.__new__
     for weight, w in pairs:
-        image = _substitute(w.substitution, terms)
-        if reached is not None and len(image) == 1:
-            reached.add(image[0][0])
-        for m, c in image:
+        sub = w.substitution
+        if not sub.one_term:
+            image = _multi_term_image(sub, terms)
+            if reached is not None and len(image) == 1:
+                reached.update(image)
+            for m, c in image.items():
+                if weight < 0:
+                    c = -c
+                acc[m] = acc[m] + c if m in acc else c
+            continue
+        even, odd = sub.even, sub.odd
+        for (xpart, theta), c in items:
             if weight < 0:
                 c = -c
+            xs = []
+            for r, col, e in xpart:
+                ((v, a),) = even[r, col]
+                xs.append(v + (e,))
+                if a != 1:
+                    c *= a**e
+            ts = theta
+            if len(theta) == 1:
+                ((v, a),) = odd[theta[0]]
+                ts = (v,)
+                if a != 1:
+                    c *= a
+            elif len(theta) == 2:
+                ((v, a),), ((u, b),) = odd[theta[0]], odd[theta[1]]
+                if v > u:
+                    v, u = u, v
+                    c = -c
+                ts = (v, u)
+                if a != 1 or b != 1:
+                    c *= a * b
+            elif theta:
+                vs = []
+                for p in theta:
+                    ((v, a),) = odd[p]
+                    vs.append(v)
+                    if a != 1:
+                        c *= a
+                if _inversion_sign(vs) < 0:
+                    c = -c
+                vs.sort()
+                ts = tuple(vs)
+            xs.sort()
+            m = new(SuperMonomial, (tuple(xs), ts))
             acc[m] = acc[m] + c if m in acc else c
+        if reached is not None:
+            # f is one monomial, and m its one image
+            reached.add(m)
     return acc
 
 

@@ -2,6 +2,7 @@
 char expansion det(I - zM) against pointwise determinant evaluation, and
 the sparse column product against the dense reference product."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from supermolien import linalg, verify
 from supermolien.errors import NotSquare
 from supermolien.fixtures import matrix_group_fixture
+from supermolien.groups import PermGroup
 from supermolien.linalg import (
     EchelonSelector,
     QMatrix,
@@ -28,7 +30,7 @@ from supermolien.linalg import (
 from supermolien.molien import GroupAction, _projector_rows
 
 import dense_reference
-from rational_groups import is_exact
+from rational_groups import is_exact, named_group
 
 
 def laplace_det(rows):
@@ -520,6 +522,11 @@ def test_echelon_selector_rejects_an_index_outside_the_width():
         with pytest.raises(ValueError, match=f"^index {index} outside width 3$"):
             sel.offer([(0, 1), (index, 2)])
     assert sel.rank == 0
+    # nor after a row was accepted: the refused row leaves the pivots as they were
+    assert sel.offer([(1, Fraction(2, 3)), (2, 4)])
+    with pytest.raises(ValueError, match="^index 3 outside width 3$"):
+        sel.offer([(1, 1), (3, 1)])
+    assert sel.rank == 1 and sel._pivot_rows == {1: {1: 1, 2: 6}}
 
 
 def test_select_independent_matches_rank_seeded():
@@ -532,6 +539,96 @@ def test_select_independent_matches_rank_seeded():
         assert len(chosen) == sel.rank == _rank_rows(_nonzeros(QMatrix.from_rows(rows)))
         # chosen rows really are independent
         assert _rank_rows(_nonzeros(QMatrix.from_rows([rows[i] for i in chosen]))) == len(chosen)
+
+
+class FractionEchelon:
+    """Reference greedy selector: the echelon over Fractions, each pivot row
+    scaled to lead 1 and every offered row reduced by subtraction, as the
+    package's selector was before its elimination became fraction-free."""
+
+    def __init__(self, width):
+        self.width = width
+        self.pivot_rows = {}
+
+    def offer(self, row):
+        v = {}
+        for j, x in row:
+            if not 0 <= j < self.width:
+                raise ValueError(f"index {j} outside width {self.width}")
+            if x:
+                v[j] = Fraction(x)
+        while v:
+            lead = min(v)
+            pivot = self.pivot_rows.get(lead)
+            if pivot is None:
+                inv = 1 / v[lead]
+                self.pivot_rows[lead] = {j: a * inv for j, a in v.items()}
+                return True
+            c = v[lead]
+            for j, b in pivot.items():
+                a = v.get(j, 0) - c * b
+                if a:
+                    v[j] = a
+                else:
+                    v.pop(j, None)
+        return False
+
+
+def dependent_heavy_rows(rng, nr, nc, fractional):
+    """Seeded sparse rows, about half of them small combinations of earlier
+    rows (so the selector rejects some and cancels entries in others), ints
+    or Fractions with denominators up to 6, some entries large."""
+    rows = []
+    for _ in range(nr):
+        if rows and rng.random() < 0.5:
+            dense = [0] * nc
+            for k in rng.sample(range(len(rows)), min(len(rows), rng.randint(1, 3))):
+                a = rng.randint(-4, 4)
+                for j, x in rows[k]:
+                    dense[j] += a * x
+            if rng.random() < 0.3:
+                dense[rng.randrange(nc)] += 1
+        else:
+            dense = [rng.choice([0, 0, 1, -2, 3, 10**12 + 7]) for _ in range(nc)]
+        if fractional:
+            dense = [Fraction(x) / rng.randint(1, 6) for x in dense]
+        rows.append(sparse_row(dense))
+    return rows
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+def test_integer_echelon_accepts_the_rows_the_fraction_echelon_accepts(fractional):
+    # the fraction-free selector and the Fraction reference accept the
+    # same rows in the same order, on int rows and on Fraction rows, and
+    # the count is the Bareiss rank
+    rng = random.Random(f"echelon-{fractional}")
+    for _ in range(200):
+        nr, nc = rng.randint(1, 9), rng.randint(1, 7)
+        rows = dependent_heavy_rows(rng, nr, nc, fractional)
+        sel, ref = EchelonSelector(nc), FractionEchelon(nc)
+        got = [sel.offer(row) for row in rows]
+        assert got == [ref.offer(row) for row in rows]
+        assert sel.rank == sum(got) == _rank_rows(rows)
+        # pivot rows are primitive integer rows, one per accepted row
+        for lead, pivot in sel._pivot_rows.items():
+            assert min(pivot) == lead and all(type(x) is int and x for x in pivot.values())
+            assert math.gcd(*pivot.values()) == 1
+
+
+def test_integer_echelon_keeps_invariant_bases():
+    # on the orbit-sum rows of invariant bases both selectors keep the same
+    # rows: the greedy-in-order accepted set is unique; rational-s3's sums
+    # are Fraction rows that overlap, so some are rejected
+    for name in ("trivial-1-1", "sign-scalar", "young-2-1-theta", "rational-s3"):
+        G = named_group(name)
+        for n in (1, 2):
+            action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n)
+            for i, j in ((2, 0), (3, 0), (2, 1)):
+                if j > n * G.r1:
+                    continue
+                basis, _, rows = _projector_rows(action, i, j)
+                sel, ref = EchelonSelector(len(basis)), FractionEchelon(len(basis))
+                assert [sel.offer(r) for r in rows] == [ref.offer(r) for r in rows]
 
 
 @given(st.integers(1, 4), st.integers(0, 100))

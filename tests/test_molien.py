@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from supermolien import linalg, molien, shuffle, superalgebra, verify, wreath_series
+from supermolien import linalg, molien, shuffle, verify, wreath_series
 from supermolien.errors import BasisTooLarge, DegreeMismatch, DimensionMismatch
 from supermolien.fixtures import (
     diagonal_perm_group,
@@ -248,23 +248,23 @@ def test_reynolds_images_equal_per_monomial_projections(name):
 
 
 def test_reynolds_images_project_once_per_orbit(monkeypatch):
-    # S_3[+-1] on 3 rows: fewer substitutions than one per label and
+    # S_3[+-1] on 3 rows: fewer label applications than one per label and
     # monomial, and fewer sums than monomials
     action = GroupAction.from_wreath(PermGroup.symmetric(3), sign_scalar_group(), 3)
     sig = action.signature
     basis = bidegree_basis(sig, 4, 0)
-    calls = 0
+    applied = 0
 
-    def counted(sub, mono):
-        nonlocal calls
-        calls += 1
-        return substitute(sub, mono)
+    def counted(pairs, *args):
+        nonlocal applied
+        applied += len(pairs)
+        return label_sum(pairs, *args)
 
-    substitute = superalgebra._substitute
-    monkeypatch.setattr(superalgebra, "_substitute", counted)
+    label_sum = molien._label_sum
+    monkeypatch.setattr(molien, "_label_sum", counted)
     sums = molien._orbit_sums(action, basis)
-    assert 0 < calls < action.order * len(basis)
-    assert calls == action.order * len(sums) < action.order * len(basis)
+    assert 0 < applied < action.order * len(basis)
+    assert applied == action.order * len(sums) < action.order * len(basis)
     monkeypatch.undo()
     for m, acc in sums:
         assert SuperPolynomial(sig, acc) == reynolds_project(action, SuperPolynomial.monomial(sig, m)).scale(

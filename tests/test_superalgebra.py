@@ -26,8 +26,8 @@ from supermolien.superalgebra import (
     AlgebraSignature,
     SuperMonomial,
     SuperPolynomial,
+    _label_sum,
     _mul_terms,
-    _substitute,
     apply_wreath,
     bidegree_basis,
     bidegree_basis_size,
@@ -37,6 +37,7 @@ from supermolien.superalgebra import (
 )
 
 from rational_groups import KERNEL_GROUPS, is_exact, named_group
+from dense_reference import dense_columns, dense_label_matrices
 from row_relabeling import relabel_rows, relabeling
 
 
@@ -612,22 +613,86 @@ def small_term_map(rng, sig, terms=3):
 
 @pytest.mark.parametrize("gname", KERNEL_GROUPS)
 def test_term_map_substitution_equals_monomial_by_monomial(gname):
-    # one kernel call on a whole term map equals the images of its
-    # monomials mapped one by one, scaled and summed, on every label of
-    # S_2[G] and S_3[G]; the pairs name distinct monomials, none with a
-    # zero coefficient
+    # one label sum of one label on a whole term map equals the images of
+    # its monomials mapped one by one, scaled and summed, on every label of
+    # S_2[G] and S_3[G]; a one-term label maps distinct monomials to
+    # distinct ones, and no image has a zero coefficient
     G = named_group(gname)
     rng = random.Random(f"term-map-{gname}")
     for n in (2, 3):
         sig = AlgebraSignature(G.r0, G.r1, n)
         for w in build_wreath(PermGroup.symmetric(n), G, n):
-            sub = w.substitution
             terms = small_term_map(rng, sig)
-            got = _substitute(sub, terms)
+            got = list(_label_sum(((1, w),), terms).items())
             expected = {}
             for m, c in terms.items():
-                for image, a in _substitute(sub, {m: 1}):
+                for image, a in _label_sum(((1, w),), {m: 1}).items():
                     expected[image] = expected.get(image, 0) + c * a
-            assert len({m for m, _ in got}) == len(got)
+            assert len(got) == len(terms) or not w.substitution.one_term
             assert all(c for _, c in got)
             assert dict(got) == {m: c for m, c in expected.items() if c}
+
+
+def dense_image(w, sig, mono):
+    """Reference image of one monomial under a label: each variable's image
+    read off the label's densely assembled matrices (dense_reference), and
+    the images multiplied out factor by factor with super_mul."""
+    even, odd = (dense_columns(m, r) for m, r in zip(dense_label_matrices(w), (sig.r0, sig.r1)))
+    out = SuperPolynomial.one(sig)
+    for r, c, e in mono.xpart:
+        form = SuperPolynomial(sig, {SuperMonomial({v: 1}): a for v, a in even[r, c]})
+        for _ in range(e):
+            out = super_mul(out, form)
+    for p in mono.theta:
+        out = super_mul(out, SuperPolynomial(sig, {SuperMonomial({}, (v,)): a for v, a in odd[p]}))
+    return out
+
+
+def odd_count_monomials(rng, sig):
+    """Seeded monomials with 0, 1, 2, 3 and 4 odd factors, as many as the
+    odd variables allow, each with an x-part of at most two variables,
+    exponents up to 2."""
+    out = []
+    for k in range(min(4, sig.num_odd) + 1):
+        for _ in range(2):
+            evars = rng.sample(sig.even_vars(), min(2, sig.n * sig.r0))
+            xpart = {v: rng.randint(1, 2) for v in evars if rng.random() < 0.7}
+            out.append(SuperMonomial(xpart, sorted(rng.sample(sig.odd_vars(), k))))
+    return out
+
+
+@pytest.mark.parametrize("gname", KERNEL_GROUPS)
+def test_label_sum_equals_dense_and_relabeling_images(gname):
+    # the label sum against references that never go through it: each
+    # label of S_2[G] and S_3[G] (a seeded sample of S_3[G] when it is
+    # large) with weight +-1 on monomials of every odd count up to 4, the
+    # images read off dense matrices; the pure relabelings also against
+    # row_relabeling; and one sum over many labels, weighted both ways
+    G = named_group(gname)
+    rng = random.Random(f"label-sum-{gname}")
+    for n in (2, 3):
+        sig = AlgebraSignature(G.r0, G.r1, n)
+        labels = build_wreath(PermGroup.symmetric(n), G, n)
+        if len(labels) > 200:
+            labels = rng.sample(labels, 200)
+        monos = odd_count_monomials(rng, sig)
+        assert {len(m.theta) for m in monos} == set(range(min(4, sig.num_odd) + 1))
+        total = []
+        for w in labels:
+            mono = rng.choice(monos)
+            c = rng.choice([1, -2, Fraction(3, 5)])
+            image = dense_image(w, sig, mono).scale(c)
+            for weight in (1, -1):
+                got = _label_sum(((weight, w),), {mono: c})
+                assert SuperPolynomial(sig, got) == image.scale(weight)
+            total.append((rng.choice([1, -1]), w))
+        f = SuperPolynomial(sig, {m: rng.choice([1, -3, Fraction(1, 2)]) for m in monos})
+        for sigma in PermGroup.symmetric(n).elements:
+            for weight in (1, -1):
+                got = _label_sum(((weight, relabeling(sigma, sig)),), f.terms)
+                assert SuperPolynomial(sig, got) == relabel_rows(sigma, f).scale(weight)
+        # one monomial through many labels: the sum of the weighted images
+        mono = monos[-1]
+        assert SuperPolynomial(sig, _label_sum(total, {mono: 1})) == sum(
+            (dense_image(w, sig, mono).scale(weight) for weight, w in total), SuperPolynomial.zero(sig)
+        )
