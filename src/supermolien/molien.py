@@ -23,9 +23,9 @@ over the action's pairs: it maps the orbit's first monomial, with
 coefficient 1, through every label's compiled substitution, one-term
 labels inside the sum's own loop, builds no polynomial per label, and
 sums chi(w)*c as ints (Fractions only for non-integral c).  That
-undivided sum is |W| R(m), which spans the same
-line as R(m), so only the public reynolds_project divides by |W|.  The rows
-go to the integer Bareiss kernel as sparse (position, value) pairs.
+undivided sum is |W| R(m), which spans the same line as R(m), so only the
+public reynolds_project divides by |W|.  The rows go to the integer
+Bareiss kernel as sparse (position, value) pairs.
 molien_vs_oracle compares the two routes coefficient by coefficient.
 """
 
