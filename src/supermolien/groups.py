@@ -40,7 +40,7 @@ from .errors import (
     NotAPermutationGroup,
     NotInvertible,
 )
-from .linalg import QMatrix, _columns, _compose, _rank_rows
+from .linalg import QMatrix, _columns, _compose, _inversion_sign, _rank_rows
 
 CLOSURE_CAP = 20000
 WREATH_CAP = 200000
@@ -109,20 +109,6 @@ class Permutation:
         return QMatrix(
             n, n, [Fraction(int(self.images[j] == i + 1)) for i in range(n) for j in range(n)]
         )
-
-
-def _inversion_sign(seq: Sequence) -> int:
-    """(-1) to the number of inversions of seq, a sequence of distinct
-    comparable items: the sign of the permutation that sorts it."""
-    if len(seq) <= 1:
-        return 1
-    odd = False
-    for i in range(1, len(seq)):
-        a = seq[i]
-        for b in seq[:i]:
-            if b > a:
-                odd = not odd
-    return -1 if odd else 1
 
 
 def perm_sign(p: Permutation) -> int:

@@ -6,8 +6,12 @@ pairs of its nonzero entries, or as sparse columns (_columns), which is
 how graded group elements hold their matrices and _compose multiplies
 them.  Determinants and every rank in the package use one Bareiss
 fraction-free elimination on denominator-cleared sparse integer rows
-(_det_rows, _rank_rows), which touches nonzero entries only; a
-determinant or rank of columns read as rows is the same.
+(_det_rows, _rank_rows).  It keeps the rows in buckets by lead column, so
+its pivot search walks the columns once and touches only the rows that
+hold an entry in the pivot column, and its steps touch nonzero entries
+only; a determinant or rank of columns read as rows is the same.  Rows
+never swap, and a determinant takes its sign from the pivot order by the
+package's one permutation sign, _inversion_sign.
 Char-polys use one kernel on a mapping from row keys to the (key, value)
 pairs of the row's nonzeros: a QMatrix's rows keyed by index, or a wreath
 label's substitution, its columns read as rows.  From the input alone it
@@ -141,71 +145,94 @@ def _cleared_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple
     return out, scale
 
 
-def _bareiss(rows: list[dict[int, int]]) -> tuple[int, int, int]:
-    """Fraction-free elimination of sparse integer rows in place, skipping
-    columns without a pivot.  Returns (rank, sign of the row swaps, last
-    pivot); for a square matrix of full rank, sign times the last pivot is
-    the determinant, and no rows give (0, 1, 1).
+def _bareiss(rows: list[dict[int, int]]) -> tuple[list[int], int]:
+    """Fraction-free elimination of sparse integer rows, skipping columns
+    without a pivot; an eliminated row is replaced in the list, in its own
+    place.  Returns (the indices of the pivot rows in pivot order, last
+    pivot).  The rank is the number of pivots, and for a square matrix of
+    full rank the determinant is the last pivot times the sign of the pivot
+    order read as a permutation of the rows (_det_rows).  No rows give
+    ([], 1).
 
-    The pivot column is the least column in which a remaining row is
-    nonzero, and the pivot row the first such row, as in dense elimination
-    by columns.  Bareiss's step row <- (row * p - a * top) / prev only
-    rescales a row whose entry a in the pivot column is zero, so such a row
-    is left as it is: each row keeps the pivot it was last divided by, and
-    the step that next touches it divides by that pivot instead (the
-    intermediate rescalings telescope).  Entries are those of dense Bareiss
-    up to that pending factor, a pivot row is brought up to date before it
-    is used, and only the nonzero entries of rows with a != 0 are touched.
+    Rows wait in buckets keyed by their lead (least) column, and the
+    search walks the sorted union of the rows' columns, which fill-in never
+    leaves.  At column c the rows of bucket c are exactly the rows with an
+    entry in c: the first is the pivot, the others are eliminated, each
+    moving to the bucket of its new lead, and no row is swapped.  Bareiss's
+    step row <- (row * p - a * top) / prev only rescales a row whose entry
+    a in the pivot column is zero, so such a row is left as it is: each row
+    keeps the pivot it was last divided by, and the step that next touches
+    it divides by that pivot instead (the intermediate rescalings
+    telescope).  Entries are those of dense Bareiss on the rows in pivot
+    order up to that pending factor.  A pivot row is brought up to date
+    only when its bucket holds other rows, and otherwise only its pivot
+    entry is: rows with pairwise-disjoint supports are read once each and
+    never rewritten.
     """
-    nr = len(rows)
-    levels = [1] * nr
-    leads = [min(row) if row else None for row in rows]
-    rank = 0
-    sign = 1
+    levels = [1] * len(rows)
+    buckets: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        if row:
+            buckets.setdefault(min(row), []).append(i)
+    order = []
     prev = 1
-    while True:
-        live = [lead for lead in leads[rank:] if lead is not None]
-        if not live:
-            break
-        c = min(live)
-        piv = next(i for i in range(rank, nr) if leads[i] == c)
-        if piv != rank:
-            for seq in (rows, levels, leads):
-                seq[rank], seq[piv] = seq[piv], seq[rank]
-            sign = -sign
-        top = rows[rank]
-        if levels[rank] != prev:
-            top = {j: x * prev // levels[rank] for j, x in top.items()}
-        p = top.pop(c)
-        for i in range(rank + 1, nr):
-            row = rows[i]
-            a = row.pop(c, 0)
-            if not a:
-                continue
-            level = levels[i]
-            new = {j: x * p for j, x in row.items()}
-            for j, t in top.items():
-                new[j] = new.get(j, 0) - a * t
-            row = {j: x // level for j, x in new.items() if x}
-            rows[i], levels[i], leads[i] = row, p, min(row) if row else None
+    for c in sorted(set().union(*rows)):
+        bucket = buckets.pop(c, None)
+        if bucket is None:
+            continue
+        piv = bucket[0]
+        order.append(piv)
+        top, level = rows[piv], levels[piv]
+        if len(bucket) > 1:
+            if level != prev:
+                top = {j: x * prev // level for j, x in top.items()}
+            p = top[c]
+            # the entries in column c cancel: a * p - a * p
+            for i in bucket[1:]:
+                row, level = rows[i], levels[i]
+                a = row[c]
+                new = {j: x * p for j, x in row.items()}
+                for j, t in top.items():
+                    new[j] = new.get(j, 0) - a * t
+                row = {j: x // level for j, x in new.items() if x}
+                rows[i], levels[i] = row, p
+                if row:
+                    buckets.setdefault(min(row), []).append(i)
+        else:
+            p = top[c] if level == prev else top[c] * prev // level
         prev = p
-        rank += 1
-    return rank, sign, prev
+    return order, prev
 
 
 def _rank_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> int:
     """Exact rank of the matrix whose row i has the (column, value) pairs
     rows[i] as its nonzero entries."""
-    return _bareiss(_cleared_rows(rows)[0])[0]
+    return len(_bareiss(_cleared_rows(rows)[0])[0])
+
+
+def _inversion_sign(seq: Sequence) -> int:
+    """(-1) to the number of inversions of seq, a sequence of distinct
+    comparable items: the sign of the permutation that sorts it."""
+    if len(seq) <= 1:
+        return 1
+    odd = False
+    for i in range(1, len(seq)):
+        a = seq[i]
+        for b in seq[:i]:
+            if b > a:
+                odd = not odd
+    return -1 if odd else 1
 
 
 def _det_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> Fraction:
     """Exact determinant of the square matrix whose row i has the (column,
     value) pairs rows[i] as its nonzero entries; columns may stand in for
-    rows.  No rows give 1."""
+    rows.  The sign is that of the pivot order.  No rows give 1."""
     cleared, scale = _cleared_rows(rows)
-    rank, sign, last = _bareiss(cleared)
-    return Fraction(sign * last, scale) if rank == len(rows) else Fraction(0)
+    order, last = _bareiss(cleared)
+    if len(order) < len(rows):
+        return Fraction(0)
+    return Fraction(_inversion_sign(order) * last, scale)
 
 
 def _charpoly_rows(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]]) -> tuple[int | Fraction, ...]:

@@ -36,7 +36,8 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
-from .groups import Substitution, WreathElement, _inversion_sign
+from .groups import Substitution, WreathElement
+from .linalg import _inversion_sign
 from .rationals import exact, format_rational, parse_rational
 
 XKey = tuple[int, int]  # (row, col)
@@ -434,12 +435,16 @@ def apply_wreath(w: WreathElement, f: SuperPolynomial) -> SuperPolynomial:
     return SuperPolynomial._canonical(f.sig, _label_sum(((1, w),), f.terms))
 
 
+def _require_bidegree(i: int, j: int) -> None:
+    if i < 0 or j < 0:
+        raise ValueError("bidegrees must be nonnegative")
+
+
 def bidegree_basis_size(sig: AlgebraSignature, i: int, j: int) -> int:
     """len(bidegree_basis(sig, i, j)), counted without building the basis:
     the multisets of i of the n*r0 even variables times the j-subsets of
     the n*r1 odd ones.  Negative bidegrees raise ValueError."""
-    if i < 0 or j < 0:
-        raise ValueError("bidegrees must be nonnegative")
+    _require_bidegree(i, j)
     even = sig.n * sig.r0
     # math.comb(-1, 0) raises, and no even variables leave only the empty x-part
     xparts = math.comb(even + i - 1, i) if even else int(i == 0)
@@ -449,23 +454,38 @@ def bidegree_basis_size(sig: AlgebraSignature, i: int, j: int) -> int:
 def bidegree_basis(sig: AlgebraSignature, i: int, j: int) -> list[SuperMonomial]:
     """Monomial basis of the (i, j) bidegree component, deterministically
     ordered: x-exponent vectors in descending lex (major), theta subsets in
-    ascending lex (minor).
+    ascending lex (minor).  Its length is bidegree_basis_size, which the
+    caller checks against a work bound; negative bidegrees raise ValueError.
 
-    The x-parts are the multisets of i even variables, in the order of
-    itertools.combinations_with_replacement, which is descending lex on
-    exponent vectors; equal factors are grouped into one exponent.  Its
-    length is bidegree_basis_size, which refuses negative bidegrees."""
-    if not bidegree_basis_size(sig, i, j):
-        return []
+    The x-parts come from a recursion over exponent vectors that places the
+    first positive exponent: on each even variable in turn, largest first,
+    with the rest of the degree on the later variables, and last all of it
+    on the last variable, which is descending lex.  Each x-part is built
+    once, its factors in variable order, and then paired with each theta
+    subset of itertools.combinations, ascending lex, so both parts come out
+    canonical.  The recursion is at most i + 1 calls deep, however many
+    variables there are."""
+    _require_bidegree(i, j)
     evars = sig.even_vars()
-    ovars = sig.odd_vars()
-    # evars and ovars are sorted, so both parts come out canonical
-    thetas = list(itertools.combinations(ovars, j))
-    out = []
-    for factors in itertools.combinations_with_replacement(evars, i):
-        xpart = tuple((r, c, len(list(run))) for (r, c), run in itertools.groupby(factors))
-        out.extend(SuperMonomial._canonical(xpart, t) for t in thetas)
-    return out
+    thetas = list(itertools.combinations(sig.odd_vars(), j))
+    if not thetas or (i and not evars):
+        return []
+    last = len(evars) - 1
+    xparts: list[tuple] = []
+
+    def extend(k: int, left: int, xpart: tuple) -> None:
+        # xpart followed by each x-part of degree left on evars[k:]
+        if left:
+            for v in range(k, last):
+                r, c = evars[v]
+                for e in range(left, 0, -1):
+                    extend(v + 1, left - e, xpart + ((r, c, e),))
+            xpart += (evars[last] + (left,),)
+        xparts.append(xpart)
+
+    extend(0, i, ())
+    new = tuple.__new__
+    return [new(SuperMonomial, (x, t)) for x in xparts for t in thetas]
 
 
 def coefficient_vector(f: SuperPolynomial, index: Mapping[SuperMonomial, int]) -> list[tuple[int, Fraction]]:

@@ -1,5 +1,5 @@
-"""Exact matrices: Bareiss det/rank against a Laplace-expansion oracle,
-char expansion det(I - zM) against pointwise determinant evaluation, and
+"""Exact matrices: Bareiss det/rank against a Laplace-expansion oracle
+and against the row-swapping elimination it replaced, char expansion det(I - zM) against pointwise determinant evaluation, and
 the sparse column product against the dense reference product."""
 
 import math
@@ -17,6 +17,7 @@ from supermolien.groups import PermGroup
 from supermolien.linalg import (
     EchelonSelector,
     QMatrix,
+    _bareiss,
     _berkowitz,
     _charpoly_rows,
     _cleared_rows,
@@ -229,6 +230,170 @@ def test_projector_row_rank_equals_dense_rank_on_fixture_grid():
                         r[k] = x
                 expected = _rank_rows(_nonzeros(QMatrix.from_rows(dense))) if dense else 0
                 assert _rank_rows(rows) == expected
+
+
+def swap_bareiss(rows):
+    """Reference elimination: the package's Bareiss kernel as it was before
+    its pivot search was bucketed by lead column.  Each pivot rescans every
+    remaining row for the least lead column, swaps the first row holding it
+    into place, and pops that column from every remaining row.  Returns
+    (rank, sign of the row swaps, last pivot)."""
+    nr = len(rows)
+    levels = [1] * nr
+    leads = [min(row) if row else None for row in rows]
+    rank = 0
+    sign = 1
+    prev = 1
+    while True:
+        live = [lead for lead in leads[rank:] if lead is not None]
+        if not live:
+            break
+        c = min(live)
+        piv = next(i for i in range(rank, nr) if leads[i] == c)
+        if piv != rank:
+            for seq in (rows, levels, leads):
+                seq[rank], seq[piv] = seq[piv], seq[rank]
+            sign = -sign
+        top = rows[rank]
+        if levels[rank] != prev:
+            top = {j: x * prev // levels[rank] for j, x in top.items()}
+        p = top.pop(c)
+        for i in range(rank + 1, nr):
+            row = rows[i]
+            a = row.pop(c, 0)
+            if not a:
+                continue
+            level = levels[i]
+            new = {j: x * p for j, x in row.items()}
+            for j, t in top.items():
+                new[j] = new.get(j, 0) - a * t
+            row = {j: x // level for j, x in new.items() if x}
+            rows[i], levels[i], leads[i] = row, p, min(row) if row else None
+        prev = p
+        rank += 1
+    return rank, sign, prev
+
+
+def swap_rank_det(rows):
+    """(rank, determinant) of sparse rows by the reference elimination; the
+    determinant is that of the square matrix, 0 below full rank."""
+    cleared, scale = _cleared_rows(rows)
+    rank, sign, last = swap_bareiss(cleared)
+    return rank, Fraction(sign * last, scale) if rank == len(rows) else Fraction(0)
+
+
+def differential_matrices(rng, fractional):
+    """Seeded (label, dense rows) cases of the shapes the bucketed pivot
+    search must agree on: dense rows, pairwise-disjoint supports,
+    rank-deficient rows with fill-in, and zero and repeated rows."""
+
+    def entry():
+        x = rng.choice([-7, -3, -2, -1, 1, 2, 3, 5, 10**9 + 7])
+        return Fraction(x, rng.randint(1, 6)) if fractional else x
+
+    def disjoint(nr, nc):
+        cols = list(range(nc))
+        rng.shuffle(cols)
+        dense = [[0] * nc for _ in range(nr)]
+        for k, j in enumerate(cols):
+            if rng.random() < 0.8:
+                dense[k % nr][j] = entry()
+        return dense
+
+    cases = []
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        cases.append(("dense", [[entry() for _ in range(n)] for _ in range(n)]))
+        cases.append(("disjoint", disjoint(n, n)))
+        cases.append(("disjoint", disjoint(nr, nc)))
+        # a few overlapping base rows and combinations of them: entries
+        # cancel in the pivot column and fill in elsewhere
+        base = [[entry() if rng.random() < 0.5 else 0 for _ in range(nc)] for _ in range(rng.randint(1, 3))]
+        combos = []
+        for _ in range(nr):
+            coeffs = [rng.randint(-2, 2) for _ in base]
+            combos.append([sum(a * row[j] for a, row in zip(coeffs, base)) for j in range(nc)])
+        cases.append(("fill-in", combos))
+        square = [[entry() if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)]
+        for _ in range(rng.randint(1, 2)):
+            i, k = rng.randrange(n), rng.randrange(n)
+            square[i] = [0] * n if rng.random() < 0.5 else [2 * x for x in square[k]]
+        cases.append(("zero-or-repeated", square))
+    return cases
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+def test_bucketed_bareiss_agrees_with_the_swapping_reference(fractional):
+    # rank and determinant of the bucketed kernel against the row-swapping
+    # elimination it replaced, on int and on Fraction rows, and on every
+    # shape of each seeded case's support
+    rng = random.Random(f"bareiss-{fractional}")
+    shapes = set()
+    for label, dense in differential_matrices(rng, fractional):
+        shapes.add(label)
+        rows = [sparse_row(r) for r in dense]
+        rank, det = swap_rank_det(rows)
+        assert _rank_rows(rows) == rank
+        if len(dense) == len(dense[0]):
+            assert _det_rows(rows) == det
+            if len(dense) <= 4:
+                assert det == laplace_det(dense)
+    assert shapes == {"dense", "disjoint", "fill-in", "zero-or-repeated"}
+
+
+def test_det_sign_under_every_row_permutation():
+    # the sign comes from the pivot order alone: every row order of small
+    # square matrices, full rank or not, against the reference and the
+    # permutation's sign times the determinant
+    import itertools
+
+    rng = random.Random(2203)
+    for n in range(1, 5):
+        for _ in range(4):
+            dense = sparse_rational_rows(rng, n, n)
+            base = laplace_det(dense)
+            for perm in itertools.permutations(range(n)):
+                rows = [sparse_row(dense[k]) for k in perm]
+                inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+                assert _det_rows(rows) == swap_rank_det(rows)[1] == (-1) ** inversions * base
+
+
+class CountingRow(dict):
+    """A sparse row that counts the reads of its entries and its pops."""
+
+    calls = 0
+
+    def items(self):
+        CountingRow.calls += 1
+        return super().items()
+
+    def pop(self, *args):
+        CountingRow.calls += 1
+        return super().pop(*args)
+
+
+def test_rows_with_disjoint_supports_are_never_eliminated():
+    # every pivot finds its bucket holding only itself: no row is read
+    # entry by entry, popped or replaced, and the pivots come in lead order;
+    # the swapping reference pops a column from every remaining row
+    rng = random.Random(4111)
+    for _ in range(40):
+        nr, nc = rng.randint(2, 30), rng.randint(2, 90)
+        cols = list(range(nc))
+        rng.shuffle(cols)
+        rows = [CountingRow() for _ in range(nr)]
+        for k, j in enumerate(cols):
+            rows[k % nr][j] = rng.choice([-3, -1, 1, 2, 5])
+        kept = list(rows)
+        before = [dict(row) for row in rows]
+        CountingRow.calls = 0
+        order, _ = _bareiss(rows)
+        assert CountingRow.calls == 0
+        assert all(a is b for a, b in zip(rows, kept)) and rows == before
+        assert order == sorted((i for i, row in enumerate(rows) if row), key=lambda i: min(rows[i]))
+        swap_bareiss([CountingRow(row) for row in before])
+        assert CountingRow.calls > 0
 
 
 def test_charpoly_det_hand_values():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from supermolien import linalg, molien, shuffle, verify, wreath_series
+from supermolien import linalg, molien, shuffle, superalgebra, verify, wreath_series
 from supermolien.errors import BasisTooLarge, DegreeMismatch, DimensionMismatch
 from supermolien.fixtures import (
     diagonal_perm_group,
@@ -161,6 +161,24 @@ def test_oversized_basis_is_refused_before_it_is_built(monkeypatch):
         message = rf"^bidegree \({i}, 0\) basis has {size} monomials, limit {molien.DEFAULT_BASIS_LIMIT}$"
         with pytest.raises(BasisTooLarge, match=message):
             invariant_dimension_bruteforce(act, i, 0)
+
+
+def test_each_cell_counts_its_basis_once(monkeypatch):
+    # the refusal counts the basis; building it counts nothing again
+    counted = []
+    size = superalgebra.bidegree_basis_size
+
+    def counting(sig, i, j):
+        counted.append((i, j))
+        return size(sig, i, j)
+
+    for module in (molien, superalgebra):
+        monkeypatch.setattr(module, "bidegree_basis_size", counting)
+    act = GroupAction.from_matrix_group(perm_matrix_group(2, "odd"))
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    for i, j in cells:
+        invariant_dimension_bruteforce(act, i, j)
+    assert counted == cells
 
 
 def test_reynolds_is_idempotent_and_invariant():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -365,6 +366,46 @@ def test_bidegree_basis_order_matches_descending_lex_reference():
                     for theta in thetas
                 ]
                 assert bidegree_basis(sig, i, j) == expected
+
+
+def groupby_bidegree_basis(sig, i, j):
+    """Reference enumerator: the package's bidegree basis as it was built
+    before the direct recursion, the multisets of itertools'
+    combinations_with_replacement grouped into exponents, each paired with
+    the theta subsets of itertools.combinations."""
+    thetas = list(itertools.combinations(sig.odd_vars(), j))
+    out = []
+    for factors in itertools.combinations_with_replacement(sig.even_vars(), i):
+        xpart = tuple((r, c, len(list(run))) for (r, c), run in itertools.groupby(factors))
+        out.extend(SuperMonomial._canonical(xpart, t) for t in thetas)
+    return out
+
+
+def test_bidegree_basis_equals_the_groupby_reference():
+    # the same monomials in the same order, and as many as the counted
+    # size, on every signature with r0 <= 3, r1 <= 2, n <= 3 (no rows or no
+    # even variables included), x-degree up to 6 and every theta degree
+    for r0, r1, n in itertools.product(range(4), range(3), range(4)):
+        sig = AlgebraSignature(r0, r1, n)
+        for i in range(7):
+            for j in range(n * r1 + 1):
+                basis = bidegree_basis(sig, i, j)
+                assert basis == groupby_bidegree_basis(sig, i, j)
+                assert len(basis) == bidegree_basis_size(sig, i, j)
+    for i, j in ((-1, 0), (0, -1), (-2, 3)):
+        with pytest.raises(ValueError, match="^bidegrees must be nonnegative$"):
+            bidegree_basis(AlgebraSignature(1, 1, 1), i, j)
+
+
+def test_bidegree_basis_recursion_depth_is_bounded_by_the_degree():
+    # more even variables than the interpreter's recursion limit: the
+    # recursion is as deep as the degree, not as the variables are many
+    nvars = sys.getrecursionlimit() + 10
+    sig = AlgebraSignature(nvars, 1, 1)
+    basis = bidegree_basis(sig, 1, 1)
+    assert len(basis) == nvars == bidegree_basis_size(sig, 1, 1)
+    assert basis[0] == SuperMonomial({(1, 1): 1}, ((1, 1),))
+    assert basis[-1] == SuperMonomial({(1, nvars): 1}, ((1, 1),))
 
 
 def test_coefficient_vector_round_trip():
