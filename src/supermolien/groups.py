@@ -7,21 +7,26 @@ variables and g1 on the r1 anticommuting ones, as sparse columns only
 compiled once per label into WreathElement.substitution, or refused when
 its blocks are not square and alike: each variable's image keyed by (row,
 col), the columns of its element moved to another row.  Each element moves
-its columns once per pair of rows (GradedGroupElement.moves), and the
-labels share those images.  Every route reads the one compile: the Molien
-route takes its char-polys, and the supercommutative-algebra layer maps
-whole term maps through it.  The product law is chosen so that applying
-w1 * w2 equals applying w2's substitution first and then w1's.
+its columns once per pair of rows (GradedGroupElement.moves), into one dict
+of images per graded part, and the labels share those dicts: a compile is
+one dict.update per row and part.  Every route reads the one compile: the
+Molien route takes its char-polys, and the supercommutative-algebra layer
+maps whole term maps through it.  The product law is chosen so that
+applying w1 * w2 equals applying w2's substitution first and then w1's.
+Every compute-once attribute (moves, monomial, substitution) is the
+lock-free descriptor once.
 
 This module is the one presentation of the wreath product P[G], for G a
 matrix group or a permutation group: one enumerator of its labels, behind
 one degree check and one WREATH_CAP check, and one generator set,
 wreath_generators.  The enumerator pairs given row permutations with G^n;
 build_wreath and perm_group_of_wreath are the two realizations of P[G]
-built on it.  A linear character is a plain tuple of +-1 ints aligned with
-its group's element order (validate_character); sign_character is the one
-sign function.  shuffle_reps enumerates the minimal coset representatives
-of a Young subgroup S_blocks, for any number of row blocks.
+built on it, build_wreath through the trusted WreathElement._of, whose
+degree the enumerator has checked.  A linear character is a plain tuple of
++-1 ints aligned with its group's element order (validate_character);
+sign_character is the one sign function.  shuffle_reps enumerates the
+minimal coset representatives of a Young subgroup S_blocks, for any number
+of row blocks.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -143,11 +148,31 @@ def symmetric_generators(n: int) -> list[Permutation]:
     return gens
 
 
+class once:
+    """A compute-once attribute: the method runs on the first read of the
+    attribute and its value goes into the instance's __dict__, where every
+    later read finds it before this descriptor.  functools.cached_property
+    without its lock, which on Python 3.11 every first read takes: two
+    threads racing on one object's first read may both compute it, and
+    one of the equal values is kept.  A method that raises stores nothing."""
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 class _Moves(dict):
     """An element's square blocks moved between rows, built on first use
-    of a move: self[i, b] holds, for g0 and for g1, the ((i, c), image)
-    pair of each column c, its image the ((b, c'), x) pairs of the
-    column's nonzero entries x, in rows c' of the block."""
+    of a move: self[i, b] holds, for g0 and for g1, the dict mapping each
+    variable (i, c) to its image, the ((b, c'), x) pairs of column c's
+    nonzero entries x, in rows c' of the block."""
 
     def __init__(self, columns: tuple):
         super().__init__()
@@ -156,7 +181,7 @@ class _Moves(dict):
     def __missing__(self, move: tuple[int, int]) -> tuple:
         i, b = move
         pairs = self[move] = tuple(
-            tuple(((i, c), tuple([((b, cp + 1), x) for cp, x in col])) for c, col in enumerate(cols, 1))
+            {(i, c): tuple([((b, cp + 1), x) for cp, x in col]) for c, col in enumerate(cols, 1)}
             for cols in self.columns
         )
         return pairs
@@ -216,13 +241,13 @@ class GradedGroupElement:
     def sort_key(self):
         return (self.g0.entries, self.g1.entries)
 
-    @cached_property
+    @once
     def moves(self) -> _Moves:
         """moves[i, b]: the images square g0 and g1 give row i's variables
         in a label moving row i to row b, built once per element and move."""
         return _Moves(self.columns)
 
-    @cached_property
+    @once
     def monomial(self) -> bool:
         """Every column of g0 and g1 has one nonzero entry and no two
         columns share its row: each variable maps to a multiple of one
@@ -440,7 +465,17 @@ class WreathElement:
                 f"permutation degree {self.sigma.n} != {len(self.gs)} row factors"
             )
 
-    @cached_property
+    @staticmethod
+    def _of(sigma: Permutation, gs: tuple) -> "WreathElement":
+        """Trusted constructor for a label whose degree was already checked,
+        as _wreath_labels checks each sigma once per call: no __post_init__.
+        Equal to, and hashing as, the label the validating constructor makes."""
+        w = object.__new__(WreathElement)
+        fields = w.__dict__
+        fields["sigma"], fields["gs"] = sigma, gs
+        return w
+
+    @once
     def substitution(self) -> "Substitution":
         """The label's matrices, compiled once per label object and read by
         every route (see Substitution): variable (i, c) maps to column c of
@@ -540,8 +575,11 @@ def wreath_generators(
 
 
 def build_wreath(P: PermGroup, G: MatrixGroup, n: int) -> list[WreathElement]:
-    """All |P| * |G|^n labels of P[G], in deterministic order."""
-    return [WreathElement(sigma, gs) for sigma, gs in _wreath_labels(P.elements, G, n)]
+    """All |P| * |G|^n labels of P[G], in deterministic order, each made by
+    the trusted WreathElement._of: _wreath_labels has checked every sigma's
+    degree and the cap."""
+    of = WreathElement._of
+    return [of(sigma, gs) for sigma, gs in _wreath_labels(P.elements, G, n)]
 
 
 def validate_character(values: Sequence, group) -> tuple[int, ...]:

@@ -113,8 +113,19 @@ class GroupAction:
 
     @staticmethod
     def of_labels(signature: AlgebraSignature, labels: Iterable[WreathElement], signed: bool) -> "GroupAction":
-        """The labels, each weighted by sgn(sigma) when signed, else by 1."""
-        return GroupAction(signature, tuple((perm_sign(w.sigma) if signed else 1, w) for w in labels))
+        """The labels, each weighted by sgn(sigma) when signed, else by 1.
+        The sign is computed once per distinct sigma, which P[G] shares
+        among |G|^n labels."""
+        if not signed:
+            return GroupAction(signature, tuple((1, w) for w in labels))
+        signs: dict[Permutation, int] = {}
+        pairs = []
+        for w in labels:
+            sign = signs.get(w.sigma)
+            if sign is None:
+                sign = signs[w.sigma] = perm_sign(w.sigma)
+            pairs.append((sign, w))
+        return GroupAction(signature, tuple(pairs))
 
     @staticmethod
     def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant") -> "GroupAction":

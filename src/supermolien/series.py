@@ -207,13 +207,22 @@ def series_scale(a: TrigradedSeries, c) -> TrigradedSeries:
 
 
 def series_mul(a: TrigradedSeries, b: TrigradedSeries) -> TrigradedSeries:
-    """Cauchy product truncated to the shared caps."""
+    """Cauchy product truncated to the shared caps.
+
+    Each operand's terms beyond the shared caps are dropped once, before
+    the product; a pair is kept when each exponent of the second term fits
+    in what the first term leaves of its cap."""
     caps = _shared_caps(a, b)
+    ct, cq, cu = caps
+    right = [(k, c) for k, c in b._coeffs.items() if k[0] <= ct and k[1] <= cq and k[2] <= cu]
     out: dict[Key, int | Fraction] = {}
     for (t1, q1, u1), c1 in a._coeffs.items():
-        for (t2, q2, u2), c2 in b._coeffs.items():
-            key = (t1 + t2, q1 + q2, u1 + u2)
-            if caps.contains(key):
+        lt, lq, lu = ct - t1, cq - q1, cu - u1
+        if lt < 0 or lq < 0 or lu < 0:
+            continue
+        for (t2, q2, u2), c2 in right:
+            if t2 <= lt and q2 <= lq and u2 <= lu:
+                key = (t1 + t2, q1 + q2, u1 + u2)
                 out[key] = out.get(key, 0) + c1 * c2
     return TrigradedSeries._canonical(caps, out)
 

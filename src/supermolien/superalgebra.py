@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
-from .groups import Substitution, WreathElement
+from .groups import Substitution, WreathElement, once
 from .linalg import _inversion_sign
 from .rationals import exact, format_rational, parse_rational
 
@@ -60,11 +60,23 @@ class AlgebraSignature:
     def num_odd(self) -> int:
         return self.n * self.r1
 
-    def even_vars(self) -> list[XKey]:
-        return [(row, col) for row in range(1, self.n + 1) for col in range(1, self.r0 + 1)]
+    @once
+    def _variables(self) -> tuple[tuple[XKey, ...], tuple[XKey, ...]]:
+        """The even and the odd variables, each in (row, col) order, built
+        once per signature object."""
+        rows = range(1, self.n + 1)
+        return tuple(
+            tuple((row, col) for row in rows for col in range(1, r + 1)) for r in (self.r0, self.r1)
+        )
 
-    def odd_vars(self) -> list[XKey]:
-        return [(row, col) for row in range(1, self.n + 1) for col in range(1, self.r1 + 1)]
+    def even_vars(self) -> tuple[XKey, ...]:
+        """The even variables in (row, col) order: the one tuple of this
+        signature object, for callers to read, never to change."""
+        return self._variables[0]
+
+    def odd_vars(self) -> tuple[XKey, ...]:
+        """The odd variables in (row, col) order, as even_vars."""
+        return self._variables[1]
 
 
 def normalize_theta(pairs: Iterable[XKey]) -> tuple[tuple[XKey, ...], int]:

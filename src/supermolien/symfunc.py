@@ -157,12 +157,15 @@ def plethystic_substitute(f: SymFuncPoly, s: TrigradedSeries) -> TrigradedSeries
     p_r evaluates to s with all three exponents (t, q, u) scaled by r.
 
     The output caps are s's caps; supply s at the caps the comparison needs.
+    s is scaled once per distinct part size r, and every part of that size
+    reads the one scaled series.
     """
+    scaled = {r: scale_exponents(s, r) for r in {r for lam in f.terms for r in lam}}
     total = TrigradedSeries.zero(s.caps)
     for lam, c in f.terms.items():
         prod = TrigradedSeries.one(s.caps)
         for r in lam:
-            prod = series_mul(prod, scale_exponents(s, r))
+            prod = series_mul(prod, scaled[r])
         total = series_add(total, series_scale(prod, c))
     return total
 

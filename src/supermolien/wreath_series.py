@@ -37,7 +37,6 @@ from .series import (
     series_flip_u,
     series_inv,
     series_mul,
-    series_pow_int,
     series_sub,
 )
 from .superalgebra import AlgebraSignature
@@ -127,21 +126,28 @@ def _product_form(
 ) -> TrigradedSeries:
     """Product over (i, j) of (1 + t q^i u^j)^a or (1 - t q^i u^j)^-a, a the
     table entry.  The invariant flavor puts odd j in the numerator, the
-    signed (antiinvariant) flavor even j.  A factor whose t q^i u^j lies
-    outside the caps is 1 there and is skipped.
+    signed (antiinvariant) flavor even j.
+
+    Each factor is written down by the binomial theorem as an exact int
+    series in m = t q^i u^j, its powers m^k cut at the caps:
+    (1 + m)^a = sum_k C(a, k) m^k and (1 - m)^-a = sum_k C(a+k-1, k) m^k.
+    A factor with a = 0, or whose m lies outside the caps, is 1 there and
+    is skipped, so the product takes one series_mul per other factor.
     """
     numerator_parity = 0 if signed else 1
-    one = TrigradedSeries.one(caps)
-    result = one
+    result = TrigradedSeries.one(caps)
     for (i, j), a in multiplicities.items():
-        if not caps.contains((1, i, j)):
+        if not a:
             continue
-        mono = TrigradedSeries.monomial(caps, (1, i, j))
+        # the largest k with m^k inside the caps; 0 when m itself is outside
+        top = min(caps.t, caps.q // i if i else caps.t, caps.u // j if j else caps.t)
+        if not top:
+            continue
         if j % 2 == numerator_parity:
-            factor = series_pow_int(series_add(one, mono), a)
+            coeffs = {(k, k * i, k * j): math.comb(a, k) for k in range(min(top, a) + 1)}
         else:
-            factor = series_pow_int(series_sub(one, mono), -a)
-        result = series_mul(result, factor)
+            coeffs = {(k, k * i, k * j): math.comb(a + k - 1, k) for k in range(top + 1)}
+        result = series_mul(result, TrigradedSeries._canonical(caps, coeffs))
     return result
 
 
@@ -152,6 +158,8 @@ def collated_product_series(spec: CollationSpec) -> TrigradedSeries:
     the invariant flavor takes (1 + t q^i u^j)^a_ij over odd j and
     (1 - t q^i u^j)^-a_ij over even j; the antiinvariant flavor swaps the
     parity roles.  Either way the a_ij come from the plain invariants of G.
+    Each factor is written down by the binomial theorem (_product_form), so
+    the product inverts and raises no series.
     """
     hg = super_molien(GroupAction.from_matrix_group(spec.group), spec.dq)
     multiplicities = {}
@@ -236,7 +244,7 @@ def verify_m_cycle_identity(G: MatrixGroup, m: int, dq: int, du: int | None = No
     cyc = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
     # one fixed cycle times G^m is a coset, not a group: these labels are for
     # the Molien average only, never for the Reynolds route
-    labels = (WreathElement(sigma, gs) for sigma, gs in _wreath_labels((cyc,), G, m))
+    labels = (WreathElement._of(sigma, gs) for sigma, gs in _wreath_labels((cyc,), G, m))
     lhs = super_molien(GroupAction.of_labels(AlgebraSignature(G.r0, G.r1, m), labels, False), dq, du)
     hg = super_molien(GroupAction.from_matrix_group(G), dq, du)
     if m % 2 == 0:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -331,6 +332,78 @@ def test_build_wreath_cap(monkeypatch):
 def test_build_wreath_degree_check():
     with pytest.raises(DimensionMismatch):
         build_wreath(PermGroup.symmetric(2), sign_group(), 3)
+
+
+def test_refusals_come_before_any_label_is_built(monkeypatch):
+    # the degree check of every sigma and the cap check run once per call,
+    # before the trusted constructor makes a single label
+    def refuse(sigma, gs):
+        raise AssertionError("a label was built")
+
+    monkeypatch.setattr(WreathElement, "_of", staticmethod(refuse))
+    with pytest.raises(DegreeMismatch, match=r"^P acts on 2 rows, expected 3$"):
+        build_wreath(PermGroup.symmetric(2), sign_group(), 3)
+    monkeypatch.setattr(groups, "WREATH_CAP", 47)
+    with pytest.raises(CapExceeded, match="wreath product has 48 elements, cap is 47"):
+        build_wreath(PermGroup.symmetric(3), sign_group(), 3)
+
+
+@pytest.mark.parametrize("gname", ["sign-scalar", "s2-theta"])
+def test_trusted_labels_equal_validated_labels(gname):
+    # S_3[G]: each label of build_wreath equals the validating constructor's
+    # label on the same (sigma, gs) in every field, compile, == and hash
+    G = matrix_group_fixture(gname)
+    P = PermGroup.symmetric(3)
+    trusted = build_wreath(P, G, 3)
+    validated = [WreathElement(sigma, gs) for sigma, gs in groups._wreath_labels(P.elements, G, 3)]
+    assert len(trusted) == len(validated) == 6 * G.order**3
+    for t, v in zip(trusted, validated):
+        assert type(t) is WreathElement and vars(t) == vars(v)
+        assert t.sigma == v.sigma and t.gs == v.gs
+        assert t == v and hash(t) == hash(v)
+        assert t.substitution == v.substitution
+        with pytest.raises(FrozenInstanceError):
+            t.sigma = v.sigma
+    assert len(set(trusted) | set(validated)) == len(trusted)
+
+
+def test_substitution_compiles_once_per_label_object(monkeypatch):
+    descriptor = WreathElement.__dict__["substitution"]
+    compile_label = descriptor.method
+    compiled = []
+
+    def counted(w):
+        compiled.append(w)
+        return compile_label(w)
+
+    monkeypatch.setattr(descriptor, "method", counted)
+    labels = build_wreath(PermGroup.symmetric(3), sign_group(), 3)
+    for w in labels:
+        first = w.substitution
+        assert w.substitution is first
+    assert compiled == labels
+    # an equal label object compiles its own, to an equal value
+    again = WreathElement(labels[1].sigma, labels[1].gs)
+    assert again.substitution == labels[1].substitution
+    assert again.substitution is not labels[1].substitution
+    assert len(compiled) == len(labels) + 1
+    # a label that does not compile stores nothing and is refused every time
+    ident = GradedGroupElement.identity(1, 1)
+    mixed = WreathElement(Permutation.identity(2), (ident, GradedGroupElement.identity(2, 1)))
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch):
+            mixed.substitution
+    assert "substitution" not in vars(mixed)
+    assert len(compiled) == len(labels) + 3
+
+
+def test_element_moves_and_monomial_are_computed_once():
+    g = sign_group().elements[1]
+    assert g.moves is g.moves and g.monomial
+    assert {"moves", "monomial"} <= vars(g).keys()
+    move = g.moves[1, 2]
+    assert g.moves[1, 2] is move
+    assert all(type(part) is dict for part in move)
 
 
 def test_wreath_sign_ignores_g_part():

@@ -1,11 +1,12 @@
 """Molien averages against hand-computed series and the Reynolds-rank oracle."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from supermolien import linalg, molien, shuffle, superalgebra, verify, wreath_series
+from supermolien import groups, linalg, molien, shuffle, superalgebra, verify, wreath_series
 from supermolien.errors import BasisTooLarge, DegreeMismatch, DimensionMismatch
 from supermolien.fixtures import (
     diagonal_perm_group,
@@ -381,6 +382,30 @@ def test_sgn_character_read_off_the_odd_part():
     assert sign_character(G) == (1, -1)
     report = molien_vs_oracle(GroupAction.from_matrix_group(G, sign_character(G)), 3)
     assert report == {"agreements": 12, "mismatches": []}
+
+
+@pytest.mark.parametrize("gname", ["sign-scalar", "s2-theta"])
+def test_signed_weights_take_one_sign_per_sigma(monkeypatch, gname):
+    # each weight is its label's perm_sign, computed once per distinct
+    # sigma, in P[G]'s sigma-major order and in a shuffled order alike
+    G = matrix_group_fixture(gname)
+    sig = AlgebraSignature(G.r0, G.r1, 3)
+    labels = build_wreath(PermGroup.symmetric(3), G, 3)
+    shuffled = random.Random(3).sample(labels, len(labels))
+    calls = []
+
+    def counted(sigma):
+        calls.append(sigma)
+        return groups.perm_sign(sigma)
+
+    monkeypatch.setattr(molien, "perm_sign", counted)
+    for order in (labels, shuffled):
+        calls.clear()
+        action = GroupAction.of_labels(sig, order, True)
+        assert action.pairs == tuple((groups.perm_sign(w.sigma), w) for w in order)
+        assert len(calls) == len(set(calls)) == 6
+    assert GroupAction.of_labels(sig, labels, False).pairs == tuple((1, w) for w in labels)
+    assert len(calls) == 6
 
 
 def test_zero_row_wreath_has_series_one():

@@ -1,6 +1,7 @@
 """Truncated trigraded series: arithmetic, inversion, caps semantics, JSON."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,48 @@ def test_flip_u_is_multiplicative(a, b):
 @given(series_st, series_st)
 def test_add_sub_roundtrip(a, b):
     assert series_sub(series_add(a, b), b) == a
+
+
+def cauchy_reference(a, b):
+    """The plain Cauchy product: every pair of terms, kept when the summed
+    exponents lie within the shared caps."""
+    caps = a.caps.min_with(b.caps)
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(k1, k2))
+            if caps.contains(key):
+                out[key] = out.get(key, 0) + c1 * c2
+    return TrigradedSeries(caps, out)
+
+
+def random_series(rng, caps, size, fractional):
+    coeffs = {}
+    for _ in range(size):
+        key = (rng.randint(0, caps.t), rng.randint(0, caps.q), rng.randint(0, caps.u))
+        c = rng.randint(-5, 5)
+        coeffs[key] = Fraction(c, rng.randint(1, 4)) if fractional and rng.random() < 0.5 else c
+    return TrigradedSeries(caps, coeffs)
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+def test_mul_equals_the_plain_cauchy_product(fractional):
+    # operands at different caps, each with terms beyond the shared caps;
+    # the product keeps the shared caps and the exact coefficient types
+    rng = random.Random(2025 + fractional)
+    cap_pairs = [(Caps(4, 1, 3), Caps(1, 4, 2)), (Caps(0, 3, 3), Caps(2, 2, 0))]
+    cap_pairs += [tuple(Caps(*(rng.randint(0, 4) for _ in range(3))) for _ in range(2)) for _ in range(40)]
+    for caps_a, caps_b in cap_pairs:
+        for size_a, size_b in ((0, 5), (5, 0), (1, 1), (6, 9), (12, 12)):
+            a = random_series(rng, caps_a, size_a, fractional)
+            b = random_series(rng, caps_b, size_b, fractional)
+            got, expected = series_mul(a, b), cauchy_reference(a, b)
+            assert got.caps == expected.caps == caps_a.min_with(caps_b)
+            assert [(k, c, type(c)) for k, c in got.items()] == [(k, c, type(c)) for k, c in expected.items()]
+    zero = TrigradedSeries.zero(Caps(2, 2, 2))
+    dense = random_series(rng, Caps(3, 3, 3), 20, fractional)
+    assert series_mul(zero, dense).is_zero() and series_mul(dense, zero).is_zero()
+    assert series_mul(zero, dense).caps == Caps(2, 2, 2)
 
 
 # -- serialization -------------------------------------------------------------

@@ -306,6 +306,21 @@ def test_apply_wreath_matches_label_product_seeded():
 # -- bidegree bases -------------------------------------------------------------------
 
 
+def test_signature_variables_are_built_once_per_signature():
+    # each call returns the one tuple of its signature object, equal to the
+    # list the signature used to build on every call
+    for r0, r1, n in [(0, 0, 0), (1, 1, 2), (2, 3, 3), (3, 0, 1), (0, 2, 4)]:
+        sig = AlgebraSignature(r0, r1, n)
+        even, odd = sig.even_vars(), sig.odd_vars()
+        assert type(even) is tuple and type(odd) is tuple
+        assert sig.even_vars() is even and sig.odd_vars() is odd
+        assert list(even) == [(row, col) for row in range(1, n + 1) for col in range(1, r0 + 1)]
+        assert list(odd) == [(row, col) for row in range(1, n + 1) for col in range(1, r1 + 1)]
+        # the stored tuples leave the signature's value alone
+        assert sig == AlgebraSignature(r0, r1, n) and hash(sig) == hash(AlgebraSignature(r0, r1, n))
+        assert repr(sig) == f"AlgebraSignature(r0={r0}, r1={r1}, n={n})"
+
+
 def test_bidegree_basis_spec_order_for_pure_x():
     sig = AlgebraSignature(2, 0, 1)
     basis = bidegree_basis(sig, 2, 0)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,16 @@ from supermolien.groups import (
     sign_character,
     validate_character,
 )
-from supermolien.series import Caps, TrigradedSeries, series_inv
+from supermolien import symfunc
+from supermolien.series import (
+    Caps,
+    TrigradedSeries,
+    scale_exponents,
+    series_add,
+    series_inv,
+    series_mul,
+    series_scale,
+)
 from supermolien.symfunc import (
     SymFuncPoly,
     cycle_index,
@@ -204,6 +214,51 @@ def test_substitute_scales_all_three_exponents():
     s = TrigradedSeries(caps, {(1, 1, 1): Fraction(1)})
     out = plethystic_substitute(SymFuncPoly.p(3), s)
     assert out == TrigradedSeries(caps, {(3, 3, 3): Fraction(1)})
+
+
+def rescaling_substitute(f, s):
+    """plethystic_substitute as it was: s rescaled afresh for every part of
+    every partition."""
+    total = TrigradedSeries.zero(s.caps)
+    for lam, c in f.terms.items():
+        prod = TrigradedSeries.one(s.caps)
+        for r in lam:
+            prod = series_mul(prod, scale_exponents(s, r))
+        total = series_add(total, series_scale(prod, c))
+    return total
+
+
+def test_substitute_equals_the_per_part_rescaling_reference(monkeypatch):
+    # cycle indices with repeated part sizes, plain and signed, on seeded
+    # series with Fraction coefficients; each part size is scaled once
+    rng = random.Random(7)
+    symmetric = [PermGroup.symmetric(n) for n in range(5)]
+    polys = [cycle_index(P, chi) for P in symmetric for chi in (None, sign_character(P))]
+    polys.append(SymFuncPoly({(2, 2, 2, 1): Fraction(3, 2), (3, 1, 1): Fraction(-1), (): Fraction(2)}))
+    calls = []
+
+    def counted(series, r):
+        calls.append(r)
+        return scale_exponents(series, r)
+
+    for caps in (Caps(2, 4, 2), Caps(4, 6, 3), Caps(0, 8, 0)):
+        coeffs = {
+            (rng.randint(0, caps.t), rng.randint(0, caps.q), rng.randint(0, caps.u)): Fraction(
+                rng.randint(-4, 4), rng.randint(1, 3)
+            )
+            for _ in range(8)
+        }
+        coeffs[(0, 0, 0)] = 1
+        series = TrigradedSeries(caps, coeffs)
+        for f in polys:
+            expected = rescaling_substitute(f, series)
+            calls.clear()
+            monkeypatch.setattr(symfunc, "scale_exponents", counted)
+            got = plethystic_substitute(f, series)
+            monkeypatch.undo()
+            assert got.caps == caps
+            assert got.items() == expected.items()
+            assert sorted(calls) == sorted({r for lam in f.terms for r in lam})
 
 
 def test_compose_on_power_sums():

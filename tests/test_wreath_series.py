@@ -1,10 +1,13 @@
 """Wreath series routes, collation, and the determinant identities."""
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from supermolien import series as series_module
 from supermolien import wreath_series
 from supermolien.errors import CapExceeded, DegreeMismatch, DimensionMismatch
 from supermolien.fixtures import matrix_group_fixture, perm_group_fixture, sign_scalar_group
@@ -184,6 +187,109 @@ def test_product_forms_with_no_rows(flavor):
     spec = CollationSpec(matrix_group_fixture("sign-scalar"), 0, 4, 1, flavor)
     assert collated_product_series(spec).items() == [((0, 0, 0), 1)]
     assert check_superspace(0, 4, flavor)["match"]
+
+
+def reference_product_form(caps, multiplicities, signed):
+    """The product form as it was built before the binomial factors: each
+    dense (1 +- t q^i u^j) raised by series_pow_int, negative powers through
+    series_inv, and the factors multiplied by series_mul."""
+    numerator_parity = 0 if signed else 1
+    one = TrigradedSeries.one(caps)
+    result = one
+    for (i, j), a in multiplicities.items():
+        if not caps.contains((1, i, j)):
+            continue
+        mono = TrigradedSeries.monomial(caps, (1, i, j))
+        if j % 2 == numerator_parity:
+            factor = series_pow_int(series_add(one, mono), a)
+        else:
+            factor = series_pow_int(series_sub(one, mono), -a)
+        result = series_mul(result, factor)
+    return result
+
+
+def _cutting_caps(i, j, terms):
+    """Caps that keep exactly the first `terms` powers of m = t q^i u^j,
+    cut in turn by the t cap, the q cap (i > 0) and the u cap (j > 0)."""
+    big = 9
+    out = [Caps(terms - 1, big, big)]
+    if i:
+        out.append(Caps(big, i * terms - 1, big))
+    if j:
+        out.append(Caps(big, big, j * terms - 1))
+    return out
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (2, 3)])
+def test_binomial_factors_equal_the_power_and_inverse_reference(signed, i, j):
+    # one factor at a time, a = 0..4, with caps that cut the factor after
+    # 1, 2 or 3 terms, and at caps that keep more terms than a (numerator
+    # factors stop at k = a); every coefficient is an exact int
+    for a in range(5):
+        for terms in (1, 2, 3):
+            for caps in _cutting_caps(i, j, terms) + [Caps(6, 6, 6)]:
+                got = wreath_series._product_form(caps, {(i, j): a}, signed)
+                assert got == reference_product_form(caps, {(i, j): a}, signed)
+                assert got.caps == caps
+                assert all(type(c) is int for _, c in got.items())
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_binomial_product_of_many_factors_equals_the_reference(signed):
+    # seeded multiplicity tables on the full bidegree grid, zeros included
+    rng = random.Random(25)
+    for caps in (Caps(3, 4, 3), Caps(4, 2, 5), Caps(2, 0, 4), Caps(0, 3, 3)):
+        for _ in range(4):
+            table = {(i, j): rng.randint(0, 4) for i in range(caps.q + 2) for j in range(caps.u + 2)}
+            got = wreath_series._product_form(caps, table, signed)
+            assert got == reference_product_form(caps, table, signed)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_closed_product_forms_are_unchanged(flavor):
+    # the two closed forms built on _product_form equal their reference
+    signed = flavor == "antiinvariant"
+    for ell in range(4):
+        for n_max, du in ((3, 9), (4, 5), (2, 1)):
+            table = {(0, j): math.comb(ell, j) for j in range(ell + 1)}
+            expected = reference_product_form(Caps(n_max, 0, du), table, False)
+            assert young_exterior_product(ell, n_max, du) == expected
+    for n_max, dq in ((3, 4), (4, 5), (1, 0)):
+        table = {(i, j): 1 for i in range(dq + 1) for j in (0, 1)}
+        expected = reference_product_form(Caps(n_max, dq, n_max), table, signed)
+        assert superspace_product_series(n_max, dq, flavor) == expected
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of the named series functions, through every
+    supermolien module namespace that binds them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(series_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("supermolien") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("gname", COLLATE_GROUPS)
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_collated_product_inverts_and_powers_nothing(monkeypatch, gname, flavor):
+    spec = CollationSpec(matrix_group_fixture(gname), 3, 4, 4, flavor)
+    expected = collated_product_series(spec)
+    counts = _count_calls(monkeypatch, ("series_inv", "series_pow_int"))
+    assert collated_product_series(spec) == expected
+    assert counts == {"series_inv": 0, "series_pow_int": 0}
+    # the counters see calls made through the package: a negative power
+    # recurses once through series_inv
+    series_module.series_pow_int(TrigradedSeries.one(Caps(1, 1, 1)), -1)
+    assert counts == {"series_inv": 1, "series_pow_int": 2}
 
 
 def test_young_collation_sum_route_agrees():
