@@ -524,11 +524,6 @@ class Substitution(NamedTuple):
     one_term: bool
 
 
-def wreath_identity(n: int, r0: int, r1: int) -> WreathElement:
-    ident = GradedGroupElement.identity(r0, r1)
-    return WreathElement(Permutation.identity(n), (ident,) * n)
-
-
 def wreath_mul(w1: WreathElement, w2: WreathElement) -> WreathElement:
     """Product law matching action composition: applying the result equals
     applying w2's substitution and then w1's."""

@@ -4,23 +4,23 @@ QMatrix is the value type of matrix input and output, without arithmetic.
 Every kernel reads a matrix as sparse rows, row i the (column, value)
 pairs of its nonzero entries, or as sparse columns (_columns), which is
 how graded group elements hold their matrices and _compose multiplies
-them.  Determinants and every rank in the package use one Bareiss
-fraction-free elimination on denominator-cleared sparse integer rows
-(_det_rows, _rank_rows).  It keeps the rows in buckets by lead column, so
-its pivot search walks the columns once and touches only the rows that
-hold an entry in the pivot column, and its steps touch nonzero entries
-only; a determinant or rank of columns read as rows is the same.  Rows
-never swap, and a determinant takes its sign from the pivot order by the
-package's one permutation sign, _inversion_sign.
-Char-polys use one kernel on a mapping from row keys to the (key, value)
-pairs of the row's nonzeros: a QMatrix's rows keyed by index, or a wreath
-label's substitution, its columns read as rows.  From the input alone it
-reads a monomial matrix, as every signed-permutation label is, off the
-cycles of its one-entry rows, and sends any other to Berkowitz's
-recurrence on the denominator-cleared entries as sparse rows and column
-lists, keys numbered in mapping order, whose matrix-vector steps update
-nonzero entries only and stop as soon as the bordering column or row is
-empty.
+them.  Ranks and char-polys have one kernel each.
+Every rank in the package uses one Bareiss fraction-free elimination on
+denominator-cleared sparse integer rows (_rank_rows).  It keeps the rows
+in buckets by lead column, so its pivot search walks the columns once and
+touches only the rows that hold an entry in the pivot column, and its
+steps touch nonzero entries only; the rank of columns read as rows is the
+same.
+Char-polys, and with them determinants, use one kernel on a mapping from
+row keys to the (key, value) pairs of the row's nonzeros: a QMatrix's rows
+keyed by index, or a wreath label's substitution, its columns read as
+rows.  det(I - M) is its coefficient sum, det(I - z*M) at z = 1.  From the
+input alone it reads a monomial matrix, as every signed-permutation label
+is, off the cycles of its one-entry rows, and sends any other to
+Berkowitz's recurrence on the denominator-cleared entries as sparse rows
+and column lists, keys numbered in mapping order, whose matrix-vector
+steps update nonzero entries only and stop as soon as the bordering column
+or row is empty.
 Greedy independent-subset selection, which only chooses invariant bases,
 uses an incremental fraction-free echelon accumulator on sparse primitive
 integer rows (EchelonSelector).
@@ -128,31 +128,26 @@ def _compose(a: Sequence, b: Sequence) -> tuple:
     return tuple(out)
 
 
-def _cleared_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> tuple[list[dict[int, int]], int]:
-    """Clear the denominators of each sparse row of nonzero entries:
-    ({column: int} rows, product of the row scales).  A row of ints is
-    copied as it is, with scale 1; every row is a new dict, so the caller's
-    rows stay untouched by an elimination in place."""
+def _cleared_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> list[dict[int, int]]:
+    """Clear the denominators of each sparse row of nonzero entries, giving
+    {column: int} rows, each a multiple of its row.  A row of ints is
+    copied as it is; every row is a new dict, so the caller's rows stay
+    untouched by an elimination in place."""
     out = []
-    scale = 1
     for row in rows:
         if all(type(x) is int for _, x in row):
             out.append(dict(row))
             continue
         lcm = math.lcm(*(x.denominator for _, x in row))
         out.append({j: x.numerator * (lcm // x.denominator) for j, x in row})
-        scale *= lcm
-    return out, scale
+    return out
 
 
-def _bareiss(rows: list[dict[int, int]]) -> tuple[list[int], int]:
+def _bareiss(rows: list[dict[int, int]]) -> list[int]:
     """Fraction-free elimination of sparse integer rows, skipping columns
     without a pivot; an eliminated row is replaced in the list, in its own
-    place.  Returns (the indices of the pivot rows in pivot order, last
-    pivot).  The rank is the number of pivots, and for a square matrix of
-    full rank the determinant is the last pivot times the sign of the pivot
-    order read as a permutation of the rows (_det_rows).  No rows give
-    ([], 1).
+    place.  Returns the indices of the pivot rows in pivot order, whose
+    count is the rank.  No rows give [].
 
     Rows wait in buckets keyed by their lead (least) column, and the
     search walks the sorted union of the rows' columns, which fill-in never
@@ -201,13 +196,13 @@ def _bareiss(rows: list[dict[int, int]]) -> tuple[list[int], int]:
         else:
             p = top[c] if level == prev else top[c] * prev // level
         prev = p
-    return order, prev
+    return order
 
 
 def _rank_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> int:
     """Exact rank of the matrix whose row i has the (column, value) pairs
     rows[i] as its nonzero entries."""
-    return len(_bareiss(_cleared_rows(rows)[0])[0])
+    return len(_bareiss(_cleared_rows(rows)))
 
 
 def _inversion_sign(seq: Sequence) -> int:
@@ -222,17 +217,6 @@ def _inversion_sign(seq: Sequence) -> int:
             if b > a:
                 odd = not odd
     return -1 if odd else 1
-
-
-def _det_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> Fraction:
-    """Exact determinant of the square matrix whose row i has the (column,
-    value) pairs rows[i] as its nonzero entries; columns may stand in for
-    rows.  The sign is that of the pivot order.  No rows give 1."""
-    cleared, scale = _cleared_rows(rows)
-    order, last = _bareiss(cleared)
-    if len(order) < len(rows):
-        return Fraction(0)
-    return Fraction(_inversion_sign(order) * last, scale)
 
 
 def _charpoly_rows(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]]) -> tuple[int | Fraction, ...]:

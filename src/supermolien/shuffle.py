@@ -210,11 +210,6 @@ def _fixed_by(f: SuperPolynomial, generators: GroupAction) -> bool:
     return True
 
 
-def is_wreath_invariant(f: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant") -> bool:
-    """True iff every wreath generator fixes f (or sign-twists it)."""
-    return _fixed_by(f, _wreath_generator_labels(f.sig.n, G, require_flavor(flavor)))
-
-
 def verify_closure(
     A: SuperPolynomial, B: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant"
 ) -> bool:

@@ -26,7 +26,7 @@ from .groups import (
     require_degree,
     sign_character,
 )
-from .linalg import QMatrix, _columns, _compose, _det_rows
+from .linalg import QMatrix, _charpoly_rows, _columns, _compose
 # FLAVORS is re-exported: the wreath routes take one of these flavor names
 from .molien import FLAVORS as FLAVORS, GroupAction, require_flavor, super_molien
 from .series import (
@@ -193,22 +193,13 @@ def young_exterior_product(ell: int, n_max: int, du: int) -> TrigradedSeries:
     return _product_form(Caps(n_max, 0, du), multiplicities, False)
 
 
-def _one_minus(columns) -> list[list[tuple[int, int | Fraction]]]:
-    """I - M, a square M and the result held as sparse columns."""
-    out = []
-    for c, col in enumerate(columns):
-        acc = {c: 1}
-        for i, x in col:
-            acc[i] = acc.get(i, 0) - x
-        out.append([(i, x) for i, x in acc.items() if x])
-    return out
-
-
 def verify_block_determinant_lemma(blocks: list[QMatrix]) -> bool:
     """det(I - M) == det(I - A_m ... A_2 A_1) for the cyclic block layout.
 
     M is the rm x rm matrix with A_1 in block position (1, m) and A_i in
-    block position (i, i-1) for i >= 2; all other blocks are zero.
+    block position (i, i-1) for i >= 2; all other blocks are zero.  Each
+    side is the char-poly det(I - z*X) at z = 1, the sum of its
+    coefficients, with X's columns passed as rows.
     """
     m = len(blocks)
     if m == 0:
@@ -226,7 +217,7 @@ def verify_block_determinant_lemma(blocks: list[QMatrix]) -> bool:
     prod = cols[m - 1]
     for i in range(m - 2, -1, -1):
         prod = _compose(prod, cols[i])
-    return _det_rows(_one_minus(big)) == _det_rows(_one_minus(prod))
+    return sum(_charpoly_rows(dict(enumerate(big)))) == sum(_charpoly_rows(dict(enumerate(prod))))
 
 
 def verify_m_cycle_identity(G: MatrixGroup, m: int, dq: int, du: int | None = None) -> bool:

@@ -36,7 +36,6 @@ from supermolien.groups import (
     symmetric_generators,
     validate_character,
     wreath_generators,
-    wreath_identity,
     wreath_mul,
 )
 from supermolien.fixtures import (
@@ -315,7 +314,7 @@ def test_build_wreath_count_and_order():
     G = sign_group()
     labels = build_wreath(PermGroup.symmetric(2), G, 2)
     assert len(labels) == 2 * 2 * 2
-    assert labels[0] == wreath_identity(2, 1, 0)
+    assert labels[0] == WreathElement(Permutation.identity(2), (GradedGroupElement.identity(1, 0),) * 2)
 
 
 def test_build_wreath_cap(monkeypatch):
@@ -427,7 +426,7 @@ def test_wreath_sign_multiplicative_seeded():
 def test_wreath_mul_group_laws_seeded():
     G = sign_group()
     labels = build_wreath(PermGroup.symmetric(3), G, 3)
-    ident = wreath_identity(3, 1, 0)
+    ident = WreathElement(Permutation.identity(3), (GradedGroupElement.identity(1, 0),) * 3)
     rng = random.Random(6)
     for _ in range(40):
         w1, w2, w3 = (rng.choice(labels) for _ in range(3))
@@ -458,7 +457,8 @@ def test_wreath_generators_close_to_build_wreath(pname, gname, n):
     G = matrix_group_fixture(gname)
     gens = [WreathElement(s, gs) for s, gs in wreath_generators(P.generators, G, n)]
     assert len(gens) == len(P.generators) + n * len(G.generators)
-    assert _wreath_closure(gens, wreath_identity(n, G.r0, G.r1)) == set(build_wreath(P, G, n))
+    ident = WreathElement(Permutation.identity(n), (GradedGroupElement.identity(G.r0, G.r1),) * n)
+    assert _wreath_closure(gens, ident) == set(build_wreath(P, G, n))
 
 
 def test_wreath_generators_with_no_rows():

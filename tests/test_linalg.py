@@ -1,6 +1,8 @@
-"""Exact matrices: Bareiss det/rank against a Laplace-expansion oracle
-and against the row-swapping elimination it replaced, char expansion det(I - zM) against pointwise determinant evaluation, and
-the sparse column product against the dense reference product."""
+"""Exact matrices: the Bareiss rank against a minor oracle and against the
+row-swapping elimination it replaced, determinants read off the char-poly
+kernel against a Laplace-expansion oracle and that elimination, char
+expansion det(I - zM) against pointwise determinant evaluation, and the
+sparse column product against the dense reference product."""
 
 import math
 import random
@@ -23,7 +25,6 @@ from supermolien.linalg import (
     _cleared_rows,
     _columns,
     _compose,
-    _det_rows,
     _nonzeros,
     _rank_rows,
     charpoly_det,
@@ -84,9 +85,18 @@ def test_matrix_construction_and_access():
     assert hash(m) == hash(QMatrix(2, 2, [1, Fraction(1, 2), 0, -3]))
 
 
+def det_rows(rows):
+    """det M read off the char-poly kernel, M the n x n matrix of the sparse
+    rows (or columns): (-1)^n times coefficient n of det(I - z*M), or 0
+    when the stripped coefficient tuple is shorter.  No rows give 1."""
+    n = len(rows)
+    p = _charpoly_rows(dict(enumerate(rows)))
+    return (-1) ** n * p[n] if len(p) > n else 0
+
+
 def det(m):
-    """The determinant of a QMatrix by the sparse kernel."""
-    return _det_rows(_nonzeros(m))
+    """The determinant of a QMatrix by the char-poly kernel."""
+    return det_rows(_nonzeros(m))
 
 
 def test_matrix_multiplication():
@@ -103,7 +113,7 @@ def test_det_hand_values():
     assert det(QMatrix.zeros(2, 2)) == 0
     assert det(QMatrix(0, 0, [])) == 1  # empty matrix, needed for r=0 parts
     # columns stand in for rows: the same value from the transpose
-    assert _det_rows(_columns(QMatrix.from_rows([[1, 2], [3, 4]]))) == -2
+    assert det_rows(_columns(QMatrix.from_rows([[1, 2], [3, 4]]))) == -2
     with pytest.raises(NotSquare):
         charpoly_det(QMatrix.zeros(2, 3))
 
@@ -131,7 +141,7 @@ def test_det_multiplicative_seeded():
         n = rng.randint(1, 4)
         a = _columns(QMatrix.from_rows(random_rational_rows(rng, n, n)))
         b = _columns(QMatrix.from_rows(random_rational_rows(rng, n, n)))
-        assert _det_rows(_compose(a, b)) == _det_rows(a) * _det_rows(b)
+        assert det_rows(_compose(a, b)) == det_rows(a) * det_rows(b)
 
 
 def test_rank_hand_values():
@@ -186,9 +196,8 @@ def test_int_rows_are_copied_with_scale_one():
     # a row of ints is taken as it is; integral Fractions still go through
     # the denominator clearing, and both come out as ints
     rows = [[(0, 2), (3, -4)], [(1, Fraction(6, 3)), (2, Fraction(1, 2))], []]
-    cleared, scale = _cleared_rows(rows)
+    cleared = _cleared_rows(rows)
     assert cleared == [{0: 2, 3: -4}, {1: 4, 2: 1}, {}]
-    assert scale == 2
     assert all(type(x) is int for row in cleared for x in row.values())
 
 
@@ -276,10 +285,18 @@ def swap_bareiss(rows):
 
 def swap_rank_det(rows):
     """(rank, determinant) of sparse rows by the reference elimination; the
-    determinant is that of the square matrix, 0 below full rank."""
-    cleared, scale = _cleared_rows(rows)
-    rank, sign, last = swap_bareiss(cleared)
+    determinant is that of the square matrix, 0 below full rank.  Each
+    cleared row is its row times the lcm of its denominators, so the
+    elimination's determinant is divided by the product of those lcms."""
+    scale = math.prod(math.lcm(*(x.denominator for _, x in row)) for row in rows)
+    rank, sign, last = swap_bareiss(_cleared_rows(rows))
     return rank, Fraction(sign * last, scale) if rank == len(rows) else Fraction(0)
+
+
+def reference_det(m):
+    """det of a square QMatrix by the reference elimination, which shares
+    no code with the char-poly kernel: its pointwise oracle."""
+    return swap_rank_det(_nonzeros(m))[1]
 
 
 def differential_matrices(rng, fractional):
@@ -325,9 +342,10 @@ def differential_matrices(rng, fractional):
 
 @pytest.mark.parametrize("fractional", [False, True])
 def test_bucketed_bareiss_agrees_with_the_swapping_reference(fractional):
-    # rank and determinant of the bucketed kernel against the row-swapping
-    # elimination it replaced, on int and on Fraction rows, and on every
-    # shape of each seeded case's support
+    # the rank of the bucketed kernel, and the determinant of the char-poly
+    # kernel, against the row-swapping elimination the bucketed kernel
+    # replaced, on int and on Fraction rows, and on every shape of each
+    # seeded case's support
     rng = random.Random(f"bareiss-{fractional}")
     shapes = set()
     for label, dense in differential_matrices(rng, fractional):
@@ -336,15 +354,15 @@ def test_bucketed_bareiss_agrees_with_the_swapping_reference(fractional):
         rank, det = swap_rank_det(rows)
         assert _rank_rows(rows) == rank
         if len(dense) == len(dense[0]):
-            assert _det_rows(rows) == det
+            assert det_rows(rows) == det
             if len(dense) <= 4:
                 assert det == laplace_det(dense)
     assert shapes == {"dense", "disjoint", "fill-in", "zero-or-repeated"}
 
 
 def test_det_sign_under_every_row_permutation():
-    # the sign comes from the pivot order alone: every row order of small
-    # square matrices, full rank or not, against the reference and the
+    # every row order of small square matrices, full rank or not: the
+    # char-poly kernel's determinant against the reference and the
     # permutation's sign times the determinant
     import itertools
 
@@ -356,7 +374,7 @@ def test_det_sign_under_every_row_permutation():
             for perm in itertools.permutations(range(n)):
                 rows = [sparse_row(dense[k]) for k in perm]
                 inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
-                assert _det_rows(rows) == swap_rank_det(rows)[1] == (-1) ** inversions * base
+                assert det_rows(rows) == swap_rank_det(rows)[1] == (-1) ** inversions * base
 
 
 class CountingRow(dict):
@@ -388,7 +406,7 @@ def test_rows_with_disjoint_supports_are_never_eliminated():
         kept = list(rows)
         before = [dict(row) for row in rows]
         CountingRow.calls = 0
-        order, _ = _bareiss(rows)
+        order = _bareiss(rows)
         assert CountingRow.calls == 0
         assert all(a is b for a, b in zip(rows, kept)) and rows == before
         assert order == sorted((i for i, row in enumerate(rows) if row), key=lambda i: min(rows[i]))
@@ -469,7 +487,7 @@ def test_charpoly_det_matches_pointwise_dets_seeded():
         p = charpoly_det(m)
         assert len(p) <= n + 1 and p[-1] != 0
         for z0 in points:
-            direct = det(dense_reference.sub(QMatrix.identity(n), dense_reference.scale(m, z0)))
+            direct = reference_det(dense_reference.sub(QMatrix.identity(n), dense_reference.scale(m, z0)))
             assert sum(c * z0**k for k, c in enumerate(p)) == direct
 
 
@@ -492,7 +510,7 @@ def assert_charpoly_pins_pointwise_dets(rows):
     p = _charpoly_rows(rows)
     assert len(p) <= n + 1 and p[0] == 1 and p[-1] != 0
     for z0 in [Fraction(k, 2) for k in range(-n // 2, n - n // 2 + 1)]:
-        direct = det(dense_reference.sub(QMatrix.identity(n), dense_reference.scale(m, z0)))
+        direct = reference_det(dense_reference.sub(QMatrix.identity(n), dense_reference.scale(m, z0)))
         assert sum(c * z0**k for k, c in enumerate(p)) == direct
 
 

@@ -7,8 +7,12 @@ reads package names as it installs and must put every binding back.  The
 seeded group is built through the QMatrix constructor and its generators
 reach the digest through the dense g0 and g1 views, so a change that
 breaks either, or moves any pinned digest, fails here and not only in the
-benchmark."""
+benchmark.  Every package name that perfbench's cases, its tests and its
+tracer's METHODS read must resolve, so a deletion under src/ that would
+break a benchmark run or a perfbench test fails here too."""
 
+import ast
+import importlib
 import json
 import pathlib
 import sys
@@ -77,3 +81,67 @@ def test_traced_cases_pass_the_digest_gate_and_restore_bindings(workload):
     assert_gate_passes(workload, chosen, [traced])
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def imported_module(name):
+    """The module of that dotted name, or None if no module has it."""
+    try:
+        return importlib.import_module(name)
+    except ModuleNotFoundError:
+        return None
+
+
+def package_reads(tree):
+    """(line, dotted name) of each supermolien name a module reads: each
+    name imported from a supermolien module, and each attribute chain read
+    through a name bound to a supermolien module."""
+    modules = {}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "supermolien":
+                    # import a.b binds a, and import a.b as c binds a.b
+                    modules[a.asname or "supermolien"] = a.name if a.asname else "supermolien"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "supermolien":
+            for a in node.names:
+                name = f"{node.module}.{a.name}"
+                reads.append((node.lineno, name))
+                if imported_module(name) is not None:
+                    modules[a.asname or a.name] = name
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            reads.append((node.lineno, ".".join([modules[node.id], *reversed(chain)])))
+    return reads
+
+
+def resolves(dotted):
+    """Whether a dotted name resolves: its longest module prefix, then
+    attributes of it."""
+    parts = dotted.split(".")
+    k = len(parts)
+    while (value := imported_module(".".join(parts[:k]))) is None:
+        k -= 1
+    for attr in parts[k:]:
+        if not hasattr(value, attr):
+            return False
+        value = getattr(value, attr)
+    return True
+
+
+@pytest.mark.parametrize("source", ["cases.py", "tests/test_perfbench.py"])
+def test_perfbench_package_names_resolve(source):
+    reads = package_reads(ast.parse((ROOT / "perfbench" / source).read_text()))
+    assert reads
+    assert [(line, name) for line, name in reads if not resolves(name)] == []
+
+
+@pytest.mark.parametrize("layer,cls_name,meth", tracer.METHODS)
+def test_tracer_methods_resolve(layer, cls_name, meth):
+    # the tracer wraps cls.__dict__[meth], so the method is the class's own
+    cls = getattr(importlib.import_module(f"supermolien.{layer}"), cls_name)
+    assert meth in vars(cls)

@@ -21,7 +21,6 @@ from supermolien.shuffle import (
     degree_one_pool,
     generation_sweep,
     invariant_basis,
-    is_wreath_invariant,
     random_super_polynomial,
     shift_rows,
     shuffle_product,
@@ -335,8 +334,9 @@ def test_invariance_checks_refuse_a_foreign_signature(flavor):
     G = MatrixGroup.trivial(0, 1)
     sig2 = AlgebraSignature(1, 1, 2)
     f = SuperPolynomial.theta_var(sig2, 1, 1) + SuperPolynomial.theta_var(sig2, 2, 1)
+    generators = shuffle_module._wreath_generator_labels(2, G, require_flavor(flavor))
     with pytest.raises(SignatureMismatch):
-        is_wreath_invariant(f, G, flavor)
+        shuffle_module._fixed_by(f, generators)
     with pytest.raises(SignatureMismatch):
         verify_closure(f, f, G, flavor)
 
@@ -591,10 +591,11 @@ def test_is_wreath_invariant_detects_twist():
     sig = AlgebraSignature(0, 1, 2)
     th1 = SuperPolynomial.theta_var(sig, 1, 1)
     th2 = SuperPolynomial.theta_var(sig, 2, 1)
-    assert is_wreath_invariant(th1 + th2, G, "invariant")
-    assert not is_wreath_invariant(th1 + th2, G, "antiinvariant")
-    assert is_wreath_invariant(th1 - th2, G, "antiinvariant")
-    assert not is_wreath_invariant(th1 - th2, G, "invariant")
+    plain, signed = (shuffle_module._wreath_generator_labels(2, G, s) for s in (False, True))
+    assert shuffle_module._fixed_by(th1 + th2, plain)
+    assert not shuffle_module._fixed_by(th1 + th2, signed)
+    assert shuffle_module._fixed_by(th1 - th2, signed)
+    assert not shuffle_module._fixed_by(th1 - th2, plain)
 
 
 @pytest.mark.parametrize("gname", ["trivial-1-1", "sign-scalar", "s2-theta", "young-2-1-theta", "scaled-swap", "rational-s3"])

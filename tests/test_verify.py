@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from supermolien import cli, verify
+from supermolien import cli, linalg, verify
 from supermolien.verify import (
     SUITES,
     check_display_signed_22,
@@ -121,3 +121,28 @@ def test_suite_names():
 def test_display_checks_pass():
     assert check_display_signed_22()
     assert check_display_unsigned_12()
+
+
+def test_block_lemma_check_reads_the_charpoly_kernel(monkeypatch):
+    # both determinants of the seeded lemma check are char-polys at z = 1,
+    # so its non-monomial draws reach Berkowitz, and a Berkowitz that
+    # negates its z^1 coefficient fails some of them
+    berkowitz = linalg._berkowitz
+    calls = 0
+
+    def counted(rows):
+        nonlocal calls
+        calls += 1
+        return berkowitz(rows)
+
+    monkeypatch.setattr(linalg, "_berkowitz", counted)
+    assert verify._seeded_block_lemma(42, 50) == (50, 0)
+    assert calls > 0
+
+    def negated(rows):
+        p = berkowitz(rows)
+        return p[:1] + tuple(-c for c in p[1:2]) + p[2:]
+
+    monkeypatch.setattr(linalg, "_berkowitz", negated)
+    checked, failed = verify._seeded_block_lemma(42, 50)
+    assert checked == 50 and failed > 0

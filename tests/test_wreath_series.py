@@ -12,7 +12,7 @@ from supermolien import wreath_series
 from supermolien.errors import CapExceeded, DegreeMismatch, DimensionMismatch
 from supermolien.fixtures import matrix_group_fixture, perm_group_fixture, sign_scalar_group
 from supermolien.groups import GradedGroupElement, MatrixGroup, PermGroup, Permutation, WreathElement
-from supermolien.linalg import QMatrix, _det_rows, _nonzeros
+from supermolien.linalg import QMatrix, charpoly_det
 from supermolien.molien import FLAVORS, GroupAction, super_molien
 from supermolien.series import (
     Caps,
@@ -328,7 +328,8 @@ def test_block_determinant_lemma_hand_case():
     big = QMatrix.from_rows(
         [[Fraction(1), Fraction(-2)], [Fraction(-3), Fraction(1)]]
     )
-    assert _det_rows(_nonzeros(big)) == Fraction(-5)
+    # det of the 2 x 2 is coefficient 2 of det(I - z*big)
+    assert charpoly_det(big)[2] == Fraction(-5)
 
 
 def test_block_determinant_lemma_validation():
