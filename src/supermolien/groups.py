@@ -9,9 +9,9 @@ its blocks are not square and alike: each variable's image keyed by (row,
 col), the columns of its element moved to another row.  Each element moves
 its columns once per pair of rows (GradedGroupElement.moves), into one dict
 of images per graded part, and the labels share those dicts: a compile is
-one dict.update per row and part.  Every route reads the one compile: the
-Molien route takes its char-polys, and the supercommutative-algebra layer
-maps whole term maps through it.  The product law is chosen so that
+one dict.update per row and part.  The algebra layer maps whole term maps
+through the compile; the Molien sum walks the same moved columns a cycle
+of rows at a time.  The product law is chosen so that
 applying w1 * w2 equals applying w2's substitution first and then w1's.
 Every compute-once attribute (moves, monomial, substitution) is the
 lock-free descriptor once.
@@ -120,21 +120,27 @@ def perm_sign(p: Permutation) -> int:
     return _inversion_sign(p.images)
 
 
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    """Cycle lengths, weakly decreasing (a partition of n)."""
+def _cycles(p: Permutation) -> list[tuple[int, ...]]:
+    """The cycles of p, each as (i, p(i), p(p(i)), ..) from its least point
+    i, in the order of those points."""
+    images = p.images
     seen = [False] * p.n
-    lengths = []
+    out = []
     for start in range(1, p.n + 1):
-        if seen[start - 1]:
-            continue
-        length = 0
+        cycle = []
         i = start
         while not seen[i - 1]:
             seen[i - 1] = True
-            i = p(i)
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+            cycle.append(i)
+            i = images[i - 1]
+        if cycle:
+            out.append(tuple(cycle))
+    return out
+
+
+def cycle_type(p: Permutation) -> tuple[int, ...]:
+    """Cycle lengths, weakly decreasing (a partition of n)."""
+    return tuple(sorted(map(len, _cycles(p)), reverse=True))
 
 
 def symmetric_generators(n: int) -> list[Permutation]:

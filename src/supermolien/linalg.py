@@ -16,11 +16,12 @@ row keys to the (key, value) pairs of the row's nonzeros: a QMatrix's rows
 keyed by index, or a wreath label's substitution, its columns read as
 rows.  det(I - M) is its coefficient sum, det(I - z*M) at z = 1.  From the
 input alone it reads a monomial matrix, as every signed-permutation label
-is, off the cycles of its one-entry rows, and sends any other to
-Berkowitz's recurrence on the denominator-cleared entries as sparse rows
-and column lists, keys numbered in mapping order, whose matrix-vector
-steps update nonzero entries only and stop as soon as the bordering column
-or row is empty.
+is, off its cycle signature (_cycle_signature, the sorted (length,
+product) of the cycles of its one-entry rows, which the Molien sum also
+keys labels by), and sends any other to Berkowitz's recurrence on the
+denominator-cleared entries as sparse rows and column lists, keys numbered
+in mapping order, whose matrix-vector steps update nonzero entries only
+and stop as soon as the bordering column or row is empty.
 Greedy independent-subset selection, which only chooses invariant bases,
 uses an incremental fraction-free echelon accumulator on sparse primitive
 integer rows (EchelonSelector).
@@ -219,48 +220,44 @@ def _inversion_sign(seq: Sequence) -> int:
     return -1 if odd else 1
 
 
-def _charpoly_rows(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]]) -> tuple[int | Fraction, ...]:
-    """det(I - z*M) as its coefficient tuple in z, trailing zeros stripped,
-    M square with one row per key of rows (any hashables), rows[k] the
-    (key, value) pairs of that row's nonzeros, in any order.  Since
-    det(I - z*M) = det(I - z*M^T), columns may be passed as rows, as a
-    wreath label's substitution is.
-
-    The kernel picks its path from the input alone.  When M is monomial,
-    every row holding exactly one entry and the row -> column map a
-    bijection, it walks the cycles of that map: det(I - z*M) is the product
-    over the cycles of (1 - p*z^len), p the product of the cycle's entries,
-    in O(n).  The walk gives up at the first row that does not hold exactly
-    one entry, or at the first walk that closes on a node other than its
-    start (a repeated column, or a tail into a cycle), and the matrix goes
-    unchanged to Berkowitz's recurrence (_berkowitz).  Both paths return
-    the same values with the same types: ints when every entry has
-    denominator 1, Fractions included, else Fractions.  No rows give the
-    constant 1.
-    """
+def _cycle_signature(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]]) -> tuple | None:
+    """The sorted (length, product) pairs of the cycles of a monomial M, as
+    _charpoly_rows takes it, product the cycle's product of entries, a
+    Fraction exactly when one of them is not integral; None at the first
+    row without exactly one entry or walk closing off its start (M not
+    monomial).  No rows give ()."""
+    if not rows:
+        return ()
     # each walk pops its rows from a copy, so a step hashes one key
     todo = dict(rows)
-    vect = [1]
-    fractional = False
+    cycles = []
     while todo:
         start, row = todo.popitem()
         p = 1
         length = 0
         while row is not None:
             if len(row) != 1:
-                return _berkowitz(rows)
+                return None
             i, x = row[0]
-            if type(x) is not int:
-                if x.denominator == 1:
-                    x = x.numerator
-                else:
-                    fractional = True
+            if type(x) is not int and x.denominator == 1:
+                x = x.numerator
             p *= x
             length += 1
             row = todo.pop(i, None)
         if i != start:
-            return _berkowitz(rows)
-        # multiply by 1 - p*z^length
+            return None
+        cycles.append((length, p))
+    cycles.sort()
+    return tuple(cycles)
+
+
+def _expand_signature(signature: Iterable[tuple[int, int | Fraction]]) -> tuple[int | Fraction, ...]:
+    """The product over the cycles of (1 - p*z^length): det(I - z*M) from
+    the cycle signature of M, typed as _charpoly_rows returns it."""
+    vect = [1]
+    fractional = False
+    for length, p in signature:
+        fractional = fractional or type(p) is not int
         new = vect + [0] * length
         for k, v in enumerate(vect, length):
             new[k] -= p * v
@@ -270,6 +267,22 @@ def _charpoly_rows(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fracti
     if fractional:
         return tuple(Fraction(c) for c in vect)
     return tuple(vect)
+
+
+def _charpoly_rows(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]]) -> tuple[int | Fraction, ...]:
+    """det(I - z*M) as its coefficient tuple in z, trailing zeros stripped,
+    M square with one row per key of rows (any hashables), rows[k] the
+    (key, value) pairs of that row's nonzeros, in any order.  Since
+    det(I - z*M) = det(I - z*M^T), columns may be passed as rows, as a
+    wreath label's substitution is.  A monomial M has its cycle signature
+    expanded, in O(n), any other goes to Berkowitz's recurrence; both give
+    ints when every entry has denominator 1, Fractions included, else
+    Fractions.  No rows give the constant 1.
+    """
+    signature = _cycle_signature(rows)
+    if signature is None:
+        return _berkowitz(rows)
+    return _expand_signature(signature)
 
 
 def _berkowitz(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]]) -> tuple[int | Fraction, ...]:

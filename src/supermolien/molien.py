@@ -5,27 +5,31 @@ as (chi(w), w) pairs, chi the +-1 linear character selecting the isotypic
 component: from_matrix_group takes chi as a +-1 tuple, or None for the
 trivial one, and of_labels weights by sgn(sigma).  Every label w acts by
 one matrix per graded part, M0(w) on the even and M1(w) on the odd
-variables, compiled once per label into WreathElement.substitution, which
-both routes read and whose shape the action checks once, when it is made.
-The Molien route averages det(I + u*M1)/det(I - q*M0) over the pairs with
-weights chi(w^{-1}) = chi(w).  The summand depends on w only through its
-two char-polys, so the sum is keyed by char-poly pair: each label's pair
-is computed from its substitution's two maps (by a cycle walk when the
-matrix is monomial, by Berkowitz's recurrence otherwise), the weights
-are summed per distinct pair, and each pair is expanded into a series
-once.  The oracle route never looks at Molien: it takes the exact rank of
-the Reynolds operator, the average of the substitutions by the same
-matrices, on the monomial basis of each bidegree.  Since R(w.f) = chi(w) R(f), a label
-mapping m to a single term c*m' gives R(m') = chi(w)/c R(m), a multiple of
-R(m), so the rank is taken over one row per orbit of monomials, not one per
-monomial.  Each row is one call of the weighted label sum of superalgebra
-over the action's pairs: it maps the orbit's first monomial, with
-coefficient 1, through every label's compiled substitution, one-term
-labels inside the sum's own loop, builds no polynomial per label, and
-sums chi(w)*c as ints (Fractions only for non-integral c).  That
-undivided sum is |W| R(m), which spans the same line as R(m), so only the
-public reynolds_project divides by |W|.  The rows go to the integer
-Bareiss kernel as sparse (position, value) pairs.
+variables, compiled once per label into WreathElement.substitution, whose
+shape the action checks once, when it is made.  The Molien route averages
+det(I + u*M1)/det(I - q*M0) with weights chi(w^{-1}) = chi(w) in one sum
+over (chi, sigma, gs) triples, an action's pairs or the streamed labels of
+P[G].  A label's matrices are block-diagonal over the cycles of sigma, so
+a monomial label's two char-polys are fixed by the sorted union of its
+blocks' cycle signatures, each block walked once per call; the weights are
+summed per union, each union is expanded once, and each distinct char-poly
+pair once into a series, since distinct unions can share one.  Each
+label's determinants still come from its own blocks, and no cycle-type
+class, cycle index or block determinant lemma is used: those stay with the
+plethysm route, which keeps the routes independent.  The oracle route
+never looks at Molien: it takes the exact rank of the Reynolds operator,
+the average of the substitutions by the same matrices, on the monomial
+basis of each bidegree.  Since R(w.f) = chi(w) R(f), a label mapping m to
+a single term c*m' gives R(m') = chi(w)/c R(m), a multiple of R(m), so the
+rank is taken over one row per orbit of monomials, not one per monomial.
+Each row is one call of the weighted label sum of superalgebra over the
+action's pairs: it maps the orbit's first monomial, with coefficient 1,
+through every label's compiled substitution, one-term labels inside the
+sum's own loop, builds no polynomial per label, and sums chi(w)*c as ints
+(Fractions only for non-integral c).  That undivided sum is |W| R(m),
+which spans the same line as R(m), so only the public reynolds_project
+divides by |W|.  The rows go to the integer Bareiss kernel as sparse
+(position, value) pairs.
 molien_vs_oracle compares the two routes coefficient by coefficient.
 """
 
@@ -41,11 +45,12 @@ from .groups import (
     PermGroup,
     Permutation,
     WreathElement,
+    _cycles,
     build_wreath,
     perm_sign,
     validate_character,
 )
-from .linalg import _charpoly_rows, _rank_rows
+from .linalg import _charpoly_rows, _cycle_signature, _expand_signature, _rank_rows
 from .series import Caps, Key, TrigradedSeries
 from .superalgebra import (
     AlgebraSignature,
@@ -93,6 +98,14 @@ class GroupAction:
     def __post_init__(self):
         for _, w in self.pairs:
             _require_shape(w.substitution, self.signature)
+
+    @staticmethod
+    def _of(signature: AlgebraSignature, pairs: tuple) -> "GroupAction":
+        """Trusted constructor for labels already checked against signature,
+        as another action's are: no __post_init__."""
+        action = object.__new__(GroupAction)
+        action.__dict__.update(signature=signature, pairs=pairs)
+        return action
 
     @property
     def order(self) -> int:
@@ -155,35 +168,85 @@ def _pair_table(den: tuple, num: tuple, dq: int) -> dict[Key, int | Fraction]:
     }
 
 
-def super_molien(action: GroupAction, dq: int, du: int | None = None) -> TrigradedSeries:
-    """Character-weighted Molien average, exact within caps (0, dq, du).
+def _block_signatures(gs: Sequence, rows: tuple[int, ...]) -> tuple | None:
+    """The even and odd cycle signatures of the block of a label's rows on
+    one cycle of sigma, as groups._cycles lists it; None when a part is not
+    monomial."""
+    if len(rows) == 1:
+        even, odd = gs[rows[0] - 1].moves[rows[0], rows[0]]
+    else:
+        even, odd = {}, {}
+        # the variables of row i = sigma(b) land in row b
+        for b, i in zip(rows, rows[1:] + rows[:1]):
+            moved_even, moved_odd = gs[i - 1].moves[i, b]
+            even.update(moved_even)
+            odd.update(moved_odd)
+    sigs = (_cycle_signature(even), _cycle_signature(odd))
+    return None if None in sigs else sigs
 
-    du defaults to the full odd dimension n*r1, where the numerator
-    det(I + u*g1) is a polynomial of exactly that degree.  A label's term
-    depends only on its pair of char-polys, det(I - z*M0) and det(I - z*M1)
-    truncated at du, so each label's two char-polys are computed from the
-    even and odd maps of its substitution and chi(w) is summed per
-    distinct pair; each pair of nonzero weight is expanded once, scaled by
-    its weight, and the sum is divided by |W| once.  The char-poly kernel
-    reads a label matrix whose variables each map to one term, on
-    distinct variables (every label of P[G] with G of signed permutation
-    matrices), off the cycles of that map, and any other by Berkowitz's
-    recurrence; it picks from the maps alone.  Labels are grouped by value only, never
-    by cycle type or conjugacy class, and nothing outlives the call.
-    """
-    caps = Caps.of((0, dq, action.signature.num_odd if du is None else du))
-    weights: dict[tuple[tuple, tuple], int] = {}
-    for chi, w in action.pairs:
-        sub = w.substitution
-        pair = (_charpoly_rows(sub.even), _charpoly_rows(sub.odd)[: caps.u + 1])
-        weights[pair] = weights.get(pair, 0) + chi
+
+def _molien_sum(triples: Iterable[tuple], order: int, dq: int, du: int) -> TrigradedSeries:
+    """(1/order) sum of chi * det(I + u*M1)/det(I - q*M0) over the labels
+    (sigma, gs) of the (chi, sigma, gs) triples, read once, within caps
+    (0, dq, du), checked first.  Blocks and sigmas are memoized by identity
+    for the call, the caller holding each object.  Each distinct pair of
+    block signatures is numbered, 0 standing for a block with a
+    non-monomial part, whose label takes its whole matrices' char-polys; a
+    label's key is the sorted numbers of its blocks, and each distinct
+    key's sorted signature union is formed once."""
+    caps = Caps.of((0, dq, du))
+    cycles_of: dict[int, list] = {}
+    walked: dict[tuple, int] = {}
+    numbers: dict[tuple | None, int] = {None: 0}
+    keys: dict[tuple[int, ...], int] = {}
+    pairs: dict[tuple, int] = {}
+    for chi, sigma, gs in triples:
+        sigma_cycles = cycles_of.get(id(sigma))
+        if sigma_cycles is None:
+            sigma_cycles = cycles_of[id(sigma)] = _cycles(sigma)
+        blocks = []
+        for rows in sigma_cycles:
+            block = (rows, tuple([id(gs[i - 1]) for i in rows]))
+            k = walked.get(block)
+            if k is None:
+                k = walked[block] = numbers.setdefault(_block_signatures(gs, rows), len(numbers))
+            blocks.append(k)
+        blocks.sort()
+        if blocks and not blocks[0]:
+            sub = WreathElement._of(sigma, gs).substitution
+            pair = (_charpoly_rows(sub.even), _charpoly_rows(sub.odd)[: caps.u + 1])
+            pairs[pair] = pairs.get(pair, 0) + chi
+        else:
+            key = tuple(blocks)
+            keys[key] = keys.get(key, 0) + chi
+    signatures = list(numbers)
+    unions: dict[tuple[tuple, tuple], int] = {}
+    for blocks, weight in keys.items():
+        union = tuple(tuple(sorted(c for k in blocks for c in signatures[k][part])) for part in (0, 1))
+        unions[union] = unions.get(union, 0) + weight
+    for (even, odd), weight in unions.items():
+        if weight:
+            pair = (_expand_signature(even), _expand_signature(odd)[: caps.u + 1])
+            pairs[pair] = pairs.get(pair, 0) + weight
     total: dict[Key, int | Fraction] = {}
-    for (den, num), weight in weights.items():
+    for (den, num), weight in pairs.items():
         if weight:
             for key, c in _pair_table(den, num, dq).items():
                 total[key] = total.get(key, 0) + weight * c
-    order = action.order
-    return TrigradedSeries._canonical(caps, {k: Fraction(c) / order for k, c in total.items()})
+    return TrigradedSeries._canonical(
+        caps, {k: c // order if type(c) is int and c % order == 0 else Fraction(c, order) for k, c in total.items()}
+    )
+
+
+def super_molien(action: GroupAction, dq: int, du: int | None = None) -> TrigradedSeries:
+    """Character-weighted Molien average, exact within caps (0, dq, du), by
+    the one Molien sum over the action's pairs.
+
+    du defaults to the full odd dimension n*r1, where the numerator
+    det(I + u*g1) is a polynomial of exactly that degree.
+    """
+    du = action.signature.num_odd if du is None else du
+    return _molien_sum(((chi, w.sigma, w.gs) for chi, w in action.pairs), action.order, dq, du)
 
 
 def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:

@@ -42,6 +42,7 @@ from .groups import (
     MatrixGroup,
     PermGroup,
     WreathElement,
+    perm_sign,
     shuffle_count,
     shuffle_reps,
     symmetric_generators,
@@ -98,11 +99,11 @@ def _coset_labels(blocks: tuple[int, ...], r0: int, r1: int, signed: bool) -> Gr
     """The minimal coset representatives of the row blocks as a GroupAction
     of labels whose row blocks are all the identity, weighted by sign when
     signed: built, compiled and checked once per (blocks, r0, r1), after
-    their count times the rows is checked against WREATH_CAP, the signed
-    action on the unsigned one's labels."""
+    their count times the rows is checked against WREATH_CAP; the signed
+    action reweights the unsigned one's checked labels, checking none."""
     if signed:
         unsigned = _coset_labels(blocks, r0, r1, False)
-        return GroupAction.of_labels(unsigned.signature, (w for _, w in unsigned.pairs), True)
+        return GroupAction._of(unsigned.signature, tuple((perm_sign(w.sigma), w) for _, w in unsigned.pairs))
     n = sum(blocks)
     count = shuffle_count(blocks)
     if count * n > WREATH_CAP:

@@ -1,10 +1,11 @@
 """Hilbert series of wreath product actions, two ways, and their collation.
 
-The direct route averages over every label of P[G] acting on n rows of
-variables.  The plethystic route never enumerates P[G]: it substitutes the
-one-row series of G into the cycle index of P, with a u -> -u flip on the
-way in and out to account for anticommuting variables.  Matching the two is
-the main consistency check of the package.
+The direct route streams every label of P[G] acting on n rows of
+variables into the Molien sum, building no label object.  The plethystic
+route never enumerates P[G]: it substitutes the one-row series of G into
+the cycle index of P, with a u -> -u flip on the way in and out to account
+for anticommuting variables.  Matching the two is the main consistency
+check of the package.
 
 Collation packages all symmetric-group wreath series into a single series
 in t whose product form is controlled by the graded invariant dimensions
@@ -23,12 +24,13 @@ from .groups import (
     Permutation,
     WreathElement,
     _wreath_labels,
+    perm_sign,
     require_degree,
     sign_character,
 )
 from .linalg import QMatrix, _charpoly_rows, _columns, _compose
 # FLAVORS is re-exported: the wreath routes take one of these flavor names
-from .molien import FLAVORS as FLAVORS, GroupAction, require_flavor, super_molien
+from .molien import FLAVORS as FLAVORS, GroupAction, _molien_sum, require_flavor, super_molien
 from .series import (
     Caps,
     TrigradedSeries,
@@ -45,9 +47,16 @@ from .symfunc import cycle_index, plethystic_substitute
 def wreath_hilbert_direct(
     P: PermGroup, G: MatrixGroup, n: int, flavor: str, dq: int, du: int | None = None
 ) -> TrigradedSeries:
-    """Hilbert series of the (anti)invariants of P[G], by full enumeration."""
-    action = GroupAction.from_wreath(P, G, n, flavor=flavor)
-    return super_molien(action, dq, du)
+    """Hilbert series of the (anti)invariants of P[G], by full enumeration:
+    the labels stream from _wreath_labels, which checks the degree and cap
+    at the call, into the Molien sum, with one sign per sigma, and no label
+    object is built."""
+    signed = require_flavor(flavor)
+    labels = _wreath_labels(P.elements, G, n)
+    # keyed by identity: the labels carry P's own sigma objects
+    chi = {id(sigma): perm_sign(sigma) if signed else 1 for sigma in P.elements}
+    triples = ((chi[id(sigma)], sigma, gs) for sigma, gs in labels)
+    return _molien_sum(triples, P.order * G.order**n, dq, n * G.r1 if du is None else du)
 
 
 def wreath_hilbert_plethysm(

@@ -25,6 +25,8 @@ from supermolien.linalg import (
     _cleared_rows,
     _columns,
     _compose,
+    _cycle_signature,
+    _expand_signature,
     _nonzeros,
     _rank_rows,
     charpoly_det,
@@ -609,6 +611,45 @@ def test_charpoly_rows_walk_keeps_the_type_rule():
         assert p == expected == _berkowitz(rows)
         assert all(type(c) is kind for c in p)
         assert [type(c) for c in p] == [type(c) for c in _berkowitz(rows)]
+
+
+def test_expanded_cycle_signature_equals_berkowitz_seeded():
+    # Seeded monomial matrices with scaled entries: ints, integral
+    # Fractions and non-integral Fractions, so some cycle products are
+    # integral Fractions.  The signature lists each cycle once, sorted,
+    # with lengths summing to n, and its expansion has Berkowitz's values
+    # and coefficient types.
+    rng = random.Random(2026)
+    entries = (1, -1, 2, -3, Fraction(4), Fraction(-1, 2), Fraction(3, 4), Fraction(2, 3))
+    kinds = set()
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        images = list(range(n))
+        rng.shuffle(images)
+        rows = {i: [(images[i], rng.choice(entries))] for i in range(n)}
+        signature = _cycle_signature(rows)
+        assert list(signature) == sorted(signature)
+        assert sum(length for length, _ in signature) == n
+        p = _expand_signature(signature)
+        reference = _berkowitz(rows)
+        assert p == reference
+        assert [type(c) for c in p] == [type(c) for c in reference]
+        kinds.add(type(p[-1]))
+    assert kinds == {int, Fraction}
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        {0: [(0, 2)], 1: [(0, 3)], 2: [(2, -1)]},
+        {0: [(1, 2)], 1: [(2, -1)], 2: [(1, Fraction(1, 3))]},
+        {0: [(1, 1)], 1: [], 2: [(0, -2)]},
+        {0: [(0, 5)], 1: [(2, 1), (1, 2)], 2: [(1, -1)]},
+    ],
+    ids=["repeated-column", "tail-into-cycle", "empty-row", "two-entry-row"],
+)
+def test_cycle_signature_is_none_off_monomial_maps(rows):
+    assert _cycle_signature(rows) is None
 
 
 @pytest.mark.parametrize("monomial", [True, False], ids=["walk", "berkowitz"])

@@ -1,13 +1,14 @@
 """Molien averages against hand-computed series and the Reynolds-rank oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from supermolien import groups, linalg, molien, shuffle, superalgebra, verify, wreath_series
-from supermolien.errors import BasisTooLarge, DegreeMismatch, DimensionMismatch
+from supermolien.errors import BasisTooLarge, CapExceeded, DegreeMismatch, DimensionMismatch, NotAPermutationGroup
 from supermolien.fixtures import (
     diagonal_perm_group,
     matrix_group_fixture,
@@ -18,6 +19,7 @@ from supermolien.fixtures import (
     young_theta_group,
 )
 from supermolien.groups import (
+    GradedGroupElement,
     MatrixGroup,
     PermGroup,
     Permutation,
@@ -26,6 +28,7 @@ from supermolien.groups import (
     sign_character,
     wreath_mul,
 )
+from supermolien.verify import MOLIEN_FIXTURES, WREATH_ROUTE_CASES
 from supermolien.linalg import QMatrix, _berkowitz, _charpoly_rows, _nonzeros, _rank_rows, charpoly_det
 from supermolien.molien import (
     FLAVORS,
@@ -490,6 +493,134 @@ def label_by_label_series(action, dq, du):
     return series_scale(total, Fraction(1, action.order))
 
 
+def reference_super_molien(action, dq, du=None):
+    """The Molien average as it was summed label by label before the
+    cycle-signature keys: both char-polys of every label's own
+    substitution, here by Berkowitz's recurrence, chi summed per distinct
+    pair, each pair of nonzero weight expanded once, and the sum divided by
+    |W| as Fractions."""
+    caps = Caps.of((0, dq, action.signature.num_odd if du is None else du))
+    weights = {}
+    for chi, w in action.pairs:
+        sub = w.substitution
+        pair = (_berkowitz(sub.even), _berkowitz(sub.odd)[: caps.u + 1])
+        weights[pair] = weights.get(pair, 0) + chi
+    total = {}
+    for (den, num), weight in weights.items():
+        if weight:
+            for key, c in molien._pair_table(den, num, dq).items():
+                total[key] = total.get(key, 0) + weight * c
+    return TrigradedSeries(caps, {k: Fraction(c) / action.order for k, c in total.items()})
+
+
+def assert_same_series(got, expected):
+    """Equal caps, coefficients and coefficient types."""
+    assert got.caps == expected.caps
+    assert got.items() == expected.items()
+    assert [type(c) for _, c in got.items()] == [type(c) for _, c in expected.items()]
+
+
+def assert_wreath_sums_match_reference(P, G, n, dq):
+    """super_molien of P[G]'s action and the streamed direct route, both
+    flavors, against the label-by-label reference."""
+    for flavor in FLAVORS:
+        action = GroupAction.from_wreath(P, G, n, flavor)
+        expected = reference_super_molien(action, dq)
+        assert_same_series(super_molien(action, dq), expected)
+        assert_same_series(wreath_series.wreath_hilbert_direct(P, G, n, flavor, dq), expected)
+
+
+@pytest.mark.parametrize("name", MOLIEN_FIXTURES)
+def test_molien_fixture_sums_match_the_label_by_label_reference(name):
+    G = matrix_group_fixture(name)
+    actions = [GroupAction.from_matrix_group(G)]
+    try:
+        actions.append(GroupAction.from_matrix_group(G, sign_character(G)))
+    except NotAPermutationGroup:
+        pass
+    for action in actions:
+        assert_same_series(super_molien(action, 6), reference_super_molien(action, 6))
+
+
+@pytest.mark.parametrize(
+    "pname,gname,n,dq",
+    [(pname, gname, n, 8) for pname, gname, n in WREATH_ROUTE_CASES]
+    + [("s4", "sign-scalar", 4, 8), ("s2", "scaled-swap", 2, 6), ("s2", "rational-s3", 2, 5)],
+)
+def test_wreath_sums_match_the_label_by_label_reference(pname, gname, n, dq):
+    # the four wreath-routes cases, S_4[+-1], S_2 over the Fraction-entry
+    # scaled swap, and S_2 over the rational conjugate of S_3, whose
+    # non-monomial labels take the whole-matrix fallback
+    assert_wreath_sums_match_reference(perm_group_fixture(pname), named_group(gname), n, dq)
+
+
+def test_zero_row_sums_match_the_label_by_label_reference():
+    assert_wreath_sums_match_reference(PermGroup.close(0, []), trivial_group(1, 1), 0, 3)
+
+
+def test_single_labels_match_the_label_by_label_reference():
+    # One seeded label at a time over non-abelian groups on 3 and 4 rows:
+    # a sigma-cycle block's signature depends on the order of the elements
+    # along the cycle, which a sum over all of P[G] would average away.
+    rng = random.Random(1927)
+    for gname, n in (("s3-x", 3), ("s3-theta", 4), ("young-2-1-theta", 3), ("rational-s3", 3)):
+        G = named_group(gname)
+        sig = AlgebraSignature(G.r0, G.r1, n)
+        for _ in range(12):
+            sigma = rng.choice(PermGroup.symmetric(n).elements)
+            label = WreathElement(sigma, tuple(rng.choice(G.elements) for _ in range(n)))
+            action = GroupAction(sig, ((rng.choice((1, -1)), label),))
+            assert_same_series(super_molien(action, 5), reference_super_molien(action, 5))
+
+
+def test_non_integral_averages_match_the_label_by_label_reference():
+    # pairs that are not a group: the average 1/3 (2/(1 - q) + 1/(1 + q))
+    # has non-integral coefficients, and the sum divides them exactly
+    signs = GroupAction.from_matrix_group(sign_scalar_group())
+    identity, minus = sorted(signs.pairs, key=lambda pair: pair[1].gs[0].columns[0][0][0][1], reverse=True)
+    action = GroupAction(signs.signature, (identity, identity, minus))
+    got = super_molien(action, 4)
+    assert_same_series(got, reference_super_molien(action, 4))
+    assert got.coefficient((0, 1, 0)) == Fraction(1, 3)
+
+
+def signed_permutation_matrix(rng, r):
+    images = list(range(r))
+    rng.shuffle(images)
+    entries = [0] * (r * r)
+    for c, i in enumerate(images):
+        entries[i * r + c] = rng.choice((1, -1))
+    return QMatrix(r, r, entries)
+
+
+def seeded_signed_groups(seed, count, max_order=8):
+    """count graded signed-permutation groups with r0, r1 <= 2, each of
+    order 2..max_order, drawn from a seeded generator."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r0, r1 = rng.randint(0, 2), rng.randint(0, 2)
+        gens = [
+            GradedGroupElement(signed_permutation_matrix(rng, r0), signed_permutation_matrix(rng, r1))
+            for _ in range(rng.randint(1, 2))
+        ]
+        try:
+            G = MatrixGroup.close(r0, r1, gens, cap=max_order)
+        except CapExceeded:
+            continue
+        if G.order > 1:
+            out.append(G)
+    return out
+
+
+def test_seeded_wreath_sums_match_the_label_by_label_reference():
+    # 30 seeded groups G: S_2[G] at dq = 4, and S_3[G] for |G| <= 4
+    for G in seeded_signed_groups(27, 30):
+        assert_wreath_sums_match_reference(PermGroup.symmetric(2), G, 2, 4)
+        if G.order <= 4:
+            assert_wreath_sums_match_reference(PermGroup.symmetric(3), G, 3, 4)
+
+
 def m_cycle_action(G, m):
     """The labels of one fixed m-cycle over G^m, the coset that
     verify_m_cycle_identity averages over."""
@@ -535,11 +666,13 @@ def test_rational_s3_pair_keys_are_fractions():
 
 
 def test_super_molien_expands_once_per_char_poly_pair(monkeypatch):
-    # S_4[+-1]: each of the 384 labels has both char-polys computed from
-    # its own substitution, but only 14 distinct pairs are expanded into series
-    # (fewer than the 20 classes of B_4: (1 - z)(1 + z) = 1 - z^2).
+    # S_4[+-1]: no label's whole matrix is walked.  Each of the 192 distinct
+    # (sigma-cycle, blocks) keys has its even and odd maps walked once, the
+    # 384 labels fall into 20 distinct signature unions (the 20 classes of
+    # B_4), each expanded once, and only 14 distinct char-poly pairs are
+    # expanded into series ((1 - z)(1 + z) = 1 - z^2).
     action = GroupAction.from_wreath(PermGroup.symmetric(4), sign_scalar_group(), 4)
-    calls = {"_charpoly_rows": 0, "_pair_table": 0}
+    calls = {"_charpoly_rows": 0, "_cycle_signature": 0, "_expand_signature": 0, "_pair_table": 0}
 
     def counted(name):
         inner = getattr(molien, name)
@@ -550,10 +683,12 @@ def test_super_molien_expands_once_per_char_poly_pair(monkeypatch):
 
         monkeypatch.setattr(molien, name, wrapper)
 
-    counted("_charpoly_rows")
-    counted("_pair_table")
+    for name in calls:
+        counted(name)
     super_molien(action, 8)
-    assert calls == {"_charpoly_rows": 2 * 384, "_pair_table": 14}
+    keys = sum(math.comb(4, k) * math.factorial(k - 1) * 2**k for k in range(1, 5))
+    assert keys == 192
+    assert calls == {"_charpoly_rows": 0, "_cycle_signature": 2 * keys, "_expand_signature": 2 * 20, "_pair_table": 14}
 
 
 def berkowitz_calls(monkeypatch):
@@ -568,28 +703,39 @@ def berkowitz_calls(monkeypatch):
     return calls
 
 
+def molien_entry_points(P, G, n, flavor, dq):
+    """The two entry points of the one Molien sum on P[G]: super_molien of
+    the action, and the streamed direct route."""
+    yield lambda: super_molien(GroupAction.from_wreath(P, G, n, flavor), dq)
+    yield lambda: wreath_series.wreath_hilbert_direct(P, G, n, flavor, dq)
+
+
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_monomial_labels_never_reach_berkowitz(monkeypatch, flavor):
     # Every label of S_4[+-1] is a signed permutation matrix, so both of its
-    # char-polys come from the cycle walk.
-    action = GroupAction.from_wreath(PermGroup.symmetric(4), sign_scalar_group(), 4, flavor)
+    # char-polys come from its blocks' cycle signatures, on either entry
+    # point.
     calls = berkowitz_calls(monkeypatch)
-    super_molien(action, 8)
-    assert calls == []
+    for run in molien_entry_points(PermGroup.symmetric(4), sign_scalar_group(), 4, flavor, 8):
+        run()
+        assert calls == []
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_non_monomial_labels_take_berkowitz(monkeypatch, flavor):
     # S_2[H], H the rational conjugate of S_3 on x (no odd variables): every
-    # label with a non-identity block has a non-monomial even matrix and
-    # goes to Berkowitz; the two labels with identity blocks are signed
-    # permutation matrices and take the walk.
-    action = GroupAction.from_wreath(PermGroup.symmetric(2), conjugated_s3()[1], 2, flavor)
+    # label with a non-identity block has a non-monomial even matrix, whose
+    # whole map goes to Berkowitz, in label order, on either entry point;
+    # the two labels with identity blocks take their blocks' signatures.
+    P, H = PermGroup.symmetric(2), conjugated_s3()[1]
+    labels = build_wreath(P, H, 2)
+    expected = [w.substitution.even for w in labels if not all(g.monomial for g in w.gs)]
+    assert len(expected) == len(labels) - 2
     calls = berkowitz_calls(monkeypatch)
-    super_molien(action, 5)
-    expected = [w.substitution.even for _, w in action.pairs if not all(g.monomial for g in w.gs)]
-    assert len(expected) == len(action.pairs) - 2
-    assert calls == expected
+    for run in molien_entry_points(P, H, 2, flavor, 5):
+        calls.clear()
+        run()
+        assert calls == expected
 
 
 def test_apply_wreath_is_an_action_on_a_non_monomial_wreath():

@@ -357,9 +357,10 @@ def test_generator_pairs_are_pairs_of_the_wreath_action(flavor):
 
 @pytest.mark.parametrize("signed", [False, True])
 def test_cached_coset_action_makes_no_shape_check(monkeypatch, signed):
-    # the six coset labels of (2, 2) row blocks are checked when their
-    # action is made, and again when the signed action is made on them; a
-    # product over the cached action checks none
+    # the six coset labels of (2, 2) row blocks are checked once, when the
+    # unsigned action is made; the signed action reweights those checked
+    # labels without a second check, and a product over the cached action
+    # checks none
     checks = []
     require_shape = superalgebra._require_shape
 
@@ -372,7 +373,7 @@ def test_cached_coset_action_makes_no_shape_check(monkeypatch, signed):
     shuffle_module._coset_labels.cache_clear()
     A, B = _display_22_inputs()
     first = shuffle_product(A, B, signed)
-    assert checks == [SIG4] * (12 if signed else 6)
+    assert checks == [SIG4] * 6
     checks.clear()
     assert shuffle_product(A, B, signed) == first
     assert checks == []

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from supermolien import groups, molien
 from supermolien import series as series_module
 from supermolien import wreath_series
 from supermolien.errors import CapExceeded, DegreeMismatch, DimensionMismatch
@@ -61,6 +62,45 @@ def test_direct_equals_plethysm_ladder(n, gname, dq, flavor):
     P = PermGroup.symmetric(n)
     G = matrix_group_fixture(gname)
     assert wreath_hilbert_direct(P, G, n, flavor, dq) == wreath_hilbert_plethysm(P, G, n, flavor, dq)
+
+
+def test_direct_route_builds_no_label(monkeypatch):
+    # S_4[+-1] streams its labels into the Molien sum: with label compiles
+    # and the label-list builder made to raise, the direct route still
+    # equals plethysm (computed first, as its inner action compiles labels)
+    P, G = PermGroup.symmetric(4), sign_scalar_group()
+    pleth = {flavor: wreath_hilbert_plethysm(P, G, 4, flavor, 8) for flavor in FLAVORS}
+
+    def refuse(*args):
+        raise AssertionError("a label was built or compiled")
+
+    monkeypatch.setattr(WreathElement, "substitution", property(refuse))
+    monkeypatch.setattr(groups, "build_wreath", refuse)
+    monkeypatch.setattr(molien, "build_wreath", refuse)
+    for flavor in FLAVORS:
+        assert wreath_hilbert_direct(P, G, 4, flavor, 8) == pleth[flavor]
+
+
+def test_direct_route_walks_each_block_once_per_call(monkeypatch):
+    # S_4[+-1] has 192 (sigma-cycle, blocks) keys, the sum over cycle
+    # lengths k of C(4, k) (k - 1)! 2^k.  Each call walks each key's even
+    # and odd maps once: 384 walks, whose even maps, which name the key's
+    # moves and entries, are pairwise distinct.  The next call walks them
+    # all again, as nothing outlives a call.
+    walk = molien._cycle_signature
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return walk(rows)
+
+    monkeypatch.setattr(molien, "_cycle_signature", counted)
+    keys = sum(math.comb(4, k) * math.factorial(k - 1) * 2**k for k in range(1, 5))
+    for flavor in FLAVORS:
+        calls.clear()
+        wreath_hilbert_direct(PermGroup.symmetric(4), sign_scalar_group(), 4, flavor, 8)
+        assert len(calls) == 2 * keys == 384
+        assert len({frozenset(rows.items()) for rows in calls[::2]}) == keys
 
 
 def test_check_wreath_routes_report_shape():
