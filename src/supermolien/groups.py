@@ -551,12 +551,15 @@ def _wreath_labels(sigmas: Sequence[Permutation], G: MatrixGroup | PermGroup, n:
     """Every label (sigma, (g_1..g_n)) with sigma from sigmas and each g_i
     from G, sigma-major in element order: all of P[G] when sigmas are the
     elements of P.  The degree check of every sigma and the WREATH_CAP
-    check run at the call, before any label is made."""
+    check run at the call, before any label is made; a refusal names
+    |P| = len(sigmas), |G| and n."""
     for sigma in sigmas:
         require_degree(sigma, n)
     total = len(sigmas) * G.order**n
     if total > WREATH_CAP:
-        raise CapExceeded(f"wreath product has {total} elements, cap is {WREATH_CAP}")
+        raise CapExceeded(
+            f"wreath product has {total} elements, cap is {WREATH_CAP} (|P| = {len(sigmas)}, |G| = {G.order}, n = {n})"
+        )
     return ((sigma, gs) for sigma in sigmas for gs in itertools.product(G.elements, repeat=n))
 
 

@@ -7,34 +7,37 @@ trivial one, and of_labels weights by sgn(sigma).  Every label w acts by
 one matrix per graded part, M0(w) on the even and M1(w) on the odd
 variables, compiled once per label into WreathElement.substitution, whose
 shape the action checks once, when it is made.  The Molien route averages
-det(I + u*M1)/det(I - q*M0) with weights chi(w^{-1}) = chi(w) in one sum
-over (chi, sigma, gs) triples, an action's pairs or the streamed labels of
-P[G].  A label's matrices are block-diagonal over the cycles of sigma, so
-a monomial label's two char-polys are fixed by the sorted union of its
-blocks' cycle signatures, each block walked once per call; the weights are
-summed per union, each union is expanded once, and each distinct char-poly
-pair once into a series, since distinct unions can share one.  Each
-label's determinants still come from its own blocks, and no cycle-type
-class, cycle index or block determinant lemma is used: those stay with the
-plethysm route, which keeps the routes independent.  The oracle route
-never looks at Molien: it takes the exact rank of the Reynolds operator,
-the average of the substitutions by the same matrices, on the monomial
-basis of each bidegree.  Since R(w.f) = chi(w) R(f), a label mapping m to
-a single term c*m' gives R(m') = chi(w)/c R(m), a multiple of R(m), so the
-rank is taken over one row per orbit of monomials, not one per monomial.
-Each row is one call of the weighted label sum of superalgebra over the
-action's pairs: it maps the orbit's first monomial, with coefficient 1,
-through every label's compiled substitution, one-term labels inside the
-sum's own loop, builds no polynomial per label, and sums chi(w)*c as ints
-(Fractions only for non-integral c).  That undivided sum is |W| R(m),
-which spans the same line as R(m), so only the public reynolds_project
-divides by |W|.  The rows go to the integer Bareiss kernel as sparse
-(position, value) pairs.
+det(I + u*M1)/det(I - q*M0) with weights chi(w^{-1}) = chi(w) in one sum,
+fed an action's pairs label by label, or P[G] sigma by sigma.  A label's
+matrices are block-diagonal over the cycles of sigma, so a monomial
+label's two char-polys are fixed by the sorted union of its blocks' cycle
+signatures.  A block depends on the g-sequence along its cycle alone, so
+each sequence's block is walked once per call, and the sigma-by-sigma feed
+counts P[G]'s labels by convolving one table of block numbers over G^m per
+cycle length m.  The weights are summed per union, each union is expanded
+once, and each distinct char-poly pair once into a series, since distinct
+unions can share one.  Each block's signatures come from its own matrices,
+no sigma is grouped by cycle type, and no cycle index or block determinant
+lemma is used: those stay with the plethysm route, which keeps the routes
+independent.  The oracle route never looks at Molien: it takes the exact
+rank of the Reynolds operator, the average of the substitutions by the
+same matrices, on the monomial basis of each bidegree.  Since R(w.f) =
+chi(w) R(f), a label mapping m to a single term c*m' gives R(m') =
+chi(w)/c R(m), a multiple of R(m), so the rank is taken over one row per
+orbit of monomials, not one per monomial.  Each row is one call of the
+weighted label sum of superalgebra over the action's pairs: it maps the
+orbit's first monomial, with coefficient 1, through every label's compiled
+substitution, one-term labels inside the sum's own loop, builds no
+polynomial per label, and sums chi(w)*c as ints (Fractions only for
+non-integral c).  That undivided sum is |W| R(m), which spans the same
+line as R(m), so only the public reynolds_project divides by |W|.  The
+rows go to the integer Bareiss kernel as sparse (position, value) pairs.
 molien_vs_oracle compares the two routes coefficient by coefficient.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -168,85 +171,151 @@ def _pair_table(den: tuple, num: tuple, dq: int) -> dict[Key, int | Fraction]:
     }
 
 
-def _block_signatures(gs: Sequence, rows: tuple[int, ...]) -> tuple | None:
-    """The even and odd cycle signatures of the block of a label's rows on
-    one cycle of sigma, as groups._cycles lists it; None when a part is not
-    monomial."""
-    if len(rows) == 1:
-        even, odd = gs[rows[0] - 1].moves[rows[0], rows[0]]
+def _block_signatures(gseq: Sequence) -> tuple | None:
+    """The even and odd cycle signatures of the block that the g-sequence
+    (g_1..g_m) along one m-cycle of sigma, in cycle order, gives a label;
+    None when a part is not monomial.  Renaming rows keeps the cycles and
+    their products, so the block is built on rows 1..m and stands for
+    every m-cycle of every sigma."""
+    m = len(gseq)
+    if m == 1:
+        even, odd = gseq[0].moves[1, 1]
     else:
         even, odd = {}, {}
-        # the variables of row i = sigma(b) land in row b
-        for b, i in zip(rows, rows[1:] + rows[:1]):
-            moved_even, moved_odd = gs[i - 1].moves[i, b]
+        # the variables of row i land in row i - 1, those of row 1 in row m
+        for i, g in enumerate(gseq, 1):
+            moved_even, moved_odd = g.moves[i, i - 1 or m]
             even.update(moved_even)
             odd.update(moved_odd)
     sigs = (_cycle_signature(even), _cycle_signature(odd))
     return None if None in sigs else sigs
 
 
-def _molien_sum(triples: Iterable[tuple], order: int, dq: int, du: int) -> TrigradedSeries:
-    """(1/order) sum of chi * det(I + u*M1)/det(I - q*M0) over the labels
-    (sigma, gs) of the (chi, sigma, gs) triples, read once, within caps
-    (0, dq, du), checked first.  Blocks and sigmas are memoized by identity
-    for the call, the caller holding each object.  Each distinct pair of
-    block signatures is numbered, 0 standing for a block with a
-    non-monomial part, whose label takes its whole matrices' char-polys; a
-    label's key is the sorted numbers of its blocks, and each distinct
-    key's sorted signature union is formed once."""
-    caps = Caps.of((0, dq, du))
-    cycles_of: dict[int, list] = {}
-    walked: dict[tuple, int] = {}
-    numbers: dict[tuple | None, int] = {None: 0}
-    keys: dict[tuple[int, ...], int] = {}
-    pairs: dict[tuple, int] = {}
-    for chi, sigma, gs in triples:
-        sigma_cycles = cycles_of.get(id(sigma))
-        if sigma_cycles is None:
-            sigma_cycles = cycles_of[id(sigma)] = _cycles(sigma)
-        blocks = []
-        for rows in sigma_cycles:
-            block = (rows, tuple([id(gs[i - 1]) for i in rows]))
-            k = walked.get(block)
-            if k is None:
-                k = walked[block] = numbers.setdefault(_block_signatures(gs, rows), len(numbers))
-            blocks.append(k)
-        blocks.sort()
-        if blocks and not blocks[0]:
-            sub = WreathElement._of(sigma, gs).substitution
-            pair = (_charpoly_rows(sub.even), _charpoly_rows(sub.odd)[: caps.u + 1])
-            pairs[pair] = pairs.get(pair, 0) + chi
-        else:
-            key = tuple(blocks)
-            keys[key] = keys.get(key, 0) + chi
-    signatures = list(numbers)
-    unions: dict[tuple[tuple, tuple], int] = {}
-    for blocks, weight in keys.items():
-        union = tuple(tuple(sorted(c for k in blocks for c in signatures[k][part])) for part in (0, 1))
-        unions[union] = unions.get(union, 0) + weight
-    for (even, odd), weight in unions.items():
-        if weight:
-            pair = (_expand_signature(even), _expand_signature(odd)[: caps.u + 1])
-            pairs[pair] = pairs.get(pair, 0) + weight
-    total: dict[Key, int | Fraction] = {}
-    for (den, num), weight in pairs.items():
-        if weight:
-            for key, c in _pair_table(den, num, dq).items():
-                total[key] = total.get(key, 0) + weight * c
-    return TrigradedSeries._canonical(
-        caps, {k: c // order if type(c) is int and c % order == 0 else Fraction(c, order) for k, c in total.items()}
-    )
+class _MolienSum:
+    """One call's sum of chi * det(I + u*M1)/det(I - q*M0) over labels
+    (sigma, gs), within caps (0, dq, du), checked first: fed label by label
+    (add_labels) or sigma by sigma (add_sigmas), and divided by the order
+    once (series).
+
+    Each block of a label, the g-sequence along one cycle of sigma, is
+    numbered by its pair of cycle signatures, 0 standing for a block with a
+    non-monomial part.  The signatures depend on the sequence alone, so the
+    numbers are memoized by the ids of its elements, each sequence walked
+    once per call, the caller holding every element.  A label whose blocks
+    are all monomial adds its weight to its key, the sorted numbers of its
+    blocks; any other label adds it to the pair of its whole matrices'
+    char-polys."""
+
+    def __init__(self, dq: int, du: int):
+        self.caps = Caps.of((0, dq, du))
+        self.walked: dict[tuple[int, ...], int] = {}
+        self.numbers: dict[tuple | None, int] = {None: 0}
+        self.keys: dict[tuple[int, ...], int] = {}
+        self.pairs: dict[tuple, int] = {}
+
+    def _number(self, ids: tuple[int, ...], gseq: Sequence) -> int:
+        """The number of the block of gseq, whose elements' ids are ids."""
+        k = self.walked.get(ids)
+        if k is None:
+            numbers = self.numbers
+            k = self.walked[ids] = numbers.setdefault(_block_signatures(gseq), len(numbers))
+        return k
+
+    def add_labels(self, triples: Iterable[tuple]) -> None:
+        """Each label (sigma, gs) of the (chi, sigma, gs) triples, read
+        once, weighted chi; sigmas' cycles are memoized by identity."""
+        cycles_of: dict[int, list] = {}
+        walked, keys, pairs = self.walked, self.keys, self.pairs
+        for chi, sigma, gs in triples:
+            sigma_cycles = cycles_of.get(id(sigma))
+            if sigma_cycles is None:
+                sigma_cycles = cycles_of[id(sigma)] = _cycles(sigma)
+            blocks = []
+            for rows in sigma_cycles:
+                ids = tuple([id(gs[i - 1]) for i in rows])
+                k = walked.get(ids)
+                if k is None:
+                    k = self._number(ids, [gs[i - 1] for i in rows])
+                blocks.append(k)
+            blocks.sort()
+            if blocks and not blocks[0]:
+                sub = WreathElement._of(sigma, gs).substitution
+                pair = (_charpoly_rows(sub.even), _charpoly_rows(sub.odd)[: self.caps.u + 1])
+                pairs[pair] = pairs.get(pair, 0) + chi
+            else:
+                key = tuple(blocks)
+                keys[key] = keys.get(key, 0) + chi
+
+    def add_sigmas(self, sigmas: Iterable[tuple[int, Permutation]], G: MatrixGroup, n: int) -> None:
+        """Every label (sigma, gs), gs in G^n in element order, of each
+        (chi, sigma) pair, weighted chi, without walking the labels: gs
+        restricted to each cycle of sigma is a bijection onto the product
+        over the cycles of G^m, m the cycle's length.  So one table per
+        length m, counting each block number over G^m, is built once per
+        call, and a sigma's key weights are the convolution of its cycles'
+        tables, times chi.  A sigma whose tables hold the non-monomial
+        number 0 adds its labels one by one."""
+        tables: dict[int, dict[int, int]] = {}
+        keys = self.keys
+        for chi, sigma in sigmas:
+            sigma_tables = []
+            for rows in _cycles(sigma):
+                table = tables.get(len(rows))
+                if table is None:
+                    table = tables[len(rows)] = {}
+                    for gseq in itertools.product(G.elements, repeat=len(rows)):
+                        k = self._number(tuple([id(g) for g in gseq]), gseq)
+                        table[k] = table.get(k, 0) + 1
+                sigma_tables.append(table)
+            if any(0 in table for table in sigma_tables):
+                self.add_labels((chi, sigma, gs) for gs in itertools.product(G.elements, repeat=n))
+                continue
+            weights = {(): chi}
+            for table in sigma_tables:
+                step: dict[tuple[int, ...], int] = {}
+                for key, w in weights.items():
+                    for k, count in table.items():
+                        longer = tuple(sorted((*key, k)))
+                        step[longer] = step.get(longer, 0) + w * count
+                weights = step
+            for key, w in weights.items():
+                keys[key] = keys.get(key, 0) + w
+
+    def series(self, order: int) -> TrigradedSeries:
+        """The sum divided by order.  Each distinct key's sorted signature
+        union is formed once, each union with a nonzero weight expanded
+        once, and each distinct char-poly pair expanded once into a series,
+        since distinct unions can share one."""
+        caps, pairs = self.caps, dict(self.pairs)
+        signatures = list(self.numbers)
+        unions: dict[tuple[tuple, tuple], int] = {}
+        for blocks, weight in self.keys.items():
+            union = tuple(tuple(sorted(c for k in blocks for c in signatures[k][part])) for part in (0, 1))
+            unions[union] = unions.get(union, 0) + weight
+        for (even, odd), weight in unions.items():
+            if weight:
+                pair = (_expand_signature(even), _expand_signature(odd)[: caps.u + 1])
+                pairs[pair] = pairs.get(pair, 0) + weight
+        total: dict[Key, int | Fraction] = {}
+        for (den, num), weight in pairs.items():
+            if weight:
+                for key, c in _pair_table(den, num, caps.q).items():
+                    total[key] = total.get(key, 0) + weight * c
+        return TrigradedSeries._canonical(
+            caps, {k: c // order if type(c) is int and c % order == 0 else Fraction(c, order) for k, c in total.items()}
+        )
 
 
 def super_molien(action: GroupAction, dq: int, du: int | None = None) -> TrigradedSeries:
     """Character-weighted Molien average, exact within caps (0, dq, du), by
-    the one Molien sum over the action's pairs.
+    the one Molien sum fed the action's pairs label by label.
 
     du defaults to the full odd dimension n*r1, where the numerator
     det(I + u*g1) is a polynomial of exactly that degree.
     """
-    du = action.signature.num_odd if du is None else du
-    return _molien_sum(((chi, w.sigma, w.gs) for chi, w in action.pairs), action.order, dq, du)
+    total = _MolienSum(dq, action.signature.num_odd if du is None else du)
+    total.add_labels((chi, w.sigma, w.gs) for chi, w in action.pairs)
+    return total.series(action.order)
 
 
 def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:

@@ -1,11 +1,14 @@
 """Hilbert series of wreath product actions, two ways, and their collation.
 
-The direct route streams every label of P[G] acting on n rows of
-variables into the Molien sum, building no label object.  The plethystic
-route never enumerates P[G]: it substitutes the one-row series of G into
-the cycle index of P, with a u -> -u flip on the way in and out to account
-for anticommuting variables.  Matching the two is the main consistency
-check of the package.
+The direct route is the Molien average over every label (sigma, gs) of
+P[G] acting on n rows of variables, fed to the Molien sum sigma by sigma:
+gs restricted to each cycle of sigma ranges over G^m independently, so
+each sigma's labels are counted by convolving one table of block numbers
+over G^m per cycle length m, and no label is walked or built.  The
+plethystic route never enumerates P[G]: it substitutes the one-row series
+of G into the cycle index of P, with a u -> -u flip on the way in and out
+to account for anticommuting variables.  Matching the two is the main
+consistency check of the package.
 
 Collation packages all symmetric-group wreath series into a single series
 in t whose product form is controlled by the graded invariant dimensions
@@ -22,7 +25,6 @@ from .groups import (
     MatrixGroup,
     PermGroup,
     Permutation,
-    WreathElement,
     _wreath_labels,
     perm_sign,
     require_degree,
@@ -30,7 +32,7 @@ from .groups import (
 )
 from .linalg import QMatrix, _charpoly_rows, _columns, _compose
 # FLAVORS is re-exported: the wreath routes take one of these flavor names
-from .molien import FLAVORS as FLAVORS, GroupAction, _molien_sum, require_flavor, super_molien
+from .molien import FLAVORS as FLAVORS, GroupAction, _MolienSum, require_flavor, super_molien
 from .series import (
     Caps,
     TrigradedSeries,
@@ -41,22 +43,32 @@ from .series import (
     series_mul,
     series_sub,
 )
-from .superalgebra import AlgebraSignature
 from .symfunc import cycle_index, plethystic_substitute
+
+
+def _direct_sum(
+    sigmas: tuple[Permutation, ...], G: MatrixGroup, n: int, signed: bool, dq: int, du: int
+) -> TrigradedSeries:
+    """The Molien average over every label (sigma, gs), sigma from sigmas
+    and gs from G^n, each weighted by sgn(sigma) when signed: the Molien
+    sum fed sigma by sigma, each sigma with its own sign and cycles, after
+    _wreath_labels has checked the degree of every sigma and the label
+    count against WREATH_CAP.  No label is walked or built, except those of
+    a sigma with a non-monomial block."""
+    _wreath_labels(sigmas, G, n)
+    total = _MolienSum(dq, du)
+    total.add_sigmas(((perm_sign(sigma) if signed else 1, sigma) for sigma in sigmas), G, n)
+    return total.series(len(sigmas) * G.order**n)
+
 
 def wreath_hilbert_direct(
     P: PermGroup, G: MatrixGroup, n: int, flavor: str, dq: int, du: int | None = None
 ) -> TrigradedSeries:
-    """Hilbert series of the (anti)invariants of P[G], by full enumeration:
-    the labels stream from _wreath_labels, which checks the degree and cap
-    at the call, into the Molien sum, with one sign per sigma, and no label
-    object is built."""
+    """Hilbert series of the (anti)invariants of P[G] by the Molien average
+    over all |P| * |G|^n labels, counted sigma by sigma through one table
+    of block numbers per cycle length (_direct_sum)."""
     signed = require_flavor(flavor)
-    labels = _wreath_labels(P.elements, G, n)
-    # keyed by identity: the labels carry P's own sigma objects
-    chi = {id(sigma): perm_sign(sigma) if signed else 1 for sigma in P.elements}
-    triples = ((chi[id(sigma)], sigma, gs) for sigma, gs in labels)
-    return _molien_sum(triples, P.order * G.order**n, dq, n * G.r1 if du is None else du)
+    return _direct_sum(P.elements, G, n, signed, dq, n * G.r1 if du is None else du)
 
 
 def wreath_hilbert_plethysm(
@@ -242,10 +254,9 @@ def verify_m_cycle_identity(G: MatrixGroup, m: int, dq: int, du: int | None = No
     if du is None:
         du = m * G.r1
     cyc = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
-    # one fixed cycle times G^m is a coset, not a group: these labels are for
-    # the Molien average only, never for the Reynolds route
-    labels = (WreathElement._of(sigma, gs) for sigma, gs in _wreath_labels((cyc,), G, m))
-    lhs = super_molien(GroupAction.of_labels(AlgebraSignature(G.r0, G.r1, m), labels, False), dq, du)
+    # one fixed cycle times G^m is a coset, not a group: the Molien average
+    # only, never the Reynolds route
+    lhs = _direct_sum((cyc,), G, m, False, dq, du)
     hg = super_molien(GroupAction.from_matrix_group(G), dq, du)
     if m % 2 == 0:
         hg = series_flip_u(hg)

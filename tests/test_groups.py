@@ -322,6 +322,9 @@ def test_build_wreath_cap(monkeypatch):
     monkeypatch.setattr(groups, "WREATH_CAP", 47)
     with pytest.raises(CapExceeded, match="wreath product has 48 elements, cap is 47"):
         build_wreath(PermGroup.symmetric(3), sign_group(), 3)
+    # the refusal names its input: |P|, |G| and n
+    with pytest.raises(CapExceeded, match=r"cap is 47 \(\|P\| = 6, \|G\| = 2, n = 3\)$"):
+        build_wreath(PermGroup.symmetric(3), sign_group(), 3)
     with pytest.raises(CapExceeded, match="cap is 47"):
         perm_group_of_wreath(PermGroup.symmetric(3), PermGroup.symmetric(2), 3)
     monkeypatch.setattr(groups, "WREATH_CAP", 48)

@@ -1,7 +1,6 @@
 """Molien averages against hand-computed series and the Reynolds-rank oracle."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -666,11 +665,13 @@ def test_rational_s3_pair_keys_are_fractions():
 
 
 def test_super_molien_expands_once_per_char_poly_pair(monkeypatch):
-    # S_4[+-1]: no label's whole matrix is walked.  Each of the 192 distinct
-    # (sigma-cycle, blocks) keys has its even and odd maps walked once, the
-    # 384 labels fall into 20 distinct signature unions (the 20 classes of
-    # B_4), each expanded once, and only 14 distinct char-poly pairs are
-    # expanded into series ((1 - z)(1 + z) = 1 - z^2).
+    # S_4[+-1]: no label's whole matrix is walked.  A block is the
+    # g-sequence along one cycle, whatever rows the cycle occupies, so the
+    # 2^m sequences of each cycle length m <= 4, 30 in all, each have their
+    # even and odd maps walked once; the 384 labels fall into 20 distinct
+    # signature unions (the 20 classes of B_4), each expanded once, and
+    # only 14 distinct char-poly pairs are expanded into series
+    # ((1 - z)(1 + z) = 1 - z^2).
     action = GroupAction.from_wreath(PermGroup.symmetric(4), sign_scalar_group(), 4)
     calls = {"_charpoly_rows": 0, "_cycle_signature": 0, "_expand_signature": 0, "_pair_table": 0}
 
@@ -686,9 +687,9 @@ def test_super_molien_expands_once_per_char_poly_pair(monkeypatch):
     for name in calls:
         counted(name)
     super_molien(action, 8)
-    keys = sum(math.comb(4, k) * math.factorial(k - 1) * 2**k for k in range(1, 5))
-    assert keys == 192
-    assert calls == {"_charpoly_rows": 0, "_cycle_signature": 2 * keys, "_expand_signature": 2 * 20, "_pair_table": 14}
+    sequences = sum(2**m for m in range(1, 5))
+    assert sequences == 30
+    assert calls == {"_charpoly_rows": 0, "_cycle_signature": 2 * sequences, "_expand_signature": 2 * 20, "_pair_table": 14}
 
 
 def berkowitz_calls(monkeypatch):

@@ -11,13 +11,14 @@ from supermolien import groups, molien
 from supermolien import series as series_module
 from supermolien import wreath_series
 from supermolien.errors import CapExceeded, DegreeMismatch, DimensionMismatch
-from supermolien.fixtures import matrix_group_fixture, perm_group_fixture, sign_scalar_group
+from supermolien.fixtures import MATRIX_GROUP_FIXTURES, matrix_group_fixture, perm_group_fixture, sign_scalar_group
 from supermolien.groups import GradedGroupElement, MatrixGroup, PermGroup, Permutation, WreathElement
 from supermolien.linalg import QMatrix, charpoly_det
 from supermolien.molien import FLAVORS, GroupAction, super_molien
 from supermolien.series import (
     Caps,
     TrigradedSeries,
+    scale_exponents,
     series_add,
     series_inv,
     series_mul,
@@ -43,6 +44,9 @@ from supermolien.wreath_series import (
     young_exterior_product,
 )
 
+from rational_groups import named_group
+
+
 # The route cases are the `verify` suite's own; these tests run them
 # in-process at a smaller cap than the shared report (dq = 5, not 8).
 @pytest.mark.parametrize("pname,gname,n", WREATH_ROUTE_CASES)
@@ -55,10 +59,11 @@ def test_direct_equals_plethysm(pname, gname, n, flavor):
     assert direct == pleth
 
 
-@pytest.mark.parametrize("n,gname,dq", [(5, "sign-scalar", 8), (4, "s2-theta", 6)])
+@pytest.mark.parametrize("n,gname,dq", [(5, "sign-scalar", 8), (6, "sign-scalar", 8), (4, "s2-theta", 6)])
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_direct_equals_plethysm_ladder(n, gname, dq, flavor):
-    # S_5[+-1] (3840 labels) and S_4[S_2 on theta] (384 labels), every label
+    # S_5[+-1] (3840 labels), S_6[+-1] (46080 labels) and S_4[S_2 on theta]
+    # (384 labels), every label counted
     P = PermGroup.symmetric(n)
     G = matrix_group_fixture(gname)
     assert wreath_hilbert_direct(P, G, n, flavor, dq) == wreath_hilbert_plethysm(P, G, n, flavor, dq)
@@ -81,12 +86,61 @@ def test_direct_route_builds_no_label(monkeypatch):
         assert wreath_hilbert_direct(P, G, 4, flavor, 8) == pleth[flavor]
 
 
+def test_direct_route_builds_no_wreath_element_or_substitution(monkeypatch):
+    # monomial G: the direct route, and the sum over one 3-cycle's labels
+    # that the m-cycle identity takes, count labels through block tables,
+    # so no label or compiled substitution is made
+    P, G = PermGroup.symmetric(4), sign_scalar_group()
+    expected = {flavor: per_label_direct(P, G, 4, flavor, 8) for flavor in FLAVORS}
+    H = matrix_group_fixture("s2-theta")
+    one_row = super_molien(GroupAction.from_matrix_group(H), 5, 3 * H.r1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a label or substitution was built")
+
+    monkeypatch.setattr(WreathElement, "__init__", refuse)
+    monkeypatch.setattr(WreathElement, "_of", staticmethod(refuse))
+    monkeypatch.setattr(groups, "Substitution", refuse)
+    for flavor in FLAVORS:
+        assert wreath_hilbert_direct(P, G, 4, flavor, 8) == expected[flavor]
+    cycle = Permutation.from_cycles(3, [(1, 2, 3)])
+    assert wreath_series._direct_sum((cycle,), H, 3, False, 5, 3 * H.r1) == scale_exponents(one_row, 3)
+
+
+def per_label_direct(P, G, n, flavor, dq):
+    """Reference: the direct route as it was before it counted labels sigma
+    by sigma, every label of P[G] streamed into the Molien sum one by one,
+    each with the sign of its own sigma."""
+    total = molien._MolienSum(dq, n * G.r1)
+    signed = flavor == "antiinvariant"
+    labels = groups._wreath_labels(P.elements, G, n)
+    total.add_labels((groups.perm_sign(sigma) if signed else 1, sigma, gs) for sigma, gs in labels)
+    return total.series(P.order * G.order**n)
+
+
+PERM_GROUP_KINDS = {"symmetric": PermGroup.symmetric, "cyclic": PermGroup.cyclic, "trivial": PermGroup.trivial}
+
+
+@pytest.mark.parametrize("pkind", sorted(PERM_GROUP_KINDS))
+@pytest.mark.parametrize("gname", sorted(MATRIX_GROUP_FIXTURES) + ["rational-s3", "scaled-swap"])
+def test_direct_route_equals_the_per_label_reference(gname, pkind):
+    # every fixture group and both groups with non-integral entries (the
+    # non-monomial rational-s3 takes the per-label path sigma by sigma)
+    G = named_group(gname)
+    for n in (1, 2, 3):
+        P = PERM_GROUP_KINDS[pkind](n)
+        for flavor in FLAVORS:
+            assert wreath_hilbert_direct(P, G, n, flavor, 5) == per_label_direct(P, G, n, flavor, 5)
+
+
 def test_direct_route_walks_each_block_once_per_call(monkeypatch):
-    # S_4[+-1] has 192 (sigma-cycle, blocks) keys, the sum over cycle
-    # lengths k of C(4, k) (k - 1)! 2^k.  Each call walks each key's even
-    # and odd maps once: 384 walks, whose even maps, which name the key's
-    # moves and entries, are pairwise distinct.  The next call walks them
-    # all again, as nothing outlives a call.
+    # S_4[+-1]: a block is the g-sequence along one cycle, the same for
+    # every cycle of its length, so the direct route walks the 2^m
+    # sequences of each cycle length m <= 4, 30 in all, never a label.
+    # Each call walks each sequence's even and odd maps once: 60 walks,
+    # whose even maps, which name the sequence's moves and entries, are
+    # pairwise distinct.  The next call walks them all again, as nothing
+    # outlives a call.
     walk = molien._cycle_signature
     calls = []
 
@@ -95,12 +149,12 @@ def test_direct_route_walks_each_block_once_per_call(monkeypatch):
         return walk(rows)
 
     monkeypatch.setattr(molien, "_cycle_signature", counted)
-    keys = sum(math.comb(4, k) * math.factorial(k - 1) * 2**k for k in range(1, 5))
+    sequences = sum(2**m for m in range(1, 5))
     for flavor in FLAVORS:
         calls.clear()
         wreath_hilbert_direct(PermGroup.symmetric(4), sign_scalar_group(), 4, flavor, 8)
-        assert len(calls) == 2 * keys == 384
-        assert len({frozenset(rows.items()) for rows in calls[::2]}) == keys
+        assert len(calls) == 2 * sequences == 60
+        assert len({frozenset(rows.items()) for rows in calls[::2]}) == sequences
 
 
 def test_check_wreath_routes_report_shape():
@@ -391,11 +445,11 @@ def test_m_cycle_identity(gname, m):
 
 def test_m_cycle_labels_are_capped_before_any_is_built(monkeypatch):
     # 2^18 labels of one 18-cycle over the sign group pass WREATH_CAP; the
-    # enumerator refuses them at the call, so no label is ever made
-    def no_label(*args):
-        raise AssertionError("a label was built")
+    # enumerator refuses them at the call, before any block is evaluated
+    def no_block(*args):
+        raise AssertionError("a block was evaluated")
 
-    monkeypatch.setattr(wreath_series, "WreathElement", no_label)
+    monkeypatch.setattr(molien, "_block_signatures", no_block)
     with pytest.raises(CapExceeded, match="262144 elements, cap is 200000"):
         verify_m_cycle_identity(sign_scalar_group(), 18, 2)
 
