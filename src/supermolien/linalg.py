@@ -15,13 +15,14 @@ Char-polys, and with them determinants, use one kernel on a mapping from
 row keys to the (key, value) pairs of the row's nonzeros: a QMatrix's rows
 keyed by index, or a wreath label's substitution, its columns read as
 rows.  det(I - M) is its coefficient sum, det(I - z*M) at z = 1.  From the
-input alone it reads a monomial matrix, as every signed-permutation label
-is, off its cycle signature (_cycle_signature, the sorted (length,
-product) of the cycles of its one-entry rows, which the Molien sum also
-keys labels by), and sends any other to Berkowitz's recurrence on the
+input alone it walks a monomial matrix, as every signed-permutation label
+is, cycle by cycle, multiplying in (1 - p*z^L) for each cycle of length L
+and entry product p, and sends any other to Berkowitz's recurrence on the
 denominator-cleared entries as sparse rows and column lists, keys numbered
 in mapping order, whose matrix-vector steps update nonzero entries only
-and stop as soon as the bordering column or row is empty.
+and stop as soon as the bordering column or row is empty.  One truncated
+polynomial product (_poly_mul) serves Berkowitz's Toeplitz steps and the
+Molien sum's products of block char-polys.
 Greedy independent-subset selection, which only chooses invariant bases,
 uses an incremental fraction-free echelon accumulator on sparse primitive
 integer rows (EchelonSelector).
@@ -220,44 +221,51 @@ def _inversion_sign(seq: Sequence) -> int:
     return -1 if odd else 1
 
 
-def _cycle_signature(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]]) -> tuple | None:
-    """The sorted (length, product) pairs of the cycles of a monomial M, as
-    _charpoly_rows takes it, product the cycle's product of entries, a
-    Fraction exactly when one of them is not integral; None at the first
-    row without exactly one entry or walk closing off its start (M not
-    monomial).  No rows give ()."""
-    if not rows:
-        return ()
+def _poly_mul(a: Sequence, b: Sequence, cap: int) -> list:
+    """The product of the coefficient sequences a and b, lowest degree
+    first, cut after z^cap, as a list; a's zero coefficients are skipped."""
+    out = [0] * min(len(a) + len(b) - 1, cap + 1)
+    for i, x in enumerate(a[: cap + 1]):
+        if x:
+            for j, y in enumerate(b[: cap + 1 - i], i):
+                out[j] += x * y
+    return out
+
+
+def _charpoly_rows(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]]) -> tuple[int | Fraction, ...]:
+    """det(I - z*M) as its coefficient tuple in z, trailing zeros stripped,
+    M square with one row per key of rows (any hashables), rows[k] the
+    (key, value) pairs of that row's nonzeros, in any order.  Since
+    det(I - z*M) = det(I - z*M^T), columns may be passed as rows, as a
+    wreath label's substitution is.  A monomial M is walked cycle by cycle
+    in O(n), each closed cycle of length L and entry product p multiplying
+    (1 - p*z^L) in; any other goes, at the first row without exactly one
+    entry or walk closing off its start, to Berkowitz's recurrence.  Both
+    give ints when every entry has denominator 1, Fractions included, else
+    Fractions.  No rows give the constant 1.
+    """
     # each walk pops its rows from a copy, so a step hashes one key
     todo = dict(rows)
-    cycles = []
+    vect = [1]
+    fractional = False
     while todo:
         start, row = todo.popitem()
         p = 1
         length = 0
         while row is not None:
             if len(row) != 1:
-                return None
+                return _berkowitz(rows)
             i, x = row[0]
-            if type(x) is not int and x.denominator == 1:
-                x = x.numerator
+            if type(x) is not int:
+                if x.denominator == 1:
+                    x = x.numerator
+                else:
+                    fractional = True
             p *= x
             length += 1
             row = todo.pop(i, None)
         if i != start:
-            return None
-        cycles.append((length, p))
-    cycles.sort()
-    return tuple(cycles)
-
-
-def _expand_signature(signature: Iterable[tuple[int, int | Fraction]]) -> tuple[int | Fraction, ...]:
-    """The product over the cycles of (1 - p*z^length): det(I - z*M) from
-    the cycle signature of M, typed as _charpoly_rows returns it."""
-    vect = [1]
-    fractional = False
-    for length, p in signature:
-        fractional = fractional or type(p) is not int
+            return _berkowitz(rows)
         new = vect + [0] * length
         for k, v in enumerate(vect, length):
             new[k] -= p * v
@@ -267,22 +275,6 @@ def _expand_signature(signature: Iterable[tuple[int, int | Fraction]]) -> tuple[
     if fractional:
         return tuple(Fraction(c) for c in vect)
     return tuple(vect)
-
-
-def _charpoly_rows(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]]) -> tuple[int | Fraction, ...]:
-    """det(I - z*M) as its coefficient tuple in z, trailing zeros stripped,
-    M square with one row per key of rows (any hashables), rows[k] the
-    (key, value) pairs of that row's nonzeros, in any order.  Since
-    det(I - z*M) = det(I - z*M^T), columns may be passed as rows, as a
-    wreath label's substitution is.  A monomial M has its cycle signature
-    expanded, in O(n), any other goes to Berkowitz's recurrence; both give
-    ints when every entry has denominator 1, Fractions included, else
-    Fractions.  No rows give the constant 1.
-    """
-    signature = _cycle_signature(rows)
-    if signature is None:
-        return _berkowitz(rows)
-    return _expand_signature(signature)
 
 
 def _berkowitz(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]]) -> tuple[int | Fraction, ...]:
@@ -300,8 +292,8 @@ def _berkowitz(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]
     as column r above the corner and is kept as its nonzero entries; each
     step A_r*C walks the columns of A_r at those entries only, and the
     column stops as soon as C or R is empty, every later entry being 0.
-    The product is truncated at degree r + 1, the degree of the bordered
-    block's char-poly.  After the last border the vector holds the
+    The product (_poly_mul) is cut after degree r + 1, the degree of the
+    bordered block's char-poly.  After the last border the vector holds the
     coefficients of det(I - z*A), and coefficient k of det(I - z*M) is that
     one divided by d^k; when d = 1, Fraction inputs included, the
     coefficients are returned as ints.  No rows give the constant 1.
@@ -330,12 +322,7 @@ def _berkowitz(rows: Mapping[Hashable, Sequence[tuple[Hashable, int | Fraction]]
                     if i < r:
                         nxt[i] = nxt.get(i, 0) + a * c
             col = {i: c for i, c in nxt.items() if c}
-        new = [0] * (r + 2)
-        for t, c in enumerate(toeplitz):
-            if c:
-                for k, v in enumerate(vect[: r + 2 - t]):
-                    new[t + k] += c * v
-        vect = new
+        vect = _poly_mul(toeplitz, vect, r + 1)
     while vect[-1] == 0:
         vect.pop()
     if d == 1:

@@ -9,30 +9,32 @@ variables, compiled once per label into WreathElement.substitution, whose
 shape the action checks once, when it is made.  The Molien route averages
 det(I + u*M1)/det(I - q*M0) with weights chi(w^{-1}) = chi(w) in one sum,
 fed an action's pairs label by label, or P[G] sigma by sigma.  A label's
-matrices are block-diagonal over the cycles of sigma, so a monomial
-label's two char-polys are fixed by the sorted union of its blocks' cycle
-signatures.  A block depends on the g-sequence along its cycle alone, so
-each sequence's block is walked once per call, and the sigma-by-sigma feed
-counts P[G]'s labels by convolving one table of block numbers over G^m per
-cycle length m.  The weights are summed per union, each union is expanded
-once, and each distinct char-poly pair once into a series, since distinct
-unions can share one.  Each block's signatures come from its own matrices,
-no sigma is grouped by cycle type, and no cycle index or block determinant
-lemma is used: those stay with the plethysm route, which keeps the routes
-independent.  The oracle route never looks at Molien: it takes the exact
-rank of the Reynolds operator, the average of the substitutions by the
-same matrices, on the monomial basis of each bidegree.  Since R(w.f) =
-chi(w) R(f), a label mapping m to a single term c*m' gives R(m') =
-chi(w)/c R(m), a multiple of R(m), so the rank is taken over one row per
-orbit of monomials, not one per monomial.  Each row is one call of the
-weighted label sum of superalgebra over the action's pairs: it maps the
-orbit's first monomial, with coefficient 1, through every label's compiled
-substitution, one-term labels inside the sum's own loop, builds no
-polynomial per label, and sums chi(w)*c as ints (Fractions only for
-non-integral c).  That undivided sum is |W| R(m), which spans the same
-line as R(m), so only the public reynolds_project divides by |W|.  The
-rows go to the integer Bareiss kernel as sparse (position, value) pairs.
-molien_vs_oracle compares the two routes coefficient by coefficient.
+matrices are block-diagonal over the cycles of sigma, so its two
+char-polys are the products of its blocks', whatever G is.  A block
+depends on the g-sequence along its cycle alone, so each sequence's block
+has its char-polys taken once per call, by the one char-poly kernel, and
+the sigma-by-sigma feed counts P[G]'s labels by convolving one table of
+block numbers over G^m per cycle length m.  The weights are summed per
+sorted tuple of block numbers, each such key's blocks are multiplied
+once, and each distinct char-poly pair is expanded once into a series,
+since distinct keys can share one.  Each block's char-polys come from its
+own matrices, no sigma is grouped by cycle type, and no cycle index or
+block determinant lemma is used: those stay with the plethysm route,
+which keeps the routes independent.  The oracle route never looks at
+Molien: it takes the exact rank of the Reynolds operator, the average of
+the substitutions by the same matrices, on the monomial basis of each
+bidegree.  Since R(w.f) = chi(w) R(f), a label mapping m to a single
+term c*m' gives R(m') = chi(w)/c R(m), a multiple of R(m), so the rank is
+taken over one row per orbit of monomials, not one per monomial.  Each
+row is one call of the weighted label sum of superalgebra over the
+action's pairs: it maps the orbit's first monomial, with coefficient 1,
+through every label's compiled substitution, one-term labels inside the
+sum's own loop, builds no polynomial per label, and sums chi(w)*c as ints
+(Fractions only for non-integral c).  That undivided sum is |W| R(m),
+which spans the same line as R(m), so only the public reynolds_project
+divides by |W|.  The rows go to the integer Bareiss kernel as sparse
+(position, value) pairs.  molien_vs_oracle compares the two routes
+coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .groups import (
     perm_sign,
     validate_character,
 )
-from .linalg import _charpoly_rows, _cycle_signature, _expand_signature, _rank_rows
+from .linalg import _charpoly_rows, _poly_mul, _rank_rows
 from .series import Caps, Key, TrigradedSeries
 from .superalgebra import (
     AlgebraSignature,
@@ -171,12 +173,12 @@ def _pair_table(den: tuple, num: tuple, dq: int) -> dict[Key, int | Fraction]:
     }
 
 
-def _block_signatures(gseq: Sequence) -> tuple | None:
-    """The even and odd cycle signatures of the block that the g-sequence
-    (g_1..g_m) along one m-cycle of sigma, in cycle order, gives a label;
-    None when a part is not monomial.  Renaming rows keeps the cycles and
-    their products, so the block is built on rows 1..m and stands for
-    every m-cycle of every sigma."""
+def _block_pair(gseq: Sequence, dq: int, du: int) -> tuple[tuple, tuple]:
+    """det(I - z*M0) and det(I - z*M1), cut after z^dq and z^du, of the
+    block that the g-sequence (g_1..g_m) along one m-cycle of sigma, in
+    cycle order, gives a label.  Renaming rows keeps the block's
+    char-polys, so the block is built on rows 1..m and stands for every
+    m-cycle of every sigma."""
     m = len(gseq)
     if m == 1:
         even, odd = gseq[0].moves[1, 1]
@@ -187,8 +189,7 @@ def _block_signatures(gseq: Sequence) -> tuple | None:
             moved_even, moved_odd = g.moves[i, i - 1 or m]
             even.update(moved_even)
             odd.update(moved_odd)
-    sigs = (_cycle_signature(even), _cycle_signature(odd))
-    return None if None in sigs else sigs
+    return _charpoly_rows(even)[: dq + 1], _charpoly_rows(odd)[: du + 1]
 
 
 class _MolienSum:
@@ -197,35 +198,35 @@ class _MolienSum:
     (add_labels) or sigma by sigma (add_sigmas), and divided by the order
     once (series).
 
-    Each block of a label, the g-sequence along one cycle of sigma, is
-    numbered by its pair of cycle signatures, 0 standing for a block with a
-    non-monomial part.  The signatures depend on the sequence alone, so the
-    numbers are memoized by the ids of its elements, each sequence walked
-    once per call, the caller holding every element.  A label whose blocks
-    are all monomial adds its weight to its key, the sorted numbers of its
-    blocks; any other label adds it to the pair of its whole matrices'
-    char-polys."""
+    A label's matrices are block-diagonal over the cycles of sigma, so its
+    two char-polys are the products of its blocks'.  Each block, the
+    g-sequence along one cycle, is numbered by its pair of char-polys, cut
+    at the caps (_block_pair), monomial or not.  The pair depends on the
+    sequence alone, so the numbers are memoized by the ids of its elements,
+    each sequence walked once per call, the caller holding every element.
+    A label adds its weight to its key, the sorted numbers of its
+    blocks."""
 
     def __init__(self, dq: int, du: int):
         self.caps = Caps.of((0, dq, du))
         self.walked: dict[tuple[int, ...], int] = {}
-        self.numbers: dict[tuple | None, int] = {None: 0}
+        self.numbers: dict[tuple[tuple, tuple], int] = {}
         self.keys: dict[tuple[int, ...], int] = {}
-        self.pairs: dict[tuple, int] = {}
 
     def _number(self, ids: tuple[int, ...], gseq: Sequence) -> int:
         """The number of the block of gseq, whose elements' ids are ids."""
         k = self.walked.get(ids)
         if k is None:
             numbers = self.numbers
-            k = self.walked[ids] = numbers.setdefault(_block_signatures(gseq), len(numbers))
+            pair = _block_pair(gseq, self.caps.q, self.caps.u)
+            k = self.walked[ids] = numbers.setdefault(pair, len(numbers))
         return k
 
     def add_labels(self, triples: Iterable[tuple]) -> None:
         """Each label (sigma, gs) of the (chi, sigma, gs) triples, read
         once, weighted chi; sigmas' cycles are memoized by identity."""
         cycles_of: dict[int, list] = {}
-        walked, keys, pairs = self.walked, self.keys, self.pairs
+        walked, keys = self.walked, self.keys
         for chi, sigma, gs in triples:
             sigma_cycles = cycles_of.get(id(sigma))
             if sigma_cycles is None:
@@ -238,27 +239,21 @@ class _MolienSum:
                     k = self._number(ids, [gs[i - 1] for i in rows])
                 blocks.append(k)
             blocks.sort()
-            if blocks and not blocks[0]:
-                sub = WreathElement._of(sigma, gs).substitution
-                pair = (_charpoly_rows(sub.even), _charpoly_rows(sub.odd)[: self.caps.u + 1])
-                pairs[pair] = pairs.get(pair, 0) + chi
-            else:
-                key = tuple(blocks)
-                keys[key] = keys.get(key, 0) + chi
+            key = tuple(blocks)
+            keys[key] = keys.get(key, 0) + chi
 
-    def add_sigmas(self, sigmas: Iterable[tuple[int, Permutation]], G: MatrixGroup, n: int) -> None:
+    def add_sigmas(self, sigmas: Iterable[tuple[int, Permutation]], G: MatrixGroup) -> None:
         """Every label (sigma, gs), gs in G^n in element order, of each
         (chi, sigma) pair, weighted chi, without walking the labels: gs
         restricted to each cycle of sigma is a bijection onto the product
         over the cycles of G^m, m the cycle's length.  So one table per
         length m, counting each block number over G^m, is built once per
         call, and a sigma's key weights are the convolution of its cycles'
-        tables, times chi.  A sigma whose tables hold the non-monomial
-        number 0 adds its labels one by one."""
+        tables, times chi."""
         tables: dict[int, dict[int, int]] = {}
         keys = self.keys
         for chi, sigma in sigmas:
-            sigma_tables = []
+            weights = {(): chi}
             for rows in _cycles(sigma):
                 table = tables.get(len(rows))
                 if table is None:
@@ -266,12 +261,6 @@ class _MolienSum:
                     for gseq in itertools.product(G.elements, repeat=len(rows)):
                         k = self._number(tuple([id(g) for g in gseq]), gseq)
                         table[k] = table.get(k, 0) + 1
-                sigma_tables.append(table)
-            if any(0 in table for table in sigma_tables):
-                self.add_labels((chi, sigma, gs) for gs in itertools.product(G.elements, repeat=n))
-                continue
-            weights = {(): chi}
-            for table in sigma_tables:
                 step: dict[tuple[int, ...], int] = {}
                 for key, w in weights.items():
                     for k, count in table.items():
@@ -282,19 +271,22 @@ class _MolienSum:
                 keys[key] = keys.get(key, 0) + w
 
     def series(self, order: int) -> TrigradedSeries:
-        """The sum divided by order.  Each distinct key's sorted signature
-        union is formed once, each union with a nonzero weight expanded
-        once, and each distinct char-poly pair expanded once into a series,
-        since distinct unions can share one."""
-        caps, pairs = self.caps, dict(self.pairs)
-        signatures = list(self.numbers)
-        unions: dict[tuple[tuple, tuple], int] = {}
+        """The sum divided by order.  Each key with a nonzero weight has its
+        blocks' char-polys multiplied once, cut at the caps, and each
+        distinct char-poly pair is expanded once into a series, since
+        distinct keys can share one."""
+        caps = self.caps
+        blocks_of = list(self.numbers)
+        pairs: dict[tuple[tuple, tuple], int] = {}
         for blocks, weight in self.keys.items():
-            union = tuple(tuple(sorted(c for k in blocks for c in signatures[k][part])) for part in (0, 1))
-            unions[union] = unions.get(union, 0) + weight
-        for (even, odd), weight in unions.items():
             if weight:
-                pair = (_expand_signature(even), _expand_signature(odd)[: caps.u + 1])
+                den, num = blocks_of[blocks[0]] if blocks else ((1,), (1,))
+                for k in blocks[1:]:
+                    block_den, block_num = blocks_of[k]
+                    # a block's char-poly, often sparse, goes first: _poly_mul skips its zeros
+                    den = _poly_mul(block_den, den, caps.q)
+                    num = _poly_mul(block_num, num, caps.u)
+                pair = (tuple(den), tuple(num))
                 pairs[pair] = pairs.get(pair, 0) + weight
         total: dict[Key, int | Fraction] = {}
         for (den, num), weight in pairs.items():

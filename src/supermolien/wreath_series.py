@@ -4,11 +4,13 @@ The direct route is the Molien average over every label (sigma, gs) of
 P[G] acting on n rows of variables, fed to the Molien sum sigma by sigma:
 gs restricted to each cycle of sigma ranges over G^m independently, so
 each sigma's labels are counted by convolving one table of block numbers
-over G^m per cycle length m, and no label is walked or built.  The
-plethystic route never enumerates P[G]: it substitutes the one-row series
-of G into the cycle index of P, with a u -> -u flip on the way in and out
-to account for anticommuting variables.  Matching the two is the main
-consistency check of the package.
+over G^m per cycle length m, and no label is walked or built, for any G,
+monomial or not.  So WREATH_CAP bounds |G|^n, its largest table, not the
+|P| * |G|^n labels it counts.  The plethystic route never enumerates
+P[G]: it substitutes the one-row series of G into the cycle index of P,
+with a u -> -u flip on the way in and out to account for anticommuting
+variables.  Matching the two is the main consistency check of the
+package.
 
 Collation packages all symmetric-group wreath series into a single series
 in t whose product form is controlled by the graded invariant dimensions
@@ -21,11 +23,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CapExceeded
 from .groups import (
+    WREATH_CAP,
     MatrixGroup,
     PermGroup,
     Permutation,
-    _wreath_labels,
     perm_sign,
     require_degree,
     sign_character,
@@ -52,13 +55,19 @@ def _direct_sum(
     """The Molien average over every label (sigma, gs), sigma from sigmas
     and gs from G^n, each weighted by sgn(sigma) when signed: the Molien
     sum fed sigma by sigma, each sigma with its own sign and cycles, after
-    _wreath_labels has checked the degree of every sigma and the label
-    count against WREATH_CAP.  No label is walked or built, except those of
-    a sigma with a non-monomial block."""
-    _wreath_labels(sigmas, G, n)
+    the degree of every sigma is checked, and |G|^n, the size of the
+    largest block table a sigma on n rows can need, against WREATH_CAP.
+    No label is walked or built."""
+    for sigma in sigmas:
+        require_degree(sigma, n)
+    sequences = G.order**n
+    if sequences > WREATH_CAP:
+        raise CapExceeded(
+            f"direct route needs up to {sequences} g-sequences, cap is {WREATH_CAP} (|G| = {G.order}, n = {n})"
+        )
     total = _MolienSum(dq, du)
-    total.add_sigmas(((perm_sign(sigma) if signed else 1, sigma) for sigma in sigmas), G, n)
-    return total.series(len(sigmas) * G.order**n)
+    total.add_sigmas(((perm_sign(sigma) if signed else 1, sigma) for sigma in sigmas), G)
+    return total.series(len(sigmas) * sequences)
 
 
 def wreath_hilbert_direct(
@@ -66,7 +75,7 @@ def wreath_hilbert_direct(
 ) -> TrigradedSeries:
     """Hilbert series of the (anti)invariants of P[G] by the Molien average
     over all |P| * |G|^n labels, counted sigma by sigma through one table
-    of block numbers per cycle length (_direct_sum)."""
+    of block numbers per cycle length (_direct_sum), none of them built."""
     signed = require_flavor(flavor)
     return _direct_sum(P.elements, G, n, signed, dq, n * G.r1 if du is None else du)
 

@@ -25,8 +25,6 @@ from supermolien.linalg import (
     _cleared_rows,
     _columns,
     _compose,
-    _cycle_signature,
-    _expand_signature,
     _nonzeros,
     _rank_rows,
     charpoly_det,
@@ -613,24 +611,31 @@ def test_charpoly_rows_walk_keeps_the_type_rule():
         assert [type(c) for c in p] == [type(c) for c in _berkowitz(rows)]
 
 
-def test_expanded_cycle_signature_equals_berkowitz_seeded():
+def test_expanded_cycle_signature_equals_berkowitz_seeded(monkeypatch):
     # Seeded monomial matrices with scaled entries: ints, integral
     # Fractions and non-integral Fractions, so some cycle products are
-    # integral Fractions.  The signature lists each cycle once, sorted,
-    # with lengths summing to n, and its expansion has Berkowitz's values
-    # and coefficient types.
+    # integral Fractions.  The kernel multiplies in one factor per cycle
+    # and never calls Berkowitz, and its product has Berkowitz's values and
+    # coefficient types.
     rng = random.Random(2026)
     entries = (1, -1, 2, -3, Fraction(4), Fraction(-1, 2), Fraction(3, 4), Fraction(2, 3))
     kinds = set()
+    matrices = []
     for _ in range(200):
         n = rng.randint(0, 7)
         images = list(range(n))
         rng.shuffle(images)
-        rows = {i: [(images[i], rng.choice(entries))] for i in range(n)}
-        signature = _cycle_signature(rows)
-        assert list(signature) == sorted(signature)
-        assert sum(length for length, _ in signature) == n
-        p = _expand_signature(signature)
+        matrices.append({i: [(images[i], rng.choice(entries))] for i in range(n)})
+    calls = []
+
+    def wrapper(arg):
+        calls.append(arg)
+        return _berkowitz(arg)
+
+    monkeypatch.setattr(linalg, "_berkowitz", wrapper)
+    walked = [_charpoly_rows(rows) for rows in matrices]
+    assert calls == []
+    for rows, p in zip(matrices, walked):
         reference = _berkowitz(rows)
         assert p == reference
         assert [type(c) for c in p] == [type(c) for c in reference]
@@ -638,18 +643,15 @@ def test_expanded_cycle_signature_equals_berkowitz_seeded():
     assert kinds == {int, Fraction}
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        {0: [(0, 2)], 1: [(0, 3)], 2: [(2, -1)]},
-        {0: [(1, 2)], 1: [(2, -1)], 2: [(1, Fraction(1, 3))]},
-        {0: [(1, 1)], 1: [], 2: [(0, -2)]},
-        {0: [(0, 5)], 1: [(2, 1), (1, 2)], 2: [(1, -1)]},
-    ],
-    ids=["repeated-column", "tail-into-cycle", "empty-row", "two-entry-row"],
-)
-def test_cycle_signature_is_none_off_monomial_maps(rows):
-    assert _cycle_signature(rows) is None
+def test_poly_mul_is_the_product_cut_at_the_cap():
+    # seeded coefficient lists with zeros, Fractions and every cap from 0
+    # past the full degree: the full product's first cap + 1 coefficients
+    rng = random.Random(2028)
+    for _ in range(100):
+        a, b = ([rng.choice((0, 0, 1, -2, 3, Fraction(1, 2))) for _ in range(rng.randint(1, 5))] for _ in "ab")
+        full = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(len(a) + len(b) - 1)]
+        for cap in range(len(full) + 1):
+            assert linalg._poly_mul(a, b, cap) == full[: cap + 1]
 
 
 @pytest.mark.parametrize("monomial", [True, False], ids=["walk", "berkowitz"])

@@ -48,6 +48,7 @@ from supermolien.superalgebra import (
 )
 
 from dense_reference import dense_columns, dense_label_matrices
+from molien_reference import assert_same_series, reference_super_molien
 from rational_groups import KERNEL_GROUPS, conjugated_s3, named_group
 
 
@@ -492,33 +493,6 @@ def label_by_label_series(action, dq, du):
     return series_scale(total, Fraction(1, action.order))
 
 
-def reference_super_molien(action, dq, du=None):
-    """The Molien average as it was summed label by label before the
-    cycle-signature keys: both char-polys of every label's own
-    substitution, here by Berkowitz's recurrence, chi summed per distinct
-    pair, each pair of nonzero weight expanded once, and the sum divided by
-    |W| as Fractions."""
-    caps = Caps.of((0, dq, action.signature.num_odd if du is None else du))
-    weights = {}
-    for chi, w in action.pairs:
-        sub = w.substitution
-        pair = (_berkowitz(sub.even), _berkowitz(sub.odd)[: caps.u + 1])
-        weights[pair] = weights.get(pair, 0) + chi
-    total = {}
-    for (den, num), weight in weights.items():
-        if weight:
-            for key, c in molien._pair_table(den, num, dq).items():
-                total[key] = total.get(key, 0) + weight * c
-    return TrigradedSeries(caps, {k: Fraction(c) / action.order for k, c in total.items()})
-
-
-def assert_same_series(got, expected):
-    """Equal caps, coefficients and coefficient types."""
-    assert got.caps == expected.caps
-    assert got.items() == expected.items()
-    assert [type(c) for _, c in got.items()] == [type(c) for _, c in expected.items()]
-
-
 def assert_wreath_sums_match_reference(P, G, n, dq):
     """super_molien of P[G]'s action and the streamed direct route, both
     flavors, against the label-by-label reference."""
@@ -549,7 +523,7 @@ def test_molien_fixture_sums_match_the_label_by_label_reference(name):
 def test_wreath_sums_match_the_label_by_label_reference(pname, gname, n, dq):
     # the four wreath-routes cases, S_4[+-1], S_2 over the Fraction-entry
     # scaled swap, and S_2 over the rational conjugate of S_3, whose
-    # non-monomial labels take the whole-matrix fallback
+    # non-monomial blocks take Berkowitz
     assert_wreath_sums_match_reference(perm_group_fixture(pname), named_group(gname), n, dq)
 
 
@@ -559,7 +533,7 @@ def test_zero_row_sums_match_the_label_by_label_reference():
 
 def test_single_labels_match_the_label_by_label_reference():
     # One seeded label at a time over non-abelian groups on 3 and 4 rows:
-    # a sigma-cycle block's signature depends on the order of the elements
+    # a sigma-cycle block's char-polys depend on the order of the elements
     # along the cycle, which a sum over all of P[G] would average away.
     rng = random.Random(1927)
     for gname, n in (("s3-x", 3), ("s3-theta", 4), ("young-2-1-theta", 3), ("rational-s3", 3)):
@@ -668,12 +642,12 @@ def test_super_molien_expands_once_per_char_poly_pair(monkeypatch):
     # S_4[+-1]: no label's whole matrix is walked.  A block is the
     # g-sequence along one cycle, whatever rows the cycle occupies, so the
     # 2^m sequences of each cycle length m <= 4, 30 in all, each have their
-    # even and odd maps walked once; the 384 labels fall into 20 distinct
-    # signature unions (the 20 classes of B_4), each expanded once, and
-    # only 14 distinct char-poly pairs are expanded into series
+    # even and odd maps walked once by the char-poly kernel; the 384 labels
+    # fall into 20 distinct keys of block numbers (the 20 classes of B_4),
+    # and only 14 distinct char-poly pairs are expanded into series
     # ((1 - z)(1 + z) = 1 - z^2).
     action = GroupAction.from_wreath(PermGroup.symmetric(4), sign_scalar_group(), 4)
-    calls = {"_charpoly_rows": 0, "_cycle_signature": 0, "_expand_signature": 0, "_pair_table": 0}
+    calls = {"_block_pair": 0, "_charpoly_rows": 0, "_pair_table": 0}
 
     def counted(name):
         inner = getattr(molien, name)
@@ -689,7 +663,7 @@ def test_super_molien_expands_once_per_char_poly_pair(monkeypatch):
     super_molien(action, 8)
     sequences = sum(2**m for m in range(1, 5))
     assert sequences == 30
-    assert calls == {"_charpoly_rows": 0, "_cycle_signature": 2 * sequences, "_expand_signature": 2 * 20, "_pair_table": 14}
+    assert calls == {"_block_pair": sequences, "_charpoly_rows": 2 * sequences, "_pair_table": 14}
 
 
 def berkowitz_calls(monkeypatch):
@@ -713,9 +687,8 @@ def molien_entry_points(P, G, n, flavor, dq):
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_monomial_labels_never_reach_berkowitz(monkeypatch, flavor):
-    # Every label of S_4[+-1] is a signed permutation matrix, so both of its
-    # char-polys come from its blocks' cycle signatures, on either entry
-    # point.
+    # Every label of S_4[+-1] is a signed permutation matrix, so every
+    # block's char-polys come from the cycle walk, on either entry point.
     calls = berkowitz_calls(monkeypatch)
     for run in molien_entry_points(PermGroup.symmetric(4), sign_scalar_group(), 4, flavor, 8):
         run()
@@ -724,19 +697,20 @@ def test_monomial_labels_never_reach_berkowitz(monkeypatch, flavor):
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_non_monomial_labels_take_berkowitz(monkeypatch, flavor):
-    # S_2[H], H the rational conjugate of S_3 on x (no odd variables): every
-    # label with a non-identity block has a non-monomial even matrix, whose
-    # whole map goes to Berkowitz, in label order, on either entry point;
-    # the two labels with identity blocks take their blocks' signatures.
-    P, H = PermGroup.symmetric(2), conjugated_s3()[1]
-    labels = build_wreath(P, H, 2)
-    expected = [w.substitution.even for w in labels if not all(g.monomial for g in w.gs)]
-    assert len(expected) == len(labels) - 2
+    # S_n[H], H the rational conjugate of S_3 on x (no odd variables): the
+    # block of every g-sequence of length m <= n, except the one of m
+    # identities, has a non-monomial even map, which Berkowitz gets once
+    # per call, never a whole label's, on either entry point: 6 + 36 - 2 =
+    # 40 blocks on S_2[H] and 6 + 36 + 216 - 3 = 255 on S_3[H].
+    H = conjugated_s3()[1]
     calls = berkowitz_calls(monkeypatch)
-    for run in molien_entry_points(P, H, 2, flavor, 5):
-        calls.clear()
-        run()
-        assert calls == expected
+    for n, count in ((2, 40), (3, 255)):
+        assert count == sum(H.order**m for m in range(1, n + 1)) - n
+        for run in molien_entry_points(PermGroup.symmetric(n), H, n, flavor, 5):
+            calls.clear()
+            run()
+            assert len(calls) == count
+            assert len({frozenset((k, tuple(row)) for k, row in rows.items()) for rows in calls}) == count
 
 
 def test_apply_wreath_is_an_action_on_a_non_monomial_wreath():

@@ -44,6 +44,7 @@ from supermolien.wreath_series import (
     young_exterior_product,
 )
 
+from molien_reference import assert_same_series, reference_direct
 from rational_groups import named_group
 
 
@@ -59,13 +60,19 @@ def test_direct_equals_plethysm(pname, gname, n, flavor):
     assert direct == pleth
 
 
-@pytest.mark.parametrize("n,gname,dq", [(5, "sign-scalar", 8), (6, "sign-scalar", 8), (4, "s2-theta", 6)])
+@pytest.mark.parametrize(
+    "n,gname,dq",
+    [(5, "sign-scalar", 8), (6, "sign-scalar", 8), (7, "sign-scalar", 8), (4, "s2-theta", 6), (4, "rational-s3", 4)],
+)
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_direct_equals_plethysm_ladder(n, gname, dq, flavor):
-    # S_5[+-1] (3840 labels), S_6[+-1] (46080 labels) and S_4[S_2 on theta]
-    # (384 labels), every label counted
+    # S_5[+-1] (3840 labels), S_6[+-1] (46080 labels), S_7[+-1] (645120
+    # labels, past WREATH_CAP, which the direct route checks against its
+    # largest block table, 2^7 sequences), S_4[S_2 on theta] (384 labels)
+    # and S_4 over the rational conjugate of S_3 (31104 labels, every block
+    # but the identity ones non-monomial), every label counted
     P = PermGroup.symmetric(n)
-    G = matrix_group_fixture(gname)
+    G = named_group(gname)
     assert wreath_hilbert_direct(P, G, n, flavor, dq) == wreath_hilbert_plethysm(P, G, n, flavor, dq)
 
 
@@ -87,11 +94,15 @@ def test_direct_route_builds_no_label(monkeypatch):
 
 
 def test_direct_route_builds_no_wreath_element_or_substitution(monkeypatch):
-    # monomial G: the direct route, and the sum over one 3-cycle's labels
-    # that the m-cycle identity takes, count labels through block tables,
-    # so no label or compiled substitution is made
-    P, G = PermGroup.symmetric(4), sign_scalar_group()
-    expected = {flavor: per_label_direct(P, G, 4, flavor, 8) for flavor in FLAVORS}
+    # monomial G and the non-monomial rational conjugate of S_3: the direct
+    # route, and the sum over one 3-cycle's labels that the m-cycle identity
+    # takes, count labels through block tables, so no label or compiled
+    # substitution is made
+    cases = [
+        (PermGroup.symmetric(4), sign_scalar_group(), 4, 8),
+        (PermGroup.symmetric(3), named_group("rational-s3"), 3, 4),
+    ]
+    expected = {(P.n, flavor): reference_direct(P, G, n, flavor, dq) for P, G, n, dq in cases for flavor in FLAVORS}
     H = matrix_group_fixture("s2-theta")
     one_row = super_molien(GroupAction.from_matrix_group(H), 5, 3 * H.r1)
 
@@ -101,21 +112,11 @@ def test_direct_route_builds_no_wreath_element_or_substitution(monkeypatch):
     monkeypatch.setattr(WreathElement, "__init__", refuse)
     monkeypatch.setattr(WreathElement, "_of", staticmethod(refuse))
     monkeypatch.setattr(groups, "Substitution", refuse)
-    for flavor in FLAVORS:
-        assert wreath_hilbert_direct(P, G, 4, flavor, 8) == expected[flavor]
+    for P, G, n, dq in cases:
+        for flavor in FLAVORS:
+            assert_same_series(wreath_hilbert_direct(P, G, n, flavor, dq), expected[P.n, flavor])
     cycle = Permutation.from_cycles(3, [(1, 2, 3)])
     assert wreath_series._direct_sum((cycle,), H, 3, False, 5, 3 * H.r1) == scale_exponents(one_row, 3)
-
-
-def per_label_direct(P, G, n, flavor, dq):
-    """Reference: the direct route as it was before it counted labels sigma
-    by sigma, every label of P[G] streamed into the Molien sum one by one,
-    each with the sign of its own sigma."""
-    total = molien._MolienSum(dq, n * G.r1)
-    signed = flavor == "antiinvariant"
-    labels = groups._wreath_labels(P.elements, G, n)
-    total.add_labels((groups.perm_sign(sigma) if signed else 1, sigma, gs) for sigma, gs in labels)
-    return total.series(P.order * G.order**n)
 
 
 PERM_GROUP_KINDS = {"symmetric": PermGroup.symmetric, "cyclic": PermGroup.cyclic, "trivial": PermGroup.trivial}
@@ -125,30 +126,31 @@ PERM_GROUP_KINDS = {"symmetric": PermGroup.symmetric, "cyclic": PermGroup.cyclic
 @pytest.mark.parametrize("gname", sorted(MATRIX_GROUP_FIXTURES) + ["rational-s3", "scaled-swap"])
 def test_direct_route_equals_the_per_label_reference(gname, pkind):
     # every fixture group and both groups with non-integral entries (the
-    # non-monomial rational-s3 takes the per-label path sigma by sigma)
+    # non-monomial rational-s3 has its blocks go to Berkowitz), against
+    # Berkowitz on every whole label, in value and coefficient type
     G = named_group(gname)
     for n in (1, 2, 3):
         P = PERM_GROUP_KINDS[pkind](n)
         for flavor in FLAVORS:
-            assert wreath_hilbert_direct(P, G, n, flavor, 5) == per_label_direct(P, G, n, flavor, 5)
+            assert_same_series(wreath_hilbert_direct(P, G, n, flavor, 5), reference_direct(P, G, n, flavor, 5))
 
 
 def test_direct_route_walks_each_block_once_per_call(monkeypatch):
     # S_4[+-1]: a block is the g-sequence along one cycle, the same for
     # every cycle of its length, so the direct route walks the 2^m
     # sequences of each cycle length m <= 4, 30 in all, never a label.
-    # Each call walks each sequence's even and odd maps once: 60 walks,
-    # whose even maps, which name the sequence's moves and entries, are
-    # pairwise distinct.  The next call walks them all again, as nothing
-    # outlives a call.
-    walk = molien._cycle_signature
+    # Each call takes the char-polys of each sequence's even and odd maps
+    # once: 60 walks, whose even maps, which name the sequence's moves and
+    # entries, are pairwise distinct.  The next call walks them all again,
+    # as nothing outlives a call.
+    walk = molien._charpoly_rows
     calls = []
 
     def counted(rows):
         calls.append(rows)
         return walk(rows)
 
-    monkeypatch.setattr(molien, "_cycle_signature", counted)
+    monkeypatch.setattr(molien, "_charpoly_rows", counted)
     sequences = sum(2**m for m in range(1, 5))
     for flavor in FLAVORS:
         calls.clear()
@@ -444,13 +446,15 @@ def test_m_cycle_identity(gname, m):
 
 
 def test_m_cycle_labels_are_capped_before_any_is_built(monkeypatch):
-    # 2^18 labels of one 18-cycle over the sign group pass WREATH_CAP; the
-    # enumerator refuses them at the call, before any block is evaluated
+    # the 2^18 g-sequences of one 18-cycle over the sign group exceed
+    # WREATH_CAP; the direct sum refuses them at the call, before any block
+    # is evaluated
     def no_block(*args):
         raise AssertionError("a block was evaluated")
 
-    monkeypatch.setattr(molien, "_block_signatures", no_block)
-    with pytest.raises(CapExceeded, match="262144 elements, cap is 200000"):
+    monkeypatch.setattr(molien, "_block_pair", no_block)
+    message = r"^direct route needs up to 262144 g-sequences, cap is 200000 \(\|G\| = 2, n = 18\)$"
+    with pytest.raises(CapExceeded, match=message):
         verify_m_cycle_identity(sign_scalar_group(), 18, 2)
 
 
