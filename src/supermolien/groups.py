@@ -309,7 +309,7 @@ class MatrixGroup:
                     "generator blocks {}x{}/{}x{} do not match (r0, r1) = ({}, {})".format(*g.shape, r0, r1)
                 )
             # a square block is invertible iff its columns have full rank
-            if _rank_rows(g.columns[0]) < r0 or _rank_rows(g.columns[1]) < r1:
+            if _rank_rows(map(dict, g.columns[0])) < r0 or _rank_rows(map(dict, g.columns[1])) < r1:
                 raise NotInvertible("singular generator")
             gens.append(g)
         gens = sorted(set(gens), key=GradedGroupElement.sort_key)
@@ -547,12 +547,10 @@ def require_degree(P: PermGroup | Permutation, n: int) -> None:
         raise DegreeMismatch(f"P acts on {P.n} rows, expected {n}")
 
 
-def _wreath_labels(sigmas: Sequence[Permutation], G: MatrixGroup | PermGroup, n: int):
-    """Every label (sigma, (g_1..g_n)) with sigma from sigmas and each g_i
-    from G, sigma-major in element order: all of P[G] when sigmas are the
-    elements of P.  The degree check of every sigma and the WREATH_CAP
-    check run at the call, before any label is made; a refusal names
-    |P| = len(sigmas), |G| and n."""
+def require_wreath(sigmas: Sequence[Permutation], G: MatrixGroup | PermGroup, n: int) -> None:
+    """The checks of the labels (sigma, (g_1..g_n)), sigma from sigmas and
+    each g_i from G: every sigma's degree, and their count against
+    WREATH_CAP; a refusal names |P| = len(sigmas), |G| and n."""
     for sigma in sigmas:
         require_degree(sigma, n)
     total = len(sigmas) * G.order**n
@@ -560,6 +558,14 @@ def _wreath_labels(sigmas: Sequence[Permutation], G: MatrixGroup | PermGroup, n:
         raise CapExceeded(
             f"wreath product has {total} elements, cap is {WREATH_CAP} (|P| = {len(sigmas)}, |G| = {G.order}, n = {n})"
         )
+
+
+def _wreath_labels(sigmas: Sequence[Permutation], G: MatrixGroup | PermGroup, n: int):
+    """Every label (sigma, (g_1..g_n)) with sigma from sigmas and each g_i
+    from G, sigma-major in element order: all of P[G] when sigmas are the
+    elements of P.  require_wreath runs at the call, before any label is
+    made."""
+    require_wreath(sigmas, G, n)
     return ((sigma, gs) for sigma in sigmas for gs in itertools.product(G.elements, repeat=n))
 
 

@@ -1,8 +1,9 @@
 """Exact rational matrices and fraction-free elimination.
 
 QMatrix is the value type of matrix input and output, without arithmetic.
-Every kernel reads a matrix as sparse rows, row i the (column, value)
-pairs of its nonzero entries, or as sparse columns (_columns), which is
+Every kernel reads a matrix as sparse rows, row i its nonzero entries by
+column ({column: value} for ranks, (column, value) pairs for char-polys),
+or as sparse columns (_columns), which is
 how graded group elements hold their matrices and _compose multiplies
 them.  Ranks and char-polys have one kernel each.
 Every rank in the package uses one Bareiss fraction-free elimination on
@@ -104,9 +105,9 @@ class QMatrix:
         return QMatrix.from_rows([[parse_rational(x) for x in r] for r in rows])
 
 
-def _nonzeros(m: QMatrix) -> list[list[tuple[int, Fraction]]]:
-    """The (column, value) pairs of each row's nonzero entries."""
-    return [[(j, x) for j, x in enumerate(m.row(i)) if x] for i in range(m.nrows)]
+def _nonzeros(m: QMatrix) -> list[dict[int, Fraction]]:
+    """The {column: value} dict of each row's nonzero entries."""
+    return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.nrows)]
 
 
 def _columns(m: QMatrix) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
@@ -130,18 +131,18 @@ def _compose(a: Sequence, b: Sequence) -> tuple:
     return tuple(out)
 
 
-def _cleared_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> list[dict[int, int]]:
-    """Clear the denominators of each sparse row of nonzero entries, giving
-    {column: int} rows, each a multiple of its row.  A row of ints is
-    copied as it is; every row is a new dict, so the caller's rows stay
-    untouched by an elimination in place."""
+def _cleared_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> list[dict[int, int]]:
+    """Clear the denominators of each sparse {column: value} row of
+    nonzero entries, giving {column: int} rows, each a multiple of its row,
+    in a new list.  A row of ints is passed through as it is, not copied:
+    _bareiss replaces rows in the list and never changes a row."""
     out = []
     for row in rows:
-        if all(type(x) is int for _, x in row):
-            out.append(dict(row))
+        if all(type(x) is int for x in row.values()):
+            out.append(row)
             continue
-        lcm = math.lcm(*(x.denominator for _, x in row))
-        out.append({j: x.numerator * (lcm // x.denominator) for j, x in row})
+        lcm = math.lcm(*(x.denominator for x in row.values()))
+        out.append({j: x.numerator * (lcm // x.denominator) for j, x in row.items()})
     return out
 
 
@@ -201,9 +202,9 @@ def _bareiss(rows: list[dict[int, int]]) -> list[int]:
     return order
 
 
-def _rank_rows(rows: Sequence[Sequence[tuple[int, int | Fraction]]]) -> int:
-    """Exact rank of the matrix whose row i has the (column, value) pairs
-    rows[i] as its nonzero entries."""
+def _rank_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> int:
+    """Exact rank of the matrix whose rows are the {column: value} dicts
+    of their nonzero entries."""
     return len(_bareiss(_cleared_rows(rows)))
 
 
@@ -334,7 +335,7 @@ def charpoly_det(m: QMatrix) -> tuple[Fraction, ...]:
     """det(I - z*M) by the char-poly kernel; the 0x0 matrix gives (1,)."""
     if not m.is_square():
         raise NotSquare(f"char expansion of a {m.nrows}x{m.ncols} matrix")
-    return tuple(Fraction(c) for c in _charpoly_rows(dict(enumerate(_nonzeros(m)))))
+    return tuple(Fraction(c) for c in _charpoly_rows({i: list(row.items()) for i, row in enumerate(_nonzeros(m))}))
 
 
 class EchelonSelector:

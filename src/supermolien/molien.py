@@ -26,23 +26,27 @@ the substitutions by the same matrices, on the monomial basis of each
 bidegree.  Since R(w.f) = chi(w) R(f), a label mapping m to a single
 term c*m' gives R(m') = chi(w)/c R(m), a multiple of R(m), so the rank is
 taken over one row per orbit of monomials, not one per monomial.  Each
-row is one call of the weighted label sum of superalgebra over the
-action's pairs: it maps the orbit's first monomial, with coefficient 1,
-through every label's compiled substitution, one-term labels inside the
-sum's own loop, builds no polynomial per label, and sums chi(w)*c as ints
-(Fractions only for non-integral c).  That undivided sum is |W| R(m),
-which spans the same line as R(m), so only the public reynolds_project
-divides by |W|.  The rows go to the integer Bareiss kernel as sparse
-(position, value) pairs.  molien_vs_oracle compares the two routes
-coefficient by coefficient.
+row is one weighted sum of the action: it maps the orbit's first
+monomial, with coefficient 1, through the compiled substitutions by the
+label sum of superalgebra, builds no polynomial per label, and sums
+chi(w)*c as ints (Fractions only for non-integral c).  A P[G] action
+(WreathAction) keeps P's and G's labels, not its |P|*|G|^n own, and sums
+in two stages, as its Reynolds operator factors through G^n's: each row's
+content is mapped through G's labels, once per distinct content, the row
+images are multiplied, and the product is mapped through P's labels.
+That undivided sum is |W| R(m), which spans the same line as R(m), so
+only the public reynolds_project divides by |W|.  The rows go to the
+integer Bareiss kernel as sparse {position: value} dicts.
+molien_vs_oracle compares the two routes coefficient by coefficient.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BasisTooLarge, SignatureMismatch
 from .groups import (
@@ -51,8 +55,9 @@ from .groups import (
     Permutation,
     WreathElement,
     _cycles,
-    build_wreath,
+    once,
     perm_sign,
+    require_wreath,
     validate_character,
 )
 from .linalg import _charpoly_rows, _poly_mul, _rank_rows
@@ -86,7 +91,8 @@ def require_flavor(flavor: str) -> bool:
 class GroupAction:
     """Wreath labels acting on n rows of (r0, r1) variables, as (chi(w), w)
     pairs: each label w weighted by +-1, for a group the value of the
-    linear character selecting the isotypic component to count.
+    linear character selecting the isotypic component to count.  P[G]
+    keeps its factors instead (WreathAction, made by from_wreath).
 
     The Molien average and the label sum take any set of pairs.  The
     Reynolds route needs labels that form a group, each element listed
@@ -148,9 +154,139 @@ class GroupAction:
     @staticmethod
     def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant") -> "GroupAction":
         """Action of P[G] on n rows; flavor "invariant" weights every label 1,
-        flavor "antiinvariant" weights by sgn(sigma)."""
+        flavor "antiinvariant" weights by sgn(sigma).  Its |P| * |G|^n labels
+        are checked (require_wreath), not built: the action keeps its
+        factors (WreathAction)."""
         signed = require_flavor(flavor)
-        return GroupAction.of_labels(AlgebraSignature(G.r0, G.r1, n), build_wreath(P, G, n), signed)
+        require_wreath(P.elements, G, n)
+        sig = AlgebraSignature(G.r0, G.r1, n)
+        ident = (G.elements[G.identity_index],) * n
+        action = object.__new__(WreathAction)
+        action.__dict__.update(
+            signature=sig,
+            top=GroupAction.of_labels(sig, (WreathElement._of(sigma, ident) for sigma in P.elements), signed),
+            rows=GroupAction.from_matrix_group(G),
+        )
+        return action
+
+    def _weighted_sum(self) -> Callable[..., dict]:
+        """The sum over the labels of chi(w) w.f, as a function of (terms,
+        reached=None) under _label_sum's contract, for one caller's run of
+        calls: here _label_sum over the pairs."""
+        return functools.partial(_label_sum, self.pairs)
+
+    def _feed(self, total: "_MolienSum") -> None:
+        """Add the labels to a Molien sum, label by label."""
+        total.add_labels((chi, w.sigma, w.gs) for chi, w in self.pairs)
+
+
+class WreathAction(GroupAction):
+    """P[G] on n rows, kept as its factors, not its labels: top, P's labels
+    (sigma, identity rows) weighted chi(sigma), and rows, G's one-row labels
+    weighted 1, each compiled and checked once.  A label (sigma, gs) acts
+    as (1, gs) followed by (sigma, 1), and (1, gs) acts row by row, g_i on
+    row i, so the sum over P[G] is the sum over top of the product, row by
+    row, of the sums over rows.  pairs, every label, is built on first
+    read, which no route makes."""
+
+    @property
+    def order(self) -> int:
+        return self.top.order * self.rows.order**self.signature.n
+
+    @property
+    def _elements(self) -> list:
+        """G's elements, in element order."""
+        return [w.gs[0] for _, w in self.rows.pairs]
+
+    @once
+    def _monomial(self) -> bool:
+        """Whether every element of G is monomial, each label one-term."""
+        return all(w.substitution.one_term for _, w in self.rows.pairs)
+
+    @once
+    def pairs(self) -> tuple:
+        """Every label (sigma, gs), in build_wreath's order, weighted as
+        sigma's top label."""
+        gss = list(itertools.product(self._elements, repeat=self.signature.n))
+        return tuple((chi, WreathElement._of(w.sigma, gs)) for chi, w in self.top.pairs for gs in gss)
+
+    def _feed(self, total: "_MolienSum") -> None:
+        """Add every label to a Molien sum sigma by sigma (add_sigmas)."""
+        total.add_sigmas(((chi, w.sigma) for chi, w in self.top.pairs), self._elements)
+
+    def _weighted_sum(self) -> Callable[..., dict]:
+        """sum over P[G] of chi(w) w.f: each term of f is split into its
+        rows, each distinct row content mapped once per returned function
+        through rows by _label_sum, the row images multiplied in row order
+        (concatenated: already canonical, with sign +1), and the product
+        summed over top.  A trivial G leaves the row stage out.
+
+        With reached, f one monomial m, a label sends m to a single term
+        iff every g_i sends row i's content to a single term, so reached
+        gets the top images of the products of single-term row images.
+        For a monomial G whose row images are all nonzero, those products
+        are the product's support, each row image's support being the
+        content's whole G-orbit, so reached gets the sum's keys, zeros
+        kept."""
+        top = self.top.pairs
+        if self.rows.order == 1:
+            return functools.partial(_label_sum, top)
+        rows, n, monomial = self.rows.pairs, self.signature.n, self._monomial
+        # row part (x-part, theta) on its row r -> (image terms, single-term images), on row r;
+        # an empty row's image is the constant |G|
+        images: dict[tuple, tuple[list, list]] = {((), ()): ([((), (), self.rows.order)], [((), ())])}
+        new = tuple.__new__
+
+        def image(part: tuple) -> tuple[list, list]:
+            xs, ts = part
+            r = (xs or ts)[0][0]
+            single = None if monomial else set()
+            moved = _label_sum(rows, {new(SuperMonomial, _on_row(xs, ts, 1)): 1}, single)
+            # a monomial G's single-term images are all its images, zero or not
+            return (
+                [_on_row(x, t, r) + (a,) for (x, t), a in moved.items() if a],
+                [_on_row(x, t, r) for x, t in (moved if monomial else single)],
+            )
+
+        def weighted_sum(terms: Mapping, reached: set | None = None) -> dict:
+            product: dict = {}
+            for (xpart, theta), c in terms.items():
+                out = [((), (), c)]
+                parts = []
+                i = k = 0
+                for r in range(1, n + 1):
+                    # the row-r factors, xpart and theta being sorted by row
+                    i0, k0 = i, k
+                    while i < len(xpart) and xpart[i][0] == r:
+                        i += 1
+                    while k < len(theta) and theta[k][0] == r:
+                        k += 1
+                    part = (xpart[i0:i], theta[k0:k])
+                    found = images.get(part)
+                    if found is None:
+                        found = images[part] = image(part)
+                    parts.append(found)
+                    out = [(x + mx, t + mt, a * b) for x, t, a in out for mx, mt, b in found[0]]
+                for x, t, a in out:
+                    m = new(SuperMonomial, (x, t))
+                    product[m] = product[m] + a if m in product else a
+            acc = _label_sum(top, product)
+            if reached is not None:
+                if monomial and product:
+                    reached.update(acc)
+                else:
+                    heads = [((), ())]
+                    for _, found in parts:
+                        heads = [(x + hx, t + ht) for x, t in heads for hx, ht in found]
+                    reached.update(_label_sum(top, {new(SuperMonomial, head): 1 for head in heads}))
+            return acc
+
+        return weighted_sum
+
+
+def _on_row(xpart: tuple, theta: tuple, r: int) -> tuple[tuple, tuple]:
+    """A one-row x-part and theta moved to row r."""
+    return tuple([(r, c, e) for _, c, e in xpart]), tuple([(r, c) for _, c in theta])
 
 
 def _pair_table(den: tuple, num: tuple, dq: int) -> dict[Key, int | Fraction]:
@@ -242,8 +378,8 @@ class _MolienSum:
             key = tuple(blocks)
             keys[key] = keys.get(key, 0) + chi
 
-    def add_sigmas(self, sigmas: Iterable[tuple[int, Permutation]], G: MatrixGroup) -> None:
-        """Every label (sigma, gs), gs in G^n in element order, of each
+    def add_sigmas(self, sigmas: Iterable[tuple[int, Permutation]], elements: Sequence) -> None:
+        """Every label (sigma, gs), gs in G^n, G's elements given in order, of each
         (chi, sigma) pair, weighted chi, without walking the labels: gs
         restricted to each cycle of sigma is a bijection onto the product
         over the cycles of G^m, m the cycle's length.  So one table per
@@ -258,7 +394,7 @@ class _MolienSum:
                 table = tables.get(len(rows))
                 if table is None:
                     table = tables[len(rows)] = {}
-                    for gseq in itertools.product(G.elements, repeat=len(rows)):
+                    for gseq in itertools.product(elements, repeat=len(rows)):
                         k = self._number(tuple([id(g) for g in gseq]), gseq)
                         table[k] = table.get(k, 0) + 1
                 step: dict[tuple[int, ...], int] = {}
@@ -300,52 +436,56 @@ class _MolienSum:
 
 def super_molien(action: GroupAction, dq: int, du: int | None = None) -> TrigradedSeries:
     """Character-weighted Molien average, exact within caps (0, dq, du), by
-    the one Molien sum fed the action's pairs label by label.
+    the one Molien sum, fed label by label, or sigma by sigma for P[G].
 
     du defaults to the full odd dimension n*r1, where the numerator
     det(I + u*g1) is a polynomial of exactly that degree.
     """
     total = _MolienSum(dq, action.signature.num_odd if du is None else du)
-    total.add_labels((chi, w.sigma, w.gs) for chi, w in action.pairs)
+    action._feed(total)
     return total.series(action.order)
 
 
 def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:
     """(1/|W|) sum over w of chi(w^{-1}) w.f, the projector onto the
-    chi-isotypic component; chi(w^{-1}) = chi(w) = +-1.  The label sum is
-    divided by |W| once."""
+    chi-isotypic component; chi(w^{-1}) = chi(w) = +-1.  The action's
+    weighted sum is divided by |W| once."""
     if f.sig != action.signature:
         raise SignatureMismatch(f"{f.sig} != {action.signature}")
     order = action.order
-    acc = _label_sum(action.pairs, f.terms)
+    acc = action._weighted_sum()(f.terms)
     return SuperPolynomial._canonical(f.sig, {m: Fraction(c) / order for m, c in acc.items() if c})
 
 
 def _orbit_sums(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[tuple[SuperMonomial, dict]]:
-    """One undivided label sum sum_w chi(w) w.m = |W| R(m) per orbit, as
+    """One undivided weighted sum sum_w chi(w) w.m = |W| R(m) per orbit, as
     (m, term map without zeros) in basis order of its first monomial m.
 
-    A monomial that no earlier sum reached is mapped through every label,
-    with coefficient 1; each label mapping it to a single term c*m' marks
-    m' reached, R(m') = chi(w)/c R(m) being a multiple of R(m).  For a group
+    A monomial that no earlier sum reached is summed, with coefficient 1,
+    by one weighted sum of the action for the whole basis; each label
+    mapping it to a single term c*m' marks m' reached, R(m') = chi(w)/c R(m)
+    being a multiple of R(m).  For a group
     of signed permutation matrices that covers the whole orbit, and a dead
     orbit (R(m) = 0) gives one empty sum; under other groups fewer
     monomials are reached and the rest are summed themselves."""
+    if not basis:
+        return []
     reached: set[SuperMonomial] = set()
     sums = []
+    weighted_sum = action._weighted_sum()
     for m in basis:
         if m not in reached:
-            acc = _label_sum(action.pairs, {m: 1}, reached)
+            acc = weighted_sum({m: 1}, reached)
             sums.append((m, {k: c for k, c in acc.items() if c}))
     return sums
 
 
 def _projector_rows(
     action: GroupAction, i: int, j: int
-) -> tuple[list[SuperMonomial], list[dict], list[list[tuple[int, int | Fraction]]]]:
+) -> tuple[list[SuperMonomial], list[dict], list[dict[int, int | Fraction]]]:
     """(basis, sums, rows) for bidegree (i, j): the basis monomials, the
     orbit sums of _orbit_sums over that basis, and each sum's coefficient
-    row over the basis as (position, value) pairs of its nonzero entries.
+    row over the basis as the {position: value} dict of its nonzero entries.
     One row per orbit, so there are no more rows than columns; the rows
     span the image of the Reynolds operator.  A basis over
     DEFAULT_BASIS_LIMIT monomials is refused, from its counted size,
@@ -358,7 +498,7 @@ def _projector_rows(
     basis = bidegree_basis(action.signature, i, j)
     index = {m: k for k, m in enumerate(basis)}
     sums = [acc for _, acc in _orbit_sums(action, basis)]
-    return basis, sums, [[(index[m], c) for m, c in acc.items()] for acc in sums]
+    return basis, sums, [{index[m]: c for m, c in acc.items()} for acc in sums]
 
 
 def invariant_dimension_bruteforce(action: GroupAction, i: int, j: int) -> int:

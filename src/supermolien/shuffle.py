@@ -41,12 +41,12 @@ from .groups import (
     GradedGroupElement,
     MatrixGroup,
     PermGroup,
+    Permutation,
     WreathElement,
     perm_sign,
     shuffle_count,
     shuffle_reps,
     symmetric_generators,
-    wreath_generators,
 )
 from .linalg import EchelonSelector, _rank_rows
 from .molien import GroupAction, _projector_rows, require_flavor
@@ -180,7 +180,7 @@ def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
     basis, sums, rows = _projector_rows(action, i, j)
     sel = EchelonSelector(len(basis))
     sig = action.signature
-    kept = [SuperPolynomial._canonical(sig, acc) for acc, row in zip(sums, rows) if sel.offer(row)]
+    kept = [SuperPolynomial._canonical(sig, acc) for acc, row in zip(sums, rows) if sel.offer(row.items())]
     oracle = _rank_rows(rows)
     if len(kept) != oracle:
         raise SuperMolienError(
@@ -191,8 +191,14 @@ def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
 
 def _wreath_generator_labels(n: int, G: MatrixGroup, signed: bool) -> GroupAction:
     """Generators of S_n[G] on n rows as a GroupAction, weighted by the
-    sign of their row permutation when signed: for _fixed_by, not a group."""
-    labels = (WreathElement(sigma, gs) for sigma, gs in wreath_generators(symmetric_generators(n), G, n))
+    sign of their row permutation when signed: for _fixed_by, not a group.
+    They are S_n's generators over identity rows and G's generators in
+    row 1 only: S_n is transitive, so conjugating by its elements moves
+    them into every row."""
+    ident = G.elements[G.identity_index]
+    labels = [WreathElement(sigma, (ident,) * n) for sigma in symmetric_generators(n)]
+    if n:
+        labels += [WreathElement(Permutation.identity(n), (g,) + (ident,) * (n - 1)) for g in G.generators]
     return GroupAction.of_labels(AlgebraSignature(G.r0, G.r1, n), labels, signed)
 
 

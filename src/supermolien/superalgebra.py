@@ -500,16 +500,15 @@ def bidegree_basis(sig: AlgebraSignature, i: int, j: int) -> list[SuperMonomial]
     return [new(SuperMonomial, (x, t)) for x in xparts for t in thetas]
 
 
-def coefficient_vector(f: SuperPolynomial, index: Mapping[SuperMonomial, int]) -> list[tuple[int, Fraction]]:
-    """Coordinates of f in a monomial basis, as the sorted (position,
-    coefficient) pairs of its nonzero coordinates; index maps each basis
-    monomial to its position, built once per basis.  Raises if f has
-    support outside the basis."""
-    row = []
+def coefficient_vector(f: SuperPolynomial, index: Mapping[SuperMonomial, int]) -> dict[int, int | Fraction]:
+    """Coordinates of f in a monomial basis, as the {position: coefficient}
+    dict of its nonzero coordinates; index maps each basis monomial to its
+    position, built once per basis.  Raises if f has support outside the
+    basis."""
+    row = {}
     for mono, c in f.terms.items():
         k = index.get(mono)
         if k is None:
             raise ValueError(f"term {mono!r} outside the given basis")
-        row.append((k, c))
-    row.sort()
+        row[k] = c
     return row

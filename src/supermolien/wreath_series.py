@@ -66,7 +66,7 @@ def _direct_sum(
             f"direct route needs up to {sequences} g-sequences, cap is {WREATH_CAP} (|G| = {G.order}, n = {n})"
         )
     total = _MolienSum(dq, du)
-    total.add_sigmas(((perm_sign(sigma) if signed else 1, sigma) for sigma in sigmas), G)
+    total.add_sigmas(((perm_sign(sigma) if signed else 1, sigma) for sigma in sigmas), G.elements)
     return total.series(len(sigmas) * sequences)
 
 

@@ -96,7 +96,7 @@ def det_rows(rows):
 
 def det(m):
     """The determinant of a QMatrix by the char-poly kernel."""
-    return det_rows(_nonzeros(m))
+    return det_rows([list(row.items()) for row in _nonzeros(m)])
 
 
 def test_matrix_multiplication():
@@ -181,23 +181,24 @@ def test_sparse_det_and_rank_against_oracles_seeded():
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         rows = sparse_rational_rows(rng, nr, nc)
         assert _rank_rows(_nonzeros(QMatrix.from_rows(rows))) == minor_rank(rows)
-        assert _rank_rows([sparse_row(r) for r in rows]) == minor_rank(rows)
+        assert _rank_rows([dict(sparse_row(r)) for r in rows]) == minor_rank(rows)
 
 
 def test_sparse_rank_edge_cases():
     assert _rank_rows([]) == 0
-    assert _rank_rows([[], [], []]) == 0
+    assert _rank_rows([{}, {}, {}]) == 0
     assert _rank_rows(_nonzeros(QMatrix.zeros(3, 0))) == 0
     assert _rank_rows(_nonzeros(QMatrix.zeros(0, 3))) == 0
-    assert _rank_rows([[(5, Fraction(1, 2))], [(5, 3)], [(0, -1), (5, 1)]]) == 2
+    assert _rank_rows([{5: Fraction(1, 2)}, {5: 3}, {0: -1, 5: 1}]) == 2
 
 
-def test_int_rows_are_copied_with_scale_one():
-    # a row of ints is taken as it is; integral Fractions still go through
-    # the denominator clearing, and both come out as ints
-    rows = [[(0, 2), (3, -4)], [(1, Fraction(6, 3)), (2, Fraction(1, 2))], []]
+def test_int_rows_pass_through_uncleared():
+    # a row of ints is passed through, the same dict; integral Fractions
+    # still go through the denominator clearing, and both come out as ints
+    rows = [{0: 2, 3: -4}, {1: Fraction(6, 3), 2: Fraction(1, 2)}, {}]
     cleared = _cleared_rows(rows)
     assert cleared == [{0: 2, 3: -4}, {1: 4, 2: 1}, {}]
+    assert cleared[0] is rows[0] and cleared[2] is rows[2] and cleared[1] is not rows[1]
     assert all(type(x) is int for row in cleared for x in row.values())
 
 
@@ -207,8 +208,8 @@ def test_rank_leaves_the_callers_int_rows_untouched():
     rng = random.Random(907)
     for _ in range(60):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        rows = [sparse_row([rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(nc)]) for _ in range(nr)]
-        before = [list(row) for row in rows]
+        rows = [dict(sparse_row([rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(nc)])) for _ in range(nr)]
+        before = [dict(row) for row in rows]
         _rank_rows(rows)
         assert rows == before
 
@@ -220,8 +221,8 @@ def test_int_row_rank_equals_fraction_row_rank_seeded():
     for _ in range(120):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         dense = [[rng.randint(-4, 4) if rng.random() < 0.4 else 0 for _ in range(nc)] for _ in range(nr)]
-        ints = [sparse_row(r) for r in dense]
-        fractions = [[(j, Fraction(x)) for j, x in row] for row in ints]
+        ints = [dict(sparse_row(r)) for r in dense]
+        fractions = [{j: Fraction(x) for j, x in row.items()} for row in ints]
         assert _rank_rows(ints) == _rank_rows(fractions) == minor_rank(dense)
 
 
@@ -235,7 +236,7 @@ def test_projector_row_rank_equals_dense_rank_on_fixture_grid():
                 assert len(rows) <= width
                 dense = [[Fraction(0)] * width for _ in rows]
                 for r, row in zip(dense, rows):
-                    for k, x in row:
+                    for k, x in row.items():
                         r[k] = x
                 expected = _rank_rows(_nonzeros(QMatrix.from_rows(dense))) if dense else 0
                 assert _rank_rows(rows) == expected
@@ -289,14 +290,14 @@ def swap_rank_det(rows):
     cleared row is its row times the lcm of its denominators, so the
     elimination's determinant is divided by the product of those lcms."""
     scale = math.prod(math.lcm(*(x.denominator for _, x in row)) for row in rows)
-    rank, sign, last = swap_bareiss(_cleared_rows(rows))
+    rank, sign, last = swap_bareiss(_cleared_rows(map(dict, rows)))
     return rank, Fraction(sign * last, scale) if rank == len(rows) else Fraction(0)
 
 
 def reference_det(m):
     """det of a square QMatrix by the reference elimination, which shares
     no code with the char-poly kernel: its pointwise oracle."""
-    return swap_rank_det(_nonzeros(m))[1]
+    return swap_rank_det([list(row.items()) for row in _nonzeros(m)])[1]
 
 
 def differential_matrices(rng, fractional):
@@ -352,7 +353,7 @@ def test_bucketed_bareiss_agrees_with_the_swapping_reference(fractional):
         shapes.add(label)
         rows = [sparse_row(r) for r in dense]
         rank, det = swap_rank_det(rows)
-        assert _rank_rows(rows) == rank
+        assert _rank_rows(map(dict, rows)) == rank
         if len(dense) == len(dense[0]):
             assert det_rows(rows) == det
             if len(dense) <= 4:
@@ -834,7 +835,7 @@ def test_integer_echelon_accepts_the_rows_the_fraction_echelon_accepts(fractiona
         sel, ref = EchelonSelector(nc), FractionEchelon(nc)
         got = [sel.offer(row) for row in rows]
         assert got == [ref.offer(row) for row in rows]
-        assert sel.rank == sum(got) == _rank_rows(rows)
+        assert sel.rank == sum(got) == _rank_rows(map(dict, rows))
         # pivot rows are primitive integer rows, one per accepted row
         for lead, pivot in sel._pivot_rows.items():
             assert min(pivot) == lead and all(type(x) is int and x for x in pivot.values())
@@ -854,7 +855,7 @@ def test_integer_echelon_keeps_invariant_bases():
                     continue
                 basis, _, rows = _projector_rows(action, i, j)
                 sel, ref = EchelonSelector(len(basis)), FractionEchelon(len(basis))
-                assert [sel.offer(r) for r in rows] == [ref.offer(r) for r in rows]
+                assert [sel.offer(r.items()) for r in rows] == [ref.offer(r.items()) for r in rows]
 
 
 @given(st.integers(1, 4), st.integers(0, 100))

@@ -48,7 +48,7 @@ from supermolien.superalgebra import (
 )
 
 from dense_reference import dense_columns, dense_label_matrices
-from molien_reference import assert_same_series, reference_super_molien
+from molien_reference import assert_same_series, flat_action, reference_orbit_sums, reference_super_molien
 from rational_groups import KERNEL_GROUPS, conjugated_s3, named_group
 
 
@@ -270,23 +270,27 @@ def test_reynolds_images_equal_per_monomial_projections(name):
 
 
 def test_reynolds_images_project_once_per_orbit(monkeypatch):
-    # S_3[+-1] on 3 rows: fewer label applications than one per label and
-    # monomial, and fewer sums than monomials
+    # S_3[+-1] on 3 rows at (4, 0): the row stage maps each distinct row
+    # content once through G's 2 labels, and the P stage maps each orbit's
+    # product once through P's 6 labels, and a dead orbit's one monomial
+    # once more to mark its orbit: far fewer applications than one per
+    # label of P[G] and monomial
     action = GroupAction.from_wreath(PermGroup.symmetric(3), sign_scalar_group(), 3)
     sig = action.signature
     basis = bidegree_basis(sig, 4, 0)
-    applied = 0
+    applied = {"rows": 0, "top": 0}
 
     def counted(pairs, *args):
-        nonlocal applied
-        applied += len(pairs)
+        applied["rows" if pairs is action.rows.pairs else "top"] += len(pairs)
         return label_sum(pairs, *args)
 
     label_sum = molien._label_sum
     monkeypatch.setattr(molien, "_label_sum", counted)
     sums = molien._orbit_sums(action, basis)
-    assert 0 < applied < action.order * len(basis)
-    assert applied == action.order * len(sums) < action.order * len(basis)
+    contents = {(r, e) for (xpart, _), _ in sums for r, _, e in xpart}
+    dead = [m for m, acc in sums if not acc]
+    assert applied == {"rows": 2 * len(contents), "top": 6 * (len(sums) + len(dead))}
+    assert 0 < len(dead) and applied["rows"] + applied["top"] < action.order * len(sums) < action.order * len(basis)
     monkeypatch.undo()
     for m, acc in sums:
         assert SuperPolynomial(sig, acc) == reynolds_project(action, SuperPolynomial.monomial(sig, m)).scale(
@@ -295,31 +299,127 @@ def test_reynolds_images_project_once_per_orbit(monkeypatch):
 
 
 def test_bruteforce_rank_takes_one_row_per_orbit(monkeypatch):
-    # S_3[+-1] on 3 rows at (4, 0): the rank kernel gets one row per label
-    # loop, fewer rows than basis monomials, with int entries
+    # S_3[+-1] on 3 rows at (4, 0): the rank kernel gets one row per orbit
+    # sum, fewer rows than basis monomials, with int entries
     action = GroupAction.from_wreath(PermGroup.symmetric(3), sign_scalar_group(), 3)
     basis = bidegree_basis(action.signature, 4, 0)
-    loops = 0
     seen = []
-
-    def counted_sum(*args):
-        nonlocal loops
-        loops += 1
-        return label_sum(*args)
 
     def recorded_rank(rows):
         seen.append(rows)
         return rank_rows(rows)
 
-    label_sum, rank_rows = molien._label_sum, molien._rank_rows
-    monkeypatch.setattr(molien, "_label_sum", counted_sum)
+    rank_rows = molien._rank_rows
     monkeypatch.setattr(molien, "_rank_rows", recorded_rank)
     dim = invariant_dimension_bruteforce(action, 4, 0)
     (rows,) = seen
-    assert len(rows) == loops < len(basis)
-    assert all(type(c) is int for row in rows for _, c in row)
+    assert len(rows) == len(molien._orbit_sums(action, basis)) < len(basis)
+    assert all(type(c) is int for row in rows for c in row.values())
     monkeypatch.undo()
     assert dim == super_molien(action, 4).coefficient((0, 4, 0))
+
+
+FACTORED_CASES = tuple((pname, gname, n, 3) for pname, gname, n in WREATH_ROUTE_CASES) + (
+    ("s2", "rational-s3", 2, 3),
+    ("s3", "rational-s3", 3, 1),
+    ("s2", "scaled-swap", 2, 3),
+)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("pname, gname, n, dq", FACTORED_CASES)
+def test_factored_sums_equal_the_flat_label_loop(pname, gname, n, dq, flavor):
+    # the wreath action's factored sum against the loop over every built
+    # label: the same first monomials in the same order, rows equal in
+    # value and coefficient type, and equal Reynolds projections
+    P, G = perm_group_fixture(pname), named_group(gname)
+    action = GroupAction.from_wreath(P, G, n, flavor)
+    flat = flat_action(P, G, n, flavor)
+    sig = action.signature
+    for i in range(dq + 1):
+        for j in range(sig.num_odd + 1):
+            basis = bidegree_basis(sig, i, j)
+            got, expected = molien._orbit_sums(action, basis), reference_orbit_sums(P, G, n, flavor, basis)
+            assert [m for m, _ in got] == [m for m, _ in expected]
+            for (_, acc), (_, ref) in zip(got, expected):
+                assert acc == ref and {m: type(c) for m, c in acc.items()} == {m: type(c) for m, c in ref.items()}
+            if basis:
+                f = SuperPolynomial(sig, {basis[0]: 3, basis[-1]: Fraction(-1, 2)})
+                assert reynolds_project(action, f) == reynolds_project(flat, f)
+
+
+def test_wreath_action_builds_its_labels_only_when_read():
+    # from_wreath keeps P's labels over identity rows and G's one-row
+    # labels; the flat label list is built on first read, in build_wreath's
+    # order with the flavor's weights
+    P, G = PermGroup.symmetric(3), sign_scalar_group()
+    for flavor in FLAVORS:
+        action = GroupAction.from_wreath(P, G, 3, flavor)
+        assert "pairs" not in vars(action)
+        assert (action.top.order, action.rows.order, action.order) == (6, 2, 48)
+        assert action.pairs == flat_action(P, G, 3, flavor).pairs
+
+
+def test_invariant_basis_on_s6_builds_at_most_p_plus_g_labels(monkeypatch):
+    # S_6[+-1]: from_wreath and an invariant basis build 720 + 2 labels, not
+    # 46,080, and neither Reynolds nor Molien reads the flat label list
+    built = []
+    post_init, trusted = WreathElement.__post_init__, WreathElement._of
+
+    def counted_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_of(sigma, gs):
+        built.append(sigma)
+        return trusted(sigma, gs)
+
+    def refuse(self):
+        raise AssertionError("the flat label list was read")
+
+    monkeypatch.setattr(WreathElement, "__post_init__", counted_init)
+    monkeypatch.setattr(WreathElement, "_of", staticmethod(counted_of))
+    monkeypatch.setattr(molien.WreathAction, "pairs", property(refuse))
+    monkeypatch.setattr(groups, "build_wreath", refuse)
+    action = GroupAction.from_wreath(PermGroup.symmetric(6), sign_scalar_group(), 6)
+    basis = shuffle.invariant_basis(action, 4, 0)
+    assert len(built) <= 720 + 2
+    assert basis.dimension == super_molien(action, 4).coefficient((0, 4, 0))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_s6_sign_scalar_ranks_equal_the_direct_route(flavor):
+    # S_6[+-1], 46,080 labels, at (i, 0) for i <= 6: one Reynolds rank per
+    # cell, through the factored sum, against the direct route
+    P, G = PermGroup.symmetric(6), sign_scalar_group()
+    action = GroupAction.from_wreath(P, G, 6, flavor)
+    direct = wreath_series.wreath_hilbert_direct(P, G, 6, flavor, 6, 0)
+    assert [invariant_dimension_bruteforce(action, i, 0) for i in range(7)] == [
+        direct.coefficient((0, i, 0)) for i in range(7)
+    ]
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_s3_over_rational_s3_molien_equals_oracle(flavor):
+    # a non-monomial G on three rows: 1,296 labels, none of them built
+    action = GroupAction.from_wreath(PermGroup.symmetric(3), named_group("rational-s3"), 3, flavor)
+    report = molien_vs_oracle(action, 3)
+    assert report["mismatches"] == [] and report["agreements"] == 4 * (action.signature.num_odd + 1)
+
+
+def test_s7_sign_scalar_reynolds_is_refused_before_any_label(monkeypatch):
+    # S_7[+-1] has 645,120 labels: from_wreath refuses it with the cap's
+    # message before it makes a label
+    def refuse(*args):
+        raise AssertionError("a label was made")
+
+    monkeypatch.setattr(WreathElement, "__post_init__", refuse)
+    monkeypatch.setattr(WreathElement, "_of", staticmethod(refuse))
+    P = PermGroup.symmetric(7)
+    message = r"^wreath product has 645120 elements, cap is 200000 \(\|P\| = 5040, \|G\| = 2, n = 7\)$"
+    for flavor in FLAVORS:
+        with pytest.raises(CapExceeded, match=message):
+            GroupAction.from_wreath(P, sign_scalar_group(), 7, flavor)
 
 
 @pytest.mark.parametrize("gname", KERNEL_GROUPS)

@@ -9,8 +9,8 @@ import pytest
 
 from supermolien.errors import BasisTooLarge, CapExceeded, NotHomogeneous, SignatureMismatch
 from supermolien.fixtures import matrix_group_fixture
-from supermolien.groups import MatrixGroup, PermGroup, perm_sign, shuffle_reps
-from supermolien import molien, superalgebra
+from supermolien.groups import MatrixGroup, PermGroup, Permutation, WreathElement, build_wreath, perm_sign, shuffle_reps, wreath_mul
+from supermolien import groups, molien, superalgebra
 from supermolien.molien import FLAVORS, GroupAction, invariant_dimension_bruteforce, reynolds_project, require_flavor
 from supermolien import shuffle as shuffle_module
 from supermolien.shuffle import (
@@ -350,9 +350,37 @@ def test_generator_pairs_are_pairs_of_the_wreath_action(flavor):
     generators = shuffle_module._wreath_generator_labels(3, G, signed)
     action = GroupAction.from_wreath(PermGroup.symmetric(3), G, 3, flavor)
     assert generators.signature == action.signature
-    assert generators.order == 2 + 3 * len(G.generators)
+    assert generators.order == 2 + len(G.generators)
     assert set(generators.pairs) <= set(action.pairs)
     assert {weight for weight, _ in generators.pairs} == ({1, -1} if signed else {1})
+
+
+@pytest.mark.parametrize("gname", ["sign-scalar", "s2-theta"])
+def test_generator_labels_generate_the_wreath_labels(gname):
+    # G's generators in row 1 only, with S_3's generators, close to every
+    # label of S_3[G]: the n-cycle carries row 1 to the other rows
+    G = named_group(gname)
+    generators = [w for _, w in shuffle_module._wreath_generator_labels(3, G, False).pairs]
+    identity = WreathElement(Permutation.identity(3), (G.elements[G.identity_index],) * 3)
+    closure = groups._bfs_closure(identity, generators, groups.WREATH_CAP, wreath_mul)
+    assert set(closure) == set(build_wreath(PermGroup.symmetric(3), G, 3))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_product_that_is_not_invariant_still_fails(flavor):
+    # x times an invariant of S_2[+-1], shuffled onto 3 rows, is symmetric
+    # in the rows but odd in x: only G's generator, in row 1, sees it fail,
+    # as every label of S_3[+-1] does
+    signed = require_flavor(flavor)
+    G = named_group("sign-scalar")
+    A = SuperPolynomial.x_var(AlgebraSignature(G.r0, G.r1, 1), 1, 1)
+    B = invariant_basis(GroupAction.from_wreath(PermGroup.symmetric(2), G, 2, flavor), 2, 0).elements[0]
+    prod = shuffle_product(A, B, signed)
+    labels = shuffle_module._wreath_generator_labels(3, G, signed)
+    action = GroupAction.from_wreath(PermGroup.symmetric(3), G, 3, flavor)
+    assert not shuffle_module._fixed_by(prod, labels)
+    assert not all(apply_wreath(w, prod).scale(chi) == prod for chi, w in action.pairs)
+    assert all(apply_wreath(w, prod).scale(chi) == prod for chi, w in labels.pairs if w.sigma != Permutation.identity(3))
 
 
 @pytest.mark.parametrize("signed", [False, True])

@@ -88,7 +88,6 @@ def test_direct_route_builds_no_label(monkeypatch):
 
     monkeypatch.setattr(WreathElement, "substitution", property(refuse))
     monkeypatch.setattr(groups, "build_wreath", refuse)
-    monkeypatch.setattr(molien, "build_wreath", refuse)
     for flavor in FLAVORS:
         assert wreath_hilbert_direct(P, G, 4, flavor, 8) == pleth[flavor]
 
