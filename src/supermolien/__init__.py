@@ -6,7 +6,7 @@ from .groups import (
     PermGroup,
     WreathElement,
 )
-from .molien import GroupAction, invariant_dimension_bruteforce, molien_vs_oracle, super_molien
+from .molien import GroupAction, invariant_dimension_bruteforce, molien_vs_oracle, reynolds_project, super_molien
 from .series import Caps, TrigradedSeries
 from .shuffle import (
     InvariantSpaceBasis,
@@ -14,9 +14,7 @@ from .shuffle import (
     generation_sweep,
     invariant_basis,
     shuffle_product,
-    triple_shuffle,
     verify_associativity,
-    verify_closure,
     verify_supercommutation,
 )
 from .superalgebra import AlgebraSignature, SuperMonomial, SuperPolynomial, super_mul
@@ -67,14 +65,13 @@ __all__ = [
     "omega",
     "plethystic_compose",
     "plethystic_substitute",
+    "reynolds_project",
     "run_suite",
     "shuffle_product",
     "super_molien",
     "super_mul",
-    "triple_shuffle",
     "verify_associativity",
     "verify_block_determinant_lemma",
-    "verify_closure",
     "verify_m_cycle_identity",
     "verify_supercommutation",
     "wreath_hilbert_direct",

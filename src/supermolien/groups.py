@@ -11,22 +11,19 @@ its columns once per pair of rows (GradedGroupElement.moves), into one dict
 of images per graded part, and the labels share those dicts: a compile is
 one dict.update per row and part.  The algebra layer maps whole term maps
 through the compile; the Molien sum walks the same moved columns a cycle
-of rows at a time.  The product law is chosen so that
-applying w1 * w2 equals applying w2's substitution first and then w1's.
-Every compute-once attribute (moves, monomial, substitution) is the
+of rows at a time.  Every compute-once attribute (moves, monomial, substitution) is the
 lock-free descriptor once.
 
 This module is the one presentation of the wreath product P[G], for G a
 matrix group or a permutation group: one enumerator of its labels, behind
 one degree check and one WREATH_CAP check, and one generator set,
 wreath_generators.  The enumerator pairs given row permutations with G^n;
-build_wreath and perm_group_of_wreath are the two realizations of P[G]
-built on it, build_wreath through the trusted WreathElement._of, whose
-degree the enumerator has checked.  A linear character is a plain tuple of
-+-1 ints aligned with its group's element order (validate_character);
-sign_character is the one sign function.  shuffle_reps enumerates the
-minimal coset representatives of a Young subgroup S_blocks, for any number
-of row blocks.
+perm_group_of_wreath realizes P[G] on it, as a permutation group of the
+points.  The routes of molien keep P[G] as its factors and build none of
+its labels.  A linear character is a plain tuple of +-1 ints aligned with
+its group's element order (validate_character); sign_character is the one
+sign function.  shuffle_reps enumerates the minimal coset representatives
+of a Young subgroup S_blocks, for any number of row blocks.
 """
 
 from __future__ import annotations
@@ -474,7 +471,7 @@ class WreathElement:
     @staticmethod
     def _of(sigma: Permutation, gs: tuple) -> "WreathElement":
         """Trusted constructor for a label whose degree was already checked,
-        as _wreath_labels checks each sigma once per call: no __post_init__.
+        as require_wreath checks each sigma once per call: no __post_init__.
         Equal to, and hashing as, the label the validating constructor makes."""
         w = object.__new__(WreathElement)
         fields = w.__dict__
@@ -530,16 +527,6 @@ class Substitution(NamedTuple):
     one_term: bool
 
 
-def wreath_mul(w1: WreathElement, w2: WreathElement) -> WreathElement:
-    """Product law matching action composition: applying the result equals
-    applying w2's substitution and then w1's."""
-    tau = w2.sigma
-    tau_inv = tau.inverse()
-    n = tau.n
-    gs = tuple(w1.gs[tau_inv(i) - 1] * w2.gs[i - 1] for i in range(1, n + 1))
-    return WreathElement(tau.compose(w1.sigma), gs)
-
-
 def require_degree(P: PermGroup | Permutation, n: int) -> None:
     """The one degree check of P[G] on n rows, for every route: P (or one
     row permutation) must act on exactly n rows."""
@@ -582,14 +569,6 @@ def wreath_generators(
         for row in range(n):
             out.append((idp, (ident,) * row + (g,) + (ident,) * (n - row - 1)))
     return out
-
-
-def build_wreath(P: PermGroup, G: MatrixGroup, n: int) -> list[WreathElement]:
-    """All |P| * |G|^n labels of P[G], in deterministic order, each made by
-    the trusted WreathElement._of: _wreath_labels has checked every sigma's
-    degree and the cap."""
-    of = WreathElement._of
-    return [of(sigma, gs) for sigma, gs in _wreath_labels(P.elements, G, n)]
 
 
 def validate_character(values: Sequence, group) -> tuple[int, ...]:

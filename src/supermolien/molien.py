@@ -110,14 +110,6 @@ class GroupAction:
         for _, w in self.pairs:
             _require_shape(w.substitution, self.signature)
 
-    @staticmethod
-    def _of(signature: AlgebraSignature, pairs: tuple) -> "GroupAction":
-        """Trusted constructor for labels already checked against signature,
-        as another action's are: no __post_init__."""
-        action = object.__new__(GroupAction)
-        action.__dict__.update(signature=signature, pairs=pairs)
-        return action
-
     @property
     def order(self) -> int:
         return len(self.pairs)
@@ -137,22 +129,11 @@ class GroupAction:
 
     @staticmethod
     def of_labels(signature: AlgebraSignature, labels: Iterable[WreathElement], signed: bool) -> "GroupAction":
-        """The labels, each weighted by sgn(sigma) when signed, else by 1.
-        The sign is computed once per distinct sigma, which P[G] shares
-        among |G|^n labels."""
-        if not signed:
-            return GroupAction(signature, tuple((1, w) for w in labels))
-        signs: dict[Permutation, int] = {}
-        pairs = []
-        for w in labels:
-            sign = signs.get(w.sigma)
-            if sign is None:
-                sign = signs[w.sigma] = perm_sign(w.sigma)
-            pairs.append((sign, w))
-        return GroupAction(signature, tuple(pairs))
+        """The labels, each weighted by sgn(sigma) when signed, else by 1."""
+        return GroupAction(signature, tuple((perm_sign(w.sigma) if signed else 1, w) for w in labels))
 
     @staticmethod
-    def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant") -> "GroupAction":
+    def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant") -> "WreathAction":
         """Action of P[G] on n rows; flavor "invariant" weights every label 1,
         flavor "antiinvariant" weights by sgn(sigma).  Its |P| * |G|^n labels
         are checked (require_wreath), not built: the action keeps its
@@ -161,13 +142,8 @@ class GroupAction:
         require_wreath(P.elements, G, n)
         sig = AlgebraSignature(G.r0, G.r1, n)
         ident = (G.elements[G.identity_index],) * n
-        action = object.__new__(WreathAction)
-        action.__dict__.update(
-            signature=sig,
-            top=GroupAction.of_labels(sig, (WreathElement._of(sigma, ident) for sigma in P.elements), signed),
-            rows=GroupAction.from_matrix_group(G),
-        )
-        return action
+        top = GroupAction.of_labels(sig, (WreathElement._of(sigma, ident) for sigma in P.elements), signed)
+        return WreathAction(sig, top, GroupAction.from_matrix_group(G))
 
     def _weighted_sum(self) -> Callable[..., dict]:
         """The sum over the labels of chi(w) w.f, as a function of (terms,
@@ -180,14 +156,20 @@ class GroupAction:
         total.add_labels((chi, w.sigma, w.gs) for chi, w in self.pairs)
 
 
-class WreathAction(GroupAction):
+@dataclass(frozen=True)
+class WreathAction:
     """P[G] on n rows, kept as its factors, not its labels: top, P's labels
     (sigma, identity rows) weighted chi(sigma), and rows, G's one-row labels
     weighted 1, each compiled and checked once.  A label (sigma, gs) acts
     as (1, gs) followed by (sigma, 1), and (1, gs) acts row by row, g_i on
     row i, so the sum over P[G] is the sum over top of the product, row by
-    row, of the sums over rows.  pairs, every label, is built on first
-    read, which no route makes."""
+    row, of the sums over rows.  It serves the routes as a GroupAction
+    does, by signature, order, _feed and _weighted_sum, and has no label
+    list of its own: its repr, == and hash read the factors."""
+
+    signature: AlgebraSignature
+    top: GroupAction
+    rows: GroupAction
 
     @property
     def order(self) -> int:
@@ -202,13 +184,6 @@ class WreathAction(GroupAction):
     def _monomial(self) -> bool:
         """Whether every element of G is monomial, each label one-term."""
         return all(w.substitution.one_term for _, w in self.rows.pairs)
-
-    @once
-    def pairs(self) -> tuple:
-        """Every label (sigma, gs), in build_wreath's order, weighted as
-        sigma's top label."""
-        gss = list(itertools.product(self._elements, repeat=self.signature.n))
-        return tuple((chi, WreathElement._of(w.sigma, gs)) for chi, w in self.top.pairs for gs in gss)
 
     def _feed(self, total: "_MolienSum") -> None:
         """Add every label to a Molien sum sigma by sigma (add_sigmas)."""
@@ -434,7 +409,7 @@ class _MolienSum:
         )
 
 
-def super_molien(action: GroupAction, dq: int, du: int | None = None) -> TrigradedSeries:
+def super_molien(action: GroupAction | WreathAction, dq: int, du: int | None = None) -> TrigradedSeries:
     """Character-weighted Molien average, exact within caps (0, dq, du), by
     the one Molien sum, fed label by label, or sigma by sigma for P[G].
 
@@ -446,7 +421,7 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
     return total.series(action.order)
 
 
-def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:
+def reynolds_project(action: GroupAction | WreathAction, f: SuperPolynomial) -> SuperPolynomial:
     """(1/|W|) sum over w of chi(w^{-1}) w.f, the projector onto the
     chi-isotypic component; chi(w^{-1}) = chi(w) = +-1.  The action's
     weighted sum is divided by |W| once."""
@@ -457,7 +432,7 @@ def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial
     return SuperPolynomial._canonical(f.sig, {m: Fraction(c) / order for m, c in acc.items() if c})
 
 
-def _orbit_sums(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[tuple[SuperMonomial, dict]]:
+def _orbit_sums(action: GroupAction | WreathAction, basis: Sequence[SuperMonomial]) -> list[tuple[SuperMonomial, dict]]:
     """One undivided weighted sum sum_w chi(w) w.m = |W| R(m) per orbit, as
     (m, term map without zeros) in basis order of its first monomial m.
 
@@ -481,7 +456,7 @@ def _orbit_sums(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[tup
 
 
 def _projector_rows(
-    action: GroupAction, i: int, j: int
+    action: GroupAction | WreathAction, i: int, j: int
 ) -> tuple[list[SuperMonomial], list[dict], list[dict[int, int | Fraction]]]:
     """(basis, sums, rows) for bidegree (i, j): the basis monomials, the
     orbit sums of _orbit_sums over that basis, and each sum's coefficient
@@ -501,14 +476,14 @@ def _projector_rows(
     return basis, sums, [{index[m]: c for m, c in acc.items()} for acc in sums]
 
 
-def invariant_dimension_bruteforce(action: GroupAction, i: int, j: int) -> int:
+def invariant_dimension_bruteforce(action: GroupAction | WreathAction, i: int, j: int) -> int:
     """Exact dimension of the chi-isotypic component in bidegree (i, j),
     computed as the rank of the Reynolds operator on the monomial basis,
     over one integer row per orbit.  Never consults the Molien series."""
     return _rank_rows(_projector_rows(action, i, j)[2])
 
 
-def molien_vs_oracle(action: GroupAction, dq: int, du: int | None = None) -> dict:
+def molien_vs_oracle(action: GroupAction | WreathAction, dq: int, du: int | None = None) -> dict:
     """Compare Molien coefficients against brute-force ranks on the full
     bidegree grid i <= dq, j <= du, the caps of the Molien series, which
     refuses negative ones before any rank is taken.  Returns a JSON-ready

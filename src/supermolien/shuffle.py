@@ -2,19 +2,19 @@
 
 An invariant on a rows times an invariant on b rows is multiplied after
 shifting the second factor's rows past the first, then symmetrized over the
-minimal coset representatives of the two row blocks (three blocks for the
-one-shot triple product).  The shifted factors sit on disjoint rows, so
-their product is the concatenation of their terms, with nothing to merge
-or reorder.  Each representative is a label whose row blocks are all the
-identity, so the symmetrization is the weighted label sum of superalgebra
-over the pairs of a GroupAction, which maps the product's whole term map
-through each label at once, weighted by sign for the signed product; the
-action is built, compiled and checked once per block sizes, signature and
-sign.  The (anti)invariance checks use the same sum: f is fixed by a
-generator pair when the term map of weight * (w.f) equals f's terms, the
-generators of S_n[G] being a GroupAction weighted as from_wreath weights
-the same labels; f's signature is compared with theirs once, and no
-polynomial is built per generator.  An invariant basis is a greedy
+minimal coset representatives of the two row blocks.  The shifted factors
+sit on disjoint rows, so their product is the concatenation of their
+terms, with nothing to merge or reorder.  Each representative is a label
+whose row blocks are all the identity, so the symmetrization is the
+weighted label sum of superalgebra over the pairs of a GroupAction, which
+maps the product's whole term map through each label at once, weighted by
+sign for the signed product; the action is built, compiled and checked
+once per block sizes, signature and sign.  The (anti)invariance checks use
+the same sum: f is fixed by a generator pair when the term map of
+weight * (w.f) equals f's terms, the generators of S_n[G] being a
+GroupAction weighted as from_wreath weights the same labels; f's
+signature is compared with theirs once, and no polynomial is built per
+generator.  An invariant basis is a greedy
 independent subset of the Reynolds orbit sums of molien, kept undivided
 (|W| R(m), ints for an integral group), so the products of the battery run
 on ints; the subset is chosen by linalg's fraction-free echelon and its
@@ -43,13 +43,12 @@ from .groups import (
     PermGroup,
     Permutation,
     WreathElement,
-    perm_sign,
     shuffle_count,
     shuffle_reps,
     symmetric_generators,
 )
 from .linalg import EchelonSelector, _rank_rows
-from .molien import GroupAction, _projector_rows, require_flavor
+from .molien import GroupAction, WreathAction, _projector_rows, require_flavor
 from .superalgebra import (
     AlgebraSignature,
     SuperMonomial,
@@ -61,10 +60,7 @@ from .superalgebra import (
 __all__ = [
     "InvariantSpaceBasis",
     "invariant_basis",
-    "shift_rows",
     "shuffle_product",
-    "triple_shuffle",
-    "verify_closure",
     "verify_associativity",
     "verify_supercommutation",
     "degree_one_generation_rank",
@@ -84,26 +80,16 @@ def _shifted(terms: dict, offset: int) -> list[tuple]:
     ]
 
 
-def shift_rows(f: SuperPolynomial, offset: int, n_out: int) -> SuperPolynomial:
-    """Reembed f into n_out rows with every row index increased by offset."""
-    if offset < 0 or f.sig.n + offset > n_out:
-        raise ValueError(f"cannot shift {f.sig.n} rows by {offset} into {n_out}")
-    sig = AlgebraSignature(f.sig.r0, f.sig.r1, n_out)
-    return SuperPolynomial._canonical(
-        sig, {SuperMonomial._canonical(xpart, theta): c for xpart, theta, c in _shifted(f.terms, offset)}
-    )
-
-
 @cache
 def _coset_labels(blocks: tuple[int, ...], r0: int, r1: int, signed: bool) -> GroupAction:
     """The minimal coset representatives of the row blocks as a GroupAction
     of labels whose row blocks are all the identity, weighted by sign when
-    signed: built, compiled and checked once per (blocks, r0, r1), after
-    their count times the rows is checked against WREATH_CAP; the signed
-    action reweights the unsigned one's checked labels, checking none."""
+    signed: built and compiled once per (blocks, r0, r1), after their count
+    times the rows is checked against WREATH_CAP; the signed action
+    reweights the unsigned one's compiled labels."""
     if signed:
         unsigned = _coset_labels(blocks, r0, r1, False)
-        return GroupAction._of(unsigned.signature, tuple((perm_sign(w.sigma), w) for _, w in unsigned.pairs))
+        return GroupAction.of_labels(unsigned.signature, (w for _, w in unsigned.pairs), True)
     n = sum(blocks)
     count = shuffle_count(blocks)
     if count * n > WREATH_CAP:
@@ -146,19 +132,11 @@ def shuffle_product(A: SuperPolynomial, B: SuperPolynomial, signed: bool = False
     return _shuffle((A, B), signed)
 
 
-def triple_shuffle(
-    A: SuperPolynomial, B: SuperPolynomial, C: SuperPolynomial, signed: bool = False
-) -> SuperPolynomial:
-    """One-shot three-block shuffle; the common value of both associativity
-    bracketings, computed from its own set of representatives."""
-    return _shuffle((A, B, C), signed)
-
-
 @dataclass(frozen=True)
 class InvariantSpaceBasis:
     """Exact basis of one bidegree slice of an (anti)invariant space."""
 
-    action: GroupAction
+    action: GroupAction | WreathAction
     i: int
     j: int
     elements: tuple[SuperPolynomial, ...]
@@ -168,7 +146,7 @@ class InvariantSpaceBasis:
         return len(self.elements)
 
 
-def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
+def invariant_basis(action: GroupAction | WreathAction, i: int, j: int) -> InvariantSpaceBasis:
     """Basis of the chi-isotypic component in bidegree (i, j).
 
     Sums the monomials of the bidegree over the labels, one undivided
@@ -217,23 +195,6 @@ def _fixed_by(f: SuperPolynomial, generators: GroupAction) -> bool:
     return True
 
 
-def verify_closure(
-    A: SuperPolynomial, B: SuperPolynomial, G: MatrixGroup, flavor: str = "invariant"
-) -> bool:
-    """Shuffle two checked (anti)invariants and test the product against
-    every generator of the larger wreath product; the generator labels are
-    built once per row count."""
-    signed = require_flavor(flavor)
-    a, b = A.sig.n, B.sig.n
-    labels = {n: _wreath_generator_labels(n, G, signed) for n in {a, b, a + b}}
-    if not _fixed_by(A, labels[a]):
-        raise ValueError("left factor is not (anti)invariant for its row count")
-    if not _fixed_by(B, labels[b]):
-        raise ValueError("right factor is not (anti)invariant for its row count")
-    prod = shuffle_product(A, B, signed)
-    return _fixed_by(prod, labels[a + b])
-
-
 def verify_associativity(
     A: SuperPolynomial, B: SuperPolynomial, C: SuperPolynomial, signed: bool = False
 ) -> bool:
@@ -278,7 +239,7 @@ def degree_one_pool(G: MatrixGroup, i_max: int) -> list[tuple[tuple[int, int], S
 
 def _generation_rank(
     pool: list[tuple[tuple[int, int], SuperPolynomial]],
-    waction: GroupAction,
+    waction: WreathAction,
     signed: bool,
     i: int,
     j: int,
@@ -351,7 +312,7 @@ def closure_battery(G: MatrixGroup, flavor: str, max_rows: int, max_i: int) -> t
     """
     signed = require_flavor(flavor)
     labels = {rows: _wreath_generator_labels(rows, G, signed) for rows in range(1, max_rows + 1)}
-    actions: dict[int, GroupAction] = {}
+    actions: dict[int, WreathAction] = {}
     bases: dict[tuple[int, int, int], tuple[SuperPolynomial, ...]] = {}
 
     def basis_for(rows: int, bi: int, bj: int) -> tuple[SuperPolynomial, ...]:

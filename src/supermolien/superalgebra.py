@@ -10,20 +10,18 @@ A wreath label (sigma, (g_1..g_n)) acts by one linear substitution: each
 variable (i, c) is replaced by column c of g_i (GradedGroupElement.columns)
 moved to row sigma^{-1}(i), the column of the label's matrix whose
 char-poly the Molien route takes.  Within a row the block g_i substitutes
-on columns, and rows move contravariantly, x_i -> x_{sigma^{-1}(i)}, so
-apply_wreath(wreath_mul(w1, w2), f) equals apply_wreath(w1,
-apply_wreath(w2, f)).  Each label compiles its substitution once
-(WreathElement.substitution).  One private kernel, the weighted label sum
-_label_sum, maps a whole term map through the labels of a
-molien.GroupAction, whose labels were checked (_require_shape) when it was
-made, so the sum checks none.  It holds the one map of a term through a
-one-term label, the label of a (scaled) signed permutation group, in its
-own loop over (label, term); a label that is not one-term goes to
-_multi_term_image, which multiplies each term's factors out.  apply_wreath,
-which checks its one label, is the sum's one-label case, the Reynolds
-projector its character-weighted sum over a group, the shuffle product its
-signed sum over coset representatives, and the shuffle battery's
-invariance test its term map compared with f's.
+on columns, and rows move contravariantly, x_i -> x_{sigma^{-1}(i)}.
+Each label compiles its substitution once (WreathElement.substitution).
+One private kernel, the weighted label sum _label_sum, maps a whole term
+map through the labels of a molien.GroupAction, whose labels were checked
+(_require_shape) when it was made, so the sum checks none.  It holds the
+one map of a term through a one-term label, the label of a (scaled)
+signed permutation group, in its own loop over (label, term); a label
+that is not one-term goes to _multi_term_image, which multiplies each
+term's factors out.  The Reynolds projector is its character-weighted sum
+over a group, the shuffle product its signed sum over coset
+representatives, and the shuffle battery's invariance test its term map
+compared with f's.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
-from .groups import Substitution, WreathElement, once
+from .groups import Substitution, once
 from .linalg import _inversion_sign
 from .rationals import exact, format_rational, parse_rational
 
@@ -333,7 +331,7 @@ def super_mul(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
 def _require_shape(sub: Substitution, sig: AlgebraSignature) -> None:
     """The signature check of a compiled label, behind its one tuple
     compare: rows first, then block shapes (vacuous on zero rows).  Run
-    where a label set is made and in apply_wreath, never in the sum."""
+    where a label set is made, never in the sum."""
     if sub.shape == (sig.n, sig.r0, sig.r1):
         return
     if sub.shape[0] != sig.n:
@@ -436,15 +434,6 @@ def _label_sum(pairs: Iterable, terms: Mapping, reached: set | None = None) -> d
             # f is one monomial, and m its one image
             reached.add(m)
     return acc
-
-
-def apply_wreath(w: WreathElement, f: SuperPolynomial) -> SuperPolynomial:
-    """Linear substitution by a wreath label's matrix: x[i,c] -> sum_{c'}
-    g_i[c',c] x[sigma^{-1}(i),c'], and theta likewise via the odd blocks,
-    each variable's image read from WreathElement.substitution, its shape
-    checked against f's: the label sum of the one label with weight 1."""
-    _require_shape(w.substitution, f.sig)
-    return SuperPolynomial._canonical(f.sig, _label_sum(((1, w),), f.terms))
 
 
 def _require_bidegree(i: int, j: int) -> None:

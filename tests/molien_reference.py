@@ -1,18 +1,20 @@
 """The Molien average label by label, the one reference of both Molien
 entry points (super_molien and the direct wreath route): Berkowitz's
 recurrence on each whole label's compiled matrices, never the block
-char-polys the Molien sum multiplies.  And the Reynolds orbit sums over
-every label of P[G], the reference of the factored sum of a wreath
-action."""
+char-polys the Molien sum multiplies.  And P[G] as its |P|*|G|^n flat
+labels, which no route builds: the labels, their product law, a one-label
+apply, and the Reynolds orbit sums over every label, the references of the
+factored sum of a wreath action.  Row shifts and the three-block shuffle
+are the references of the shuffle tests."""
 
 from fractions import Fraction
 
-from supermolien import molien
-from supermolien.groups import build_wreath
+from supermolien import molien, shuffle
+from supermolien.groups import WreathElement, _wreath_labels
 from supermolien.linalg import _berkowitz
 from supermolien.molien import GroupAction, require_flavor
 from supermolien.series import Caps, TrigradedSeries
-from supermolien.superalgebra import AlgebraSignature
+from supermolien.superalgebra import AlgebraSignature, SuperMonomial, SuperPolynomial, _label_sum, _require_shape
 
 
 def reference_super_molien(action, dq, du=None):
@@ -35,7 +37,14 @@ def reference_super_molien(action, dq, du=None):
 
 def reference_direct(P, G, n, flavor, dq):
     """The direct route's series of P[G] on n rows, every label built."""
-    return reference_super_molien(GroupAction.from_wreath(P, G, n, flavor), dq)
+    return reference_super_molien(flat_action(P, G, n, flavor), dq)
+
+
+def build_wreath(P, G, n):
+    """All |P| * |G|^n labels of P[G], sigma-major in element order, each
+    made by the trusted WreathElement._of after _wreath_labels has checked
+    every sigma's degree and the cap."""
+    return [WreathElement._of(sigma, gs) for sigma, gs in _wreath_labels(P.elements, G, n)]
 
 
 def flat_action(P, G, n, flavor):
@@ -47,6 +56,35 @@ def reference_orbit_sums(P, G, n, flavor, basis):
     """The orbit sums of the flat loop: one _label_sum over every label of
     P[G] per orbit, as molien._orbit_sums takes them on a plain action."""
     return molien._orbit_sums(flat_action(P, G, n, flavor), basis)
+
+
+def wreath_mul(w1, w2):
+    """Product law matching action composition: applying the result equals
+    applying w2's substitution and then w1's."""
+    tau = w2.sigma
+    tau_inv = tau.inverse()
+    gs = tuple(w1.gs[tau_inv(i) - 1] * w2.gs[i - 1] for i in range(1, tau.n + 1))
+    return WreathElement(tau.compose(w1.sigma), gs)
+
+
+def apply_wreath(w, f):
+    """Linear substitution by one label's matrix, its shape checked against
+    f's: the label sum of the one label with weight 1."""
+    _require_shape(w.substitution, f.sig)
+    return SuperPolynomial._canonical(f.sig, _label_sum(((1, w),), f.terms))
+
+
+def shift_rows(f, offset, n_out):
+    """f reembedded into n_out rows with every row index increased by offset."""
+    sig = AlgebraSignature(f.sig.r0, f.sig.r1, n_out)
+    return SuperPolynomial._canonical(
+        sig, {SuperMonomial._canonical(xpart, theta): c for xpart, theta, c in shuffle._shifted(f.terms, offset)}
+    )
+
+
+def triple_shuffle(A, B, C, signed=False):
+    """The one-shot three-block shuffle, over its own representatives."""
+    return shuffle._shuffle((A, B, C), signed)
 
 
 def assert_same_series(got, expected):

@@ -26,7 +26,6 @@ from supermolien.groups import (
     Permutation,
     Substitution,
     WreathElement,
-    build_wreath,
     cycle_type,
     matrix_group_to_perm_group,
     perm_group_of_wreath,
@@ -36,7 +35,6 @@ from supermolien.groups import (
     symmetric_generators,
     validate_character,
     wreath_generators,
-    wreath_mul,
 )
 from supermolien.fixtures import (
     MATRIX_GROUP_FIXTURES,
@@ -45,9 +43,10 @@ from supermolien.fixtures import (
     perm_group_fixture,
 )
 from supermolien.linalg import QMatrix, _columns
-from supermolien.superalgebra import AlgebraSignature, SuperPolynomial, apply_wreath
+from supermolien.superalgebra import AlgebraSignature, SuperPolynomial
 
 import dense_reference
+from molien_reference import apply_wreath, build_wreath, wreath_mul
 from rational_groups import is_exact, named_group
 
 

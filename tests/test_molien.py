@@ -23,9 +23,7 @@ from supermolien.groups import (
     PermGroup,
     Permutation,
     WreathElement,
-    build_wreath,
     sign_character,
-    wreath_mul,
 )
 from supermolien.verify import MOLIEN_FIXTURES, WREATH_ROUTE_CASES
 from supermolien.linalg import QMatrix, _berkowitz, _charpoly_rows, _nonzeros, _rank_rows, charpoly_det
@@ -42,13 +40,20 @@ from supermolien.series import Caps, TrigradedSeries, series_add, series_inv, se
 from supermolien.superalgebra import (
     AlgebraSignature,
     SuperPolynomial,
-    apply_wreath,
     bidegree_basis,
     super_mul,
 )
 
 from dense_reference import dense_columns, dense_label_matrices
-from molien_reference import assert_same_series, flat_action, reference_orbit_sums, reference_super_molien
+from molien_reference import (
+    apply_wreath,
+    assert_same_series,
+    build_wreath,
+    flat_action,
+    reference_orbit_sums,
+    reference_super_molien,
+    wreath_mul,
+)
 from rational_groups import KERNEL_GROUPS, conjugated_s3, named_group
 
 
@@ -348,21 +353,21 @@ def test_factored_sums_equal_the_flat_label_loop(pname, gname, n, dq, flavor):
                 assert reynolds_project(action, f) == reynolds_project(flat, f)
 
 
-def test_wreath_action_builds_its_labels_only_when_read():
-    # from_wreath keeps P's labels over identity rows and G's one-row
-    # labels; the flat label list is built on first read, in build_wreath's
-    # order with the flavor's weights
+def test_wreath_action_has_no_label_list():
+    # from_wreath keeps P's labels over identity rows, weighted by the
+    # flavor, and G's one-row labels, and no list of P[G]'s labels
     P, G = PermGroup.symmetric(3), sign_scalar_group()
     for flavor in FLAVORS:
         action = GroupAction.from_wreath(P, G, 3, flavor)
-        assert "pairs" not in vars(action)
+        assert not hasattr(action, "pairs")
         assert (action.top.order, action.rows.order, action.order) == (6, 2, 48)
-        assert action.pairs == flat_action(P, G, 3, flavor).pairs
+        flat = flat_action(P, G, 3, flavor)
+        assert {(chi, w.sigma) for chi, w in action.top.pairs} == {(chi, w.sigma) for chi, w in flat.pairs}
 
 
-def test_invariant_basis_on_s6_builds_at_most_p_plus_g_labels(monkeypatch):
-    # S_6[+-1]: from_wreath and an invariant basis build 720 + 2 labels, not
-    # 46,080, and neither Reynolds nor Molien reads the flat label list
+def counted_labels(monkeypatch):
+    """Every label made from here on, by the validating constructor or the
+    trusted one, in a list."""
     built = []
     post_init, trusted = WreathElement.__post_init__, WreathElement._of
 
@@ -374,17 +379,34 @@ def test_invariant_basis_on_s6_builds_at_most_p_plus_g_labels(monkeypatch):
         built.append(sigma)
         return trusted(sigma, gs)
 
-    def refuse(self):
-        raise AssertionError("the flat label list was read")
-
     monkeypatch.setattr(WreathElement, "__post_init__", counted_init)
     monkeypatch.setattr(WreathElement, "_of", staticmethod(counted_of))
-    monkeypatch.setattr(molien.WreathAction, "pairs", property(refuse))
-    monkeypatch.setattr(groups, "build_wreath", refuse)
+    return built
+
+
+def test_invariant_basis_on_s6_builds_at_most_p_plus_g_labels(monkeypatch):
+    # S_6[+-1]: from_wreath and an invariant basis build 720 + 2 labels, not
+    # 46,080
+    built = counted_labels(monkeypatch)
     action = GroupAction.from_wreath(PermGroup.symmetric(6), sign_scalar_group(), 6)
     basis = shuffle.invariant_basis(action, 4, 0)
     assert len(built) <= 720 + 2
     assert basis.dimension == super_molien(action, 4).coefficient((0, 4, 0))
+
+
+def test_wreath_action_prints_and_compares_without_labels(monkeypatch):
+    # S_6[+-1]: each build makes P's 720 labels and G's 2; repr, == against
+    # a second build, and hash read those and make none of P[G]'s 46,080
+    built = counted_labels(monkeypatch)
+    P, G = PermGroup.symmetric(6), sign_scalar_group()
+    action = GroupAction.from_wreath(P, G, 6)
+    assert len(built) <= 720 + 2
+    again, signed = GroupAction.from_wreath(P, G, 6), GroupAction.from_wreath(P, G, 6, "antiinvariant")
+    built.clear()
+    text = repr(action)
+    assert action == again and hash(action) == hash(again) and action != signed
+    assert built == []
+    assert text.startswith("WreathAction(signature=") and len(text) < 10**6
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -488,27 +510,18 @@ def test_sgn_character_read_off_the_odd_part():
 
 
 @pytest.mark.parametrize("gname", ["sign-scalar", "s2-theta"])
-def test_signed_weights_take_one_sign_per_sigma(monkeypatch, gname):
-    # each weight is its label's perm_sign, computed once per distinct
-    # sigma, in P[G]'s sigma-major order and in a shuffled order alike
+def test_signed_weights_take_one_sign_per_sigma(gname):
+    # each weight is its label's perm_sign, in P[G]'s sigma-major order and
+    # in a shuffled order alike, and 1 unsigned
     G = matrix_group_fixture(gname)
     sig = AlgebraSignature(G.r0, G.r1, 3)
     labels = build_wreath(PermGroup.symmetric(3), G, 3)
     shuffled = random.Random(3).sample(labels, len(labels))
-    calls = []
-
-    def counted(sigma):
-        calls.append(sigma)
-        return groups.perm_sign(sigma)
-
-    monkeypatch.setattr(molien, "perm_sign", counted)
     for order in (labels, shuffled):
-        calls.clear()
         action = GroupAction.of_labels(sig, order, True)
         assert action.pairs == tuple((groups.perm_sign(w.sigma), w) for w in order)
-        assert len(calls) == len(set(calls)) == 6
+        assert {chi for chi, _ in action.pairs} == {1, -1}
     assert GroupAction.of_labels(sig, labels, False).pairs == tuple((1, w) for w in labels)
-    assert len(calls) == 6
 
 
 def test_zero_row_wreath_has_series_one():
@@ -520,7 +533,7 @@ def test_zero_row_wreath_has_series_one():
 
 
 def test_block_matrices_layout_for_swap_label():
-    act = GroupAction.from_wreath(PermGroup.symmetric(2), sign_scalar_group(), 2)
+    act = flat_action(PermGroup.symmetric(2), sign_scalar_group(), 2, "invariant")
     # find the label (swap, (id, -1))
     for _, w in act.pairs:
         if w.sigma == Permutation([2, 1]) and w.gs[0].g0.get(0, 0) == 1 and w.gs[1].g0.get(0, 0) == -1:
@@ -537,7 +550,7 @@ def test_label_molien_term_matches_trivariate_inversion(gname, n):
     # both char-polys of the densely built label matrices read as series and
     # the denominator inverted over the whole (dq+1)(du+1) box, at full and
     # at truncated u caps.
-    action = GroupAction.from_wreath(PermGroup.symmetric(n), matrix_group_fixture(gname), n)
+    action = flat_action(PermGroup.symmetric(n), matrix_group_fixture(gname), n, "invariant")
     sig = action.signature
     for caps in (Caps(0, 8, sig.num_odd), Caps(0, 3, 1)):
         for _, w in action.pairs:
@@ -572,8 +585,7 @@ def test_label_rows_charpoly_matches_dense(gname, n):
     # non-monomial blocks with unlike denominators, which fall through to
     # Berkowitz.
     G = named_group(gname)
-    action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n)
-    for _, w in action.pairs:
+    for _, w in flat_action(PermGroup.symmetric(n), G, n, "invariant").pairs:
         sub = w.substitution
         for columns, dense, r in zip((sub.even, sub.odd), dense_label_matrices(w), (G.r0, G.r1)):
             assert columns == dense_columns(dense, r)
@@ -597,9 +609,8 @@ def assert_wreath_sums_match_reference(P, G, n, dq):
     """super_molien of P[G]'s action and the streamed direct route, both
     flavors, against the label-by-label reference."""
     for flavor in FLAVORS:
-        action = GroupAction.from_wreath(P, G, n, flavor)
-        expected = reference_super_molien(action, dq)
-        assert_same_series(super_molien(action, dq), expected)
+        expected = reference_super_molien(flat_action(P, G, n, flavor), dq)
+        assert_same_series(super_molien(GroupAction.from_wreath(P, G, n, flavor), dq), expected)
         assert_same_series(wreath_series.wreath_hilbert_direct(P, G, n, flavor, dq), expected)
 
 
@@ -702,15 +713,20 @@ def m_cycle_action(G, m):
     return GroupAction(AlgebraSignature(G.r0, G.r1, m), pairs)
 
 
+def wreath_and_flat(P, G, n, flavor):
+    """P[G]'s wreath action and its flat labels as a plain action."""
+    return GroupAction.from_wreath(P, G, n, flavor), flat_action(P, G, n, flavor)
+
+
 @pytest.mark.parametrize(
     "make_action,dq",
     [
-        (lambda: GroupAction.from_wreath(PermGroup.symmetric(4), sign_scalar_group(), 4), 8),
-        (lambda: GroupAction.from_wreath(PermGroup.symmetric(4), sign_scalar_group(), 4, "antiinvariant"), 8),
-        (lambda: GroupAction.from_wreath(PermGroup.symmetric(2), conjugated_s3()[1], 2), 5),
-        (lambda: GroupAction.from_wreath(PermGroup.symmetric(2), conjugated_s3()[1], 2, "antiinvariant"), 5),
-        (lambda: m_cycle_action(matrix_group_fixture("s2-diag"), 2), 6),
-        (lambda: m_cycle_action(matrix_group_fixture("s2-diag"), 3), 6),
+        (lambda: wreath_and_flat(PermGroup.symmetric(4), sign_scalar_group(), 4, "invariant"), 8),
+        (lambda: wreath_and_flat(PermGroup.symmetric(4), sign_scalar_group(), 4, "antiinvariant"), 8),
+        (lambda: wreath_and_flat(PermGroup.symmetric(2), conjugated_s3()[1], 2, "invariant"), 5),
+        (lambda: wreath_and_flat(PermGroup.symmetric(2), conjugated_s3()[1], 2, "antiinvariant"), 5),
+        (lambda: (m_cycle_action(matrix_group_fixture("s2-diag"), 2),) * 2, 6),
+        (lambda: (m_cycle_action(matrix_group_fixture("s2-diag"), 3),) * 2, 6),
     ],
     ids=["s4-sign-scalar-inv", "s4-sign-scalar-anti", "s2-rational-s3-inv", "s2-rational-s3-anti", "m2", "m3"],
 )
@@ -719,9 +735,9 @@ def test_super_molien_regrouping_matches_label_by_label_sum(make_action, dq):
     # the plain average of the per-label series, on a group with integral
     # char-polys, on the rational conjugate of S_3, whose pair keys are
     # Fraction tuples, and on the m-cycle cosets, which are not groups.
-    action = make_action()
+    action, labels = make_action()
     du = action.signature.num_odd
-    assert super_molien(action, dq, du) == label_by_label_series(action, dq, du)
+    assert super_molien(action, dq, du) == label_by_label_series(labels, dq, du)
 
 
 def test_rational_s3_pair_keys_are_fractions():
@@ -730,7 +746,7 @@ def test_rational_s3_pair_keys_are_fractions():
     G, H = conjugated_s3()
 
     def keys(group):
-        action = GroupAction.from_wreath(PermGroup.symmetric(2), group, 2)
+        action = flat_action(PermGroup.symmetric(2), group, 2, "invariant")
         return {_charpoly_rows(w.substitution.even) for _, w in action.pairs}
 
     assert any(type(c) is Fraction for key in keys(H) for c in key)

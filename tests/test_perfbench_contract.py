@@ -9,7 +9,11 @@ reach the digest through the dense g0 and g1 views, so a change that
 breaks either, or moves any pinned digest, fails here and not only in the
 benchmark.  Every package name that perfbench's cases, its tests and its
 tracer's METHODS read must resolve, so a deletion under src/ that would
-break a benchmark run or a perfbench test fails here too."""
+break a benchmark run or a perfbench test fails here too.  Conversely,
+every public module-level function or class of the package has a reader:
+a module of src/ other than __init__.py, the package's __all__, or
+perfbench's cases or tests, so a name that only tests call is a dead name
+and fails here."""
 
 import ast
 import importlib
@@ -22,6 +26,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import supermolien  # noqa: E402
 import cases  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
@@ -133,7 +138,10 @@ def resolves(dotted):
     return True
 
 
-@pytest.mark.parametrize("source", ["cases.py", "tests/test_perfbench.py"])
+PERFBENCH_READERS = ("cases.py", "tests/test_perfbench.py")
+
+
+@pytest.mark.parametrize("source", PERFBENCH_READERS)
 def test_perfbench_package_names_resolve(source):
     reads = package_reads(ast.parse((ROOT / "perfbench" / source).read_text()))
     assert reads
@@ -145,3 +153,77 @@ def test_tracer_methods_resolve(layer, cls_name, meth):
     # the tracer wraps cls.__dict__[meth], so the method is the class's own
     cls = getattr(importlib.import_module(f"supermolien.{layer}"), cls_name)
     assert meth in vars(cls)
+
+
+def source_reads(tree):
+    """Every name a module of the package reads: each name loaded, each
+    attribute read and each name imported from another module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def dead_public_names(sources, exported, perfbench_reads):
+    """(module, line, name) of each public module-level function or class
+    in the {module: source} map that no module but __init__ reads by name,
+    that is not in exported, and that perfbench does not read as
+    supermolien.module.name.  A module's own __all__ lists strings, which
+    are not reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*(source_reads(tree) for module, tree in trees.items() if module != "__init__"))
+    benched = {tuple(name.split(".")[1:3]) for name in perfbench_reads}
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read | exported
+        and (module, node.name) not in benched
+    )
+
+
+def test_dead_name_checker_flags_only_names_without_a_reader():
+    sources = {
+        "__init__": "from .a import exported, only_in_init\n__all__ = ['exported']\n",
+        "a": (
+            "__all__ = ['listed']\n"
+            "def exported(): pass\n"
+            "def only_in_init(): pass\n"
+            "def listed(): pass\n"
+            "def imported(): pass\n"
+            "def benched(): pass\n"
+            "class Spare: pass\n"
+            "def _private(): pass\n"
+            "def caller(): return called()\n"
+        ),
+        "b": "from .a import imported\nimport x\ny = x.attribute\ndef attribute(): pass\ndef called(): pass\n",
+        "c": "def benched(): pass\n",
+    }
+    found = dead_public_names(sources, {"exported"}, ["supermolien.a.benched", "supermolien.a"])
+    assert found == [
+        ("a", 3, "only_in_init"),
+        ("a", 4, "listed"),
+        ("a", 7, "Spare"),
+        ("a", 9, "caller"),
+        ("c", 1, "benched"),
+    ]
+
+
+def test_every_public_name_has_a_reader():
+    package = ROOT / "src" / "supermolien"
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    reads = [
+        name
+        for source in PERFBENCH_READERS
+        for _, name in package_reads(ast.parse((ROOT / "perfbench" / source).read_text()))
+    ]
+    dead = dead_public_names(sources, set(supermolien.__all__), reads)
+    found = [f"{module}:{line}: {name}" for module, line, name in dead]
+    assert not found, "public names that nothing under src/ or perfbench reads:\n" + "\n".join(found)

@@ -16,10 +16,8 @@ from supermolien.groups import (
     Permutation,
     WreathElement,
     _inversion_sign,
-    build_wreath,
     MatrixGroup,
     PermGroup,
-    wreath_mul,
 )
 from supermolien.linalg import QMatrix, charpoly_det
 from supermolien.molien import FLAVORS, GroupAction, reynolds_project
@@ -29,7 +27,6 @@ from supermolien.superalgebra import (
     SuperPolynomial,
     _label_sum,
     _mul_terms,
-    apply_wreath,
     bidegree_basis,
     bidegree_basis_size,
     coefficient_vector,
@@ -39,6 +36,7 @@ from supermolien.superalgebra import (
 
 from rational_groups import KERNEL_GROUPS, is_exact, named_group
 from dense_reference import dense_columns, dense_label_matrices
+from molien_reference import apply_wreath, build_wreath, wreath_mul
 from row_relabeling import relabel_rows, relabeling
 
 
