@@ -277,10 +277,9 @@ def test_invariant_basis_too_large(monkeypatch):
         invariant_basis(action, 4, 0)
 
 
-def test_closure_examples_through_generator_labels():
+def test_verify_closure_examples():
     # shuffles of (anti)invariants of the trivial group on one theta per
-    # row are fixed by the generator labels of their row count, and a
-    # factor that is not invariant is not
+    # row are fixed by the generator labels of their row count
     G = MatrixGroup.trivial(0, 1)
     sig2 = AlgebraSignature(0, 1, 2)
     th1 = SuperPolynomial.theta_var(sig2, 1, 1)
@@ -293,7 +292,17 @@ def test_closure_examples_through_generator_labels():
         labels = {k: shuffle_module._wreath_generator_labels(k, G, signed) for k in {a, B.sig.n, n}}
         assert shuffle_module._fixed_by(A, labels[a]) and shuffle_module._fixed_by(B, labels[B.sig.n])
         assert shuffle_module._fixed_by(shuffle_product(A, B, signed), labels[n])
-    assert not shuffle_module._fixed_by(th1, shuffle_module._wreath_generator_labels(2, G, False))
+
+
+def test_verify_closure_rejects_noninvariant_input():
+    # theta[1,1] on two rows goes to theta[2,1] under the row swap, so it is
+    # neither invariant nor antiinvariant: the generator labels of either
+    # flavor refuse it as a closure input
+    G = MatrixGroup.trivial(0, 1)
+    th1 = SuperPolynomial.theta_var(AlgebraSignature(0, 1, 2), 1, 1)
+    for flavor in FLAVORS:
+        labels = shuffle_module._wreath_generator_labels(2, G, require_flavor(flavor))
+        assert not shuffle_module._fixed_by(th1, labels)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
