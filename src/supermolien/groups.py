@@ -16,14 +16,18 @@ lock-free descriptor once.
 
 This module is the one presentation of the wreath product P[G], for G a
 matrix group or a permutation group: one enumerator of its labels, behind
-one degree check and one WREATH_CAP check, and one generator set,
+one degree check (require_degree) and one WREATH_CAP check of its
+|P| * |G|^n labels (require_wreath), and one generator set,
 wreath_generators.  The enumerator pairs given row permutations with G^n;
 perm_group_of_wreath realizes P[G] on it, as a permutation group of the
-points.  The routes of molien keep P[G] as its factors and build none of
-its labels.  A linear character is a plain tuple of +-1 ints aligned with
-its group's element order (validate_character); sign_character is the one
-sign function.  shuffle_reps enumerates the minimal coset representatives
-of a Young subgroup S_blocks, for any number of row blocks.
+points.  The routes of molien keep P[G] as its factors, a GroupAction,
+which checks each sigma's degree when it is made; the Molien route builds
+none of its labels, and the Reynolds route builds P's and G's, after the
+same WREATH_CAP check.  A linear character is a plain tuple of +-1 ints
+aligned with its group's element order (validate_character);
+sign_character is the one sign function.  shuffle_reps enumerates the
+minimal coset representatives of a Young subgroup S_blocks, for any
+number of row blocks.
 """
 
 from __future__ import annotations
@@ -262,8 +266,11 @@ class GradedGroupElement:
         )
 
 
-def _bfs_closure(identity, generators, cap, multiply):
-    """Deterministic closure: BFS over right multiplication by sorted generators."""
+def _bfs_closure(identity, generators, cap, multiply, domain: str):
+    """Deterministic closure: BFS over right multiplication by sorted
+    generators.  A refusal names how many generators there are and, by
+    domain, what they act on, such as "on (r0, r1) = (1, 1)" or "of degree
+    3"."""
     elements = [identity]
     seen = {identity}
     frontier = [identity]
@@ -274,7 +281,8 @@ def _bfs_closure(identity, generators, cap, multiply):
                 prod = multiply(e, g)
                 if prod not in seen:
                     if len(elements) >= cap:
-                        raise CapExceeded(f"group closure exceeded cap {cap}")
+                        count = f"{len(generators)} generator{'s' * (len(generators) != 1)}"
+                        raise CapExceeded(f"group closure of {count} {domain} exceeded cap {cap}")
                     seen.add(prod)
                     elements.append(prod)
                     nxt.append(prod)
@@ -311,7 +319,7 @@ class MatrixGroup:
             gens.append(g)
         gens = sorted(set(gens), key=GradedGroupElement.sort_key)
         ident = GradedGroupElement.identity(r0, r1)
-        elements = _bfs_closure(ident, gens, cap, lambda a, b: a * b)
+        elements = _bfs_closure(ident, gens, cap, lambda a, b: a * b, f"on (r0, r1) = ({r0}, {r1})")
         return MatrixGroup(r0, r1, elements, gens)
 
     @staticmethod
@@ -373,7 +381,7 @@ class PermGroup:
                 raise DimensionMismatch(f"generator degree {p.n} != {n}")
             gens.append(p)
         gens = sorted(set(gens), key=lambda p: p.images)
-        elements = _bfs_closure(Permutation.identity(n), gens, CLOSURE_CAP, Permutation.compose)
+        elements = _bfs_closure(Permutation.identity(n), gens, CLOSURE_CAP, Permutation.compose, f"of degree {n}")
         return PermGroup(n, elements, gens)
 
     @staticmethod
@@ -471,7 +479,7 @@ class WreathElement:
     @staticmethod
     def _of(sigma: Permutation, gs: tuple) -> "WreathElement":
         """Trusted constructor for a label whose degree was already checked,
-        as require_wreath checks each sigma once per call: no __post_init__.
+        as GroupAction checks each sigma once per action: no __post_init__.
         Equal to, and hashing as, the label the validating constructor makes."""
         w = object.__new__(WreathElement)
         fields = w.__dict__
@@ -534,25 +542,23 @@ def require_degree(P: PermGroup | Permutation, n: int) -> None:
         raise DegreeMismatch(f"P acts on {P.n} rows, expected {n}")
 
 
-def require_wreath(sigmas: Sequence[Permutation], G: MatrixGroup | PermGroup, n: int) -> None:
-    """The checks of the labels (sigma, (g_1..g_n)), sigma from sigmas and
-    each g_i from G: every sigma's degree, and their count against
-    WREATH_CAP; a refusal names |P| = len(sigmas), |G| and n."""
-    for sigma in sigmas:
-        require_degree(sigma, n)
-    total = len(sigmas) * G.order**n
+def require_wreath(p: int, g: int, n: int) -> None:
+    """The cap check of the p * g^n labels (sigma, (g_1..g_n)) of P[G] on n
+    rows, |P| = p and |G| = g, against WREATH_CAP: a refusal names the
+    count, the cap, |P|, |G| and n."""
+    total = p * g**n
     if total > WREATH_CAP:
-        raise CapExceeded(
-            f"wreath product has {total} elements, cap is {WREATH_CAP} (|P| = {len(sigmas)}, |G| = {G.order}, n = {n})"
-        )
+        raise CapExceeded(f"wreath product has {total} elements, cap is {WREATH_CAP} (|P| = {p}, |G| = {g}, n = {n})")
 
 
 def _wreath_labels(sigmas: Sequence[Permutation], G: MatrixGroup | PermGroup, n: int):
     """Every label (sigma, (g_1..g_n)) with sigma from sigmas and each g_i
     from G, sigma-major in element order: all of P[G] when sigmas are the
-    elements of P.  require_wreath runs at the call, before any label is
-    made."""
-    require_wreath(sigmas, G, n)
+    elements of P.  Every sigma's degree and then the count
+    (require_wreath) are checked at the call, before any label is made."""
+    for sigma in sigmas:
+        require_degree(sigma, n)
+    require_wreath(len(sigmas), G.order, n)
     return ((sigma, gs) for sigma in sigmas for gs in itertools.product(G.elements, repeat=n))
 
 

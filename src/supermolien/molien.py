@@ -1,42 +1,46 @@
 """Exact bigraded Hilbert series of invariants, two independent ways.
 
-A GroupAction, the one format of every weighted label set, is its labels
-as (chi(w), w) pairs, chi the +-1 linear character selecting the isotypic
-component: from_matrix_group takes chi as a +-1 tuple, or None for the
-trivial one, and of_labels weights by sgn(sigma).  Every label w acts by
-one matrix per graded part, M0(w) on the even and M1(w) on the odd
-variables, compiled once per label into WreathElement.substitution, whose
-shape the action checks once, when it is made.  The Molien route averages
+A GroupAction, the one action of the package, is P[G] on n rows kept as
+its factors: top, the (chi(sigma), sigma) pairs of a permutation group P
+on the rows, and rows, the (psi(g), g) pairs of G's elements, chi and psi
+the +-1 linear characters selecting the isotypic component.  Its labels
+(sigma, (g_1..g_n)), weighted chi(sigma) psi(g_1)..psi(g_n), are never
+listed.  A single matrix group is P = 1 on one row (from_matrix_group,
+psi its character); from_wreath weights the top by sgn(sigma) or 1.
+Every label w acts by one matrix per graded part, M0(w) on the even and
+M1(w) on the odd variables.  The Molien route averages
 det(I + u*M1)/det(I - q*M0) with weights chi(w^{-1}) = chi(w) in one sum,
-fed an action's pairs label by label, or P[G] sigma by sigma.  A label's
-matrices are block-diagonal over the cycles of sigma, so its two
-char-polys are the products of its blocks', whatever G is.  A block
-depends on the g-sequence along its cycle alone, so each sequence's block
-has its char-polys taken once per call, by the one char-poly kernel, and
-the sigma-by-sigma feed counts P[G]'s labels by convolving one table of
-block numbers over G^m per cycle length m.  The weights are summed per
-sorted tuple of block numbers, each such key's blocks are multiplied
-once, and each distinct char-poly pair is expanded once into a series,
-since distinct keys can share one.  Each block's char-polys come from its
-own matrices, no sigma is grouped by cycle type, and no cycle index or
-block determinant lemma is used: those stay with the plethysm route,
-which keeps the routes independent.  The oracle route never looks at
-Molien: it takes the exact rank of the Reynolds operator, the average of
-the substitutions by the same matrices, on the monomial basis of each
+fed sigma by sigma.  A label's matrices are block-diagonal over the
+cycles of sigma, so its two char-polys are the products of its blocks',
+whatever G is.  A block depends on the g-sequence along its cycle alone,
+so each sequence's block has its char-polys taken once per call, by the
+one char-poly kernel, and the sum counts the labels by convolving one
+table of block numbers over G^m per cycle length m, each sequence
+weighted by its psi values' product.  The weights are summed per sorted
+tuple of block numbers, each such key's blocks are multiplied once, and
+each distinct char-poly pair is expanded once into a series, since
+distinct keys can share one.  Each block's char-polys come from its own
+matrices, no sigma is grouped by cycle type, and no cycle index or block
+determinant lemma is used: those stay with the plethysm route, which
+keeps the routes independent.  The oracle route never looks at Molien:
+it takes the exact rank of the Reynolds operator, the average of the
+substitutions by the same matrices, on the monomial basis of each
 bidegree.  Since R(w.f) = chi(w) R(f), a label mapping m to a single
 term c*m' gives R(m') = chi(w)/c R(m), a multiple of R(m), so the rank is
 taken over one row per orbit of monomials, not one per monomial.  Each
 row is one weighted sum of the action: it maps the orbit's first
-monomial, with coefficient 1, through the compiled substitutions by the
-label sum of superalgebra, builds no polynomial per label, and sums
-chi(w)*c as ints (Fractions only for non-integral c).  A P[G] action
-(WreathAction) keeps P's and G's labels, not its |P|*|G|^n own, and sums
-in two stages, as its Reynolds operator factors through G^n's: each row's
+monomial, with coefficient 1, through the compiled substitutions
+(WreathElement.substitution) by the label sum of superalgebra, builds no
+polynomial per label, and sums chi(w)*c as ints (Fractions only for
+non-integral c).  The labels of P and of G are compiled on the
+route's first use, never by the Molien route, and the sum goes in two
+stages, as P[G]'s Reynolds operator factors through G^n's: each row's
 content is mapped through G's labels, once per distinct content, the row
-images are multiplied, and the product is mapped through P's labels.
-That undivided sum is |W| R(m), which spans the same line as R(m), so
-only the public reynolds_project divides by |W|.  The rows go to the
-integer Bareiss kernel as sparse {position: value} dicts.
+images are multiplied, and the product is mapped through P's labels.  A
+trivial G leaves the row stage out, and a trivial P on one row the top
+stage.  That undivided sum is |W| R(m), which spans the same line as
+R(m), so only the public reynolds_project divides by |W|.  The rows go to
+the integer Bareiss kernel as sparse {position: value} dicts.
 molien_vs_oracle compares the two routes coefficient by coefficient.
 """
 
@@ -44,12 +48,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import BasisTooLarge, SignatureMismatch
+from .errors import BasisTooLarge, CapExceeded, DimensionMismatch, SignatureMismatch
 from .groups import (
+    WREATH_CAP,
+    GradedGroupElement,
     MatrixGroup,
     PermGroup,
     Permutation,
@@ -57,6 +64,7 @@ from .groups import (
     _cycles,
     once,
     perm_sign,
+    require_degree,
     require_wreath,
     validate_character,
 )
@@ -67,7 +75,6 @@ from .superalgebra import (
     SuperMonomial,
     SuperPolynomial,
     _label_sum,
-    _require_shape,
     bidegree_basis,
     bidegree_basis_size,
 )
@@ -89,112 +96,95 @@ def require_flavor(flavor: str) -> bool:
 
 @dataclass(frozen=True)
 class GroupAction:
-    """Wreath labels acting on n rows of (r0, r1) variables, as (chi(w), w)
-    pairs: each label w weighted by +-1, for a group the value of the
-    linear character selecting the isotypic component to count.  P[G]
-    keeps its factors instead (WreathAction, made by from_wreath).
+    """P[G] on n rows of (r0, r1) variables, kept as its factors: top, the
+    (chi(sigma), sigma) pairs of P's row permutations, and rows, the
+    (psi(g), g) pairs of G's elements.  Its |P| * |G|^n labels (sigma,
+    (g_1..g_n)), each weighted chi(sigma) psi(g_1)..psi(g_n), are not
+    listed: its repr, == and hash read the factors.
 
-    The Molien average and the label sum take any set of pairs.  The
-    Reynolds route needs labels that form a group, each element listed
-    once, with the character a homomorphism on it: the projector and its
-    orbit sharing rest on R(w.f) = chi(w) R(f).
+    The Molien average takes any top, such as one fixed cycle's coset.
+    The Reynolds route needs labels that form a group, with chi and psi
+    linear characters: the projector and its orbit sharing rest on
+    R(w.f) = chi(w) R(f).
 
-    Every label must act on the signature's rows and blocks; a label that
-    does not is refused, once, when the action is made, from the shape of
-    its substitution, with the errors of the Reynolds route."""
+    Every sigma must act on the signature's n rows (DegreeMismatch) and
+    every g have square blocks of its (r0, r1) (DimensionMismatch):
+    checked once, when the action is made, and never in a sum."""
 
     signature: AlgebraSignature
-    pairs: tuple[tuple[int, WreathElement], ...]
+    top: tuple[tuple[int, Permutation], ...]
+    rows: tuple[tuple[int, GradedGroupElement], ...]
 
     def __post_init__(self):
-        for _, w in self.pairs:
-            _require_shape(w.substitution, self.signature)
+        sig = self.signature
+        for _, sigma in self.top:
+            require_degree(sigma, sig.n)
+        for _, g in self.rows:
+            if g.shape != (sig.r0, sig.r0, sig.r1, sig.r1):
+                raise DimensionMismatch(
+                    "element blocks {}x{}/{}x{} do not match (r0, r1) = ({}, {})".format(*g.shape, sig.r0, sig.r1)
+                )
 
     @property
     def order(self) -> int:
-        return len(self.pairs)
+        return len(self.top) * len(self.rows) ** self.signature.n
 
     @staticmethod
     def from_matrix_group(G: MatrixGroup, character: Sequence[int] | None = None) -> "GroupAction":
-        """Single-row action of a matrix group (n = 1).
+        """A matrix group on one row: P = 1 on n = 1, the rows weighted by
+        the character.
 
         character is None for the trivial character, or +-1 values aligned
         with G's element order (such as groups.sign_character(G)), which
         are validated against the group's generators.
         """
+        psi = (1,) * G.order if character is None else validate_character(character, G)
         sig = AlgebraSignature(G.r0, G.r1, 1)
-        ident = Permutation.identity(1)
-        chi = (1,) * G.order if character is None else validate_character(character, G)
-        return GroupAction(sig, tuple((c, WreathElement(ident, (g,))) for c, g in zip(chi, G.elements)))
+        return GroupAction(sig, ((1, Permutation.identity(1)),), tuple(zip(psi, G.elements)))
 
     @staticmethod
-    def of_labels(signature: AlgebraSignature, labels: Iterable[WreathElement], signed: bool) -> "GroupAction":
-        """The labels, each weighted by sgn(sigma) when signed, else by 1."""
-        return GroupAction(signature, tuple((perm_sign(w.sigma) if signed else 1, w) for w in labels))
-
-    @staticmethod
-    def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant") -> "WreathAction":
-        """Action of P[G] on n rows; flavor "invariant" weights every label 1,
-        flavor "antiinvariant" weights by sgn(sigma).  Its |P| * |G|^n labels
-        are checked (require_wreath), not built: the action keeps its
-        factors (WreathAction)."""
+    def from_wreath(P: PermGroup, G: MatrixGroup, n: int, flavor: str = "invariant") -> "GroupAction":
+        """P[G] on n rows; flavor "invariant" weights every sigma 1, flavor
+        "antiinvariant" by sgn(sigma), and every g by 1."""
         signed = require_flavor(flavor)
-        require_wreath(P.elements, G, n)
-        sig = AlgebraSignature(G.r0, G.r1, n)
-        ident = (G.elements[G.identity_index],) * n
-        top = GroupAction.of_labels(sig, (WreathElement._of(sigma, ident) for sigma in P.elements), signed)
-        return WreathAction(sig, top, GroupAction.from_matrix_group(G))
-
-    def _weighted_sum(self) -> Callable[..., dict]:
-        """The sum over the labels of chi(w) w.f, as a function of (terms,
-        reached=None) under _label_sum's contract, for one caller's run of
-        calls: here _label_sum over the pairs."""
-        return functools.partial(_label_sum, self.pairs)
-
-    def _feed(self, total: "_MolienSum") -> None:
-        """Add the labels to a Molien sum, label by label."""
-        total.add_labels((chi, w.sigma, w.gs) for chi, w in self.pairs)
-
-
-@dataclass(frozen=True)
-class WreathAction:
-    """P[G] on n rows, kept as its factors, not its labels: top, P's labels
-    (sigma, identity rows) weighted chi(sigma), and rows, G's one-row labels
-    weighted 1, each compiled and checked once.  A label (sigma, gs) acts
-    as (1, gs) followed by (sigma, 1), and (1, gs) acts row by row, g_i on
-    row i, so the sum over P[G] is the sum over top of the product, row by
-    row, of the sums over rows.  It serves the routes as a GroupAction
-    does, by signature, order, _feed and _weighted_sum, and has no label
-    list of its own: its repr, == and hash read the factors."""
-
-    signature: AlgebraSignature
-    top: GroupAction
-    rows: GroupAction
-
-    @property
-    def order(self) -> int:
-        return self.top.order * self.rows.order**self.signature.n
-
-    @property
-    def _elements(self) -> list:
-        """G's elements, in element order."""
-        return [w.gs[0] for _, w in self.rows.pairs]
+        top = tuple([(perm_sign(sigma) if signed else 1, sigma) for sigma in P.elements])
+        return GroupAction(AlgebraSignature(G.r0, G.r1, n), top, tuple([(1, g) for g in G.elements]))
 
     @once
-    def _monomial(self) -> bool:
-        """Whether every element of G is monomial, each label one-term."""
-        return all(w.substitution.one_term for _, w in self.rows.pairs)
+    def _top_labels(self) -> tuple:
+        """top as labels (sigma, identity rows), built on first use.  The
+        identity is G's own element when rows hold it, so the labels share
+        its moved columns (GradedGroupElement.moves) with every action of G."""
+        sig = self.signature
+        identity = GradedGroupElement.identity(sig.r0, sig.r1)
+        identity = next((g for _, g in self.rows if g == identity), identity)
+        return tuple([(chi, WreathElement._of(sigma, (identity,) * sig.n)) for chi, sigma in self.top])
 
-    def _feed(self, total: "_MolienSum") -> None:
-        """Add every label to a Molien sum sigma by sigma (add_sigmas)."""
-        total.add_sigmas(((chi, w.sigma) for chi, w in self.top.pairs), self._elements)
+    @once
+    def _row_labels(self) -> tuple:
+        """rows as one-row labels (1, (g,)), built on first use."""
+        ident = Permutation.identity(1)
+        return tuple([(psi, WreathElement._of(ident, (g,))) for psi, g in self.rows])
+
+    @once
+    def _stages(self) -> tuple:
+        """(top labels, row labels, whether every g is monomial, the sum of
+        the psi values) of the two-stage sum, after |P| * |G|^n is checked
+        against WREATH_CAP (require_wreath), so a refused action builds no
+        label."""
+        require_wreath(len(self.top), len(self.rows), self.signature.n)
+        monomial = all(g.monomial for _, g in self.rows)
+        return self._top_labels, self._row_labels, monomial, sum(psi for psi, _ in self.rows)
 
     def _weighted_sum(self) -> Callable[..., dict]:
-        """sum over P[G] of chi(w) w.f: each term of f is split into its
-        rows, each distinct row content mapped once per returned function
-        through rows by _label_sum, the row images multiplied in row order
-        (concatenated: already canonical, with sign +1), and the product
-        summed over top.  A trivial G leaves the row stage out.
+        """sum over the labels of chi(w) w.f, as a function of (terms,
+        reached=None) under _label_sum's contract, for one caller's run of
+        calls.  A trivial G (psi(1) = 1) sums over top alone, and a trivial
+        P on one row over rows alone.  Otherwise (_stages) each term of f
+        is split into its rows, each distinct row content mapped once per
+        returned function through rows by _label_sum, the row images
+        multiplied in row order (concatenated: already canonical, with sign
+        +1), and the product summed over top.
 
         With reached, f one monomial m, a label sends m to a single term
         iff every g_i sends row i's content to a single term, so reached
@@ -203,13 +193,15 @@ class WreathAction:
         are the product's support, each row image's support being the
         content's whole G-orbit, so reached gets the sum's keys, zeros
         kept."""
-        top = self.top.pairs
-        if self.rows.order == 1:
-            return functools.partial(_label_sum, top)
-        rows, n, monomial = self.rows.pairs, self.signature.n, self._monomial
+        if len(self.rows) == 1:
+            return functools.partial(_label_sum, self._top_labels)
+        if len(self.top) == 1 and self.signature.n == 1:
+            return functools.partial(_label_sum, self._row_labels)
+        n = self.signature.n
+        top, rows, monomial, constant = self._stages
         # row part (x-part, theta) on its row r -> (image terms, single-term images), on row r;
-        # an empty row's image is the constant |G|
-        images: dict[tuple, tuple[list, list]] = {((), ()): ([((), (), self.rows.order)], [((), ())])}
+        # an empty row's image is the constant sum of psi
+        images: dict[tuple, tuple[list, list]] = {((), ()): ([((), (), constant)] if constant else [], [((), ())])}
         new = tuple.__new__
 
         def image(part: tuple) -> tuple[list, list]:
@@ -304,74 +296,44 @@ def _block_pair(gseq: Sequence, dq: int, du: int) -> tuple[tuple, tuple]:
 
 
 class _MolienSum:
-    """One call's sum of chi * det(I + u*M1)/det(I - q*M0) over labels
-    (sigma, gs), within caps (0, dq, du), checked first: fed label by label
-    (add_labels) or sigma by sigma (add_sigmas), and divided by the order
-    once (series).
+    """One call's sum of chi * det(I + u*M1)/det(I - q*M0) over an
+    action's labels (sigma, gs), within caps (0, dq, du), checked first:
+    fed sigma by sigma (add_sigmas), and divided by the order once
+    (series).  super_molien makes the only one.
 
     A label's matrices are block-diagonal over the cycles of sigma, so its
     two char-polys are the products of its blocks'.  Each block, the
     g-sequence along one cycle, is numbered by its pair of char-polys, cut
-    at the caps (_block_pair), monomial or not.  The pair depends on the
-    sequence alone, so the numbers are memoized by the ids of its elements,
-    each sequence walked once per call, the caller holding every element.
-    A label adds its weight to its key, the sorted numbers of its
-    blocks."""
+    at the caps (_block_pair), monomial or not.  A label adds its weight
+    to its key, the sorted numbers of its blocks."""
 
     def __init__(self, dq: int, du: int):
         self.caps = Caps.of((0, dq, du))
-        self.walked: dict[tuple[int, ...], int] = {}
         self.numbers: dict[tuple[tuple, tuple], int] = {}
         self.keys: dict[tuple[int, ...], int] = {}
 
-    def _number(self, ids: tuple[int, ...], gseq: Sequence) -> int:
-        """The number of the block of gseq, whose elements' ids are ids."""
-        k = self.walked.get(ids)
-        if k is None:
-            numbers = self.numbers
-            pair = _block_pair(gseq, self.caps.q, self.caps.u)
-            k = self.walked[ids] = numbers.setdefault(pair, len(numbers))
-        return k
-
-    def add_labels(self, triples: Iterable[tuple]) -> None:
-        """Each label (sigma, gs) of the (chi, sigma, gs) triples, read
-        once, weighted chi; sigmas' cycles are memoized by identity."""
-        cycles_of: dict[int, list] = {}
-        walked, keys = self.walked, self.keys
-        for chi, sigma, gs in triples:
-            sigma_cycles = cycles_of.get(id(sigma))
-            if sigma_cycles is None:
-                sigma_cycles = cycles_of[id(sigma)] = _cycles(sigma)
-            blocks = []
-            for rows in sigma_cycles:
-                ids = tuple([id(gs[i - 1]) for i in rows])
-                k = walked.get(ids)
-                if k is None:
-                    k = self._number(ids, [gs[i - 1] for i in rows])
-                blocks.append(k)
-            blocks.sort()
-            key = tuple(blocks)
-            keys[key] = keys.get(key, 0) + chi
-
-    def add_sigmas(self, sigmas: Iterable[tuple[int, Permutation]], elements: Sequence) -> None:
-        """Every label (sigma, gs), gs in G^n, G's elements given in order, of each
-        (chi, sigma) pair, weighted chi, without walking the labels: gs
+    def add_sigmas(self, top: Iterable[tuple[int, Permutation]], rows: Sequence[tuple[int, GradedGroupElement]]) -> None:
+        """Every label (sigma, gs) of each (chi, sigma) pair of top, gs in
+        G^n with G's (psi, g) pairs given as rows, weighted chi times the
+        product of the psi values, without walking the labels: gs
         restricted to each cycle of sigma is a bijection onto the product
         over the cycles of G^m, m the cycle's length.  So one table per
-        length m, counting each block number over G^m, is built once per
-        call, and a sigma's key weights are the convolution of its cycles'
+        length m, summing the psi products of the g-sequences in G^m per
+        block number, is built once per call, each sequence's block taken
+        once, and a sigma's key weights are the convolution of its cycles'
         tables, times chi."""
         tables: dict[int, dict[int, int]] = {}
-        keys = self.keys
-        for chi, sigma in sigmas:
+        keys, numbers, caps = self.keys, self.numbers, self.caps
+        for chi, sigma in top:
             weights = {(): chi}
-            for rows in _cycles(sigma):
-                table = tables.get(len(rows))
+            for cycle in _cycles(sigma):
+                table = tables.get(len(cycle))
                 if table is None:
-                    table = tables[len(rows)] = {}
-                    for gseq in itertools.product(elements, repeat=len(rows)):
-                        k = self._number(tuple([id(g) for g in gseq]), gseq)
-                        table[k] = table.get(k, 0) + 1
+                    table = tables[len(cycle)] = {}
+                    for combo in itertools.product(rows, repeat=len(cycle)):
+                        psis, gseq = zip(*combo)
+                        k = numbers.setdefault(_block_pair(gseq, caps.q, caps.u), len(numbers))
+                        table[k] = table.get(k, 0) + math.prod(psis)
                 step: dict[tuple[int, ...], int] = {}
                 for key, w in weights.items():
                     for k, count in table.items():
@@ -409,19 +371,27 @@ class _MolienSum:
         )
 
 
-def super_molien(action: GroupAction | WreathAction, dq: int, du: int | None = None) -> TrigradedSeries:
+def super_molien(action: GroupAction, dq: int, du: int | None = None) -> TrigradedSeries:
     """Character-weighted Molien average, exact within caps (0, dq, du), by
-    the one Molien sum, fed label by label, or sigma by sigma for P[G].
+    the one Molien sum, fed sigma by sigma, after |G|^n, the size of the
+    largest block table a sigma on n rows can need, is checked against
+    WREATH_CAP.  No label is walked or built.
 
     du defaults to the full odd dimension n*r1, where the numerator
     det(I + u*g1) is a polynomial of exactly that degree.
     """
-    total = _MolienSum(dq, action.signature.num_odd if du is None else du)
-    action._feed(total)
+    sig = action.signature
+    sequences = len(action.rows) ** sig.n
+    if sequences > WREATH_CAP:
+        raise CapExceeded(
+            f"direct route needs up to {sequences} g-sequences, cap is {WREATH_CAP} (|G| = {len(action.rows)}, n = {sig.n})"
+        )
+    total = _MolienSum(dq, sig.num_odd if du is None else du)
+    total.add_sigmas(action.top, action.rows)
     return total.series(action.order)
 
 
-def reynolds_project(action: GroupAction | WreathAction, f: SuperPolynomial) -> SuperPolynomial:
+def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:
     """(1/|W|) sum over w of chi(w^{-1}) w.f, the projector onto the
     chi-isotypic component; chi(w^{-1}) = chi(w) = +-1.  The action's
     weighted sum is divided by |W| once."""
@@ -432,7 +402,7 @@ def reynolds_project(action: GroupAction | WreathAction, f: SuperPolynomial) -> 
     return SuperPolynomial._canonical(f.sig, {m: Fraction(c) / order for m, c in acc.items() if c})
 
 
-def _orbit_sums(action: GroupAction | WreathAction, basis: Sequence[SuperMonomial]) -> list[tuple[SuperMonomial, dict]]:
+def _orbit_sums(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[tuple[SuperMonomial, dict]]:
     """One undivided weighted sum sum_w chi(w) w.m = |W| R(m) per orbit, as
     (m, term map without zeros) in basis order of its first monomial m.
 
@@ -456,7 +426,7 @@ def _orbit_sums(action: GroupAction | WreathAction, basis: Sequence[SuperMonomia
 
 
 def _projector_rows(
-    action: GroupAction | WreathAction, i: int, j: int
+    action: GroupAction, i: int, j: int
 ) -> tuple[list[SuperMonomial], list[dict], list[dict[int, int | Fraction]]]:
     """(basis, sums, rows) for bidegree (i, j): the basis monomials, the
     orbit sums of _orbit_sums over that basis, and each sum's coefficient
@@ -467,8 +437,10 @@ def _projector_rows(
     before any monomial is built."""
     size = bidegree_basis_size(action.signature, i, j)
     if size > DEFAULT_BASIS_LIMIT:
+        sig = action.signature
         raise BasisTooLarge(
-            f"bidegree ({i}, {j}) basis has {size} monomials, limit {DEFAULT_BASIS_LIMIT}"
+            f"bidegree ({i}, {j}) basis on {sig.n} row{'s' * (sig.n != 1)} of ({sig.r0}, {sig.r1}) "
+            f"has {size} monomials, limit {DEFAULT_BASIS_LIMIT}"
         )
     basis = bidegree_basis(action.signature, i, j)
     index = {m: k for k, m in enumerate(basis)}
@@ -476,14 +448,14 @@ def _projector_rows(
     return basis, sums, [{index[m]: c for m, c in acc.items()} for acc in sums]
 
 
-def invariant_dimension_bruteforce(action: GroupAction | WreathAction, i: int, j: int) -> int:
+def invariant_dimension_bruteforce(action: GroupAction, i: int, j: int) -> int:
     """Exact dimension of the chi-isotypic component in bidegree (i, j),
     computed as the rank of the Reynolds operator on the monomial basis,
     over one integer row per orbit.  Never consults the Molien series."""
     return _rank_rows(_projector_rows(action, i, j)[2])
 
 
-def molien_vs_oracle(action: GroupAction | WreathAction, dq: int, du: int | None = None) -> dict:
+def molien_vs_oracle(action: GroupAction, dq: int, du: int | None = None) -> dict:
     """Compare Molien coefficients against brute-force ranks on the full
     bidegree grid i <= dq, j <= du, the caps of the Molien series, which
     refuses negative ones before any rank is taken.  Returns a JSON-ready

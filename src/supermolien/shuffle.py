@@ -6,15 +6,15 @@ minimal coset representatives of the two row blocks.  The shifted factors
 sit on disjoint rows, so their product is the concatenation of their
 terms, with nothing to merge or reorder.  Each representative is a label
 whose row blocks are all the identity, so the symmetrization is the
-weighted label sum of superalgebra over the pairs of a GroupAction, which
-maps the product's whole term map through each label at once, weighted by
-sign for the signed product; the action is built, compiled and checked
-once per block sizes, signature and sign.  The (anti)invariance checks use
-the same sum: f is fixed by a generator pair when the term map of
-weight * (w.f) equals f's terms, the generators of S_n[G] being a
-GroupAction weighted as from_wreath weights the same labels; f's
-signature is compared with theirs once, and no polynomial is built per
-generator.  An invariant basis is a greedy
+weighted label sum of superalgebra over (weight, label) pairs, which maps
+the product's whole term map through each label at once, weighted by
+sign for the signed product; the pairs are built and compiled once per
+block sizes, (r0, r1) and sign.  The (anti)invariance checks use the same
+sum: f is fixed by a generator pair when the term map of weight * (w.f)
+equals f's terms, the generators of S_n[G] being (weight, label) pairs
+weighted as from_wreath weights sigma; f's signature is compared with
+theirs once, and no polynomial is built per generator.  Neither label set
+is a group, so neither is a GroupAction.  An invariant basis is a greedy
 independent subset of the Reynolds orbit sums of molien, kept undivided
 (|W| R(m), ints for an integral group), so the products of the battery run
 on ints; the subset is chosen by linalg's fraction-free echelon and its
@@ -43,12 +43,13 @@ from .groups import (
     PermGroup,
     Permutation,
     WreathElement,
+    perm_sign,
     shuffle_count,
     shuffle_reps,
     symmetric_generators,
 )
 from .linalg import EchelonSelector, _rank_rows
-from .molien import GroupAction, WreathAction, _projector_rows, require_flavor
+from .molien import GroupAction, _projector_rows, require_flavor
 from .superalgebra import (
     AlgebraSignature,
     SuperMonomial,
@@ -81,22 +82,24 @@ def _shifted(terms: dict, offset: int) -> list[tuple]:
 
 
 @cache
-def _coset_labels(blocks: tuple[int, ...], r0: int, r1: int, signed: bool) -> GroupAction:
-    """The minimal coset representatives of the row blocks as a GroupAction
-    of labels whose row blocks are all the identity, weighted by sign when
-    signed: built and compiled once per (blocks, r0, r1), after their count
-    times the rows is checked against WREATH_CAP; the signed action
-    reweights the unsigned one's compiled labels."""
+def _coset_labels(
+    blocks: tuple[int, ...], r0: int, r1: int, signed: bool
+) -> tuple[AlgebraSignature, tuple[tuple[int, WreathElement], ...]]:
+    """The signature of the rows of the blocks, and the minimal coset
+    representatives of the row blocks on it as (weight, label) pairs,
+    labels whose row blocks are all the identity, weighted by sign when
+    signed: built once per (blocks, r0, r1), after their count times the
+    rows is checked against WREATH_CAP; the signed pairs reweight the
+    unsigned ones' labels, so each label compiles once."""
     if signed:
-        unsigned = _coset_labels(blocks, r0, r1, False)
-        return GroupAction.of_labels(unsigned.signature, (w for _, w in unsigned.pairs), True)
+        sig, unsigned = _coset_labels(blocks, r0, r1, False)
+        return sig, tuple([(perm_sign(w.sigma), w) for _, w in unsigned])
     n = sum(blocks)
     count = shuffle_count(blocks)
     if count * n > WREATH_CAP:
         raise CapExceeded(f"shuffle of {blocks} rows needs {count} labels of {n} rows, cap is {WREATH_CAP}")
     ident = (GradedGroupElement.identity(r0, r1),) * n
-    labels = (WreathElement(sigma, ident) for sigma in shuffle_reps(*blocks))
-    return GroupAction.of_labels(AlgebraSignature(r0, r1, n), labels, False)
+    return AlgebraSignature(r0, r1, n), tuple([(1, WreathElement(sigma, ident)) for sigma in shuffle_reps(*blocks)])
 
 
 def _shuffle(factors: tuple[SuperPolynomial, ...], signed: bool) -> SuperPolynomial:
@@ -118,8 +121,8 @@ def _shuffle(factors: tuple[SuperPolynomial, ...], signed: bool) -> SuperPolynom
         core = {
             SuperMonomial._canonical(x + fx, t + ft): c * fc for (x, t), c in core.items() for fx, ft, fc in shifted
         }
-    labels = _coset_labels(blocks, sig.r0, sig.r1, signed)
-    return SuperPolynomial._canonical(labels.signature, _label_sum(labels.pairs, core))
+    out, labels = _coset_labels(blocks, sig.r0, sig.r1, signed)
+    return SuperPolynomial._canonical(out, _label_sum(labels, core))
 
 
 def shuffle_product(A: SuperPolynomial, B: SuperPolynomial, signed: bool = False) -> SuperPolynomial:
@@ -136,7 +139,7 @@ def shuffle_product(A: SuperPolynomial, B: SuperPolynomial, signed: bool = False
 class InvariantSpaceBasis:
     """Exact basis of one bidegree slice of an (anti)invariant space."""
 
-    action: GroupAction | WreathAction
+    action: GroupAction
     i: int
     j: int
     elements: tuple[SuperPolynomial, ...]
@@ -146,7 +149,7 @@ class InvariantSpaceBasis:
         return len(self.elements)
 
 
-def invariant_basis(action: GroupAction | WreathAction, i: int, j: int) -> InvariantSpaceBasis:
+def invariant_basis(action: GroupAction, i: int, j: int) -> InvariantSpaceBasis:
     """Basis of the chi-isotypic component in bidegree (i, j).
 
     Sums the monomials of the bidegree over the labels, one undivided
@@ -167,29 +170,29 @@ def invariant_basis(action: GroupAction | WreathAction, i: int, j: int) -> Invar
     return InvariantSpaceBasis(action, i, j, tuple(kept))
 
 
-def _wreath_generator_labels(n: int, G: MatrixGroup, signed: bool) -> GroupAction:
-    """Generators of S_n[G] on n rows as a GroupAction, weighted by the
-    sign of their row permutation when signed: for _fixed_by, not a group.
-    They are S_n's generators over identity rows and G's generators in
-    row 1 only: S_n is transitive, so conjugating by its elements moves
-    them into every row."""
+def _wreath_generator_labels(n: int, G: MatrixGroup, signed: bool) -> tuple[tuple[int, WreathElement], ...]:
+    """Generators of S_n[G] on n rows as (weight, label) pairs, weighted by
+    the sign of their row permutation when signed, as from_wreath weights
+    sigma: for _fixed_by, not a group.  They are S_n's generators over
+    identity rows and G's generators in row 1 only: S_n is transitive, so
+    conjugating by its elements moves them into every row."""
     ident = G.elements[G.identity_index]
     labels = [WreathElement(sigma, (ident,) * n) for sigma in symmetric_generators(n)]
     if n:
         labels += [WreathElement(Permutation.identity(n), (g,) + (ident,) * (n - 1)) for g in G.generators]
-    return GroupAction.of_labels(AlgebraSignature(G.r0, G.r1, n), labels, signed)
+    return tuple([(perm_sign(w.sigma) if signed else 1, w) for w in labels])
 
 
-def _fixed_by(f: SuperPolynomial, generators: GroupAction) -> bool:
+def _fixed_by(f: SuperPolynomial, generators: tuple, signature: AlgebraSignature) -> bool:
     """True iff weight * (w.f) == f for every (weight, label) pair of the
-    generators, tested pair by pair up to the first that fails: the pair's
-    label-sum term map, which holds no zeros for one label, equals f's
-    terms, so no polynomial is built.  SignatureMismatch when f's
-    signature is not the generators'."""
-    if f.sig != generators.signature:
-        raise SignatureMismatch(f"{f.sig} != {generators.signature}")
+    generators, labels on the given signature, tested pair by pair up to
+    the first that fails: the pair's label-sum term map, which holds no
+    zeros for one label, equals f's terms, so no polynomial is built.
+    SignatureMismatch when f's signature is not that one."""
+    if f.sig != signature:
+        raise SignatureMismatch(f"{f.sig} != {signature}")
     terms = f.terms
-    for pair in generators.pairs:
+    for pair in generators:
         if _label_sum((pair,), terms) != terms:
             return False
     return True
@@ -239,7 +242,7 @@ def degree_one_pool(G: MatrixGroup, i_max: int) -> list[tuple[tuple[int, int], S
 
 def _generation_rank(
     pool: list[tuple[tuple[int, int], SuperPolynomial]],
-    waction: WreathAction,
+    waction: GroupAction,
     signed: bool,
     i: int,
     j: int,
@@ -312,7 +315,8 @@ def closure_battery(G: MatrixGroup, flavor: str, max_rows: int, max_i: int) -> t
     """
     signed = require_flavor(flavor)
     labels = {rows: _wreath_generator_labels(rows, G, signed) for rows in range(1, max_rows + 1)}
-    actions: dict[int, WreathAction] = {}
+    sigs = {rows: AlgebraSignature(G.r0, G.r1, rows) for rows in labels}
+    actions: dict[int, GroupAction] = {}
     bases: dict[tuple[int, int, int], tuple[SuperPolynomial, ...]] = {}
 
     def basis_for(rows: int, bi: int, bj: int) -> tuple[SuperPolynomial, ...]:
@@ -321,7 +325,7 @@ def closure_battery(G: MatrixGroup, flavor: str, max_rows: int, max_i: int) -> t
             if rows not in actions:
                 actions[rows] = GroupAction.from_wreath(PermGroup.symmetric(rows), G, rows, flavor=flavor)
             elements = invariant_basis(actions[rows], bi, bj).elements
-            if not all(_fixed_by(f, labels[rows]) for f in elements):
+            if not all(_fixed_by(f, labels[rows], sigs[rows]) for f in elements):
                 raise ValueError(f"basis element in bidegree ({bi},{bj}) on {rows} rows is not {flavor}")
             bases[key] = elements
         return bases[key]
@@ -338,7 +342,7 @@ def closure_battery(G: MatrixGroup, flavor: str, max_rows: int, max_i: int) -> t
                                 for B in basis_for(b, ib, jb):
                                     checked += 1
                                     prod = shuffle_product(A, B, signed)
-                                    if not _fixed_by(prod, labels[a + b]):
+                                    if not _fixed_by(prod, labels[a + b], sigs[a + b]):
                                         failed += 1
     return checked, failed
 

@@ -13,12 +13,13 @@ char-poly the Molien route takes.  Within a row the block g_i substitutes
 on columns, and rows move contravariantly, x_i -> x_{sigma^{-1}(i)}.
 Each label compiles its substitution once (WreathElement.substitution).
 One private kernel, the weighted label sum _label_sum, maps a whole term
-map through the labels of a molien.GroupAction, whose labels were checked
-(_require_shape) when it was made, so the sum checks none.  It holds the
-one map of a term through a one-term label, the label of a (scaled)
-signed permutation group, in its own loop over (label, term); a label
-that is not one-term goes to _multi_term_image, which multiplies each
-term's factors out.  The Reynolds projector is its character-weighted sum
+map through (weight, label) pairs whose labels fit the terms' signature:
+a molien.GroupAction checks its factors when it is made, and the shuffle
+labels are built on the signature they sum over, so the sum checks no
+label.  It holds the one map of a term through a one-term label, the
+label of a (scaled) signed permutation group, in its own loop over
+(label, term); a label that is not one-term goes to _multi_term_image,
+which multiplies each term's factors out.  The Reynolds projector is its character-weighted sum
 over a group, the shuffle product its signed sum over coset
 representatives, and the shuffle battery's invariance test its term map
 compared with f's.
@@ -33,7 +34,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
+from .errors import SignatureMismatch
 from .groups import Substitution, once
 from .linalg import _inversion_sign
 from .rationals import exact, format_rational, parse_rational
@@ -328,20 +329,6 @@ def super_mul(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
     return SuperPolynomial._canonical(f.sig, _mul_terms(f.terms, g.terms))
 
 
-def _require_shape(sub: Substitution, sig: AlgebraSignature) -> None:
-    """The signature check of a compiled label, behind its one tuple
-    compare: rows first, then block shapes (vacuous on zero rows).  Run
-    where a label set is made, never in the sum."""
-    if sub.shape == (sig.n, sig.r0, sig.r1):
-        return
-    if sub.shape[0] != sig.n:
-        raise DegreeMismatch(f"wreath degree {sub.shape[0]} != {sig.n} rows")
-    if sig.n:
-        raise DimensionMismatch(
-            f"label blocks {sub.shape[1:]} do not match signature ({sig.r0}, {sig.r1})"
-        )
-
-
 def _multi_term_image(sub: Substitution, terms: Mapping) -> dict:
     """The image of a term map under a compiled label that is not one-term
     and whose shape was checked: each term's factors are multiplied out one
@@ -366,8 +353,8 @@ def _multi_term_image(sub: Substitution, terms: Mapping) -> dict:
 def _label_sum(pairs: Iterable, terms: Mapping, reached: set | None = None) -> dict:
     """sum over (weight, label) pairs of weight * w.f, f given by its terms
     and each weight +-1: the summed term map, zeros kept, ints where f's
-    coefficients and the labels' entries are ints.  The pairs, checked when
-    their GroupAction was made, are trusted to fit f.
+    coefficients and the labels' entries are ints.  The labels are trusted
+    to fit f.
 
     This is the one map of a term through a one-term label: the label sends
     each monomial to one monomial, and distinct monomials to distinct ones,

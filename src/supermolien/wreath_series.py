@@ -1,12 +1,13 @@
 """Hilbert series of wreath product actions, two ways, and their collation.
 
 The direct route is the Molien average over every label (sigma, gs) of
-P[G] acting on n rows of variables, fed to the Molien sum sigma by sigma:
-gs restricted to each cycle of sigma ranges over G^m independently, so
-each sigma's labels are counted by convolving one table of block numbers
-over G^m per cycle length m, and no label is walked or built, for any G,
-monomial or not.  So WREATH_CAP bounds |G|^n, its largest table, not the
-|P| * |G|^n labels it counts.  The plethystic route never enumerates
+P[G] acting on n rows of variables, super_molien of its GroupAction,
+which feeds the one Molien sum sigma by sigma: gs restricted to each
+cycle of sigma ranges over G^m independently, so each sigma's labels are
+counted by convolving one table of block numbers over G^m per cycle
+length m, and no label is walked or built, for any G, monomial or not.
+So WREATH_CAP bounds |G|^n, its largest table, not the |P| * |G|^n
+labels it counts.  The plethystic route never enumerates
 P[G]: it substitutes the one-row series of G into the cycle index of P,
 with a u -> -u flip on the way in and out to account for anticommuting
 variables.  Matching the two is the main consistency check of the
@@ -23,19 +24,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded
-from .groups import (
-    WREATH_CAP,
-    MatrixGroup,
-    PermGroup,
-    Permutation,
-    perm_sign,
-    require_degree,
-    sign_character,
-)
+from .groups import MatrixGroup, PermGroup, Permutation, require_degree, sign_character
 from .linalg import QMatrix, _charpoly_rows, _columns, _compose
 # FLAVORS is re-exported: the wreath routes take one of these flavor names
-from .molien import FLAVORS as FLAVORS, GroupAction, _MolienSum, require_flavor, super_molien
+from .molien import FLAVORS as FLAVORS, GroupAction, require_flavor, super_molien
 from .series import (
     Caps,
     TrigradedSeries,
@@ -46,38 +38,18 @@ from .series import (
     series_mul,
     series_sub,
 )
+from .superalgebra import AlgebraSignature
 from .symfunc import cycle_index, plethystic_substitute
-
-
-def _direct_sum(
-    sigmas: tuple[Permutation, ...], G: MatrixGroup, n: int, signed: bool, dq: int, du: int
-) -> TrigradedSeries:
-    """The Molien average over every label (sigma, gs), sigma from sigmas
-    and gs from G^n, each weighted by sgn(sigma) when signed: the Molien
-    sum fed sigma by sigma, each sigma with its own sign and cycles, after
-    the degree of every sigma is checked, and |G|^n, the size of the
-    largest block table a sigma on n rows can need, against WREATH_CAP.
-    No label is walked or built."""
-    for sigma in sigmas:
-        require_degree(sigma, n)
-    sequences = G.order**n
-    if sequences > WREATH_CAP:
-        raise CapExceeded(
-            f"direct route needs up to {sequences} g-sequences, cap is {WREATH_CAP} (|G| = {G.order}, n = {n})"
-        )
-    total = _MolienSum(dq, du)
-    total.add_sigmas(((perm_sign(sigma) if signed else 1, sigma) for sigma in sigmas), G.elements)
-    return total.series(len(sigmas) * sequences)
 
 
 def wreath_hilbert_direct(
     P: PermGroup, G: MatrixGroup, n: int, flavor: str, dq: int, du: int | None = None
 ) -> TrigradedSeries:
     """Hilbert series of the (anti)invariants of P[G] by the Molien average
-    over all |P| * |G|^n labels, counted sigma by sigma through one table
-    of block numbers per cycle length (_direct_sum), none of them built."""
-    signed = require_flavor(flavor)
-    return _direct_sum(P.elements, G, n, signed, dq, n * G.r1 if du is None else du)
+    over all |P| * |G|^n labels: super_molien of its action, which counts
+    them sigma by sigma through one table of block numbers per cycle
+    length, none of them built."""
+    return super_molien(GroupAction.from_wreath(P, G, n, flavor), dq, du)
 
 
 def wreath_hilbert_plethysm(
@@ -263,10 +235,11 @@ def verify_m_cycle_identity(G: MatrixGroup, m: int, dq: int, du: int | None = No
     if du is None:
         du = m * G.r1
     cyc = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
+    one_row = GroupAction.from_matrix_group(G)
     # one fixed cycle times G^m is a coset, not a group: the Molien average
     # only, never the Reynolds route
-    lhs = _direct_sum((cyc,), G, m, False, dq, du)
-    hg = super_molien(GroupAction.from_matrix_group(G), dq, du)
+    lhs = super_molien(GroupAction(AlgebraSignature(G.r0, G.r1, m), ((1, cyc),), one_row.rows), dq, du)
+    hg = super_molien(one_row, dq, du)
     if m % 2 == 0:
         hg = series_flip_u(hg)
     rhs = scale_exponents(hg, m)

@@ -205,10 +205,14 @@ def test_element_product_shapes():
         wide * wide
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    # the refusal names the generators' count and what they act on
     rot = graded([[0, -1], [1, 0]], [])
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^group closure of 1 generator on \(r0, r1\) = \(2, 0\) exceeded cap 3$"):
         MatrixGroup.close(2, 0, [rot], cap=3)
+    monkeypatch.setattr(groups, "CLOSURE_CAP", 5)
+    with pytest.raises(CapExceeded, match=r"^group closure of 2 generators of degree 3 exceeded cap 5$"):
+        PermGroup.close(3, symmetric_generators(3))
 
 
 def test_singular_generator_rejected():

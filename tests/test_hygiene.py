@@ -1,8 +1,9 @@
 """Source hygiene with the standard library only: no module under src/,
 scripts/ or tests/ imports a name at module level that it never uses, no
 module-level private function, class or constant of the package goes
-unreferenced by the rest of src/, and every Class.attr of the package's
-classes named in a docstring or comment under src/, or in README, resolves.  An import written "name as name" is an
+unreferenced by the rest of src/, the one Molien sum is made only by
+super_molien, and every Class.attr of the package's classes named in a
+docstring or comment under src/, or in README, resolves.  An import written "name as name" is an
 explicit re-export, as type checkers read it, and counts as used."""
 
 import ast
@@ -182,6 +183,56 @@ def test_no_unreferenced_private_names_in_the_package():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in sorted(package.rglob("*.py"))}
     found = [f"{module}:{line}: {name}" for module, line, name in unreferenced_private_names(sources)]
     assert not found, "private names no other line of src/ reads:\n" + "\n".join(found)
+
+
+def constructions(sources, cls):
+    """(module, enclosing qualified name, line) of each call of cls, by its
+    name or as an attribute, in the {module: source} map; a call at module
+    level is enclosed by "<module>"."""
+    found = []
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == cls or getattr(func, "attr", None) == cls:
+                    found.append((module, scope, child.lineno))
+            visit(module, child, inner)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_construction_checker_finds_every_call():
+    sources = {
+        "a": "class _MolienSum:\n    pass\ndef super_molien():\n    return _MolienSum(1, 2)\n",
+        "b": (
+            "import a\n"
+            "class Action:\n"
+            "    def feed(self):\n"
+            "        return [a._MolienSum(0, 0)]\n"
+            "made = a._MolienSum\n"
+            "spare = made(0, 0), _MolienSum(1, 1)\n"
+        ),
+    }
+    assert constructions(sources, "_MolienSum") == [
+        ("a", "super_molien", 4),
+        ("b", "<module>", 6),
+        ("b", "Action.feed", 4),
+    ]
+
+
+def test_molien_sum_is_made_only_by_super_molien():
+    # one Molien entry point: a second route that made its own sum would
+    # be a second code path for the same series
+    paths = module_files() + [ROOT / "src" / "supermolien" / "__init__.py"]
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+    found = [(module, scope) for module, scope, _ in constructions(sources, "_MolienSum")]
+    assert found == [("src/supermolien/molien.py", "super_molien")]
 
 
 def package_classes():

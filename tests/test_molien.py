@@ -1,6 +1,5 @@
 """Molien averages against hand-computed series and the Reynolds-rank oracle."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from supermolien.groups import (
     sign_character,
 )
 from supermolien.verify import MOLIEN_FIXTURES, WREATH_ROUTE_CASES
-from supermolien.linalg import QMatrix, _berkowitz, _charpoly_rows, _nonzeros, _rank_rows, charpoly_det
+from supermolien.linalg import QMatrix, _berkowitz, _charpoly_rows, _nonzeros, _poly_mul, _rank_rows, charpoly_det
 from supermolien.molien import (
     FLAVORS,
     GroupAction,
@@ -46,11 +45,14 @@ from supermolien.superalgebra import (
 
 from dense_reference import dense_columns, dense_label_matrices
 from molien_reference import (
+    FlatLabels,
     apply_wreath,
     assert_same_series,
     build_wreath,
     flat_action,
-    reference_orbit_sums,
+    flat_labels,
+    flat_orbit_sums,
+    flat_project,
     reference_super_molien,
     wreath_mul,
 )
@@ -155,7 +157,7 @@ def test_bruteforce_dimensions_by_hand():
 def test_bruteforce_respects_basis_limit(monkeypatch):
     act = GroupAction.from_matrix_group(trivial_group(3, 0))
     monkeypatch.setattr(molien, "DEFAULT_BASIS_LIMIT", 5)
-    with pytest.raises(BasisTooLarge, match=r"^bidegree \(6, 0\) basis has 28 monomials, limit 5$"):
+    with pytest.raises(BasisTooLarge, match=r"^bidegree \(6, 0\) basis on 1 row of \(3, 0\) has 28 monomials, limit 5$"):
         invariant_dimension_bruteforce(act, 6, 0)
 
 
@@ -167,7 +169,7 @@ def test_oversized_basis_is_refused_before_it_is_built(monkeypatch):
     monkeypatch.setattr(molien, "bidegree_basis", never)
     act = GroupAction.from_matrix_group(trivial_group(30, 0))
     for i, size in ((5, 278256), (8, 38608020)):
-        message = rf"^bidegree \({i}, 0\) basis has {size} monomials, limit {molien.DEFAULT_BASIS_LIMIT}$"
+        message = rf"^bidegree \({i}, 0\) basis on 1 row of \(30, 0\) has {size} monomials, limit {molien.DEFAULT_BASIS_LIMIT}$"
         with pytest.raises(BasisTooLarge, match=message):
             invariant_dimension_bruteforce(act, i, 0)
 
@@ -197,7 +199,7 @@ def test_reynolds_is_idempotent_and_invariant():
         f = SuperPolynomial.monomial(sig, mono)
         proj = reynolds_project(act, f)
         assert reynolds_project(act, proj) == proj
-        for _, w in act.pairs:
+        for _, w in flat_labels(act).pairs:
             assert apply_wreath(w, proj) == proj
 
 
@@ -208,7 +210,7 @@ def test_reynolds_sgn_projects_to_antiinvariants():
     f = SuperPolynomial.x_var(sig, 1, 1)
     proj = reynolds_project(act, f)
     # x1 projects to (x1 - x2)/2, which each swap negates
-    for chi, w in act.pairs:
+    for chi, w in flat_labels(act).pairs:
         assert apply_wreath(w, proj) == proj.scale(chi)
 
 
@@ -286,7 +288,7 @@ def test_reynolds_images_project_once_per_orbit(monkeypatch):
     applied = {"rows": 0, "top": 0}
 
     def counted(pairs, *args):
-        applied["rows" if pairs is action.rows.pairs else "top"] += len(pairs)
+        applied["rows" if pairs is action._row_labels else "top"] += len(pairs)
         return label_sum(pairs, *args)
 
     label_sum = molien._label_sum
@@ -344,25 +346,26 @@ def test_factored_sums_equal_the_flat_label_loop(pname, gname, n, dq, flavor):
     for i in range(dq + 1):
         for j in range(sig.num_odd + 1):
             basis = bidegree_basis(sig, i, j)
-            got, expected = molien._orbit_sums(action, basis), reference_orbit_sums(P, G, n, flavor, basis)
+            got, expected = molien._orbit_sums(action, basis), flat_orbit_sums(flat, basis)
             assert [m for m, _ in got] == [m for m, _ in expected]
             for (_, acc), (_, ref) in zip(got, expected):
                 assert acc == ref and {m: type(c) for m, c in acc.items()} == {m: type(c) for m, c in ref.items()}
             if basis:
                 f = SuperPolynomial(sig, {basis[0]: 3, basis[-1]: Fraction(-1, 2)})
-                assert reynolds_project(action, f) == reynolds_project(flat, f)
+                assert reynolds_project(action, f) == flat_project(flat, f)
 
 
 def test_wreath_action_has_no_label_list():
-    # from_wreath keeps P's labels over identity rows, weighted by the
-    # flavor, and G's one-row labels, and no list of P[G]'s labels
+    # from_wreath keeps P's row permutations, weighted by the flavor, and
+    # G's elements, weighted 1, and no list of P[G]'s labels
     P, G = PermGroup.symmetric(3), sign_scalar_group()
     for flavor in FLAVORS:
         action = GroupAction.from_wreath(P, G, 3, flavor)
         assert not hasattr(action, "pairs")
-        assert (action.top.order, action.rows.order, action.order) == (6, 2, 48)
+        assert (len(action.top), len(action.rows), action.order) == (6, 2, 48)
+        assert action.rows == tuple((1, g) for g in G.elements)
         flat = flat_action(P, G, 3, flavor)
-        assert {(chi, w.sigma) for chi, w in action.top.pairs} == {(chi, w.sigma) for chi, w in flat.pairs}
+        assert set(action.top) == {(chi, w.sigma) for chi, w in flat.pairs}
 
 
 def counted_labels(monkeypatch):
@@ -395,18 +398,19 @@ def test_invariant_basis_on_s6_builds_at_most_p_plus_g_labels(monkeypatch):
 
 
 def test_wreath_action_prints_and_compares_without_labels(monkeypatch):
-    # S_6[+-1]: each build makes P's 720 labels and G's 2; repr, == against
-    # a second build, and hash read those and make none of P[G]'s 46,080
+    # S_6[+-1]: a build makes no label, P's 720 and G's 2 being made on the
+    # Reynolds route's first use; repr, == against a second build, and hash
+    # read the factors and make none of P[G]'s 46,080
     built = counted_labels(monkeypatch)
     P, G = PermGroup.symmetric(6), sign_scalar_group()
     action = GroupAction.from_wreath(P, G, 6)
-    assert len(built) <= 720 + 2
+    assert built == []
     again, signed = GroupAction.from_wreath(P, G, 6), GroupAction.from_wreath(P, G, 6, "antiinvariant")
     built.clear()
     text = repr(action)
     assert action == again and hash(action) == hash(again) and action != signed
     assert built == []
-    assert text.startswith("WreathAction(signature=") and len(text) < 10**6
+    assert text.startswith("GroupAction(signature=") and len(text) < 10**6
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -430,8 +434,8 @@ def test_s3_over_rational_s3_molien_equals_oracle(flavor):
 
 
 def test_s7_sign_scalar_reynolds_is_refused_before_any_label(monkeypatch):
-    # S_7[+-1] has 645,120 labels: from_wreath refuses it with the cap's
-    # message before it makes a label
+    # S_7[+-1] has 645,120 labels: its action is made, and the Reynolds
+    # route refuses it with the cap's message before it makes a label
     def refuse(*args):
         raise AssertionError("a label was made")
 
@@ -440,8 +444,21 @@ def test_s7_sign_scalar_reynolds_is_refused_before_any_label(monkeypatch):
     P = PermGroup.symmetric(7)
     message = r"^wreath product has 645120 elements, cap is 200000 \(\|P\| = 5040, \|G\| = 2, n = 7\)$"
     for flavor in FLAVORS:
+        action = GroupAction.from_wreath(P, sign_scalar_group(), 7, flavor)
         with pytest.raises(CapExceeded, match=message):
-            GroupAction.from_wreath(P, sign_scalar_group(), 7, flavor)
+            invariant_dimension_bruteforce(action, 2, 0)
+        with pytest.raises(CapExceeded, match=message):
+            reynolds_project(action, SuperPolynomial.one(action.signature))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_s7_sign_scalar_molien_equals_direct_and_plethysm(flavor):
+    # the Molien route of the S_7[+-1] action checks its 2^7 g-sequences,
+    # not its 645,120 labels, against WREATH_CAP, as the direct route does
+    P, G = PermGroup.symmetric(7), sign_scalar_group()
+    series = super_molien(GroupAction.from_wreath(P, G, 7, flavor), 8)
+    assert series == wreath_series.wreath_hilbert_direct(P, G, 7, flavor, 8)
+    assert series == wreath_series.wreath_hilbert_plethysm(P, G, 7, flavor, 8)
 
 
 @pytest.mark.parametrize("gname", KERNEL_GROUPS)
@@ -511,17 +528,36 @@ def test_sgn_character_read_off_the_odd_part():
 
 @pytest.mark.parametrize("gname", ["sign-scalar", "s2-theta"])
 def test_signed_weights_take_one_sign_per_sigma(gname):
-    # each weight is its label's perm_sign, in P[G]'s sigma-major order and
-    # in a shuffled order alike, and 1 unsigned
+    # each sigma of the signed action is weighted by its perm_sign, and by
+    # 1 unsigned, in P's element order; listed, every label of P[G] takes
+    # its sigma's weight, as the labels built by build_wreath do
     G = matrix_group_fixture(gname)
-    sig = AlgebraSignature(G.r0, G.r1, 3)
-    labels = build_wreath(PermGroup.symmetric(3), G, 3)
-    shuffled = random.Random(3).sample(labels, len(labels))
-    for order in (labels, shuffled):
-        action = GroupAction.of_labels(sig, order, True)
-        assert action.pairs == tuple((groups.perm_sign(w.sigma), w) for w in order)
-        assert {chi for chi, _ in action.pairs} == {1, -1}
-    assert GroupAction.of_labels(sig, labels, False).pairs == tuple((1, w) for w in labels)
+    P = PermGroup.symmetric(3)
+    signed, unsigned = (GroupAction.from_wreath(P, G, 3, flavor) for flavor in ("antiinvariant", "invariant"))
+    assert signed.top == tuple((groups.perm_sign(sigma), sigma) for sigma in P.elements)
+    assert unsigned.top == tuple((1, sigma) for sigma in P.elements)
+    labels = flat_labels(signed)
+    assert [chi for chi, _ in labels.pairs] == [groups.perm_sign(w.sigma) for _, w in labels.pairs]
+    assert {chi for chi, _ in labels.pairs} == {1, -1}
+    assert labels == flat_action(P, G, 3, "antiinvariant")
+    assert flat_labels(unsigned) == flat_action(P, G, 3, "invariant")
+
+
+@pytest.mark.parametrize("gname", ["s2-x", "s3-x"])
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_weighted_rows_agree_with_the_oracle_and_the_reference(gname, flavor):
+    # S_2[G] with every g weighted by sgn(g): the Molien table sums the
+    # psi products, and the Reynolds row stage weights each row image, so
+    # both routes count the isotypic component of the character
+    # sgn(sigma)^k sgn(g_1) sgn(g_2), and the Molien series equals the
+    # label-by-label reference
+    G = matrix_group_fixture(gname)
+    wreath = GroupAction.from_wreath(PermGroup.symmetric(2), G, 2, flavor)
+    action = GroupAction(wreath.signature, wreath.top, GroupAction.from_matrix_group(G, sign_character(G)).rows)
+    assert {psi for psi, _ in action.rows} == {1, -1}
+    assert molien_vs_oracle(action, 3) == {"agreements": 4 * (action.signature.num_odd + 1), "mismatches": []}
+    assert_same_series(super_molien(action, 4), reference_super_molien(action, 4))
+    assert super_molien(action, 4) != super_molien(wreath, 4)
 
 
 def test_zero_row_wreath_has_series_one():
@@ -546,21 +582,22 @@ def test_block_matrices_layout_for_swap_label():
 
 @pytest.mark.parametrize("gname,n", [("sign-scalar", 3), ("s2-theta", 2)])
 def test_label_molien_term_matches_trivariate_inversion(gname, n):
-    # One label's Molien term, as super_molien of a one-label action, against
-    # both char-polys of the densely built label matrices read as series and
-    # the denominator inverted over the whole (dq+1)(du+1) box, at full and
-    # at truncated u caps.
+    # One label's Molien term, its block char-polys (label_block_pair)
+    # expanded by the Molien sum's _pair_table, against both char-polys of
+    # the densely built label matrices read as series and the denominator
+    # inverted over the whole (dq+1)(du+1) box, at full and at truncated u
+    # caps.
     action = flat_action(PermGroup.symmetric(n), matrix_group_fixture(gname), n, "invariant")
     sig = action.signature
     for caps in (Caps(0, 8, sig.num_odd), Caps(0, 3, 1)):
         for _, w in action.pairs:
-            one_label = GroupAction(sig, ((1, w),))
+            term = TrigradedSeries(caps, molien._pair_table(*label_block_pair(w, caps.q, caps.u), caps.q))
             m0, m1 = dense_label_matrices(w)
             num = TrigradedSeries(
                 caps, {(0, 0, j): (-1) ** j * c for j, c in enumerate(charpoly_det(m1)) if j <= caps.u}
             )
             den = TrigradedSeries(caps, {(0, i, 0): c for i, c in enumerate(charpoly_det(m0)) if i <= caps.q})
-            assert super_molien(one_label, caps.q, caps.u) == series_mul(num, series_inv(den))
+            assert term == series_mul(num, series_inv(den))
 
 
 @pytest.mark.parametrize(
@@ -595,14 +632,34 @@ def test_label_rows_charpoly_matches_dense(gname, n):
             assert [type(c) for c in p] == [type(c) for c in reference]
 
 
-def label_by_label_series(action, dq, du):
-    """(1/|W|) times the sum over the pairs of chi(w) times the one-label
-    super_molien series of w: the Molien average with no grouping."""
-    sig = action.signature
+def label_by_label_series(labels, dq, du):
+    """(1/|W|) times the sum over the flat labels' pairs of chi(w) times
+    the reference series of w alone: the Molien average with no
+    grouping."""
     total = TrigradedSeries.zero(Caps(0, dq, du))
-    for chi, w in action.pairs:
-        total = series_add(total, series_scale(super_molien(GroupAction(sig, ((1, w),)), dq, du), chi))
-    return series_scale(total, Fraction(1, action.order))
+    for chi, w in labels.pairs:
+        one_label = FlatLabels(labels.signature, ((1, w),))
+        total = series_add(total, series_scale(reference_super_molien(one_label, dq, du), chi))
+    return series_scale(total, Fraction(1, labels.order))
+
+
+def label_block_pair(w, dq, du):
+    """A label's two char-polys by the Molien sum's kernel: the product
+    over sigma's cycles of molien._block_pair of the g-sequence along each
+    cycle, cut after z^dq and z^du, trailing zeros stripped."""
+    den, num = (1,), (1,)
+    for cycle in groups._cycles(w.sigma):
+        block_den, block_num = molien._block_pair([w.gs[i - 1] for i in cycle], dq, du)
+        den, num = _poly_mul(block_den, den, dq), _poly_mul(block_num, num, du)
+    return trimmed(den, dq), trimmed(num, du)
+
+
+def trimmed(p, cap):
+    """The coefficients of p up to z^cap, trailing zeros stripped."""
+    p = list(p[: cap + 1])
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    return tuple(p)
 
 
 def assert_wreath_sums_match_reference(P, G, n, dq):
@@ -642,27 +699,30 @@ def test_zero_row_sums_match_the_label_by_label_reference():
     assert_wreath_sums_match_reference(PermGroup.close(0, []), trivial_group(1, 1), 0, 3)
 
 
-def test_single_labels_match_the_label_by_label_reference():
+def test_single_label_blocks_match_berkowitz():
     # One seeded label at a time over non-abelian groups on 3 and 4 rows:
-    # a sigma-cycle block's char-polys depend on the order of the elements
-    # along the cycle, which a sum over all of P[G] would average away.
+    # the product of its cycle blocks' char-polys equals Berkowitz on its
+    # whole compiled matrices, cut at the caps.  A block's char-polys
+    # depend on the order of the elements along its cycle, which a sum
+    # over all of G^m would average away.
     rng = random.Random(1927)
     for gname, n in (("s3-x", 3), ("s3-theta", 4), ("young-2-1-theta", 3), ("rational-s3", 3)):
         G = named_group(gname)
-        sig = AlgebraSignature(G.r0, G.r1, n)
         for _ in range(12):
             sigma = rng.choice(PermGroup.symmetric(n).elements)
             label = WreathElement(sigma, tuple(rng.choice(G.elements) for _ in range(n)))
-            action = GroupAction(sig, ((rng.choice((1, -1)), label),))
-            assert_same_series(super_molien(action, 5), reference_super_molien(action, 5))
+            sub = label.substitution
+            for dq, du in ((5, n * G.r1), (2, 1)):
+                expected = trimmed(_berkowitz(sub.even), dq), trimmed(_berkowitz(sub.odd), du)
+                assert label_block_pair(label, dq, du) == expected
 
 
 def test_non_integral_averages_match_the_label_by_label_reference():
     # pairs that are not a group: the average 1/3 (2/(1 - q) + 1/(1 + q))
     # has non-integral coefficients, and the sum divides them exactly
     signs = GroupAction.from_matrix_group(sign_scalar_group())
-    identity, minus = sorted(signs.pairs, key=lambda pair: pair[1].gs[0].columns[0][0][0][1], reverse=True)
-    action = GroupAction(signs.signature, (identity, identity, minus))
+    identity, minus = sorted(signs.rows, key=lambda pair: pair[1].columns[0][0][0][1], reverse=True)
+    action = GroupAction(signs.signature, signs.top, (identity, identity, minus))
     got = super_molien(action, 4)
     assert_same_series(got, reference_super_molien(action, 4))
     assert got.coefficient((0, 1, 0)) == Fraction(1, 3)
@@ -706,11 +766,11 @@ def test_seeded_wreath_sums_match_the_label_by_label_reference():
 
 
 def m_cycle_action(G, m):
-    """The labels of one fixed m-cycle over G^m, the coset that
-    verify_m_cycle_identity averages over."""
+    """One fixed m-cycle over G^m, the coset that verify_m_cycle_identity
+    averages over, and its labels listed."""
     cyc = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
-    pairs = tuple((1, WreathElement(cyc, gs)) for gs in itertools.product(G.elements, repeat=m))
-    return GroupAction(AlgebraSignature(G.r0, G.r1, m), pairs)
+    action = GroupAction(AlgebraSignature(G.r0, G.r1, m), ((1, cyc),), GroupAction.from_matrix_group(G).rows)
+    return action, flat_labels(action)
 
 
 def wreath_and_flat(P, G, n, flavor):
@@ -725,8 +785,8 @@ def wreath_and_flat(P, G, n, flavor):
         (lambda: wreath_and_flat(PermGroup.symmetric(4), sign_scalar_group(), 4, "antiinvariant"), 8),
         (lambda: wreath_and_flat(PermGroup.symmetric(2), conjugated_s3()[1], 2, "invariant"), 5),
         (lambda: wreath_and_flat(PermGroup.symmetric(2), conjugated_s3()[1], 2, "antiinvariant"), 5),
-        (lambda: (m_cycle_action(matrix_group_fixture("s2-diag"), 2),) * 2, 6),
-        (lambda: (m_cycle_action(matrix_group_fixture("s2-diag"), 3),) * 2, 6),
+        (lambda: m_cycle_action(matrix_group_fixture("s2-diag"), 2), 6),
+        (lambda: m_cycle_action(matrix_group_fixture("s2-diag"), 3), 6),
     ],
     ids=["s4-sign-scalar-inv", "s4-sign-scalar-anti", "s2-rational-s3-inv", "s2-rational-s3-anti", "m2", "m3"],
 )
@@ -875,18 +935,19 @@ def test_one_flavor_validator():
 
 
 def test_action_refuses_labels_off_its_signature():
-    # sign-scalar's one-row labels declared on two rows, and trivial-1-1's
-    # declared on (2, 1) variables per row, are refused when the action is
-    # made, with the errors of the Reynolds route, before any series is summed
+    # sign-scalar's one-row factors declared on two rows refuse the
+    # one-point sigma, and trivial-1-1's declared on (2, 1) variables per
+    # row refuse G's (1, 1) blocks, when the action is made, before any
+    # series is summed or any label built
     sign_scalar = GroupAction.from_matrix_group(sign_scalar_group())
-    with pytest.raises(DegreeMismatch):
-        GroupAction(AlgebraSignature(1, 0, 2), sign_scalar.pairs)
+    with pytest.raises(DegreeMismatch, match=r"^P acts on 1 rows, expected 2$"):
+        GroupAction(AlgebraSignature(1, 0, 2), sign_scalar.top, sign_scalar.rows)
     trivial = GroupAction.from_matrix_group(trivial_group(1, 1))
-    with pytest.raises(DimensionMismatch):
-        GroupAction(AlgebraSignature(2, 1, 1), trivial.pairs)
-    # the same labels on their own signatures are accepted
-    assert GroupAction(sign_scalar.signature, sign_scalar.pairs) == sign_scalar
-    assert GroupAction(trivial.signature, trivial.pairs) == trivial
+    with pytest.raises(DimensionMismatch, match=r"^element blocks 1x1/1x1 do not match \(r0, r1\) = \(2, 1\)$"):
+        GroupAction(AlgebraSignature(2, 1, 1), trivial.top, trivial.rows)
+    # the same factors on their own signatures are accepted
+    assert GroupAction(sign_scalar.signature, sign_scalar.top, sign_scalar.rows) == sign_scalar
+    assert GroupAction(trivial.signature, trivial.top, trivial.rows) == trivial
 
 
 def test_negative_caps_are_refused_before_any_work():

@@ -35,7 +35,7 @@ from supermolien.superalgebra import (
 )
 from supermolien.verify import SHUFFLE_GROUPS
 
-from molien_reference import apply_wreath, build_wreath, flat_action, shift_rows, triple_shuffle, wreath_mul
+from molien_reference import apply_wreath, build_wreath, flat_action, flat_labels, shift_rows, triple_shuffle, wreath_mul
 from rational_groups import is_exact, named_group
 from row_relabeling import relabel_rows
 
@@ -273,7 +273,7 @@ def test_invariant_basis_dimension_matches_oracle():
 def test_invariant_basis_too_large(monkeypatch):
     action = GroupAction.from_matrix_group(MatrixGroup.trivial(3, 0))
     monkeypatch.setattr(molien, "DEFAULT_BASIS_LIMIT", 3)
-    with pytest.raises(BasisTooLarge, match=r"^bidegree \(4, 0\) basis has 15 monomials, limit 3$"):
+    with pytest.raises(BasisTooLarge, match=r"^bidegree \(4, 0\) basis on 1 row of \(3, 0\) has 15 monomials, limit 3$"):
         invariant_basis(action, 4, 0)
 
 
@@ -290,8 +290,9 @@ def test_verify_closure_examples():
         signed = require_flavor(flavor)
         a, n = A.sig.n, A.sig.n + B.sig.n
         labels = {k: shuffle_module._wreath_generator_labels(k, G, signed) for k in {a, B.sig.n, n}}
-        assert shuffle_module._fixed_by(A, labels[a]) and shuffle_module._fixed_by(B, labels[B.sig.n])
-        assert shuffle_module._fixed_by(shuffle_product(A, B, signed), labels[n])
+        assert shuffle_module._fixed_by(A, labels[a], A.sig) and shuffle_module._fixed_by(B, labels[B.sig.n], B.sig)
+        prod = shuffle_product(A, B, signed)
+        assert prod.sig == AlgebraSignature(0, 1, n) and shuffle_module._fixed_by(prod, labels[n], prod.sig)
 
 
 def test_verify_closure_rejects_noninvariant_input():
@@ -302,7 +303,7 @@ def test_verify_closure_rejects_noninvariant_input():
     th1 = SuperPolynomial.theta_var(AlgebraSignature(0, 1, 2), 1, 1)
     for flavor in FLAVORS:
         labels = shuffle_module._wreath_generator_labels(2, G, require_flavor(flavor))
-        assert not shuffle_module._fixed_by(th1, labels)
+        assert not shuffle_module._fixed_by(th1, labels, th1.sig)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -314,21 +315,21 @@ def test_invariance_checks_refuse_a_foreign_signature(flavor):
     f = SuperPolynomial.theta_var(sig2, 1, 1) + SuperPolynomial.theta_var(sig2, 2, 1)
     generators = shuffle_module._wreath_generator_labels(2, G, require_flavor(flavor))
     with pytest.raises(SignatureMismatch):
-        shuffle_module._fixed_by(f, generators)
+        shuffle_module._fixed_by(f, generators, AlgebraSignature(0, 1, 2))
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_generator_pairs_are_pairs_of_the_wreath_action(flavor):
-    # each generator of S_3[+-1] is a label of from_wreath with the same
-    # weight: both sets are weighted by GroupAction.of_labels
+    # each generator of S_3[+-1] is a label of the action from_wreath
+    # makes, with the weight that action gives its sigma
     signed = require_flavor(flavor)
     G = named_group("sign-scalar")
     generators = shuffle_module._wreath_generator_labels(3, G, signed)
     action = GroupAction.from_wreath(PermGroup.symmetric(3), G, 3, flavor)
-    assert generators.signature == action.signature
-    assert generators.order == 2 + len(G.generators)
-    assert set(generators.pairs) <= set(flat_action(PermGroup.symmetric(3), G, 3, flavor).pairs)
-    assert {weight for weight, _ in generators.pairs} == ({1, -1} if signed else {1})
+    assert len(generators) == 2 + len(G.generators)
+    assert set(generators) <= set(flat_labels(action).pairs)
+    assert set(generators) <= set(flat_action(PermGroup.symmetric(3), G, 3, flavor).pairs)
+    assert {weight for weight, _ in generators} == ({1, -1} if signed else {1})
 
 
 @pytest.mark.parametrize("gname", ["sign-scalar", "s2-theta"])
@@ -336,9 +337,9 @@ def test_generator_labels_generate_the_wreath_labels(gname):
     # G's generators in row 1 only, with S_3's generators, close to every
     # label of S_3[G]: the n-cycle carries row 1 to the other rows
     G = named_group(gname)
-    generators = [w for _, w in shuffle_module._wreath_generator_labels(3, G, False).pairs]
+    generators = [w for _, w in shuffle_module._wreath_generator_labels(3, G, False)]
     identity = WreathElement(Permutation.identity(3), (G.elements[G.identity_index],) * 3)
-    closure = groups._bfs_closure(identity, generators, groups.WREATH_CAP, wreath_mul)
+    closure = groups._bfs_closure(identity, generators, groups.WREATH_CAP, wreath_mul, "on 3 rows")
     assert set(closure) == set(build_wreath(PermGroup.symmetric(3), G, 3))
 
 
@@ -354,32 +355,38 @@ def test_product_that_is_not_invariant_still_fails(flavor):
     prod = shuffle_product(A, B, signed)
     labels = shuffle_module._wreath_generator_labels(3, G, signed)
     action = flat_action(PermGroup.symmetric(3), G, 3, flavor)
-    assert not shuffle_module._fixed_by(prod, labels)
+    assert not shuffle_module._fixed_by(prod, labels, action.signature)
     assert not all(apply_wreath(w, prod).scale(chi) == prod for chi, w in action.pairs)
-    assert all(apply_wreath(w, prod).scale(chi) == prod for chi, w in labels.pairs if w.sigma != Permutation.identity(3))
+    assert all(apply_wreath(w, prod).scale(chi) == prod for chi, w in labels if w.sigma != Permutation.identity(3))
 
 
 @pytest.mark.parametrize("signed", [False, True])
 def test_cached_coset_action_makes_no_shape_check(monkeypatch, signed):
-    # the six coset labels of (2, 2) row blocks are checked when the
-    # unsigned action is made, and once more when the signed action
-    # reweights them; a product over the cached action checks none
-    checks = []
-    require_shape = superalgebra._require_shape
+    # the six coset labels of (2, 2) row blocks are built and compiled,
+    # their shapes checked, by the first product, the signed pairs
+    # reweighting the unsigned ones' labels; a product over the cached
+    # pairs builds and compiles none
+    built, compiled = [], []
+    post_init, compile_label = WreathElement.__post_init__, WreathElement.substitution.method
 
-    def counted(sub, sig):
-        checks.append(sig)
-        return require_shape(sub, sig)
+    def counted_init(self):
+        built.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(superalgebra, "_require_shape", counted)
-    monkeypatch.setattr(molien, "_require_shape", counted)
+    def substitution(self):
+        compiled.append(self)
+        return compile_label(self)
+
+    monkeypatch.setattr(WreathElement, "__post_init__", counted_init)
+    monkeypatch.setattr(WreathElement, "substitution", groups.once(substitution))
     shuffle_module._coset_labels.cache_clear()
     A, B = _display_22_inputs()
     first = shuffle_product(A, B, signed)
-    assert checks == [SIG4] * (12 if signed else 6)
-    checks.clear()
+    assert len(built) == len(compiled) == 6 and {w.substitution.shape for w in built} == {(4, SIG4.r0, SIG4.r1)}
+    built.clear()
+    compiled.clear()
     assert shuffle_product(A, B, signed) == first
-    assert checks == []
+    assert built == compiled == []
 
 
 # (checked, failed) of closure_battery(G, flavor, max_rows=4, max_i=4) for
@@ -596,10 +603,10 @@ def test_is_wreath_invariant_detects_twist():
     th1 = SuperPolynomial.theta_var(sig, 1, 1)
     th2 = SuperPolynomial.theta_var(sig, 2, 1)
     plain, signed = (shuffle_module._wreath_generator_labels(2, G, s) for s in (False, True))
-    assert shuffle_module._fixed_by(th1 + th2, plain)
-    assert not shuffle_module._fixed_by(th1 + th2, signed)
-    assert shuffle_module._fixed_by(th1 - th2, signed)
-    assert not shuffle_module._fixed_by(th1 - th2, plain)
+    assert shuffle_module._fixed_by(th1 + th2, plain, sig)
+    assert not shuffle_module._fixed_by(th1 + th2, signed, sig)
+    assert shuffle_module._fixed_by(th1 - th2, signed, sig)
+    assert not shuffle_module._fixed_by(th1 - th2, plain, sig)
 
 
 @pytest.mark.parametrize("gname", ["trivial-1-1", "sign-scalar", "s2-theta", "young-2-1-theta", "scaled-swap", "rational-s3"])
@@ -621,7 +628,7 @@ def test_fixed_by_equals_polynomial_equality(gname):
                     for f in invariant_basis(action, i, j).elements:
                         nudge = SuperPolynomial.monomial(sig, rng.choice(basis), rng.choice([1, Fraction(-1, 2)]))
                         for g in (f, f + nudge, nudge):
-                            expected = all(apply_wreath(w, g).scale(weight) == g for weight, w in generators.pairs)
-                            assert shuffle_module._fixed_by(g, generators) == expected
+                            expected = all(apply_wreath(w, g).scale(weight) == g for weight, w in generators)
+                            assert shuffle_module._fixed_by(g, generators, sig) == expected
                             outcomes.add(expected)
     assert outcomes == {True, False}

@@ -604,9 +604,10 @@ def test_wreath_apply_rejects_wrong_rows_and_block_shapes():
     )
     with pytest.raises(DimensionMismatch):
         apply_wreath(wide, SuperPolynomial.x_var(AlgebraSignature(1, 1, 1), 1, 1))
-    # an action checks each label the same way, when it is made
+    # an action checks its factors, when it is made: an element whose
+    # blocks are not (1, 1) is refused on two rows of (1, 1)
     with pytest.raises(DimensionMismatch):
-        action = GroupAction(two_rows, ((1, mixed),))
+        action = GroupAction(two_rows, ((1, Permutation.identity(2)),), ((1, GradedGroupElement.identity(2, 1)),))
         reynolds_project(action, f)
 
 

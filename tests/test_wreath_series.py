@@ -44,7 +44,7 @@ from supermolien.wreath_series import (
     young_exterior_product,
 )
 
-from molien_reference import assert_same_series, reference_direct
+from molien_reference import FlatLabels, assert_same_series, reference_direct, reference_super_molien
 from rational_groups import named_group
 
 
@@ -113,7 +113,8 @@ def test_direct_route_builds_no_wreath_element_or_substitution(monkeypatch):
         for flavor in FLAVORS:
             assert_same_series(wreath_hilbert_direct(P, G, n, flavor, dq), expected[P.n, flavor])
     cycle = Permutation.from_cycles(3, [(1, 2, 3)])
-    assert wreath_series._direct_sum((cycle,), H, 3, False, 5, 3 * H.r1) == scale_exponents(one_row, 3)
+    coset = GroupAction(AlgebraSignature(H.r0, H.r1, 3), ((1, cycle),), tuple((1, g) for g in H.elements))
+    assert super_molien(coset, 5, 3 * H.r1) == scale_exponents(one_row, 3)
 
 
 PERM_GROUP_KINDS = {"symmetric": PermGroup.symmetric, "cyclic": PermGroup.cyclic, "trivial": PermGroup.trivial}
@@ -461,12 +462,14 @@ def test_m_cycle_sum_frozen_value():
     G = matrix_group_fixture("s2-theta")
     caps = Caps(0, 4, 2)
     cyc = Permutation.from_cycles(2, [(1, 2)])
-    pairs = tuple((1, WreathElement(cyc, (g1, g2))) for g1 in G.elements for g2 in G.elements)
-    fixed_cycle = GroupAction(AlgebraSignature(G.r0, G.r1, 2), pairs)
+    fixed_cycle = GroupAction(AlgebraSignature(G.r0, G.r1, 2), ((1, cyc),), tuple((1, g) for g in G.elements))
     lhs = super_molien(fixed_cycle, caps.q, caps.u)
     one = TrigradedSeries.one(caps)
     u2 = TrigradedSeries.monomial(caps, (0, 0, 2))
     assert lhs == series_sub(one, u2)
+    # the same average over the four labels (cyc, (g1, g2)), each built
+    pairs = tuple((1, WreathElement(cyc, (g1, g2))) for g1 in G.elements for g2 in G.elements)
+    assert lhs == reference_super_molien(FlatLabels(fixed_cycle.signature, pairs), caps.q, caps.u)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
