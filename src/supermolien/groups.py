@@ -11,8 +11,8 @@ its columns once per pair of rows (GradedGroupElement.moves), into one dict
 of images per graded part, and the labels share those dicts: a compile is
 one dict.update per row and part.  The algebra layer maps whole term maps
 through the compile; the Molien sum walks the same moved columns a cycle
-of rows at a time.  Every compute-once attribute (moves, monomial, substitution) is the
-lock-free descriptor once.
+of rows at a time.  Every compute-once attribute (a permutation's cycles
+and sign, moves, monomial, substitution) is the lock-free descriptor once.
 
 This module is the one presentation of the wreath product P[G], for G a
 matrix group or a permutation group: one enumerator of its labels, behind
@@ -52,10 +52,32 @@ CLOSURE_CAP = 20000
 WREATH_CAP = 200000
 
 
-class Permutation:
-    """Permutation of {1..n} in one-line notation: i maps to images[i-1]."""
+class once:
+    """A compute-once attribute: the method runs on the first read of the
+    attribute and its value goes into the instance's __dict__, where every
+    later read finds it before this descriptor.  functools.cached_property
+    without its lock, which on Python 3.11 every first read takes: two
+    threads racing on one object's first read may both compute it, and
+    one of the equal values is kept.  A method that raises stores nothing."""
 
-    __slots__ = ("images",)
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
+class Permutation:
+    """Permutation of {1..n} in one-line notation: i maps to images[i-1].
+    Its cycles and sign are compute-once attributes (once), kept in its
+    __dict__; ==, hash and repr read images alone."""
+
+    __slots__ = ("images", "__dict__")
 
     def __init__(self, images: Iterable[int]):
         images = tuple(int(i) for i in images)
@@ -116,32 +138,37 @@ class Permutation:
             n, n, [Fraction(int(self.images[j] == i + 1)) for i in range(n) for j in range(n)]
         )
 
+    @once
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The cycles, each as (i, p(i), p(p(i)), ..) from its least point
+        i, in the order of those points: walked once per permutation object."""
+        images = self.images
+        seen = [False] * self.n
+        out = []
+        for start in range(1, self.n + 1):
+            cycle = []
+            i = start
+            while not seen[i - 1]:
+                seen[i - 1] = True
+                cycle.append(i)
+                i = images[i - 1]
+            if cycle:
+                out.append(tuple(cycle))
+        return tuple(out)
+
+    @once
+    def sign(self) -> int:
+        """The sign, counted once per permutation object."""
+        return _inversion_sign(self.images)
+
 
 def perm_sign(p: Permutation) -> int:
-    return _inversion_sign(p.images)
-
-
-def _cycles(p: Permutation) -> list[tuple[int, ...]]:
-    """The cycles of p, each as (i, p(i), p(p(i)), ..) from its least point
-    i, in the order of those points."""
-    images = p.images
-    seen = [False] * p.n
-    out = []
-    for start in range(1, p.n + 1):
-        cycle = []
-        i = start
-        while not seen[i - 1]:
-            seen[i - 1] = True
-            cycle.append(i)
-            i = images[i - 1]
-        if cycle:
-            out.append(tuple(cycle))
-    return out
+    return p.sign
 
 
 def cycle_type(p: Permutation) -> tuple[int, ...]:
     """Cycle lengths, weakly decreasing (a partition of n)."""
-    return tuple(sorted(map(len, _cycles(p)), reverse=True))
+    return tuple(sorted(map(len, p.cycles), reverse=True))
 
 
 def symmetric_generators(n: int) -> list[Permutation]:
@@ -153,26 +180,6 @@ def symmetric_generators(n: int) -> list[Permutation]:
     if n > 2:
         gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
     return gens
-
-
-class once:
-    """A compute-once attribute: the method runs on the first read of the
-    attribute and its value goes into the instance's __dict__, where every
-    later read finds it before this descriptor.  functools.cached_property
-    without its lock, which on Python 3.11 every first read takes: two
-    threads racing on one object's first read may both compute it, and
-    one of the equal values is kept.  A method that raises stores nothing."""
-
-    def __init__(self, method):
-        self.method = method
-        self.name = method.__name__
-        self.__doc__ = method.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.method(obj)
-        return value
 
 
 class _Moves(dict):

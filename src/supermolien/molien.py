@@ -18,11 +18,11 @@ one char-poly kernel, and the sum counts the labels by convolving one
 table of block numbers over G^m per cycle length m, each sequence
 weighted by its psi values' product.  The weights are summed per sorted
 tuple of block numbers, each such key's blocks are multiplied once, and
-each distinct char-poly pair is expanded once into a series, since
-distinct keys can share one.  Each block's char-polys come from its own
-matrices, no sigma is grouped by cycle type, and no cycle index or block
-determinant lemma is used: those stay with the plethysm route, which
-keeps the routes independent.  The oracle route never looks at Molien:
+the weighted numerators are summed per denominator, each denominator
+expanded once into a series, since distinct keys can share one.  Each
+block's char-polys come from its own matrices, no sigma is grouped by
+cycle type, and no cycle index or block determinant lemma is used: those
+stay with the plethysm route, which keeps the routes independent.  The oracle route never looks at Molien:
 it takes the exact rank of the Reynolds operator, the average of the
 substitutions by the same matrices, on the monomial basis of each
 bidegree.  Since R(w.f) = chi(w) R(f), a label mapping m to a single
@@ -35,10 +35,10 @@ polynomial per label, and sums chi(w)*c as ints (Fractions only for
 non-integral c).  The labels of P and of G are compiled on the
 route's first use, never by the Molien route, and the sum goes in two
 stages, as P[G]'s Reynolds operator factors through G^n's: each row's
-content is mapped through G's labels, once per distinct content, the row
-images are multiplied, and the product is mapped through P's labels.  A
-trivial G leaves the row stage out, and a trivial P on one row the top
-stage.  That undivided sum is |W| R(m), which spans the same line as
+content is mapped through G's labels, once per distinct content and
+action, the row images are multiplied, and the product is mapped through
+P's labels.  A trivial G leaves the row stage out, and a trivial P on one
+row the top stage.  That undivided sum is |W| R(m), which spans the same line as
 R(m), so only the public reynolds_project divides by |W|.  The rows go to
 the integer Bareiss kernel as sparse {position: value} dicts.
 molien_vs_oracle compares the two routes coefficient by coefficient.
@@ -61,7 +61,6 @@ from .groups import (
     PermGroup,
     Permutation,
     WreathElement,
-    _cycles,
     once,
     perm_sign,
     require_degree,
@@ -69,6 +68,7 @@ from .groups import (
     validate_character,
 )
 from .linalg import _charpoly_rows, _poly_mul, _rank_rows
+from .rationals import exact_div
 from .series import Caps, Key, TrigradedSeries
 from .superalgebra import (
     AlgebraSignature,
@@ -108,8 +108,9 @@ class GroupAction:
     R(w.f) = chi(w) R(f).
 
     Every sigma must act on the signature's n rows (DegreeMismatch) and
-    every g have square blocks of its (r0, r1) (DimensionMismatch):
-    checked once, when the action is made, and never in a sum."""
+    every g have square blocks of its (r0, r1) (DimensionMismatch), and
+    every weight be +1 or -1, and +1 on the identity sigma and g
+    (ValueError): checked once, when the action is made, never in a sum."""
 
     signature: AlgebraSignature
     top: tuple[tuple[int, Permutation], ...]
@@ -124,6 +125,16 @@ class GroupAction:
                 raise DimensionMismatch(
                     "element blocks {}x{}/{}x{} do not match (r0, r1) = ({}, {})".format(*g.shape, sig.r0, sig.r1)
                 )
+        # sigma is the identity iff it has n cycles; g is compared only when psi is -1
+        for name, pairs, is_identity in (
+            ("top", self.top, lambda sigma: len(sigma.cycles) == sig.n),
+            ("row", self.rows, lambda g: g == self._identity),
+        ):
+            for weight, e in pairs:
+                if weight not in (1, -1):
+                    raise ValueError(f"{name} character values must be +1 or -1, got {weight!r}")
+                if weight == -1 and is_identity(e):
+                    raise ValueError(f"{name} character must send the identity to 1")
 
     @property
     def order(self) -> int:
@@ -151,14 +162,17 @@ class GroupAction:
         return GroupAction(AlgebraSignature(G.r0, G.r1, n), top, tuple([(1, g) for g in G.elements]))
 
     @once
+    def _identity(self) -> GradedGroupElement:
+        """The identity g, G's own element when rows hold it, so the top labels
+        share its moved columns (GradedGroupElement.moves) with every action of G."""
+        identity = GradedGroupElement.identity(self.signature.r0, self.signature.r1)
+        return next((g for _, g in self.rows if g == identity), identity)
+
+    @once
     def _top_labels(self) -> tuple:
-        """top as labels (sigma, identity rows), built on first use.  The
-        identity is G's own element when rows hold it, so the labels share
-        its moved columns (GradedGroupElement.moves) with every action of G."""
-        sig = self.signature
-        identity = GradedGroupElement.identity(sig.r0, sig.r1)
-        identity = next((g for _, g in self.rows if g == identity), identity)
-        return tuple([(chi, WreathElement._of(sigma, (identity,) * sig.n)) for chi, sigma in self.top])
+        """top as labels (sigma, identity rows), built on first use."""
+        gs = (self._identity,) * self.signature.n
+        return tuple([(chi, WreathElement._of(sigma, gs)) for chi, sigma in self.top])
 
     @once
     def _row_labels(self) -> tuple:
@@ -168,13 +182,17 @@ class GroupAction:
 
     @once
     def _stages(self) -> tuple:
-        """(top labels, row labels, whether every g is monomial, the sum of
-        the psi values) of the two-stage sum, after |P| * |G|^n is checked
-        against WREATH_CAP (require_wreath), so a refused action builds no
-        label."""
+        """(top labels, row labels, whether every g is monomial, row images)
+        of the two-stage sum, after |P| * |G|^n is checked against
+        WREATH_CAP (require_wreath), so a refused action builds no label.
+        The row images, which every weighted sum of the action fills, map a
+        row part (x-part, theta) on its row r to its (image terms,
+        single-term images) on row r; an empty row's is the sum of psi."""
         require_wreath(len(self.top), len(self.rows), self.signature.n)
         monomial = all(g.monomial for _, g in self.rows)
-        return self._top_labels, self._row_labels, monomial, sum(psi for psi, _ in self.rows)
+        constant = sum(psi for psi, _ in self.rows)
+        images = {((), ()): ([((), (), constant)] if constant else [], [((), ())])}
+        return self._top_labels, self._row_labels, monomial, images
 
     def _weighted_sum(self) -> Callable[..., dict]:
         """sum over the labels of chi(w) w.f, as a function of (terms,
@@ -182,9 +200,9 @@ class GroupAction:
         calls.  A trivial G (psi(1) = 1) sums over top alone, and a trivial
         P on one row over rows alone.  Otherwise (_stages) each term of f
         is split into its rows, each distinct row content mapped once per
-        returned function through rows by _label_sum, the row images
-        multiplied in row order (concatenated: already canonical, with sign
-        +1), and the product summed over top.
+        action through rows by _label_sum, the row images multiplied in row
+        order (concatenated: already canonical, with sign +1), and the
+        product summed over top.
 
         With reached, f one monomial m, a label sends m to a single term
         iff every g_i sends row i's content to a single term, so reached
@@ -198,10 +216,7 @@ class GroupAction:
         if len(self.top) == 1 and self.signature.n == 1:
             return functools.partial(_label_sum, self._row_labels)
         n = self.signature.n
-        top, rows, monomial, constant = self._stages
-        # row part (x-part, theta) on its row r -> (image terms, single-term images), on row r;
-        # an empty row's image is the constant sum of psi
-        images: dict[tuple, tuple[list, list]] = {((), ()): ([((), (), constant)] if constant else [], [((), ())])}
+        top, rows, monomial, images = self._stages
         new = tuple.__new__
 
         def image(part: tuple) -> tuple[list, list]:
@@ -326,7 +341,7 @@ class _MolienSum:
         keys, numbers, caps = self.keys, self.numbers, self.caps
         for chi, sigma in top:
             weights = {(): chi}
-            for cycle in _cycles(sigma):
+            for cycle in sigma.cycles:
                 table = tables.get(len(cycle))
                 if table is None:
                     table = tables[len(cycle)] = {}
@@ -345,12 +360,13 @@ class _MolienSum:
 
     def series(self, order: int) -> TrigradedSeries:
         """The sum divided by order.  Each key with a nonzero weight has its
-        blocks' char-polys multiplied once, cut at the caps, and each
-        distinct char-poly pair is expanded once into a series, since
-        distinct keys can share one."""
+        blocks' char-polys multiplied once, cut at the caps, and its
+        weighted numerator added to its denominator's, since distinct keys
+        can share a denominator.  Each denominator is expanded once, with
+        the summed numerator, into a series: _pair_table is linear in num."""
         caps = self.caps
         blocks_of = list(self.numbers)
-        pairs: dict[tuple[tuple, tuple], int] = {}
+        nums: dict[tuple, list] = {}
         for blocks, weight in self.keys.items():
             if weight:
                 den, num = blocks_of[blocks[0]] if blocks else ((1,), (1,))
@@ -359,16 +375,15 @@ class _MolienSum:
                     # a block's char-poly, often sparse, goes first: _poly_mul skips its zeros
                     den = _poly_mul(block_den, den, caps.q)
                     num = _poly_mul(block_num, num, caps.u)
-                pair = (tuple(den), tuple(num))
-                pairs[pair] = pairs.get(pair, 0) + weight
+                summed = nums.setdefault(tuple(den), [0] * (caps.u + 1))
+                for j, a in enumerate(num):
+                    summed[j] += weight * a
         total: dict[Key, int | Fraction] = {}
-        for (den, num), weight in pairs.items():
-            if weight:
+        for den, num in nums.items():
+            if any(num):
                 for key, c in _pair_table(den, num, caps.q).items():
-                    total[key] = total.get(key, 0) + weight * c
-        return TrigradedSeries._canonical(
-            caps, {k: c // order if type(c) is int and c % order == 0 else Fraction(c, order) for k, c in total.items()}
-        )
+                    total[key] = total.get(key, 0) + c
+        return TrigradedSeries._canonical(caps, {k: exact_div(c, order) for k, c in total.items()})
 
 
 def super_molien(action: GroupAction, dq: int, du: int | None = None) -> TrigradedSeries:

@@ -21,6 +21,11 @@ def exact(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
+def exact_div(x: int | Fraction, d: int) -> int | Fraction:
+    """x / d for a nonzero int d, in exact form, by int division when exact."""
+    return x // d if type(x) is int and x % d == 0 else Fraction(x, d)
+
+
 def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 

@@ -3,20 +3,23 @@
 A SymFuncPoly is a finite Q-linear combination of p_lambda over integer
 partitions; multiplication concatenates partitions.  A cycle index is
 weighted by a linear character of its group, given as the +-1 tuple of
-groups.py, or by 1.  Plethysm comes in two forms: substitution of a
-concrete trigraded series into every p_r (scaling all three exponents by
-r), and composition inside the ring (p_r applied to another symmetric
+groups.py, or by 1, and counted in ints, divided by the order once.
+Plethysm comes in two forms: substitution of a concrete trigraded series
+into every p_r (scaling all three exponents by r), which multiplies each
+distinct partition prefix once and divides by one common denominator,
+and composition inside the ring (p_r applied to another symmetric
 function scales every part by r).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .groups import PermGroup, cycle_type, sign_character
-from .rationals import format_rational, parse_rational
-from .series import TrigradedSeries, scale_exponents, series_add, series_mul, series_scale
+from .rationals import exact_div, format_rational, parse_rational
+from .series import Key, TrigradedSeries, scale_exponents, series_mul
 
 Partition = tuple[int, ...]
 
@@ -135,12 +138,11 @@ def cycle_index(P: PermGroup, character: Sequence[int] | None = None) -> SymFunc
     """
     if character is not None and len(character) != P.order:
         raise ValueError(f"character has {len(character)} values for a group of order {P.order}")
-    acc: dict[Partition, Fraction] = {}
+    acc: dict[Partition, int] = {}
     for idx, sigma in enumerate(P.elements):
         lam = cycle_type(sigma)
-        acc[lam] = acc.get(lam, Fraction(0)) + (1 if character is None else character[idx])
-    inv_order = Fraction(1, P.order)
-    return SymFuncPoly({lam: c * inv_order for lam, c in acc.items()})
+        acc[lam] = acc.get(lam, 0) + (1 if character is None else character[idx])
+    return SymFuncPoly({lam: Fraction(c, P.order) for lam, c in acc.items()})
 
 
 def omega(f: SymFuncPoly) -> SymFuncPoly:
@@ -158,16 +160,24 @@ def plethystic_substitute(f: SymFuncPoly, s: TrigradedSeries) -> TrigradedSeries
 
     The output caps are s's caps; supply s at the caps the comparison needs.
     s is scaled once per distinct part size r, and every part of that size
-    reads the one scaled series.
+    reads the one scaled series.  A partition's product is its prefix's
+    (parts largest first) times its last part's scaled series, so each
+    distinct prefix of two or more parts is multiplied once.  The products
+    are summed with f's coefficients over their common denominator as int
+    weights, and divided by it once.
     """
     scaled = {r: scale_exponents(s, r) for r in {r for lam in f.terms for r in lam}}
-    total = TrigradedSeries.zero(s.caps)
+    prods = {(): TrigradedSeries.one(s.caps)} | {(r,): series for r, series in scaled.items()}
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    total: dict[Key, int | Fraction] = {}
     for lam, c in f.terms.items():
-        prod = TrigradedSeries.one(s.caps)
-        for r in lam:
-            prod = series_mul(prod, scaled[r])
-        total = series_add(total, series_scale(prod, c))
-    return total
+        for k in range(2, len(lam) + 1):
+            if lam[:k] not in prods:
+                prods[lam[:k]] = series_mul(prods[lam[: k - 1]], scaled[lam[k - 1]])
+        weight = c.numerator * (den // c.denominator)
+        for key, v in prods[lam].items():
+            total[key] = total.get(key, 0) + weight * v
+    return TrigradedSeries._canonical(s.caps, {key: exact_div(v, den) for key, v in total.items()})
 
 
 def plethystic_compose(f: SymFuncPoly, g: SymFuncPoly) -> SymFuncPoly:

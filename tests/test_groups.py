@@ -44,6 +44,7 @@ from supermolien.fixtures import (
 )
 from supermolien.linalg import QMatrix, _columns
 from supermolien.superalgebra import AlgebraSignature, SuperPolynomial
+from supermolien.wreath_series import FLAVORS, check_wreath_routes
 
 import dense_reference
 from molien_reference import apply_wreath, build_wreath, wreath_mul
@@ -90,6 +91,41 @@ def test_sign_matches_cycle_count_formula(p):
 @given(perms_st(4), perms_st(4))
 def test_sign_is_multiplicative(p, q):
     assert perm_sign(p.compose(q)) == perm_sign(p) * perm_sign(q)
+
+
+def test_stored_cycles_and_sign_keep_a_permutation_immutable_and_equal():
+    p = Permutation.from_cycles(5, [(1, 3), (2, 5, 4)])
+    assert p.cycles == ((1, 3), (2, 5, 4)) and p.sign == -1
+    assert p.cycles is p.cycles
+    for name, value in (("images", (1, 2, 3, 4, 5)), ("cycles", ()), ("sign", 1), ("other", 0)):
+        with pytest.raises(AttributeError, match="^Permutation is immutable$"):
+            setattr(p, name, value)
+    fresh = Permutation(p.images)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    assert {p: 1}[fresh] == 1 and p.cycles == fresh.cycles
+
+
+def test_wreath_routes_walk_each_sigma_once(monkeypatch):
+    # a freshly closed S_4, not the cached PermGroup.symmetric(4): two
+    # route checks in both flavors walk each sigma's cycles once and count
+    # its sign once, though the direct route, the cycle index and the
+    # sign character each read them
+    P = PermGroup.close(4, symmetric_generators(4))
+    walked = {"cycles": [], "sign": []}
+    for name, seen in walked.items():
+        descriptor = Permutation.__dict__[name]
+
+        def counted(p, method=descriptor.method, seen=seen):
+            seen.append(p)
+            return method(p)
+
+        monkeypatch.setattr(descriptor, "method", counted)
+    for _ in range(2):
+        for flavor in FLAVORS:
+            assert check_wreath_routes(P, sign_group(), 4, flavor, 6)["match"]
+    walked_p = {name: [p for p in seen if p.n == 4] for name, seen in walked.items()}
+    assert len(walked_p["cycles"]) == 24 and len(walked_p["sign"]) == 24
+    assert all({id(p) for p in seen} == {id(p) for p in P.elements} for seen in walked_p.values())
 
 
 @given(perms_st(5))

@@ -648,7 +648,7 @@ def label_block_pair(w, dq, du):
     over sigma's cycles of molien._block_pair of the g-sequence along each
     cycle, cut after z^dq and z^du, trailing zeros stripped."""
     den, num = (1,), (1,)
-    for cycle in groups._cycles(w.sigma):
+    for cycle in w.sigma.cycles:
         block_den, block_num = molien._block_pair([w.gs[i - 1] for i in cycle], dq, du)
         den, num = _poly_mul(block_den, den, dq), _poly_mul(block_num, num, du)
     return trimmed(den, dq), trimmed(num, du)
@@ -820,8 +820,9 @@ def test_super_molien_expands_once_per_char_poly_pair(monkeypatch):
     # 2^m sequences of each cycle length m <= 4, 30 in all, each have their
     # even and odd maps walked once by the char-poly kernel; the 384 labels
     # fall into 20 distinct keys of block numbers (the 20 classes of B_4),
-    # and only 14 distinct char-poly pairs are expanded into series
-    # ((1 - z)(1 + z) = 1 - z^2).
+    # and only 14 distinct denominators are expanded into series
+    # ((1 - z)(1 + z) = 1 - z^2), one per char-poly pair, as r1 = 0 makes
+    # every numerator 1.
     action = GroupAction.from_wreath(PermGroup.symmetric(4), sign_scalar_group(), 4)
     calls = {"_block_pair": 0, "_charpoly_rows": 0, "_pair_table": 0}
 
@@ -840,6 +841,30 @@ def test_super_molien_expands_once_per_char_poly_pair(monkeypatch):
     sequences = sum(2**m for m in range(1, 5))
     assert sequences == 30
     assert calls == {"_block_pair": sequences, "_charpoly_rows": 2 * sequences, "_pair_table": 14}
+
+
+def test_super_molien_expands_once_per_denominator(monkeypatch):
+    # S_3[s2-theta]: G permutes the two odd variables of a row and there
+    # is no even one (r0 = 0), so every label's even char-poly is 1: its 8
+    # distinct char-poly pairs share one denominator, which is expanded
+    # once per flavor with the weighted numerators summed, and the series
+    # equals the label-by-label reference
+    G = matrix_group_fixture("s2-theta")
+    pair_table = molien._pair_table
+    calls = []
+
+    def counted(den, num, dq):
+        calls.append(den)
+        return pair_table(den, num, dq)
+
+    for flavor in FLAVORS:
+        action = GroupAction.from_wreath(PermGroup.symmetric(3), G, 3, flavor)
+        calls.clear()
+        monkeypatch.setattr(molien, "_pair_table", counted)
+        got = super_molien(action, 6)
+        monkeypatch.undo()
+        assert calls == [(1,)]
+        assert_same_series(got, reference_super_molien(action, 6))
 
 
 def berkowitz_calls(monkeypatch):
@@ -948,6 +973,57 @@ def test_action_refuses_labels_off_its_signature():
     # the same factors on their own signatures are accepted
     assert GroupAction(sign_scalar.signature, sign_scalar.top, sign_scalar.rows) == sign_scalar
     assert GroupAction(trivial.signature, trivial.top, trivial.rows) == trivial
+
+
+def test_action_refuses_weights_no_linear_character_has():
+    # psi = -1 on a trivial G's identity would give super_molien -1 - q - q^2
+    # against Reynolds ranks [1, 1, 1], as the two routes read the weights
+    # differently; such weights, and any weight but +-1, are refused when
+    # the action is made
+    identity = MatrixGroup.trivial(1, 0).elements[0]
+    one_row = AlgebraSignature(1, 0, 1)
+    with pytest.raises(ValueError, match=r"^row character must send the identity to 1$"):
+        GroupAction(one_row, ((1, Permutation.identity(1)),), ((-1, identity),))
+    with pytest.raises(ValueError, match=r"^top character must send the identity to 1$"):
+        GroupAction(one_row, ((-1, Permutation.identity(1)),), ((1, identity),))
+    signs = GroupAction.from_matrix_group(sign_scalar_group())
+    for top, rows in (((2, Permutation.identity(1)),), signs.rows), (signs.top, ((Fraction(1, 2), identity),)):
+        with pytest.raises(ValueError, match=r"^(top|row) character values must be \+1 or -1, got "):
+            GroupAction(signs.signature, top, rows)
+    # -1 off the identity stays accepted, and so does a top that is not a
+    # group, such as the coset of one fixed cycle
+    assert GroupAction.from_matrix_group(sign_scalar_group(), (1, -1)).rows[1][0] == -1
+    coset = Permutation.from_cycles(2, [(1, 2)])
+    assert GroupAction(AlgebraSignature(1, 0, 2), ((-1, coset),), signs.rows).top == ((-1, coset),)
+
+
+def test_row_images_are_shared_by_every_bidegree_of_an_action(monkeypatch):
+    # S_2[s2-theta] over molien_vs_oracle's whole grid: each distinct row
+    # part goes through G's one-row labels once per action, where a fresh
+    # action per bidegree maps more, and the ranks are those of the fresh
+    # actions
+    G = matrix_group_fixture("s2-theta")
+    label_sum = molien._label_sum
+    mapped = []
+
+    def counted(pairs, *args):
+        mapped.extend(w.sigma.n == 1 for _, w in pairs[:1])
+        return label_sum(pairs, *args)
+
+    monkeypatch.setattr(molien, "_label_sum", counted)
+    for flavor in FLAVORS:
+        action = GroupAction.from_wreath(PermGroup.symmetric(2), G, 2, flavor)
+        mapped.clear()
+        report = molien_vs_oracle(action, 6)
+        shared = sum(mapped)
+        assert report["mismatches"] == [] and report["agreements"] == 7 * 5
+        assert shared == len(action._stages[3]) - 1
+        mapped.clear()
+        for i in range(7):
+            for j in range(5):
+                fresh = GroupAction.from_wreath(PermGroup.symmetric(2), G, 2, flavor)
+                assert invariant_dimension_bruteforce(fresh, i, j) == invariant_dimension_bruteforce(action, i, j)
+        assert sum(mapped) > shared
 
 
 def test_negative_caps_are_refused_before_any_work():

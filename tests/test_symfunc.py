@@ -261,6 +261,31 @@ def test_substitute_equals_the_per_part_rescaling_reference(monkeypatch):
             assert sorted(calls) == sorted({r for lam in f.terms for r in lam})
 
 
+@pytest.mark.parametrize("n,products", [(3, 3), (4, 7), (5, 13)])
+def test_substitute_multiplies_each_partition_prefix_once(monkeypatch, n, products):
+    # the cycle index of S_n, plain and signed: one series_mul per distinct
+    # prefix of two or more parts (S_4: 11, 111, 1111, 21, 211, 22, 31),
+    # against 6, 12 and 20 when each partition is multiplied up from 1
+    P = PermGroup.symmetric(n)
+    caps = Caps(0, 6, 3)
+    s = TrigradedSeries(caps, {(0, 0, 0): 1, (0, 1, 0): Fraction(3, 2), (0, 0, 1): -2, (0, 2, 1): Fraction(1, 3)})
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return series_mul(a, b)
+
+    for chi in (None, sign_character(P)):
+        f = cycle_index(P, chi)
+        expected = rescaling_substitute(f, s)
+        calls.clear()
+        monkeypatch.setattr(symfunc, "series_mul", counted)
+        got = plethystic_substitute(f, s)
+        monkeypatch.undo()
+        assert len(calls) == products
+        assert got.items() == expected.items()
+
+
 def test_compose_on_power_sums():
     # p_r[g] multiplies each part by r
     g = SymFuncPoly({(2, 1): Fraction(5)})
