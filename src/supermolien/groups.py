@@ -47,6 +47,7 @@ from .errors import (
     NotInvertible,
 )
 from .linalg import QMatrix, _columns, _compose, _inversion_sign, _rank_rows
+from .rationals import parse_int
 
 CLOSURE_CAP = 20000
 WREATH_CAP = 200000
@@ -358,7 +359,7 @@ class MatrixGroup:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "MatrixGroup":
-        r0, r1 = int(data["r0"]), int(data["r1"])
+        r0, r1 = parse_int(data["r0"], "r0"), parse_int(data["r1"], "r1")
         gens = [
             GradedGroupElement(QMatrix.from_json_rows(g["g0"]), QMatrix.from_json_rows(g["g1"]))
             for g in data["generators"]
@@ -438,7 +439,8 @@ class PermGroup:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "PermGroup":
-        return PermGroup.close(int(data["n"]), [Permutation(g) for g in data["generators"]])
+        gens = [Permutation([parse_int(i, "generator image") for i in g]) for g in data["generators"]]
+        return PermGroup.close(parse_int(data["n"], "n"), gens)
 
 
 def matrix_group_to_perm_group(G: MatrixGroup, part: str = "even") -> PermGroup:

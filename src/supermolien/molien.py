@@ -72,7 +72,7 @@ from .rationals import exact_div
 from .series import Caps, Key, TrigradedSeries
 from .superalgebra import (
     AlgebraSignature,
-    SuperMonomial,
+    Monomial,
     SuperPolynomial,
     _label_sum,
     bidegree_basis,
@@ -217,13 +217,12 @@ class GroupAction:
             return functools.partial(_label_sum, self._row_labels)
         n = self.signature.n
         top, rows, monomial, images = self._stages
-        new = tuple.__new__
 
         def image(part: tuple) -> tuple[list, list]:
             xs, ts = part
             r = (xs or ts)[0][0]
             single = None if monomial else set()
-            moved = _label_sum(rows, {new(SuperMonomial, _on_row(xs, ts, 1)): 1}, single)
+            moved = _label_sum(rows, {_on_row(xs, ts, 1): 1}, single)
             # a monomial G's single-term images are all its images, zero or not
             return (
                 [_on_row(x, t, r) + (a,) for (x, t), a in moved.items() if a],
@@ -250,7 +249,7 @@ class GroupAction:
                     parts.append(found)
                     out = [(x + mx, t + mt, a * b) for x, t, a in out for mx, mt, b in found[0]]
                 for x, t, a in out:
-                    m = new(SuperMonomial, (x, t))
+                    m = (x, t)
                     product[m] = product[m] + a if m in product else a
             acc = _label_sum(top, product)
             if reached is not None:
@@ -260,7 +259,7 @@ class GroupAction:
                     heads = [((), ())]
                     for _, found in parts:
                         heads = [(x + hx, t + ht) for x, t in heads for hx, ht in found]
-                    reached.update(_label_sum(top, {new(SuperMonomial, head): 1 for head in heads}))
+                    reached.update(_label_sum(top, dict.fromkeys(heads, 1)))
             return acc
 
         return weighted_sum
@@ -417,7 +416,7 @@ def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial
     return SuperPolynomial._canonical(f.sig, {m: Fraction(c) / order for m, c in acc.items() if c})
 
 
-def _orbit_sums(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[tuple[SuperMonomial, dict]]:
+def _orbit_sums(action: GroupAction, basis: Sequence[Monomial]) -> list[tuple[Monomial, dict]]:
     """One undivided weighted sum sum_w chi(w) w.m = |W| R(m) per orbit, as
     (m, term map without zeros) in basis order of its first monomial m.
 
@@ -430,7 +429,7 @@ def _orbit_sums(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[tup
     monomials are reached and the rest are summed themselves."""
     if not basis:
         return []
-    reached: set[SuperMonomial] = set()
+    reached: set[Monomial] = set()
     sums = []
     weighted_sum = action._weighted_sum()
     for m in basis:
@@ -442,7 +441,7 @@ def _orbit_sums(action: GroupAction, basis: Sequence[SuperMonomial]) -> list[tup
 
 def _projector_rows(
     action: GroupAction, i: int, j: int
-) -> tuple[list[SuperMonomial], list[dict], list[dict[int, int | Fraction]]]:
+) -> tuple[list[Monomial], list[dict], list[dict[int, int | Fraction]]]:
     """(basis, sums, rows) for bidegree (i, j): the basis monomials, the
     orbit sums of _orbit_sums over that basis, and each sum's coefficient
     row over the basis as the {position: value} dict of its nonzero entries.

@@ -4,7 +4,8 @@ An exact coefficient is an int when it is integral and a
 fractions.Fraction otherwise; exact() puts any rational into that form, so
 integral work stays on ints.  The wire format is the string "p/q" in lowest
 terms with the "/q" omitted when the denominator is 1, which is exactly
-what str(Fraction) produces, for either form.
+what str(Fraction) produces, for either form.  Integer fields of the
+JSON inputs are read by parse_int, which refuses what int() would truncate.
 """
 
 from __future__ import annotations
@@ -37,3 +38,14 @@ def parse_rational(s: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {s!r}") from exc
+
+
+def parse_int(value, field: str) -> int:
+    """value as an int: an int, or a float with an integral value.
+    ValueError naming the field for anything else, bools and non-integral
+    numbers included."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")

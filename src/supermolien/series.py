@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .errors import ZeroConstantTerm
-from .rationals import exact, format_rational, parse_rational
+from .rationals import exact, format_rational, parse_int, parse_rational
 
 Key = tuple[int, int, int]
 
@@ -174,10 +174,10 @@ class TrigradedSeries:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "TrigradedSeries":
-        caps = Caps(int(data["caps"]["t"]), int(data["caps"]["q"]), int(data["caps"]["u"]))
+        caps = Caps(*(parse_int(data["caps"][k], f"caps {k}") for k in "tqu"))
         coeffs: dict[Key, Fraction] = {}
         for entry in data["coeffs"]:
-            key = (int(entry["t"]), int(entry["q"]), int(entry["u"]))
+            key = tuple(parse_int(entry[k], f"coefficient {k}") for k in "tqu")
             if key in coeffs:
                 raise ValueError(f"duplicate coefficient entry at {key}")
             coeffs[key] = parse_rational(entry["c"])

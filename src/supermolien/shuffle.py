@@ -112,16 +112,16 @@ def _shuffle(factors: tuple[SuperPolynomial, ...], signed: bool) -> SuperPolynom
     choices of terms give distinct monomials: the core term map is built
     by concatenation, with nothing to merge, reorder or cancel."""
     sig = factors[0].sig
-    if any((f.sig.r0, f.sig.r1) != (sig.r0, sig.r1) for f in factors):
-        raise SignatureMismatch(f"factor signatures {' and '.join(str(f.sig) for f in factors)} disagree")
-    blocks = tuple(f.sig.n for f in factors)
+    blocks = []
+    for f in factors:
+        if f.sig.r0 != sig.r0 or f.sig.r1 != sig.r1:
+            raise SignatureMismatch(f"factor signatures {' and '.join(str(f.sig) for f in factors)} disagree")
+        blocks.append(f.sig.n)
     core = factors[0].terms
     for f, offset in zip(factors[1:], itertools.accumulate(blocks)):
         shifted = _shifted(f.terms, offset)
-        core = {
-            SuperMonomial._canonical(x + fx, t + ft): c * fc for (x, t), c in core.items() for fx, ft, fc in shifted
-        }
-    out, labels = _coset_labels(blocks, sig.r0, sig.r1, signed)
+        core = {(x + fx, t + ft): c * fc for (x, t), c in core.items() for fx, ft, fc in shifted}
+    out, labels = _coset_labels(tuple(blocks), sig.r0, sig.r1, signed)
     return SuperPolynomial._canonical(out, _label_sum(labels, core))
 
 

@@ -3,8 +3,16 @@
 Monomials are x-exponent maps times a strictly increasing product of odd
 (theta) variables; reordering odd factors costs the sign of the permutation
 and a repeated odd factor kills the term.  Variables are indexed (row, col),
-1-based, ordered lexicographically.  A SuperMonomial is the tuple
-(xpart, theta), so hashing and equality run in C.
+1-based, ordered lexicographically.  A monomial is the plain pair
+(xpart, theta) of tuples, xpart the sorted (row, col, exponent) triples
+with positive exponents and distinct keys and theta the strictly
+increasing odd factors, so hashing and equality run in C.  It is no
+instance of a class: the kernels make one per term image, and a pair
+costs about 30 ns to make against about 200 ns for a tuple subclass
+instance (Python 3.11.7).  SuperMonomial is the one validating
+constructor of a pair, for outside input, and the validating
+SuperPolynomial passes every key through it; the kernels build canonical
+pairs themselves.  Readers take a pair apart by m[0] and m[1].
 
 A wreath label (sigma, (g_1..g_n)) acts by one linear substitution: each
 variable (i, c) is replaced by column c of g_i (GradedGroupElement.columns)
@@ -31,13 +39,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import SignatureMismatch
 from .groups import Substitution, once
 from .linalg import _inversion_sign
-from .rationals import exact, format_rational, parse_rational
+from .rationals import exact, format_rational, parse_int, parse_rational
 
 XKey = tuple[int, int]  # (row, col)
 
@@ -91,82 +98,73 @@ def normalize_theta(pairs: Iterable[XKey]) -> tuple[tuple[XKey, ...], int]:
     return ordered, _inversion_sign(seq)
 
 
-class SuperMonomial(tuple):
-    """Canonical monomial, the pair (xpart, theta): xpart the sorted
-    (row, col, exponent) triples with positive exponents and distinct keys,
-    theta the strictly increasing odd factors.  A tuple, so hashing and
-    equality run in C; a monomial from the validating constructor and the
-    same parts from _canonical are equal and hash equal."""
+Monomial = tuple[tuple[tuple[int, int, int], ...], tuple[XKey, ...]]
 
-    __slots__ = ()
 
-    def __new__(cls, xpart, theta: Iterable[XKey] = ()):
-        if isinstance(xpart, Mapping):
-            items = [(int(r), int(c), int(e)) for (r, c), e in xpart.items()]
-        else:
-            items = [(int(r), int(c), int(e)) for (r, c, e) in xpart]
-        merged: dict[XKey, int] = {}
-        for r, c, e in items:
-            if e < 0:
-                raise ValueError(f"negative exponent on x[{r},{c}]")
-            if e:
-                merged[(r, c)] = merged.get((r, c), 0) + e
-        theta = tuple(tuple(p) for p in theta)
-        if any(theta[i] >= theta[i + 1] for i in range(len(theta) - 1)):
-            raise ValueError(f"theta factors not strictly increasing: {theta}")
-        return tuple.__new__(cls, (tuple((r, c, e) for (r, c), e in sorted(merged.items())), theta))
+def SuperMonomial(xpart, theta: Iterable[XKey] = ()) -> Monomial:
+    """The canonical pair (xpart, theta) of outside input: xpart a
+    {(row, col): exponent} map or (row, col, exponent) triples, repeated
+    variables summed, zero exponents dropped and the rest sorted; theta
+    strictly increasing (row, col) odd factors.  ValueError on a negative
+    exponent, a theta not strictly increasing, or an entry that is not an
+    integer (rationals.parse_int)."""
+    items = xpart.items() if isinstance(xpart, Mapping) else (((r, c), e) for r, c, e in xpart)
+    merged: dict[XKey, int] = {}
+    for (r, c), e in items:
+        key, e = (parse_int(r, "x row"), parse_int(c, "x column")), parse_int(e, "x exponent")
+        if e < 0:
+            raise ValueError(f"negative exponent on x[{r},{c}]")
+        if e:
+            merged[key] = merged.get(key, 0) + e
+    theta = tuple((parse_int(r, "theta row"), parse_int(c, "theta column")) for r, c in theta)
+    if any(theta[i] >= theta[i + 1] for i in range(len(theta) - 1)):
+        raise ValueError(f"theta factors not strictly increasing: {theta}")
+    return tuple([(r, c, e) for (r, c), e in sorted(merged.items())]), theta
 
-    xpart = property(itemgetter(0))
-    theta = property(itemgetter(1))
 
-    @classmethod
-    def _canonical(cls, xpart: tuple, theta: tuple) -> "SuperMonomial":
-        """Trusted constructor for parts already in canonical form: xpart a
-        sorted tuple of (row, col, exponent) with positive exponents and
-        distinct keys, theta a strictly increasing tuple of pairs."""
-        return tuple.__new__(cls, (xpart, theta))
+def _bidegree(m: Monomial) -> tuple[int, int]:
+    return sum(e for _, _, e in m[0]), len(m[1])
 
-    @staticmethod
-    def one() -> "SuperMonomial":
-        return SuperMonomial({})
 
-    def degrees(self) -> tuple[int, int]:
-        return sum(e for _, _, e in self.xpart), len(self.theta)
+def _sort_key(m: Monomial) -> tuple:
+    """Total degree, then x-degree, then the parts."""
+    i, j = _bidegree(m)
+    return (i + j, i, m[0], m[1])
 
-    def sort_key(self):
-        i, j = self.degrees()
-        return (i + j, i, self.xpart, self.theta)
 
-    def __repr__(self):
-        xs = "".join(
-            f"x[{r},{c}]" + (f"^{e}" if e > 1 else "") for r, c, e in self.xpart
-        )
-        ts = "".join(f"th[{r},{c}]" for r, c in self.theta)
-        return (xs + ts) or "1"
+def _format_monomial(m: Monomial) -> str:
+    xs = "".join(f"x[{r},{c}]" + (f"^{e}" if e > 1 else "") for r, c, e in m[0])
+    ts = "".join(f"th[{r},{c}]" for r, c in m[1])
+    return (xs + ts) or "1"
 
 
 class SuperPolynomial:
-    """Finite Q-linear combination of SuperMonomials over a fixed signature.
+    """Finite Q-linear combination of monomials over a fixed signature.
 
     Coefficients are exact (rationals.exact): ints where integral,
-    Fractions otherwise, never 0."""
+    Fractions otherwise, never 0.  The validating constructor refuses a
+    key that SuperMonomial does not give back unchanged, or that names a
+    variable outside the signature."""
 
     __slots__ = ("sig", "terms")
 
-    def __init__(self, sig: AlgebraSignature, terms: Mapping[SuperMonomial, int | Fraction] | None = None):
-        clean: dict[SuperMonomial, int | Fraction] = {}
+    def __init__(self, sig: AlgebraSignature, terms: Mapping[Monomial, int | Fraction] | None = None):
+        clean: dict[Monomial, int | Fraction] = {}
         if terms:
             for mono, c in terms.items():
+                canon = SuperMonomial(*mono)
+                if canon != mono:
+                    raise ValueError(f"monomial {mono} is not canonical; {canon} is")
                 c = exact(c)
                 if not c:
                     continue
-                for r, col, _ in mono.xpart:
+                for r, col, _ in canon[0]:
                     if not (1 <= r <= sig.n and 1 <= col <= sig.r0):
                         raise ValueError(f"x[{r},{col}] outside signature {sig}")
-                for r, col in mono.theta:
+                for r, col in canon[1]:
                     if not (1 <= r <= sig.n and 1 <= col <= sig.r1):
                         raise ValueError(f"theta[{r},{col}] outside signature {sig}")
-                clean[mono] = c
+                clean[canon] = c
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "terms", clean)
 
@@ -195,7 +193,7 @@ class SuperPolynomial:
 
     @staticmethod
     def one(sig: AlgebraSignature) -> "SuperPolynomial":
-        return SuperPolynomial(sig, {SuperMonomial.one(): 1})
+        return SuperPolynomial(sig, {SuperMonomial({}): 1})
 
     @staticmethod
     def x_var(sig: AlgebraSignature, row: int, col: int) -> "SuperPolynomial":
@@ -206,7 +204,7 @@ class SuperPolynomial:
         return SuperPolynomial(sig, {SuperMonomial({}, ((row, col),)): 1})
 
     @staticmethod
-    def monomial(sig: AlgebraSignature, mono: SuperMonomial, c=1) -> "SuperPolynomial":
+    def monomial(sig: AlgebraSignature, mono: Monomial, c=1) -> "SuperPolynomial":
         return SuperPolynomial(sig, {mono: c})
 
     # -- linear structure ----------------------------------------------------
@@ -239,36 +237,36 @@ class SuperPolynomial:
     __hash__ = None
 
     def __repr__(self):
-        items = sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-        body = " + ".join(f"{format_rational(c)}*{m!r}" for m, c in items[:6]) or "0"
+        items = sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
+        body = " + ".join(f"{format_rational(c)}*{_format_monomial(m)}" for m, c in items[:6]) or "0"
         if len(items) > 6:
             body += " + ..."
         return f"<superpoly {self.sig.r0},{self.sig.r1};n={self.sig.n}: {body}>"
 
     def bidegree_support(self) -> set[tuple[int, int]]:
-        return {m.degrees() for m in self.terms}
+        return {_bidegree(m) for m in self.terms}
 
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        items = sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+        items = sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
         return {
             "sig": {"r0": self.sig.r0, "r1": self.sig.r1, "n": self.sig.n},
             "terms": [
                 {
-                    "x": [[r, c, e] for r, c, e in m.xpart],
-                    "theta": [[r, c] for r, c in m.theta],
+                    "x": [[r, c, e] for r, c, e in xpart],
+                    "theta": [[r, c] for r, c in theta],
                     "c": format_rational(coeff),
                 }
-                for m, coeff in items
+                for (xpart, theta), coeff in items
             ],
         }
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "SuperPolynomial":
         s = data["sig"]
-        sig = AlgebraSignature(int(s["r0"]), int(s["r1"]), int(s["n"]))
-        terms: dict[SuperMonomial, int | Fraction] = {}
+        sig = AlgebraSignature(*(parse_int(s[k], f"sig {k}") for k in ("r0", "r1", "n")))
+        terms: dict[Monomial, int | Fraction] = {}
         for entry in data["terms"]:
             theta, sign = normalize_theta(tuple(p) for p in entry["theta"])
             if sign == 0:
@@ -296,7 +294,7 @@ def _merge_xpart(a: tuple, b: tuple) -> tuple:
     return tuple((r, c, e) for (r, c), e in sorted(merged.items()))
 
 
-def mul_monomials(m1: SuperMonomial, m2: SuperMonomial) -> tuple[SuperMonomial, int]:
+def mul_monomials(m1: Monomial, m2: Monomial) -> tuple[Monomial, int]:
     """Product of canonical monomials: merged x-part, m1's thetas before m2's."""
     (x1, a), (x2, b) = m1, m2
     if not a or not b or a[-1] < b[0]:
@@ -304,13 +302,13 @@ def mul_monomials(m1: SuperMonomial, m2: SuperMonomial) -> tuple[SuperMonomial, 
     else:
         theta, sign = normalize_theta(a + b)
     if sign == 0:
-        return SuperMonomial.one(), 0
-    return SuperMonomial._canonical(_merge_xpart(x1, x2), theta), sign
+        return ((), ()), 0
+    return (_merge_xpart(x1, x2), theta), sign
 
 
-def _mul_terms(a: Mapping[SuperMonomial, Fraction], b: Mapping[SuperMonomial, Fraction]) -> dict:
+def _mul_terms(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -> dict:
     """Product of two term maps; cancelled terms stay in as zeros."""
-    out: dict[SuperMonomial, Fraction] = {}
+    out: dict[Monomial, Fraction] = {}
     b_items = list(b.items())
     for m1, c1 in a.items():
         if not c1:
@@ -335,15 +333,15 @@ def _multi_term_image(sub: Substitution, terms: Mapping) -> dict:
     by one and the terms summed, as a term map without zeros, ints where
     the coefficients and the label's entries are."""
     even, odd = sub.even, sub.odd
-    acc: dict[SuperMonomial, int | Fraction] = {}
+    acc: dict[Monomial, int | Fraction] = {}
     for (xpart, theta), coeff in terms.items():
-        image = {SuperMonomial._canonical((), ()): 1}
+        image = {((), ()): 1}
         for r, c, e in xpart:
-            form = {SuperMonomial._canonical(((*v, 1),), ()): a for v, a in even[r, c]}
+            form = {(((*v, 1),), ()): a for v, a in even[r, c]}
             for _ in range(e):
                 image = _mul_terms(image, form)
         for p in theta:
-            image = _mul_terms(image, {SuperMonomial._canonical((), (v,)): a for v, a in odd[p]})
+            image = _mul_terms(image, {((), (v,)): a for v, a in odd[p]})
         for m, a in image.items():
             v = coeff if a == 1 else -coeff if a == -1 else coeff * a
             acc[m] = acc[m] + v if m in acc else v
@@ -365,9 +363,8 @@ def _label_sum(pairs: Iterable, terms: Mapping, reached: set | None = None) -> d
     reached is given, f is one monomial, and each w mapping it to a single
     term c*m adds m to reached: for weight chi(w), R(w.f) = chi(w) R(f), so
     R(m) = chi(w)/c R(f) is a multiple of R(f)."""
-    acc: dict[SuperMonomial, int | Fraction] = {}
+    acc: dict[Monomial, int | Fraction] = {}
     items = terms.items()
-    new = tuple.__new__
     for weight, w in pairs:
         sub = w.substitution
         if not sub.one_term:
@@ -415,7 +412,7 @@ def _label_sum(pairs: Iterable, terms: Mapping, reached: set | None = None) -> d
                 vs.sort()
                 ts = tuple(vs)
             xs.sort()
-            m = new(SuperMonomial, (tuple(xs), ts))
+            m = (tuple(xs), ts)
             acc[m] = acc[m] + c if m in acc else c
         if reached is not None:
             # f is one monomial, and m its one image
@@ -439,7 +436,7 @@ def bidegree_basis_size(sig: AlgebraSignature, i: int, j: int) -> int:
     return xparts * math.comb(sig.num_odd, j)
 
 
-def bidegree_basis(sig: AlgebraSignature, i: int, j: int) -> list[SuperMonomial]:
+def bidegree_basis(sig: AlgebraSignature, i: int, j: int) -> list[Monomial]:
     """Monomial basis of the (i, j) bidegree component, deterministically
     ordered: x-exponent vectors in descending lex (major), theta subsets in
     ascending lex (minor).  Its length is bidegree_basis_size, which the
@@ -472,11 +469,10 @@ def bidegree_basis(sig: AlgebraSignature, i: int, j: int) -> list[SuperMonomial]
         xparts.append(xpart)
 
     extend(0, i, ())
-    new = tuple.__new__
-    return [new(SuperMonomial, (x, t)) for x in xparts for t in thetas]
+    return [(x, t) for x in xparts for t in thetas]
 
 
-def coefficient_vector(f: SuperPolynomial, index: Mapping[SuperMonomial, int]) -> dict[int, int | Fraction]:
+def coefficient_vector(f: SuperPolynomial, index: Mapping[Monomial, int]) -> dict[int, int | Fraction]:
     """Coordinates of f in a monomial basis, as the {position: coefficient}
     dict of its nonzero coordinates; index maps each basis monomial to its
     position, built once per basis.  Raises if f has support outside the
@@ -485,6 +481,6 @@ def coefficient_vector(f: SuperPolynomial, index: Mapping[SuperMonomial, int]) -
     for mono, c in f.terms.items():
         k = index.get(mono)
         if k is None:
-            raise ValueError(f"term {mono!r} outside the given basis")
+            raise ValueError(f"term {_format_monomial(mono)} outside the given basis")
         row[k] = c
     return row

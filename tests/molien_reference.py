@@ -19,7 +19,7 @@ from supermolien.groups import WreathElement, _wreath_labels, perm_sign
 from supermolien.linalg import _berkowitz
 from supermolien.molien import GroupAction, require_flavor
 from supermolien.series import Caps, TrigradedSeries
-from supermolien.superalgebra import AlgebraSignature, SuperMonomial, SuperPolynomial, _label_sum
+from supermolien.superalgebra import AlgebraSignature, SuperPolynomial, _label_sum
 
 
 def require_shape(w, sig):
@@ -143,7 +143,7 @@ def shift_rows(f, offset, n_out):
     """f reembedded into n_out rows with every row index increased by offset."""
     sig = AlgebraSignature(f.sig.r0, f.sig.r1, n_out)
     return SuperPolynomial._canonical(
-        sig, {SuperMonomial._canonical(xpart, theta): c for xpart, theta, c in shuffle._shifted(f.terms, offset)}
+        sig, {(xpart, theta): c for xpart, theta, c in shuffle._shifted(f.terms, offset)}
     )
 
 

@@ -17,8 +17,8 @@ def relabel_rows(sigma, f):
     assert sigma.n == f.sig.n
     inv = sigma.inverse()
     out = SuperPolynomial.zero(f.sig)
-    for mono, c in f.terms.items():
-        theta, sign = normalize_theta((inv(r), col) for r, col in mono.theta)
-        moved = SuperMonomial({(inv(r), col): e for r, col, e in mono.xpart}, theta)
+    for (xpart, theta), c in f.terms.items():
+        theta, sign = normalize_theta((inv(r), col) for r, col in theta)
+        moved = SuperMonomial({(inv(r), col): e for r, col, e in xpart}, theta)
         out = out + SuperPolynomial.monomial(f.sig, moved, sign * c)
     return out

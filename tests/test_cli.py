@@ -1,5 +1,6 @@
 """Exit-code contract, determinism, and output formats of the CLI."""
 
+import hashlib
 import io
 import json
 import pathlib
@@ -100,6 +101,22 @@ def test_shuffle_matches_library():
     assert SuperPolynomial.from_json_dict(json.loads(out)) == shuffle_product(A, B, signed=True)
 
 
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ((), "ca3cf70eb75c6ac627ce88737c48fe601f30fed06532c5d02c3760d423dd7ace"),
+        (("--signed",), "689d85e969337c1eb5400ecc1b8e5e751d04eb82653aa75bf6201bebc2bf87d8"),
+    ],
+)
+def test_shuffle_output_bytes_are_pinned(flags, digest):
+    # the 2763 bytes of each flavor's product of the 2 + 2 row fixtures
+    code, out, err = invoke("shuffle", fx("shuffle_left_2_2.json"), fx("shuffle_right_2_2.json"), *flags)
+    assert code == 0 and err == ""
+    data = out.encode("utf-8")
+    assert len(data) == 2763
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def fx_read(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
@@ -191,6 +208,18 @@ def test_malformed_field_types_exit_two(tmp_path):
     code, _, err = invoke("shuffle", str(bad), fx("shuffle_left_1_2.json"))
     assert code == 2
     assert "not a polynomial file" in err
+
+
+def test_non_integral_polynomial_entries_exit_two(tmp_path):
+    # a theta (1.5, 1) on two rows once passed the signature check and
+    # reached the kernel as a KeyError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"sig": {"r0": 1, "r1": 1, "n": 2}, "terms": [{"x": [], "theta": [[1.5, 1]], "c": "1"}]}
+    ), encoding="utf-8")
+    code, out, err = invoke("shuffle", str(bad), fx("shuffle_left_2_2.json"))
+    assert code == 2 and out == ""
+    assert err == "error: theta row must be an integer, got 1.5\n"
 
 
 def test_oversized_shuffle_exits_two_before_enumerating(tmp_path):

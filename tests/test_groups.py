@@ -275,6 +275,16 @@ def test_matrix_group_json_round_trip():
     assert G2.elements == G.elements
 
 
+def test_matrix_group_json_refuses_non_integral_dimensions():
+    # int() would read r0 = 1.5 as 1 and r1 = True as 1
+    gen = {"g0": [["1"]], "g1": [["1"]]}
+    for field, value in (("r0", 1.5), ("r1", True), ("r1", "1")):
+        data = {"r0": 1, "r1": 1, "generators": [gen], field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            MatrixGroup.from_json_dict(data)
+    assert MatrixGroup.from_json_dict({"r0": 1.0, "r1": 1, "generators": [gen]}).r0 == 1
+
+
 def test_perm_group_constructors():
     assert PermGroup.symmetric(1).order == 1
     assert PermGroup.symmetric(2).order == 2
@@ -291,6 +301,16 @@ def test_perm_group_json_round_trip():
     P = PermGroup.symmetric(3)
     P2 = PermGroup.from_json_dict(P.to_json_dict())
     assert set(P2.elements) == set(P.elements)
+
+
+def test_perm_group_json_refuses_non_integral_entries():
+    # int() would read both as S_2: n = 2.6 as 2 and [2.9, 1.2] as [2, 1]
+    with pytest.raises(ValueError, match="^generator image must be an integer, got 2.9$"):
+        PermGroup.from_json_dict({"n": 2.6, "generators": [[2.9, 1.2]]})
+    with pytest.raises(ValueError, match="^n must be an integer, got 2.6$"):
+        PermGroup.from_json_dict({"n": 2.6, "generators": [[2, 1]]})
+    with pytest.raises(ValueError, match="^generator image must be an integer, got True$"):
+        PermGroup.from_json_dict({"n": 2, "generators": [[2, True]]})
 
 
 def test_matrix_group_to_perm_group():

@@ -2,7 +2,8 @@
 scripts/ or tests/ imports a name at module level that it never uses, no
 module-level private function, class or constant of the package goes
 unreferenced by the rest of src/, the one Molien sum is made only by
-super_molien, and every Class.attr of the package's classes named in a
+super_molien, no module under src/ makes a tuple through tuple.__new__,
+and every Class.attr of the package's classes named in a
 docstring or comment under src/, or in README, resolves.  An import written "name as name" is an
 explicit re-export, as type checkers read it, and counts as used."""
 
@@ -233,6 +234,42 @@ def test_molien_sum_is_made_only_by_super_molien():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
     found = [(module, scope) for module, scope, _ in constructions(sources, "_MolienSum")]
     assert found == [("src/supermolien/molien.py", "super_molien")]
+
+
+def tuple_new_uses(sources):
+    """(module, line) of each tuple.__new__ in the {module: source} map,
+    called or bound to a name for a later call."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__new__"
+                and getattr(node.value, "id", None) == "tuple"
+            ):
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_tuple_new_checker_finds_every_use():
+    sources = {
+        "a": "class Pair(tuple):\n    pass\ndef make(x, t):\n    return tuple.__new__(Pair, (x, t))\n",
+        "b": (
+            "def build(parts):\n"
+            "    new = tuple.__new__\n"
+            "    return [new(tuple, p) for p in parts]\n"
+            "plain = tuple((1, 2)), object.__new__(object), (1, 2)\n"
+        ),
+    }
+    assert tuple_new_uses(sources) == [("a", 4), ("b", 2)]
+
+
+def test_no_tuple_subclass_instances_are_made_under_src():
+    # a monomial is the plain pair (xpart, theta): a kernel that made
+    # tuple-subclass instances again would pay for one per term image
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+    assert tuple_new_uses(sources) == []
 
 
 def package_classes():

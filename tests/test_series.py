@@ -287,3 +287,16 @@ def test_json_rejects_duplicates():
     with pytest.raises(ValueError):
         TrigradedSeries.from_json_dict(d)
 
+
+def test_json_refuses_non_integral_caps_and_keys():
+    # int() would read the cap 2.5 as 2 and the key u = 0.5 as 0
+    good = {"caps": {"t": 1, "q": 2, "u": 1}, "coeffs": [{"t": 0, "q": 1, "u": 0, "c": "1"}]}
+    assert TrigradedSeries.from_json_dict(good).coefficient((0, 1, 0)) == 1
+    bad_cap = {**good, "caps": {"t": 1, "q": 2.5, "u": 1}}
+    with pytest.raises(ValueError, match="^caps q must be an integer, got 2.5$"):
+        TrigradedSeries.from_json_dict(bad_cap)
+    for k, value in (("u", 0.5), ("t", False)):
+        bad_key = {**good, "coeffs": [{"t": 0, "q": 1, "u": 0, "c": "1", k: value}]}
+        with pytest.raises(ValueError, match=f"^coefficient {k} must be an integer, got {value!r}$"):
+            TrigradedSeries.from_json_dict(bad_key)
+

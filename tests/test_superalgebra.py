@@ -1,8 +1,10 @@
 """Supercommutative multiplication, sign normalization, group actions, bases."""
 
 import itertools
+import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -20,11 +22,13 @@ from supermolien.groups import (
     PermGroup,
 )
 from supermolien.linalg import QMatrix, charpoly_det
-from supermolien.molien import FLAVORS, GroupAction, reynolds_project
+from supermolien.molien import FLAVORS, GroupAction, _orbit_sums, reynolds_project
+from supermolien.shuffle import shuffle_product
 from supermolien.superalgebra import (
     AlgebraSignature,
     SuperMonomial,
     SuperPolynomial,
+    _bidegree,
     _label_sum,
     _mul_terms,
     bidegree_basis,
@@ -75,8 +79,8 @@ def test_normalize_theta_matches_bubble_oracle(pairs):
 
 def test_monomial_canonicalization():
     m = SuperMonomial([(1, 2, 1), (1, 1, 2), (1, 2, 1)])
-    assert m.xpart == ((1, 1, 2), (1, 2, 2))
-    assert SuperMonomial({(1, 1): 0}) == SuperMonomial.one()
+    assert m[0] == ((1, 1, 2), (1, 2, 2))
+    assert SuperMonomial({(1, 1): 0}) == SuperMonomial({}) == ((), ())
     with pytest.raises(ValueError):
         SuperMonomial({}, (((1, 2)), ((1, 1))))  # not increasing
     with pytest.raises(ValueError):
@@ -84,15 +88,45 @@ def test_monomial_canonicalization():
 
 
 def test_validated_and_trusted_monomials_are_equal_and_hash_equal():
+    # a monomial is the plain pair: the validated one equals the literal
     validated = SuperMonomial({(2, 1): 1, (1, 2): 3}, [(1, 1), (2, 2)])
-    trusted = SuperMonomial._canonical(((1, 2, 3), (2, 1, 1)), ((1, 1), (2, 2)))
+    trusted = (((1, 2, 3), (2, 1, 1)), ((1, 1), (2, 2)))
     assert validated == trusted and hash(validated) == hash(trusted)
     assert {validated: 1} == {trusted: 1}
-    assert (trusted.xpart, trusted.theta) == tuple(trusted)
-    assert SuperMonomial.one() == SuperMonomial._canonical((), ())
-    assert trusted != SuperMonomial._canonical(((1, 2, 3),), ((1, 1), (2, 2)))
-    with pytest.raises(AttributeError):
-        trusted.xpart = ()
+    assert (validated[0], validated[1]) == validated and type(validated) is tuple
+    assert SuperMonomial({}) == ((), ())
+    assert validated != (((1, 2, 3),), ((1, 1), (2, 2)))
+    with pytest.raises(TypeError):
+        validated[0] = ()
+
+
+# (what is wrong, the pair, what SuperMonomial makes of its parts or None
+# when it refuses them)
+NON_CANONICAL_PAIRS = [
+    ("unsorted x-part", (((1, 2, 1), (1, 1, 1)), ()), (((1, 1, 1), (1, 2, 1)), ())),
+    ("zero exponent", (((1, 1, 0),), ()), ((), ())),
+    ("negative exponent", (((1, 1, -1),), ()), None),
+    ("repeated variable", (((1, 1, 1), (1, 1, 2)), ()), (((1, 1, 3),), ())),
+    ("decreasing theta", ((), ((1, 2), (1, 1))), None),
+    ("repeated theta", ((), ((1, 1), (1, 1))), None),
+]
+
+
+@pytest.mark.parametrize("what, pair, canon", NON_CANONICAL_PAIRS, ids=[c[0] for c in NON_CANONICAL_PAIRS])
+def test_validating_constructors_refuse_non_canonical_pairs(what, pair, canon):
+    # a plain pair gets in as a key only in canonical form: the validating
+    # SuperPolynomial refuses the pair, whatever its coefficient, and
+    # SuperMonomial refuses its parts or gives back another, canonical pair
+    sig = AlgebraSignature(2, 2, 1)
+    for c in (1, 0):
+        with pytest.raises(ValueError):
+            SuperPolynomial(sig, {pair: c})
+    if canon is None:
+        with pytest.raises(ValueError):
+            SuperMonomial(*pair)
+    else:
+        assert SuperMonomial(*pair) == canon != pair
+        assert SuperPolynomial(sig, {canon: 1}).terms == {canon: 1}
 
 
 SIG = AlgebraSignature(2, 2, 2)
@@ -340,7 +374,7 @@ def test_bidegree_basis_counts():
                 expected = math.comb(n * r0 + i - 1, i) * math.comb(n * r1, j) if n * r0 + i > 0 else (1 if i == 0 else 0) * math.comb(n * r1, j)
                 assert len(basis) == expected
                 assert len(set(basis)) == len(basis)
-                assert all(m.degrees() == (i, j) for m in basis)
+                assert all(_bidegree(m) == (i, j) for m in basis)
 
 
 def test_bidegree_basis_size_counts_the_basis():
@@ -392,7 +426,7 @@ def groupby_bidegree_basis(sig, i, j):
     out = []
     for factors in itertools.combinations_with_replacement(sig.even_vars(), i):
         xpart = tuple((r, c, len(list(run))) for (r, c), run in itertools.groupby(factors))
-        out.extend(SuperMonomial._canonical(xpart, t) for t in thetas)
+        out.extend((xpart, t) for t in thetas)
     return out
 
 
@@ -458,6 +492,43 @@ def test_superpoly_json_folds_unsorted_theta_sign():
     assert f == -super_mul(SuperPolynomial.theta_var(sig, 1, 1), SuperPolynomial.theta_var(sig, 1, 2))
 
 
+def pinned_element():
+    """One fixed element: x powers, three thetas, a constant and a
+    fractional coefficient."""
+    sig = AlgebraSignature(2, 3, 2)
+    return SuperPolynomial(
+        sig,
+        {
+            SuperMonomial({(1, 1): 3, (2, 2): 1}, [(1, 1), (1, 3), (2, 2)]): Fraction(-5, 2),
+            SuperMonomial({(1, 2): 2}, [(2, 1)]): 4,
+            SuperMonomial({}): 1,
+        },
+    )
+
+
+def test_repr_and_json_of_a_fixed_element_are_pinned():
+    # the readers of a monomial's parts print exactly what they printed
+    # when a monomial was a tuple subclass with its own repr
+    f = pinned_element()
+    assert repr(f) == (
+        "<superpoly 2,3;n=2: 1*1 + 4*x[1,2]^2th[2,1] + -5/2*x[1,1]^3x[2,2]th[1,1]th[1,3]th[2,2]>"
+    )
+    assert f.to_json_dict() == {
+        "sig": {"r0": 2, "r1": 3, "n": 2},
+        "terms": [
+            {"x": [], "theta": [], "c": "1"},
+            {"x": [[1, 2, 2]], "theta": [[2, 1]], "c": "4"},
+            {"x": [[1, 1, 3], [2, 2, 1]], "theta": [[1, 1], [1, 3], [2, 2]], "c": "-5/2"},
+        ],
+    }
+    assert json.dumps(f.to_json_dict()) == (
+        '{"sig": {"r0": 2, "r1": 3, "n": 2}, "terms": [{"x": [], "theta": [], "c": "1"}, '
+        '{"x": [[1, 2, 2]], "theta": [[2, 1]], "c": "4"}, '
+        '{"x": [[1, 1, 3], [2, 2, 1]], "theta": [[1, 1], [1, 3], [2, 2]], "c": "-5/2"}]}'
+    )
+    assert f.bidegree_support() == {(0, 0), (2, 1), (4, 3)}
+
+
 def test_superpoly_json_rejects_repeated_theta():
     data = {
         "sig": {"r0": 0, "r1": 2, "n": 1},
@@ -465,6 +536,24 @@ def test_superpoly_json_rejects_repeated_theta():
     }
     with pytest.raises(ValueError):
         SuperPolynomial.from_json_dict(data)
+
+
+def test_superpoly_json_refuses_non_integral_entries():
+    # int() would read the exponent 2.7 as 2, and the theta (1.5, 1) would
+    # pass the signature's range check
+    def poly(x=(), theta=(), sig=None):
+        return {"sig": sig or {"r0": 1, "r1": 1, "n": 2}, "terms": [{"x": list(x), "theta": list(theta), "c": "1"}]}
+
+    for data, message in (
+        (poly(x=[[1, 1, 2.7]]), "x exponent must be an integer, got 2.7"),
+        (poly(x=[[1, True, 1]]), "x column must be an integer, got True"),
+        (poly(theta=[[1.5, 1], [1, 1]]), "theta row must be an integer, got 1.5"),
+        (poly(sig={"r0": 1, "r1": 1, "n": 2.5}), "sig n must be an integer, got 2.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SuperPolynomial.from_json_dict(data)
+    exact_float = SuperPolynomial.from_json_dict(poly(x=[[1, 1, 2.0]]))
+    assert exact_float == SuperPolynomial(AlgebraSignature(1, 1, 2), {(((1, 1, 2),), ()): 1})
 
 
 # -- kernel outputs: equivalence and canonical form ---------------------------------
@@ -490,11 +579,21 @@ def random_label(rng, G, n):
     return WreathElement(Permutation(images), gs)
 
 
+def assert_plain(monomials):
+    """Each monomial is the plain pair of plain tuples, no subclass
+    instance anywhere in it."""
+    for m in monomials:
+        assert type(m) is tuple and len(m) == 2
+        assert type(m[0]) is tuple and type(m[1]) is tuple
+        assert all(type(part) is tuple for part in m[0] + m[1])
+
+
 def assert_canonical(p):
     assert all(is_exact(c) for c in p.terms.values())
+    assert_plain(p.terms)
     for m in p.terms:
-        rebuilt = SuperMonomial(m.xpart, m.theta)
-        assert (rebuilt.xpart, rebuilt.theta) == (m.xpart, m.theta)
+        rebuilt = SuperMonomial(m[0], m[1])
+        assert (rebuilt[0], rebuilt[1]) == (m[0], m[1])
     again = SuperPolynomial(p.sig, p.terms)
     assert again == p and list(again.terms.items()) == list(p.terms.items())
 
@@ -515,15 +614,16 @@ def substitute_row(g, row, f):
     for mono, coeff in f.terms.items():
         # substituted factors are multiplied in canonical order; the rest of
         # the monomial passes through as two blocks, so signs stay exact
-        pre = SuperMonomial([t for t in mono.xpart if t[0] != row], [p for p in mono.theta if p[0] < row])
+        xpart, theta = mono
+        pre = SuperMonomial([t for t in xpart if t[0] != row], [p for p in theta if p[0] < row])
         acc = {pre: coeff}
-        for r, c, e in mono.xpart:
+        for r, c, e in xpart:
             for _ in range(e if r == row else 0):
                 acc = _mul_terms(acc, x_images[c - 1])
-        for r, c in mono.theta:
+        for r, c in theta:
             if r == row:
                 acc = _mul_terms(acc, theta_images[c - 1])
-        post = tuple(p for p in mono.theta if p[0] > row)
+        post = tuple(p for p in theta if p[0] > row)
         acc = _mul_terms(acc, {SuperMonomial({}, post): Fraction(1)})
         total = total + SuperPolynomial(sig, acc)
     return total
@@ -643,6 +743,11 @@ def test_kernel_outputs_are_canonical(gname):
             sigma = Permutation(rng.sample(range(1, n + 1), n))
             assert_canonical(apply_wreath(relabeling(sigma, sig), f))
             assert_canonical(apply_wreath(random_label(rng, G, n), f))
+            w = random_label(rng, G, n)
+            assert_plain(_label_sum(((1, w), (-1, relabeling(sigma, sig))), f.terms))
+            assert_plain(_mul_terms(f.terms, g.terms))
+            for j in range(sig.num_odd + 1):
+                assert_plain(bidegree_basis(sig, 2, j))
         for flavor in FLAVORS:
             action = GroupAction.from_wreath(PermGroup.symmetric(n), G, n, flavor=flavor)
             # a projection under the non-monomial group has ~100 terms from
@@ -650,6 +755,12 @@ def test_kernel_outputs_are_canonical(gname):
             proj = reynolds_project(action, random_poly(rng, sig, terms=2 if gname == "rational-s3" else 4))
             assert_canonical(proj)
             assert reynolds_project(action, proj) == proj
+            basis = bidegree_basis(sig, 1, min(1, sig.num_odd))
+            for m, acc in _orbit_sums(action, basis):
+                assert_plain([m, *acc])
+            one_row = AlgebraSignature(G.r0, G.r1, 1)
+            f, g = random_poly(rng, one_row, terms=2), random_poly(rng, one_row, terms=2)
+            assert_canonical(shuffle_product(f, g, signed=flavor != "invariant"))
 
 
 def small_term_map(rng, sig, terms=3):
@@ -696,11 +807,12 @@ def dense_image(w, sig, mono):
     the images multiplied out factor by factor with super_mul."""
     even, odd = (dense_columns(m, r) for m, r in zip(dense_label_matrices(w), (sig.r0, sig.r1)))
     out = SuperPolynomial.one(sig)
-    for r, c, e in mono.xpart:
+    xpart, theta = mono
+    for r, c, e in xpart:
         form = SuperPolynomial(sig, {SuperMonomial({v: 1}): a for v, a in even[r, c]})
         for _ in range(e):
             out = super_mul(out, form)
-    for p in mono.theta:
+    for p in theta:
         out = super_mul(out, SuperPolynomial(sig, {SuperMonomial({}, (v,)): a for v, a in odd[p]}))
     return out
 
@@ -733,7 +845,7 @@ def test_label_sum_equals_dense_and_relabeling_images(gname):
         if len(labels) > 200:
             labels = rng.sample(labels, 200)
         monos = odd_count_monomials(rng, sig)
-        assert {len(m.theta) for m in monos} == set(range(min(4, sig.num_odd) + 1))
+        assert {len(m[1]) for m in monos} == set(range(min(4, sig.num_odd) + 1))
         total = []
         for w in labels:
             mono = rng.choice(monos)
