@@ -17,13 +17,18 @@ and sign, moves, monomial, substitution) is the lock-free descriptor once.
 This module is the one presentation of the wreath product P[G], for G a
 matrix group or a permutation group: one enumerator of its labels, behind
 one degree check (require_degree) and one WREATH_CAP check of its
-|P| * |G|^n labels (require_wreath), and one generator set,
-wreath_generators.  The enumerator pairs given row permutations with G^n;
-perm_group_of_wreath realizes P[G] on it, as a permutation group of the
-points.  The routes of molien keep P[G] as its factors, a GroupAction,
-which checks each sigma's degree when it is made; the Molien route builds
-none of its labels, and the Reynolds route builds P's and G's, after the
-same WREATH_CAP check.  A linear character is a plain tuple of +-1 ints
+|P| * |G|^n labels (require_wreath).  The enumerator pairs given row
+permutations with G^n; perm_group_of_wreath realizes P[G] on it, as a
+permutation group of the points, generated by wreath_generators, which
+plants each generator of G in every row.  The shuffle battery keeps its
+own generators of S_n[G], G's in row 1 only (shuffle's
+_wreath_generator_labels): S_n moves them into every row, and planting
+them in every row made the battery's largest perfbench case over 10%
+slower.  The routes of molien keep P[G] as its factors, a GroupAction,
+which checks each sigma's degree when it is made; the Molien route
+builds none of its labels, and the Reynolds route builds P's and G's,
+|P| + |G| labels by the one validating WreathElement constructor, after
+the same WREATH_CAP check.  A linear character is a plain tuple of +-1 ints
 aligned with its group's element order (validate_character);
 sign_character is the one sign function.  shuffle_reps enumerates the
 minimal coset representatives of a Young subgroup S_blocks, for any
@@ -74,14 +79,15 @@ class once:
 
 
 class Permutation:
-    """Permutation of {1..n} in one-line notation: i maps to images[i-1].
+    """Permutation of {1..n} in one-line notation: i maps to images[i-1],
+    each image read by parse_int, so 2.9 or True is refused, not truncated.
     Its cycles and sign are compute-once attributes (once), kept in its
     __dict__; ==, hash and repr read images alone."""
 
     __slots__ = ("images", "__dict__")
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(int(i) for i in images)
+        images = tuple([parse_int(i, "permutation image") for i in images])
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
@@ -485,16 +491,6 @@ class WreathElement:
                 f"permutation degree {self.sigma.n} != {len(self.gs)} row factors"
             )
 
-    @staticmethod
-    def _of(sigma: Permutation, gs: tuple) -> "WreathElement":
-        """Trusted constructor for a label whose degree was already checked,
-        as GroupAction checks each sigma once per action: no __post_init__.
-        Equal to, and hashing as, the label the validating constructor makes."""
-        w = object.__new__(WreathElement)
-        fields = w.__dict__
-        fields["sigma"], fields["gs"] = sigma, gs
-        return w
-
     @once
     def substitution(self) -> "Substitution":
         """The label's matrices, compiled once per label object and read by
@@ -518,27 +514,23 @@ class WreathElement:
             moved_even, moved_odd = gs[i - 1].moves[i, b]
             even.update(moved_even)
             odd.update(moved_odd)
-        return Substitution((len(gs), shape[0], shape[2]), even, odd, one_term)
+        return Substitution(even, odd, one_term)
 
 
 class Substitution(NamedTuple):
-    """A wreath label's matrices, compiled once per label object.
-
-    shape is (n, r0, r1), n rows of square r0 x r0 and r1 x r1 blocks, as a
-    label whose blocks are not square and alike does not compile: a
-    signature check is one tuple compare.  A zero-row label has shape
-    (0, 0, 0) and acts on the scalars of any (r0, r1).  even and odd map each
-    variable (row, col) to its image, a tuple of ((row', col'),
-    coefficient) pairs, integral coefficients as ints: the label's matrix
-    column by column, which the char-poly kernel reads as rows; both are
-    empty on zero rows.  one_term says every image is a single term and
+    """A wreath label's matrices, compiled once per label object from
+    square row blocks alike in every row: a label whose blocks are not does
+    not compile.  even and odd map each variable (row, col) to its image, a
+    tuple of ((row', col'), coefficient) pairs, integral coefficients as
+    ints: the label's matrix column by column, which the char-poly kernel
+    reads as rows; both are empty on zero rows, which act on the scalars
+    of any (r0, r1).  one_term says every image is a single term and
     distinct variables have distinct images, that is every block is
     monomial (GradedGroupElement.monomial), as for every label of P[G] with
     G a group of (scaled) signed permutation matrices: each monomial then
     maps to one monomial, and distinct monomials to distinct ones.  The
     algebra layer maps a whole term map through it in one call per label."""
 
-    shape: tuple[int, int, int]
     even: dict
     odd: dict
     one_term: bool

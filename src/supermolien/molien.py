@@ -2,45 +2,47 @@
 
 A GroupAction, the one action of the package, is P[G] on n rows kept as
 its factors: top, the (chi(sigma), sigma) pairs of a permutation group P
-on the rows, and rows, the (psi(g), g) pairs of G's elements, chi and psi
-the +-1 linear characters selecting the isotypic component.  Its labels
-(sigma, (g_1..g_n)), weighted chi(sigma) psi(g_1)..psi(g_n), are never
-listed.  A single matrix group is P = 1 on one row (from_matrix_group,
-psi its character); from_wreath weights the top by sgn(sigma) or 1.
-Every label w acts by one matrix per graded part, M0(w) on the even and
-M1(w) on the odd variables.  The Molien route averages
-det(I + u*M1)/det(I - q*M0) with weights chi(w^{-1}) = chi(w) in one sum,
-fed sigma by sigma.  A label's matrices are block-diagonal over the
-cycles of sigma, so its two char-polys are the products of its blocks',
-whatever G is.  A block depends on the g-sequence along its cycle alone,
-so each sequence's block has its char-polys taken once per call, by the
-one char-poly kernel, and the sum counts the labels by convolving one
-table of block numbers over G^m per cycle length m, each sequence
-weighted by its psi values' product.  The weights are summed per sorted
-tuple of block numbers, each such key's blocks are multiplied once, and
-the weighted numerators are summed per denominator, each denominator
-expanded once into a series, since distinct keys can share one.  Each
-block's char-polys come from its own matrices, no sigma is grouped by
-cycle type, and no cycle index or block determinant lemma is used: those
-stay with the plethysm route, which keeps the routes independent.  The oracle route never looks at Molien:
+on the rows, and rows, the (psi(g), g) pairs of G's elements, chi and
+psi the +-1 linear characters selecting the isotypic component.  Its
+labels (sigma, (g_1..g_n)), weighted chi(sigma) psi(g_1)..psi(g_n), are
+never listed.  A single matrix group is P = 1 on one row
+(from_matrix_group, psi its character); from_wreath weights the top by
+sgn(sigma) or 1.  Every label w acts by one matrix per graded part,
+M0(w) on the even and M1(w) on the odd variables.  The Molien route
+averages det(I + u*M1)/det(I - q*M0) with weights chi(w^{-1}) = chi(w)
+in one sum, super_molien, fed sigma by sigma.  A label's matrices are
+block-diagonal over the cycles of sigma, so its two char-polys are the
+products of its blocks', whatever G is.  A block depends on the
+g-sequence along its cycle alone, so each sequence's block has its
+char-polys taken once per call, by the one char-poly kernel, and the sum
+counts the labels by convolving one table of block numbers over G^m per
+cycle length m, each sequence weighted by its psi values' product.  The
+weights are summed per sorted tuple of block numbers, each such key's
+blocks are multiplied once, and the weighted numerators are summed per
+denominator, each denominator expanded once into a series, since
+distinct keys can share one.  Each block's char-polys come from its own
+matrices, no sigma is grouped by cycle type, and no cycle index or block
+determinant lemma is used: those stay with the plethysm route, which
+keeps the routes independent.  The oracle route never looks at Molien:
 it takes the exact rank of the Reynolds operator, the average of the
 substitutions by the same matrices, on the monomial basis of each
 bidegree.  Since R(w.f) = chi(w) R(f), a label mapping m to a single
-term c*m' gives R(m') = chi(w)/c R(m), a multiple of R(m), so the rank is
-taken over one row per orbit of monomials, not one per monomial.  Each
-row is one weighted sum of the action: it maps the orbit's first
+term c*m' gives R(m') = chi(w)/c R(m), a multiple of R(m), so the rank
+is taken over one row per orbit of monomials, not one per monomial.
+Each row is one weighted sum of the action: it maps the orbit's first
 monomial, with coefficient 1, through the compiled substitutions
 (WreathElement.substitution) by the label sum of superalgebra, builds no
 polynomial per label, and sums chi(w)*c as ints (Fractions only for
-non-integral c).  The labels of P and of G are compiled on the
-route's first use, never by the Molien route, and the sum goes in two
-stages, as P[G]'s Reynolds operator factors through G^n's: each row's
-content is mapped through G's labels, once per distinct content and
-action, the row images are multiplied, and the product is mapped through
-P's labels.  A trivial G leaves the row stage out, and a trivial P on one
-row the top stage.  That undivided sum is |W| R(m), which spans the same line as
-R(m), so only the public reynolds_project divides by |W|.  The rows go to
-the integer Bareiss kernel as sparse {position: value} dicts.
+non-integral c).  The |P| + |G| labels of P and of G are built, by the
+validating WreathElement constructor, and compiled on the route's first
+use, never by the Molien route, and the sum goes in two stages, as
+P[G]'s Reynolds operator factors through G^n's: each row's content is
+mapped through G's labels, once per distinct content and action, the row
+images are multiplied, and the product is mapped through P's labels.  A
+trivial G leaves the row stage out, and a trivial P on one row the top
+stage.  That undivided sum is |W| R(m), which spans the same line as
+R(m), so only the public reynolds_project divides by |W|.  The rows go
+to the integer Bareiss kernel as sparse {position: value} dicts.
 molien_vs_oracle compares the two routes coefficient by coefficient.
 """
 
@@ -51,7 +53,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import BasisTooLarge, CapExceeded, DimensionMismatch, SignatureMismatch
 from .groups import (
@@ -172,27 +174,28 @@ class GroupAction:
     def _top_labels(self) -> tuple:
         """top as labels (sigma, identity rows), built on first use."""
         gs = (self._identity,) * self.signature.n
-        return tuple([(chi, WreathElement._of(sigma, gs)) for chi, sigma in self.top])
+        return tuple([(chi, WreathElement(sigma, gs)) for chi, sigma in self.top])
 
     @once
     def _row_labels(self) -> tuple:
         """rows as one-row labels (1, (g,)), built on first use."""
         ident = Permutation.identity(1)
-        return tuple([(psi, WreathElement._of(ident, (g,))) for psi, g in self.rows])
+        return tuple([(psi, WreathElement(ident, (g,))) for psi, g in self.rows])
 
     @once
     def _stages(self) -> tuple:
-        """(top labels, row labels, whether every g is monomial, row images)
-        of the two-stage sum, after |P| * |G|^n is checked against
-        WREATH_CAP (require_wreath), so a refused action builds no label.
-        The row images, which every weighted sum of the action fills, map a
-        row part (x-part, theta) on its row r to its (image terms,
-        single-term images) on row r; an empty row's is the sum of psi."""
+        """(whether every g is monomial, row images) of the two-stage sum,
+        after |P| * |G|^n is checked against WREATH_CAP (require_wreath),
+        which the sum reads before it builds a label, so a refused action
+        builds none.  The row images, which every weighted sum of the
+        action fills, map a row part (x-part, theta) on its row r to its
+        (image terms, single-term images) on row r; an empty row's is the
+        sum of psi."""
         require_wreath(len(self.top), len(self.rows), self.signature.n)
         monomial = all(g.monomial for _, g in self.rows)
         constant = sum(psi for psi, _ in self.rows)
         images = {((), ()): ([((), (), constant)] if constant else [], [((), ())])}
-        return self._top_labels, self._row_labels, monomial, images
+        return monomial, images
 
     def _weighted_sum(self) -> Callable[..., dict]:
         """sum over the labels of chi(w) w.f, as a function of (terms,
@@ -216,7 +219,8 @@ class GroupAction:
         if len(self.top) == 1 and self.signature.n == 1:
             return functools.partial(_label_sum, self._row_labels)
         n = self.signature.n
-        top, rows, monomial, images = self._stages
+        monomial, images = self._stages
+        top, rows = self._top_labels, self._row_labels
 
         def image(part: tuple) -> tuple[list, list]:
             xs, ts = part
@@ -309,87 +313,29 @@ def _block_pair(gseq: Sequence, dq: int, du: int) -> tuple[tuple, tuple]:
     return _charpoly_rows(even)[: dq + 1], _charpoly_rows(odd)[: du + 1]
 
 
-class _MolienSum:
-    """One call's sum of chi * det(I + u*M1)/det(I - q*M0) over an
-    action's labels (sigma, gs), within caps (0, dq, du), checked first:
-    fed sigma by sigma (add_sigmas), and divided by the order once
-    (series).  super_molien makes the only one.
+def super_molien(action: GroupAction, dq: int, du: int | None = None) -> TrigradedSeries:
+    """Character-weighted Molien average, the sum of chi *
+    det(I + u*M1)/det(I - q*M0) over the action's labels (sigma, gs)
+    divided by their number, exact within caps (0, dq, du), after |G|^n,
+    the size of the largest block table a sigma on n rows can need, is
+    checked against WREATH_CAP.  No label is walked or built.
 
     A label's matrices are block-diagonal over the cycles of sigma, so its
     two char-polys are the products of its blocks'.  Each block, the
     g-sequence along one cycle, is numbered by its pair of char-polys, cut
     at the caps (_block_pair), monomial or not.  A label adds its weight
-    to its key, the sorted numbers of its blocks."""
-
-    def __init__(self, dq: int, du: int):
-        self.caps = Caps.of((0, dq, du))
-        self.numbers: dict[tuple[tuple, tuple], int] = {}
-        self.keys: dict[tuple[int, ...], int] = {}
-
-    def add_sigmas(self, top: Iterable[tuple[int, Permutation]], rows: Sequence[tuple[int, GradedGroupElement]]) -> None:
-        """Every label (sigma, gs) of each (chi, sigma) pair of top, gs in
-        G^n with G's (psi, g) pairs given as rows, weighted chi times the
-        product of the psi values, without walking the labels: gs
-        restricted to each cycle of sigma is a bijection onto the product
-        over the cycles of G^m, m the cycle's length.  So one table per
-        length m, summing the psi products of the g-sequences in G^m per
-        block number, is built once per call, each sequence's block taken
-        once, and a sigma's key weights are the convolution of its cycles'
-        tables, times chi."""
-        tables: dict[int, dict[int, int]] = {}
-        keys, numbers, caps = self.keys, self.numbers, self.caps
-        for chi, sigma in top:
-            weights = {(): chi}
-            for cycle in sigma.cycles:
-                table = tables.get(len(cycle))
-                if table is None:
-                    table = tables[len(cycle)] = {}
-                    for combo in itertools.product(rows, repeat=len(cycle)):
-                        psis, gseq = zip(*combo)
-                        k = numbers.setdefault(_block_pair(gseq, caps.q, caps.u), len(numbers))
-                        table[k] = table.get(k, 0) + math.prod(psis)
-                step: dict[tuple[int, ...], int] = {}
-                for key, w in weights.items():
-                    for k, count in table.items():
-                        longer = tuple(sorted((*key, k)))
-                        step[longer] = step.get(longer, 0) + w * count
-                weights = step
-            for key, w in weights.items():
-                keys[key] = keys.get(key, 0) + w
-
-    def series(self, order: int) -> TrigradedSeries:
-        """The sum divided by order.  Each key with a nonzero weight has its
-        blocks' char-polys multiplied once, cut at the caps, and its
-        weighted numerator added to its denominator's, since distinct keys
-        can share a denominator.  Each denominator is expanded once, with
-        the summed numerator, into a series: _pair_table is linear in num."""
-        caps = self.caps
-        blocks_of = list(self.numbers)
-        nums: dict[tuple, list] = {}
-        for blocks, weight in self.keys.items():
-            if weight:
-                den, num = blocks_of[blocks[0]] if blocks else ((1,), (1,))
-                for k in blocks[1:]:
-                    block_den, block_num = blocks_of[k]
-                    # a block's char-poly, often sparse, goes first: _poly_mul skips its zeros
-                    den = _poly_mul(block_den, den, caps.q)
-                    num = _poly_mul(block_num, num, caps.u)
-                summed = nums.setdefault(tuple(den), [0] * (caps.u + 1))
-                for j, a in enumerate(num):
-                    summed[j] += weight * a
-        total: dict[Key, int | Fraction] = {}
-        for den, num in nums.items():
-            if any(num):
-                for key, c in _pair_table(den, num, caps.q).items():
-                    total[key] = total.get(key, 0) + c
-        return TrigradedSeries._canonical(caps, {k: exact_div(c, order) for k, c in total.items()})
-
-
-def super_molien(action: GroupAction, dq: int, du: int | None = None) -> TrigradedSeries:
-    """Character-weighted Molien average, exact within caps (0, dq, du), by
-    the one Molien sum, fed sigma by sigma, after |G|^n, the size of the
-    largest block table a sigma on n rows can need, is checked against
-    WREATH_CAP.  No label is walked or built.
+    to its key, the sorted numbers of its blocks.  The labels are fed
+    sigma by sigma without being walked: gs restricted to each cycle of
+    sigma is a bijection onto the product over the cycles of G^m, m the
+    cycle's length.  So one table per length m, summing the psi products
+    of the g-sequences in G^m per block number, is built once per call,
+    each sequence's block taken once, and a sigma's key weights are the
+    convolution of its cycles' tables, times chi.  Then each key with a
+    nonzero weight has its blocks' char-polys multiplied once, cut at the
+    caps, and its weighted numerator added to its denominator's, since
+    distinct keys can share a denominator.  Each denominator is expanded
+    once, with the summed numerator, into a series (_pair_table, which is
+    linear in num), and the sum is divided by the order once.
 
     du defaults to the full odd dimension n*r1, where the numerator
     det(I + u*g1) is a polynomial of exactly that degree.
@@ -400,9 +346,48 @@ def super_molien(action: GroupAction, dq: int, du: int | None = None) -> Trigrad
         raise CapExceeded(
             f"direct route needs up to {sequences} g-sequences, cap is {WREATH_CAP} (|G| = {len(action.rows)}, n = {sig.n})"
         )
-    total = _MolienSum(dq, sig.num_odd if du is None else du)
-    total.add_sigmas(action.top, action.rows)
-    return total.series(action.order)
+    caps = Caps.of((0, dq, sig.num_odd if du is None else du))
+    numbers: dict[tuple[tuple, tuple], int] = {}
+    keys: dict[tuple[int, ...], int] = {}
+    tables: dict[int, dict[int, int]] = {}
+    for chi, sigma in action.top:
+        weights = {(): chi}
+        for cycle in sigma.cycles:
+            table = tables.get(len(cycle))
+            if table is None:
+                table = tables[len(cycle)] = {}
+                for combo in itertools.product(action.rows, repeat=len(cycle)):
+                    psis, gseq = zip(*combo)
+                    k = numbers.setdefault(_block_pair(gseq, caps.q, caps.u), len(numbers))
+                    table[k] = table.get(k, 0) + math.prod(psis)
+            step: dict[tuple[int, ...], int] = {}
+            for key, w in weights.items():
+                for k, count in table.items():
+                    longer = tuple(sorted((*key, k)))
+                    step[longer] = step.get(longer, 0) + w * count
+            weights = step
+        for key, w in weights.items():
+            keys[key] = keys.get(key, 0) + w
+    blocks_of = list(numbers)
+    nums: dict[tuple, list] = {}
+    for blocks, weight in keys.items():
+        if weight:
+            den, num = blocks_of[blocks[0]] if blocks else ((1,), (1,))
+            for k in blocks[1:]:
+                block_den, block_num = blocks_of[k]
+                # a block's char-poly, often sparse, goes first: _poly_mul skips its zeros
+                den = _poly_mul(block_den, den, caps.q)
+                num = _poly_mul(block_num, num, caps.u)
+            summed = nums.setdefault(tuple(den), [0] * (caps.u + 1))
+            for j, a in enumerate(num):
+                summed[j] += weight * a
+    total: dict[Key, int | Fraction] = {}
+    for den, num in nums.items():
+        if any(num):
+            for key, c in _pair_table(den, num, caps.q).items():
+                total[key] = total.get(key, 0) + c
+    order = action.order
+    return TrigradedSeries._canonical(caps, {k: exact_div(c, order) for k, c in total.items()})
 
 
 def reynolds_project(action: GroupAction, f: SuperPolynomial) -> SuperPolynomial:

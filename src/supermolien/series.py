@@ -21,7 +21,8 @@ Key = tuple[int, int, int]
 
 
 class Caps(NamedTuple):
-    """Inclusive truncation caps for the t, q, u exponents."""
+    """Inclusive truncation caps for the t, q, u exponents; of() reads each
+    by parse_int, so 2.5 is refused, not truncated."""
 
     t: int
     q: int
@@ -29,7 +30,7 @@ class Caps(NamedTuple):
 
     @staticmethod
     def of(value) -> "Caps":
-        c = Caps(*value)
+        c = Caps(*[parse_int(x, "cap") for x in value])
         if any(x < 0 for x in c):
             raise ValueError(f"caps must be nonnegative, got {tuple(c)}")
         return c
@@ -60,8 +61,8 @@ class TrigradedSeries:
         caps = Caps.of(caps)
         clean: dict[Key, int | Fraction] = {}
         if coeffs:
-            for key, c in coeffs.items():
-                key = (int(key[0]), int(key[1]), int(key[2]))
+            for (t, q, u), c in coeffs.items():
+                key = (parse_int(t, "exponent t"), parse_int(q, "exponent q"), parse_int(u, "exponent u"))
                 if not caps.contains(key):
                     raise ValueError(f"exponent {key} outside caps {tuple(caps)}")
                 c = exact(c)

@@ -329,7 +329,7 @@ def super_mul(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
 
 def _multi_term_image(sub: Substitution, terms: Mapping) -> dict:
     """The image of a term map under a compiled label that is not one-term
-    and whose shape was checked: each term's factors are multiplied out one
+    and fits the terms' signature: each term's factors are multiplied out one
     by one and the terms summed, as a term map without zeros, ints where
     the coefficients and the label's entries are."""
     even, odd = sub.even, sub.odd

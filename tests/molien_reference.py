@@ -23,15 +23,17 @@ from supermolien.superalgebra import AlgebraSignature, SuperPolynomial, _label_s
 
 
 def require_shape(w, sig):
-    """One label's compiled shape against a signature: its rows first
-    (DegreeMismatch), then its blocks, vacuous on zero rows
-    (DimensionMismatch).  A label whose row blocks are not square and
-    alike does not compile (DimensionMismatch)."""
-    n, r0, r1 = w.substitution.shape
+    """One label's shape against a signature, read from its row factors
+    w.gs: a label whose row blocks are not square and alike does not
+    compile (DimensionMismatch); then its rows (DegreeMismatch), then its
+    blocks, vacuous on zero rows (DimensionMismatch)."""
+    w.substitution
+    n = len(w.gs)
     if n != sig.n:
         raise DegreeMismatch(f"wreath degree {n} != {sig.n} rows")
-    if sig.n and (r0, r1) != (sig.r0, sig.r1):
-        raise DimensionMismatch(f"label blocks {(r0, r1)} do not match signature ({sig.r0}, {sig.r1})")
+    # a compiled label's blocks are alike, so row 1's (r0, r1) are every row's
+    if n and w.gs[0].shape[::2] != (sig.r0, sig.r1):
+        raise DimensionMismatch(f"label blocks {w.gs[0].shape[::2]} do not match signature ({sig.r0}, {sig.r1})")
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,9 @@ def reference_direct(P, G, n, flavor, dq):
 
 def build_wreath(P, G, n):
     """All |P| * |G|^n labels of P[G], sigma-major in element order, each
-    made by the trusted WreathElement._of after _wreath_labels has checked
-    every sigma's degree and the cap."""
-    return [WreathElement._of(sigma, gs) for sigma, gs in _wreath_labels(P.elements, G, n)]
+    made by the validating WreathElement constructor after _wreath_labels
+    has checked every sigma's degree and the cap."""
+    return [WreathElement(sigma, gs) for sigma, gs in _wreath_labels(P.elements, G, n)]
 
 
 def flat_action(P, G, n, flavor):

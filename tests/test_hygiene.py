@@ -1,10 +1,12 @@
 """Source hygiene with the standard library only: no module under src/,
 scripts/ or tests/ imports a name at module level that it never uses, no
 module-level private function, class or constant of the package goes
-unreferenced by the rest of src/, the one Molien sum is made only by
-super_molien, no module under src/ makes a tuple through tuple.__new__,
-and every Class.attr of the package's classes named in a
-docstring or comment under src/, or in README, resolves.  An import written "name as name" is an
+unreferenced by the rest of src/, the Molien sum's block numbering
+(_block_pair) and pair expansion (_pair_table) are called under src/ by
+super_molien alone, no module under src/ makes a tuple through
+tuple.__new__, and every Class.attr of the package's classes, and every
+backquoted `module.name` of its modules, named in a docstring or comment
+under src/, or in README, resolves.  An import written "name as name" is an
 explicit re-export, as type checkers read it, and counts as used."""
 
 import ast
@@ -186,10 +188,10 @@ def test_no_unreferenced_private_names_in_the_package():
     assert not found, "private names no other line of src/ reads:\n" + "\n".join(found)
 
 
-def constructions(sources, cls):
-    """(module, enclosing qualified name, line) of each call of cls, by its
-    name or as an attribute, in the {module: source} map; a call at module
-    level is enclosed by "<module>"."""
+def calls_of(sources, func_name):
+    """(module, enclosing qualified name, line) of each call of func_name,
+    by its name or as an attribute, in the {module: source} map; a call at
+    module level is enclosed by "<module>"."""
     found = []
 
     def visit(module, node, scope):
@@ -199,7 +201,7 @@ def constructions(sources, cls):
                 inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
             elif isinstance(child, ast.Call):
                 func = child.func
-                if getattr(func, "id", None) == cls or getattr(func, "attr", None) == cls:
+                if getattr(func, "id", None) == func_name or getattr(func, "attr", None) == func_name:
                     found.append((module, scope, child.lineno))
             visit(module, child, inner)
 
@@ -210,17 +212,17 @@ def constructions(sources, cls):
 
 def test_construction_checker_finds_every_call():
     sources = {
-        "a": "class _MolienSum:\n    pass\ndef super_molien():\n    return _MolienSum(1, 2)\n",
+        "a": "def _block_pair(gseq):\n    pass\ndef super_molien():\n    return _block_pair(1)\n",
         "b": (
             "import a\n"
             "class Action:\n"
             "    def feed(self):\n"
-            "        return [a._MolienSum(0, 0)]\n"
-            "made = a._MolienSum\n"
-            "spare = made(0, 0), _MolienSum(1, 1)\n"
+            "        return [a._block_pair(0)]\n"
+            "made = a._block_pair\n"
+            "spare = made(0), _block_pair(1)\n"
         ),
     }
-    assert constructions(sources, "_MolienSum") == [
+    assert calls_of(sources, "_block_pair") == [
         ("a", "super_molien", 4),
         ("b", "<module>", 6),
         ("b", "Action.feed", 4),
@@ -228,12 +230,14 @@ def test_construction_checker_finds_every_call():
 
 
 def test_molien_sum_is_made_only_by_super_molien():
-    # one Molien entry point: a second route that made its own sum would
-    # be a second code path for the same series
-    paths = module_files() + [ROOT / "src" / "supermolien" / "__init__.py"]
+    # one Molien entry point: a second function under src/ that numbered
+    # blocks or expanded char-poly pairs would be a second code path for
+    # the same series
+    paths = sorted((ROOT / "src").rglob("*.py"))
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
-    found = [(module, scope) for module, scope, _ in constructions(sources, "_MolienSum")]
-    assert found == [("src/supermolien/molien.py", "super_molien")]
+    for kernel in ("_block_pair", "_pair_table"):
+        found = [(module, scope) for module, scope, _ in calls_of(sources, kernel)]
+        assert found == [("src/supermolien/molien.py", "super_molien")], kernel
 
 
 def tuple_new_uses(sources):
@@ -272,18 +276,24 @@ def test_no_tuple_subclass_instances_are_made_under_src():
     assert tuple_new_uses(sources) == []
 
 
+def package_modules():
+    """{name: module} of the package's modules; __main__, which runs the
+    CLI, is not imported."""
+    return {
+        info.name: importlib.import_module(f"supermolien.{info.name}")
+        for info in pkgutil.iter_modules(supermolien.__path__)
+        if info.name != "__main__"
+    }
+
+
 def package_classes():
-    """{name: class} of every class defined in a module of the package;
-    __main__, which runs the CLI, is not imported."""
-    classes = {}
-    for info in pkgutil.iter_modules(supermolien.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"supermolien.{info.name}")
-        for name, cls in vars(module).items():
-            if inspect.isclass(cls) and cls.__module__ == module.__name__:
-                classes[name] = cls
-    return classes
+    """{name: class} of every class defined in a module of the package."""
+    return {
+        name: cls
+        for module in package_modules().values()
+        for name, cls in vars(module).items()
+        if inspect.isclass(cls) and cls.__module__ == module.__name__
+    }
 
 
 def docs_and_comments(source):
@@ -325,14 +335,41 @@ def test_stale_name_checker_flags_only_missing_attributes():
     assert stale_names(text, classes) == ["GroupAction._trusted", "WreathElement.columns"]
 
 
+def stale_module_names(text, modules):
+    """Each backquoted `module.name` in text, module one of the modules,
+    that names nothing the module defines; a `module.py` file name is
+    skipped."""
+    stale = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        ref = re.match(r"([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span)
+        if ref and ref[1] in modules and ref[2] != "py" and not hasattr(modules[ref[1]], ref[2]):
+            stale.add(ref[0])
+    return sorted(stale)
+
+
+def test_module_name_checker_flags_only_missing_names():
+    modules = package_modules()
+    text = (
+        "`molien.super_molien`, `groups.once`, `linalg.py` and `groups.GradedGroupElement.moves`;\n"
+        "`w.gs` and `verify --suite all`, on no module; molien._Gone unquoted.\n"
+        "Stale: `molien._MolienSum` and `groups.wreath_mul(w1, w2)`."
+    )
+    assert stale_module_names(text, modules) == ["groups.wreath_mul", "molien._MolienSum"]
+
+
 def test_class_attributes_named_in_docs_resolve():
     # every Class.attr named in a docstring or comment under src/, or in
-    # README, names an attribute, a dataclass field or a slot of the class
-    classes = package_classes()
+    # README, names an attribute, a dataclass field or a slot of the class,
+    # and every backquoted `module.name` a name of the package's module
+    classes, modules = package_classes(), package_modules()
     texts = {
         str(p.relative_to(ROOT)): docs_and_comments(p.read_text(encoding="utf-8"))
         for p in sorted((ROOT / "src").rglob("*.py"))
     }
     texts["README.md"] = (ROOT / "README.md").read_text(encoding="utf-8")
-    found = [f"{where}: {name}" for where, text in texts.items() for name in stale_names(text, classes)]
+    found = [
+        f"{where}: {name}"
+        for where, text in texts.items()
+        for name in stale_names(text, classes) + stale_module_names(text, modules)
+    ]
     assert not found, "names of no attribute:\n" + "\n".join(found)

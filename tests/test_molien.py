@@ -369,21 +369,15 @@ def test_wreath_action_has_no_label_list():
 
 
 def counted_labels(monkeypatch):
-    """Every label made from here on, by the validating constructor or the
-    trusted one, in a list."""
+    """Every label made from here on, in a list."""
     built = []
-    post_init, trusted = WreathElement.__post_init__, WreathElement._of
+    post_init = WreathElement.__post_init__
 
     def counted_init(self):
         built.append(self)
         post_init(self)
 
-    def counted_of(sigma, gs):
-        built.append(sigma)
-        return trusted(sigma, gs)
-
     monkeypatch.setattr(WreathElement, "__post_init__", counted_init)
-    monkeypatch.setattr(WreathElement, "_of", staticmethod(counted_of))
     return built
 
 
@@ -440,7 +434,6 @@ def test_s7_sign_scalar_reynolds_is_refused_before_any_label(monkeypatch):
         raise AssertionError("a label was made")
 
     monkeypatch.setattr(WreathElement, "__post_init__", refuse)
-    monkeypatch.setattr(WreathElement, "_of", staticmethod(refuse))
     P = PermGroup.symmetric(7)
     message = r"^wreath product has 645120 elements, cap is 200000 \(\|P\| = 5040, \|G\| = 2, n = 7\)$"
     for flavor in FLAVORS:
@@ -1017,7 +1010,7 @@ def test_row_images_are_shared_by_every_bidegree_of_an_action(monkeypatch):
         report = molien_vs_oracle(action, 6)
         shared = sum(mapped)
         assert report["mismatches"] == [] and report["agreements"] == 7 * 5
-        assert shared == len(action._stages[3]) - 1
+        assert shared == len(action._stages[1]) - 1
         mapped.clear()
         for i in range(7):
             for j in range(5):
@@ -1034,4 +1027,12 @@ def test_negative_caps_are_refused_before_any_work():
         lambda: molien_vs_oracle(action, -1),
     ):
         with pytest.raises(ValueError, match=r"^caps must be nonnegative, got \(0, "):
+            call()
+
+
+def test_non_integral_caps_are_refused_before_any_work():
+    # slicing by a cap of 2.5 ended in a TypeError traceback
+    action = GroupAction.from_matrix_group(sign_scalar_group())
+    for call in (lambda: super_molien(action, 2.5), lambda: super_molien(action, 2, 0.5)):
+        with pytest.raises(ValueError, match="^cap must be an integer, got "):
             call()

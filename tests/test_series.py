@@ -300,3 +300,11 @@ def test_json_refuses_non_integral_caps_and_keys():
         with pytest.raises(ValueError, match=f"^coefficient {k} must be an integer, got {value!r}$"):
             TrigradedSeries.from_json_dict(bad_key)
 
+
+def test_constructor_refuses_non_integral_keys_and_caps():
+    # int() would read the key q = 1.5 as q^1 and the cap 2.5 as 2
+    with pytest.raises(ValueError, match="^exponent q must be an integer, got 1.5$"):
+        TrigradedSeries((1, 2, 1), {(0, 1.5, 0): 1})
+    with pytest.raises(ValueError, match="^cap must be an integer, got 2.5$"):
+        TrigradedSeries((1, 2.5, 1))
+    assert TrigradedSeries((1.0, 2, 1), {(0, 1.0, 0): 1}).coefficient((0, 1, 0)) == 1

@@ -107,7 +107,6 @@ def test_direct_route_builds_no_wreath_element_or_substitution(monkeypatch):
         raise AssertionError("a label or substitution was built")
 
     monkeypatch.setattr(WreathElement, "__init__", refuse)
-    monkeypatch.setattr(WreathElement, "_of", staticmethod(refuse))
     monkeypatch.setattr(groups, "Substitution", refuse)
     for P, G, n, dq in cases:
         for flavor in FLAVORS:
