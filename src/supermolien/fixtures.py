@@ -1,18 +1,18 @@
 """Named example groups used by the verification suites, tests, and CLI docs.
 
-Matrix-group fixtures are built from generators and closed; permutation
-fixtures wrap the PermGroup constructors.  Builders are thin so callers can
-ask for fresh instances.
+Every matrix-group fixture but the sign scalar is the trivial group
+(MatrixGroup.trivial) or a group of permutation matrices: the one builder,
+permutation_matrices, closes the matrices of the given permutations on the
+even part, the odd part or both.  Permutation fixtures wrap the PermGroup
+constructors.  Builders are thin so callers can ask for fresh instances.
 """
 
 from __future__ import annotations
 
-from .groups import GradedGroupElement, MatrixGroup, PermGroup, symmetric_generators
+from typing import Sequence
+
+from .groups import GradedGroupElement, MatrixGroup, PermGroup, Permutation, symmetric_generators
 from .linalg import QMatrix
-
-
-def trivial_group(r0: int, r1: int) -> MatrixGroup:
-    return MatrixGroup.trivial(r0, r1)
 
 
 def sign_scalar_group() -> MatrixGroup:
@@ -21,48 +21,33 @@ def sign_scalar_group() -> MatrixGroup:
     return MatrixGroup.close(1, 0, [minus])
 
 
-def perm_matrix_group(n: int, part: str) -> MatrixGroup:
-    """S_n by permutation matrices on n commuting ("even") or n
-    anticommuting ("odd") variables."""
-    if part == "even":
-        gens = [GradedGroupElement(p.matrix(), QMatrix.identity(0)) for p in symmetric_generators(n)]
-        return MatrixGroup.close(n, 0, gens)
-    gens = [GradedGroupElement(QMatrix.identity(0), p.matrix()) for p in symmetric_generators(n)]
-    return MatrixGroup.close(0, n, gens)
-
-
-def young_theta_group(alpha: tuple[int, ...]) -> MatrixGroup:
-    """Young subgroup S_alpha permuting n = sum(alpha) anticommuting variables."""
-    n = sum(alpha)
-    young = PermGroup.young(alpha)
-    gens = [GradedGroupElement(QMatrix.identity(0), p.matrix()) for p in young.generators]
-    return MatrixGroup.close(0, n, gens)
-
-
-def diagonal_perm_group(n: int) -> MatrixGroup:
-    """S_n acting simultaneously on n commuting and n anticommuting variables."""
-    gens = [GradedGroupElement(p.matrix(), p.matrix()) for p in symmetric_generators(n)]
-    return MatrixGroup.close(n, n, gens)
+def permutation_matrices(gens: Sequence[Permutation], n: int, even: bool, odd: bool) -> MatrixGroup:
+    """The group generated by the permutations gens of n points, each
+    acting by its permutation matrix on n commuting variables when even,
+    on n anticommuting ones when odd, and on both at once when both."""
+    empty = QMatrix.identity(0)
+    elements = [GradedGroupElement(p.matrix() if even else empty, p.matrix() if odd else empty) for p in gens]
+    return MatrixGroup.close(n * even, n * odd, elements)
 
 
 MATRIX_GROUP_FIXTURES = {
-    "trivial-1-0": lambda: trivial_group(1, 0),
-    "trivial-0-1": lambda: trivial_group(0, 1),
-    "trivial-1-1": lambda: trivial_group(1, 1),
-    "trivial-2-2": lambda: trivial_group(2, 2),
-    "trivial-3-2": lambda: trivial_group(3, 2),
+    "trivial-1-0": lambda: MatrixGroup.trivial(1, 0),
+    "trivial-0-1": lambda: MatrixGroup.trivial(0, 1),
+    "trivial-1-1": lambda: MatrixGroup.trivial(1, 1),
+    "trivial-2-2": lambda: MatrixGroup.trivial(2, 2),
+    "trivial-3-2": lambda: MatrixGroup.trivial(3, 2),
     "sign-scalar": sign_scalar_group,
-    "s2-x": lambda: perm_matrix_group(2, "even"),
-    "s3-x": lambda: perm_matrix_group(3, "even"),
-    "s2-theta": lambda: perm_matrix_group(2, "odd"),
-    "s3-theta": lambda: perm_matrix_group(3, "odd"),
-    "young-2-1-theta": lambda: young_theta_group((2, 1)),
-    "young-1-2-theta": lambda: young_theta_group((1, 2)),
-    "young-3-theta": lambda: young_theta_group((3,)),
-    "young-1-1-1-theta": lambda: young_theta_group((1, 1, 1)),
-    "s1-diag": lambda: diagonal_perm_group(1),
-    "s2-diag": lambda: diagonal_perm_group(2),
-    "s3-diag": lambda: diagonal_perm_group(3),
+    "s2-x": lambda: permutation_matrices(symmetric_generators(2), 2, True, False),
+    "s3-x": lambda: permutation_matrices(symmetric_generators(3), 3, True, False),
+    "s2-theta": lambda: permutation_matrices(symmetric_generators(2), 2, False, True),
+    "s3-theta": lambda: permutation_matrices(symmetric_generators(3), 3, False, True),
+    "young-2-1-theta": lambda: permutation_matrices(PermGroup.young((2, 1)).generators, 3, False, True),
+    "young-1-2-theta": lambda: permutation_matrices(PermGroup.young((1, 2)).generators, 3, False, True),
+    "young-3-theta": lambda: permutation_matrices(PermGroup.young((3,)).generators, 3, False, True),
+    "young-1-1-1-theta": lambda: permutation_matrices(PermGroup.young((1, 1, 1)).generators, 3, False, True),
+    "s1-diag": lambda: permutation_matrices(symmetric_generators(1), 1, True, True),
+    "s2-diag": lambda: permutation_matrices(symmetric_generators(2), 2, True, True),
+    "s3-diag": lambda: permutation_matrices(symmetric_generators(3), 3, True, True),
 }
 
 PERM_GROUP_FIXTURES = {

@@ -1,18 +1,25 @@
 """Finite group machinery: permutations, graded matrix groups, wreath elements.
 
-A graded group element carries two matrices, g0 acting on the r0 commuting
-variables and g1 on the r1 anticommuting ones, as sparse columns only
-(GradedGroupElement.columns).  Wreath elements are labels (sigma,
-(g_1..g_n)); each acts on the n rows by one block matrix per graded part,
-compiled once per label into WreathElement.substitution, or refused when
-its blocks are not square and alike: each variable's image keyed by (row,
-col), the columns of its element moved to another row.  Each element moves
-its columns once per pair of rows (GradedGroupElement.moves), into one dict
-of images per graded part, and the labels share those dicts: a compile is
-one dict.update per row and part.  The algebra layer maps whole term maps
-through the compile; the Molien sum walks the same moved columns a cycle
-of rows at a time.  Every compute-once attribute (a permutation's cycles
-and sign, moves, monomial, substitution) is the lock-free descriptor once.
+A graded group element carries two square matrices, g0 acting on the r0
+commuting variables and g1 on the r1 anticommuting ones, as sparse columns
+only (GradedGroupElement.columns); a non-square block is refused when the
+element is made (NotSquare), so its shape is the pair (r0, r1) and every
+later shape check is one compare of pairs.  A group, MatrixGroup or
+PermGroup, is its elements in closure order and its generators, nothing
+else: elements and permutations both multiply by *, and a lookup by
+element is a dict built by its one reader or a search of elements.  A
+permutation's sign is (-1)^(n - number of cycles), read off its stored
+cycles.  Wreath elements are labels (sigma, (g_1..g_n)); each acts on the
+n rows by one block matrix per graded part, compiled once per label into
+WreathElement.substitution, or refused when its blocks are not alike: each
+variable's image keyed by (row, col), the columns of its element moved to
+another row.  Each element moves its columns once per pair of rows
+(GradedGroupElement.moves), into one dict of images per graded part, and
+the labels share those dicts: a compile is one dict.update per row and
+part.  The algebra layer maps whole term maps through the compile; the
+Molien sum walks the same moved columns a cycle of rows at a time.  Every
+compute-once attribute (a permutation's cycles and sign, moves, monomial,
+substitution) is the lock-free descriptor once.
 
 This module is the one presentation of the wreath product P[G], for G a
 matrix group or a permutation group: one enumerator of its labels, behind
@@ -50,8 +57,9 @@ from .errors import (
     DimensionMismatch,
     NotAPermutationGroup,
     NotInvertible,
+    NotSquare,
 )
-from .linalg import QMatrix, _columns, _compose, _inversion_sign, _rank_rows
+from .linalg import QMatrix, _columns, _compose, _rank_rows
 from .rationals import parse_int
 
 CLOSURE_CAP = 20000
@@ -121,6 +129,8 @@ class Permutation:
             raise ValueError("degree mismatch")
         return Permutation(self.images[other.images[i - 1] - 1] for i in range(1, self.n + 1))
 
+    __mul__ = compose
+
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, img in enumerate(self.images, start=1):
@@ -165,12 +175,9 @@ class Permutation:
 
     @once
     def sign(self) -> int:
-        """The sign, counted once per permutation object."""
-        return _inversion_sign(self.images)
-
-
-def perm_sign(p: Permutation) -> int:
-    return p.sign
+        """(-1)^(n - number of cycles), read off the stored cycles once
+        per permutation object."""
+        return -1 if (self.n - len(self.cycles)) % 2 else 1
 
 
 def cycle_type(p: Permutation) -> tuple[int, ...]:
@@ -210,46 +217,47 @@ class _Moves(dict):
 
 @dataclass(frozen=True, init=False)
 class GradedGroupElement:
-    """A pair of matrices, g0 on the commuting part and g1 on the
-    anticommuting part, stored only as shape (g0 rows, g0 cols, g1 rows,
-    g1 cols) and columns, both parts in the form of linalg._columns.  g0
-    and g1 are dense views, for output and the generator order only."""
+    """A pair of square matrices, g0 (r0 x r0) on the commuting part and g1
+    (r1 x r1) on the anticommuting part, stored only as their columns, both
+    parts in the form of linalg._columns: a non-square block is refused
+    when the element is made (NotSquare).  shape is (r0, r1), the number
+    of columns of each part; g0 and g1 are dense views, for output and the
+    generator order only."""
 
-    shape: tuple[int, int, int, int]
     columns: tuple
 
     def __init__(self, g0: QMatrix, g1: QMatrix):
-        object.__setattr__(self, "shape", (g0.nrows, g0.ncols, g1.nrows, g1.ncols))
+        for name, m in (("g0", g0), ("g1", g1)):
+            if not m.is_square():
+                raise NotSquare(f"block {name} is {m.nrows}x{m.ncols}, not square")
         object.__setattr__(self, "columns", (_columns(g0), _columns(g1)))
 
     @staticmethod
-    def _of(shape: tuple[int, int, int, int], columns: tuple) -> "GradedGroupElement":
+    def _of(columns: tuple) -> "GradedGroupElement":
         g = object.__new__(GradedGroupElement)
-        object.__setattr__(g, "shape", shape)
         object.__setattr__(g, "columns", columns)
         return g
 
     @staticmethod
     def identity(r0: int, r1: int) -> "GradedGroupElement":
-        return GradedGroupElement._of(
-            (r0, r0, r1, r1), tuple(tuple(((c, 1),) for c in range(r)) for r in (r0, r1))
-        )
+        return GradedGroupElement._of(tuple(tuple(((c, 1),) for c in range(r)) for r in (r0, r1)))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.columns[0]), len(self.columns[1])
 
     def __mul__(self, other: "GradedGroupElement") -> "GradedGroupElement":
-        a, b = self.shape, other.shape
-        if a[1] != b[0] or a[3] != b[2]:
-            raise ValueError(f"cannot multiply blocks {a} by {b}")
-        return GradedGroupElement._of(
-            (a[0], b[1], a[2], b[3]), tuple(_compose(x, y) for x, y in zip(self.columns, other.columns))
-        )
+        if self.shape != other.shape:
+            raise ValueError(f"cannot multiply blocks {self.shape} by {other.shape}")
+        return GradedGroupElement._of(tuple(_compose(x, y) for x, y in zip(self.columns, other.columns)))
 
     def _dense(self, part: int) -> QMatrix:
-        nrows, ncols = self.shape[2 * part : 2 * part + 2]
-        entries = [0] * (nrows * ncols)
+        r = self.shape[part]
+        entries = [0] * (r * r)
         for c, col in enumerate(self.columns[part]):
             for i, x in col:
-                entries[i * ncols + c] = x
-        return QMatrix(nrows, ncols, entries)
+                entries[i * r + c] = x
+        return QMatrix(r, r, entries)
 
     @property
     def g0(self) -> QMatrix:
@@ -280,8 +288,8 @@ class GradedGroupElement:
         )
 
 
-def _bfs_closure(identity, generators, cap, multiply, domain: str):
-    """Deterministic closure: BFS over right multiplication by sorted
+def _bfs_closure(identity, generators, cap, domain: str):
+    """Deterministic closure: BFS over right multiplication (*) by sorted
     generators.  A refusal names how many generators there are and, by
     domain, what they act on, such as "on (r0, r1) = (1, 1)" or "of degree
     3"."""
@@ -292,7 +300,7 @@ def _bfs_closure(identity, generators, cap, multiply, domain: str):
         nxt = []
         for e in frontier:
             for g in generators:
-                prod = multiply(e, g)
+                prod = e * g
                 if prod not in seen:
                     if len(elements) >= cap:
                         count = f"{len(generators)} generator{'s' * (len(generators) != 1)}"
@@ -305,27 +313,32 @@ def _bfs_closure(identity, generators, cap, multiply, domain: str):
 
 
 class MatrixGroup:
-    """Finite group of graded matrix pairs, closed and deterministically ordered."""
+    """Finite group of graded matrix pairs, closed and deterministically
+    ordered: its elements and its generators, nothing else."""
 
-    __slots__ = ("r0", "r1", "elements", "generators", "_index")
+    __slots__ = ("r0", "r1", "elements", "generators")
 
     def __init__(self, r0: int, r1: int, elements: Sequence[GradedGroupElement], generators: Sequence[GradedGroupElement]):
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "r1", r1)
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGroup is immutable")
 
     @staticmethod
     def close(r0: int, r1: int, generators: Iterable[GradedGroupElement], cap: int = CLOSURE_CAP) -> "MatrixGroup":
+        """The closure of invertible generators on (r0, r1), at most cap
+        elements; ValueError for a negative r0 or r1, DimensionMismatch for
+        a generator of another shape."""
+        if r0 < 0 or r1 < 0:
+            raise ValueError(f"matrix group dimensions (r0, r1) = ({r0}, {r1}) must be nonnegative")
         gens = []
         for g in generators:
-            if g.shape != (r0, r0, r1, r1):
+            if g.shape != (r0, r1):
                 raise DimensionMismatch(
-                    "generator blocks {}x{}/{}x{} do not match (r0, r1) = ({}, {})".format(*g.shape, r0, r1)
+                    "generator blocks {0}x{0}/{1}x{1} do not match (r0, r1) = ({2}, {3})".format(*g.shape, r0, r1)
                 )
             # a square block is invertible iff its columns have full rank
             if _rank_rows(map(dict, g.columns[0])) < r0 or _rank_rows(map(dict, g.columns[1])) < r1:
@@ -333,7 +346,7 @@ class MatrixGroup:
             gens.append(g)
         gens = sorted(set(gens), key=GradedGroupElement.sort_key)
         ident = GradedGroupElement.identity(r0, r1)
-        elements = _bfs_closure(ident, gens, cap, lambda a, b: a * b, f"on (r0, r1) = ({r0}, {r1})")
+        elements = _bfs_closure(ident, gens, cap, f"on (r0, r1) = ({r0}, {r1})")
         return MatrixGroup(r0, r1, elements, gens)
 
     @staticmethod
@@ -344,15 +357,9 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def index_of(self, e: GradedGroupElement) -> int:
-        return self._index[e]
-
     @property
     def identity_index(self) -> int:
-        return self._index[GradedGroupElement.identity(self.r0, self.r1)]
-
-    def product_index(self, i: int, j: int) -> int:
-        return self._index[self.elements[i] * self.elements[j]]
+        return self.elements.index(GradedGroupElement.identity(self.r0, self.r1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -374,41 +381,46 @@ class MatrixGroup:
 
 
 class PermGroup:
-    """Finite permutation group, closed and deterministically ordered."""
+    """Finite permutation group, closed and deterministically ordered: its
+    elements and its generators, nothing else."""
 
-    __slots__ = ("n", "elements", "generators", "_index")
+    __slots__ = ("n", "elements", "generators")
 
     def __init__(self, n: int, elements: Sequence[Permutation], generators: Sequence[Permutation]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.elements)})
 
     def __setattr__(self, name, value):
         raise AttributeError("PermGroup is immutable")
 
     @staticmethod
     def close(n: int, generators: Iterable[Permutation]) -> "PermGroup":
+        """The closure of the generators of degree n; ValueError for n < 0,
+        and n = 0 is the group of the one permutation of no points."""
+        if n < 0:
+            raise ValueError(f"permutation group degree {n} must be nonnegative")
         gens = []
         for p in generators:
             if p.n != n:
                 raise DimensionMismatch(f"generator degree {p.n} != {n}")
             gens.append(p)
         gens = sorted(set(gens), key=lambda p: p.images)
-        elements = _bfs_closure(Permutation.identity(n), gens, CLOSURE_CAP, Permutation.compose, f"of degree {n}")
+        elements = _bfs_closure(Permutation.identity(n), gens, CLOSURE_CAP, f"of degree {n}")
         return PermGroup(n, elements, gens)
 
     @staticmethod
     @cache
     def symmetric(n: int) -> "PermGroup":
-        """S_n, closed once per n: a PermGroup is immutable."""
-        return PermGroup.close(max(n, 1), symmetric_generators(n))
+        """S_n, closed once per n: a PermGroup is immutable.  S_0 is the
+        one permutation of no points."""
+        return PermGroup.close(n, symmetric_generators(n))
 
     @staticmethod
     def cyclic(n: int) -> "PermGroup":
-        if n <= 1:
-            return PermGroup.close(max(n, 1), [])
-        return PermGroup.close(n, [Permutation.from_cycles(n, [tuple(range(1, n + 1))])])
+        """C_n, generated by the n-cycle (1 2 .. n); C_0 and C_1 have no
+        generator."""
+        return PermGroup.close(n, [Permutation.from_cycles(n, [tuple(range(1, n + 1))])] if n > 1 else [])
 
     @staticmethod
     def young(alpha: Sequence[int]) -> "PermGroup":
@@ -430,15 +442,9 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def index_of(self, p: Permutation) -> int:
-        return self._index[p]
-
     @property
     def identity_index(self) -> int:
-        return self._index[Permutation.identity(self.n)]
-
-    def product_index(self, i: int, j: int) -> int:
-        return self._index[self.elements[i].compose(self.elements[j])]
+        return self.elements.index(Permutation.identity(self.n))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "generators": [list(p.images) for p in self.generators]}
@@ -454,15 +460,15 @@ def matrix_group_to_perm_group(G: MatrixGroup, part: str = "even") -> PermGroup:
     permutation matrices, column j holding a single 1 in row images[j] - 1;
     raises NotAPermutationGroup otherwise."""
     r, k = (G.r0, 0) if part == "even" else (G.r1, 1)
-    perms = []
+    perm_of = {}
     for index, e in enumerate(G.elements):
         images = [col[0][0] + 1 for col in e.columns[k] if len(col) == 1 and col[0][1] == 1]
-        if e.shape[2 * k : 2 * k + 2] != (r, r) or sorted(images) != list(range(1, r + 1)):
+        if sorted(images) != list(range(1, r + 1)):
             raise NotAPermutationGroup(f"element {index} is not a permutation matrix on its {part} part")
-        perms.append(Permutation(images))
-    if len(set(perms)) != len(perms):
+        perm_of[e] = Permutation(images)
+    if len(set(perm_of.values())) != len(perm_of):
         raise NotAPermutationGroup("matrix group does not act faithfully by permutations")
-    return PermGroup(r, perms, [perms[G.index_of(g)] for g in G.generators])
+    return PermGroup(r, perm_of.values(), [perm_of[g] for g in G.generators])
 
 
 def sign_character(group: PermGroup | MatrixGroup) -> tuple[int, ...]:
@@ -475,7 +481,7 @@ def sign_character(group: PermGroup | MatrixGroup) -> tuple[int, ...]:
             group = matrix_group_to_perm_group(group, part="even")
         except NotAPermutationGroup:
             group = matrix_group_to_perm_group(group, part="odd")
-    return tuple(perm_sign(p) for p in group.elements)
+    return tuple(p.sign for p in group.elements)
 
 
 @dataclass(frozen=True)
@@ -498,15 +504,13 @@ class WreathElement:
         g_i moved to row sigma^{-1}(i), shared by every label making that
         move with g_i (GradedGroupElement.moves).  One-term exactly when
         every block is monomial; not a dataclass field.  DimensionMismatch,
-        caching nothing, when the row blocks are not square and alike."""
+        caching nothing, when the row blocks are not alike."""
         gs = self.gs
-        shape = gs[0].shape if gs else (0, 0, 0, 0)
-        square = shape[0] == shape[1] and shape[2] == shape[3]
         one_term = True
         for g in gs:
-            if not square or g.shape != shape:
+            if g.shape != gs[0].shape:
                 blocks = tuple([h.shape for h in gs])
-                raise DimensionMismatch(f"label row blocks {blocks} are not square and alike")
+                raise DimensionMismatch(f"label row blocks {blocks} are not alike")
             one_term = one_term and g.monomial
         even, odd = {}, {}
         for b, i in enumerate(self.sigma.images, 1):
@@ -597,11 +601,11 @@ def validate_character(values: Sequence, group) -> tuple[int, ...]:
         raise ValueError("character values must be nonzero")
     if vals[group.identity_index] != 1:
         raise ValueError("character must send the identity to 1")
-    gens = [group.index_of(g) for g in group.generators]
-    for i in range(len(vals)):
-        for j in gens:
-            if vals[group.product_index(i, j)] != vals[i] * vals[j]:
-                raise ValueError(f"character is not multiplicative at pair ({i}, {j})")
+    chi = dict(zip(group.elements, vals))
+    for i, e in enumerate(group.elements):
+        for g in group.generators:
+            if chi[e * g] != chi[e] * chi[g]:
+                raise ValueError(f"character is not multiplicative at pair ({i}, {group.elements.index(g)})")
     return tuple(int(v) for v in vals)
 
 

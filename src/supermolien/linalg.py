@@ -208,20 +208,6 @@ def _rank_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> int:
     return len(_bareiss(_cleared_rows(rows)))
 
 
-def _inversion_sign(seq: Sequence) -> int:
-    """(-1) to the number of inversions of seq, a sequence of distinct
-    comparable items: the sign of the permutation that sorts it."""
-    if len(seq) <= 1:
-        return 1
-    odd = False
-    for i in range(1, len(seq)):
-        a = seq[i]
-        for b in seq[:i]:
-            if b > a:
-                odd = not odd
-    return -1 if odd else 1
-
-
 def _poly_mul(a: Sequence, b: Sequence, cap: int) -> list:
     """The product of the coefficient sequences a and b, lowest degree
     first, cut after z^cap, as a list; a's zero coefficients are skipped."""

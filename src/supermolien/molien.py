@@ -64,7 +64,6 @@ from .groups import (
     Permutation,
     WreathElement,
     once,
-    perm_sign,
     require_degree,
     require_wreath,
     validate_character,
@@ -123,9 +122,9 @@ class GroupAction:
         for _, sigma in self.top:
             require_degree(sigma, sig.n)
         for _, g in self.rows:
-            if g.shape != (sig.r0, sig.r0, sig.r1, sig.r1):
+            if g.shape != (sig.r0, sig.r1):
                 raise DimensionMismatch(
-                    "element blocks {}x{}/{}x{} do not match (r0, r1) = ({}, {})".format(*g.shape, sig.r0, sig.r1)
+                    "element blocks {0}x{0}/{1}x{1} do not match (r0, r1) = ({2}, {3})".format(*g.shape, sig.r0, sig.r1)
                 )
         # sigma is the identity iff it has n cycles; g is compared only when psi is -1
         for name, pairs, is_identity in (
@@ -160,7 +159,7 @@ class GroupAction:
         """P[G] on n rows; flavor "invariant" weights every sigma 1, flavor
         "antiinvariant" by sgn(sigma), and every g by 1."""
         signed = require_flavor(flavor)
-        top = tuple([(perm_sign(sigma) if signed else 1, sigma) for sigma in P.elements])
+        top = tuple([(sigma.sign if signed else 1, sigma) for sigma in P.elements])
         return GroupAction(AlgebraSignature(G.r0, G.r1, n), top, tuple([(1, g) for g in G.elements]))
 
     @once

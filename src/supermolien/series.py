@@ -258,22 +258,6 @@ def series_inv(a: TrigradedSeries) -> TrigradedSeries:
     return TrigradedSeries._canonical(caps, out)
 
 
-def series_pow_int(a: TrigradedSeries, e: int) -> TrigradedSeries:
-    """a**e for any integer e, negative exponents via series_inv."""
-    if e < 0:
-        return series_pow_int(series_inv(a), -e)
-    result = TrigradedSeries.one(a.caps)
-    base = a
-    while e:
-        if e & 1:
-            result = series_mul(result, base)
-        base_needed = e > 1
-        if base_needed:
-            base = series_mul(base, base)
-        e >>= 1
-    return result
-
-
 def series_flip_u(a: TrigradedSeries) -> TrigradedSeries:
     """Substitute u -> -u: negate coefficients in odd u-degree."""
     return TrigradedSeries._canonical(a.caps, {k: (-c if k[2] % 2 else c) for k, c in a._coeffs.items()})

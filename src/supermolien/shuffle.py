@@ -43,7 +43,6 @@ from .groups import (
     PermGroup,
     Permutation,
     WreathElement,
-    perm_sign,
     shuffle_count,
     shuffle_reps,
     symmetric_generators,
@@ -93,7 +92,7 @@ def _coset_labels(
     unsigned ones' labels, so each label compiles once."""
     if signed:
         sig, unsigned = _coset_labels(blocks, r0, r1, False)
-        return sig, tuple([(perm_sign(w.sigma), w) for _, w in unsigned])
+        return sig, tuple([(w.sigma.sign, w) for _, w in unsigned])
     n = sum(blocks)
     count = shuffle_count(blocks)
     if count * n > WREATH_CAP:
@@ -180,7 +179,7 @@ def _wreath_generator_labels(n: int, G: MatrixGroup, signed: bool) -> tuple[tupl
     labels = [WreathElement(sigma, (ident,) * n) for sigma in symmetric_generators(n)]
     if n:
         labels += [WreathElement(Permutation.identity(n), (g,) + (ident,) * (n - 1)) for g in G.generators]
-    return tuple([(perm_sign(w.sigma) if signed else 1, w) for w in labels])
+    return tuple([(w.sigma.sign if signed else 1, w) for w in labels])
 
 
 def _fixed_by(f: SuperPolynomial, generators: tuple, signature: AlgebraSignature) -> bool:

@@ -2,7 +2,9 @@
 
 Monomials are x-exponent maps times a strictly increasing product of odd
 (theta) variables; reordering odd factors costs the sign of the permutation
-and a repeated odd factor kills the term.  Variables are indexed (row, col),
+that sorts them, counted by its inversions (_inversion_sign, which only
+this module reads: a Permutation reads its sign off its cycles), and a
+repeated odd factor kills the term.  Variables are indexed (row, col),
 1-based, ordered lexicographically.  A monomial is the plain pair
 (xpart, theta) of tuples, xpart the sorted (row, col, exponent) triples
 with positive exponents and distinct keys and theta the strictly
@@ -39,11 +41,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import SignatureMismatch
 from .groups import Substitution, once
-from .linalg import _inversion_sign
 from .rationals import exact, format_rational, parse_int, parse_rational
 
 XKey = tuple[int, int]  # (row, col)
@@ -83,6 +84,20 @@ class AlgebraSignature:
     def odd_vars(self) -> tuple[XKey, ...]:
         """The odd variables in (row, col) order, as even_vars."""
         return self._variables[1]
+
+
+def _inversion_sign(seq: Sequence) -> int:
+    """(-1) to the number of inversions of seq, a sequence of distinct
+    comparable items: the sign of the permutation that sorts it."""
+    if len(seq) <= 1:
+        return 1
+    odd = False
+    for i in range(1, len(seq)):
+        a = seq[i]
+        for b in seq[:i]:
+            if b > a:
+                odd = not odd
+    return -1 if odd else 1
 
 
 def normalize_theta(pairs: Iterable[XKey]) -> tuple[tuple[XKey, ...], int]:

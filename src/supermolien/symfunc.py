@@ -199,7 +199,5 @@ def hn_en(n: int, kind: str) -> SymFuncPoly:
     symmetric group."""
     if kind not in ("h", "e"):
         raise ValueError(f"kind must be 'h' or 'e', got {kind!r}")
-    if n == 0:
-        return SymFuncPoly.one()
     P = PermGroup.symmetric(n)
     return cycle_index(P, None if kind == "h" else sign_character(P))

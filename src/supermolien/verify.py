@@ -23,7 +23,7 @@ from .fixtures import PERM_GROUP_FIXTURES, matrix_group_fixture, perm_group_fixt
 from .groups import MatrixGroup, PermGroup, perm_group_of_wreath, sign_character
 from .linalg import QMatrix
 from .molien import FLAVORS, GroupAction, molien_vs_oracle, super_molien
-from .series import Caps, TrigradedSeries, series_add, series_inv, series_mul, series_pow_int, series_sub
+from .series import Caps, TrigradedSeries, series_add, series_inv, series_mul, series_sub
 from .shuffle import (
     closure_battery,
     generation_sweep,
@@ -116,8 +116,9 @@ def _young_21_closed_form(n_max: int, du: int) -> TrigradedSeries:
     tu = TrigradedSeries.monomial(caps, (1, 0, 1))
     t = TrigradedSeries.monomial(caps, (1, 0, 0))
     tu2 = TrigradedSeries.monomial(caps, (1, 0, 2))
+    one_tu = series_add(one, tu)
     return series_mul(
-        series_pow_int(series_add(one, tu), 2),
+        series_mul(one_tu, one_tu),
         series_inv(series_mul(series_sub(one, t), series_sub(one, tu2))),
     )
 

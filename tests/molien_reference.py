@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from supermolien import molien, shuffle
 from supermolien.errors import DegreeMismatch, DimensionMismatch
-from supermolien.groups import WreathElement, _wreath_labels, perm_sign
+from supermolien.groups import WreathElement, _wreath_labels
 from supermolien.linalg import _berkowitz
 from supermolien.molien import GroupAction, require_flavor
 from supermolien.series import Caps, TrigradedSeries
@@ -24,7 +24,7 @@ from supermolien.superalgebra import AlgebraSignature, SuperPolynomial, _label_s
 
 def require_shape(w, sig):
     """One label's shape against a signature, read from its row factors
-    w.gs: a label whose row blocks are not square and alike does not
+    w.gs: a label whose row blocks are not alike does not
     compile (DimensionMismatch); then its rows (DegreeMismatch), then its
     blocks, vacuous on zero rows (DimensionMismatch)."""
     w.substitution
@@ -32,8 +32,8 @@ def require_shape(w, sig):
     if n != sig.n:
         raise DegreeMismatch(f"wreath degree {n} != {sig.n} rows")
     # a compiled label's blocks are alike, so row 1's (r0, r1) are every row's
-    if n and w.gs[0].shape[::2] != (sig.r0, sig.r1):
-        raise DimensionMismatch(f"label blocks {w.gs[0].shape[::2]} do not match signature ({sig.r0}, {sig.r1})")
+    if n and w.gs[0].shape != (sig.r0, sig.r1):
+        raise DimensionMismatch(f"label blocks {w.gs[0].shape} do not match signature ({sig.r0}, {sig.r1})")
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def flat_action(P, G, n, flavor):
     """P[G] on n rows as its |P| * |G|^n built labels, each weighted by
     sgn(sigma) when the flavor is signed, else by 1."""
     signed = require_flavor(flavor)
-    pairs = tuple((perm_sign(w.sigma) if signed else 1, w) for w in build_wreath(P, G, n))
+    pairs = tuple((w.sigma.sign if signed else 1, w) for w in build_wreath(P, G, n))
     return FlatLabels(AlgebraSignature(G.r0, G.r1, n), pairs)
 
 
@@ -132,6 +132,17 @@ def wreath_mul(w1, w2):
     tau_inv = tau.inverse()
     gs = tuple(w1.gs[tau_inv(i) - 1] * w2.gs[i - 1] for i in range(1, tau.n + 1))
     return WreathElement(tau.compose(w1.sigma), gs)
+
+
+def wreath_closure(gens, ident):
+    """Every product of the generator labels, by breadth-first search
+    under wreath_mul."""
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        frontier = [p for w in frontier for g in gens if (p := wreath_mul(w, g)) not in seen]
+        seen.update(frontier)
+    return seen
 
 
 def apply_wreath(w, f):

@@ -210,6 +210,28 @@ def test_malformed_field_types_exit_two(tmp_path):
     assert "not a polynomial file" in err
 
 
+def test_negative_degrees_exit_two(tmp_path):
+    # a negative degree once closed to the empty permutation and printed
+    # the cycle index 1
+    bad = tmp_path / "negative.json"
+    bad.write_text(json.dumps({"n": -2, "generators": []}), encoding="utf-8")
+    code, out, err = invoke("cycle-index", "--perm", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: permutation group degree -2 must be nonnegative\n"
+    bad.write_text(json.dumps({"r0": -1, "r1": 0, "generators": []}), encoding="utf-8")
+    code, out, err = invoke("molien", "--group", str(bad), "--dq", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: matrix group dimensions (r0, r1) = (-1, 0) must be nonnegative\n"
+
+
+def test_non_square_block_exits_two_and_names_it(tmp_path):
+    bad = tmp_path / "wide.json"
+    bad.write_text(json.dumps({"r0": 2, "r1": 1, "generators": [{"g0": [["1", "0"]], "g1": [["1"]]}]}), encoding="utf-8")
+    code, out, err = invoke("molien", "--group", str(bad), "--dq", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: block g0 is 1x2, not square\n"
+
+
 def test_non_integral_polynomial_entries_exit_two(tmp_path):
     # a theta (1.5, 1) on two rows once passed the signature check and
     # reached the kernel as a KeyError traceback

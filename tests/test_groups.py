@@ -16,10 +16,10 @@ from supermolien.errors import (
     DimensionMismatch,
     NotAPermutationGroup,
     NotInvertible,
+    NotSquare,
 )
 from supermolien.groups import (
     GradedGroupElement,
-    _inversion_sign,
     MatrixGroup,
     PermGroup,
     Permutation,
@@ -28,7 +28,6 @@ from supermolien.groups import (
     cycle_type,
     matrix_group_to_perm_group,
     perm_group_of_wreath,
-    perm_sign,
     shuffle_reps,
     sign_character,
     symmetric_generators,
@@ -40,13 +39,14 @@ from supermolien.fixtures import (
     PERM_GROUP_FIXTURES,
     matrix_group_fixture,
     perm_group_fixture,
+    permutation_matrices,
 )
 from supermolien.linalg import QMatrix, _columns
-from supermolien.superalgebra import AlgebraSignature, SuperPolynomial
+from supermolien.superalgebra import AlgebraSignature, SuperPolynomial, _inversion_sign
 from supermolien.wreath_series import FLAVORS, check_wreath_routes
 
 import dense_reference
-from molien_reference import apply_wreath, build_wreath, wreath_mul
+from molien_reference import apply_wreath, build_wreath, wreath_closure, wreath_mul
 from rational_groups import is_exact, named_group
 
 
@@ -93,12 +93,20 @@ def test_cycle_type_hand_values():
 def test_sign_matches_cycle_count_formula(p):
     # independent oracle: sgn = (-1)^(n - number of cycles)
     expected = (-1) ** (p.n - len(cycle_type(p)))
-    assert perm_sign(p) == _inversion_sign(p.images) == expected
+    assert p.sign == _inversion_sign(p.images) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sign_from_cycles_equals_inversion_count_on_every_permutation(n):
+    # the sign read off the cycles against the inversion count, on all of S_n
+    P = PermGroup.symmetric(n)
+    assert P.order == math.factorial(n)
+    assert all(p.sign == _inversion_sign(p.images) for p in P.elements)
 
 
 @given(perms_st(4), perms_st(4))
 def test_sign_is_multiplicative(p, q):
-    assert perm_sign(p.compose(q)) == perm_sign(p) * perm_sign(q)
+    assert p.compose(q).sign == p.sign * q.sign
 
 
 def test_stored_cycles_and_sign_keep_a_permutation_immutable_and_equal():
@@ -234,19 +242,27 @@ def test_element_products_equal_constructed_elements(gname):
         for b in G.elements[:4]:
             dense = GradedGroupElement(dense_reference.mul(a.g0, b.g0), dense_reference.mul(a.g1, b.g1))
             assert a * b == dense and hash(a * b) == hash(dense)
-            assert (a * b).shape == (G.r0, G.r0, G.r1, G.r1)
+            assert (a * b).shape == (G.r0, G.r1)
 
 
 def test_element_product_shapes():
+    # an element is a pair of square blocks, its shape the pair (r0, r1);
+    # only elements of one shape multiply
     empty = GradedGroupElement.identity(0, 0)
     assert empty * empty == empty == GradedGroupElement(QMatrix(0, 0, []), QMatrix(0, 0, []))
-    assert empty.columns == ((), ())
-    wide = GradedGroupElement(QMatrix.from_rows([[1, 2]]), QMatrix.identity(1))
-    tall = GradedGroupElement(QMatrix.from_rows([[3], [4]]), QMatrix.identity(1))
-    assert (wide * tall).shape == (1, 1, 1, 1) and (wide * tall).g0 == QMatrix.from_rows([[11]])
-    assert (tall * wide).shape == (2, 2, 1, 1)
-    with pytest.raises(ValueError, match="cannot multiply"):
-        wide * wide
+    assert empty.columns == ((), ()) and empty.shape == (0, 0)
+    a = graded([[1, 2], [3, 4]], [[5]])
+    assert a.shape == (2, 1) and (a * a).g0 == QMatrix.from_rows([[7, 10], [15, 22]])
+    assert (a * a).g1 == QMatrix.from_rows([[25]]) and (a * a).shape == (2, 1)
+    with pytest.raises(ValueError, match=r"^cannot multiply blocks \(2, 1\) by \(1, 1\)$"):
+        a * GradedGroupElement.identity(1, 1)
+
+
+def test_non_square_block_is_refused_when_the_element_is_made():
+    with pytest.raises(NotSquare, match="^block g0 is 1x2, not square$"):
+        graded([[1, 2]], [[1]])
+    with pytest.raises(NotSquare, match="^block g1 is 2x1, not square$"):
+        graded([[1]], [[3], [4]])
 
 
 def test_closure_cap(monkeypatch):
@@ -274,7 +290,7 @@ def test_product_and_inverse_indices():
     G = MatrixGroup.close(1, 0, [minus])
     i_id = G.identity_index
     i_m = 1 - i_id
-    assert G.product_index(i_m, i_m) == i_id
+    assert G.elements[i_m] * G.elements[i_m] == G.elements[i_id] == GradedGroupElement.identity(1, 0)
 
 
 def test_matrix_group_json_round_trip():
@@ -305,6 +321,24 @@ def test_perm_group_constructors():
     assert PermGroup.trivial(3).order == 1
 
 
+def test_degree_zero_groups_are_the_one_permutation_of_no_points():
+    for P in (PermGroup.symmetric(0), PermGroup.cyclic(0), PermGroup.trivial(0)):
+        assert P.n == 0 and P.elements == (Permutation([]),) and P.generators == ()
+        assert P.identity_index == 0 and P.elements[0].sign == 1
+
+
+def test_negative_degrees_are_refused():
+    with pytest.raises(ValueError, match=r"^permutation group degree -2 must be nonnegative$"):
+        PermGroup.close(-2, [])
+    with pytest.raises(ValueError, match=r"^permutation group degree -2 must be nonnegative$"):
+        PermGroup.from_json_dict({"n": -2, "generators": []})
+    with pytest.raises(ValueError, match=r"^permutation group degree -1 must be nonnegative$"):
+        PermGroup.symmetric(-1)
+    for r0, r1 in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=rf"^matrix group dimensions \(r0, r1\) = \({r0}, {r1}\) must be nonnegative$"):
+            MatrixGroup.close(r0, r1, [])
+
+
 def test_perm_group_json_round_trip():
     P = PermGroup.symmetric(3)
     P2 = PermGroup.from_json_dict(P.to_json_dict())
@@ -327,6 +361,15 @@ def test_matrix_group_to_perm_group():
     assert P.order == 2
     with pytest.raises(NotAPermutationGroup):
         matrix_group_to_perm_group(MatrixGroup.close(1, 0, [graded([[-1]], [])]), part="even")
+    # S_2 swapping x1 and x2 while negating theta: the even part permutes,
+    # the odd part does not; the odd part of S_2 on x permutes no points,
+    # which is not faithful
+    G = MatrixGroup.close(2, 1, [graded([[0, 1], [1, 0]], [[-1]])])
+    assert matrix_group_to_perm_group(G, part="even").generators == (Permutation([2, 1]),)
+    with pytest.raises(NotAPermutationGroup, match="^element 1 is not a permutation matrix on its odd part$"):
+        matrix_group_to_perm_group(G, part="odd")
+    with pytest.raises(NotAPermutationGroup, match="^matrix group does not act faithfully by permutations$"):
+        matrix_group_to_perm_group(matrix_group_fixture("s2-x"), part="odd")
 
 
 def test_matrix_group_to_perm_group_odd_part():
@@ -339,7 +382,7 @@ def test_matrix_group_to_perm_group_odd_part():
 def test_sign_character_is_perm_sign_on_perm_groups():
     for name in PERM_GROUP_FIXTURES:
         P = perm_group_fixture(name)
-        assert sign_character(P) == tuple(perm_sign(p) for p in P.elements)
+        assert sign_character(P) == tuple(p.sign for p in P.elements)
 
 
 def test_sign_character_reads_the_even_part_first():
@@ -352,7 +395,7 @@ def test_sign_character_reads_the_even_part_first():
             P = matrix_group_to_perm_group(G, part="even" if G.r0 > 0 else "odd")
         except NotAPermutationGroup:
             continue
-        assert sign_character(G) == tuple(perm_sign(p) for p in P.elements)
+        assert sign_character(G) == tuple(p.sign for p in P.elements)
         compared += 1
     assert compared == len(MATRIX_GROUP_FIXTURES) - 1  # all but sign-scalar
 
@@ -460,9 +503,9 @@ def test_wreath_sign_ignores_g_part():
     G = sign_group()
     minus = G.elements[1 - G.identity_index]
     w = WreathElement(Permutation([2, 1]), (minus, minus))
-    assert perm_sign(w.sigma) == -1
+    assert w.sigma.sign == -1
     w2 = WreathElement(Permutation([1, 2]), (minus, minus))
-    assert perm_sign(w2.sigma) == 1
+    assert w2.sigma.sign == 1
 
 
 def test_wreath_sign_multiplicative_seeded():
@@ -471,7 +514,7 @@ def test_wreath_sign_multiplicative_seeded():
     rng = random.Random(5)
     for _ in range(60):
         w1, w2 = rng.choice(labels), rng.choice(labels)
-        assert perm_sign(wreath_mul(w1, w2).sigma) == perm_sign(w1.sigma) * perm_sign(w2.sigma)
+        assert wreath_mul(w1, w2).sigma.sign == w1.sigma.sign * w2.sigma.sign
 
 
 def test_wreath_mul_group_laws_seeded():
@@ -490,16 +533,6 @@ def test_wreath_mul_group_laws_seeded():
         assert wreath_mul(rng.choice(labels), rng.choice(labels)) in label_set
 
 
-def _wreath_closure(gens, ident):
-    """Every product of the generator labels, by breadth-first search."""
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        frontier = [p for w in frontier for g in gens if (p := wreath_mul(w, g)) not in seen]
-        seen.update(frontier)
-    return seen
-
-
 @pytest.mark.parametrize(
     "pname,gname,n", [("s3", "sign-scalar", 3), ("c3", "trivial-1-1", 3), ("s2", "s2-theta", 2)]
 )
@@ -509,7 +542,7 @@ def test_wreath_generators_close_to_build_wreath(pname, gname, n):
     gens = [WreathElement(s, gs) for s, gs in wreath_generators(P.generators, G, n)]
     assert len(gens) == len(P.generators) + n * len(G.generators)
     ident = WreathElement(Permutation.identity(n), (GradedGroupElement.identity(G.r0, G.r1),) * n)
-    assert _wreath_closure(gens, ident) == set(build_wreath(P, G, n))
+    assert wreath_closure(gens, ident) == set(build_wreath(P, G, n))
 
 
 def test_wreath_generators_with_no_rows():
@@ -523,17 +556,15 @@ def test_symmetric_generators(n):
     assert [p.images for p in gens] == [
         [], [], [(2, 1)], [(2, 1, 3), (2, 3, 1)], [(2, 1, 3, 4), (2, 3, 4, 1)]
     ][n]
-    assert PermGroup.close(max(n, 1), gens).order == math.factorial(n)
+    assert PermGroup.close(n, gens).order == math.factorial(n)
     assert PermGroup.symmetric(n).generators == tuple(gens)
 
 
 def _multiplicative_on_full_table(values, group) -> bool:
     """Reference verdict: chi(id) = 1 and chi(a*b) = chi(a)chi(b) for all pairs."""
-    order = len(values)
+    chi = dict(zip(group.elements, values))
     return values[group.identity_index] == 1 and all(
-        values[group.product_index(i, j)] == values[i] * values[j]
-        for i in range(order)
-        for j in range(order)
+        chi[a * b] == chi[a] * chi[b] for a in group.elements for b in group.elements
     )
 
 
@@ -567,13 +598,28 @@ def test_character_generator_check_matches_full_table_seeded():
     rng = random.Random(42)
     for _ in range(60):
         sgn = rng.random() < 0.5
-        values = [perm_sign(p) if sgn else 1 for p in s4.elements]
+        values = [p.sign if sgn else 1 for p in s4.elements]
         for k in rng.sample(range(s4.order), rng.randint(0, 2)):
             values[k] = -values[k]
         verdict = _multiplicative_on_full_table(values, s4)
         assert _generator_verdict(values, s4) == verdict
         verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+def test_character_refusal_names_the_failing_element_and_generator():
+    # C_3 in element order (id, c, c^2), generated by c: chi = (1, -1, 1)
+    # holds at (id, c) and (c, c) and first fails at (c^2, c), chi(id) = 1
+    # against chi(c^2) chi(c) = -1
+    P = PermGroup.cyclic(3)
+    c = Permutation([2, 3, 1])
+    assert P.elements == (Permutation.identity(3), c, c * c) and P.generators == (c,)
+    with pytest.raises(ValueError, match=r"^character is not multiplicative at pair \(2, 1\)$"):
+        validate_character([1, -1, 1], P)
+    # the same group by permutation matrices on x, in the same element order
+    G = permutation_matrices([c], 3, True, False)
+    with pytest.raises(ValueError, match=r"^character is not multiplicative at pair \(2, 1\)$"):
+        validate_character([1, -1, 1], G)
 
 
 # -- wreath as permutations -------------------------------------------------------
@@ -605,7 +651,7 @@ def test_perm_group_of_wreath_generators_generate():
 def test_shuffle_reps_2_2_frozen_list():
     words = ["".join(map(str, p.images)) for p in shuffle_reps(2, 2)]
     assert words == ["1234", "1324", "1342", "3124", "3142", "3412"]
-    assert [perm_sign(p) for p in shuffle_reps(2, 2)] == [1, -1, 1, 1, -1, 1]
+    assert [p.sign for p in shuffle_reps(2, 2)] == [1, -1, 1, 1, -1, 1]
 
 
 def test_shuffle_reps_1_2_frozen_list():
@@ -691,18 +737,15 @@ def test_direct_substitution_of_mismatched_blocks_matches_no_signature():
     # the label does not compile, so it is refused before any row check
     ident = GradedGroupElement.identity(1, 1)
     mixed = WreathElement(Permutation.identity(2), (ident, GradedGroupElement.identity(2, 1)))
-    wide = WreathElement(
-        Permutation.identity(1), (GradedGroupElement(QMatrix.from_rows([[1, 0]]), QMatrix.identity(1)),)
-    )
-    for w in (mixed, wide):
-        with pytest.raises(DimensionMismatch):
-            w.substitution
+    with pytest.raises(DimensionMismatch, match=r"^label row blocks \(\(1, 1\), \(2, 1\)\) are not alike$"):
+        mixed.substitution
     with pytest.raises(DimensionMismatch):
         apply_wreath(mixed, SuperPolynomial.x_var(AlgebraSignature(1, 1, 2), 1, 1))
     with pytest.raises(DimensionMismatch):
         apply_wreath(mixed, SuperPolynomial.x_var(AlgebraSignature(1, 1, 1), 1, 1))
-    with pytest.raises(DimensionMismatch):
-        apply_wreath(wide, SuperPolynomial.x_var(AlgebraSignature(1, 1, 1), 1, 1))
+    # a non-square block makes no element, so no label holds one
+    with pytest.raises(NotSquare):
+        GradedGroupElement(QMatrix.from_rows([[1, 0]]), QMatrix.identity(1))
     square = WreathElement(Permutation.identity(1), (GradedGroupElement.identity(2, 2),))
     with pytest.raises(DimensionMismatch):
         apply_wreath(square, SuperPolynomial.x_var(AlgebraSignature(1, 1, 1), 1, 1))

@@ -5,17 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from supermolien import groups, linalg, molien, shuffle, superalgebra, verify, wreath_series
+from supermolien import linalg, molien, shuffle, superalgebra, verify, wreath_series
 from supermolien.errors import BasisTooLarge, CapExceeded, DegreeMismatch, DimensionMismatch, NotAPermutationGroup
-from supermolien.fixtures import (
-    diagonal_perm_group,
-    matrix_group_fixture,
-    perm_group_fixture,
-    perm_matrix_group,
-    sign_scalar_group,
-    trivial_group,
-    young_theta_group,
-)
+from supermolien.fixtures import matrix_group_fixture, perm_group_fixture, sign_scalar_group
 from supermolien.groups import (
     GradedGroupElement,
     MatrixGroup,
@@ -72,7 +64,7 @@ def one_plus(caps, key):
 
 
 def test_trivial_group_full_algebra_series():
-    act = GroupAction.from_matrix_group(trivial_group(1, 1))
+    act = GroupAction.from_matrix_group(MatrixGroup.trivial(1, 1))
     H = super_molien(act, 6)
     caps = Caps(0, 6, 1)
     expected = series_mul(series_inv(one_minus(caps, (0, 1, 0))), one_plus(caps, (0, 0, 1)))
@@ -87,7 +79,7 @@ def test_sign_group_counts_even_degrees():
 
 
 def test_s2_on_x_matches_partition_count():
-    act = GroupAction.from_matrix_group(perm_matrix_group(2, "even"))
+    act = GroupAction.from_matrix_group(matrix_group_fixture("s2-x"))
     H = super_molien(act, 8)
     for k in range(9):
         expected = sum(1 for b in range(k // 2 + 1) if k - 2 * b >= 0)
@@ -95,7 +87,7 @@ def test_s2_on_x_matches_partition_count():
 
 
 def test_s3_on_x_matches_partition_count():
-    act = GroupAction.from_matrix_group(perm_matrix_group(3, "even"))
+    act = GroupAction.from_matrix_group(matrix_group_fixture("s3-x"))
     H = super_molien(act, 8)
     for k in range(9):
         count = sum(
@@ -108,13 +100,13 @@ def test_s3_on_x_matches_partition_count():
 
 def test_s2_on_theta_is_one_plus_u():
     # the top wedge is antiinvariant, so the u^2 coefficient vanishes
-    act = GroupAction.from_matrix_group(perm_matrix_group(2, "odd"))
+    act = GroupAction.from_matrix_group(matrix_group_fixture("s2-theta"))
     H = super_molien(act, 2)
     assert H == TrigradedSeries(Caps(0, 2, 2), {(0, 0, 0): 1, (0, 0, 1): 1})
 
 
 def test_young_2_1_on_theta_is_one_plus_u_squared():
-    act = GroupAction.from_matrix_group(young_theta_group((2, 1)))
+    act = GroupAction.from_matrix_group(matrix_group_fixture("young-2-1-theta"))
     H = super_molien(act, 0)
     assert H == TrigradedSeries(
         Caps(0, 0, 3), {(0, 0, 0): 1, (0, 0, 1): 2, (0, 0, 2): 1}
@@ -123,7 +115,7 @@ def test_young_2_1_on_theta_is_one_plus_u_squared():
 
 def test_s2_diagonal_sgn_series():
     # antiinvariants of superspace at n = 2: (u + 1)(u + q) / ((1-q)(1-q^2))
-    G = diagonal_perm_group(2)
+    G = matrix_group_fixture("s2-diag")
     act = GroupAction.from_matrix_group(G, sign_character(G))
     H = super_molien(act, 6)
     caps = Caps(0, 6, 2)
@@ -137,7 +129,7 @@ def test_s2_diagonal_sgn_series():
 
 def test_wreath_action_superspace_n2():
     # S_2 wreath trivial on (1,1): (1+u)(1+qu) / ((1-q)(1-q^2))
-    act = GroupAction.from_wreath(PermGroup.symmetric(2), trivial_group(1, 1), 2)
+    act = GroupAction.from_wreath(PermGroup.symmetric(2), MatrixGroup.trivial(1, 1), 2)
     H = super_molien(act, 6)
     caps = Caps(0, 6, 2)
     num = series_mul(one_plus(caps, (0, 0, 1)), one_plus(caps, (0, 1, 1)))
@@ -146,16 +138,16 @@ def test_wreath_action_superspace_n2():
 
 
 def test_bruteforce_dimensions_by_hand():
-    act = GroupAction.from_matrix_group(perm_matrix_group(2, "odd"))
+    act = GroupAction.from_matrix_group(matrix_group_fixture("s2-theta"))
     assert invariant_dimension_bruteforce(act, 0, 0) == 1
     assert invariant_dimension_bruteforce(act, 0, 1) == 1  # theta1 + theta2
     assert invariant_dimension_bruteforce(act, 0, 2) == 0  # top wedge flips sign
-    act_x = GroupAction.from_matrix_group(perm_matrix_group(2, "even"))
+    act_x = GroupAction.from_matrix_group(matrix_group_fixture("s2-x"))
     assert invariant_dimension_bruteforce(act_x, 3, 0) == 2  # p3, p1 p2 span
 
 
 def test_bruteforce_respects_basis_limit(monkeypatch):
-    act = GroupAction.from_matrix_group(trivial_group(3, 0))
+    act = GroupAction.from_matrix_group(MatrixGroup.trivial(3, 0))
     monkeypatch.setattr(molien, "DEFAULT_BASIS_LIMIT", 5)
     with pytest.raises(BasisTooLarge, match=r"^bidegree \(6, 0\) basis on 1 row of \(3, 0\) has 28 monomials, limit 5$"):
         invariant_dimension_bruteforce(act, 6, 0)
@@ -167,7 +159,7 @@ def test_oversized_basis_is_refused_before_it_is_built(monkeypatch):
         raise AssertionError("bidegree_basis called for an oversized bidegree")
 
     monkeypatch.setattr(molien, "bidegree_basis", never)
-    act = GroupAction.from_matrix_group(trivial_group(30, 0))
+    act = GroupAction.from_matrix_group(MatrixGroup.trivial(30, 0))
     for i, size in ((5, 278256), (8, 38608020)):
         message = rf"^bidegree \({i}, 0\) basis on 1 row of \(30, 0\) has {size} monomials, limit {molien.DEFAULT_BASIS_LIMIT}$"
         with pytest.raises(BasisTooLarge, match=message):
@@ -185,7 +177,7 @@ def test_each_cell_counts_its_basis_once(monkeypatch):
 
     for module in (molien, superalgebra):
         monkeypatch.setattr(module, "bidegree_basis_size", counting)
-    act = GroupAction.from_matrix_group(perm_matrix_group(2, "odd"))
+    act = GroupAction.from_matrix_group(matrix_group_fixture("s2-theta"))
     cells = [(i, j) for i in range(3) for j in range(3)]
     for i, j in cells:
         invariant_dimension_bruteforce(act, i, j)
@@ -193,7 +185,7 @@ def test_each_cell_counts_its_basis_once(monkeypatch):
 
 
 def test_reynolds_is_idempotent_and_invariant():
-    act = GroupAction.from_matrix_group(perm_matrix_group(2, "odd"))
+    act = GroupAction.from_matrix_group(matrix_group_fixture("s2-theta"))
     sig = act.signature
     for mono in bidegree_basis(sig, 0, 1) + bidegree_basis(sig, 0, 2):
         f = SuperPolynomial.monomial(sig, mono)
@@ -204,7 +196,7 @@ def test_reynolds_is_idempotent_and_invariant():
 
 
 def test_reynolds_sgn_projects_to_antiinvariants():
-    G = diagonal_perm_group(2)
+    G = matrix_group_fixture("s2-diag")
     act = GroupAction.from_matrix_group(G, sign_character(G))
     sig = act.signature
     f = SuperPolynomial.x_var(sig, 1, 1)
@@ -477,7 +469,7 @@ def test_orbit_row_rank_equals_per_monomial_rank(gname):
 
 
 def test_molien_vs_oracle_clean_report():
-    act = GroupAction.from_matrix_group(perm_matrix_group(2, "odd"))
+    act = GroupAction.from_matrix_group(matrix_group_fixture("s2-theta"))
     report = molien_vs_oracle(act, 3)
     assert report["mismatches"] == []
     assert report["agreements"] == 4 * 3  # i in 0..3, j in 0..2
@@ -486,14 +478,14 @@ def test_molien_vs_oracle_clean_report():
 def test_molien_vs_oracle_flags_a_wrong_character():
     # a valid character that is not the trivial one changes the counts, so
     # comparing its Molien series against the trivial-flavor oracle disagrees
-    act_sgn = GroupAction.from_matrix_group(perm_matrix_group(2, "odd"), character=[1, -1])
+    act_sgn = GroupAction.from_matrix_group(matrix_group_fixture("s2-theta"), character=[1, -1])
     series_sgn = super_molien(act_sgn, 2)
-    act_triv = GroupAction.from_matrix_group(perm_matrix_group(2, "odd"))
+    act_triv = GroupAction.from_matrix_group(matrix_group_fixture("s2-theta"))
     assert series_sgn != super_molien(act_triv, 2)
 
 
 def test_corrupted_character_rejected():
-    G = perm_matrix_group(3, "even")
+    G = matrix_group_fixture("s3-x")
     values = [1] * G.order
     values[3] = -1
     with pytest.raises(ValueError):
@@ -521,16 +513,16 @@ def test_sgn_character_read_off_the_odd_part():
 
 @pytest.mark.parametrize("gname", ["sign-scalar", "s2-theta"])
 def test_signed_weights_take_one_sign_per_sigma(gname):
-    # each sigma of the signed action is weighted by its perm_sign, and by
+    # each sigma of the signed action is weighted by its sign, and by
     # 1 unsigned, in P's element order; listed, every label of P[G] takes
     # its sigma's weight, as the labels built by build_wreath do
     G = matrix_group_fixture(gname)
     P = PermGroup.symmetric(3)
     signed, unsigned = (GroupAction.from_wreath(P, G, 3, flavor) for flavor in ("antiinvariant", "invariant"))
-    assert signed.top == tuple((groups.perm_sign(sigma), sigma) for sigma in P.elements)
+    assert signed.top == tuple((sigma.sign, sigma) for sigma in P.elements)
     assert unsigned.top == tuple((1, sigma) for sigma in P.elements)
     labels = flat_labels(signed)
-    assert [chi for chi, _ in labels.pairs] == [groups.perm_sign(w.sigma) for _, w in labels.pairs]
+    assert [chi for chi, _ in labels.pairs] == [w.sigma.sign for _, w in labels.pairs]
     assert {chi for chi, _ in labels.pairs} == {1, -1}
     assert labels == flat_action(P, G, 3, "antiinvariant")
     assert flat_labels(unsigned) == flat_action(P, G, 3, "invariant")
@@ -689,7 +681,7 @@ def test_wreath_sums_match_the_label_by_label_reference(pname, gname, n, dq):
 
 
 def test_zero_row_sums_match_the_label_by_label_reference():
-    assert_wreath_sums_match_reference(PermGroup.close(0, []), trivial_group(1, 1), 0, 3)
+    assert_wreath_sums_match_reference(PermGroup.close(0, []), MatrixGroup.trivial(1, 1), 0, 3)
 
 
 def test_single_label_blocks_match_berkowitz():
@@ -960,7 +952,7 @@ def test_action_refuses_labels_off_its_signature():
     sign_scalar = GroupAction.from_matrix_group(sign_scalar_group())
     with pytest.raises(DegreeMismatch, match=r"^P acts on 1 rows, expected 2$"):
         GroupAction(AlgebraSignature(1, 0, 2), sign_scalar.top, sign_scalar.rows)
-    trivial = GroupAction.from_matrix_group(trivial_group(1, 1))
+    trivial = GroupAction.from_matrix_group(MatrixGroup.trivial(1, 1))
     with pytest.raises(DimensionMismatch, match=r"^element blocks 1x1/1x1 do not match \(r0, r1\) = \(2, 1\)$"):
         GroupAction(AlgebraSignature(2, 1, 1), trivial.top, trivial.rows)
     # the same factors on their own signatures are accepted
@@ -1020,7 +1012,7 @@ def test_row_images_are_shared_by_every_bidegree_of_an_action(monkeypatch):
 
 
 def test_negative_caps_are_refused_before_any_work():
-    action = GroupAction.from_matrix_group(trivial_group(1, 1))
+    action = GroupAction.from_matrix_group(MatrixGroup.trivial(1, 1))
     for call in (
         lambda: super_molien(action, -1),
         lambda: super_molien(action, 2, -1),

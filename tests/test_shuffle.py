@@ -9,7 +9,7 @@ import pytest
 
 from supermolien.errors import BasisTooLarge, CapExceeded, NotHomogeneous, SignatureMismatch
 from supermolien.fixtures import matrix_group_fixture
-from supermolien.groups import MatrixGroup, PermGroup, Permutation, WreathElement, perm_sign, shuffle_reps
+from supermolien.groups import MatrixGroup, PermGroup, Permutation, WreathElement, shuffle_reps
 from supermolien import groups, molien, superalgebra
 from supermolien.molien import FLAVORS, GroupAction, invariant_dimension_bruteforce, reynolds_project, require_flavor
 from supermolien import shuffle as shuffle_module
@@ -43,7 +43,7 @@ from molien_reference import (
     require_shape,
     shift_rows,
     triple_shuffle,
-    wreath_mul,
+    wreath_closure,
 )
 from rational_groups import is_exact, named_group
 from row_relabeling import relabel_rows
@@ -176,7 +176,7 @@ def test_shuffle_product_is_signed_relabel_sum(r0, r1):
                 expected = SuperPolynomial.zero(core.sig)
                 for sigma in shuffle_reps(a, b):
                     term = relabel_rows(sigma, core)
-                    expected = expected + (term.scale(perm_sign(sigma)) if signed else term)
+                    expected = expected + (term.scale(sigma.sign) if signed else term)
                 got = shuffle_product(A, B, signed)
                 assert got == expected
                 assert all(is_exact(c) for c in got.terms.values())
@@ -199,7 +199,7 @@ def test_triple_shuffle_is_signed_relabel_sum(r0, r1):
             expected = SuperPolynomial.zero(core.sig)
             for sigma in shuffle_reps(a, b, c):
                 term = relabel_rows(sigma, core)
-                expected = expected + (term.scale(perm_sign(sigma)) if signed else term)
+                expected = expected + (term.scale(sigma.sign) if signed else term)
             got = triple_shuffle(A, B, C, signed)
             assert got == expected
             assert all(is_exact(c) for c in got.terms.values())
@@ -348,8 +348,7 @@ def test_generator_labels_generate_the_wreath_labels(gname):
     G = named_group(gname)
     generators = [w for _, w in shuffle_module._wreath_generator_labels(3, G, False)]
     identity = WreathElement(Permutation.identity(3), (G.elements[G.identity_index],) * 3)
-    closure = groups._bfs_closure(identity, generators, groups.WREATH_CAP, wreath_mul, "on 3 rows")
-    assert set(closure) == set(build_wreath(PermGroup.symmetric(3), G, 3))
+    assert wreath_closure(generators, identity) == set(build_wreath(PermGroup.symmetric(3), G, 3))
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)

@@ -12,12 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supermolien.errors import DegreeMismatch, DimensionMismatch, SignatureMismatch
+from supermolien.errors import DegreeMismatch, DimensionMismatch, NotSquare, SignatureMismatch
 from supermolien.groups import (
     GradedGroupElement,
     Permutation,
     WreathElement,
-    _inversion_sign,
     MatrixGroup,
     PermGroup,
 )
@@ -25,6 +24,7 @@ from supermolien.linalg import QMatrix, charpoly_det
 from supermolien.molien import FLAVORS, GroupAction, _orbit_sums, reynolds_project
 from supermolien.shuffle import shuffle_product
 from supermolien.superalgebra import (
+    _inversion_sign,
     AlgebraSignature,
     SuperMonomial,
     SuperPolynomial,
@@ -698,12 +698,9 @@ def test_wreath_apply_rejects_wrong_rows_and_block_shapes():
     mixed = WreathElement(Permutation.identity(2), (ident, GradedGroupElement.identity(2, 1)))
     with pytest.raises(DimensionMismatch):
         apply_wreath(mixed, f)
-    # non-square blocks
-    wide = WreathElement(
-        Permutation.identity(1), (GradedGroupElement(QMatrix.from_rows([[1, 0]]), QMatrix.identity(1)),)
-    )
-    with pytest.raises(DimensionMismatch):
-        apply_wreath(wide, SuperPolynomial.x_var(AlgebraSignature(1, 1, 1), 1, 1))
+    # a non-square block makes no element, so no label to apply
+    with pytest.raises(NotSquare):
+        GradedGroupElement(QMatrix.from_rows([[1, 0]]), QMatrix.identity(1))
     # an action checks its factors, when it is made: an element whose
     # blocks are not (1, 1) is refused on two rows of (1, 1)
     with pytest.raises(DimensionMismatch):

@@ -13,7 +13,6 @@ from supermolien.groups import (
     PermGroup,
     Permutation,
     perm_group_of_wreath,
-    perm_sign,
     sign_character,
     validate_character,
 )
@@ -121,9 +120,7 @@ def test_cycle_index_rejects_a_character_of_the_wrong_length():
 
 
 def _is_even(p: Permutation) -> bool:
-    from supermolien.groups import perm_sign
-
-    return perm_sign(p) == 1
+    return p.sign == 1
 
 
 def test_character_validation_rejects_non_homomorphism():
@@ -148,8 +145,8 @@ def test_character_validation_rejects_zero_and_bad_identity():
 
 def test_sgn_character_is_valid():
     for P in [PermGroup.symmetric(2), PermGroup.symmetric(3), PermGroup.young([2, 1])]:
-        chi = validate_character([perm_sign(p) for p in P.elements], P)
-        assert chi == tuple(perm_sign(p) for p in P.elements) and all(type(v) is int for v in chi)
+        chi = validate_character([p.sign for p in P.elements], P)
+        assert chi == tuple(p.sign for p in P.elements) and all(type(v) is int for v in chi)
         assert chi[P.identity_index] == 1
 
 
@@ -183,6 +180,14 @@ def test_h_times_e_alternating_sum_vanishes():
             term = hn_en(k, "e") * hn_en(n - k, "h")
             total = total + term.scale((-1) ** k)
         assert total.is_zero(), f"n={n}: {total!r}"
+
+
+def test_degree_zero_groups_have_cycle_index_one():
+    # S_0 and C_0 are the one permutation of no points, of cycle type ():
+    # h_0 = e_0 = 1 is S_0's plain and sign cycle index, with no special case
+    for kind in ("h", "e"):
+        assert hn_en(0, kind) == SymFuncPoly.one()
+    assert cycle_index(PermGroup.cyclic(0)) == SymFuncPoly.one()
 
 
 def test_hn_en_small_values():
