@@ -475,12 +475,17 @@ def sign_character(group: PermGroup | MatrixGroup) -> tuple[int, ...]:
     """The sign character sgn as +-1 ints aligned with the group's element
     order.  A MatrixGroup is read as the permutation action of its even
     part, or of its odd part when the even part is not a faithful action
-    by permutation matrices; NotAPermutationGroup when neither part is."""
+    by permutation matrices; one NotAPermutationGroup naming both parts'
+    reasons when neither part is."""
     if isinstance(group, MatrixGroup):
         try:
             group = matrix_group_to_perm_group(group, part="even")
-        except NotAPermutationGroup:
-            group = matrix_group_to_perm_group(group, part="odd")
+        except NotAPermutationGroup as even:
+            try:
+                group = matrix_group_to_perm_group(group, part="odd")
+            except NotAPermutationGroup as odd:
+                reasons = f"even part: {even}; odd part: {odd}"
+                raise NotAPermutationGroup(f"sgn needs a part that acts by permutations; {reasons}") from None
     return tuple(p.sign for p in group.elements)
 
 

@@ -26,9 +26,10 @@ determinant lemma is used: those stay with the plethysm route, which
 keeps the routes independent.  The oracle route never looks at Molien:
 it takes the exact rank of the Reynolds operator, the average of the
 substitutions by the same matrices, on the monomial basis of each
-bidegree.  Since R(w.f) = chi(w) R(f), a label mapping m to a single
-term c*m' gives R(m') = chi(w)/c R(m), a multiple of R(m), so the rank
-is taken over one row per orbit of monomials, not one per monomial.
+bidegree.  Since R(w.m) = chi(w) R(m), the rank is taken over one row
+per orbit of monomials, not one per monomial: under a monomial action
+the orbit is the support of its first monomial's sum, zeros kept, and
+under any other the first monomial's orbit under P alone (_orbit_sums).
 Each row is one weighted sum of the action: it maps the orbit's first
 monomial, with coefficient 1, through the compiled substitutions
 (WreathElement.substitution) by the label sum of superalgebra, builds no
@@ -182,61 +183,43 @@ class GroupAction:
         return tuple([(psi, WreathElement(ident, (g,))) for psi, g in self.rows])
 
     @once
-    def _stages(self) -> tuple:
-        """(whether every g is monomial, row images) of the two-stage sum,
-        after |P| * |G|^n is checked against WREATH_CAP (require_wreath),
-        which the sum reads before it builds a label, so a refused action
-        builds none.  The row images, which every weighted sum of the
-        action fills, map a row part (x-part, theta) on its row r to its
-        (image terms, single-term images) on row r; an empty row's is the
-        sum of psi."""
+    def monomial(self) -> bool:
+        """Whether every g is monomial (GradedGroupElement.monomial), so
+        that every label sends a monomial to a single term."""
+        return all(g.monomial for _, g in self.rows)
+
+    @once
+    def _row_images(self) -> dict:
+        """The row images of the two-stage sum, after |P| * |G|^n is checked
+        against WREATH_CAP (require_wreath), which the sum reads before it
+        builds a label, so a refused action builds none.  Every weighted
+        sum of the action fills them: a row part (x-part, theta) on its row
+        r maps to its image terms on row r, zeros kept; an empty row's is
+        the sum of psi, 0 included."""
         require_wreath(len(self.top), len(self.rows), self.signature.n)
-        monomial = all(g.monomial for _, g in self.rows)
-        constant = sum(psi for psi, _ in self.rows)
-        images = {((), ()): ([((), (), constant)] if constant else [], [((), ())])}
-        return monomial, images
+        return {((), ()): [((), (), sum(psi for psi, _ in self.rows))]}
 
-    def _weighted_sum(self) -> Callable[..., dict]:
-        """sum over the labels of chi(w) w.f, as a function of (terms,
-        reached=None) under _label_sum's contract, for one caller's run of
-        calls.  A trivial G (psi(1) = 1) sums over top alone, and a trivial
-        P on one row over rows alone.  Otherwise (_stages) each term of f
-        is split into its rows, each distinct row content mapped once per
-        action through rows by _label_sum, the row images multiplied in row
-        order (concatenated: already canonical, with sign +1), and the
-        product summed over top.
-
-        With reached, f one monomial m, a label sends m to a single term
-        iff every g_i sends row i's content to a single term, so reached
-        gets the top images of the products of single-term row images.
-        For a monomial G whose row images are all nonzero, those products
-        are the product's support, each row image's support being the
-        content's whole G-orbit, so reached gets the sum's keys, zeros
-        kept."""
+    def _weighted_sum(self) -> Callable[[Mapping], dict]:
+        """sum over the labels of chi(w) w.f, as a function of f's terms
+        returning the summed term map, zeros kept (_label_sum), for one
+        caller's run of calls.  A trivial G (psi(1) = 1) sums over top
+        alone, and a trivial P on one row over rows alone.  Otherwise each
+        term of f is split into its rows, each distinct row content mapped
+        once per action through rows by _label_sum (_row_images), the row
+        images multiplied in row order (concatenated: already canonical,
+        with sign +1), and the product summed over top."""
         if len(self.rows) == 1:
             return functools.partial(_label_sum, self._top_labels)
         if len(self.top) == 1 and self.signature.n == 1:
             return functools.partial(_label_sum, self._row_labels)
         n = self.signature.n
-        monomial, images = self._stages
+        images = self._row_images
         top, rows = self._top_labels, self._row_labels
 
-        def image(part: tuple) -> tuple[list, list]:
-            xs, ts = part
-            r = (xs or ts)[0][0]
-            single = None if monomial else set()
-            moved = _label_sum(rows, {_on_row(xs, ts, 1): 1}, single)
-            # a monomial G's single-term images are all its images, zero or not
-            return (
-                [_on_row(x, t, r) + (a,) for (x, t), a in moved.items() if a],
-                [_on_row(x, t, r) for x, t in (moved if monomial else single)],
-            )
-
-        def weighted_sum(terms: Mapping, reached: set | None = None) -> dict:
+        def weighted_sum(terms: Mapping) -> dict:
             product: dict = {}
             for (xpart, theta), c in terms.items():
                 out = [((), (), c)]
-                parts = []
                 i = k = 0
                 for r in range(1, n + 1):
                     # the row-r factors, xpart and theta being sorted by row
@@ -248,22 +231,14 @@ class GroupAction:
                     part = (xpart[i0:i], theta[k0:k])
                     found = images.get(part)
                     if found is None:
-                        found = images[part] = image(part)
-                    parts.append(found)
-                    out = [(x + mx, t + mt, a * b) for x, t, a in out for mx, mt, b in found[0]]
+                        # the part mapped on row 1 and moved back to row r
+                        moved = _label_sum(rows, {_on_row(*part, 1): 1})
+                        found = images[part] = [_on_row(x, t, r) + (a,) for (x, t), a in moved.items()]
+                    out = [(x + mx, t + mt, a * b) for x, t, a in out for mx, mt, b in found]
                 for x, t, a in out:
                     m = (x, t)
                     product[m] = product[m] + a if m in product else a
-            acc = _label_sum(top, product)
-            if reached is not None:
-                if monomial and product:
-                    reached.update(acc)
-                else:
-                    heads = [((), ())]
-                    for _, found in parts:
-                        heads = [(x + hx, t + ht) for x, t in heads for hx, ht in found]
-                    reached.update(_label_sum(top, dict.fromkeys(heads, 1)))
-            return acc
+            return _label_sum(top, product)
 
         return weighted_sum
 
@@ -404,13 +379,12 @@ def _orbit_sums(action: GroupAction, basis: Sequence[Monomial]) -> list[tuple[Mo
     """One undivided weighted sum sum_w chi(w) w.m = |W| R(m) per orbit, as
     (m, term map without zeros) in basis order of its first monomial m.
 
-    A monomial that no earlier sum reached is summed, with coefficient 1,
-    by one weighted sum of the action for the whole basis; each label
-    mapping it to a single term c*m' marks m' reached, R(m') = chi(w)/c R(m)
-    being a multiple of R(m).  For a group
-    of signed permutation matrices that covers the whole orbit, and a dead
-    orbit (R(m) = 0) gives one empty sum; under other groups fewer
-    monomials are reached and the rest are summed themselves."""
+    A monomial that no earlier sum covered is summed, with coefficient 1,
+    by one weighted sum of the action for the whole basis, and its orbit
+    marked covered, since R(w.m) = chi(w) R(m) is a multiple of R(m).  For
+    a monomial action the sum's keys, zeros kept, are the whole P[G]-orbit
+    of m, a dead orbit (R(m) = 0) included; otherwise its P-orbit, the
+    keys of m's sum over P's labels, which are permutations."""
     if not basis:
         return []
     reached: set[Monomial] = set()
@@ -418,7 +392,8 @@ def _orbit_sums(action: GroupAction, basis: Sequence[Monomial]) -> list[tuple[Mo
     weighted_sum = action._weighted_sum()
     for m in basis:
         if m not in reached:
-            acc = weighted_sum({m: 1}, reached)
+            acc = weighted_sum({m: 1})
+            reached.update(acc if action.monomial else _label_sum(action._top_labels, {m: 1}))
             sums.append((m, {k: c for k, c in acc.items() if c}))
     return sums
 

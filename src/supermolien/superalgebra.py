@@ -32,7 +32,9 @@ label of a (scaled) signed permutation group, in its own loop over
 which multiplies each term's factors out.  The Reynolds projector is its character-weighted sum
 over a group, the shuffle product its signed sum over coset
 representatives, and the shuffle battery's invariance test its term map
-compared with f's.
+compared with f's.  The sum keeps cancelled terms as zeros, so over one
+monomial and the one-term labels of a group its keys are the monomial's
+orbit, which molien._orbit_sums reads.
 """
 
 from __future__ import annotations
@@ -363,7 +365,7 @@ def _multi_term_image(sub: Substitution, terms: Mapping) -> dict:
     return {m: a for m, a in acc.items() if a}
 
 
-def _label_sum(pairs: Iterable, terms: Mapping, reached: set | None = None) -> dict:
+def _label_sum(pairs: Iterable, terms: Mapping) -> dict:
     """sum over (weight, label) pairs of weight * w.f, f given by its terms
     and each weight +-1: the summed term map, zeros kept, ints where f's
     coefficients and the labels' entries are ints.  The labels are trusted
@@ -374,19 +376,13 @@ def _label_sum(pairs: Iterable, terms: Mapping, reached: set | None = None) -> d
     each variable to its image times a coefficient, so a term's image is
     found by one sort of the x-part and the sign of the odd factors'
     reordering (one compare for two, the inversion count for more).  A
-    label that is not one-term maps f through _multi_term_image.  When
-    reached is given, f is one monomial, and each w mapping it to a single
-    term c*m adds m to reached: for weight chi(w), R(w.f) = chi(w) R(f), so
-    R(m) = chi(w)/c R(f) is a multiple of R(f)."""
+    label that is not one-term maps f through _multi_term_image."""
     acc: dict[Monomial, int | Fraction] = {}
     items = terms.items()
     for weight, w in pairs:
         sub = w.substitution
         if not sub.one_term:
-            image = _multi_term_image(sub, terms)
-            if reached is not None and len(image) == 1:
-                reached.update(image)
-            for m, c in image.items():
+            for m, c in _multi_term_image(sub, terms).items():
                 if weight < 0:
                     c = -c
                 acc[m] = acc[m] + c if m in acc else c
@@ -429,9 +425,6 @@ def _label_sum(pairs: Iterable, terms: Mapping, reached: set | None = None) -> d
             xs.sort()
             m = (tuple(xs), ts)
             acc[m] = acc[m] + c if m in acc else c
-        if reached is not None:
-            # f is one monomial, and m its one image
-            reached.add(m)
     return acc
 
 

@@ -28,6 +28,7 @@ from .groups import MatrixGroup, PermGroup, Permutation, require_degree, sign_ch
 from .linalg import QMatrix, _charpoly_rows, _columns, _compose
 # FLAVORS is re-exported: the wreath routes take one of these flavor names
 from .molien import FLAVORS as FLAVORS, GroupAction, require_flavor, super_molien
+from .rationals import parse_int
 from .series import (
     Caps,
     TrigradedSeries,
@@ -91,7 +92,8 @@ class CollationSpec:
     """Parameters for collating the S_n[G] series over all n <= n_max.
 
     The collated series lives at caps (n_max, dq, du): exact coefficients of
-    t^n q^i u^j for n <= n_max, i <= dq, j <= du.
+    t^n q^i u^j for n <= n_max, i <= dq, j <= du.  Each cap is read as an
+    int (rationals.parse_int) when the spec is made.
     """
 
     group: MatrixGroup
@@ -102,6 +104,8 @@ class CollationSpec:
 
     def __post_init__(self):
         require_flavor(self.flavor)
+        for name in ("n_max", "dq", "du"):
+            object.__setattr__(self, name, parse_int(getattr(self, name), f"collation {name}"))
         if self.n_max < 0 or self.dq < 0 or self.du < 0:
             raise ValueError("collation caps must be nonnegative")
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from supermolien import molien, shuffle
 from supermolien.errors import DegreeMismatch, DimensionMismatch
-from supermolien.groups import WreathElement, _wreath_labels
+from supermolien.groups import GradedGroupElement, WreathElement, _wreath_labels
 from supermolien.linalg import _berkowitz
 from supermolien.molien import GroupAction, require_flavor
 from supermolien.series import Caps, TrigradedSeries
@@ -108,13 +108,22 @@ def flat_action(P, G, n, flavor):
 
 def flat_orbit_sums(labels, basis):
     """The flat orbit-sum loop: for each monomial of the basis that no
-    earlier sum reached, one _label_sum over every pair, as (m, term map
-    without zeros)."""
+    earlier sum covered, one _label_sum over every pair, as (m, term map
+    without zeros).  It covers the sum's keys, zeros kept, when every label
+    is one-term, and otherwise m's images under the labels whose row blocks
+    are all the identity."""
+    sig = labels.signature
+    identity = GradedGroupElement.identity(sig.r0, sig.r1)
+    if all(w.substitution.one_term for _, w in labels.pairs):
+        orbit_labels = None
+    else:
+        orbit_labels = [(1, w) for _, w in labels.pairs if all(g == identity for g in w.gs)]
     reached = set()
     sums = []
     for m in basis:
         if m not in reached:
-            acc = _label_sum(labels.pairs, {m: 1}, reached)
+            acc = _label_sum(labels.pairs, {m: 1})
+            reached.update(acc if orbit_labels is None else _label_sum(orbit_labels, {m: 1}))
             sums.append((m, {k: c for k, c in acc.items() if c}))
     return sums
 

@@ -91,6 +91,18 @@ def test_molien_sgn_character_of_an_odd_part_permutation_group(tmp_path):
     assert dict(series.items()) == {(0, i, j): 1 for i in range(4) for j in (1, 2)}
 
 
+def test_molien_sgn_refusal_names_both_parts():
+    # +-1 on one x: the even part -1 is no permutation matrix, and the empty
+    # odd part permutes no points, which is not faithful
+    code, out, err = invoke("molien", "--group", fx("pm1.json"), "--character", "sgn")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: sgn needs a part that acts by permutations; "
+        "even part: element 1 is not a permutation matrix on its even part; "
+        "odd part: matrix group does not act faithfully by permutations\n"
+    )
+
+
 def test_shuffle_matches_library():
     code, out, _ = invoke(
         "shuffle", fx("shuffle_left_2_2.json"), fx("shuffle_right_2_2.json"), "--signed",

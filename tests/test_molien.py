@@ -31,6 +31,7 @@ from supermolien.series import Caps, TrigradedSeries, series_add, series_inv, se
 from supermolien.superalgebra import (
     AlgebraSignature,
     SuperPolynomial,
+    _label_sum,
     bidegree_basis,
     super_mul,
 )
@@ -214,20 +215,28 @@ ORBIT_SHARING_CASES = verify.MOLIEN_FIXTURES + (
     "s2[s2-theta]",
     "s2[rational-s3]",
     "s2[scaled-swap]",
+    # rows weighted by sgn, so an empty row's image is 0
+    "s2[s2-x]-sgn",
+    "s2[s3-x]-sgn",
 )
 
 
 def orbit_sharing_action(name):
     """(action, x-degree cap) of an orbit-sharing case: a one-row fixture
     action, S_3 on x with sgn, a wreath product of a signed permutation
-    group, or S_2[H] with H the scaled swap or the non-monomial conjugate of
-    S_3 on x (tests/rational_groups.py)."""
+    group, S_2[H] with H the scaled swap or the non-monomial conjugate of
+    S_3 on x (tests/rational_groups.py), or S_2[H] with H S_2 or S_3 on x
+    and every g weighted by sgn(g)."""
     mg, pg = matrix_group_fixture, perm_group_fixture
     if name in verify.MOLIEN_FIXTURES:
         return GroupAction.from_matrix_group(mg(name)), 4
     if name == "s3-x-sgn":
         G = mg("s3-x")
         return GroupAction.from_matrix_group(G, sign_character(G)), 4
+    if name.endswith("-sgn"):
+        G = mg(name[3:-5])
+        wreath = GroupAction.from_wreath(pg("s2"), G, 2)
+        return GroupAction(wreath.signature, wreath.top, GroupAction.from_matrix_group(G, sign_character(G)).rows), 3
     if name.startswith("s3[sign-scalar]-"):
         return GroupAction.from_wreath(pg("s3"), mg("sign-scalar"), 3, name.split("-", 2)[2]), 4
     if name == "c3[trivial-1-1]":
@@ -268,12 +277,46 @@ def test_reynolds_images_equal_per_monomial_projections(name):
                     assert any(is_multiple(images[m], acc) for _, acc in sums)
 
 
+@pytest.mark.parametrize("name", tuple(name for name in ORBIT_SHARING_CASES if name != "s2[rational-s3]"))
+def test_monomial_actions_take_one_sum_per_orbit(name):
+    # a monomial action takes one orbit sum per P[G]-orbit of each basis,
+    # dead orbits included, the orbits counted by brute force as the
+    # distinct sets of a monomial's images under every flat label
+    action, dq = orbit_sharing_action(name)
+    assert action.monomial
+    pairs = flat_labels(action).pairs
+    sig = action.signature
+    for i in range(dq + 1):
+        for j in range(sig.num_odd + 1):
+            basis = bidegree_basis(sig, i, j)
+            orbits = {frozenset(k for _, w in pairs for k in _label_sum(((1, w),), {m: 1})) for m in basis}
+            assert len(molien._orbit_sums(action, basis)) == len(orbits)
+
+
+def test_the_monomial_flag_decides_which_monomials_a_sum_covers():
+    # S_2[rational-s3] is not monomial: a sum's support is more than the
+    # orbit of its first monomial, and only m's P-orbit shares its row.
+    # Read as a monomial action, the support drops rows the rank needs,
+    # and the oracle undercounts at (2, 0)
+    def action():
+        return GroupAction.from_wreath(PermGroup.symmetric(2), named_group("rational-s3"), 2)
+
+    honest, forced = action(), action()
+    forced.__dict__["monomial"] = True
+    assert not honest.monomial and forced.monomial
+    assert molien_vs_oracle(honest, 2) == {"agreements": 3, "mismatches": []}
+    assert molien_vs_oracle(forced, 2) == {
+        "agreements": 2,
+        "mismatches": [{"i": 2, "j": 0, "molien": "3", "oracle": 2}],
+    }
+
+
 def test_reynolds_images_project_once_per_orbit(monkeypatch):
     # S_3[+-1] on 3 rows at (4, 0): the row stage maps each distinct row
     # content once through G's 2 labels, and the P stage maps each orbit's
-    # product once through P's 6 labels, and a dead orbit's one monomial
-    # once more to mark its orbit: far fewer applications than one per
-    # label of P[G] and monomial
+    # product once through P's 6 labels, a dead orbit's included, whose
+    # zeros mark its orbit: far fewer applications than one per label of
+    # P[G] and monomial
     action = GroupAction.from_wreath(PermGroup.symmetric(3), sign_scalar_group(), 3)
     sig = action.signature
     basis = bidegree_basis(sig, 4, 0)
@@ -288,7 +331,7 @@ def test_reynolds_images_project_once_per_orbit(monkeypatch):
     sums = molien._orbit_sums(action, basis)
     contents = {(r, e) for (xpart, _), _ in sums for r, _, e in xpart}
     dead = [m for m, acc in sums if not acc]
-    assert applied == {"rows": 2 * len(contents), "top": 6 * (len(sums) + len(dead))}
+    assert applied == {"rows": 2 * len(contents), "top": 6 * len(sums)}
     assert 0 < len(dead) and applied["rows"] + applied["top"] < action.order * len(sums) < action.order * len(basis)
     monkeypatch.undo()
     for m, acc in sums:
@@ -1002,7 +1045,7 @@ def test_row_images_are_shared_by_every_bidegree_of_an_action(monkeypatch):
         report = molien_vs_oracle(action, 6)
         shared = sum(mapped)
         assert report["mismatches"] == [] and report["agreements"] == 7 * 5
-        assert shared == len(action._stages[1]) - 1
+        assert shared == len(action._row_images) - 1
         mapped.clear()
         for i in range(7):
             for j in range(5):
